@@ -22,6 +22,7 @@
 //! ```
 
 use mitra_codegen::{generate, Artifact, Backend};
+use mitra_dsl::table::read_csv_record;
 use mitra_dsl::{Program, Table, Value};
 use mitra_hdt::Hdt;
 use mitra_migrate::migrate::{MigrationPlan, MigrationReport};
@@ -161,22 +162,31 @@ impl Mitra {
     }
 }
 
-/// Parses a tiny CSV dialect (comma-separated, double-quote escaping) into a table.
-/// The first line is the header.
+/// Parses CSV text (the [`mitra_dsl::table`] codec: comma-separated, double-quote
+/// escaping, quoted cells may span lines) into a table.  The first record is the
+/// header; blank lines are skipped.
 pub fn parse_csv_table(text: &str) -> Result<Table, MitraError> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let Some(header) = lines.next() else {
+    let mut records = Vec::new();
+    let mut pos = 0;
+    while pos < text.len() {
+        let record = read_csv_record(text, &mut pos)
+            .ok_or_else(|| MitraError::BadOutputExample("unterminated quoted CSV cell".into()))?;
+        if record.len() > 1 || !record[0].is_empty() {
+            records.push(record);
+        }
+    }
+    let mut records = records.into_iter();
+    let Some(columns) = records.next() else {
         return Err(MitraError::BadOutputExample("empty output example".into()));
     };
-    let columns = split_csv_line(header);
-    let mut table = Table::new(columns.clone());
-    for line in lines {
-        let cells = split_csv_line(line);
-        if cells.len() != columns.len() {
+    let mut table = Table::new(columns);
+    for (i, cells) in records.enumerate() {
+        if cells.len() != table.arity() {
             return Err(MitraError::BadOutputExample(format!(
-                "row `{line}` has {} cells but the header has {}",
+                "row {} has {} cells but the header has {}",
+                i + 1,
                 cells.len(),
-                columns.len()
+                table.arity()
             )));
         }
         table.push(cells.iter().map(|c| Value::from_data(c)).collect());
@@ -187,33 +197,6 @@ pub fn parse_csv_table(text: &str) -> Result<Table, MitraError> {
         ));
     }
     Ok(table)
-}
-
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => {
-                cells.push(cur.trim().to_string());
-                cur = String::new();
-            }
-            c => cur.push(c),
-        }
-    }
-    cells.push(cur.trim().to_string());
-    cells
 }
 
 #[cfg(test)]
@@ -243,6 +226,12 @@ mod tests {
         assert!(parse_csv_table("").is_err());
         assert!(parse_csv_table("a,b\n1\n").is_err());
         assert!(parse_csv_table("a,b\n").is_err());
+        assert!(parse_csv_table("a\n\"x\n").is_err());
+        // Quoted header commas, quoted newlines and edge spaces survive.
+        let t = parse_csv_table("\"a,b\",c\r\n\" x\ny \", 2 \r\n").unwrap();
+        assert_eq!(t.columns, vec!["a,b", "c"]);
+        assert_eq!(t.rows[0][0], Value::str(" x\ny "));
+        assert_eq!(t.rows[0][1], Value::int(2));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! bag semantics, so [`Table::same_bag`] counts multiplicities.
 
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -132,27 +133,95 @@ impl Table {
         });
     }
 
-    /// Renders the table as CSV (columns header first when present).
+    /// Renders the table as CSV (columns header first when present), one
+    /// [`write_csv_row`] record per row.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         if !self.columns.is_empty() {
-            out.push_str(&self.columns.join(","));
-            out.push('\n');
+            write_csv_row(&mut out, &self.columns);
         }
         for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|v| csv_escape(&v.render())).collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
+            write_csv_row(&mut out, row.iter().map(Value::render));
         }
         out
     }
 }
 
-fn csv_escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
+// The workspace's one CSV codec: every CSV writer and reader goes through
+// `write_csv_row` and `read_csv_record`, so whatever one writes the others
+// read back unchanged.
+
+/// Escapes one CSV cell: cells holding `,` `"` `\n` `\r` or leading/trailing
+/// whitespace are wrapped in quotes with inner quotes doubled; all others are
+/// written as they are.
+fn csv_escape(cell: &str) -> Cow<'_, str> {
+    let needs_quotes = cell.contains([',', '"', '\n', '\r']) || cell.trim() != cell;
+    if needs_quotes {
+        Cow::Owned(format!("\"{}\"", cell.replace('"', "\"\"")))
     } else {
-        s.to_string()
+        Cow::Borrowed(cell)
+    }
+}
+
+/// Appends one CSV record to `out`: the [`csv_escape`]d cells joined by `,`,
+/// then `\n`.
+pub fn write_csv_row<S: AsRef<str>>(out: &mut String, cells: impl IntoIterator<Item = S>) {
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&csv_escape(cell.as_ref()));
+    }
+    out.push('\n');
+}
+
+/// Reads the CSV record that starts at byte `*pos` of `text` and advances
+/// `*pos` past its terminating `\n` (or to the end of `text`); `None` when a
+/// quoted cell never closes.
+///
+/// The inverse of [`write_csv_row`]: a cell whose first non-blank character is `"`
+/// is quoted, may contain `,`, doubled quotes and raw newlines, and is kept
+/// exactly.  Unquoted cells are trimmed, which also drops the `\r` of a CRLF
+/// line end.
+pub fn read_csv_record(text: &str, pos: &mut usize) -> Option<Vec<String>> {
+    let mut cells = Vec::new();
+    let mut rest = &text[*pos..];
+    loop {
+        let body = rest.trim_start_matches(|c: char| c != '\n' && c.is_whitespace());
+        let (mut cell, after) = match body.strip_prefix('"') {
+            Some(quoted) => read_quoted(quoted)?,
+            None => (String::new(), body),
+        };
+        // Unquoted text, and any text after a closing quote, runs to the
+        // next delimiter.
+        let end = after.find([',', '\n']).unwrap_or(after.len());
+        cell.push_str(after[..end].trim_end());
+        cells.push(cell);
+        rest = &after[end..];
+        match rest.strip_prefix(',') {
+            Some(next) => rest = next,
+            None => break,
+        }
+    }
+    *pos = text.len() - rest.strip_prefix('\n').unwrap_or(rest).len();
+    Some(cells)
+}
+
+/// Reads a quoted cell's text up to its closing quote (`s` starts just after
+/// the opening one), undoubling inner quotes; returns the text after it.
+fn read_quoted(mut s: &str) -> Option<(String, &str)> {
+    let mut cell = String::new();
+    loop {
+        let quote = s.find('"')?;
+        cell.push_str(&s[..quote]);
+        s = &s[quote + 1..];
+        match s.strip_prefix('"') {
+            Some(next) => {
+                cell.push('"');
+                s = next;
+            }
+            None => return Some((cell, s)),
+        }
     }
 }
 
@@ -238,6 +307,39 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
+        let headed = Table::from_rows(&["a,b", "c"], &[]);
+        assert_eq!(headed.to_csv(), "\"a,b\",c\n");
+    }
+
+    #[test]
+    fn csv_escape_quotes_exactly_the_unsafe_cells() {
+        assert_eq!(csv_escape("plain"), "plain");
+        assert_eq!(csv_escape(""), "");
+        for (cell, escaped) in [
+            ("a,b", "\"a,b\""),
+            ("say \"hi\"", "\"say \"\"hi\"\"\""),
+            ("a\nb", "\"a\nb\""),
+            ("a\rb", "\"a\rb\""),
+            (" a", "\" a\""),
+            ("a\t", "\"a\t\""),
+        ] {
+            assert_eq!(csv_escape(cell), escaped);
+        }
+    }
+
+    #[test]
+    fn records_read_back_across_quoted_newlines() {
+        let text = "x,\"a\nb\",\" c \"\r\n  d , e\n";
+        let mut pos = 0;
+        assert_eq!(
+            read_csv_record(text, &mut pos).unwrap(),
+            vec!["x", "a\nb", " c "]
+        );
+        assert_eq!(read_csv_record(text, &mut pos).unwrap(), vec!["d", "e"]);
+        assert_eq!(pos, text.len());
+        let mut pos = 0;
+        assert_eq!(read_csv_record("", &mut pos).unwrap(), vec![""]);
+        assert_eq!(read_csv_record("a,\"b\nc", &mut 0), None);
     }
 
     #[test]

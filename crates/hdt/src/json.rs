@@ -242,6 +242,14 @@ fn write_compact(v: &JsonValue, out: &mut String) {
     }
 }
 
+/// Renders `s` as a JSON string literal: the workspace's JSON string writer
+/// (only `mitra-trace`, a dependency of this crate, keeps its own).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(s, &mut out);
+    out
+}
+
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
@@ -600,6 +608,12 @@ mod tests {
         assert_eq!(parse_json(&pretty).unwrap(), v);
         assert_eq!(parse_json(&compact).unwrap(), v);
         assert!(compact.len() <= pretty.len());
+    }
+
+    #[test]
+    fn json_string_escapes_control_characters() {
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -17,32 +17,14 @@
 //! * `timing`  — wall-clock seconds for one shard (non-compared).
 //! * `complete` — terminal record of a finished run.
 
-use super::{fnv64, CorpusError, FailureKind, QuarantineRecord};
+use super::{io_err, CorpusError, FailureKind, QuarantineRecord};
+use mitra_hdt::json::json_string;
 use mitra_hdt::{parse_json, JsonValue};
+use mitra_synth::fingerprint::{fnv1a, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::Path;
-
-/// Renders a string as a JSON string literal (same escaping rules as
-/// `MigrationReport::summary_json`).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use std::path::{Path, PathBuf};
 
 /// Renders one quarantine record with fixed field order — the exact line
 /// format of the failure ledger.
@@ -142,20 +124,15 @@ impl ShardRecord {
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
-    path: String,
+    path: PathBuf,
 }
 
 impl JournalWriter {
     /// Starts a fresh journal (truncates any previous one).
     pub fn create(path: &Path) -> Result<JournalWriter, CorpusError> {
-        let file = File::create(path).map_err(|e| CorpusError::Io {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        })?;
-        Ok(JournalWriter {
-            file,
-            path: path.display().to_string(),
-        })
+        let file = File::create(path).map_err(io_err(path))?;
+        let path = path.to_path_buf();
+        Ok(JournalWriter { file, path })
     }
 
     /// Opens an existing journal for appending (resume).
@@ -163,25 +140,17 @@ impl JournalWriter {
         let file = OpenOptions::new()
             .append(true)
             .open(path)
-            .map_err(|e| CorpusError::Io {
-                path: path.display().to_string(),
-                error: e.to_string(),
-            })?;
-        Ok(JournalWriter {
-            file,
-            path: path.display().to_string(),
-        })
+            .map_err(io_err(path))?;
+        let path = path.to_path_buf();
+        Ok(JournalWriter { file, path })
     }
 
     /// Appends one record line and fsyncs it to disk.
     pub fn record(&mut self, line: &str) -> Result<(), CorpusError> {
-        let io_err = |e: std::io::Error| CorpusError::Io {
-            path: self.path.clone(),
-            error: e.to_string(),
-        };
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.write_all(b"\n").map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)?;
+        let io_err = io_err(&self.path);
+        self.file.write_all(line.as_bytes()).map_err(&io_err)?;
+        self.file.write_all(b"\n").map_err(&io_err)?;
+        self.file.sync_data().map_err(&io_err)?;
         Ok(())
     }
 }
@@ -286,10 +255,7 @@ fn parse_shard(v: &JsonValue) -> Result<ShardRecord, CorpusError> {
 /// `write` — is tolerated and discarded, which is safe because a record only
 /// *gains* effect once fully written and parseable.
 pub fn load_journal(path: &Path) -> Result<JournalState, CorpusError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CorpusError::Io {
-        path: path.display().to_string(),
-        error: e.to_string(),
-    })?;
+    let text = std::fs::read_to_string(path).map_err(io_err(path))?;
     let mut header: Option<JournalHeader> = None;
     let mut shards: BTreeMap<usize, ShardRecord> = BTreeMap::new();
     let mut synth: Option<(usize, usize)> = None;
@@ -356,7 +322,7 @@ pub fn load_journal(path: &Path) -> Result<JournalState, CorpusError> {
 pub fn verify_shard_file(shards_dir: &Path, record: &ShardRecord) -> bool {
     let path = shards_dir.join(super::shard::shard_file_name(record.shard));
     match std::fs::read(&path) {
-        Ok(bytes) => fnv64(&bytes) == record.result_hash,
+        Ok(bytes) => fnv1a(FNV_OFFSET, &bytes) == record.result_hash,
         Err(_) => false,
     }
 }
@@ -432,11 +398,5 @@ mod tests {
         assert!(shard_pos < rows_pos && rows_pos < q_pos && q_pos < hash_pos);
         assert!(!line.contains("secs"), "no timings in shard records");
         assert!(line.contains("\"result_hash\": \"0123456789abcdef\""));
-    }
-
-    #[test]
-    fn json_string_escapes_control_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -31,28 +31,19 @@ pub mod run;
 pub mod shard;
 
 use crate::keys::KeySpec;
-use crate::migrate::MigrationError;
+use crate::migrate::{validate_tasks, MigrationError};
 use crate::schema::Schema;
 use mitra_dsl::{Program, Table};
+use mitra_hdt::json::json_string;
 use mitra_hdt::{Hdt, HdtError};
 use mitra_synth::synthesize::SynthConfig;
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 pub use journal::{JournalHeader, JournalState, JournalWriter, ShardRecord};
 pub use run::{resume, run};
-
-/// 64-bit FNV-1a over raw bytes — the hash used for the corpus identity and the
-/// per-shard result hashes recorded in the journal.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The source format every document of a corpus is parsed from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,27 +191,16 @@ impl CorpusJob {
     /// Validates schema and tasks without running (mirrors
     /// [`crate::migrate::MigrationPlan::validate`]).
     pub fn validate(&self) -> Result<(), MigrationError> {
-        self.schema
-            .validate()
-            .map_err(|e| MigrationError::InvalidSchema(e.0))?;
-        for task in &self.tasks {
-            let Some(table) = self.schema.table(&task.table) else {
-                return Err(MigrationError::UnknownTable(task.table.clone()));
-            };
-            for col in task
-                .data_columns
-                .iter()
-                .chain(task.keys.iter().map(|(c, _)| c))
-            {
-                if table.column_index(col).is_none() {
-                    return Err(MigrationError::UnknownColumn {
-                        table: task.table.clone(),
-                        column: col.clone(),
-                    });
-                }
-            }
-        }
-        Ok(())
+        validate_tasks(
+            &self.schema,
+            self.tasks.iter().map(|t| {
+                (
+                    t.table.as_str(),
+                    t.data_columns.as_slice(),
+                    t.keys.as_slice(),
+                )
+            }),
+        )
     }
 
     /// The target table names, in task order (the canonical table order of
@@ -393,6 +373,14 @@ impl fmt::Display for CorpusError {
 
 impl std::error::Error for CorpusError {}
 
+/// Maps an I/O failure on `path` to [`CorpusError::Io`].
+pub(crate) fn io_err(path: &Path) -> impl Fn(std::io::Error) -> CorpusError + '_ {
+    move |e| CorpusError::Io {
+        path: path.display().to_string(),
+        error: e.to_string(),
+    }
+}
+
 /// The result of a corpus run: counts for the comparable summary plus
 /// wall-clock timings (reported separately, never in comparable payloads).
 #[derive(Debug, Clone)]
@@ -451,7 +439,7 @@ impl CorpusReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("[{}, {rows}]", journal::json_string(name)));
+            out.push_str(&format!("[{}, {rows}]", json_string(name)));
         }
         out.push_str("],\n");
         out.push_str(&format!("  \"violations\": {}\n", self.violations));

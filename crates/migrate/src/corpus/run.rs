@@ -23,19 +23,20 @@
 use super::journal::{
     self, quarantine_json, JournalHeader, JournalState, JournalWriter, ShardRecord,
 };
-use super::shard::{parse_shard, render_row, render_shard, shard_file_name, split_csv_line};
+use super::shard::{parse_shard, render_shard, shard_file_name, Section};
 use super::{
-    fnv64, parse_corpus_text, CorpusDoc, CorpusError, CorpusJob, CorpusReport, CorpusTableSource,
+    io_err, parse_corpus_text, CorpusDoc, CorpusError, CorpusJob, CorpusReport, CorpusTableSource,
     FailureKind, QuarantineRecord,
 };
 use crate::database::Database;
-use crate::keys::{eval_key, KeySpec};
+use crate::keys::KeySpec;
+use crate::migrate::execute_table;
 use crate::schema::TableSchema;
-use mitra_dsl::eval::node_value;
+use mitra_dsl::table::write_csv_row;
 use mitra_dsl::{Program, Table, Value};
 use mitra_pool::{panic_message, parallel_map_catch};
-use mitra_synth::exec::execute_nodes_budgeted;
-use mitra_synth::fingerprint::{fingerprint, Fingerprint, ProgramCache};
+use mitra_synth::budget::BudgetBreach;
+use mitra_synth::fingerprint::{fingerprint, fnv1a, Fingerprint, ProgramCache, FNV_OFFSET};
 use mitra_synth::synthesize::{learn_transformation, Example, SynthError};
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,13 +70,6 @@ pub fn resume(
     run_impl(job, corpus_text, out_dir, true)
 }
 
-fn io_err(path: &Path) -> impl Fn(std::io::Error) -> CorpusError + '_ {
-    move |e| CorpusError::Io {
-        path: path.display().to_string(),
-        error: e.to_string(),
-    }
-}
-
 fn run_impl(
     job: &CorpusJob,
     corpus_text: &str,
@@ -98,7 +92,7 @@ fn run_impl(
     let shard_size = job.config.shard_size.max(1);
     let shard_count = docs.len().div_ceil(shard_size);
     let tables = job.table_names();
-    let corpus_hash = fnv64(corpus_text.as_bytes());
+    let corpus_hash = fnv1a(FNV_OFFSET, corpus_text.as_bytes());
 
     let shards_dir = out_dir.join("shards");
     let tables_dir = out_dir.join("tables");
@@ -227,7 +221,7 @@ fn run_impl(
     // Assembly: concatenate the persisted shard files in shard order.  Fresh
     // and resumed runs share this path, so byte-identity of the final tables
     // does not depend on which shards were replayed.
-    let mut table_lines: Vec<Vec<String>> = vec![Vec::new(); tables.len()];
+    let mut table_cells: Vec<Vec<Vec<String>>> = vec![Vec::new(); tables.len()];
     for shard_idx in 0..shard_count {
         let path = shards_dir.join(shard_file_name(shard_idx));
         let text = std::fs::read_to_string(&path).map_err(io_err(&path))?;
@@ -239,32 +233,34 @@ fn run_impl(
                 tables.len()
             )));
         }
-        for (t, (name, lines)) in sections.into_iter().enumerate() {
+        for (t, (name, rows)) in sections.into_iter().enumerate() {
             if name != tables[t] {
                 return Err(CorpusError::Corpus(format!(
                     "shard {shard_idx} section {t} is {name:?}, expected {:?}",
                     tables[t]
                 )));
             }
-            table_lines[t].extend(lines);
+            table_cells[t].extend(rows);
         }
     }
 
     let mut table_rows: Vec<(String, usize)> = Vec::with_capacity(tables.len());
     let mut database = Database::new(job.schema.clone());
-    for ((name, schema), lines) in tables.iter().zip(&schemas).zip(&table_lines) {
+    for ((name, schema), rows) in tables.iter().zip(&schemas).zip(&table_cells) {
         let columns = schema.column_names();
-        let mut csv = columns.join(",");
-        csv.push('\n');
+        let mut csv = String::new();
+        write_csv_row(&mut csv, &columns);
         let mut table = Table::new(columns);
-        for line in lines {
-            csv.push_str(line);
-            csv.push('\n');
-            let row: Vec<Value> = split_csv_line(line)
-                .iter()
-                .map(|c| Value::from_data(c))
-                .collect();
-            table.push(row);
+        for cells in rows {
+            if cells.len() != table.arity() {
+                return Err(CorpusError::Corpus(format!(
+                    "table {name}: a shard row has {} cells, expected {}",
+                    cells.len(),
+                    table.arity()
+                )));
+            }
+            write_csv_row(&mut csv, cells);
+            table.push(cells.iter().map(|c| Value::from_data(c)).collect());
         }
         let path = tables_dir.join(format!("{name}.csv"));
         std::fs::write(&path, csv).map_err(io_err(&path))?;
@@ -325,50 +321,38 @@ fn synthesize_shape(job: &CorpusJob, exemplar: CorpusDoc<'_>) -> (ShapePrograms,
         // shape-level failure rather than crashing the pass.
         Err(e) => return (Err((FailureKind::Malformed, e.to_string())), 0),
     };
-    let mut programs = Vec::with_capacity(job.tasks.len());
+    // Collecting stops at the first failing table, so `learned` counts only
+    // the programs synthesized before it.
     let mut learned = 0usize;
-    for task in &job.tasks {
-        match &task.source {
-            CorpusTableSource::Program(p) => programs.push(p.clone()),
+    let programs = job
+        .tasks
+        .iter()
+        .map(|task| match &task.source {
+            CorpusTableSource::Program(p) => Ok(p.clone()),
             CorpusTableSource::Oracle(oracle) => {
-                let Some(expected) = oracle(&tree) else {
-                    return (
-                        Err((
-                            FailureKind::Synthesis,
-                            format!("oracle produced no example for table {}", task.table),
-                        )),
-                        learned,
-                    );
-                };
+                let table = &task.table;
+                let expected = oracle(&tree).ok_or_else(|| {
+                    let error = format!("oracle produced no example for table {table}");
+                    (FailureKind::Synthesis, error)
+                })?;
                 let example = Example::new(tree.clone(), expected);
-                match learn_transformation(&[example], &job.config.synth) {
-                    Ok(synthesis) => {
-                        learned += 1;
-                        programs.push(synthesis.program);
-                    }
-                    Err(SynthError::BudgetExhausted(e)) => {
-                        return (
-                            Err((
-                                FailureKind::Budget,
-                                format!("synthesis for table {}: {e}", task.table),
-                            )),
-                            learned,
-                        )
-                    }
-                    Err(e) => {
-                        return (
-                            Err((
-                                FailureKind::Synthesis,
-                                format!("synthesis for table {}: {e}", task.table),
-                            )),
-                            learned,
-                        )
-                    }
-                }
+                let synthesis =
+                    learn_transformation(&[example], &job.config.synth).map_err(|e| match e {
+                        SynthError::BudgetExhausted(e) => (
+                            FailureKind::Budget,
+                            format!("synthesis for table {table}: {e}"),
+                        ),
+                        e => (
+                            FailureKind::Synthesis,
+                            format!("synthesis for table {table}: {e}"),
+                        ),
+                    })?;
+                learned += 1;
+                Ok(synthesis.program)
             }
-        }
-    }
-    (Ok(programs), learned)
+        })
+        .collect();
+    (programs, learned)
 }
 
 /// The in-memory result of one executed shard, before persistence.
@@ -377,14 +361,14 @@ struct ShardOutput {
     ok: usize,
     retried: u64,
     quarantined: Vec<QuarantineRecord>,
-    /// `(table, csv lines)` in task order — the shard file's sections.
-    sections: Vec<(String, Vec<String>)>,
+    /// The shard file's sections, in task order.
+    sections: Vec<Section>,
 }
 
 /// What became of one document.
 enum DocResult {
-    /// CSV lines per task (task order) plus retry attempts spent.
-    Ok(Vec<Vec<String>>, u64),
+    /// Rendered rows per task (task order) plus retry attempts spent.
+    Ok(Vec<Vec<Vec<String>>>, u64),
     Quarantine(QuarantineRecord),
 }
 
@@ -399,7 +383,7 @@ fn run_shard(
     mitra_trace::fault::hit("corpus.shard", shard_idx as u64);
     let start = shard_idx * shard_size;
     let end = (start + shard_size).min(docs.len());
-    let mut sections: Vec<(String, Vec<String>)> = job
+    let mut sections: Vec<Section> = job
         .tasks
         .iter()
         .map(|t| (t.table.clone(), Vec::new()))
@@ -410,11 +394,11 @@ fn run_shard(
     for doc in &docs[start..end] {
         let outcome = catch_unwind(AssertUnwindSafe(|| process_doc(job, schemas, *doc, cache)));
         match outcome {
-            Ok(DocResult::Ok(lines, doc_retries)) => {
+            Ok(DocResult::Ok(rows, doc_retries)) => {
                 ok += 1;
                 retried += doc_retries;
-                for ((_, section), task_lines) in sections.iter_mut().zip(lines) {
-                    section.extend(task_lines);
+                for ((_, section), task_rows) in sections.iter_mut().zip(rows) {
+                    section.extend(task_rows);
                 }
             }
             Ok(DocResult::Quarantine(record)) => quarantined.push(record),
@@ -492,47 +476,33 @@ fn process_doc(
             .config
             .max_rows_per_doc
             .map(|base| base.saturating_mul(escalation.saturating_pow(attempt - 1)));
-        let mut lines: Vec<Vec<String>> = Vec::with_capacity(job.tasks.len());
-        let mut breach = None;
-        for ((task, program), schema) in job.tasks.iter().zip(programs).zip(schemas) {
-            match execute_nodes_budgeted(&tree, program, fuel) {
-                Err(b) => {
-                    breach = Some(b);
-                    break;
-                }
-                Ok((node_rows, _stats)) => {
-                    let mut task_lines = Vec::with_capacity(node_rows.len());
-                    for nodes in &node_rows {
-                        let data_values: Vec<Value> =
-                            nodes.iter().map(|n| node_value(&tree, *n)).collect();
-                        let mut row: Vec<Value> = vec![Value::Null; schema.arity()];
-                        for (i, col) in task.data_columns.iter().enumerate() {
-                            if let Some(idx) = schema.column_index(col) {
-                                row[idx] = data_values[i].clone();
-                            }
-                        }
-                        for (col, spec) in &task.keys {
-                            if let Some(idx) = schema.column_index(col) {
-                                let value = eval_key(&tree, nodes, &data_values, spec)
-                                    .unwrap_or(Value::Null);
-                                row[idx] = namespace_key(value, spec, doc.index);
-                            }
-                        }
-                        task_lines.push(render_row(&row));
-                    }
-                    lines.push(task_lines);
-                }
+        let executed: Result<Vec<Vec<Vec<String>>>, BudgetBreach> = job
+            .tasks
+            .iter()
+            .zip(programs)
+            .zip(schemas)
+            .map(|((task, program), schema)| {
+                let (rows, _stats) = execute_table(
+                    &tree,
+                    program,
+                    schema,
+                    &task.data_columns,
+                    &task.keys,
+                    fuel,
+                    |key, spec| namespace_key(key, spec, doc.index),
+                )?;
+                Ok(rows
+                    .iter()
+                    .map(|row| row.iter().map(Value::render).collect())
+                    .collect())
+            })
+            .collect();
+        match executed {
+            Ok(rendered) => return DocResult::Ok(rendered, retries),
+            Err(_) if attempt < max_attempts && job.config.max_rows_per_doc.is_some() => {
+                retries += 1;
             }
-        }
-        match breach {
-            None => return DocResult::Ok(lines, retries),
-            Some(b) => {
-                if attempt < max_attempts && job.config.max_rows_per_doc.is_some() {
-                    retries += 1;
-                } else {
-                    return quarantine(FailureKind::Budget, b.to_string(), attempt);
-                }
-            }
+            Err(breach) => return quarantine(FailureKind::Budget, breach.to_string(), attempt),
         }
     }
     // Unreachable: the loop always returns; satisfy the checker defensively.
@@ -578,10 +548,10 @@ fn persist_shard(
         rows: tables
             .iter()
             .zip(&output.sections)
-            .map(|(name, (_, lines))| (name.clone(), lines.len()))
+            .map(|(name, (_, rows))| (name.clone(), rows.len()))
             .collect(),
         quarantined: output.quarantined,
-        result_hash: fnv64(text.as_bytes()),
+        result_hash: fnv1a(FNV_OFFSET, text.as_bytes()),
     };
     writer.record(&record.to_json_line())?;
     mitra_trace::counter_add!("corpus.docs", record.docs as u64);

@@ -2,104 +2,74 @@
 //!
 //! Each completed shard persists its rows to one file so that final tables are
 //! assembled the same way on every path — fresh run, crash-resume, any thread
-//! count: concatenate the shard files in shard order.  The format is
-//! line-oriented CSV grouped into `#table <name>` sections, one section per
-//! task table **in task order** (present even when empty, so the section
-//! layout is a pure function of the job).  Cells use exactly the
-//! `Table::to_csv` escaping, and documents are single lines of the corpus, so
-//! cell text can never contain a raw newline that would break the framing.
+//! count: concatenate the shard files in shard order.  The format is CSV
+//! grouped into `#table <name>` sections, one section per task table **in task
+//! order** (present even when empty, so the section layout is a pure function
+//! of the job).  Rows use the workspace CSV codec ([`mitra_dsl::table`]), so a
+//! cell holding a raw newline is quoted and may span lines; the reader is
+//! quote-aware and only recognizes a `#table` line where a record starts (so a
+//! row whose first cell begins with `#table ` would still be misread).
 
 use super::CorpusError;
-use mitra_dsl::Value;
+use mitra_dsl::table::{read_csv_record, write_csv_row};
+
+/// One shard section: a table name and its rows as rendered cell text.
+pub type Section = (String, Vec<Vec<String>>);
 
 /// The file name of shard `i` (fixed width so lexicographic = numeric order).
 pub fn shard_file_name(shard: usize) -> String {
     format!("shard-{shard:06}.tbl")
 }
 
-/// Escapes one CSV cell exactly like `mitra_dsl::Table::to_csv`.
-pub(crate) fn csv_escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Renders one row of values as a CSV line.
-pub(crate) fn render_row(row: &[Value]) -> String {
-    let cells: Vec<String> = row.iter().map(|v| csv_escape(&v.render())).collect();
-    cells.join(",")
-}
-
-/// Renders a shard's sections (`(table name, csv lines)` in task order) as the
-/// shard file text.
-pub fn render_shard(sections: &[(String, Vec<String>)]) -> String {
+/// Renders a shard's sections (in task order) as the shard file text.
+pub fn render_shard(sections: &[Section]) -> String {
     let mut out = String::new();
-    for (table, lines) in sections {
+    for (table, rows) in sections {
         out.push_str("#table ");
         out.push_str(table);
         out.push('\n');
-        for line in lines {
-            out.push_str(line);
-            out.push('\n');
+        for row in rows {
+            write_csv_row(&mut out, row);
         }
     }
     out
 }
 
-/// Parses a shard file back into its sections.
-pub fn parse_shard(text: &str) -> Result<Vec<(String, Vec<String>)>, CorpusError> {
-    let mut sections: Vec<(String, Vec<String>)> = Vec::new();
-    for line in text.lines() {
-        if let Some(name) = line.strip_prefix("#table ") {
+/// Parses a shard file back into its sections; the inverse of
+/// [`render_shard`].
+pub fn parse_shard(text: &str) -> Result<Vec<Section>, CorpusError> {
+    let mut sections: Vec<Section> = Vec::new();
+    let mut pos = 0;
+    while pos < text.len() {
+        if let Some(rest) = text[pos..].strip_prefix("#table ") {
+            let name = rest.split('\n').next().unwrap_or_default();
             sections.push((name.to_string(), Vec::new()));
-        } else if let Some((_, lines)) = sections.last_mut() {
-            lines.push(line.to_string());
-        } else {
-            return Err(CorpusError::Corpus(format!(
-                "shard file row before any #table section: {line:?}"
-            )));
+            pos = (pos + "#table ".len() + name.len() + 1).min(text.len());
+            continue;
+        }
+        let start = pos;
+        let row = read_csv_record(text, &mut pos)
+            .ok_or_else(|| CorpusError::Corpus("shard file: unterminated quoted cell".into()))?;
+        match sections.last_mut() {
+            Some((_, rows)) => rows.push(row),
+            None => {
+                return Err(CorpusError::Corpus(format!(
+                    "shard file row before any #table section: {:?}",
+                    &text[start..pos]
+                )))
+            }
         }
     }
     Ok(sections)
 }
 
-/// Splits one CSV line into cell strings, undoing [`csv_escape`].  Quoted
-/// cells may contain commas and doubled quotes; raw newlines cannot occur
-/// (documents are single corpus lines).
-pub fn split_csv_line(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut cell = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cell.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cell.push(c);
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => cells.push(std::mem::take(&mut cell)),
-                c => cell.push(c),
-            }
-        }
-    }
-    cells.push(cell);
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cells(row: &[&str]) -> Vec<String> {
+        row.iter().map(|c| c.to_string()).collect()
+    }
 
     #[test]
     fn shard_file_names_sort_numerically() {
@@ -113,7 +83,12 @@ mod tests {
         let sections = vec![
             (
                 "customer".to_string(),
-                vec!["d0_1,alice,2".to_string(), "d1_1,\"a,b\",3".to_string()],
+                vec![
+                    cells(&["d0_1", "alice", "2"]),
+                    cells(&["d1_1", "a,b", "3"]),
+                    cells(&["d2_1", "a\nb", "say \"hi\""]),
+                    cells(&["d3_1", "#table x", ""]),
+                ],
             ),
             ("purchase".to_string(), Vec::new()),
         ];
@@ -129,20 +104,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_before_a_section_are_rejected() {
+    fn rows_before_a_section_and_open_quotes_are_rejected() {
         assert!(parse_shard("x,y\n#table t\n").is_err());
-    }
-
-    #[test]
-    fn csv_round_trip_matches_table_escaping() {
-        let row = vec![
-            Value::Str("x,y".into()),
-            Value::Str("say \"hi\"".into()),
-            Value::Int(3),
-            Value::Null,
-        ];
-        let line = render_row(&row);
-        assert_eq!(line, "\"x,y\",\"say \"\"hi\"\"\",3,");
-        assert_eq!(split_csv_line(&line), vec!["x,y", "say \"hi\"", "3", ""]);
+        assert!(parse_shard("#table t\n\"x,y\n").is_err());
     }
 }

@@ -9,11 +9,12 @@
 
 use crate::database::Database;
 use crate::keys::{eval_key, KeySpec};
-use crate::schema::Schema;
+use crate::schema::{Schema, TableSchema};
 use mitra_dsl::eval::node_value;
-use mitra_dsl::{pretty, Program, Table, Value};
+use mitra_dsl::{pretty, Program, Row, Table, Value};
+use mitra_hdt::json::json_string;
 use mitra_hdt::Hdt;
-use mitra_synth::budget::BudgetExhausted;
+use mitra_synth::budget::{BudgetBreach, BudgetExhausted};
 use mitra_synth::exec::{execute_nodes_budgeted, ExecStats};
 use mitra_synth::synthesize::{
     learn_transformation, Example, SynthConfig, SynthError, SynthProfile,
@@ -330,23 +331,72 @@ impl fmt::Display for DegradationSummary {
     }
 }
 
-/// Minimal JSON string escaping for [`MigrationReport::summary_json`].
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Checks a schema and its `(table, data columns, keys)` tasks for
+/// [`MigrationPlan::validate`] and `CorpusJob::validate`: every task must name
+/// a schema table and only columns of it.
+pub(crate) fn validate_tasks<'a>(
+    schema: &Schema,
+    tasks: impl IntoIterator<Item = (&'a str, &'a [String], &'a [(String, KeySpec)])>,
+) -> Result<(), MigrationError> {
+    schema
+        .validate()
+        .map_err(|e| MigrationError::InvalidSchema(e.0))?;
+    for (table, data_columns, keys) in tasks {
+        let Some(table_schema) = schema.table(table) else {
+            return Err(MigrationError::UnknownTable(table.to_string()));
+        };
+        for col in data_columns.iter().chain(keys.iter().map(|(c, _)| c)) {
+            if table_schema.column_index(col).is_none() {
+                return Err(MigrationError::UnknownColumn {
+                    table: table.to_string(),
+                    column: col.clone(),
+                });
+            }
         }
     }
-    out.push('"');
-    out
+    Ok(())
+}
+
+/// Fills one table from one document (Section 6), for [`MigrationPlan::run`]
+/// and the corpus service alike: runs `program` under the row budget, puts its
+/// output columns at the `data_columns` positions of `schema` and derives the
+/// key columns with [`eval_key`] (`Null` when underivable).  `map_key` sees
+/// each derived key; the corpus service namespaces keys per document with it.
+pub(crate) fn execute_table(
+    document: &Hdt,
+    program: &Program,
+    schema: &TableSchema,
+    data_columns: &[String],
+    keys: &[(String, KeySpec)],
+    max_rows: Option<u64>,
+    map_key: impl Fn(Value, &KeySpec) -> Value,
+) -> Result<(Vec<Row>, ExecStats), BudgetBreach> {
+    let (node_rows, stats) = execute_nodes_budgeted(document, program, max_rows)?;
+    let data_idx: Vec<Option<usize>> = data_columns
+        .iter()
+        .map(|c| schema.column_index(c))
+        .collect();
+    let key_idx: Vec<Option<usize>> = keys.iter().map(|(c, _)| schema.column_index(c)).collect();
+    let rows = node_rows
+        .iter()
+        .map(|nodes| {
+            let data_values: Vec<Value> = nodes.iter().map(|n| node_value(document, *n)).collect();
+            let mut row: Row = vec![Value::Null; schema.arity()];
+            for (value, idx) in data_values.iter().zip(&data_idx) {
+                if let Some(idx) = *idx {
+                    row[idx] = value.clone();
+                }
+            }
+            for ((_, spec), idx) in keys.iter().zip(&key_idx) {
+                if let Some(idx) = *idx {
+                    let key = eval_key(document, nodes, &data_values, spec).unwrap_or(Value::Null);
+                    row[idx] = map_key(key, spec);
+                }
+            }
+            row
+        })
+        .collect();
+    Ok((rows, stats))
 }
 
 /// Errors raised while running a migration plan.
@@ -433,27 +483,16 @@ impl MigrationPlan {
 
     /// Validates the plan against the schema without running it.
     pub fn validate(&self) -> Result<(), MigrationError> {
-        self.schema
-            .validate()
-            .map_err(|e| MigrationError::InvalidSchema(e.0))?;
-        for task in &self.tasks {
-            let Some(table) = self.schema.table(&task.table) else {
-                return Err(MigrationError::UnknownTable(task.table.clone()));
-            };
-            for col in task
-                .data_columns
-                .iter()
-                .chain(task.keys.iter().map(|(c, _)| c))
-            {
-                if table.column_index(col).is_none() {
-                    return Err(MigrationError::UnknownColumn {
-                        table: task.table.clone(),
-                        column: col.clone(),
-                    });
-                }
-            }
-        }
-        Ok(())
+        validate_tasks(
+            &self.schema,
+            self.tasks.iter().map(|t| {
+                (
+                    t.table.as_str(),
+                    t.data_columns.as_slice(),
+                    t.keys.as_slice(),
+                )
+            }),
+        )
     }
 
     /// Runs the plan against a document, producing the populated database and report.
@@ -610,149 +649,54 @@ impl MigrationPlan {
         let mut database = Database::new(self.schema.clone());
         let mut reports = Vec::with_capacity(self.tasks.len());
         for (task, (prog, outcome)) in self.tasks.iter().zip(synthesized) {
-            // An `Ok` outcome always carries a program by construction; should
-            // that invariant ever break, fall through to the rowless-report arm
-            // instead of panicking mid-migration.
-            let (program, synthesis_time, profile) = match prog {
-                Some(parts) if outcome.is_ok() => parts,
-                prog => {
-                    // A skipped table did synthesize: keep its program and profile so
-                    // the degradation report shows what was lost.
-                    let (program_text, synthesis_time, profile) = match prog {
-                        Some((program, synthesis_time, profile)) => {
-                            (pretty::program(&program), synthesis_time, profile)
-                        }
-                        None => (String::new(), Duration::ZERO, None),
-                    };
-                    let outcome = if outcome.is_ok() {
-                        TableOutcome::Failed(MigrationError::Synthesis {
-                            table: task.table.clone(),
-                            error: SynthError::NoProgram,
-                        })
-                    } else {
-                        outcome
-                    };
-                    reports.push(TableReport {
-                        table: task.table.clone(),
-                        outcome,
-                        synthesis_time,
-                        execution_time: Duration::ZERO,
-                        rows: 0,
-                        program: program_text,
-                        profile,
-                        exec_stats: ExecStats::default(),
-                    });
-                    continue;
-                }
+            // A skipped table did synthesize: keep its program and profile so
+            // the degradation report shows what was lost.
+            let (program_text, synthesis_time, profile) = match &prog {
+                Some((program, time, profile)) => (pretty::program(program), *time, *profile),
+                None => (String::new(), Duration::ZERO, None),
             };
-            // `run` validated every task table against the schema up front; a
-            // missing table here means the schema was mutated mid-run, which we
-            // degrade (per-table failure) rather than crash on.
-            let Some(table_schema) = self.schema.table(&task.table).cloned() else {
-                reports.push(TableReport {
-                    table: task.table.clone(),
-                    outcome: TableOutcome::Failed(MigrationError::UnknownTable(task.table.clone())),
-                    synthesis_time,
-                    execution_time: Duration::ZERO,
-                    rows: 0,
-                    program: pretty::program(&program),
-                    profile,
-                    exec_stats: ExecStats::default(),
-                });
-                continue;
-            };
-
-            // Execute with the optimized engine, keeping node-level rows so the key
-            // generators can see which tree nodes each row came from.
-            let _table_span =
-                mitra_trace::span_detail("migrate", "execute_table", || task.table.clone());
-            let table_exec_start = Instant::now();
-            let max_rows = self.synth_config.budget.max_rows;
-            let executed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                execute_nodes_budgeted(document, &program, max_rows)
-            }));
-            let (node_rows, exec_stats) = match executed {
-                Err(payload) => {
-                    let message = mitra_pool::panic_message(payload.as_ref());
-                    mitra_trace::fault::record_panic(
-                        format!("migrate.exec:{}", task.table),
-                        message.clone(),
-                    );
-                    let e = MigrationError::Panicked {
-                        table: task.table.clone(),
-                        message,
-                    };
-                    if self.strict {
-                        return Err(e);
-                    }
-                    reports.push(TableReport {
-                        table: task.table.clone(),
-                        outcome: TableOutcome::Failed(e),
-                        synthesis_time,
-                        execution_time: table_exec_start.elapsed(),
-                        rows: 0,
-                        program: pretty::program(&program),
-                        profile,
-                        exec_stats: ExecStats::default(),
-                    });
-                    continue;
-                }
-                Ok(Err(breach)) => {
-                    let exhausted = BudgetExhausted::new(breach, profile.unwrap_or_default());
-                    if self.strict {
-                        return Err(MigrationError::Synthesis {
-                            table: task.table.clone(),
-                            error: SynthError::BudgetExhausted(exhausted),
-                        });
-                    }
-                    reports.push(TableReport {
-                        table: task.table.clone(),
-                        outcome: TableOutcome::BudgetExhausted(exhausted),
-                        synthesis_time,
-                        execution_time: table_exec_start.elapsed(),
-                        rows: 0,
-                        program: pretty::program(&program),
-                        profile,
-                        exec_stats: ExecStats::default(),
-                    });
-                    continue;
-                }
-                Ok(Ok(result)) => result,
-            };
-            let mut out = Table::new(table_schema.column_names());
-            for nodes in &node_rows {
-                let data_values: Vec<Value> =
-                    nodes.iter().map(|n| node_value(document, *n)).collect();
-                let mut row: Vec<Value> = vec![Value::Null; table_schema.arity()];
-                // Columns were validated against the schema up front; a lookup
-                // miss would leave the cell `Null` rather than crash the table.
-                for (i, col) in task.data_columns.iter().enumerate() {
-                    if let Some(idx) = table_schema.column_index(col) {
-                        row[idx] = data_values[i].clone();
-                    }
-                }
-                for (col, spec) in &task.keys {
-                    if let Some(idx) = table_schema.column_index(col) {
-                        row[idx] =
-                            eval_key(document, nodes, &data_values, spec).unwrap_or(Value::Null);
-                    }
-                }
-                out.push(row);
-            }
-            let rows = out.len();
-            database.set_table(&task.table, out);
-            let execution_time = table_exec_start.elapsed();
-
-            reports.push(TableReport {
+            let mut report = TableReport {
                 table: task.table.clone(),
-                outcome: TableOutcome::Ok,
+                outcome,
                 synthesis_time,
-                execution_time,
-                rows,
-                program: pretty::program(&program),
+                execution_time: Duration::ZERO,
+                rows: 0,
+                program: program_text,
                 profile,
-                exec_stats,
-            });
+                exec_stats: ExecStats::default(),
+            };
+            match prog {
+                Some((program, ..)) if report.outcome.is_ok() => {
+                    let start = Instant::now();
+                    match self.execute_task(document, task, &program, profile) {
+                        Ok((table, exec_stats)) => {
+                            report.rows = table.len();
+                            report.exec_stats = exec_stats;
+                            database.set_table(&task.table, table);
+                        }
+                        Err(TableOutcome::BudgetExhausted(exhausted)) if self.strict => {
+                            return Err(MigrationError::Synthesis {
+                                table: task.table.clone(),
+                                error: SynthError::BudgetExhausted(exhausted),
+                            });
+                        }
+                        Err(TableOutcome::Failed(e)) if self.strict => return Err(e),
+                        Err(failure) => report.outcome = failure,
+                    }
+                    report.execution_time = start.elapsed();
+                }
+                // An `Ok` outcome always carries a program by construction;
+                // should that invariant ever break, report it instead of
+                // panicking mid-migration.
+                None if report.outcome.is_ok() => {
+                    report.outcome = TableOutcome::Failed(MigrationError::Synthesis {
+                        table: task.table.clone(),
+                        error: SynthError::NoProgram,
+                    });
+                }
+                _ => {}
+            }
+            reports.push(report);
         }
         let execution_wall = exec_start.elapsed();
         drop(_exec_span);
@@ -765,6 +709,55 @@ impl MigrationPlan {
             synthesis_wall,
             execution_wall,
         })
+    }
+
+    /// Fills one table with [`execute_table`], panic-isolated and under the
+    /// plan's row budget.  `Err` carries the table's degraded outcome.
+    fn execute_task(
+        &self,
+        document: &Hdt,
+        task: &TableTask,
+        program: &Program,
+        profile: Option<SynthProfile>,
+    ) -> Result<(Table, ExecStats), TableOutcome> {
+        // `run` validated every task table against the schema up front.
+        let Some(schema) = self.schema.table(&task.table) else {
+            let e = MigrationError::UnknownTable(task.table.clone());
+            return Err(TableOutcome::Failed(e));
+        };
+        let _span = mitra_trace::span_detail("migrate", "execute_table", || task.table.clone());
+        let max_rows = self.synth_config.budget.max_rows;
+        let executed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            execute_table(
+                document,
+                program,
+                schema,
+                &task.data_columns,
+                &task.keys,
+                max_rows,
+                |key, _| key,
+            )
+        }));
+        match executed {
+            Ok(Ok((rows, exec_stats))) => {
+                let columns = schema.column_names();
+                Ok((Table { columns, rows }, exec_stats))
+            }
+            Ok(Err(breach)) => Err(TableOutcome::BudgetExhausted(BudgetExhausted::new(
+                breach,
+                profile.unwrap_or_default(),
+            ))),
+            Err(payload) => {
+                let message = mitra_pool::panic_message(payload.as_ref());
+                let site = format!("migrate.exec:{}", task.table);
+                mitra_trace::fault::record_panic(site, message.clone());
+                let table = task.table.clone();
+                Err(TableOutcome::Failed(MigrationError::Panicked {
+                    table,
+                    message,
+                }))
+            }
+        }
     }
 }
 

@@ -285,8 +285,18 @@ where
 mod tests {
     use super::*;
 
+    /// Serializes every test that runs slots through `parallel_map_catch`
+    /// (directly or via `parallel_map`): the `pool.slot` fault one of them
+    /// installs is process-global and would fire in any concurrent run.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn sequential_and_parallel_agree_and_preserve_order() {
+        let _serial = serial();
         let items: Vec<usize> = (0..257).collect();
         let seq = parallel_map(1, &items, |i, x| i * 1000 + x * x);
         for t in [2, 3, 8] {
@@ -297,6 +307,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _serial = serial();
         let empty: Vec<u8> = Vec::new();
         assert!(parallel_map(4, &empty, |_, x| *x).is_empty());
         assert_eq!(parallel_map(4, &[7u8], |_, x| *x + 1), vec![8]);
@@ -304,6 +315,7 @@ mod tests {
 
     #[test]
     fn uneven_work_is_balanced_dynamically() {
+        let _serial = serial();
         // Items with wildly different costs must all complete and stay ordered.
         let items: Vec<u64> = (0..64).collect();
         let out = parallel_map(4, &items, |_, &x| {
@@ -321,6 +333,7 @@ mod tests {
 
     #[test]
     fn nesting_is_bounded() {
+        let _serial = serial();
         let outer: Vec<usize> = (0..4).collect();
         let depths = parallel_map(4, &outer, |_, _| {
             let inner: Vec<usize> = (0..4).collect();
@@ -358,6 +371,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker panicked: boom")]
     fn worker_panics_propagate_deterministically() {
+        let _serial = serial();
         // Two slots panic; the re-raised panic must be the first in *input*
         // order ("boom" at index 2, not "later" at index 5), at any thread count.
         let items: Vec<usize> = (0..8).collect();
@@ -374,6 +388,7 @@ mod tests {
 
     #[test]
     fn catch_isolates_panics_to_their_slot() {
+        let _serial = serial();
         let items: Vec<usize> = (0..16).collect();
         for t in [1, 4] {
             let out = parallel_map_catch(t, &items, |_, &x| {
@@ -399,8 +414,7 @@ mod tests {
 
     #[test]
     fn injected_fault_kills_the_same_slot_at_every_thread_count() {
-        // Process-global fault spec: serialized against other fault users by
-        // being the only in-crate test that installs one.
+        let _serial = serial();
         mitra_trace::fault::set_fault(Some(mitra_trace::fault::FaultSpec {
             site: "pool.slot".into(),
             nth: 6,

@@ -61,25 +61,12 @@ pub fn execute(tree: &Hdt, program: &Program) -> Table {
     execute_with_stats(tree, program).0
 }
 
-/// Executes a program and also returns node-level rows (for key generation) and stats.
-pub fn execute_nodes(tree: &Hdt, program: &Program) -> Vec<Vec<NodeId>> {
-    execute_nodes_with_stats(tree, program).0
-}
-
-/// Like [`execute_nodes`], additionally returning the execution statistics — the
-/// migration layer uses these to build its per-table execution profile.
-pub fn execute_nodes_with_stats(tree: &Hdt, program: &Program) -> (Vec<Vec<NodeId>>, ExecStats) {
-    match run_plan(tree, program, None) {
-        Ok(result) => result,
-        // An unlimited budget cannot breach.
-        Err(_) => unreachable!("unlimited row budget breached"),
-    }
-}
-
-/// Like [`execute_nodes_with_stats`], bounded by a deterministic row budget: the
-/// cumulative count of tuples materialized across the join steps and the residual
-/// filter is checked at canonical points of the (sequential) plan order, so a
-/// breach fires after exactly the same work at every thread count.
+/// Executes a program and returns its node-level rows (for key generation) and
+/// the execution statistics (for the migration execution profile), bounded by a
+/// deterministic row budget (`None` = unlimited): the cumulative count of tuples
+/// materialized across the join steps and the residual filter is checked at
+/// canonical points of the (sequential) plan order, so a breach fires after
+/// exactly the same work at every thread count.
 pub fn execute_nodes_budgeted(
     tree: &Hdt,
     program: &Program,
@@ -90,8 +77,11 @@ pub fn execute_nodes_budgeted(
 
 /// Executes a program with the optimized plan, returning the table and statistics.
 pub fn execute_with_stats(tree: &Hdt, program: &Program) -> (Table, ExecStats) {
-    let (tuples, stats) = execute_nodes_with_stats(tree, program);
-    (project(tree, program, &tuples), stats)
+    match run_plan(tree, program, None) {
+        Ok((tuples, stats)) => (project(tree, program, &tuples), stats),
+        // An unlimited budget cannot breach.
+        Err(_) => unreachable!("unlimited row budget breached"),
+    }
 }
 
 fn project(tree: &Hdt, program: &Program, tuples: &[Vec<NodeId>]) -> Table {
@@ -451,7 +441,7 @@ mod tests {
         let program = synthesized_program();
         for (n, f) in [(2, 1), (5, 2), (20, 3)] {
             let tree = social_network(n, f);
-            let fast = execute_nodes(&tree, &program);
+            let (fast, _) = execute_nodes_budgeted(&tree, &program, None).unwrap();
             let reference = execute_nodes_progressive(&tree, &program);
             assert_eq!(fast, reference, "row mismatch at n={n} f={f}");
         }

@@ -21,18 +21,25 @@ use mitra_hdt::Hdt;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the hash of the empty input.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Extends an FNV-1a state with one path segment (a tag name plus a
-/// separator, so `ab`/`c` and `a`/`bc` hash differently).
-fn fnv_segment(mut h: u64, tag: &str) -> u64 {
-    for b in tag.as_bytes() {
+/// Folds `bytes` into a 64-bit FNV-1a state; `fnv1a(FNV_OFFSET, bytes)` is
+/// the standard FNV-1a hash of `bytes`.  Shape fingerprints and the corpus
+/// journal's corpus and shard hashes all fold through this one step.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);
     }
-    h ^= 0x1f;
-    h.wrapping_mul(FNV_PRIME)
+    h
+}
+
+/// Extends an FNV-1a state with one path segment (a tag name plus a
+/// separator, so `ab`/`c` and `a`/`bc` hash differently).
+fn fnv_segment(h: u64, tag: &str) -> u64 {
+    fnv1a(fnv1a(h, tag.as_bytes()), &[0x1f])
 }
 
 /// A 64-bit shape fingerprint: the FNV-1a fold of a document's sorted
@@ -68,14 +75,11 @@ pub fn fingerprint(tree: &Hdt) -> Fingerprint {
             stack.push((child, fnv_segment(h, tree.tag_name(child))));
         }
     }
-    let mut h = FNV_OFFSET;
-    for p in &paths {
-        for b in p.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    Fingerprint(h)
+    Fingerprint(
+        paths
+            .iter()
+            .fold(FNV_OFFSET, |h, p| fnv1a(h, &p.to_le_bytes())),
+    )
 }
 
 /// A concurrency-safe, first-write-wins memo from [`Fingerprint`] to a shared

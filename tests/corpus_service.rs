@@ -234,3 +234,62 @@ fn thousand_document_single_shape_corpus_synthesizes_exactly_once() {
     std::fs::remove_dir_all(&dir_one).ok();
     std::fs::remove_dir_all(&dir_all).ok();
 }
+
+#[test]
+fn quoted_newlines_survive_shard_files_and_resume() {
+    use mitra::dsl::ast::{ColumnExtractor, Predicate, TableExtractor};
+    use mitra::dsl::Program;
+    use mitra::migrate::{
+        Column, CorpusConfig, CorpusTableSource, CorpusTask, DocFormat, KeySpec, Schema,
+        TableSchema,
+    };
+
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // One-line JSON documents; the first holds an escaped newline in a name.
+    let corpus = concat!(
+        r#"{"p":[{"name":"a\nb"},{"name":"c"}]}"#,
+        "\n",
+        r#"{"p":[{"name":"d"}]}"#,
+        "\n"
+    );
+    let names = ColumnExtractor::children(
+        ColumnExtractor::children(ColumnExtractor::Input, "p"),
+        "name",
+    );
+    let job = CorpusJob {
+        schema: Schema::new().with_table(
+            TableSchema::new("t", vec![Column::text("pk"), Column::text("name")])
+                .with_primary_key(&["pk"]),
+        ),
+        tasks: vec![CorpusTask {
+            table: "t".into(),
+            source: CorpusTableSource::Program(Program::new(
+                TableExtractor::new(vec![names]),
+                Predicate::True,
+            )),
+            keys: vec![("pk".into(), KeySpec::SyntheticPrimary)],
+            data_columns: vec!["name".into()],
+        }],
+        format: DocFormat::Json,
+        config: CorpusConfig {
+            shard_size: 1,
+            threads: 1,
+            ..CorpusConfig::default()
+        },
+    };
+    let dir = temp_dir("newline");
+    let report = run(&job, corpus, &dir).unwrap();
+    assert_eq!((report.ok_docs, report.violations), (2, 0));
+    let csv = std::fs::read_to_string(dir.join("tables").join("t.csv")).unwrap();
+    let table = mitra::parse_csv_table(&csv).unwrap();
+    let read_back: Vec<String> = table.rows.iter().map(|row| row[1].render()).collect();
+    assert_eq!(read_back, ["a\nb", "c", "d"]);
+
+    // Losing the shard with the newline forces resume to re-execute it.
+    let clean = artifacts(&dir);
+    std::fs::remove_file(dir.join("shards").join("shard-000000.tbl")).unwrap();
+    let resumed = resume(&job, corpus, &dir).unwrap();
+    assert_eq!(resumed.resumed_shards, 1);
+    assert_eq!(artifacts(&dir), clean, "resume must be byte-identical");
+    std::fs::remove_dir_all(&dir).ok();
+}
