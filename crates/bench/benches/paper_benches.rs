@@ -19,14 +19,16 @@ use mitra_datagen::corpus::Category;
 use mitra_datagen::datasets::{dataset_synth_config, dblp, yelp};
 use mitra_datagen::{generate_corpus, social};
 use mitra_dsl::eval::eval_program;
+use mitra_dsl::Table;
 use mitra_synth::baseline::{
     enumerate_column_extractors_blind, learn_transformation_baseline, EnumerationStats,
 };
-use mitra_synth::column::{learn_column_extractors, ColumnLearnConfig};
+use mitra_synth::column::{learn_all_columns, ColumnLearnConfig};
 use mitra_synth::exec::execute;
 use mitra_synth::predicate::{learn_predicate, PredicateLearnConfig};
 use mitra_synth::synthesize::{learn_transformation, Example, SynthConfig};
 use mitra_synth::universe::UniverseConfig;
+use mitra_synth::ColumnEvalCache;
 use std::time::Duration;
 
 fn configure(c: &mut Criterion) -> &mut Criterion {
@@ -152,17 +154,24 @@ fn bench_ablation(c: &mut Criterion) {
         exact_cover: false,
         ..exact_cfg
     };
+    let examples = std::slice::from_ref(&example);
     group.bench_function("predicate_cover/exact", |b| {
-        b.iter(|| learn_predicate(std::slice::from_ref(&example), &psi, &exact_cfg))
+        b.iter(|| learn_predicate(examples, &psi, &exact_cfg, &ColumnEvalCache::new(1)))
     });
     group.bench_function("predicate_cover/greedy", |b| {
-        b.iter(|| learn_predicate(std::slice::from_ref(&example), &psi, &greedy_cfg))
+        b.iter(|| learn_predicate(examples, &psi, &greedy_cfg, &ColumnEvalCache::new(1)))
     });
 
     // (c) DFA-based column learning vs blind enumeration, plus the end-to-end baseline.
+    // Both learn column 0 alone, sequentially.
+    let mut first_column = Table::new(vec![example.output.columns[0].clone()]);
+    for value in example.output.column(0) {
+        first_column.push(vec![value]);
+    }
+    let column_example = Example::new(example.tree.clone(), first_column);
     let col_config = ColumnLearnConfig::default();
     group.bench_function("column_learning/dfa", |b| {
-        b.iter(|| learn_column_extractors(std::slice::from_ref(&example), 0, &col_config))
+        b.iter(|| learn_all_columns(std::slice::from_ref(&column_example), 1, &col_config, 1))
     });
     group.bench_function("column_learning/blind_enumeration", |b| {
         b.iter(|| {

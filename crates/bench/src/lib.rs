@@ -186,26 +186,28 @@ pub fn metrics_to_json(m: &mitra_trace::MetricsSnapshot) -> json::JsonValue {
     ])
 }
 
-/// The per-table execution profile as a JSON object — the execution-side sibling of
-/// [`profile_to_json`].
-pub fn execution_profile_to_json(p: &mitra_migrate::ExecutionProfile) -> json::JsonValue {
+/// The per-table execution breakdown of a migration as a JSON object — the
+/// execution-side sibling of [`profile_to_json`]: the phase wall clock plus, per
+/// table in task order, its execution wall and engine statistics.
+pub fn execution_to_json(wall: Duration, tables: &[mitra_migrate::TableReport]) -> json::JsonValue {
     json::obj(vec![
-        ("wall_secs", json::num(p.wall.as_secs_f64())),
+        ("wall_secs", json::num(wall.as_secs_f64())),
         (
             "tables",
             json::JsonValue::Array(
-                p.tables
+                tables
                     .iter()
                     .map(|t| {
+                        let e = &t.exec_stats;
                         json::obj(vec![
                             ("table", json::s(&t.table)),
-                            ("wall_secs", json::num(t.wall.as_secs_f64())),
-                            ("chunks", json::int(t.chunks)),
-                            ("tuples_considered", json::int(t.tuples_considered)),
-                            ("rows_emitted", json::int(t.rows_emitted)),
-                            ("interval_join_steps", json::int(t.interval_join_steps)),
-                            ("hash_join_steps", json::int(t.hash_join_steps)),
-                            ("cross_product_steps", json::int(t.cross_product_steps)),
+                            ("wall_secs", json::num(t.execution_time.as_secs_f64())),
+                            ("chunks", json::int(e.chunks)),
+                            ("tuples_considered", json::int(e.tuples_considered)),
+                            ("rows_emitted", json::int(e.rows_emitted)),
+                            ("interval_join_steps", json::int(e.interval_join_steps)),
+                            ("hash_join_steps", json::int(e.hash_join_steps)),
+                            ("cross_product_steps", json::int(e.cross_product_steps)),
                         ])
                     })
                     .collect(),

@@ -3,12 +3,12 @@
 //! `bench_smoke` baseline writer.
 
 use crate::json::{int, num, obj, s, JsonValue};
-use crate::{execution_profile_to_json, metrics_to_json, profile_to_json};
+use crate::{execution_to_json, metrics_to_json, profile_to_json};
 use mitra_datagen::datasets::{all_datasets, DatasetSpec};
-use mitra_migrate::ExecutionProfile;
 use mitra_synth::budget::Budget;
 use mitra_synth::synthesize::SynthProfile;
 use mitra_trace::MetricsSnapshot;
+use std::time::Duration;
 
 /// One dataset's migration measurement (one row of Table 2).
 #[derive(Debug, Clone)]
@@ -42,8 +42,9 @@ pub struct MigrationRow {
     pub programs: Vec<String>,
     /// Field-wise sum of the per-table synthesis profiles.
     pub profile: SynthProfile,
-    /// Per-table execution breakdown (wall, chunk fan-out, tuple counts).
-    pub execution: ExecutionProfile,
+    /// Per-table execution breakdown (wall, chunk fan-out, tuple counts), as
+    /// rendered by [`execution_to_json`].
+    pub execution: JsonValue,
     /// Metrics recorded during this dataset's run (a [`MetricsSnapshot::delta`]
     /// against the registry state just before it): cache hit/miss/insert counters,
     /// frontier-depth histograms, per-worker pool utilization.  Empty when the
@@ -126,7 +127,7 @@ fn run_dataset_row(
             threads: resolved,
             programs: report.programs().into_iter().map(str::to_string).collect(),
             profile: report.synthesis_profile(),
-            execution: report.execution_profile(),
+            execution: execution_to_json(report.execution_wall, &report.tables),
             metrics: mitra_trace::snapshot().delta(&metrics_before),
             error: None,
         },
@@ -144,7 +145,7 @@ fn run_dataset_row(
             threads: resolved,
             programs: Vec::new(),
             profile: SynthProfile::default(),
-            execution: ExecutionProfile::default(),
+            execution: execution_to_json(Duration::ZERO, &[]),
             metrics: mitra_trace::snapshot().delta(&metrics_before),
             error: Some(e.to_string()),
         },
@@ -169,7 +170,7 @@ pub fn rows_to_json_value(rows: &[MigrationRow]) -> JsonValue {
                     ("violations", int(r.violations)),
                     ("threads", int(r.threads)),
                     ("profile", profile_to_json(&r.profile)),
-                    ("execution", execution_profile_to_json(&r.execution)),
+                    ("execution", r.execution.clone()),
                     ("metrics", metrics_to_json(&r.metrics)),
                 ];
                 if let Some(e) = &r.error {
@@ -189,6 +190,8 @@ pub fn rows_to_json(rows: &[MigrationRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mitra_migrate::{TableOutcome, TableReport};
+    use mitra_synth::exec::ExecStats;
 
     // End-to-end `run_table2` is exercised by the release binaries (`table2`,
     // `bench_smoke`) and the CI bench-smoke job; running dataset synthesis under the
@@ -211,19 +214,25 @@ mod tests {
                 threads: 1,
                 programs: vec!["filter(...)".into()],
                 profile: SynthProfile::default(),
-                execution: ExecutionProfile {
-                    tables: vec![mitra_migrate::TableExecProfile {
+                execution: execution_to_json(
+                    Duration::from_millis(1),
+                    &[TableReport {
                         table: "person".into(),
-                        wall: std::time::Duration::from_millis(1),
-                        chunks: 1,
-                        tuples_considered: 300,
-                        rows_emitted: 275,
-                        interval_join_steps: 0,
-                        hash_join_steps: 1,
-                        cross_product_steps: 0,
+                        outcome: TableOutcome::Ok,
+                        synthesis_time: Duration::ZERO,
+                        execution_time: Duration::from_millis(1),
+                        rows: 275,
+                        program: String::new(),
+                        profile: None,
+                        exec_stats: ExecStats {
+                            chunks: 1,
+                            tuples_considered: 300,
+                            rows_emitted: 275,
+                            hash_join_steps: 1,
+                            ..Default::default()
+                        },
                     }],
-                    wall: std::time::Duration::from_millis(1),
-                },
+                ),
                 metrics: MetricsSnapshot::default(),
                 error: None,
             },
@@ -241,7 +250,7 @@ mod tests {
                 threads: 1,
                 programs: Vec::new(),
                 profile: SynthProfile::default(),
-                execution: ExecutionProfile::default(),
+                execution: execution_to_json(Duration::ZERO, &[]),
                 metrics: MetricsSnapshot::default(),
                 error: Some("synthesis failed".into()),
             },

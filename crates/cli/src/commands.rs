@@ -220,7 +220,7 @@ pub fn corpus_report(limit: usize) -> String {
     out
 }
 
-/// `corpus run` / `corpus resume`: render the finished [`CorpusReport`] as a
+/// `corpus run` / `corpus resume`: render the finished [`mitra_migrate::CorpusReport`] as a
 /// human-readable summary pointing at the artifacts on disk.
 pub fn corpus_service_summary(report: &mitra_migrate::CorpusReport, out_dir: &str) -> String {
     let mut out = String::new();

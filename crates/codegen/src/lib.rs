@@ -11,7 +11,7 @@
 //! The benchmark harness measures the `LOC` statistic of Table 1 from these artifacts
 //! and the integration tests check their structure (one loop per column extractor,
 //! predicate guards pushed to the shallowest loop that binds their columns, correct
-//! escaping).  Guard placement is derived from the static query plan in [`guards`].
+//! escaping).  Guard placement is derived from the static query plan in `guards`.
 
 mod guards;
 pub mod js;

@@ -652,7 +652,7 @@ fn corrupt(rng: &mut StdRng, text: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// Parameters of a mixed corpus: N shop documents sharing one schema, with a
-/// seeded fraction corrupted via the [`corrupt`] modes (the same corruption
+/// seeded fraction corrupted via the `corrupt` modes (the same corruption
 /// family as the `tests/fixtures/malformed/` fixtures) and an optional
 /// fraction carrying a `<promo>` element that gives them a second shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -679,7 +679,7 @@ pub struct MixedCorpus {
 }
 
 /// One guaranteed-unparseable, non-blank, non-comment line — the fallback when
-/// [`corrupt`] happens to produce text the strict XML parser still accepts.
+/// `corrupt` happens to produce text the strict XML parser still accepts.
 const MALFORMED_FALLBACK: &str = "<shop><broken";
 
 fn mixed_doc(rng: &mut StdRng, doc: usize, promo: bool) -> String {

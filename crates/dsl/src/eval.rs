@@ -6,7 +6,7 @@
 //! The optimized execution engine that avoids materializing the cross product lives in
 //! `mitra-synth::exec` (Appendix C of the paper).
 
-use crate::ast::{ColumnExtractor, NodeExtractor, Operand, Predicate, Program, TableExtractor};
+use crate::ast::{ColumnExtractor, NodeExtractor, Operand, Predicate, Program};
 use crate::table::Table;
 use crate::value::Value;
 use mitra_hdt::{Hdt, NodeId};
@@ -78,7 +78,7 @@ impl std::error::Error for EvalError {}
 /// Evaluates a column extractor on a set of starting nodes, returning the extracted
 /// node set in document order (duplicates possible, as in the paper's set-of-nodes with
 /// multiplicity given by the traversal).
-pub fn eval_column_from(tree: &Hdt, start: &[NodeId], pi: &ColumnExtractor) -> Vec<NodeId> {
+fn eval_column_from(tree: &Hdt, start: &[NodeId], pi: &ColumnExtractor) -> Vec<NodeId> {
     match pi {
         ColumnExtractor::Input => start.to_vec(),
         ColumnExtractor::Children { inner, tag } => {
@@ -107,56 +107,18 @@ pub fn eval_column(tree: &Hdt, pi: &ColumnExtractor) -> Vec<NodeId> {
     eval_column_from(tree, &[tree.root()], pi)
 }
 
-/// Evaluates a table extractor: the cross product of its columns.  Entries are node
-/// ids, matching the paper's intermediate tables whose cells are "pointers" to nodes.
-pub fn eval_table_extractor(
-    tree: &Hdt,
-    psi: &TableExtractor,
-) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    eval_table_extractor_with(tree, psi, &EvalLimits::default())
-}
-
-/// Like [`eval_table_extractor`], with an explicit row cap.
-pub fn eval_table_extractor_with(
-    tree: &Hdt,
-    psi: &TableExtractor,
-    limits: &EvalLimits,
-) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    let columns: Vec<Vec<NodeId>> = psi.columns.iter().map(|pi| eval_column(tree, pi)).collect();
-    cross_product_with(&columns, limits)
-}
-
-/// Cross product of the per-column node lists, under the default row cap.
-pub fn cross_product(columns: &[Vec<NodeId>]) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    cross_product_with(columns, &EvalLimits::default())
-}
-
-/// Cross product of the per-column node lists.
+/// Cross product of the per-column node lists, in mixed-radix order (the last
+/// column varies fastest).  Entries are node ids, matching the paper's intermediate
+/// tables whose cells are "pointers" to nodes.
 ///
 /// The row count is computed with checked multiplication *before* anything is
 /// materialized, so an oversized product is rejected as an [`EvalError`] instead of
 /// allocating.
-pub fn cross_product_with(
-    columns: &[Vec<NodeId>],
-    limits: &EvalLimits,
-) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    let slices: Vec<&[NodeId]> = columns.iter().map(Vec::as_slice).collect();
-    cross_product_slices(&slices, limits)
-}
-
-/// Cross product over borrowed per-column slices.
-///
-/// This is the allocation-free entry point used by the synthesizer's shared
-/// column-evaluation cache: workers hold `Arc`ed node lists and pass slices here
-/// without cloning a `Vec<Vec<NodeId>>` per candidate.
-pub fn cross_product_slices(
+pub fn cross_product(
     columns: &[&[NodeId]],
     limits: &EvalLimits,
 ) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    if columns.is_empty() {
-        return Ok(vec![]);
-    }
-    if columns.iter().any(|c| c.is_empty()) {
+    if columns.is_empty() || columns.iter().any(|c| c.is_empty()) {
         return Ok(vec![]);
     }
     let total = columns
@@ -296,21 +258,19 @@ pub fn eval_program_with(
     } else {
         Table::new(program.column_names.clone())
     };
-    for tuple in eval_table_extractor_with(tree, &program.extractor, limits)? {
+    let columns: Vec<Vec<NodeId>> = program
+        .extractor
+        .columns
+        .iter()
+        .map(|pi| eval_column(tree, pi))
+        .collect();
+    let slices: Vec<&[NodeId]> = columns.iter().map(Vec::as_slice).collect();
+    for tuple in cross_product(&slices, limits)? {
         if eval_predicate(tree, &tuple, &program.predicate) {
             table.push(tuple.iter().map(|n| node_value(tree, *n)).collect());
         }
     }
     Ok(table)
-}
-
-/// Evaluates a program but keeps node ids instead of projecting to data values.
-/// Useful for key generation during full-database migration (Section 6).
-pub fn eval_program_nodes(tree: &Hdt, program: &Program) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    Ok(eval_table_extractor(tree, &program.extractor)?
-        .into_iter()
-        .filter(|tuple| eval_predicate(tree, tuple, &program.predicate))
-        .collect())
 }
 
 /// Compile-time guarantee that everything a synthesis worker context needs — the
@@ -328,7 +288,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::CompareOp;
+    use crate::ast::{CompareOp, TableExtractor};
     use mitra_hdt::generate::social_network;
     use mitra_hdt::HdtBuilder;
 
@@ -388,42 +348,25 @@ mod tests {
 
     #[test]
     fn cross_product_sizes_multiply() {
-        let cols = vec![
-            vec![NodeId(1), NodeId(2)],
-            vec![NodeId(3)],
-            vec![NodeId(4), NodeId(5), NodeId(6)],
+        let cols: [&[NodeId]; 3] = [
+            &[NodeId(1), NodeId(2)],
+            &[NodeId(3)],
+            &[NodeId(4), NodeId(5), NodeId(6)],
         ];
-        assert_eq!(cross_product(&cols).unwrap().len(), 6);
-        assert!(cross_product(&[vec![], vec![NodeId(1)]])
-            .unwrap()
-            .is_empty());
-        assert!(cross_product(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn cross_product_slices_agrees_with_owned_columns() {
-        let cols = vec![
-            vec![NodeId(1), NodeId(2)],
-            vec![NodeId(3), NodeId(4), NodeId(5)],
-        ];
-        let slices: Vec<&[NodeId]> = cols.iter().map(Vec::as_slice).collect();
         let limits = EvalLimits::default();
-        assert_eq!(
-            cross_product_with(&cols, &limits).unwrap(),
-            cross_product_slices(&slices, &limits).unwrap()
-        );
-        assert!(cross_product_slices(&[], &limits).unwrap().is_empty());
-        assert!(cross_product_slices(&[&[], &[NodeId(1)]], &limits)
+        assert_eq!(cross_product(&cols, &limits).unwrap().len(), 6);
+        assert!(cross_product(&[&[], &[NodeId(1)]], &limits)
             .unwrap()
             .is_empty());
+        assert!(cross_product(&[], &limits).unwrap().is_empty());
     }
 
     #[test]
     fn cross_product_row_cap_is_enforced_before_allocation() {
-        let cols = vec![vec![NodeId(0); 100], vec![NodeId(1); 100]];
-        let limits = EvalLimits::with_max_rows(5_000);
+        let (a, b) = (vec![NodeId(0); 100], vec![NodeId(1); 100]);
+        let cols = [a.as_slice(), b.as_slice()];
         assert_eq!(
-            cross_product_with(&cols, &limits),
+            cross_product(&cols, &EvalLimits::with_max_rows(5_000)),
             Err(EvalError::TooManyRows {
                 rows: 10_000,
                 cap: 5_000
@@ -431,7 +374,7 @@ mod tests {
         );
         // Under the cap the product materializes normally.
         assert_eq!(
-            cross_product_with(&cols, &EvalLimits::with_max_rows(10_000))
+            cross_product(&cols, &EvalLimits::with_max_rows(10_000))
                 .unwrap()
                 .len(),
             10_000
@@ -443,9 +386,9 @@ mod tests {
         // Column sizes whose product overflows usize must be rejected via checked
         // multiplication, not wrap around to a small allocation.
         let big = vec![NodeId(0); 1 << 20];
-        let cols: Vec<Vec<NodeId>> = (0..4).map(|_| big.clone()).collect();
+        let cols = [big.as_slice(); 4];
         assert_eq!(
-            cross_product(&cols),
+            cross_product(&cols, &EvalLimits::default()),
             Err(EvalError::ProductOverflow { arity: 4 })
         );
     }
@@ -564,8 +507,7 @@ mod tests {
             rhs: Operand::Const(Value::int(3)),
         };
         let prog = Program::new(TableExtractor::new(vec![pi]), p);
-        let out = eval_program_nodes(&t, &prog).unwrap();
-        assert_eq!(out.len(), 2);
+        assert_eq!(eval_program(&t, &prog).unwrap().len(), 2);
     }
 
     #[test]

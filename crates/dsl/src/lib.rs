@@ -18,10 +18,10 @@
 //! * [`table`] — bag-semantics relational tables with named columns;
 //! * [`ast`] — the DSL abstract syntax;
 //! * [`eval`] — the naive denotational evaluator of Figure 7 (cross product + filter);
-//! * [`cost`] — the Occam's-razor cost function θ of Section 6;
+//! * [`cost`](mod@cost) — the Occam's-razor cost function θ of Section 6;
 //! * [`pretty`] — the human-readable syntax used in the paper's figures;
 //! * [`parse`] — a parser for that textual syntax (round-trips with [`pretty`]);
-//! * [`validate`] — static well-formedness checks for hand-written or loaded programs.
+//! * [`validate`](mod@validate) — static well-formedness checks for hand-written or loaded programs.
 
 // This crate is part of the hardened fault-tolerance surface: panicking
 // shortcuts are lint-rejected outside tests (see clippy.toml for the list).
@@ -41,8 +41,8 @@ pub use ast::{
 };
 pub use cost::{cost, Cost};
 pub use eval::{
-    eval_column, eval_node_extractor, eval_predicate, eval_program, eval_program_with,
-    eval_table_extractor, EvalError, EvalLimits,
+    eval_column, eval_node_extractor, eval_predicate, eval_program, eval_program_with, EvalError,
+    EvalLimits,
 };
 pub use table::{Row, Table};
 pub use validate::{validate, validate_against, Diagnostic, Severity, Validation};

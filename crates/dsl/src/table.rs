@@ -152,10 +152,12 @@ impl Table {
 // read back unchanged.
 
 /// Escapes one CSV cell: cells holding `,` `"` `\n` `\r` or leading/trailing
-/// whitespace are wrapped in quotes with inner quotes doubled; all others are
-/// written as they are.
+/// whitespace, or starting with `#` (which would read as a corpus shard section
+/// header at the start of a record), are wrapped in quotes with inner quotes
+/// doubled; all others are written as they are.
 fn csv_escape(cell: &str) -> Cow<'_, str> {
-    let needs_quotes = cell.contains([',', '"', '\n', '\r']) || cell.trim() != cell;
+    let needs_quotes =
+        cell.contains([',', '"', '\n', '\r']) || cell.trim() != cell || cell.starts_with('#');
     if needs_quotes {
         Cow::Owned(format!("\"{}\"", cell.replace('"', "\"\"")))
     } else {
@@ -163,8 +165,8 @@ fn csv_escape(cell: &str) -> Cow<'_, str> {
     }
 }
 
-/// Appends one CSV record to `out`: the [`csv_escape`]d cells joined by `,`,
-/// then `\n`.
+/// Appends one CSV record to `out`: the escaped cells joined by `,`, then
+/// `\n`.
 pub fn write_csv_row<S: AsRef<str>>(out: &mut String, cells: impl IntoIterator<Item = S>) {
     for (i, cell) in cells.into_iter().enumerate() {
         if i > 0 {
@@ -315,6 +317,7 @@ mod tests {
     fn csv_escape_quotes_exactly_the_unsafe_cells() {
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape(""), "");
+        assert_eq!(csv_escape("a#"), "a#");
         for (cell, escaped) in [
             ("a,b", "\"a,b\""),
             ("say \"hi\"", "\"say \"\"hi\"\"\""),
@@ -322,6 +325,7 @@ mod tests {
             ("a\rb", "\"a\rb\""),
             (" a", "\" a\""),
             ("a\t", "\"a\t\""),
+            ("#table x", "\"#table x\""),
         ] {
             assert_eq!(csv_escape(cell), escaped);
         }

@@ -36,7 +36,7 @@ pub fn social_network(n_persons: usize, friends_per_person: usize) -> Hdt {
     tree
 }
 
-/// Deterministic person name for id `i` ("Alice", "Bob", ... then "user<i>").
+/// Deterministic person name for id `i` ("Alice", "Bob", ... then `user<i>`).
 pub fn person_name(i: usize) -> String {
     const NAMES: [&str; 8] = [
         "Alice", "Bob", "Carol", "Dave", "Erin", "Frank", "Grace", "Heidi",

@@ -6,7 +6,7 @@
 //!
 //! Tags are interned [`TagId`]s (see [`crate::intern`]), so every lookup compares and
 //! hashes `u32`s.  On top of the arena the tree maintains a lazily built
-//! [`TreeIndex`]:
+//! `TreeIndex`:
 //!
 //! * a **pre-order numbering** — `preorder(n)` and an exclusive `subtree_end(n)` — so
 //!   that "is `d` a descendant of `n`" becomes an interval test;

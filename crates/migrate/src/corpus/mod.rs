@@ -6,7 +6,7 @@
 //! every document.  This module is the long-running service around that split:
 //!
 //! * **Per-shape program cache** — each document is fingerprinted
-//!   ([`mitra_synth::fingerprint`]) and synthesis runs once per distinct
+//!   ([`mitra_synth::fingerprint()`]) and synthesis runs once per distinct
 //!   fingerprint, not once per document.
 //! * **Deterministic sharding** — documents are processed in fixed-size shards,
 //!   fanned across `mitra-pool` in waves, with per-shard result tables and a
@@ -128,21 +128,21 @@ pub struct CorpusTask {
 
 /// Deterministic retry policy for `BudgetExhausted` documents: fuel-based,
 /// never wall-clock, so retry outcomes are identical at any thread count.
+/// Attempt `k` (1-based) runs with `max_rows_per_doc * 4^(k-1)` row fuel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per document (first try included).
     pub max_attempts: u32,
-    /// Fuel multiplier applied on each retry: attempt `k` (1-based) runs with
-    /// `max_rows_per_doc * escalation^(k-1)` row fuel.
-    pub escalation: u64,
+}
+
+impl RetryPolicy {
+    /// Fuel multiplier applied on each retry.
+    pub(crate) const ESCALATION: u64 = 4;
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            escalation: 4,
-        }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 

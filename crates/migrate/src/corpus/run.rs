@@ -26,7 +26,7 @@ use super::journal::{
 use super::shard::{parse_shard, render_shard, shard_file_name, Section};
 use super::{
     io_err, parse_corpus_text, CorpusDoc, CorpusError, CorpusJob, CorpusReport, CorpusTableSource,
-    FailureKind, QuarantineRecord,
+    FailureKind, QuarantineRecord, RetryPolicy,
 };
 use crate::database::Database;
 use crate::keys::KeySpec;
@@ -466,16 +466,15 @@ fn process_doc(
     };
 
     let max_attempts = job.config.retry.max_attempts.max(1);
-    let escalation = job.config.retry.escalation.max(1);
     let mut retries = 0u64;
     for attempt in 1..=max_attempts {
-        // Fuel-based escalation: attempt k runs with base * escalation^(k-1)
+        // Fuel-based escalation: attempt k runs with base * ESCALATION^(k-1)
         // row fuel — a pure function of the attempt number, so retry outcomes
         // are identical at every thread count.
         let fuel = job
             .config
             .max_rows_per_doc
-            .map(|base| base.saturating_mul(escalation.saturating_pow(attempt - 1)));
+            .map(|base| base.saturating_mul(RetryPolicy::ESCALATION.saturating_pow(attempt - 1)));
         let executed: Result<Vec<Vec<Vec<String>>>, BudgetBreach> = job
             .tasks
             .iter()

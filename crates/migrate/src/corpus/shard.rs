@@ -6,9 +6,9 @@
 //! grouped into `#table <name>` sections, one section per task table **in task
 //! order** (present even when empty, so the section layout is a pure function
 //! of the job).  Rows use the workspace CSV codec ([`mitra_dsl::table`]), so a
-//! cell holding a raw newline is quoted and may span lines; the reader is
-//! quote-aware and only recognizes a `#table` line where a record starts (so a
-//! row whose first cell begins with `#table ` would still be misread).
+//! cell holding a raw newline is quoted and may span lines, and a cell starting
+//! with `#` is quoted too; the reader is quote-aware and only recognizes a
+//! `#table` line where a record starts, so no row reads back as a section header.
 
 use super::CorpusError;
 use mitra_dsl::table::{read_csv_record, write_csv_row};
@@ -88,6 +88,7 @@ mod tests {
                     cells(&["d1_1", "a,b", "3"]),
                     cells(&["d2_1", "a\nb", "say \"hi\""]),
                     cells(&["d3_1", "#table x", ""]),
+                    cells(&["#table y", "d4_1", "4"]),
                 ],
             ),
             ("purchase".to_string(), Vec::new()),

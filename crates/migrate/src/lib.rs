@@ -38,8 +38,8 @@ pub use corpus::{
 pub use database::Database;
 pub use keys::KeySpec;
 pub use migrate::{
-    DegradationSummary, ExecutionProfile, MigrationError, MigrationPlan, MigrationReport,
-    TableExecProfile, TableOutcome, TableReport, TableSource, TableTask,
+    DegradationSummary, MigrationError, MigrationPlan, MigrationReport, TableOutcome, TableReport,
+    TableSource, TableTask,
 };
 pub use query::{run_query, QueryError};
 pub use schema::{Column, ColumnType, ForeignKey, Schema, TableSchema};

@@ -137,37 +137,6 @@ pub struct TableReport {
     pub exec_stats: ExecStats,
 }
 
-/// Per-table execution breakdown — the execution-side sibling of [`SynthProfile`].
-#[derive(Debug, Clone, Default)]
-pub struct TableExecProfile {
-    /// Table name.
-    pub table: String,
-    /// Wall-clock time executing the program and generating keys for this table.
-    pub wall: Duration,
-    /// Chunks the residual filter fanned out over (1 = it ran inline).
-    pub chunks: usize,
-    /// Tuples produced before the residual predicate.
-    pub tuples_considered: usize,
-    /// Rows the program emitted (before key columns are attached).
-    pub rows_emitted: usize,
-    /// Join steps executed as pre-order interval joins.
-    pub interval_join_steps: usize,
-    /// Join steps executed as hash joins.
-    pub hash_join_steps: usize,
-    /// Extension steps executed as cross products.
-    pub cross_product_steps: usize,
-}
-
-/// The execution-phase profile of a whole migration: one entry per table, in task
-/// order, plus the phase wall clock.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutionProfile {
-    /// Per-table breakdowns, in task order.
-    pub tables: Vec<TableExecProfile>,
-    /// Wall-clock time of the whole execution phase.
-    pub wall: Duration,
-}
-
 /// The result of running a migration plan.
 #[derive(Debug, Clone)]
 pub struct MigrationReport {
@@ -272,28 +241,6 @@ impl MigrationReport {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Per-table execution breakdown (wall time, chunk fan-out, tuple counts) — the
-    /// execution-side counterpart of [`MigrationReport::synthesis_profile`].
-    pub fn execution_profile(&self) -> ExecutionProfile {
-        ExecutionProfile {
-            tables: self
-                .tables
-                .iter()
-                .map(|t| TableExecProfile {
-                    table: t.table.clone(),
-                    wall: t.execution_time,
-                    chunks: t.exec_stats.chunks,
-                    tuples_considered: t.exec_stats.tuples_considered,
-                    rows_emitted: t.exec_stats.rows_emitted,
-                    interval_join_steps: t.exec_stats.interval_join_steps,
-                    hash_join_steps: t.exec_stats.hash_join_steps,
-                    cross_product_steps: t.exec_stats.cross_product_steps,
-                })
-                .collect(),
-            wall: self.execution_wall,
-        }
     }
 }
 
@@ -906,20 +853,20 @@ mod tests {
     }
 
     #[test]
-    fn execution_profile_reports_every_table() {
+    fn execution_stats_report_every_table() {
         let doc = social_network(4, 2);
         let report = plan().run(&doc).unwrap();
-        let profile = report.execution_profile();
-        assert_eq!(profile.tables.len(), 2);
-        assert_eq!(profile.tables[0].table, "person");
-        assert_eq!(profile.tables[1].table, "friendship");
-        for t in &profile.tables {
-            assert!(t.chunks >= 1, "chunk count missing for {}", t.table);
-            assert!(t.tuples_considered >= t.rows_emitted);
+        assert_eq!(report.tables.len(), 2);
+        assert_eq!(report.tables[0].table, "person");
+        assert_eq!(report.tables[1].table, "friendship");
+        for t in &report.tables {
+            let stats = &t.exec_stats;
+            assert!(stats.chunks >= 1, "chunk count missing for {}", t.table);
+            assert!(stats.tuples_considered >= stats.rows_emitted);
         }
-        assert_eq!(profile.tables[0].rows_emitted, 4);
-        assert_eq!(profile.tables[1].rows_emitted, 8);
-        assert!(profile.wall >= profile.tables.iter().map(|t| t.wall).sum());
+        assert_eq!(report.tables[0].exec_stats.rows_emitted, 4);
+        assert_eq!(report.tables[1].exec_stats.rows_emitted, 8);
+        assert!(report.execution_wall >= report.total_execution_time());
     }
 
     #[test]

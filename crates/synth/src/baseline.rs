@@ -14,6 +14,7 @@
 //! candidates and degrades quickly as the alphabet (number of distinct tags) grows —
 //! which is what the ablation benchmark measures.
 
+use crate::cache::ColumnEvalCache;
 use crate::dfa::{alphabet_of, apply_step, covers_column};
 use crate::predicate::{learn_predicate, PredicateLearnConfig};
 use crate::synthesize::{Example, SynthConfig, SynthError, Synthesis};
@@ -168,7 +169,8 @@ pub fn learn_transformation_baseline(
             }
         }
         let psi = TableExtractor::new(combo);
-        let Some(phi) = learn_predicate(examples, &psi, &pred_config) else {
+        let cache = ColumnEvalCache::new(examples.len());
+        let Some(phi) = learn_predicate(examples, &psi, &pred_config, &cache) else {
             continue;
         };
         let mut program = Program::new(psi, phi);

@@ -12,7 +12,7 @@
 //!
 //! * the best-first frontier ([`crate::synthesize::learn_transformation`]) checks
 //!   `candidates` against the total pop count at every batch boundary;
-//! * column-automata learning ([`crate::column::learn_column_automata_budgeted`])
+//! * column-automata learning ([`crate::column::learn_column_automata`])
 //!   accumulates constructed + intersected state counts in canonical (column,
 //!   example) order and stops intersecting once `dfa_states` is spent;
 //! * the executor ([`crate::exec::execute_nodes_budgeted`]) counts tuples

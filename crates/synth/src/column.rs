@@ -41,51 +41,17 @@ pub struct ColumnCandidates {
     pub truncated: bool,
 }
 
-/// Learns the set of column extractors for column `col` that are consistent with all
-/// examples (i.e. whose extracted node set covers the column of every output example).
-///
-/// Returns candidates ordered simplest-first.  The returned vector is empty when no
-/// extractor within the configured limits covers the column.
-pub fn learn_column_extractors(
-    examples: &[Example],
-    col: usize,
-    config: &ColumnLearnConfig,
-) -> Vec<ColumnExtractor> {
-    let mut combined: Option<Dfa> = None;
-    for ex in examples {
-        let column: Vec<Value> = ex.output.column(col);
-        let dfa = Dfa::construct(&ex.tree, &column, config.limits);
-        combined = Some(match combined {
-            None => dfa,
-            Some(acc) => acc.intersect(&dfa),
-        });
-    }
-    let Some(dfa) = combined else {
-        return Vec::new();
-    };
-    dfa.enumerate(config.limits.max_word_len, config.max_candidates)
-        .words
-        .iter()
-        .map(|word| ColumnExtractor::from_steps(word))
-        .collect()
-}
-
-/// Learns candidate extractors for **every** output column `0..arity`, building the
-/// per-example DFAs of all columns concurrently on up to `threads` pool workers.
-///
-/// Each (column, example) pair's automaton is independent, so construction — the
-/// dominant cost for large example documents — fans out freely; the per-column
-/// product automata are then intersected **in example order** and enumerated with the
-/// name-sorted tie-break, so the returned candidates are byte-identical to the
-/// sequential path regardless of scheduling.
+/// Learns capped, simplest-first candidate extractor lists for **every** output
+/// column `0..arity` by enumerating the automata of [`learn_column_automata`]
+/// (shortest words first, name-sorted tie-break).  Only the exhaustive reference
+/// search materializes these lists; the best-first search streams words instead.
 pub fn learn_all_columns(
     examples: &[Example],
     arity: usize,
     config: &ColumnLearnConfig,
     threads: usize,
 ) -> Vec<ColumnCandidates> {
-    let automata = learn_column_automata(examples, arity, config.limits, threads);
-    automata
+    learn_column_automata(examples, arity, config.limits, threads, None)
         .dfas
         .into_iter()
         .map(|dfa| {
@@ -134,25 +100,16 @@ pub struct ColumnAutomata {
 /// automata (and any enumeration over them) are byte-identical to the sequential
 /// path regardless of scheduling.  The best-first table search streams words from
 /// these automata directly instead of materializing a capped candidate list.
-pub fn learn_column_automata(
-    examples: &[Example],
-    arity: usize,
-    limits: DfaLimits,
-    threads: usize,
-) -> ColumnAutomata {
-    learn_column_automata_budgeted(examples, arity, limits, threads, None)
-}
-
-/// [`learn_column_automata`] with an optional deterministic state budget.
 ///
-/// State fuel is spent in canonical order — every constructed per-(column,
-/// example) automaton's states first (pair order, regardless of which worker
-/// built it), then each sequential intersection product's states — so with
-/// `max_states` set, the breach point is a pure function of the inputs, never of
-/// the thread count.  On a breach the per-example automata are still all built
-/// (their construction fans out before accounting), but intersection stops and
-/// the result carries `breach: Some(..)` with every remaining column `None`.
-pub fn learn_column_automata_budgeted(
+/// `max_states` is an optional deterministic state budget.  State fuel is spent in
+/// canonical order — every constructed per-(column, example) automaton's states
+/// first (pair order, regardless of which worker built it), then each sequential
+/// intersection product's states — so the breach point is a pure function of the
+/// inputs, never of the thread count.  On a breach the per-example automata are
+/// still all built (their construction fans out before accounting), but
+/// intersection stops and the result carries `breach: Some(..)` with every
+/// remaining column `None`.
+pub fn learn_column_automata(
     examples: &[Example],
     arity: usize,
     limits: DfaLimits,
@@ -252,6 +209,18 @@ mod tests {
     use mitra_dsl::Table;
     use mitra_hdt::generate::social_network;
 
+    /// The candidates of column `col`, learned sequentially.
+    fn learn_column(
+        examples: &[Example],
+        col: usize,
+        config: &ColumnLearnConfig,
+    ) -> Vec<ColumnExtractor> {
+        let arity = examples[0].output.arity();
+        learn_all_columns(examples, arity, config, 1)
+            .swap_remove(col)
+            .extractors
+    }
+
     fn example() -> Example {
         Example {
             tree: social_network(2, 1),
@@ -265,8 +234,7 @@ mod tests {
     #[test]
     fn learns_name_extractor_for_first_column() {
         let ex = example();
-        let cands =
-            learn_column_extractors(std::slice::from_ref(&ex), 0, &ColumnLearnConfig::default());
+        let cands = learn_column(std::slice::from_ref(&ex), 0, &ColumnLearnConfig::default());
         assert!(!cands.is_empty());
         // Every candidate must cover {Alice, Bob}.
         for pi in &cands {
@@ -283,7 +251,7 @@ mod tests {
     #[test]
     fn candidates_are_ordered_simplest_first() {
         let ex = example();
-        let cands = learn_column_extractors(&[ex], 0, &ColumnLearnConfig::default());
+        let cands = learn_column(&[ex], 0, &ColumnLearnConfig::default());
         for pair in cands.windows(2) {
             assert!(pair[0].size() <= pair[1].size());
         }
@@ -294,7 +262,7 @@ mod tests {
         // The paper notes four different extractors for the `years` column (π31..π34);
         // we only require that more than one exists (e.g. via years and via id).
         let ex = example();
-        let cands = learn_column_extractors(&[ex], 2, &ColumnLearnConfig::default());
+        let cands = learn_column(&[ex], 2, &ColumnLearnConfig::default());
         assert!(
             cands.len() > 1,
             "expected several candidates, got {cands:?}"
@@ -307,7 +275,7 @@ mod tests {
             tree: social_network(2, 1),
             output: Table::from_rows(&["x"], &[&["value-not-in-tree"]]),
         };
-        let cands = learn_column_extractors(&[ex], 0, &ColumnLearnConfig::default());
+        let cands = learn_column(&[ex], 0, &ColumnLearnConfig::default());
         assert!(cands.is_empty());
     }
 
@@ -325,15 +293,14 @@ mod tests {
                 ],
             ),
         };
-        let one =
-            learn_column_extractors(std::slice::from_ref(&ex1), 0, &ColumnLearnConfig::default());
-        let both = learn_column_extractors(&[ex1, ex2], 0, &ColumnLearnConfig::default());
+        let one = learn_column(std::slice::from_ref(&ex1), 0, &ColumnLearnConfig::default());
+        let both = learn_column(&[ex1, ex2], 0, &ColumnLearnConfig::default());
         assert!(!both.is_empty());
         assert!(both.len() <= one.len());
     }
 
     #[test]
-    fn learn_all_columns_matches_per_column_learning() {
+    fn learn_all_columns_is_identical_across_thread_counts() {
         let ex1 = example();
         let ex2 = Example {
             tree: social_network(3, 1),
@@ -354,11 +321,6 @@ mod tests {
             assert_eq!(
                 sequential[col].extractors, parallel[col].extractors,
                 "column {col} diverged between thread counts"
-            );
-            assert_eq!(
-                sequential[col].extractors,
-                learn_column_extractors(&examples, col, &config),
-                "column {col} diverged from single-column learner"
             );
         }
     }
@@ -390,7 +352,7 @@ mod tests {
             max_candidates: 2,
             ..Default::default()
         };
-        let cands = learn_column_extractors(&[ex], 2, &config);
+        let cands = learn_column(&[ex], 2, &config);
         assert!(cands.len() <= 2);
     }
 }

@@ -6,7 +6,7 @@
 //! * [`dfa`] — deterministic finite automata whose states are node sets of an HDT and
 //!   whose alphabet is the column-extractor operators (Figure 9); supports
 //!   intersection and shortest-word enumeration.
-//! * [`column`] — `LearnColExtractors` (Algorithm 2): learning the set of column
+//! * [`column`](mod@column) — `LearnColExtractors` (Algorithm 2): learning the set of column
 //!   extraction programs consistent with all examples.
 //! * [`universe`] — construction of the atomic-predicate universe (Figure 10).
 //! * [`cover`] — the 0–1 ILP / minimum set-cover solver behind `FindMinCover`
@@ -28,7 +28,7 @@
 //!   execution engine split into a cost-based query planner, a physical-operator
 //!   layer (tag-indexed scans, pre-order interval joins, interned-key hash joins,
 //!   vectorized residual filters) and the executor driving them.
-//! * [`fingerprint`] — document-shape fingerprints (stable tag-path-set hashes) and the
+//! * [`fingerprint`](mod@fingerprint) — document-shape fingerprints (stable tag-path-set hashes) and the
 //!   per-shape program cache that lets the corpus service synthesize once per shape.
 //! * [`baseline`] — a deliberately naive enumerative synthesizer used for the ablation
 //!   experiments (E7 in DESIGN.md).
@@ -51,10 +51,7 @@ pub mod universe;
 
 pub use budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 pub use cache::{ColumnEvalCache, ColumnPhiData};
-pub use column::{
-    learn_all_columns, learn_column_automata, learn_column_automata_budgeted,
-    learn_column_extractors,
-};
+pub use column::{learn_all_columns, learn_column_automata};
 pub use exec::{execute, execute_nodes_budgeted};
 pub use fingerprint::{fingerprint, Fingerprint, ProgramCache};
 pub use ops::ValueInterner;

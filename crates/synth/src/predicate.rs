@@ -3,7 +3,7 @@
 //! Given the examples and one candidate table extractor ψ, the learner:
 //!
 //! 1. builds the atomic-predicate universe (Figure 10),
-//! 2. splits the intermediate table [[ψ]]T into positive tuples (those whose data
+//! 2. splits the intermediate table \[\[ψ\]\]T into positive tuples (those whose data
 //!    projection is a row of the output example) and negative tuples,
 //! 3. finds a minimum subset Φ* of atomic predicates distinguishing every
 //!    positive/negative pair (Algorithm 4, via the exact set-cover solver),
@@ -20,7 +20,7 @@
 //! time), because the universe re-walks the tree per tuple and because most of the
 //! universe is behaviourally redundant — node extractors that map every column
 //! node to the same node yield byte-identical truth vectors in every predicate.
-//! [`learn_predicate_cached`] therefore:
+//! [`learn_predicate`] therefore:
 //!
 //! * evaluates each valid node extractor **once per column node** (cached in
 //!   [`ColumnPhiData`]) instead of once per tuple, and tiles the per-node results
@@ -48,10 +48,17 @@ use crate::qm::minimize;
 use crate::synthesize::Example;
 use crate::universe::{construct_universe, UniverseConfig};
 use mitra_dsl::ast::{CompareOp, Operand, Predicate, TableExtractor};
-use mitra_dsl::eval::{cross_product_slices, eval_predicate, node_value, EvalLimits};
+use mitra_dsl::eval::{cross_product, eval_predicate, node_value, EvalLimits};
 use mitra_dsl::Value;
 use mitra_hdt::NodeId;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
+
+/// Node budget for the exact cover search.
+const MAX_COVER_NODES: usize = 200_000;
+
+/// Maximum number of distinct predicates kept after behaviour deduplication.
+const MAX_UNIVERSE: usize = 20_000;
 
 /// Configuration for predicate learning.
 #[derive(Debug, Clone, Copy)]
@@ -64,10 +71,6 @@ pub struct PredicateLearnConfig {
     pub max_intermediate_rows: usize,
     /// Use the exact branch-and-bound cover solver (true) or the greedy approximation.
     pub exact_cover: bool,
-    /// Node budget for the exact cover search.
-    pub max_cover_nodes: usize,
-    /// Maximum number of distinct predicates kept after behaviour deduplication.
-    pub max_universe: usize,
     /// Worker threads for the reference path's universe evaluation (1 = sequential;
     /// 0 = the process-global setting).  The fast path's truth vectors are cheap
     /// enough to always compute inline, so this only affects
@@ -81,8 +84,6 @@ impl Default for PredicateLearnConfig {
             universe: UniverseConfig::default(),
             max_intermediate_rows: 50_000,
             exact_cover: true,
-            max_cover_nodes: 200_000,
-            max_universe: 20_000,
             threads: 1,
         }
     }
@@ -103,24 +104,10 @@ pub struct LabelledTuple {
 ///
 /// Returns `None` when an intermediate table exceeds `max_rows` (the candidate should
 /// then be skipped) or when ψ does not overapproximate some output example (a required
-/// precondition of Theorem 2).
+/// precondition of Theorem 2).  Each distinct column extractor of ψ is evaluated at
+/// most once per example across all candidates (and all pool workers) sharing
+/// `cache`.
 pub fn label_tuples(
-    examples: &[Example],
-    psi: &TableExtractor,
-    max_rows: usize,
-) -> Option<Vec<LabelledTuple>> {
-    label_tuples_cached(
-        examples,
-        psi,
-        max_rows,
-        &ColumnEvalCache::new(examples.len()),
-    )
-}
-
-/// [`label_tuples`] with a shared column-evaluation cache: each distinct column
-/// extractor of ψ is evaluated at most once per example across all candidates (and
-/// all pool workers) sharing the cache.
-pub fn label_tuples_cached(
     examples: &[Example],
     psi: &TableExtractor,
     max_rows: usize,
@@ -137,7 +124,7 @@ pub fn label_tuples_cached(
             .map(|pi| cache.column_nodes(ex_idx, &ex.tree, pi))
             .collect();
         let slices: Vec<&[NodeId]> = columns.iter().map(|c| c.as_slice()).collect();
-        let tuples = cross_product_slices(&slices, &limits).ok()?;
+        let tuples = cross_product(&slices, &limits).ok()?;
         let mut covered_rows = vec![false; ex.output.rows.len()];
         for nodes in tuples {
             let values: Vec<Value> = nodes.iter().map(|n| node_value(&ex.tree, *n)).collect();
@@ -167,27 +154,18 @@ pub fn label_tuples_cached(
 /// Learns a filtering predicate for the candidate table extractor ψ, following
 /// Algorithm 3.  Returns `None` when no classifier exists within the configured
 /// universe bounds.
+///
+/// The top-level synthesis loop passes one `cache` for all candidate table
+/// extractors of a task, which also shares the per-column [`ColumnPhiData`] across
+/// every combo touching the same column extractor.
 pub fn learn_predicate(
-    examples: &[Example],
-    psi: &TableExtractor,
-    config: &PredicateLearnConfig,
-) -> Option<Predicate> {
-    learn_predicate_cached(examples, psi, config, &ColumnEvalCache::new(examples.len()))
-}
-
-/// [`learn_predicate`] with a shared column-evaluation cache (see
-/// [`label_tuples_cached`]); the top-level synthesis loop passes one cache for all
-/// candidate table extractors of a task, which also shares the per-column
-/// [`ColumnPhiData`] across every combo touching the same column extractor.
-pub fn learn_predicate_cached(
     examples: &[Example],
     psi: &TableExtractor,
     config: &PredicateLearnConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
-    let tuples = label_tuples_cached(examples, psi, config.max_intermediate_rows, cache)?;
-    let has_positive = tuples.iter().any(|t| t.positive);
-    if !has_positive {
+    let tuples = label_tuples(examples, psi, config.max_intermediate_rows, cache)?;
+    if !tuples.iter().any(|t| t.positive) {
         return None;
     }
     if tuples.iter().all(|t| t.positive) {
@@ -199,7 +177,7 @@ pub fn learn_predicate_cached(
 
     // Cross-product layout of the intermediate table: example blocks in order, and
     // within a block the *last* column varies fastest (the mixed-radix order of
-    // `cross_product_slices`), so tuple `t` of a block uses node
+    // `cross_product`), so tuple `t` of a block uses node
     // `(t / stride[c]) % count[c]` of column `c`.
     let arity = psi.columns.len();
     struct Block {
@@ -248,7 +226,7 @@ pub fn learn_predicate_cached(
 
     // The reduced universe enumeration: identical loop structure and order as
     // `construct_universe`, but over behaviour-class representatives only, feeding
-    // truth vectors straight into the dedup fold below.
+    // truth vectors straight into the shared [`Dedup`] fold.
     let const_ops: &[CompareOp] = if config.universe.with_ordering {
         &[
             CompareOp::Eq,
@@ -262,40 +240,8 @@ pub fn learn_predicate_cached(
         &[CompareOp::Eq, CompareOp::Ne]
     };
 
-    let mut kept: Vec<(Predicate, Vec<bool>, usize)> = Vec::new();
-    let mut by_vector: std::collections::HashMap<Vec<bool>, usize> =
-        std::collections::HashMap::new();
+    let mut dedup = Dedup::default();
     let mut capped = false;
-    // Folds one (predicate, truth vector) into the behaviour dedup, mirroring the
-    // reference path exactly: constant vectors are dropped, the earliest member of
-    // each truth class wins, later strictly-lighter members replace it.
-    let fold = |p: Predicate,
-                vector: Vec<bool>,
-                kept: &mut Vec<(Predicate, Vec<bool>, usize)>,
-                by_vector: &mut std::collections::HashMap<Vec<bool>, usize>|
-     -> bool {
-        if vector.iter().all(|b| *b) || vector.iter().all(|b| !*b) {
-            return true;
-        }
-        let size = predicate_weight(&p);
-        match by_vector.get(&vector) {
-            Some(&idx) => {
-                // Keep the simpler representative.
-                if size < kept[idx].2 {
-                    kept[idx].0 = p;
-                    kept[idx].2 = size;
-                }
-            }
-            None => {
-                by_vector.insert(vector.clone(), kept.len());
-                kept.push((p, vector, size));
-                if kept.len() >= config.max_universe {
-                    return false;
-                }
-            }
-        }
-        true
-    };
 
     // Rule 4: comparisons against constants.
     'outer4: for (i, data) in per_column.iter().enumerate() {
@@ -330,7 +276,7 @@ pub fn learn_predicate_cached(
                         op: *op,
                         rhs: Operand::Const(c.clone()),
                     };
-                    if !fold(pred, vector, &mut kept, &mut by_vector) {
+                    if !dedup.fold(pred, vector) {
                         capped = true;
                         break 'outer4;
                     }
@@ -475,7 +421,7 @@ pub fn learn_predicate_cached(
                                     index: j,
                                 },
                             };
-                            if !fold(pred, vector, &mut kept, &mut by_vector) {
+                            if !dedup.fold(pred, vector) {
                                 break 'outer5;
                             }
                         }
@@ -485,7 +431,7 @@ pub fn learn_predicate_cached(
         }
     }
 
-    classifier_from_kept(&tuples, kept, config)
+    classifier_from_kept(&tuples, dedup.kept, config)
 }
 
 /// Reference implementation of [`learn_predicate`]: full universe construction and
@@ -496,25 +442,13 @@ pub fn learn_predicate_reference(
     examples: &[Example],
     psi: &TableExtractor,
     config: &PredicateLearnConfig,
-) -> Option<Predicate> {
-    learn_predicate_reference_cached(examples, psi, config, &ColumnEvalCache::new(examples.len()))
-}
-
-/// [`learn_predicate_reference`] with a shared column-evaluation cache.
-pub fn learn_predicate_reference_cached(
-    examples: &[Example],
-    psi: &TableExtractor,
-    config: &PredicateLearnConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
-    let tuples = label_tuples_cached(examples, psi, config.max_intermediate_rows, cache)?;
-    let positives: Vec<&LabelledTuple> = tuples.iter().filter(|t| t.positive).collect();
-    let negatives: Vec<&LabelledTuple> = tuples.iter().filter(|t| !t.positive).collect();
-
-    if positives.is_empty() {
+    let tuples = label_tuples(examples, psi, config.max_intermediate_rows, cache)?;
+    if !tuples.iter().any(|t| t.positive) {
         return None;
     }
-    if negatives.is_empty() {
+    if tuples.iter().all(|t| t.positive) {
         // Nothing to filter out: the trivial predicate works.
         return Some(Predicate::True);
     }
@@ -525,11 +459,8 @@ pub fn learn_predicate_reference_cached(
         return None;
     }
 
-    // Deduplicate predicates by their truth vector over all labelled tuples and drop
-    // predicates that cannot distinguish anything (constant truth value).  This both
-    // shrinks the ILP and mirrors the paper's observation that only behaviourally
-    // distinct predicates matter.
-    // Keyed by the truth vector so deduplication stays linear in the universe size.
+    // Only behaviourally distinct predicates matter: the truth vectors over all
+    // labelled tuples feed the shared [`Dedup`] fold, which also shrinks the ILP.
     let truth_vector = |p: &Predicate| -> Vec<bool> {
         tuples
             .iter()
@@ -553,32 +484,62 @@ pub fn learn_predicate_reference_cached(
             })
             .collect()
     };
-    let mut kept: Vec<(Predicate, Vec<bool>, usize)> = Vec::new();
-    let mut by_vector: std::collections::HashMap<Vec<bool>, usize> =
-        std::collections::HashMap::new();
+    let mut dedup = Dedup::default();
     for (p, vector) in prepared {
-        if vector.iter().all(|b| *b) || vector.iter().all(|b| !*b) {
-            continue;
-        }
-        let size = predicate_weight(&p);
-        match by_vector.get(&vector) {
-            Some(&idx) => {
-                // Keep the simpler representative.
-                if size < kept[idx].2 {
-                    kept[idx].0 = p;
-                    kept[idx].2 = size;
-                }
-            }
-            None => {
-                by_vector.insert(vector.clone(), kept.len());
-                kept.push((p, vector, size));
-                if kept.len() >= config.max_universe {
-                    break;
-                }
-            }
+        if !dedup.fold(p, vector) {
+            break;
         }
     }
-    classifier_from_kept(&tuples, kept, config)
+    classifier_from_kept(&tuples, dedup.kept, config)
+}
+
+/// The behaviour dedup fold shared by the fast and reference paths: predicates
+/// with a constant truth vector are dropped, the earliest predicate of each truth
+/// class is kept, and a later strictly lighter member replaces it.
+#[derive(Default)]
+struct Dedup {
+    /// `(predicate, truth vector, weight)` per truth class, in first-seen order.
+    kept: Vec<(Predicate, Vec<bool>, usize)>,
+    /// Index into `kept` by truth vector, packed 64 tuples to a word.  Every
+    /// vector folded into one `Dedup` has the same length (the labelled tuple
+    /// count), so packing keeps the classes apart, and a key hashes in one pass
+    /// rather than one hasher call per tuple.
+    by_vector: HashMap<Vec<u64>, usize>,
+}
+
+impl Dedup {
+    /// Folds in one predicate; false once [`MAX_UNIVERSE`] classes are kept.
+    fn fold(&mut self, p: Predicate, vector: Vec<bool>) -> bool {
+        if vector.iter().all(|b| *b) || vector.iter().all(|b| !*b) {
+            return true;
+        }
+        let size = predicate_weight(&p);
+        let key: Vec<u64> = vector
+            .chunks(64)
+            .map(|bits| {
+                bits.iter()
+                    .rev()
+                    .fold(0, |word, &b| word << 1 | u64::from(b))
+            })
+            .collect();
+        match self.by_vector.entry(key) {
+            Entry::Occupied(class) => {
+                let kept = &mut self.kept[*class.get()];
+                if size < kept.2 {
+                    kept.0 = p;
+                    kept.2 = size;
+                }
+            }
+            Entry::Vacant(class) => {
+                class.insert(self.kept.len());
+                self.kept.push((p, vector, size));
+                if self.kept.len() >= MAX_UNIVERSE {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Algorithm 3 steps 3–4 over the deduplicated predicate set: minimum set cover of
@@ -629,7 +590,7 @@ fn classifier_from_kept(
         weights: kept.iter().map(|(_, _, s)| *s).collect(),
     };
     let chosen = if config.exact_cover {
-        solve_exact(&instance, config.max_cover_nodes)?
+        solve_exact(&instance, MAX_COVER_NODES)?
     } else {
         solve_greedy(&instance)?
     };
@@ -712,7 +673,7 @@ mod tests {
     #[test]
     fn label_tuples_marks_positive_rows() {
         let ex = social_example();
-        let tuples = label_tuples(&[ex], &social_psi(), 10_000).unwrap();
+        let tuples = label_tuples(&[ex], &social_psi(), 10_000, &ColumnEvalCache::new(1)).unwrap();
         // 2 names × 2 names × 2 years = 8 tuples, 2 of which are positive.
         assert_eq!(tuples.len(), 8);
         assert_eq!(tuples.iter().filter(|t| t.positive).count(), 2);
@@ -726,7 +687,7 @@ mod tests {
             ColumnExtractor::Input,
             "Person",
         )]);
-        assert!(label_tuples(&[ex], &psi, 10_000).is_none());
+        assert!(label_tuples(&[ex], &psi, 10_000, &ColumnEvalCache::new(1)).is_none());
     }
 
     #[test]
@@ -737,6 +698,7 @@ mod tests {
             std::slice::from_ref(&ex),
             &psi,
             &PredicateLearnConfig::default(),
+            &ColumnEvalCache::new(1),
         )
         .expect("a predicate should be found");
         let prog = Program::new(psi, phi);
@@ -759,7 +721,13 @@ mod tests {
             "name",
             0,
         )]);
-        let phi = learn_predicate(&[ex], &psi, &PredicateLearnConfig::default()).unwrap();
+        let phi = learn_predicate(
+            &[ex],
+            &psi,
+            &PredicateLearnConfig::default(),
+            &ColumnEvalCache::new(1),
+        )
+        .unwrap();
         assert_eq!(phi, Predicate::True);
     }
 
@@ -780,6 +748,7 @@ mod tests {
             std::slice::from_ref(&ex),
             &psi,
             &PredicateLearnConfig::default(),
+            &ColumnEvalCache::new(1),
         )
         .expect("predicate expected");
         let prog = Program::new(psi, phi);
@@ -792,8 +761,18 @@ mod tests {
         let ex = social_example();
         let psi = social_psi();
         let config = PredicateLearnConfig::default();
-        let fast = learn_predicate(std::slice::from_ref(&ex), &psi, &config);
-        let reference = learn_predicate_reference(std::slice::from_ref(&ex), &psi, &config);
+        let fast = learn_predicate(
+            std::slice::from_ref(&ex),
+            &psi,
+            &config,
+            &ColumnEvalCache::new(1),
+        );
+        let reference = learn_predicate_reference(
+            std::slice::from_ref(&ex),
+            &psi,
+            &config,
+            &ColumnEvalCache::new(1),
+        );
         assert_eq!(fast, reference);
         assert!(fast.is_some());
     }
@@ -817,8 +796,18 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let fast = learn_predicate(std::slice::from_ref(&ex), &psi, &config);
-            let reference = learn_predicate_reference(std::slice::from_ref(&ex), &psi, &config);
+            let fast = learn_predicate(
+                std::slice::from_ref(&ex),
+                &psi,
+                &config,
+                &ColumnEvalCache::new(1),
+            );
+            let reference = learn_predicate_reference(
+                std::slice::from_ref(&ex),
+                &psi,
+                &config,
+                &ColumnEvalCache::new(1),
+            );
             assert_eq!(fast, reference, "with_ordering={with_ordering} diverged");
         }
     }
@@ -831,13 +820,19 @@ mod tests {
             std::slice::from_ref(&ex),
             &psi,
             &PredicateLearnConfig::default(),
+            &ColumnEvalCache::new(1),
         );
         for threads in [2, 4] {
             let config = PredicateLearnConfig {
                 threads,
                 ..Default::default()
             };
-            let parallel = learn_predicate_reference(std::slice::from_ref(&ex), &psi, &config);
+            let parallel = learn_predicate_reference(
+                std::slice::from_ref(&ex),
+                &psi,
+                &config,
+                &ColumnEvalCache::new(1),
+            );
             assert_eq!(sequential, parallel, "threads={threads} diverged");
         }
     }
@@ -847,12 +842,12 @@ mod tests {
         let ex = social_example();
         let cache = ColumnEvalCache::new(1);
         let psi = social_psi();
-        let first = label_tuples_cached(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
+        let first = label_tuples(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
         let cached_entries = cache.len();
         // ψ has two identical name columns -> strictly fewer cache entries than
         // columns; relabelling with the same cache must not grow it.
         assert!(cached_entries < psi.columns.len() + 1);
-        let second = label_tuples_cached(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
+        let second = label_tuples(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
         assert_eq!(cache.len(), cached_entries);
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
@@ -869,8 +864,13 @@ mod tests {
             exact_cover: false,
             ..Default::default()
         };
-        let phi =
-            learn_predicate(std::slice::from_ref(&ex), &psi, &config).expect("greedy predicate");
+        let phi = learn_predicate(
+            std::slice::from_ref(&ex),
+            &psi,
+            &config,
+            &ColumnEvalCache::new(1),
+        )
+        .expect("greedy predicate");
         let prog = Program::new(psi, phi);
         assert!(eval_program(&ex.tree, &prog).unwrap().same_bag(&ex.output));
     }
@@ -898,7 +898,12 @@ mod tests {
         // distinguished from (Alice, Bob, 4) tuples sharing all leaf data... the learner
         // may or may not find a classifier, but it must not panic and must return a
         // predicate that actually reproduces the example if it returns one.
-        if let Some(phi) = learn_predicate(std::slice::from_ref(&ex), &psi, &config) {
+        if let Some(phi) = learn_predicate(
+            std::slice::from_ref(&ex),
+            &psi,
+            &config,
+            &ColumnEvalCache::new(1),
+        ) {
             let prog = Program::new(psi, phi);
             assert!(eval_program(&ex.tree, &prog).unwrap().same_bag(&ex.output));
         }

@@ -17,11 +17,9 @@
 
 use crate::budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 use crate::cache::ColumnEvalCache;
-use crate::column::{learn_all_columns, learn_column_automata_budgeted, ColumnLearnConfig};
+use crate::column::{learn_all_columns, learn_column_automata, ColumnLearnConfig};
 use crate::dfa::{DfaLimits, WordStream};
-use crate::predicate::{
-    learn_predicate_cached, learn_predicate_reference_cached, PredicateLearnConfig,
-};
+use crate::predicate::{learn_predicate, learn_predicate_reference, PredicateLearnConfig};
 use crate::universe::UniverseConfig;
 use mitra_dsl::ast::{ColumnExtractor, Program, TableExtractor};
 use mitra_dsl::cost::{cost, Cost};
@@ -249,7 +247,7 @@ fn evaluate_candidate(
         }
     }
 
-    // Row-product guard (checked multiplication, mirroring `cross_product_slices`)
+    // Row-product guard (checked multiplication, mirroring `cross_product`)
     // plus the admissible atom bound: an intermediate table bigger or smaller than
     // the output needs at least one predicate atom to filter or fail.
     let mut atoms_lower_bound = 0usize;
@@ -260,7 +258,7 @@ fn evaluate_candidate(
             product = product.and_then(|p| p.checked_mul(n));
         }
         match product {
-            // Overflow: `cross_product_slices` would reject the candidate too.
+            // Overflow: `cross_product` would reject the candidate too.
             None => return CandidateOutcome::Rejected,
             Some(p) if p > max_intermediate_rows => return CandidateOutcome::Rejected,
             Some(p) => {
@@ -281,7 +279,7 @@ fn evaluate_candidate(
     let psi = TableExtractor::new(combo.to_vec());
     let phi = {
         let _span = mitra_trace::span_acc("synth", "predicate_learn", predicate_nanos);
-        learn_predicate_cached(examples, &psi, pred_config, cache)
+        learn_predicate(examples, &psi, pred_config, cache)
     };
     let Some(phi) = phi else {
         return CandidateOutcome::Rejected;
@@ -417,7 +415,7 @@ pub fn learn_transformation(
     // Phase 1: the per-column product automata, all (column, example) DFAs built in
     // parallel.  State accounting is canonical (pair order, then intersection
     // order), so a `dfa_states` budget exhausts identically at every thread count.
-    let automata = learn_column_automata_budgeted(
+    let automata = learn_column_automata(
         examples,
         arity,
         config.dfa_limits,
@@ -462,7 +460,6 @@ pub fn learn_transformation(
         max_intermediate_rows: config.max_intermediate_rows,
         exact_cover: config.exact_cover,
         threads,
-        ..Default::default()
     };
     let cache = ColumnEvalCache::new(examples.len());
     let predicate_nanos = AtomicU64::new(0);
@@ -704,7 +701,6 @@ pub fn learn_transformation_exhaustive(
         max_intermediate_rows: config.max_intermediate_rows,
         exact_cover: config.exact_cover,
         threads,
-        ..Default::default()
     };
     let cache = ColumnEvalCache::new(examples.len());
     let limits = EvalLimits::with_max_rows(config.max_intermediate_rows);
@@ -732,8 +728,7 @@ pub fn learn_transformation_exhaustive(
         }
         candidates_tried += 1;
         let psi = TableExtractor::new(combo.clone());
-        let Some(phi) = learn_predicate_reference_cached(examples, &psi, &pred_config, &cache)
-        else {
+        let Some(phi) = learn_predicate_reference(examples, &psi, &pred_config, &cache) else {
             continue;
         };
         let mut program = Program::new(psi, phi);

@@ -24,38 +24,23 @@
 //! collection; `summary` records metrics only; `full` additionally buffers span
 //! events.  Tracing never influences results — only the `off`/`summary`/`full`
 //! distinction of *what gets recorded* changes.
-//!
-//! The whole layer compiles out behind the `trace` cargo feature (on by default):
-//! with `--no-default-features`, metrics and events become no-ops and the exporters
-//! return empty documents, while span guards keep measuring elapsed time so profile
-//! outputs stay populated.
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "trace")]
 pub mod export;
 pub mod fault;
-#[cfg(feature = "trace")]
 mod metrics;
-#[cfg(feature = "trace")]
 mod span;
 
-#[cfg(feature = "trace")]
 pub use metrics::{
     counter, histogram, record_worker, snapshot, Counter, Histogram, HistogramSnapshot,
     MetricsSnapshot, WorkerSnapshot, MAX_WORKER_SLOTS,
 };
-#[cfg(feature = "trace")]
 pub use span::{
     clear_events, events_snapshot, span, span_acc, span_detail, take_events, Event, Phase,
     SpanGuard,
 };
-
-#[cfg(not(feature = "trace"))]
-mod noop;
-#[cfg(not(feature = "trace"))]
-pub use noop::*;
 
 /// How much the tracing layer records at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

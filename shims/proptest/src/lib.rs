@@ -310,7 +310,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Result of [`vec`].
+    /// Result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

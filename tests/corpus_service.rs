@@ -293,3 +293,62 @@ fn quoted_newlines_survive_shard_files_and_resume() {
     assert_eq!(artifacts(&dir), clean, "resume must be byte-identical");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hash_leading_first_cells_survive_shard_files_and_resume() {
+    use mitra::dsl::ast::{ColumnExtractor, Predicate, TableExtractor};
+    use mitra::dsl::Program;
+    use mitra::migrate::{
+        Column, CorpusConfig, CorpusTableSource, CorpusTask, DocFormat, KeySpec, Schema,
+        TableSchema,
+    };
+
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // The data column comes first, so the `#table x` value starts a shard row.
+    let corpus = concat!(
+        r##"{"p":[{"name":"#table x"}]}"##,
+        "\n",
+        r#"{"p":[{"name":"y"}]}"#,
+        "\n"
+    );
+    let names = ColumnExtractor::children(
+        ColumnExtractor::children(ColumnExtractor::Input, "p"),
+        "name",
+    );
+    let job = CorpusJob {
+        schema: Schema::new().with_table(
+            TableSchema::new("t", vec![Column::text("name"), Column::text("pk")])
+                .with_primary_key(&["pk"]),
+        ),
+        tasks: vec![CorpusTask {
+            table: "t".into(),
+            source: CorpusTableSource::Program(Program::new(
+                TableExtractor::new(vec![names]),
+                Predicate::True,
+            )),
+            keys: vec![("pk".into(), KeySpec::SyntheticPrimary)],
+            data_columns: vec!["name".into()],
+        }],
+        format: DocFormat::Json,
+        config: CorpusConfig {
+            shard_size: 1,
+            threads: 1,
+            ..CorpusConfig::default()
+        },
+    };
+    let dir = temp_dir("hash-lead");
+    let report = run(&job, corpus, &dir).unwrap();
+    assert_eq!((report.ok_docs, report.violations), (2, 0));
+    let csv = std::fs::read_to_string(dir.join("tables").join("t.csv")).unwrap();
+    let table = mitra::parse_csv_table(&csv).unwrap();
+    let read_back: Vec<String> = table.rows.iter().map(|row| row[0].render()).collect();
+    assert_eq!(read_back, ["#table x", "y"]);
+
+    // Losing the shard with the `#table x` row forces resume to re-execute it.
+    let clean = artifacts(&dir);
+    std::fs::remove_file(dir.join("shards").join("shard-000000.tbl")).unwrap();
+    let resumed = resume(&job, corpus, &dir).unwrap();
+    assert_eq!(resumed.resumed_shards, 1);
+    assert_eq!(artifacts(&dir), clean, "resume must be byte-identical");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -10,13 +10,16 @@ use mitra::dsl::{Program, Table, Value};
 use mitra::hdt::html::parse_html;
 use mitra::hdt::json::json_string;
 use mitra::hdt::{parse_json, parse_xml, Hdt, JsonValue};
+use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter, ShardRecord};
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
+use mitra::migrate::corpus::{FailureKind, QuarantineRecord};
 use mitra::migrate::query::run_query;
 use mitra::migrate::{Column, Database, Schema, TableSchema};
 use mitra::parse_csv_table;
 use mitra::synth::exec::execute;
 use mitra::synth::fingerprint::{fnv1a, FNV_OFFSET};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy for arbitrary JSON values of bounded depth.
 fn json_value(depth: u32) -> impl Strategy<Value = JsonValue> {
@@ -248,6 +251,28 @@ proptest! {
     }
 
     #[test]
+    fn journal_records_roundtrip_through_load_journal(
+        header in journal_header(),
+        records in prop::collection::vec(shard_record(), 0..4)
+    ) {
+        let dir = std::env::temp_dir().join(format!("mitra-journal-prop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("journal.jsonl");
+        let mut writer = JournalWriter::create(&path).expect("journal opens");
+        writer.record(&header.to_json_line()).expect("header written");
+        for record in &records {
+            writer.record(&record.to_json_line()).expect("shard record written");
+        }
+        let state = load_journal(&path).expect("journal loads");
+        std::fs::remove_dir_all(&dir).ok();
+        // The last record per shard index wins, as on resume.
+        let shards: BTreeMap<usize, ShardRecord> =
+            records.into_iter().map(|r| (r.shard, r)).collect();
+        prop_assert_eq!(state.header, header);
+        prop_assert_eq!(state.shards, shards);
+    }
+
+    #[test]
     fn json_string_writer_roundtrips_through_parse_json(s in "[a-z\"\\\\/\n\r\t\u{1}\u{1f} é€]{0,16}") {
         let literal = json_string(&s);
         prop_assert_eq!(parse_json(&literal).expect("a JSON string literal parses"), JsonValue::String(s));
@@ -255,9 +280,91 @@ proptest! {
 }
 
 /// Cell or header text drawn from every character the CSV codec must quote,
-/// always holding one `x`.
+/// always holding one `x`.  It may start with `#` or `#table `, which a shard
+/// file must not read back as a section header.
 fn csv_text() -> impl Strategy<Value = String> {
-    ("[ ,\"\n\ra]{0,4}", "[ ,\"\n\ra]{0,4}").prop_map(|(pre, post)| format!("{pre}x{post}"))
+    (
+        prop_oneof![Just(""), Just("#"), Just("#table ")],
+        "[ ,\"\n\ra#]{0,4}",
+        "[ ,\"\n\ra#]{0,4}",
+    )
+        .prop_map(|(lead, pre, post)| format!("{lead}{pre}x{post}"))
+}
+
+/// Counts and offsets the journal stores as JSON numbers stay exact below 2^53.
+const JSON_EXACT: usize = 1 << 53;
+
+/// Journal text (table names, error messages) drawn from what a JSON string
+/// literal must escape or carry through: quotes, backslashes, commas, line
+/// breaks, control characters and non-BMP characters.
+fn journal_text() -> impl Strategy<Value = String> {
+    "[a\"\\\\,\n\r\t\u{1}\u{1f}\u{7f}é\u{1f600}\u{1d11e}]{0,8}"
+}
+
+fn journal_header() -> impl Strategy<Value = JournalHeader> {
+    (
+        (0..JSON_EXACT as u64, journal_text(), any::<u64>()),
+        (0..JSON_EXACT, 0..JSON_EXACT, 0..JSON_EXACT),
+        prop::collection::vec(journal_text(), 0..4),
+    )
+        .prop_map(
+            |((version, format, corpus_hash), (docs, shard_size, shards), tables)| JournalHeader {
+                version,
+                format,
+                corpus_hash,
+                docs,
+                shard_size,
+                shards,
+                tables,
+            },
+        )
+}
+
+fn quarantine_record() -> impl Strategy<Value = QuarantineRecord> {
+    (
+        0..JSON_EXACT,
+        0..JSON_EXACT,
+        0usize..4,
+        journal_text(),
+        any::<u32>(),
+    )
+        .prop_map(|(doc, offset, kind, error, attempts)| QuarantineRecord {
+            doc,
+            offset,
+            kind: [
+                FailureKind::Malformed,
+                FailureKind::Budget,
+                FailureKind::Panic,
+                FailureKind::Synthesis,
+            ][kind],
+            error,
+            attempts,
+        })
+}
+
+fn shard_record() -> impl Strategy<Value = ShardRecord> {
+    (
+        (
+            0..JSON_EXACT,
+            0..JSON_EXACT,
+            0..JSON_EXACT,
+            0..JSON_EXACT as u64,
+        ),
+        prop::collection::vec((journal_text(), 0..JSON_EXACT), 0..4),
+        prop::collection::vec(quarantine_record(), 0..3),
+        any::<u64>(),
+    )
+        .prop_map(
+            |((shard, docs, ok, retried), rows, quarantined, result_hash)| ShardRecord {
+                shard,
+                docs,
+                ok,
+                retried,
+                rows,
+                quarantined,
+                result_hash,
+            },
+        )
 }
 
 fn rendered(table: &Table) -> Vec<Vec<String>> {
