@@ -27,9 +27,10 @@ pub enum Value {
 impl Value {
     /// Parses a raw data string into the most specific value type.
     ///
-    /// Integers parse to [`Value::Int`], other numbers to [`Value::Float`],
+    /// Integers parse to [`Value::Int`], other finite numbers to [`Value::Float`],
     /// `true`/`false` to [`Value::Bool`], `null` / empty to [`Value::Null`], everything
-    /// else stays a string.
+    /// else stays a string — including `NaN`, `inf` and literals like `1e400` that
+    /// overflow to infinity, which Rust's float parser would accept.
     pub fn from_data(s: &str) -> Value {
         let t = s.trim();
         if t.is_empty() || t == "null" {
@@ -44,7 +45,7 @@ impl Value {
         if let Ok(i) = t.parse::<i64>() {
             return Value::Int(i);
         }
-        if let Ok(f) = t.parse::<f64>() {
+        if let Some(f) = parse_finite(t) {
             return Value::Float(f);
         }
         Value::Str(s.to_string())
@@ -60,13 +61,14 @@ impl Value {
         Value::Int(i)
     }
 
-    /// Numeric view of the value, if it has one.
+    /// Numeric view of the value, if it has one.  A string has one exactly when
+    /// [`Value::from_data`] would parse it as a number.
     pub fn as_number(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
             Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            Value::Str(s) => s.trim().parse::<f64>().ok(),
+            Value::Str(s) => parse_finite(s.trim()),
             Value::Null => None,
         }
     }
@@ -108,6 +110,12 @@ impl Value {
             }
         }
     }
+}
+
+/// A finite number, or `None` — `NaN`, `inf`, `infinity` (any case) and
+/// overflowing literals are text.
+fn parse_finite(t: &str) -> Option<f64> {
+    t.parse::<f64>().ok().filter(|f| f.is_finite())
 }
 
 impl PartialEq for Value {
@@ -216,6 +224,31 @@ mod tests {
         assert!(set.contains(&Value::Str("3".into())));
         assert!(set.contains(&Value::Float(3.0)));
         assert!(!set.contains(&Value::Int(4)));
+    }
+
+    #[test]
+    fn non_finite_spellings_stay_text() {
+        for s in [
+            "NaN",
+            "nan",
+            "Nan",
+            "inf",
+            "-inf",
+            "+Inf",
+            "INF",
+            "Infinity",
+            "infinity",
+            "-INFINITY",
+            "1e400",
+            "-1e400",
+        ] {
+            assert!(matches!(Value::from_data(s), Value::Str(_)), "{s}");
+            assert_eq!(Value::str(s).as_number(), None, "{s}");
+            assert_eq!(Value::from_data(s).render(), s);
+        }
+        // A text value equals itself, so a `Nan` cell matches its node.
+        assert_eq!(Value::from_data("Nan"), Value::from_data("Nan"));
+        assert_eq!(Value::from_data("1e300"), Value::Float(1e300));
     }
 
     #[test]

@@ -161,6 +161,19 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_spellings_dump_as_quoted_text() {
+        let mut db = Database::new(schema());
+        for (pid, name) in [(1, "Infinity"), (2, "NaN"), (3, "1e400")] {
+            db.insert("person", vec![Value::int(pid), Value::from_data(name)]);
+        }
+        let dump = dump_sql(&db);
+        for literal in ["'Infinity'", "'NaN'", "'1e400'"] {
+            assert!(dump.contains(literal), "{literal} missing from:\n{dump}");
+        }
+        assert!(!dump.contains(", inf)"), "{dump}");
+    }
+
+    #[test]
     fn identifiers_with_quotes_are_escaped() {
         assert_eq!(quote_ident("we\"ird"), "\"we\"\"ird\"");
     }

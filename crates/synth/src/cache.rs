@@ -24,51 +24,25 @@ use mitra_dsl::ast::{ColumnExtractor, NodeExtractor};
 use mitra_dsl::eval::{eval_column, node_value};
 use mitra_dsl::{Table, Value};
 use mitra_hdt::{Hdt, NodeId};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Comparability class of a [`Value`], fixing the `None` cases of
-/// [`Value::compare`]: a null/non-null pair is incomparable, a numeric pair
-/// involving NaN is incomparable, everything else compares.  Two classes therefore
-/// decide comparability without touching the values again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueClass {
-    /// SQL NULL — comparable only to NULL.
-    Null,
-    /// Numeric view exists (numbers, booleans, numeric strings) and is not NaN.
-    Num,
-    /// Numeric view exists but is NaN — incomparable to anything numeric, textual
-    /// comparison against non-numeric values.
-    Nan,
-    /// No numeric view — compares textually against anything non-null.
-    Text,
-}
-
-/// True exactly when [`Value::compare`] returns `Some(_)` for values of these
-/// classes.
-pub fn classes_comparable(a: ValueClass, b: ValueClass) -> bool {
-    use ValueClass::*;
-    match (a, b) {
-        (Null, Null) => true,
-        (Null, _) | (_, Null) => false,
-        (Nan, Num | Nan) | (Num, Nan) => false,
-        _ => true,
-    }
-}
-
 /// Per-node comparison data for the pairwise predicate rule (rule 5): leafness,
-/// the interned value id, and the comparability class.  Ids are assigned through
+/// the interned value id, and whether the value is NULL.  Ids are assigned through
 /// [`Value`]'s `Eq`/`Hash` (which are defined as `compare() == Some(Equal)`), so
-/// id equality *is* value equality under the DSL's comparison — NaN values, never
-/// equal to anything, get a fresh id per occurrence.
+/// id equality *is* value equality under the DSL's comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeInfo {
     /// Whether the node is a leaf (only leaf pairs compare by value).
     pub leaf: bool,
     /// Interned value id: equal ids ⟺ `Value::compare` yields `Some(Equal)`.
     pub value: u32,
-    /// Comparability class of the value (see [`classes_comparable`]).
-    pub class: ValueClass,
+    /// Whether the value is SQL NULL.  This alone decides when
+    /// [`Value::compare`] returns `None` for two data values: a NULL compares
+    /// only to NULL, and [`Value::from_data`] makes numbers of finite parses only,
+    /// so no data value is NaN.
+    pub null: bool,
 }
 
 /// The valid node extractors of one column extractor π, with their evaluations and
@@ -96,6 +70,12 @@ pub struct ColumnPhiData {
     /// behaviour-class representatives only (`info[p]` is empty otherwise) — the
     /// predicate rules never touch non-representatives.
     pub info: Vec<Vec<Vec<NodeInfo>>>,
+    /// `orderings[p][e][c * len + k]`, with `len = nodes[p][e].len()`: how the
+    /// value of `nodes[p][e][k]` compares against constant `c` of
+    /// [`ColumnEvalCache::constants`] ([`Value::compare`]).  Populated for
+    /// representatives only, like `info`; rule 4 reads all six operators from
+    /// one ordering.
+    pub orderings: Vec<Vec<Vec<Option<Ordering>>>>,
 }
 
 /// Concurrent per-example memo table for `[[π]]T` evaluations, plus the derived
@@ -135,22 +115,12 @@ impl ColumnEvalCache {
         }
     }
 
-    /// Interns a value, returning its id and comparability class.  Id equality is
-    /// `Value` equality (`compare() == Some(Equal)`); NaN values are never equal
-    /// to anything, including themselves, and receive a fresh id per call.
-    fn intern_value(&self, v: Value) -> (u32, ValueClass) {
-        let class = match &v {
-            Value::Null => ValueClass::Null,
-            other => match other.as_number() {
-                Some(n) if n.is_nan() => ValueClass::Nan,
-                Some(_) => ValueClass::Num,
-                None => ValueClass::Text,
-            },
-        };
+    /// Interns a value, returning its id.  Id equality is `Value` equality
+    /// (`compare() == Some(Equal)`).
+    fn intern_value(&self, v: Value) -> u32 {
         let mut map = self.values.lock().unwrap_or_else(PoisonError::into_inner);
         let next = map.len() as u32;
-        let id = *map.entry(v).or_insert(next);
-        (id, class)
+        *map.entry(v).or_insert(next)
     }
 
     /// The node set `[[π]]T` for example `ex_idx`, computed on first use.
@@ -273,28 +243,31 @@ impl ColumnEvalCache {
         }
         drop(first_of);
         // Comparison data for the representatives: leafness, interned value id and
-        // comparability class per extracted node, so rule 5 compares node pairs
-        // through integer ids instead of re-deriving values per tuple.
+        // null flag per extracted node, so rule 5 compares node pairs
+        // through integer ids instead of re-deriving values per tuple, and the
+        // node's ordering against every mined constant for rule 4.
+        let constants = self.constants(examples, config.max_constants);
         let mut info: Vec<Vec<Vec<NodeInfo>>> = vec![Vec::new(); nodes.len()];
+        let mut orderings: Vec<Vec<Vec<Option<Ordering>>>> = vec![Vec::new(); nodes.len()];
         for &p in &reps {
-            info[p] = nodes[p]
-                .iter()
-                .enumerate()
-                .map(|(e, per_ex)| {
-                    let tree = &examples[e].tree;
-                    per_ex
-                        .iter()
-                        .map(|&n| {
-                            let (value, class) = self.intern_value(node_value(tree, n));
-                            NodeInfo {
-                                leaf: tree.is_leaf(n),
-                                value,
-                                class,
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+            for (e, per_ex) in nodes[p].iter().enumerate() {
+                let tree = &examples[e].tree;
+                let mut ex_info = Vec::with_capacity(per_ex.len());
+                let mut ex_orderings = vec![None; constants.len() * per_ex.len()];
+                for (k, &n) in per_ex.iter().enumerate() {
+                    let value = node_value(tree, n);
+                    for (c, constant) in constants.iter().enumerate() {
+                        ex_orderings[c * per_ex.len() + k] = value.compare(constant);
+                    }
+                    ex_info.push(NodeInfo {
+                        leaf: tree.is_leaf(n),
+                        null: value.is_null(),
+                        value: self.intern_value(value),
+                    });
+                }
+                info[p].push(ex_info);
+                orderings[p].push(ex_orderings);
+            }
         }
         let data = Arc::new(ColumnPhiData {
             phis,
@@ -302,6 +275,7 @@ impl ColumnEvalCache {
             reps,
             rep_of,
             info,
+            orderings,
         });
         let mut map = self.phi_data.lock().unwrap_or_else(PoisonError::into_inner);
         match map.entry(pi.clone()) {

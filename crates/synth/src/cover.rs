@@ -21,14 +21,35 @@
 //! case (`Predicate::True`) before constructing a universe, so the degenerate
 //! no-negative-tuples instance no longer reaches these solvers from the synthesis
 //! path; the early exits remain for direct callers.
+//!
+//! ## Packed rows and the search order
+//!
+//! Each set is one bitset row, 64 elements to a `u64` word, so a greedy gain is
+//! `popcount(row & !covered)` and choosing a set is one word-wise OR.  The exact
+//! search keeps the covered bitset of every depth on a stack instead of
+//! per-element cover counters.  It visits its nodes in a fixed order — the greedy
+//! bound first; the pivot is the first uncovered element in (coverer count,
+//! element index) order; the pivot's coverers are tried in ascending set index —
+//! and every node counts against `max_nodes`.  The cap binds on real instances,
+//! and a capped search returns the best cover found so far, so that order is part
+//! of the result: the list-based solvers it replaced survive in the test module
+//! as the oracle, and must agree on every instance at every cap.
 
-/// A set-cover instance: `covers[k]` lists the element indices covered by set `k`.
+use crate::bits;
+
+/// Node budget of the exact cover search, shared by predicate learning and QM's
+/// Petrick step.
+pub const MAX_COVER_NODES: usize = 200_000;
+
+/// A set-cover instance over the elements `0..num_elements`.
 #[derive(Debug, Clone)]
 pub struct CoverInstance {
     /// Number of elements to cover.
     pub num_elements: usize,
-    /// For each candidate set, the sorted list of elements it covers.
-    pub covers: Vec<Vec<usize>>,
+    /// For each candidate set, its elements as a bitset: element `e` is bit
+    /// `e % 64` of word `e / 64`.  Every row has `num_elements.div_ceil(64)`
+    /// words, and the bits past `num_elements` are clear.
+    pub covers: Vec<Vec<u64>>,
     /// Tie-breaking weight of each set (smaller preferred); typically predicate size.
     pub weights: Vec<usize>,
 }
@@ -41,10 +62,11 @@ impl CoverInstance {
         let covers = matrix
             .iter()
             .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter_map(|(e, b)| if *b { Some(e) } else { None })
-                    .collect()
+                let mut set = bits::zeros(num_elements);
+                for (e, _) in row.iter().enumerate().filter(|(_, b)| **b) {
+                    bits::set(&mut set, e);
+                }
+                set
             })
             .collect();
         CoverInstance {
@@ -55,14 +77,31 @@ impl CoverInstance {
     }
 
     fn coverable(&self) -> bool {
-        let mut covered = vec![false; self.num_elements];
-        for c in &self.covers {
-            for &e in c {
-                covered[e] = true;
-            }
+        let mut covered = bits::zeros(self.num_elements);
+        for row in &self.covers {
+            or_into(&mut covered, row);
         }
-        covered.iter().all(|b| *b)
+        covered
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            == self.num_elements
     }
+}
+
+/// `dst |= src`, word by word.
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Number of elements of `row` not yet in `covered`.
+fn gain(row: &[u64], covered: &[u64]) -> usize {
+    row.iter()
+        .zip(covered)
+        .map(|(r, c)| (r & !c).count_ones() as usize)
+        .sum()
 }
 
 /// Result of a cover computation: the chosen set indices (sorted).
@@ -78,16 +117,14 @@ pub fn solve_greedy(instance: &CoverInstance) -> Option<Cover> {
     if !instance.coverable() {
         return None;
     }
-    let mut covered = vec![false; instance.num_elements];
+    let mut covered = bits::zeros(instance.num_elements);
     let mut remaining = instance.num_elements;
     let mut chosen = Vec::new();
     while remaining > 0 {
+        // A chosen set has no uncovered element left, so it never wins again.
         let mut best: Option<(usize, usize)> = None; // (gain, index)
-        for (k, cov) in instance.covers.iter().enumerate() {
-            if chosen.contains(&k) {
-                continue;
-            }
-            let gain = cov.iter().filter(|&&e| !covered[e]).count();
+        for (k, row) in instance.covers.iter().enumerate() {
+            let gain = gain(row, &covered);
             if gain == 0 {
                 continue;
             }
@@ -102,14 +139,10 @@ pub fn solve_greedy(instance: &CoverInstance) -> Option<Cover> {
                 best = Some((gain, k));
             }
         }
-        let (_, k) = best?;
+        let (gain, k) = best?;
         chosen.push(k);
-        for &e in &instance.covers[k] {
-            if !covered[e] {
-                covered[e] = true;
-                remaining -= 1;
-            }
-        }
+        or_into(&mut covered, &instance.covers[k]);
+        remaining -= gain;
     }
     chosen.sort_unstable();
     Some(chosen)
@@ -126,94 +159,125 @@ pub fn solve_exact(instance: &CoverInstance, max_nodes: usize) -> Option<Cover> 
         return Some(Vec::new());
     }
     let greedy = solve_greedy(instance)?;
-    let mut best = greedy;
-    let mut best_cost = cover_cost(instance, &best);
+    let words = instance.num_elements.div_ceil(64);
 
-    // Which sets cover each element, used to branch on the hardest element.
-    let mut coverers: Vec<Vec<usize>> = vec![Vec::new(); instance.num_elements];
-    for (k, cov) in instance.covers.iter().enumerate() {
-        for &e in cov {
-            coverers[e].push(k);
+    // Elements in (coverer count, index) order, by a counting sort: the pivot of a
+    // node is the first uncovered element of `order`.
+    let mut count = vec![0u32; instance.num_elements];
+    for row in &instance.covers {
+        for (w, &word) in row.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                count[w * 64 + rest.trailing_zeros() as usize] += 1;
+                rest &= rest - 1;
+            }
         }
+    }
+    let max_count = count.iter().copied().max().unwrap_or(0) as usize;
+    let mut start = vec![0usize; max_count + 2];
+    for &c in &count {
+        start[c as usize + 1] += 1;
+    }
+    for c in 1..start.len() {
+        start[c] += start[c - 1];
+    }
+    let mut order = vec![0u32; instance.num_elements];
+    for (e, &c) in count.iter().enumerate() {
+        order[start[c as usize]] = e as u32;
+        start[c as usize] += 1;
     }
 
     struct Search<'a> {
         instance: &'a CoverInstance,
-        coverers: &'a [Vec<usize>],
+        order: Vec<u32>,
+        words: usize,
+        /// `levels[d * words..][..words]`: the covered bitset at depth `d`.
+        levels: Vec<u64>,
+        /// `coverers[slot[e]]`: the sets covering element `e`, ascending, for
+        /// the elements that have been a pivot (`slot[e]` is `u32::MAX` until then).
+        slot: Vec<u32>,
+        coverers: Vec<Vec<u32>>,
+        chosen: Vec<usize>,
         best: Vec<usize>,
         best_cost: (usize, usize),
         nodes: usize,
         max_nodes: usize,
+        capped: bool,
     }
 
     impl Search<'_> {
-        fn run(&mut self, chosen: &mut Vec<usize>, covered: &mut Vec<usize>, uncovered: usize) {
+        /// `from`: the parent's pivot position in `order`.  Everything before it
+        /// was covered at the parent, and covered sets only grow with depth.
+        fn run(&mut self, depth: usize, from: usize, uncovered: usize) {
             if self.nodes >= self.max_nodes {
+                self.capped = true;
                 return;
             }
             self.nodes += 1;
             if uncovered == 0 {
-                let cost = cover_cost(self.instance, chosen);
+                let cost = cover_cost(self.instance, &self.chosen);
                 if cost < self.best_cost {
                     self.best_cost = cost;
-                    self.best = chosen.clone();
+                    self.best = self.chosen.clone();
                 }
                 return;
             }
             // Lower bound: at least one more set is needed.
-            if chosen.len() + 1 > self.best_cost.0 {
+            if self.chosen.len() + 1 > self.best_cost.0 {
                 return;
             }
             // Branch on the uncovered element with the fewest coverers.
-            let mut pivot: Option<usize> = None;
-            let mut pivot_options = usize::MAX;
-            for (e, cnt) in covered.iter().enumerate() {
-                if *cnt > 0 {
-                    continue;
-                }
-                let options = self.coverers[e].len();
-                if options < pivot_options {
-                    pivot_options = options;
-                    pivot = Some(e);
-                }
+            let level = depth * self.words;
+            let covered = &self.levels[level..level + self.words];
+            let mut pos = from;
+            while bits::get(covered, self.order[pos] as usize) {
+                pos += 1;
             }
-            let Some(pivot) = pivot else { return };
-            let candidates = self.coverers[pivot].clone();
-            for k in candidates {
-                if chosen.contains(&k) {
-                    continue;
-                }
-                chosen.push(k);
+            let pivot = self.order[pos] as usize;
+            if self.slot[pivot] == u32::MAX {
+                self.slot[pivot] = self.coverers.len() as u32;
+                let sets = (0..self.instance.covers.len() as u32)
+                    .filter(|&k| bits::get(&self.instance.covers[k as usize], pivot))
+                    .collect();
+                self.coverers.push(sets);
+            }
+            let slot = self.slot[pivot] as usize;
+            if self.levels.len() < level + 2 * self.words {
+                self.levels.resize(level + 2 * self.words, 0);
+            }
+            for i in 0..self.coverers[slot].len() {
+                let k = self.coverers[slot][i] as usize;
+                let (parent, child) = self.levels[level..].split_at_mut(self.words);
                 let mut newly = 0;
-                for &e in &self.instance.covers[k] {
-                    if covered[e] == 0 {
-                        newly += 1;
-                    }
-                    covered[e] += 1;
+                for ((c, p), r) in child.iter_mut().zip(&*parent).zip(&self.instance.covers[k]) {
+                    newly += (r & !p).count_ones() as usize;
+                    *c = p | r;
                 }
-                self.run(chosen, covered, uncovered - newly);
-                for &e in &self.instance.covers[k] {
-                    covered[e] -= 1;
-                }
-                chosen.pop();
+                self.chosen.push(k);
+                self.run(depth + 1, pos, uncovered - newly);
+                self.chosen.pop();
             }
         }
     }
 
     let mut search = Search {
         instance,
-        coverers: &coverers,
-        best: best.clone(),
-        best_cost,
+        order,
+        words,
+        levels: bits::zeros(instance.num_elements),
+        slot: vec![u32::MAX; instance.num_elements],
+        coverers: Vec::new(),
+        chosen: Vec::new(),
+        best_cost: cover_cost(instance, &greedy),
+        best: greedy,
         nodes: 0,
         max_nodes,
+        capped: false,
     };
-    let mut covered = vec![0usize; instance.num_elements];
-    let mut chosen = Vec::new();
-    search.run(&mut chosen, &mut covered, instance.num_elements);
-    best = search.best;
-    best_cost = search.best_cost;
-    let _ = best_cost;
+    search.run(0, 0, instance.num_elements);
+    mitra_trace::counter_add!("synth.cover.nodes", search.nodes as u64);
+    mitra_trace::counter_add!("synth.cover.node_cap_hits", u64::from(search.capped));
+    let mut best = search.best;
     best.sort_unstable();
     Some(best)
 }
@@ -231,6 +295,11 @@ mod tests {
 
     fn instance(matrix: &[&[bool]]) -> CoverInstance {
         CoverInstance::from_matrix(&matrix.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+    }
+
+    /// The elements of a row, ascending.
+    fn elements(row: &[u64]) -> Vec<usize> {
+        (0..row.len() * 64).filter(|&e| bits::get(row, e)).collect()
     }
 
     #[test]
@@ -325,7 +394,7 @@ mod tests {
         let cover = solve_greedy(&inst).unwrap();
         let mut covered = [false; 4];
         for &k in &cover {
-            for &e in &inst.covers[k] {
+            for e in elements(&inst.covers[k]) {
                 covered[e] = true;
             }
         }
@@ -343,10 +412,247 @@ mod tests {
         let cover = solve_exact(&inst, 1).unwrap();
         let mut covered = [false; 6];
         for &k in &cover {
-            for &e in &inst.covers[k] {
+            for e in elements(&inst.covers[k]) {
                 covered[e] = true;
             }
         }
         assert!(covered.iter().all(|b| *b));
+    }
+
+    /// The list-based solvers the bitset ones replaced: `covers[k]` lists set
+    /// `k`'s elements in ascending order.  Kept as the oracle of the search order.
+    mod reference {
+        use super::super::Cover;
+
+        pub struct Lists {
+            pub num_elements: usize,
+            pub covers: Vec<Vec<usize>>,
+            pub weights: Vec<usize>,
+        }
+
+        fn cost(inst: &Lists, cover: &[usize]) -> (usize, usize) {
+            (cover.len(), cover.iter().map(|&k| inst.weights[k]).sum())
+        }
+
+        pub fn solve_greedy(inst: &Lists) -> Option<Cover> {
+            if inst.num_elements == 0 {
+                return Some(Vec::new());
+            }
+            let mut covered = vec![false; inst.num_elements];
+            for c in &inst.covers {
+                for &e in c {
+                    covered[e] = true;
+                }
+            }
+            if !covered.iter().all(|b| *b) {
+                return None;
+            }
+            let mut covered = vec![false; inst.num_elements];
+            let mut remaining = inst.num_elements;
+            let mut chosen = Vec::new();
+            while remaining > 0 {
+                let mut best: Option<(usize, usize)> = None;
+                for (k, cov) in inst.covers.iter().enumerate() {
+                    if chosen.contains(&k) {
+                        continue;
+                    }
+                    let gain = cov.iter().filter(|&&e| !covered[e]).count();
+                    if gain == 0 {
+                        continue;
+                    }
+                    let better = match best {
+                        None => true,
+                        Some((bg, bk)) => {
+                            gain > bg
+                                || (gain == bg && (inst.weights[k], k) < (inst.weights[bk], bk))
+                        }
+                    };
+                    if better {
+                        best = Some((gain, k));
+                    }
+                }
+                let (_, k) = best?;
+                chosen.push(k);
+                for &e in &inst.covers[k] {
+                    if !covered[e] {
+                        covered[e] = true;
+                        remaining -= 1;
+                    }
+                }
+            }
+            chosen.sort_unstable();
+            Some(chosen)
+        }
+
+        /// The cover, and whether the search stopped at `max_nodes`.
+        pub fn solve_exact(inst: &Lists, max_nodes: usize) -> (Option<Cover>, bool) {
+            if inst.num_elements == 0 {
+                return (Some(Vec::new()), false);
+            }
+            let Some(greedy) = solve_greedy(inst) else {
+                return (None, false);
+            };
+            let mut coverers: Vec<Vec<usize>> = vec![Vec::new(); inst.num_elements];
+            for (k, cov) in inst.covers.iter().enumerate() {
+                for &e in cov {
+                    coverers[e].push(k);
+                }
+            }
+            struct Search<'a> {
+                inst: &'a Lists,
+                coverers: &'a [Vec<usize>],
+                best: Vec<usize>,
+                best_cost: (usize, usize),
+                nodes: usize,
+                max_nodes: usize,
+                capped: bool,
+            }
+            impl Search<'_> {
+                fn run(
+                    &mut self,
+                    chosen: &mut Vec<usize>,
+                    covered: &mut [usize],
+                    uncovered: usize,
+                ) {
+                    if self.nodes >= self.max_nodes {
+                        self.capped = true;
+                        return;
+                    }
+                    self.nodes += 1;
+                    if uncovered == 0 {
+                        let c = cost(self.inst, chosen);
+                        if c < self.best_cost {
+                            self.best_cost = c;
+                            self.best = chosen.clone();
+                        }
+                        return;
+                    }
+                    if chosen.len() + 1 > self.best_cost.0 {
+                        return;
+                    }
+                    let mut pivot: Option<usize> = None;
+                    let mut pivot_options = usize::MAX;
+                    for (e, cnt) in covered.iter().enumerate() {
+                        if *cnt > 0 {
+                            continue;
+                        }
+                        let options = self.coverers[e].len();
+                        if options < pivot_options {
+                            pivot_options = options;
+                            pivot = Some(e);
+                        }
+                    }
+                    let Some(pivot) = pivot else { return };
+                    for k in self.coverers[pivot].clone() {
+                        if chosen.contains(&k) {
+                            continue;
+                        }
+                        chosen.push(k);
+                        let mut newly = 0;
+                        for &e in &self.inst.covers[k] {
+                            if covered[e] == 0 {
+                                newly += 1;
+                            }
+                            covered[e] += 1;
+                        }
+                        self.run(chosen, covered, uncovered - newly);
+                        for &e in &self.inst.covers[k] {
+                            covered[e] -= 1;
+                        }
+                        chosen.pop();
+                    }
+                }
+            }
+            let mut search = Search {
+                inst,
+                coverers: &coverers,
+                best_cost: cost(inst, &greedy),
+                best: greedy,
+                nodes: 0,
+                max_nodes,
+                capped: false,
+            };
+            search.run(
+                &mut Vec::new(),
+                &mut vec![0; inst.num_elements],
+                inst.num_elements,
+            );
+            let mut best = search.best;
+            best.sort_unstable();
+            (Some(best), search.capped)
+        }
+    }
+
+    /// SplitMix64: a seeded generator for the oracle loop (no dependency).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn bitset_solvers_match_the_list_oracle_at_every_cap() {
+        // A reference search that runs into the 200,000-node cap takes ~50 ms in
+        // release, so that cap runs on one instance in 30, offset from the
+        // uncoverable tenth.
+        let caps = [1, 10, 1_000, 200_000];
+        let mut binding = [0usize; 4];
+        let mut rng = Rng(0x5EED_C0DE);
+        for case in 0..3000 {
+            let num_elements = 1 + rng.below(300);
+            let sets = 1 + rng.below(80);
+            let density = [2, 5, 15, 40, 70][rng.below(5)];
+            let max_weight = [1, 3, 10][rng.below(3)];
+            let matrix: Vec<Vec<bool>> = (0..sets)
+                .map(|_| {
+                    (0..num_elements)
+                        .map(|_| rng.below(100) < density)
+                        .collect()
+                })
+                .collect();
+            let mut inst = CoverInstance::from_matrix(&matrix);
+            inst.weights = (0..sets).map(|_| 1 + rng.below(max_weight)).collect();
+            if case % 10 == 0 {
+                // No set covers this element: the instance is uncoverable.
+                let hole = rng.below(num_elements);
+                for row in &mut inst.covers {
+                    row[hole / 64] &= !(1 << (hole % 64));
+                }
+            }
+            let lists = reference::Lists {
+                num_elements,
+                covers: inst.covers.iter().map(|row| elements(row)).collect(),
+                weights: inst.weights.clone(),
+            };
+            assert_eq!(
+                solve_greedy(&inst),
+                reference::solve_greedy(&lists),
+                "greedy, case {case}"
+            );
+            for (c, &cap) in caps.iter().enumerate() {
+                if cap == 200_000 && case % 30 != 7 {
+                    continue;
+                }
+                let (want, capped) = reference::solve_exact(&lists, cap);
+                assert_eq!(
+                    solve_exact(&inst, cap),
+                    want,
+                    "exact, case {case}, cap {cap}"
+                );
+                binding[c] += usize::from(capped);
+            }
+        }
+        // Every cap must bind somewhere, or the search order is not under test.
+        assert!(binding.iter().all(|&n| n > 0), "caps binding: {binding:?}");
     }
 }

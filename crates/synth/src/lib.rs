@@ -34,6 +34,7 @@
 //!   experiments (E7 in DESIGN.md).
 
 pub mod baseline;
+mod bits;
 pub mod budget;
 pub mod cache;
 pub mod column;

@@ -36,14 +36,31 @@
 //!   predicate factor through a per-block node-pair matrix (the diagonal when both
 //!   sides index the same column), both ops share one pass over it, and matrices
 //!   that come out constant — most cross-column comparisons — are skipped before
-//!   any tuple-length vector is materialized.
+//!   any tuple-length vector is materialized;
+//! * compares column nodes against constants (rule 4) through the **cached
+//!   ordering** of every representative node against every mined constant
+//!   ([`ColumnPhiData::orderings`], computed once per synthesis call): the six
+//!   operators read one ordering, and per-node bits that come out all-true or
+//!   all-false are skipped before tiling, as in rule 5.
+//!
+//! Truth vectors are packed 64 tuples to a `u64` word end to end.  Both rules
+//! tile into one reusable buffer per call; the `Dedup` fold keys and keeps the
+//! words and recognises constant vectors by word compares; and a predicate's AST
+//! is built only when its vector opens a truth class or replaces a heavier
+//! member, its weight computed from the parts.  The set-cover rows are built from
+//! the words segment by segment (see [`crate::cover`]).
 //!
 //! [`learn_predicate_reference`] retains the direct per-tuple evaluation over the
 //! full universe; `tests/search_equivalence.rs` and the unit tests below assert
 //! the two paths agree, and it serves as the oracle for differential testing.
+//!
+//! Spans `label_tuples`, `truth_vectors`, `cover` and `qm` split the caller's
+//! `predicate_learn` span, and each call adds its tallies to the counters
+//! `synth.predicate.{vectors,constant_skipped,kept}`.
 
+use crate::bits;
 use crate::cache::{ColumnEvalCache, ColumnPhiData};
-use crate::cover::{solve_exact, solve_greedy, CoverInstance};
+use crate::cover::{solve_exact, solve_greedy, CoverInstance, MAX_COVER_NODES};
 use crate::qm::minimize;
 use crate::synthesize::Example;
 use crate::universe::{construct_universe, UniverseConfig};
@@ -51,11 +68,9 @@ use mitra_dsl::ast::{CompareOp, Operand, Predicate, TableExtractor};
 use mitra_dsl::eval::{cross_product, eval_predicate, node_value, EvalLimits};
 use mitra_dsl::Value;
 use mitra_hdt::NodeId;
-use std::collections::hash_map::{Entry, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Node budget for the exact cover search.
-const MAX_COVER_NODES: usize = 200_000;
 
 /// Maximum number of distinct predicates kept after behaviour deduplication.
 const MAX_UNIVERSE: usize = 20_000;
@@ -164,7 +179,10 @@ pub fn learn_predicate(
     config: &PredicateLearnConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
-    let tuples = label_tuples(examples, psi, config.max_intermediate_rows, cache)?;
+    let tuples = {
+        let _span = mitra_trace::span("synth", "label_tuples");
+        label_tuples(examples, psi, config.max_intermediate_rows, cache)?
+    };
     if !tuples.iter().any(|t| t.positive) {
         return None;
     }
@@ -174,18 +192,52 @@ pub fn learn_predicate(
         // the only predicate-learning work the search does).
         return Some(Predicate::True);
     }
+    let kept = {
+        let _span = mitra_trace::span("synth", "truth_vectors");
+        truth_vectors(examples, psi, tuples.len(), config, cache)
+    };
+    classifier_from_kept(&tuples, kept, config)
+}
 
+/// Cross-product layout of one example's block of the intermediate table.
+struct Block {
+    base: usize,
+    len: usize,
+    counts: Vec<usize>,
+    strides: Vec<usize>,
+}
+
+impl Block {
+    /// Sets the bits of the tuples whose column-`col` node `k` has `bit(k)`: node
+    /// `k` of column `col` covers the runs of `strides[col]` tuples starting at
+    /// `(r * counts[col] + k) * strides[col]` for r = 0, 1, ….
+    fn tile(&self, vector: &mut [u64], col: usize, bit: impl Fn(usize) -> bool) {
+        let (stride, count) = (self.strides[col], self.counts[col]);
+        let (mut t, mut k) = (0, 0);
+        while t < self.len {
+            if bit(k) {
+                bits::set_range(vector, self.base + t, self.base + t + stride);
+            }
+            t += stride;
+            k = if k + 1 == count { 0 } else { k + 1 };
+        }
+    }
+}
+
+/// Rules 4 and 5 of the universe over behaviour-class representatives, folded
+/// into the kept truth classes (see the module docs).
+fn truth_vectors(
+    examples: &[Example],
+    psi: &TableExtractor,
+    num_tuples: usize,
+    config: &PredicateLearnConfig,
+    cache: &ColumnEvalCache,
+) -> Vec<(Predicate, Vec<u64>, usize)> {
     // Cross-product layout of the intermediate table: example blocks in order, and
     // within a block the *last* column varies fastest (the mixed-radix order of
     // `cross_product`), so tuple `t` of a block uses node
     // `(t / stride[c]) % count[c]` of column `c`.
     let arity = psi.columns.len();
-    struct Block {
-        base: usize,
-        len: usize,
-        counts: Vec<usize>,
-        strides: Vec<usize>,
-    }
     let mut layout: Vec<Block> = Vec::with_capacity(examples.len());
     let mut base = 0usize;
     for (ex_idx, ex) in examples.iter().enumerate() {
@@ -207,7 +259,7 @@ pub fn learn_predicate(
         });
         base += len;
     }
-    debug_assert_eq!(base, tuples.len(), "layout must match the labelled tuples");
+    debug_assert_eq!(base, num_tuples, "layout must match the labelled tuples");
 
     let per_column: Vec<Arc<ColumnPhiData>> = psi
         .columns
@@ -215,14 +267,6 @@ pub fn learn_predicate(
         .map(|pi| cache.phi_data(examples, pi, &config.universe))
         .collect();
     let constants = cache.constants(examples, config.universe.max_constants);
-
-    // Tiles per-node truth bits across a block: bit `k` of column `c` covers every
-    // tuple whose `c`-th digit is `k`.
-    let tile_const = |vector: &mut [bool], block: &Block, col: usize, bits: &[bool]| {
-        for t in 0..block.len {
-            vector[block.base + t] = bits[(t / block.strides[col]) % block.counts[col]];
-        }
-    };
 
     // The reduced universe enumeration: identical loop structure and order as
     // `construct_universe`, but over behaviour-class representatives only, feeding
@@ -240,43 +284,62 @@ pub fn learn_predicate(
         &[CompareOp::Eq, CompareOp::Ne]
     };
 
-    let mut dedup = Dedup::default();
+    let mut dedup = Dedup::new(num_tuples);
+    // One truth-vector buffer for every predicate of this call.
+    let mut vector = bits::zeros(num_tuples);
+    let mut constant_skipped = 0u64;
     let mut capped = false;
 
-    // Rule 4: comparisons against constants.
+    // Rule 4: comparisons against constants.  A tuple's truth value is its
+    // column-`i` node's, read from the node's cached ordering against `c`.  The
+    // blocks are full cross products, so every node of a non-empty block is hit
+    // by some tuple: when the node bits are all-true or all-false the vector is
+    // constant and is skipped before tiling, as the fold would drop it.
     'outer4: for (i, data) in per_column.iter().enumerate() {
         for &p in &data.reps {
-            for c in constants.iter() {
+            let weight = 1 + data.phis[p].size();
+            for (ci, c) in constants.iter().enumerate() {
+                // Block `e`'s node orderings against `c`.
+                let orderings = |e: usize| {
+                    let len = data.nodes[p][e].len();
+                    &data.orderings[p][e][ci * len..(ci + 1) * len]
+                };
+                let numeric = c.as_number().is_some();
                 for op in const_ops {
-                    if matches!(
-                        op,
-                        CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge
-                    ) && c.as_number().is_none()
+                    if !numeric
+                        && matches!(
+                            op,
+                            CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge
+                        )
                     {
                         continue;
                     }
-                    let mut vector = vec![false; tuples.len()];
-                    for (ex_idx, block) in layout.iter().enumerate() {
-                        if block.len == 0 {
-                            continue;
+                    let bit = |ord: &Option<Ordering>| ord.is_some_and(|o| op.test(o));
+                    let (mut any_t, mut any_f) = (false, false);
+                    for (e, block) in layout.iter().enumerate() {
+                        if block.len > 0 {
+                            any_t |= orderings(e).iter().any(bit);
+                            any_f |= !orderings(e).iter().all(bit);
                         }
-                        let tree = &examples[ex_idx].tree;
-                        let bits: Vec<bool> = data.nodes[p][ex_idx]
-                            .iter()
-                            .map(|n| match node_value(tree, *n).compare(c) {
-                                Some(ord) => op.test(ord),
-                                None => false,
-                            })
-                            .collect();
-                        tile_const(&mut vector, block, i, &bits);
                     }
-                    let pred = Predicate::Compare {
+                    if !(any_t && any_f) {
+                        constant_skipped += 1;
+                        continue;
+                    }
+                    vector.fill(0);
+                    for (e, block) in layout.iter().enumerate() {
+                        if block.len > 0 {
+                            let ords = orderings(e);
+                            block.tile(&mut vector, i, |k| bit(&ords[k]));
+                        }
+                    }
+                    let pred = || Predicate::Compare {
                         extractor: data.phis[p].clone(),
                         index: i,
                         op: *op,
                         rhs: Operand::Const(c.clone()),
                     };
-                    if !dedup.fold(pred, vector) {
+                    if !dedup.fold(&vector, weight, pred) {
                         capped = true;
                         break 'outer4;
                     }
@@ -291,7 +354,7 @@ pub fn learn_predicate(
     // [`ColumnPhiData::info`] — and both ops share that comparison.  Vectors whose
     // node-pair cells come out constant (most cross-column comparisons: unrelated
     // fields are never equal) are recognised before tiling and skipped outright,
-    // exactly as the fold below would have dropped them.
+    // exactly as the fold would have dropped them.
     if !capped {
         // Mixed-radix digit of every tuple per column, so non-diagonal tiling is a
         // pair of table lookups instead of two divisions.
@@ -309,8 +372,8 @@ pub fn learn_predicate(
             .collect();
         // Eq/Ne truth values for one node pair, matching `Value::compare`
         // semantics: leaf pairs compare by value (Ne additionally requires
-        // comparability), internal pairs by node identity, mixed pairs are false
-        // under both ops.
+        // comparability: both or neither NULL), internal pairs by node identity,
+        // mixed pairs are false under both ops.
         let cell = |l: &crate::cache::NodeInfo,
                     r: &crate::cache::NodeInfo,
                     ln: NodeId,
@@ -318,10 +381,7 @@ pub fn learn_predicate(
          -> (bool, bool) {
             if l.leaf && r.leaf {
                 let eq = l.value == r.value;
-                (
-                    eq,
-                    !eq && crate::cache::classes_comparable(l.class, r.class),
-                )
+                (eq, !eq && l.null == r.null)
             } else if !l.leaf && !r.leaf {
                 let same = ln == rn;
                 (same, !same)
@@ -329,6 +389,11 @@ pub fn learn_predicate(
                 (false, false)
             }
         };
+        // Per-block cell tables for both ops, reused across pairs: block `e`'s
+        // cells start at `cell_start[e]`.
+        let mut eq_cells: Vec<bool> = Vec::new();
+        let mut ne_cells: Vec<bool> = Vec::new();
+        let mut cell_start: Vec<usize> = Vec::with_capacity(layout.len());
         'outer5: for (i, data_i) in per_column.iter().enumerate() {
             for (j, data_j) in per_column.iter().enumerate() {
                 for &p1 in &data_i.reps {
@@ -336,83 +401,78 @@ pub fn learn_predicate(
                         if i == j && data_i.phis[p1] == data_j.phis[p2] {
                             continue; // trivially true under Eq
                         }
-                        // Per-block cell tables for both ops: the diagonal only
-                        // when i == j (both digits coincide), the full node-pair
-                        // matrix otherwise.
-                        let mut eq_blocks: Vec<Vec<bool>> = Vec::with_capacity(layout.len());
-                        let mut ne_blocks: Vec<Vec<bool>> = Vec::with_capacity(layout.len());
+                        // The diagonal only when i == j (both digits coincide), the
+                        // full node-pair matrix otherwise.
+                        eq_cells.clear();
+                        ne_cells.clear();
+                        cell_start.clear();
                         let (mut eq_any_t, mut eq_any_f) = (false, false);
                         let (mut ne_any_t, mut ne_any_f) = (false, false);
                         for (ex_idx, block) in layout.iter().enumerate() {
+                            cell_start.push(eq_cells.len());
                             if block.len == 0 {
-                                eq_blocks.push(Vec::new());
-                                ne_blocks.push(Vec::new());
                                 continue;
                             }
                             let linfo = &data_i.info[p1][ex_idx];
                             let rinfo = &data_j.info[p2][ex_idx];
                             let lnodes = &data_i.nodes[p1][ex_idx];
                             let rnodes = &data_j.nodes[p2][ex_idx];
-                            let mut eq;
-                            let mut ne;
                             if i == j {
-                                eq = Vec::with_capacity(linfo.len());
-                                ne = Vec::with_capacity(linfo.len());
                                 for k in 0..linfo.len() {
                                     let (e, n) = cell(&linfo[k], &rinfo[k], lnodes[k], rnodes[k]);
-                                    eq.push(e);
-                                    ne.push(n);
+                                    eq_cells.push(e);
+                                    ne_cells.push(n);
                                 }
                             } else {
-                                eq = Vec::with_capacity(linfo.len() * rinfo.len());
-                                ne = Vec::with_capacity(linfo.len() * rinfo.len());
                                 for (ki, li) in linfo.iter().enumerate() {
                                     for (kj, rj) in rinfo.iter().enumerate() {
                                         let (e, n) = cell(li, rj, lnodes[ki], rnodes[kj]);
-                                        eq.push(e);
-                                        ne.push(n);
+                                        eq_cells.push(e);
+                                        ne_cells.push(n);
                                     }
                                 }
                             }
-                            for &b in &eq {
+                            let from = cell_start[ex_idx];
+                            for &b in &eq_cells[from..] {
                                 eq_any_t |= b;
                                 eq_any_f |= !b;
                             }
-                            for &b in &ne {
+                            for &b in &ne_cells[from..] {
                                 ne_any_t |= b;
                                 ne_any_f |= !b;
                             }
-                            eq_blocks.push(eq);
-                            ne_blocks.push(ne);
                         }
+                        let weight = 1 + data_i.phis[p1].size() + data_j.phis[p2].size();
                         // The blocks are full cross products, so every cell is hit
                         // by some tuple: the vector is constant iff the cells are.
                         for (op, cells, any_t, any_f) in [
-                            (CompareOp::Eq, &eq_blocks, eq_any_t, eq_any_f),
-                            (CompareOp::Ne, &ne_blocks, ne_any_t, ne_any_f),
+                            (CompareOp::Eq, &eq_cells, eq_any_t, eq_any_f),
+                            (CompareOp::Ne, &ne_cells, ne_any_t, ne_any_f),
                         ] {
                             if !(any_t && any_f) {
-                                continue; // constant vector: the fold would drop it
+                                constant_skipped += 1;
+                                continue;
                             }
-                            let mut vector = vec![false; tuples.len()];
+                            vector.fill(0);
                             for (ex_idx, block) in layout.iter().enumerate() {
                                 if block.len == 0 {
                                     continue;
                                 }
-                                let bits = &cells[ex_idx];
+                                let cell_bits = &cells[cell_start[ex_idx]..];
                                 if i == j {
-                                    tile_const(&mut vector, block, i, bits);
+                                    block.tile(&mut vector, i, |k| cell_bits[k]);
                                 } else {
                                     let di = &digits[ex_idx][i];
                                     let dj = &digits[ex_idx][j];
                                     let cj = block.counts[j];
                                     for t in 0..block.len {
-                                        vector[block.base + t] =
-                                            bits[di[t] as usize * cj + dj[t] as usize];
+                                        if cell_bits[di[t] as usize * cj + dj[t] as usize] {
+                                            bits::set(&mut vector, block.base + t);
+                                        }
                                     }
                                 }
                             }
-                            let pred = Predicate::Compare {
+                            let pred = || Predicate::Compare {
                                 extractor: data_i.phis[p1].clone(),
                                 index: i,
                                 op,
@@ -421,7 +481,7 @@ pub fn learn_predicate(
                                     index: j,
                                 },
                             };
-                            if !dedup.fold(pred, vector) {
+                            if !dedup.fold(&vector, weight, pred) {
                                 break 'outer5;
                             }
                         }
@@ -431,7 +491,11 @@ pub fn learn_predicate(
         }
     }
 
-    classifier_from_kept(&tuples, dedup.kept, config)
+    mitra_trace::counter_add!("synth.predicate.vectors", dedup.folded);
+    mitra_trace::counter_add!("synth.predicate.constant_skipped", constant_skipped);
+    let kept = dedup.into_kept();
+    mitra_trace::counter_add!("synth.predicate.kept", kept.len() as u64);
+    kept
 }
 
 /// Reference implementation of [`learn_predicate`]: full universe construction and
@@ -461,84 +525,108 @@ pub fn learn_predicate_reference(
 
     // Only behaviourally distinct predicates matter: the truth vectors over all
     // labelled tuples feed the shared [`Dedup`] fold, which also shrinks the ILP.
-    let truth_vector = |p: &Predicate| -> Vec<bool> {
-        tuples
-            .iter()
-            .map(|t| eval_predicate(&examples[t.example].tree, &t.nodes, p))
-            .collect()
+    let truth_vector = |p: &Predicate| -> Vec<u64> {
+        let mut vector = bits::zeros(tuples.len());
+        for (i, t) in tuples.iter().enumerate() {
+            if eval_predicate(&examples[t.example].tree, &t.nodes, p) {
+                bits::set(&mut vector, i);
+            }
+        }
+        vector
     };
     let threads = mitra_pool::resolve(config.threads);
     // The candidates are independent, so the truth vectors fan out across workers;
     // the dedup fold below runs in universe order either way, so `kept` is identical
     // for every thread count.  Tiny universes stay inline: spawning costs more than
     // the evaluation itself.
-    let prepared: Vec<(Predicate, Vec<bool>)> = if threads > 1 && universe.len() >= 64 {
-        let vectors = mitra_pool::parallel_map(threads, &universe, |_, p| truth_vector(p));
-        universe.into_iter().zip(vectors).collect()
+    let vectors: Vec<Vec<u64>> = if threads > 1 && universe.len() >= 64 {
+        mitra_pool::parallel_map(threads, &universe, |_, p| truth_vector(p))
     } else {
-        universe
-            .into_iter()
-            .map(|p| {
-                let v = truth_vector(&p);
-                (p, v)
-            })
-            .collect()
+        universe.iter().map(truth_vector).collect()
     };
-    let mut dedup = Dedup::default();
-    for (p, vector) in prepared {
-        if !dedup.fold(p, vector) {
+    let mut dedup = Dedup::new(tuples.len());
+    for (p, vector) in universe.into_iter().zip(vectors) {
+        if !dedup.fold(&vector, predicate_weight(&p), || p) {
             break;
         }
     }
-    classifier_from_kept(&tuples, dedup.kept, config)
+    classifier_from_kept(&tuples, dedup.into_kept(), config)
 }
 
 /// The behaviour dedup fold shared by the fast and reference paths: predicates
 /// with a constant truth vector are dropped, the earliest predicate of each truth
 /// class is kept, and a later strictly lighter member replaces it.
-#[derive(Default)]
+///
+/// Every truth vector folded into one `Dedup` is a packed bitset over the same
+/// labelled tuples.
 struct Dedup {
-    /// `(predicate, truth vector, weight)` per truth class, in first-seen order.
-    kept: Vec<(Predicate, Vec<bool>, usize)>,
-    /// Index into `kept` by truth vector, packed 64 tuples to a word.  Every
-    /// vector folded into one `Dedup` has the same length (the labelled tuple
-    /// count), so packing keeps the classes apart, and a key hashes in one pass
-    /// rather than one hasher call per tuple.
+    /// `(predicate, weight)` per truth class, in first-seen order.
+    kept: Vec<(Predicate, usize)>,
+    /// Index into `kept` by truth vector.
     by_vector: HashMap<Vec<u64>, usize>,
+    /// The valid bits of a vector's last word.
+    tail: u64,
+    /// Vectors folded in.
+    folded: u64,
 }
 
 impl Dedup {
-    /// Folds in one predicate; false once [`MAX_UNIVERSE`] classes are kept.
-    fn fold(&mut self, p: Predicate, vector: Vec<bool>) -> bool {
-        if vector.iter().all(|b| *b) || vector.iter().all(|b| !*b) {
+    fn new(num_tuples: usize) -> Dedup {
+        Dedup {
+            kept: Vec::new(),
+            by_vector: HashMap::new(),
+            tail: bits::tail_mask(num_tuples),
+            folded: 0,
+        }
+    }
+
+    /// Folds in one truth vector of a predicate of the given weight; false once
+    /// [`MAX_UNIVERSE`] classes are kept.  `predicate` is only called when the
+    /// vector opens a class or its predicate replaces a heavier member.
+    fn fold(
+        &mut self,
+        vector: &[u64],
+        weight: usize,
+        predicate: impl FnOnce() -> Predicate,
+    ) -> bool {
+        self.folded += 1;
+        let Some((&last, body)) = vector.split_last() else {
+            return true;
+        };
+        if (last == 0 && body.iter().all(|w| *w == 0))
+            || (last == self.tail && body.iter().all(|w| *w == !0))
+        {
             return true;
         }
-        let size = predicate_weight(&p);
-        let key: Vec<u64> = vector
-            .chunks(64)
-            .map(|bits| {
-                bits.iter()
-                    .rev()
-                    .fold(0, |word, &b| word << 1 | u64::from(b))
-            })
-            .collect();
-        match self.by_vector.entry(key) {
-            Entry::Occupied(class) => {
-                let kept = &mut self.kept[*class.get()];
-                if size < kept.2 {
-                    kept.0 = p;
-                    kept.2 = size;
+        match self.by_vector.get(vector) {
+            Some(&class) => {
+                let kept = &mut self.kept[class];
+                if weight < kept.1 {
+                    *kept = (predicate(), weight);
                 }
             }
-            Entry::Vacant(class) => {
-                class.insert(self.kept.len());
-                self.kept.push((p, vector, size));
+            None => {
+                self.by_vector.insert(vector.to_vec(), self.kept.len());
+                self.kept.push((predicate(), weight));
                 if self.kept.len() >= MAX_UNIVERSE {
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// The kept classes in first-seen order: `(predicate, truth vector, weight)`.
+    fn into_kept(self) -> Vec<(Predicate, Vec<u64>, usize)> {
+        let mut vectors = vec![Vec::new(); self.kept.len()];
+        for (vector, class) in self.by_vector {
+            vectors[class] = vector;
+        }
+        self.kept
+            .into_iter()
+            .zip(vectors)
+            .map(|((p, weight), vector)| (p, vector, weight))
+            .collect()
     }
 }
 
@@ -548,15 +636,12 @@ impl Dedup {
 /// truth-vector construction.
 fn classifier_from_kept(
     tuples: &[LabelledTuple],
-    kept: Vec<(Predicate, Vec<bool>, usize)>,
+    kept: Vec<(Predicate, Vec<u64>, usize)>,
     config: &PredicateLearnConfig,
 ) -> Option<Predicate> {
     if kept.is_empty() {
         return None;
     }
-
-    // Build the set-cover instance: elements are (positive, negative) pairs, a
-    // predicate covers a pair when its truth value differs on the two tuples.
     let pos_idx: Vec<usize> = tuples
         .iter()
         .enumerate()
@@ -569,44 +654,58 @@ fn classifier_from_kept(
         .filter(|(_, t)| !t.positive)
         .map(|(i, _)| i)
         .collect();
-    let num_elements = pos_idx.len() * neg_idx.len();
-    let covers: Vec<Vec<usize>> = kept
-        .iter()
-        .map(|(_, vector, _)| {
-            let mut cov = Vec::new();
-            for (pi, &p) in pos_idx.iter().enumerate() {
+
+    let chosen = {
+        let _span = mitra_trace::span("synth", "cover");
+        // The set-cover instance: element `pi * N + ni` is the pair of positive
+        // `pi` and negative `ni` (N negatives), and a predicate covers a pair when
+        // its truth value differs on the two tuples.  Positive `pi`'s segment of a
+        // row is therefore the negatives' bits when the predicate is false on it,
+        // and their complement when it is true.
+        let negatives = neg_idx.len();
+        let num_elements = pos_idx.len() * negatives;
+        let covers: Vec<Vec<u64>> = kept
+            .iter()
+            .map(|(_, vector, _)| {
+                let mut off = bits::zeros(negatives);
                 for (ni, &n) in neg_idx.iter().enumerate() {
-                    if vector[p] != vector[n] {
-                        cov.push(pi * neg_idx.len() + ni);
+                    if bits::get(vector, n) {
+                        bits::set(&mut off, ni);
                     }
                 }
-            }
-            cov
-        })
-        .collect();
-    let instance = CoverInstance {
-        num_elements,
-        covers,
-        weights: kept.iter().map(|(_, _, s)| *s).collect(),
-    };
-    let chosen = if config.exact_cover {
-        solve_exact(&instance, MAX_COVER_NODES)?
-    } else {
-        solve_greedy(&instance)?
+                let mut on: Vec<u64> = off.iter().map(|w| !w).collect();
+                if let Some(last) = on.last_mut() {
+                    *last &= bits::tail_mask(negatives);
+                }
+                let mut row = bits::zeros(num_elements);
+                for (pi, &p) in pos_idx.iter().enumerate() {
+                    let segment = if bits::get(vector, p) { &on } else { &off };
+                    bits::or_at(&mut row, pi * negatives, segment);
+                }
+                row
+            })
+            .collect();
+        let instance = CoverInstance {
+            num_elements,
+            covers,
+            weights: kept.iter().map(|(_, _, s)| *s).collect(),
+        };
+        if config.exact_cover {
+            solve_exact(&instance, MAX_COVER_NODES)?
+        } else {
+            solve_greedy(&instance)?
+        }
     };
     if chosen.is_empty() {
         return None;
     }
 
+    let _span = mitra_trace::span("synth", "qm");
     // Build the partial truth table over the chosen predicates and minimize.
-    let on_set: Vec<Vec<bool>> = pos_idx
-        .iter()
-        .map(|&t| chosen.iter().map(|&k| kept[k].1[t]).collect())
-        .collect();
-    let off_set: Vec<Vec<bool>> = neg_idx
-        .iter()
-        .map(|&t| chosen.iter().map(|&k| kept[k].1[t]).collect())
-        .collect();
+    let assignment =
+        |t: usize| -> Vec<bool> { chosen.iter().map(|&k| bits::get(&kept[k].1, t)).collect() };
+    let on_set: Vec<Vec<bool>> = pos_idx.iter().map(|&t| assignment(t)).collect();
+    let off_set: Vec<Vec<bool>> = neg_idx.iter().map(|&t| assignment(t)).collect();
     let dnf = minimize(chosen.len(), &on_set, &off_set)?;
 
     // Translate the DNF over variable indices back into a DSL predicate.

@@ -11,7 +11,7 @@
 //! 2. choose a minimum subset of prime implicants covering the on-set (Petrick's
 //!    problem), reusing the exact set-cover solver from [`crate::cover`].
 
-use crate::cover::{solve_exact, CoverInstance};
+use crate::cover::{solve_exact, CoverInstance, MAX_COVER_NODES};
 
 /// A product term over `n` boolean variables: for each variable either a required
 /// value or "don't care" (the variable does not appear in the term).
@@ -161,7 +161,7 @@ pub fn minimize(num_vars: usize, on_set: &[Vec<bool>], off_set: &[Vec<bool>]) ->
         .collect();
     let mut instance = CoverInstance::from_matrix(&matrix);
     instance.weights = primes.iter().map(Term::num_literals).collect();
-    let chosen = solve_exact(&instance, 200_000)?;
+    let chosen = solve_exact(&instance, MAX_COVER_NODES)?;
     let terms = chosen.into_iter().map(|k| primes[k].clone()).collect();
     let dnf = Dnf { terms };
 

@@ -927,6 +927,32 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_spellings_synthesize_like_any_name() {
+        // Names that Rust's float parser reads as NaN or infinity are text: a
+        // NaN-valued `Nan` cell would equal no node, and column 0 would have no
+        // extractor.
+        for name in ["Nina", "Nan", "inf", "Infinity"] {
+            let doc = format!(
+                "<people><person><name>Alice</name><age>31</age></person>\
+                 <person><name>{name}</name><age>27</age></person>\
+                 <person><name>Bob</name><age>45</age></person></people>"
+            );
+            let tree = mitra_hdt::xml::xml_to_hdt(&doc).unwrap();
+            let output = Table::from_rows(&["name"], &[&["Alice"], &[name], &["Bob"]]);
+            let ex = Example::new(tree, output);
+            let result = learn_transformation(std::slice::from_ref(&ex), &SynthConfig::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                pretty::table_extractor(&result.program.extractor),
+                "(\\s.children(descendants(s, name), text)){root(tau)}",
+                "{name}"
+            );
+            let out = eval_program(&ex.tree, &result.program).unwrap();
+            assert!(out.same_bag(&ex.output), "{name}: got {out}");
+        }
+    }
+
+    #[test]
     fn ranking_prefers_fewer_atoms() {
         // For the simple projection task the chosen program must not carry a
         // gratuitous predicate even though predicated programs also satisfy it.

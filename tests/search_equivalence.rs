@@ -11,16 +11,24 @@
 //! that used to report `truncated: true` (the per-column word cap cut their
 //! enumeration short) now stream candidates from the automata and report
 //! `truncated: false`.
+//!
+//! Below the search, `learn_predicate` must agree with
+//! `learn_predicate_reference` under the default predicate universe, ordering
+//! operators included, on documents mixing numeric, boolean, empty and textual
+//! leaves.
 
 use mitra::datagen::generate_corpus;
+use mitra::dsl::ast::{ColumnExtractor, TableExtractor};
 use mitra::dsl::{pretty, Table, Value};
 use mitra::hdt::generate::{social_network, social_network_rows};
 use mitra::hdt::Hdt;
 use mitra::synth::dfa::DfaLimits;
+use mitra::synth::predicate::{learn_predicate, learn_predicate_reference, PredicateLearnConfig};
 use mitra::synth::synthesize::{
     learn_transformation, learn_transformation_exhaustive, Example, SynthConfig, SynthError,
 };
 use mitra::synth::universe::UniverseConfig;
+use mitra::synth::ColumnEvalCache;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -170,6 +178,92 @@ proptest! {
     ) {
         let (tree, output) = random_projection_spec(people, pick_city, seed);
         assert_equivalent(&[Example::new(tree, output)])?;
+    }
+}
+
+/// Leaf texts of the rule-4 differential: integers, decimals, numeric text with
+/// surrounding spaces, booleans, empty values and words — every class the
+/// ordering operators treat differently.
+const LEAF_TEXTS: &[&str] = &[
+    "0", "7", "-3", "42", "2.5", "-0.5", "7.0", " 7 ", "  12", "3.25 ", "true", "false", "", "  ",
+    "apple", "Pear", "10x",
+];
+
+/// A document of `records` records whose leaves `a`, `b` and `c` are drawn from
+/// [`LEAF_TEXTS`] by `seed`, the ψ selecting the first `arity` leaf tags, and an
+/// output holding seeded data rows of ψ's tuples.
+fn rule4_spec(records: usize, arity: usize, seed: u64) -> (Example, TableExtractor) {
+    let mut state = seed;
+    let mut next = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % n as u64) as usize
+    };
+    let tags = ["a", "b", "c"];
+    let mut tree = Hdt::with_root("db");
+    let root = tree.root();
+    let mut columns: Vec<Vec<Value>> = vec![Vec::new(); arity];
+    for _ in 0..records {
+        let rec = tree.add_child(root, "rec", None);
+        for (t, tag) in tags.iter().enumerate() {
+            let text = LEAF_TEXTS[next(LEAF_TEXTS.len())];
+            tree.add_child(rec, *tag, Some(text.to_string()));
+            if t < arity {
+                columns[t].push(Value::from_data(text));
+            }
+        }
+    }
+    // The data rows of ψ's tuples: the cross product of the columns' values.
+    let mut rows: Vec<Vec<Value>> = vec![Vec::new()];
+    for column in &columns {
+        rows = rows
+            .iter()
+            .flat_map(|row| {
+                column.iter().map(move |v| {
+                    let mut row = row.clone();
+                    row.push(v.clone());
+                    row
+                })
+            })
+            .collect();
+    }
+    // Up to `records` rows, as many as a real example of this document holds (a
+    // third of a 125-tuple product makes QM's minimization the whole test).
+    let mut output = Table::new(tags[..arity].iter().map(|t| t.to_string()).collect());
+    for _ in 0..=next(records) {
+        output.push(rows[next(rows.len())].clone());
+    }
+    let psi = TableExtractor::new(
+        tags[..arity]
+            .iter()
+            .map(|&t| ColumnExtractor::descendants(ColumnExtractor::Input, t))
+            .collect(),
+    );
+    (Example::new(tree, output), psi)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    // `uncapped_config` runs without the ordering operators; this compares the
+    // two predicate learners under the default universe (`<`, `<=`, `>`, `>=`
+    // on, 64 constants) on mixed numeric, boolean, empty and textual leaves.
+    #[test]
+    fn rule4_fast_path_matches_reference_with_ordering(
+        records in 2usize..6,
+        arity in 2usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (ex, psi) = rule4_spec(records, arity, seed);
+        let config = PredicateLearnConfig::default();
+        prop_assert!(config.universe.with_ordering);
+        prop_assert_eq!(config.universe.max_constants, 64);
+        let examples = std::slice::from_ref(&ex);
+        let fast = learn_predicate(examples, &psi, &config, &ColumnEvalCache::new(1));
+        let reference =
+            learn_predicate_reference(examples, &psi, &config, &ColumnEvalCache::new(1));
+        prop_assert_eq!(fast, reference);
     }
 }
 
