@@ -2,9 +2,9 @@
 //! trajectory, written as `BENCH_synthesis.json`.
 //!
 //! Run with: `cargo run -p mitra-bench --release --bin bench_smoke [-- --out PATH]
-//! [-- --limit N] [-- --scale N] [-- --threads N]`
+//! [-- --limit N] [-- --scale N] [-- --threads N] [-- --trace-out PATH]`
 //!
-//! The output combines three measurements:
+//! The output has eight blocks:
 //!
 //! * `table1` — synthesis over the first `limit` corpus tasks (Table 1 smoke slice),
 //!   run at the parallel thread count;
@@ -13,20 +13,29 @@
 //!   thread count (`--threads N`, default all cores).  The harness asserts that the
 //!   synthesized programs are byte-identical across the two runs (the worker pool's
 //!   canonical-merge determinism guarantee) and reports the MONDIAL synthesis
-//!   speedup — the headline number of the parallel-synthesis refactor;
-//! * `descendants_index` — the descendants-heavy evaluation workload comparing the
-//!   pre-refactor subtree walk against the pre-order/occurrence-list index (the
-//!   headline number of the tag-interning + indexing refactor; `speedup` must stay
-//!   well above 2);
+//!   speedup;
+//! * `trace_overhead` / `budget_overhead` — MONDIAL sequential synthesis with the
+//!   metrics layer off vs on, and with an unlimited vs a never-binding finite
+//!   fuel budget;
+//! * `degradation` — a seeded 4-table fuzz migration degraded by an injected
+//!   worker panic and by a zero-candidate budget, its summaries embedded verbatim;
 //! * `corpus` — the checkpointed corpus migration service on a seeded mixer
 //!   corpus: thread-count and crash-resume byte-identity, exact quarantine of
 //!   the malformed fraction, docs/sec throughput, and the surfaced
-//!   `corpus.*` / `pool.panics_caught` counters.
+//!   `corpus.*` / `pool.panics_caught` counters;
+//! * `descendants_index` — the descendants-heavy evaluation workload comparing the
+//!   naive subtree walk against the pre-order/occurrence-list index (`speedup`
+//!   must stay well above 2);
+//! * `executor` — planner wall time, plan shape and a table fingerprint (`rows`
+//!   and the FNV-1a hash of the CSV text) on the E3 million-element document, a
+//!   join-ordering workload, and every Table 2 dataset.
 //!
-//! CI runs this binary on every push and uploads the JSON as an artifact; the
+//! With `--trace-out` it also writes a full-mode MONDIAL Perfetto trace.  CI runs
+//! this binary on every push, gates the JSON (the executor fingerprints against
+//! literals, the timings against ceilings) and uploads it as an artifact; the
 //! repository keeps a committed baseline so the trajectory is reviewable in-diff.
-//! The process exits non-zero when the determinism check fails, so CI cannot
-//! silently ship a scheduling-dependent synthesizer.
+//! The process exits non-zero when the synthesis determinism check or a corpus
+//! gate fails, so CI cannot silently ship a scheduling-dependent synthesizer.
 
 use mitra_bench::descend;
 use mitra_bench::json::{int, num, obj, s, JsonValue};
@@ -46,7 +55,8 @@ use mitra_dsl::parse::parse_program;
 use mitra_dsl::{Table, Value};
 use mitra_hdt::Hdt;
 use mitra_synth::budget::Budget;
-use mitra_synth::exec::{execute_progressive, execute_with_stats, plan_with_tree};
+use mitra_synth::exec::{execute_with_stats, plan_with_tree};
+use mitra_synth::fingerprint::{fnv1a, FNV_OFFSET};
 use mitra_synth::synthesize::{learn_transformation, SynthConfig};
 use mitra_trace::fault::{set_fault, FaultSpec};
 use mitra_trace::TraceMode;
@@ -218,13 +228,11 @@ fn main() {
         eprintln!("bench_smoke: wrote {path} ({} events)", events.len());
     }
 
-    // Executor comparison: the planner-driven engine (interval joins, cost-based
-    // ordering, interned keys) against the kept pre-planner progressive join, on
-    // the E3 million-element document, on a join-ordering workload the static
-    // order handles badly, and across every Table 2 dataset.  Byte-identity of
-    // the emitted tables is a hard gate, like the synthesis determinism check.
+    // Executor workloads: the planner-driven engine on the E3 million-element
+    // document, on a join-ordering workload the static order handles badly, and
+    // across every Table 2 dataset.  CI pins each workload's table fingerprint.
     eprintln!("bench_smoke: executor workloads (E3 1M elements + join ordering + datasets)...");
-    let (executor, tables_identical) = executor_block(&sequential, scale);
+    let executor = executor_block(&sequential, scale);
 
     // Corpus-service block: the checkpointed migration service on a seeded
     // mixer corpus — thread-count determinism, crash-resume byte-identity
@@ -307,10 +315,6 @@ fn main() {
         eprintln!("bench_smoke: FATAL: synthesized programs differ between thread counts");
         std::process::exit(1);
     }
-    if !tables_identical {
-        eprintln!("bench_smoke: FATAL: planner and progressive executors emitted different tables");
-        std::process::exit(1);
-    }
     if !corpus_ok {
         eprintln!("bench_smoke: FATAL: a corpus-service determinism or quarantine gate failed");
         std::process::exit(1);
@@ -332,7 +336,7 @@ fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 }
 
 /// The three-column workload whose static join order is pathological: the only
-/// constraint links columns 1 and 2, so the legacy order ([0, 1, 2]) cross-products
+/// constraint links columns 1 and 2, so the static order ([0, 1, 2]) cross-products
 /// the two large columns before the join can prune, while the cost-based order
 /// starts from the handful of filtered column-2 rows.
 fn ordering_workload() -> (Hdt, Program) {
@@ -362,45 +366,42 @@ fn ordering_workload() -> (Hdt, Program) {
     (doc, program)
 }
 
-/// One planner-vs-progressive comparison as a JSON object; pushes the identity of
-/// the two tables into `identical`.
-fn compare_executors(
+/// The fingerprint CI pins for an executor workload: the row count and the
+/// FNV-1a hash of the tables' CSV text, concatenated in order.
+fn table_fingerprint(tables: &[Table]) -> [(&'static str, JsonValue); 2] {
+    let fnv = tables
+        .iter()
+        .fold(FNV_OFFSET, |h, t| fnv1a(h, t.to_csv().as_bytes()));
+    [
+        ("rows", int(tables.iter().map(Table::len).sum())),
+        ("table_fnv", s(format!("{fnv:016x}"))),
+    ]
+}
+
+/// One executor workload, best of `runs`: the fields of its JSON object, the
+/// row count and the planner's wall time.
+fn executor_workload(
     label: &str,
     doc: &Hdt,
     program: &Program,
     runs: usize,
-    identical: &mut bool,
-) -> (JsonValue, f64) {
-    let ((planner_table, stats), planner_secs) = best_of(runs, || execute_with_stats(doc, program));
-    let (progressive_table, progressive_secs) = best_of(runs, || execute_progressive(doc, program));
-    let same = planner_table.to_csv() == progressive_table.to_csv();
-    *identical &= same;
-    let speedup = if planner_secs > 0.0 {
-        progressive_secs / planner_secs
-    } else {
-        0.0
-    };
-    let block = obj(vec![
-        ("workload", s(label)),
-        ("rows", int(planner_table.len())),
+) -> (Vec<(&'static str, JsonValue)>, usize, f64) {
+    let ((table, stats), planner_secs) = best_of(runs, || execute_with_stats(doc, program));
+    let mut fields = vec![("workload", s(label))];
+    fields.extend(table_fingerprint(std::slice::from_ref(&table)));
+    fields.extend([
         ("planner_secs", num(planner_secs)),
-        ("progressive_secs", num(progressive_secs)),
-        ("speedup", num(speedup)),
         ("interval_join_steps", int(stats.interval_join_steps)),
         ("hash_join_steps", int(stats.hash_join_steps)),
         ("cross_product_steps", int(stats.cross_product_steps)),
-        ("identical", JsonValue::Bool(same)),
     ]);
-    (block, speedup)
+    (fields, table.len(), planner_secs)
 }
 
 /// Builds the `executor` JSON block: the E3 million-element motivating-example
-/// document, the join-ordering workload (whose speedup CI gates at >= 2), and a
-/// per-dataset planner-vs-progressive re-execution of the Table 2 programs.
-/// Returns the block and whether every comparison was byte-identical.
-fn executor_block(sequential: &[MigrationRow], scale: usize) -> (JsonValue, bool) {
-    let mut identical = true;
-
+/// document, the join-ordering workload (whose planner time CI gates), and a
+/// per-dataset re-execution of the Table 2 programs.
+fn executor_block(sequential: &[MigrationRow], scale: usize) -> JsonValue {
     // E3: the synthesized motivating-example program over ~1M elements.
     let example = social::training_example();
     let synthesis = learn_transformation(&[example], &SynthConfig::default())
@@ -408,54 +409,27 @@ fn executor_block(sequential: &[MigrationRow], scale: usize) -> (JsonValue, bool
     let motivating = synthesis.program;
     let doc = social::social_network_with_elements(1_000_000, 2);
     let elements = doc.element_count();
-    let plan = plan_with_tree(&motivating, &doc);
-    let (counts_i, counts_h, counts_c) = plan.method_counts();
-    let (mut e3, _) = compare_executors("motivating-1M", &doc, &motivating, 1, &mut identical);
-    if let JsonValue::Object(fields) = &mut e3 {
-        let planner_secs = fields
-            .iter()
-            .find(|(k, _)| k == "planner_secs")
-            .and_then(|(_, v)| match v {
-                JsonValue::Number(x) => Some(*x),
-                _ => None,
-            })
-            .unwrap_or(0.0);
-        let rows = fields
-            .iter()
-            .find(|(k, _)| k == "rows")
-            .and_then(|(_, v)| match v {
-                JsonValue::Number(x) => Some(*x),
-                _ => None,
-            })
-            .unwrap_or(0.0);
-        fields.push(("elements".to_string(), int(elements)));
-        if planner_secs > 0.0 {
-            fields.push((
-                "elements_per_sec".to_string(),
-                num(elements as f64 / planner_secs),
-            ));
-            fields.push(("rows_per_sec".to_string(), num(rows / planner_secs)));
-        }
-        fields.push((
-            "plan_shape".to_string(),
-            s(format!(
-                "{counts_i} interval / {counts_h} hash / {counts_c} cross"
-            )),
-        ));
-    }
+    let (counts_i, counts_h, counts_c) = plan_with_tree(&motivating, &doc).method_counts();
+    let (mut e3, rows, planner_secs) = executor_workload("motivating-1M", &doc, &motivating, 1);
     drop(doc);
+    e3.push(("elements", int(elements)));
+    if planner_secs > 0.0 {
+        e3.push(("elements_per_sec", num(elements as f64 / planner_secs)));
+        e3.push(("rows_per_sec", num(rows as f64 / planner_secs)));
+    }
+    e3.push((
+        "plan_shape",
+        s(format!(
+            "{counts_i} interval / {counts_h} hash / {counts_c} cross"
+        )),
+    ));
 
-    // The join-ordering workload: the number CI gates at >= 2.
+    // The join-ordering workload, whose planner time CI gates.
     let (ordering_doc, ordering_program) = ordering_workload();
-    let (ordering, ordering_speedup) = compare_executors(
-        "join-ordering",
-        &ordering_doc,
-        &ordering_program,
-        3,
-        &mut identical,
-    );
+    let (ordering, _, ordering_secs) =
+        executor_workload("join-ordering", &ordering_doc, &ordering_program, 3);
 
-    // Re-execute every synthesized Table 2 program both ways on its dataset.
+    // Re-execute every synthesized Table 2 program on its dataset.
     let mut datasets = Vec::new();
     for spec in all_datasets() {
         let Some(row) = sequential.iter().find(|r| r.name == spec.name) else {
@@ -476,37 +450,18 @@ fn executor_block(sequential: &[MigrationRow], scale: usize) -> (JsonValue, bool
                 .map(|p| execute_with_stats(&tree, p).0)
                 .collect::<Vec<Table>>()
         });
-        let (reference, progressive_secs) = best_of(3, || {
-            programs
-                .iter()
-                .map(|p| execute_progressive(&tree, p))
-                .collect::<Vec<Table>>()
-        });
-        let same = tables
-            .iter()
-            .zip(&reference)
-            .all(|(a, b)| a.to_csv() == b.to_csv());
-        identical &= same;
-        datasets.push(obj(vec![
-            ("dataset", s(spec.name)),
-            ("tables", int(programs.len())),
-            ("planner_secs", num(planner_secs)),
-            ("progressive_secs", num(progressive_secs)),
-            ("identical", JsonValue::Bool(same)),
-        ]));
+        let mut fields = vec![("dataset", s(spec.name)), ("tables", int(programs.len()))];
+        fields.extend(table_fingerprint(&tables));
+        fields.push(("planner_secs", num(planner_secs)));
+        datasets.push(obj(fields));
     }
 
-    eprintln!(
-        "bench_smoke: executor ordering speedup {ordering_speedup:.1}x, tables identical: {identical}"
-    );
-    let block = obj(vec![
-        ("e3_motivating", e3),
-        ("ordering", ordering),
-        ("ordering_speedup", num(ordering_speedup)),
+    eprintln!("bench_smoke: executor join-ordering workload {ordering_secs:.4}s");
+    obj(vec![
+        ("e3_motivating", obj(e3)),
+        ("ordering", obj(ordering)),
         ("datasets", JsonValue::Array(datasets)),
-        ("tables_identical", JsonValue::Bool(identical)),
-    ]);
-    (block, identical)
+    ])
 }
 
 /// True when both runs synthesized byte-identical programs for every dataset.

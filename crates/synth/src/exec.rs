@@ -18,23 +18,23 @@
 //!    column-at-a-time over ≥8192-tuple chunks.
 //!
 //! Whatever order the planner picks, finished rows are sorted by their per-column
-//! positions permuted into [`legacy_order`] — the emission order of the pre-planner
-//! progressive join (kept below as [`execute_nodes_progressive`] for differential
-//! testing) — so the output is byte-identical at every thread count and plan shape.
-//! Row-budget checks stay at canonical sequential points (after the initial scan,
-//! after each join step, after the merged residual filter), so a `BudgetBreach`
-//! fires after exactly the same work regardless of threading.
+//! positions permuted into [`emission_order`], so the output is byte-identical at
+//! every thread count and plan shape.  The reference is the naive semantics
+//! (`mitra_dsl::eval`): its rows, stably sorted the same way, are exactly the
+//! executor's rows, which `tests/planner_equivalence.rs` checks.  Row-budget checks
+//! stay at canonical sequential points (after the initial scan, after each join
+//! step, after the merged residual filter), so a `BudgetBreach` fires after exactly
+//! the same work regardless of threading.
 
 use crate::budget::{Budget, BudgetBreach, BudgetResource};
 use crate::ops;
 pub use crate::plan::{
-    legacy_order, plan, plan_with_tree, JoinConstraint, Plan, PlanStep, StepMethod,
+    emission_order, plan, plan_with_tree, JoinConstraint, Plan, PlanStep, StepMethod,
 };
 use mitra_dsl::ast::Program;
-use mitra_dsl::eval::{eval_column, eval_node_extractor, eval_predicate, node_value};
-use mitra_dsl::{Table, Value};
+use mitra_dsl::eval::node_value;
+use mitra_dsl::Table;
 use mitra_hdt::{Hdt, NodeId};
-use std::collections::HashMap;
 
 /// Statistics gathered during execution (useful for the ablation benchmarks and
 /// the migration execution profile).
@@ -193,9 +193,9 @@ fn run_plan(
         };
 
     // Emission-order contract: rows sorted lexicographically by their per-column
-    // positions permuted into the legacy progressive order.  Position vectors are
-    // unique per tuple, so this is a total (deterministic) order.
-    let order = legacy_order(arity, &p.joins);
+    // positions permuted into the emission order.  Position vectors are unique per
+    // tuple, so this is a total (deterministic) order.
+    let order = emission_order(arity, &p.joins);
     survivors.sort_unstable_by(|&a, &b| {
         let pa = tuples.row_pos(a as usize);
         let pb = tuples.row_pos(b as usize);
@@ -233,150 +233,6 @@ fn run_plan(
 /// workers costs more than the checks themselves.
 const PARALLEL_FILTER_MIN_TUPLES: usize = 8192;
 
-/// The pre-refactor progressive join, kept verbatim as a reference implementation:
-/// fixed static order, string-keyed hash joins, tuple-at-a-time residual filtering.
-/// The differential test suite and the executor benchmarks compare the planner
-/// against this for byte-identical output.
-pub fn execute_nodes_progressive(tree: &Hdt, program: &Program) -> Vec<Vec<NodeId>> {
-    /// Legacy join key: node identity for internal nodes, rendered data for leaves.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    enum LegacyKey {
-        Node(NodeId),
-        Data(String),
-    }
-    fn legacy_key(tree: &Hdt, node: NodeId) -> LegacyKey {
-        if tree.is_leaf(node) {
-            LegacyKey::Data(Value::from_data(tree.data(node).unwrap_or("")).render())
-        } else {
-            LegacyKey::Node(node)
-        }
-    }
-
-    let p = plan(program);
-    let arity = program.arity();
-    if arity == 0 {
-        return Vec::new();
-    }
-
-    // Evaluate and pre-filter each column (dummy-tuple filter evaluation, as before).
-    let mut columns: Vec<Vec<NodeId>> = Vec::with_capacity(arity);
-    for (i, pi) in program.extractor.columns.iter().enumerate() {
-        let mut nodes = eval_column(tree, pi);
-        if !p.column_filters[i].is_empty() {
-            nodes.retain(|n| {
-                let dummy = vec![*n; arity];
-                p.column_filters[i]
-                    .iter()
-                    .all(|f| eval_predicate(tree, &dummy, f))
-            });
-        }
-        columns.push(nodes);
-    }
-
-    let first = p.order[0];
-    let mut partial: Vec<Vec<NodeId>> = columns[first]
-        .iter()
-        .map(|n| {
-            let mut t = vec![NodeId(u32::MAX); arity];
-            t[first] = *n;
-            t
-        })
-        .collect();
-    let mut joined: Vec<usize> = vec![first];
-
-    for &col in &p.order[1..] {
-        let constraint = p.joins.iter().find(|j| {
-            (j.left_col == col && joined.contains(&j.right_col))
-                || (j.right_col == col && joined.contains(&j.left_col))
-        });
-        let mut next_partial: Vec<Vec<NodeId>> = Vec::new();
-        match constraint {
-            Some(j) => {
-                let (new_extractor, old_col, old_extractor) = if j.left_col == col {
-                    (&j.left_extractor, j.right_col, &j.right_extractor)
-                } else {
-                    (&j.right_extractor, j.left_col, &j.left_extractor)
-                };
-                let mut index: HashMap<LegacyKey, Vec<NodeId>> = HashMap::new();
-                for &n in &columns[col] {
-                    if let Some(target) = eval_node_extractor(tree, n, new_extractor) {
-                        index.entry(legacy_key(tree, target)).or_default().push(n);
-                    }
-                }
-                for t in &partial {
-                    let old_node = t[old_col];
-                    let Some(target) = eval_node_extractor(tree, old_node, old_extractor) else {
-                        continue;
-                    };
-                    if let Some(matches) = index.get(&legacy_key(tree, target)) {
-                        for &m in matches {
-                            let mut nt = t.clone();
-                            nt[col] = m;
-                            next_partial.push(nt);
-                        }
-                    }
-                }
-            }
-            None => {
-                for t in &partial {
-                    for &n in &columns[col] {
-                        let mut nt = t.clone();
-                        nt[col] = n;
-                        next_partial.push(nt);
-                    }
-                }
-            }
-        }
-        partial = next_partial;
-        joined.push(col);
-    }
-
-    let keep = |t: &[NodeId]| -> bool {
-        let joins_ok = p.joins.iter().all(|j| {
-            let l = eval_node_extractor(tree, t[j.left_col], &j.left_extractor);
-            let r = eval_node_extractor(tree, t[j.right_col], &j.right_extractor);
-            match (l, r) {
-                (Some(l), Some(r)) => legacy_key(tree, l) == legacy_key(tree, r),
-                _ => false,
-            }
-        });
-        if !joins_ok {
-            return false;
-        }
-        if !eval_predicate(tree, t, &p.residual) {
-            return false;
-        }
-        p.column_filters
-            .iter()
-            .flatten()
-            .all(|f| eval_predicate(tree, t, f))
-    };
-
-    let threads = mitra_pool::threads();
-    if threads > 1 && partial.len() >= PARALLEL_FILTER_MIN_TUPLES {
-        let chunk_size = partial.len().div_ceil(threads);
-        let chunks: Vec<&[Vec<NodeId>]> = partial.chunks(chunk_size).collect();
-        mitra_pool::parallel_map(threads, &chunks, |_, chunk| {
-            chunk
-                .iter()
-                .filter(|t| keep(t))
-                .cloned()
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        partial.into_iter().filter(|t| keep(t)).collect()
-    }
-}
-
-/// Table-level wrapper around [`execute_nodes_progressive`].
-pub fn execute_progressive(tree: &Hdt, program: &Program) -> Table {
-    let tuples = execute_nodes_progressive(tree, program);
-    project(tree, program, &tuples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +241,7 @@ mod tests {
         ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, TableExtractor,
     };
     use mitra_dsl::eval::eval_program;
+    use mitra_dsl::Value;
     use mitra_hdt::generate::{social_network, social_network_rows};
 
     fn social_example(n: usize, f: usize) -> Example {
@@ -434,17 +291,6 @@ mod tests {
             stats.interval_join_steps >= 1,
             "expected an interval join, got {stats:?}"
         );
-    }
-
-    #[test]
-    fn planner_matches_progressive_reference_exactly() {
-        let program = synthesized_program();
-        for (n, f) in [(2, 1), (5, 2), (20, 3)] {
-            let tree = social_network(n, f);
-            let (fast, _) = execute_nodes_budgeted(&tree, &program, None).unwrap();
-            let reference = execute_nodes_progressive(&tree, &program);
-            assert_eq!(fast, reference, "row mismatch at n={n} f={f}");
-        }
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! * [`budget`] — deterministic fuel budgets (candidates / DFA states / rows, never
 //!   wall-clock) checked at the frontier, the automata intersection, and the
 //!   executor, so exhaustion is identical at every thread count.
-//! * [`optimize`]/[`plan`]/[`ops`]/[`exec`] — the Appendix C program optimizer and an
-//!   execution engine split into a cost-based query planner, a physical-operator
-//!   layer (tag-indexed scans, pre-order interval joins, interned-key hash joins,
-//!   vectorized residual filters) and the executor driving them.
+//! * [`plan`]/[`ops`]/[`exec`] — the Appendix C execution engine, split into a
+//!   cost-based query planner, a physical-operator layer (tag-indexed scans,
+//!   pre-order interval joins, interned-key hash joins, vectorized residual
+//!   filters) and the executor driving them.  Its reference is the naive
+//!   cross-product semantics in `mitra_dsl::eval`.
 //! * [`fingerprint`](mod@fingerprint) — document-shape fingerprints (stable tag-path-set hashes) and the
 //!   per-shape program cache that lets the corpus service synthesize once per shape.
 //! * [`baseline`] — a deliberately naive enumerative synthesizer used for the ablation
@@ -43,7 +44,6 @@ pub mod dfa;
 pub mod exec;
 pub mod fingerprint;
 pub mod ops;
-pub mod optimize;
 pub mod plan;
 pub mod predicate;
 pub mod qm;

@@ -5,14 +5,13 @@
 //! interval join, cross product, and a vectorized residual filter — and every
 //! operator works over [`Tuples`], a struct-of-arrays tuple store that tracks, for
 //! each tuple and column, the *position* of the chosen node inside its filtered
-//! column.  Those positions are what lets the executor emit rows in the legacy
-//! progressive-join order no matter which join order the planner chose.
+//! column.  Those positions are what lets the executor emit rows in
+//! [`crate::plan::emission_order`] no matter which join order the planner chose.
 //!
 //! Join keys mirror the comparison semantics of Figure 7: internal nodes join by
 //! identity, leaves by the *rendered* typed value of their data (so `"1"` and
-//! `"1.0"` collide exactly as the pre-planner executor's string keys did).
-//! [`KeyInterner`] memoizes that rendering per distinct raw string, replacing the
-//! old `String` allocation per probe with a `u32` id.
+//! `"1.0"` collide).  [`KeyInterner`] memoizes that rendering per distinct raw
+//! string, so a probe costs a `u32` id instead of a `String` allocation.
 
 use crate::plan::Plan;
 use mitra_dsl::ast::{CompareOp, NodeExtractor, Operand, Predicate};
@@ -32,9 +31,8 @@ pub enum JoinKey {
 }
 
 /// Interns leaf data for join keys.  Two leaves receive the same id exactly when
-/// `Value::from_data(data).render()` agrees — the equality the pre-planner executor
-/// implemented by allocating that rendered `String` for every probe.  The interner
-/// renders once per *distinct raw string* per execution and hands out `Copy` ids.
+/// `Value::from_data(data).render()` agrees.  The interner renders once per
+/// *distinct raw string* per execution and hands out `Copy` ids.
 pub struct KeyInterner<'t> {
     tree: &'t Hdt,
     by_raw: HashMap<&'t str, u32>,
@@ -554,7 +552,7 @@ mod tests {
         // "1" and "01" both render to "1": identical keys.
         assert_eq!(interner.key(ids[0]), interner.key(ids[1]));
         let scores = tree.descendants_with_tag(tree.root(), "score").to_vec();
-        // "1.0" renders to "1" as well — the legacy collision must be preserved.
+        // "1.0" renders to "1" as well — the rendered-value collision must be preserved.
         assert_eq!(interner.key(ids[0]), interner.key(scores[0]));
         assert_ne!(interner.key(scores[0]), interner.key(scores[1]));
         // Internal nodes key by identity, never equal to a leaf key.

@@ -1,8 +1,8 @@
 //! Query planning for synthesized programs (the planning half of Appendix C).
 //!
 //! [`plan`] decomposes a program's predicate into per-column filters, equi-join
-//! constraints and a residual, then chooses a join order and a physical method for
-//! every step:
+//! constraints and residual clauses, then chooses a join order and a physical
+//! method for every step:
 //!
 //! * **scan** — materialize the first column from the tag-indexed occurrence lists;
 //! * **interval join** — when the new column's join extractor is a pure parent chain
@@ -15,13 +15,12 @@
 //!
 //! [`plan_with_tree`] additionally estimates column cardinalities from the tree's
 //! per-tag occurrence lists ([`mitra_hdt::Hdt::tag_count`]) and orders joins
-//! smallest-first; [`plan`] without a tree reproduces the legacy static order
-//! (column 0 first, then the first joinable column) used by the code generators and
-//! the program optimizer, where no document is available.
+//! smallest-first; [`plan`] without a tree uses the static [`emission_order`], as
+//! the code generators do, where no document is available.
 //!
-//! Whatever order the planner picks, execution re-sorts the finished rows to the
-//! legacy order's lexicographic position ordering (see [`legacy_order`] and
-//! `exec::run_plan`), so the emitted table is byte-identical for every plan shape.
+//! Whatever order the planner picks, execution re-sorts the finished rows by their
+//! column positions permuted into [`emission_order`] (see `exec::run_plan`), so the
+//! emitted table is byte-identical for every plan shape.
 
 use mitra_dsl::ast::{CompareOp, NodeExtractor, Operand, Predicate, Program};
 use mitra_dsl::eval::eval_column;
@@ -35,14 +34,11 @@ pub struct Plan {
     pub column_filters: Vec<Vec<Predicate>>,
     /// Equality join constraints between two columns.
     pub joins: Vec<JoinConstraint>,
-    /// Whatever could not be pushed down or turned into a join.
-    pub residual: Predicate,
-    /// The residual in clause form (each clause a disjunction of literals), kept
-    /// alongside [`Plan::residual`] so the executor can evaluate it column-at-a-time.
+    /// Whatever could not be pushed down or turned into a join, in clause form
+    /// (each clause a disjunction of literals), so the executor can evaluate it
+    /// column-at-a-time.
     pub residual_clauses: Vec<Vec<Predicate>>,
-    /// Column evaluation/join order (a permutation of `0..arity`).
-    pub order: Vec<usize>,
-    /// One physical step per column, in execution order (`steps[i].col == order[i]`).
+    /// One physical step per column, in execution order.
     pub steps: Vec<PlanStep>,
     /// Indices into [`Plan::joins`] of constraints that did not drive any join step
     /// (e.g. a second constraint between an already-joined pair); they are re-checked
@@ -67,9 +63,9 @@ pub struct JoinConstraint {
 
 impl JoinConstraint {
     /// True when this constraint can extend a partial tuple over `placed` with `col`.
-    fn links(&self, col: usize, placed: &ColSet) -> bool {
-        (self.left_col == col && placed.contains(self.right_col))
-            || (self.right_col == col && placed.contains(self.left_col))
+    fn links(&self, col: usize, placed: &[bool]) -> bool {
+        (self.left_col == col && placed[self.right_col])
+            || (self.right_col == col && placed[self.left_col])
     }
 
     /// Normalizes the constraint so the first extractor applies to the *new* column
@@ -114,22 +110,6 @@ pub enum StepMethod {
     CrossProduct,
 }
 
-/// A small bitset over column indices: the planner's ordering loops test membership
-/// per candidate column, and a bitset keeps that O(1) instead of the former
-/// O(arity) `Vec::contains` scans.  Programs are bounded far below 256 columns.
-#[derive(Debug, Clone, Copy, Default)]
-struct ColSet([u64; 4]);
-
-impl ColSet {
-    fn insert(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        self.0[i / 64] >> (i % 64) & 1 == 1
-    }
-}
-
 /// If the predicate references exactly one tuple component, returns its index.
 /// Such single-literal clauses are pushed down onto the column as a pre-filter
 /// (this covers constant comparisons, their negations, and same-column
@@ -151,132 +131,16 @@ fn single_column_of(p: &Predicate) -> Option<usize> {
     }
 }
 
-/// Builds an execution plan for a program without document statistics: joins are
-/// ordered by the legacy static rule (column 0 first, then the first joinable
-/// column).  Used by the code generators and the Appendix C optimizer, which
+/// Builds an execution plan for a program without document statistics: joins
+/// follow the static [`emission_order`].  Used by the code generators, which
 /// analyze programs independently of any particular tree.
 pub fn plan(program: &Program) -> Plan {
-    build(program, None)
-}
-
-/// Builds a cost-based execution plan for a program over a concrete document:
-/// column cardinalities are estimated from the tree's per-tag occurrence lists
-/// (exactly, for columns with pushed-down filters) and joins are ordered
-/// smallest-first.  This is the plan `exec::run_plan` executes and `--explain`
-/// renders.
-pub fn plan_with_tree(program: &Program, tree: &Hdt) -> Plan {
-    plan_and_columns(program, tree).0
-}
-
-/// Like [`plan_with_tree`], also returning the evaluated (and pre-filtered) columns
-/// so the executor does not evaluate them a second time.  Cardinality estimates are
-/// the tag-occurrence counts for unfiltered columns and the exact filtered lengths
-/// otherwise.
-pub fn plan_and_columns(program: &Program, tree: &Hdt) -> (Plan, Vec<Vec<NodeId>>) {
-    let base = build(program, None);
-    let columns: Vec<Vec<NodeId>> = program
-        .extractor
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, pi)| {
-            let mut nodes = eval_column(tree, pi);
-            if !base.column_filters[i].is_empty() {
-                // Column filters mention only column i; evaluate them directly
-                // against the node (no dummy tuple).
-                nodes.retain(|n| {
-                    base.column_filters[i]
-                        .iter()
-                        .all(|f| crate::ops::eval_filter_on_node(tree, *n, f))
-                });
-            }
-            nodes
-        })
-        .collect();
-    let estimates: Vec<u64> = columns
-        .iter()
-        .enumerate()
-        .map(|(i, nodes)| {
-            if base.column_filters[i].is_empty() {
-                match program.extractor.columns[i].last_tag() {
-                    Some(tag) => tree.tag_count(tag) as u64,
-                    // The identity extractor yields exactly the root.
-                    None => 1,
-                }
-            } else {
-                nodes.len() as u64
-            }
-        })
-        .collect();
-    (build(program, Some(estimates)), columns)
-}
-
-/// The legacy join order: column 0 first, then repeatedly the smallest-indexed
-/// column some constraint links to the joined set, falling back to the smallest
-/// unplaced column.  The executor sorts its finished rows by the per-column
-/// positions permuted into this order, which is exactly the emission order of the
-/// pre-planner progressive join — the output contract every plan must honor.
-pub fn legacy_order(arity: usize, joins: &[JoinConstraint]) -> Vec<usize> {
-    order_columns(arity, joins, None).0
-}
-
-/// Chooses the column order and the driving constraint per step.  With estimates,
-/// starts from the smallest column and repeatedly adds the smallest joinable one
-/// (ties broken by column index); without, reproduces the legacy static order.
-/// Cross products are always deferred: a non-joinable column is only placed when
-/// no joinable one exists.  Returns `(order, per-step driving join index)`.
-fn order_columns(
-    arity: usize,
-    joins: &[JoinConstraint],
-    estimates: Option<&[u64]>,
-) -> (Vec<usize>, Vec<Option<usize>>) {
-    let mut order = Vec::with_capacity(arity);
-    let mut drivers = Vec::with_capacity(arity);
-    if arity == 0 {
-        return (order, drivers);
-    }
-    let cost = |c: usize| estimates.map(|e| e[c]).unwrap_or(0);
-    let first = match estimates {
-        None => 0,
-        Some(_) => (0..arity).min_by_key(|&c| (cost(c), c)).unwrap_or(0),
-    };
-    let mut placed = ColSet::default();
-    order.push(first);
-    drivers.push(None);
-    placed.insert(first);
-    while order.len() < arity {
-        let mut joinable = (0..arity)
-            .filter(|&c| !placed.contains(c) && joins.iter().any(|j| j.links(c, &placed)));
-        let next = match estimates {
-            None => joinable.next(),
-            Some(_) => joinable.min_by_key(|&c| (cost(c), c)),
-        };
-        let next = next.or_else(|| match estimates {
-            None => (0..arity).find(|&c| !placed.contains(c)),
-            Some(_) => (0..arity)
-                .filter(|&c| !placed.contains(c))
-                .min_by_key(|&c| (cost(c), c)),
-        });
-        // `order.len() < arity` guarantees an unplaced column exists, so the
-        // fallback always finds one; bail out instead of panicking if not.
-        let Some(next) = next else { break };
-        // The driving constraint is the first (by index) linking the column in.
-        let driver = joins.iter().position(|j| j.links(next, &placed));
-        order.push(next);
-        drivers.push(driver);
-        placed.insert(next);
-    }
-    (order, drivers)
-}
-
-fn build(program: &Program, estimates: Option<Vec<u64>>) -> Plan {
     let arity = program.arity();
-    let cnf = program.predicate.to_cnf();
     let mut column_filters: Vec<Vec<Predicate>> = vec![Vec::new(); arity];
     let mut joins: Vec<JoinConstraint> = Vec::new();
     let mut residual_clauses: Vec<Vec<Predicate>> = Vec::new();
 
-    for clause in cnf {
+    for clause in program.predicate.to_cnf() {
         if clause.len() == 1 {
             if let Some(col) = single_column_of(&clause[0]) {
                 column_filters[col].push(clause[0].clone());
@@ -307,10 +171,136 @@ fn build(program: &Program, estimates: Option<Vec<u64>>) -> Plan {
         residual_clauses.push(clause);
     }
 
-    let residual =
-        Predicate::conjunction(residual_clauses.iter().cloned().map(Predicate::disjunction));
+    let (steps, unused_joins) = schedule(arity, &joins, None);
+    Plan {
+        column_filters,
+        joins,
+        residual_clauses,
+        steps,
+        unused_joins,
+        estimates: Vec::new(),
+    }
+}
 
-    let (order, drivers) = order_columns(arity, &joins, estimates.as_deref());
+/// Builds a cost-based execution plan for a program over a concrete document:
+/// column cardinalities are estimated from the tree's per-tag occurrence lists
+/// (exactly, for columns with pushed-down filters) and joins are ordered
+/// smallest-first.  This is the plan `exec::run_plan` executes and `--explain`
+/// renders.
+pub fn plan_with_tree(program: &Program, tree: &Hdt) -> Plan {
+    plan_and_columns(program, tree).0
+}
+
+/// Like [`plan_with_tree`], also returning the evaluated (and pre-filtered) columns
+/// so the executor does not evaluate them a second time.  Cardinality estimates are
+/// the tag-occurrence counts for unfiltered columns and the exact filtered lengths
+/// otherwise.
+pub fn plan_and_columns(program: &Program, tree: &Hdt) -> (Plan, Vec<Vec<NodeId>>) {
+    let mut p = plan(program);
+    let columns: Vec<Vec<NodeId>> = program
+        .extractor
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(i, pi)| {
+            let mut nodes = eval_column(tree, pi);
+            if !p.column_filters[i].is_empty() {
+                // Column filters mention only column i; evaluate them directly
+                // against the node (no dummy tuple).
+                nodes.retain(|n| {
+                    p.column_filters[i]
+                        .iter()
+                        .all(|f| crate::ops::eval_filter_on_node(tree, *n, f))
+                });
+            }
+            nodes
+        })
+        .collect();
+    p.estimates = columns
+        .iter()
+        .enumerate()
+        .map(|(i, nodes)| {
+            if p.column_filters[i].is_empty() {
+                match program.extractor.columns[i].last_tag() {
+                    Some(tag) => tree.tag_count(tag) as u64,
+                    // The identity extractor yields exactly the root.
+                    None => 1,
+                }
+            } else {
+                nodes.len() as u64
+            }
+        })
+        .collect();
+    (p.steps, p.unused_joins) = schedule(program.arity(), &p.joins, Some(&p.estimates));
+    (p, columns)
+}
+
+/// The output order every plan honors: column 0 first, then repeatedly the
+/// smallest-indexed column that a join constraint links to the placed set,
+/// otherwise the smallest unplaced column.  The executor sorts its finished rows
+/// by their per-column positions permuted into this order, so the emitted table
+/// does not depend on the join order the cost model picks.
+pub fn emission_order(arity: usize, joins: &[JoinConstraint]) -> Vec<usize> {
+    order_columns(arity, joins, None).0
+}
+
+/// Chooses the column order and the driving constraint per step.  With estimates,
+/// starts from the smallest column and repeatedly adds the smallest joinable one
+/// (ties broken by column index); without, follows the [`emission_order`] rule.
+/// Cross products are always deferred: a non-joinable column is only placed when
+/// no joinable one exists.  Returns `(order, per-step driving join index)`.
+fn order_columns(
+    arity: usize,
+    joins: &[JoinConstraint],
+    estimates: Option<&[u64]>,
+) -> (Vec<usize>, Vec<Option<usize>>) {
+    let mut order = Vec::with_capacity(arity);
+    let mut drivers = Vec::with_capacity(arity);
+    if arity == 0 {
+        return (order, drivers);
+    }
+    let cost = |c: usize| estimates.map(|e| e[c]).unwrap_or(0);
+    let first = match estimates {
+        None => 0,
+        Some(_) => (0..arity).min_by_key(|&c| (cost(c), c)).unwrap_or(0),
+    };
+    let mut placed = vec![false; arity];
+    order.push(first);
+    drivers.push(None);
+    placed[first] = true;
+    while order.len() < arity {
+        let mut joinable =
+            (0..arity).filter(|&c| !placed[c] && joins.iter().any(|j| j.links(c, &placed)));
+        let next = match estimates {
+            None => joinable.next(),
+            Some(_) => joinable.min_by_key(|&c| (cost(c), c)),
+        };
+        let next = next.or_else(|| match estimates {
+            None => (0..arity).find(|&c| !placed[c]),
+            Some(_) => (0..arity)
+                .filter(|&c| !placed[c])
+                .min_by_key(|&c| (cost(c), c)),
+        });
+        // `order.len() < arity` guarantees an unplaced column exists, so the
+        // fallback always finds one; bail out instead of panicking if not.
+        let Some(next) = next else { break };
+        // The driving constraint is the first (by index) linking the column in.
+        let driver = joins.iter().position(|j| j.links(next, &placed));
+        order.push(next);
+        drivers.push(driver);
+        placed[next] = true;
+    }
+    (order, drivers)
+}
+
+/// Orders the columns (see [`order_columns`]) and picks each step's physical
+/// method; returns the steps and the indices of the constraints no step used.
+fn schedule(
+    arity: usize,
+    joins: &[JoinConstraint],
+    estimates: Option<&[u64]>,
+) -> (Vec<PlanStep>, Vec<usize>) {
+    let (order, drivers) = order_columns(arity, joins, estimates);
     let mut used = vec![false; joins.len()];
     let steps: Vec<PlanStep> = order
         .iter()
@@ -332,18 +322,8 @@ fn build(program: &Program, estimates: Option<Vec<u64>>) -> Plan {
             PlanStep { col, method }
         })
         .collect();
-    let unused_joins: Vec<usize> = (0..joins.len()).filter(|&j| !used[j]).collect();
-
-    Plan {
-        column_filters,
-        joins,
-        residual,
-        residual_clauses,
-        order,
-        steps,
-        unused_joins,
-        estimates: estimates.unwrap_or_default(),
-    }
+    let unused_joins = (0..joins.len()).filter(|&j| !used[j]).collect();
+    (steps, unused_joins)
 }
 
 impl Plan {
@@ -440,7 +420,7 @@ impl Plan {
         out.push_str(&format!("  residual: {residual_desc}\n"));
         out.push_str(&format!(
             "  output: rows sorted by column positions in order {:?}\n",
-            legacy_order(program.arity(), &self.joins)
+            emission_order(program.arity(), &self.joins)
         ));
         out
     }
@@ -479,15 +459,16 @@ mod tests {
     }
 
     #[test]
-    fn static_plan_reproduces_legacy_order() {
+    fn static_plan_follows_emission_order() {
         // Joins (0,2) only; column 1 must be cross-producted last: [0, 2, 1].
         let program = mitra_dsl::Program::new(
             TableExtractor::new(vec![person(), person(), person()]),
             join(0, 2),
         );
         let p = plan(&program);
-        assert_eq!(p.order, vec![0, 2, 1]);
-        assert_eq!(p.order, legacy_order(3, &p.joins));
+        let order: Vec<usize> = p.steps.iter().map(|s| s.col).collect();
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(order, emission_order(3, &p.joins));
         assert_eq!(p.steps[2].method, StepMethod::CrossProduct);
         assert!(p.estimates.is_empty());
     }
@@ -510,7 +491,6 @@ mod tests {
         );
         let p = plan(&program);
         assert_eq!(p.column_filters[0].len(), 2);
-        assert_eq!(p.residual, Predicate::True);
         assert!(p.residual_clauses.is_empty());
     }
 
@@ -524,12 +504,12 @@ mod tests {
             Predicate::and(filter_lt(1, "id", 2), join(0, 1)),
         );
         let p = plan_with_tree(&program, &tree);
-        assert_eq!(p.order[0], 1);
+        assert_eq!(p.steps[0].col, 1);
         assert_eq!(p.estimates.len(), 2);
         assert_eq!(p.estimates[1], 1);
         assert_eq!(p.estimates[0], 6);
-        // The legacy output contract is unchanged.
-        assert_eq!(legacy_order(2, &p.joins), vec![0, 1]);
+        // The output contract is unchanged.
+        assert_eq!(emission_order(2, &p.joins), vec![0, 1]);
     }
 
     #[test]

@@ -54,6 +54,7 @@ fn main() {
         table.len(),
         table.to_csv()
     );
+    assert_eq!(table.len(), 5, "one row per product");
 
     // 4. The XSLT back end still applies (HTML maps to the same HDT shape as XML).
     let xslt = mitra.emit(&synthesis.program, Backend::Xslt);

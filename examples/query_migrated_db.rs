@@ -45,9 +45,7 @@ fn main() {
          GROUP BY business.business_name ORDER BY business.business_name LIMIT 5",
     ] {
         println!("\n> {sql}");
-        match run_query(&report.database, sql) {
-            Ok(table) => print!("{}", table.to_csv()),
-            Err(e) => println!("query failed: {e}"),
-        }
+        let table = run_query(&report.database, sql).expect("the query runs");
+        print!("{}", table.to_csv());
     }
 }

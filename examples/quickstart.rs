@@ -43,6 +43,7 @@ fn main() {
         table.len(),
         table.to_csv()
     );
+    assert_eq!(table.len(), 4, "one row per book");
 
     // 4. Emit executable XSLT for use outside this library.
     let xslt = mitra.emit(&synthesis.program, Backend::Xslt);

@@ -4,8 +4,7 @@
 //! Run with: `cargo run --release --example social_network`
 
 use mitra::datagen::social;
-use mitra::synth::exec::execute_with_stats;
-use mitra::synth::optimize::analyze;
+use mitra::synth::exec::{execute_with_stats, plan_with_tree};
 use mitra::synth::synthesize::{learn_transformation, SynthConfig};
 use mitra::Mitra;
 use std::time::Instant;
@@ -34,13 +33,10 @@ fn main() {
         mitra::dsl::pretty::program_summary(&synthesis.program)
     );
 
-    // Appendix C analysis: which predicate clauses become joins / pushed-down filters.
-    let report = analyze(&example.tree, &synthesis.program);
-    println!(
-        "Optimizer: {} clauses turned into joins/filters, {} residual atoms, {} shared prefixes",
-        report.optimized_clauses,
-        report.residual_atoms,
-        report.shared_prefixes.len()
+    // Appendix C: the plan the executor runs — joins, pushed-down filters, residual.
+    print!(
+        "{}",
+        plan_with_tree(&synthesis.program, &example.tree).explain(&synthesis.program)
     );
 
     // Scale up: run the synthesized program over much larger documents.

@@ -4,20 +4,21 @@
 //! Migration of Hierarchical Data to Relational Tables using Programming-by-Example").
 //! It re-exports the public API of the underlying crates:
 //!
-//! * [`Mitra`] — the high-level engine (synthesize from XML/JSON + CSV examples, run
-//!   programs, emit XSLT/JavaScript);
-//! * [`hdt`] — hierarchical data trees and the XML/JSON plug-ins;
+//! * [`Mitra`] — the high-level engine (synthesize from XML/JSON/HTML + CSV examples,
+//!   run programs, emit XSLT/JavaScript);
+//! * [`hdt`] — hierarchical data trees and the XML/JSON/HTML plug-ins;
 //! * [`dsl`] — the tree-to-table transformation DSL and its semantics;
 //! * [`synth`] — the synthesis engine (DFA column learning, predicate learning,
-//!   optimizer, execution engine);
+//!   query planner, execution engine);
 //! * [`codegen`] — the XSLT and JavaScript back-ends;
 //! * [`migrate`] — relational schemas, key generation and full-database migration;
 //! * [`datagen`] — synthetic workloads used by the evaluation harness;
 //! * [`trace`] — structured spans, the metrics registry and the Chrome-trace /
 //!   folded-stack exporters (`MITRA_TRACE=off|summary|full`, DESIGN.md §9).
 //!
-//! See `examples/quickstart.rs` for a two-minute tour and DESIGN.md / EXPERIMENTS.md
-//! for the mapping from the paper's evaluation to the benchmark harness.
+//! See `examples/quickstart.rs` for a two-minute tour and DESIGN.md (§6, the
+//! experiment index) for the mapping from the paper's evaluation to the benchmark
+//! harness.
 
 pub use mitra_core::{codegen, dsl, hdt, migrate, synth, trace};
 pub use mitra_core::{intern, Interner, Symbol, TagId};

@@ -1,29 +1,83 @@
-//! Differential tests for the query planner and physical-operator layer:
+//! Differential tests for the query planner and physical-operator layer, refereed
+//! by the DSL semantics (`mitra::dsl::eval`, Figure 7):
 //!
-//! * on random trees, every program in a fixed operator matrix (scans, interval
-//!   joins, hash joins on values and on derived nodes, cross products, pushed-down
-//!   filters, residual clauses) must produce tables **byte-identical** to the kept
-//!   pre-planner progressive join, and bag-equal to the naive cross-product
-//!   evaluator — byte-identical to it too whenever the legacy join order is the
-//!   identity permutation (then the two emission orders provably coincide);
+//! * [`naive_in_emission_order`] enumerates the column cross product, keeps the
+//!   tuples that satisfy the predicate, and sorts them stably by their positions
+//!   permuted into `emission_order` — the executor's output contract.  The
+//!   executor's table must be **byte-identical** to it for every program of a
+//!   fixed operator matrix (scans, interval joins, hash joins on values and on
+//!   derived nodes, cross products, pushed-down filters, residual clauses) on
+//!   random trees, for the synthesized motivating-example program at three
+//!   scales, and for all 50 Table 2 programs of the program snapshot;
+//! * a program wider than 256 columns plans, executes, explains and generates code;
 //! * the planner's output must be byte-identical at 1 and 4 worker threads on a
 //!   workload large enough to cross the parallel residual-filter threshold;
 //! * `Plan::explain` output is snapshot-pinned for the synthesized
 //!   motivating-example program and for a synthesized MONDIAL table, so `--explain`
 //!   stays stable unless the plan genuinely changes.
 
+use mitra::codegen::{generate, Backend};
 use mitra::dsl::ast::{
     ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, Program, TableExtractor,
 };
-use mitra::dsl::eval::{eval_program_with, EvalLimits};
-use mitra::dsl::Value;
+use mitra::dsl::eval::{eval_column, eval_predicate, node_value};
+use mitra::dsl::parse::parse_program;
+use mitra::dsl::{Table, Value};
 use mitra::hdt::generate::social_network;
-use mitra::hdt::Hdt;
-use mitra::synth::exec::{execute, execute_progressive, legacy_order, plan, plan_with_tree};
+use mitra::hdt::xml::xml_to_hdt;
+use mitra::hdt::{Hdt, NodeId};
+use mitra::synth::exec::{emission_order, execute, plan, plan_with_tree};
 use mitra::synth::synthesize::{learn_transformation, Example, SynthConfig};
 use mitra_datagen::datasets::{all_datasets, dataset_synth_config};
 use mitra_datagen::social;
 use proptest::prelude::*;
+
+/// The executor's reference: the naive cross-product semantics with the surviving
+/// tuples stably sorted by their per-column positions permuted into
+/// `emission_order`.  Positions index the unfiltered columns; the executor's index
+/// the filtered ones, which keep the same relative order.
+fn naive_in_emission_order(tree: &Hdt, program: &Program) -> Table {
+    let columns: Vec<Vec<NodeId>> = program
+        .extractor
+        .columns
+        .iter()
+        .map(|pi| eval_column(tree, pi))
+        .collect();
+    let arity = columns.len();
+    let total: usize = columns.iter().map(Vec::len).product();
+    // Tuple `r` of the mixed-radix enumeration (last column fastest) as positions.
+    let mut kept: Vec<Vec<usize>> = (0..total)
+        .map(|mut r| {
+            let mut positions = vec![0; arity];
+            for c in (0..arity).rev() {
+                positions[c] = r % columns[c].len();
+                r /= columns[c].len();
+            }
+            positions
+        })
+        .filter(|positions| {
+            let tuple: Vec<NodeId> = positions.iter().zip(&columns).map(|(&i, c)| c[i]).collect();
+            eval_predicate(tree, &tuple, &program.predicate)
+        })
+        .collect();
+    let order = emission_order(arity, &plan(program).joins);
+    kept.sort_by_key(|positions| order.iter().map(|&c| positions[c]).collect::<Vec<_>>());
+    let mut table = if program.column_names.is_empty() {
+        Table::anonymous(arity)
+    } else {
+        Table::new(program.column_names.clone())
+    };
+    for positions in kept {
+        table.push(
+            positions
+                .iter()
+                .zip(&columns)
+                .map(|(&i, c)| node_value(tree, c[i]))
+                .collect(),
+        );
+    }
+    table
+}
 
 /// Strategy for small random trees mixing internal nodes and numeric leaves over a
 /// fixed tag alphabet, so the operator matrix below always has something to chew on.
@@ -118,7 +172,7 @@ fn operator_matrix() -> Vec<Program> {
             TableExtractor::new(vec![item.clone(), d("group")]),
             Predicate::True,
         ),
-        // Join (0,2) with a cross-producted middle column: legacy order [0, 2, 1].
+        // Join (0,2) with a cross-producted middle column: emission order [0, 2, 1].
         Program::new(
             TableExtractor::new(vec![d("item"), d("group"), d("item")]),
             col_join(NodeExtractor::Id, 0, NodeExtractor::Id, 2),
@@ -161,33 +215,75 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn planner_agrees_with_progressive_and_naive(tree in random_tree()) {
+    fn planner_matches_naive_semantics_in_emission_order(tree in random_tree()) {
         for (i, program) in operator_matrix().iter().enumerate() {
             let fast = execute(&tree, program);
-            let reference = execute_progressive(&tree, program);
+            let reference = naive_in_emission_order(&tree, program);
             prop_assert!(
                 fast.to_csv() == reference.to_csv(),
-                "program {} diverged from the progressive reference", i
+                "program {} diverged from the naive semantics in emission order", i
             );
-            let naive = eval_program_with(&tree, program, &EvalLimits::with_max_rows(usize::MAX))
-                .expect("naive evaluation succeeds");
-            prop_assert!(
-                fast.same_bag(&naive),
-                "program {} is not bag-equal to the naive evaluator", i
-            );
-            // When the legacy order is the identity permutation, the progressive
-            // emission order coincides with the naive mixed-radix order, so the
-            // tables must be byte-identical, not merely bag-equal.
-            let p = plan(program);
-            let arity = program.arity();
-            if legacy_order(arity, &p.joins) == (0..arity).collect::<Vec<_>>() {
-                prop_assert!(
-                    fast.to_csv() == naive.to_csv(),
-                    "program {} diverged from the naive order despite identity legacy order", i
-                );
-            }
         }
     }
+}
+
+#[test]
+fn synthesized_motivating_program_matches_naive_semantics() {
+    let program = learn_transformation(&[social::training_example()], &SynthConfig::default())
+        .expect("synthesis succeeds")
+        .program;
+    for (persons, friends) in [(2, 1), (5, 2), (20, 3)] {
+        let tree = social_network(persons, friends);
+        assert_eq!(
+            execute(&tree, &program).to_csv(),
+            naive_in_emission_order(&tree, &program).to_csv(),
+            "row mismatch at persons={persons} friends={friends}"
+        );
+    }
+}
+
+#[test]
+fn table2_snapshot_programs_match_naive_semantics() {
+    // The pinned Table 2 programs, parsed from the snapshot instead of synthesized:
+    // `t2/<DATASET>.<table>: <program> cost=(..) tried=n`.
+    let fixture = include_str!("fixtures/program_snapshots.txt");
+    let mut checked = 0;
+    for spec in all_datasets() {
+        let (tree, _) = spec.generate(3);
+        let prefix = format!("t2/{}.", spec.name);
+        for line in fixture.lines().filter(|l| l.starts_with(&prefix)) {
+            let (name, rest) = line
+                .split_once(": ")
+                .expect("snapshot lines are `name: ...`");
+            let (text, _) = rest
+                .rsplit_once(" cost=")
+                .expect("snapshot lines carry a cost");
+            let program = parse_program(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                execute(&tree, &program).to_csv(),
+                naive_in_emission_order(&tree, &program).to_csv(),
+                "{name} diverged from the naive semantics in emission order"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 50, "every Table 2 program is checked");
+}
+
+#[test]
+fn programs_wider_than_256_columns_plan_and_execute() {
+    let tree = xml_to_hdt("<r><a>1</a></r>").expect("well-formed XML");
+    let column = ColumnExtractor::descendants(ColumnExtractor::Input, "a");
+    let program = Program::new(TableExtractor::new(vec![column; 257]), Predicate::True);
+    let table = execute(&tree, &program);
+    assert_eq!(table.len(), 1);
+    assert_eq!(
+        table.to_csv(),
+        naive_in_emission_order(&tree, &program).to_csv()
+    );
+    let text = plan_with_tree(&program, &tree).explain(&program);
+    assert!(text.starts_with("plan: 257 column(s)"), "{text}");
+    assert!(!generate(&program, Backend::JavaScript).source.is_empty());
 }
 
 #[test]

@@ -12,8 +12,12 @@
 //! 3. Degraded reports are byte-identical at 1 vs 4 synthesis threads, both for
 //!    an injected panic and for an exhausted fuel budget — degradation is part
 //!    of the determinism contract, not an excuse to break it.
+//!
+//! It also runs a fixed-seed slice of the differential fuzz suite: seven
+//! scenarios covering all seven kinds, each learned program checked best-first
+//! against exhaustive search and planner against the naive evaluator.
 
-use mitra::datagen::fuzz::migration_scenario;
+use mitra::datagen::fuzz::{migration_scenario, run_suite};
 use mitra::hdt::{html::html_to_hdt, json::json_to_hdt, xml::xml_to_hdt, HdtError};
 use mitra::migrate::{MigrationError, TableOutcome};
 use mitra::synth::budget::Budget;
@@ -175,5 +179,20 @@ fn poisoned_table_degrades_alone_and_identically_at_any_thread_count() {
     assert!(
         matches!(err, Err(MigrationError::Panicked { .. })),
         "strict mode must surface the panic as an error: {err:?}"
+    );
+}
+
+#[test]
+fn a_small_suite_has_no_failures() {
+    let report = run_suite(7, 7, 1);
+    assert_eq!(report.outcomes.len(), 7);
+    let failures = report.failures();
+    assert!(
+        failures.is_empty(),
+        "unexpected fuzz failures: {:?}",
+        failures
+            .iter()
+            .map(|o| (o.id, o.kind, &o.verdict))
+            .collect::<Vec<_>>()
     );
 }
