@@ -1,90 +1,17 @@
 //! Regenerates Table 1 of the paper: synthesis results over the 98-task corpus,
 //! grouped by input format and output column count.
 //!
-//! Run with: `cargo run -p mitra-bench --release --bin table1 [-- --json] [-- --limit N]
-//! [-- --threads N]`
+//! Run with: `cargo run -p mitra-bench --release --bin table1 [-- --threads N]`
 //!
-//! * `--json` — emit one machine-readable JSON object on stdout instead of the
-//!   human-readable table (used by the CI bench-smoke step and `bench_smoke`);
-//! * `--limit N` — run only the first N corpus tasks (smoke runs);
-//! * `--threads N` — synthesis worker threads (default: `MITRA_THREADS`, else all
-//!   cores; results are identical at every value, only timings change).
+//! `--threads N` sets the synthesis worker count (default: `MITRA_THREADS`, else
+//! all cores; results are identical at every value, only timings change).
 
-use mitra_bench::json::{int, num, obj, s, JsonValue};
-use mitra_bench::{mean, median, profile_to_json, run_task, table1_config, TaskResult};
+use mitra_bench::{mean, median, run_task, table1_config, TaskResult};
 use mitra_datagen::corpus::{Category, DocFormat};
 use mitra_datagen::generate_corpus;
 
-/// Renders per-task results plus aggregates (and the metrics recorded during the
-/// run) as a JSON object.
-pub fn results_to_json(
-    results: &[(Category, TaskResult)],
-    metrics: &mitra_trace::MetricsSnapshot,
-) -> String {
-    let tasks = JsonValue::Array(
-        results
-            .iter()
-            .map(|(cat, r)| {
-                obj(vec![
-                    ("id", int(r.id)),
-                    ("name", s(&r.name)),
-                    ("format", s(format!("{:?}", r.format))),
-                    ("category", s(cat.label())),
-                    ("solved", JsonValue::Bool(r.solved)),
-                    ("time_secs", num(r.time.as_secs_f64())),
-                    ("elements", int(r.elements)),
-                    ("rows", int(r.rows)),
-                    ("predicates", int(r.predicates)),
-                    ("loc", int(r.loc)),
-                    ("truncated", JsonValue::Bool(r.truncated)),
-                    ("profile", profile_to_json(&r.profile)),
-                ])
-            })
-            .collect(),
-    );
-    let solved_times: Vec<f64> = results
-        .iter()
-        .filter(|(_, r)| r.solved)
-        .map(|(_, r)| r.time.as_secs_f64())
-        .collect();
-    obj(vec![
-        ("total", int(results.len())),
-        (
-            "solved",
-            int(results.iter().filter(|(_, r)| r.solved).count()),
-        ),
-        ("median_time_secs", num(median(&solved_times))),
-        ("mean_time_secs", num(mean(&solved_times))),
-        (
-            "truncated_tasks",
-            int(results.iter().filter(|(_, r)| r.truncated).count()),
-        ),
-        (
-            "threads",
-            int(results.iter().map(|(_, r)| r.threads).max().unwrap_or(1)),
-        ),
-        ("profile", {
-            let mut total = mitra_synth::SynthProfile::default();
-            for (_, r) in results {
-                total.merge(&r.profile);
-            }
-            profile_to_json(&total)
-        }),
-        ("metrics", mitra_bench::metrics_to_json(metrics)),
-        ("tasks", tasks),
-    ])
-    .to_string_compact()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let as_json = args.iter().any(|a| a == "--json");
-    let limit = args
-        .iter()
-        .position(|a| a == "--limit")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -92,15 +19,9 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(0);
 
-    let mut tasks = generate_corpus();
-    if let Some(n) = limit {
-        tasks.truncate(n);
-    }
+    let tasks = generate_corpus();
     let mut config = table1_config();
     config.threads = threads;
-    // Metrics are process-global and cumulative; the delta below attributes them to
-    // this run alone.
-    let metrics_before = mitra_trace::snapshot();
     eprintln!(
         "Running synthesis on {} corpus tasks ({} worker threads)...",
         tasks.len(),
@@ -124,12 +45,6 @@ fn main() {
             (task.category, r)
         })
         .collect();
-
-    if as_json {
-        let metrics = mitra_trace::snapshot().delta(&metrics_before);
-        println!("{}", results_to_json(&results, &metrics));
-        return;
-    }
 
     println!("\nTable 1 — synthesis over the 98-task corpus (reproduction)\n");
     println!(

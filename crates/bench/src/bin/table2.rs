@@ -1,23 +1,20 @@
 //! Regenerates Table 2 of the paper: example-driven migration of the four dataset
 //! simulators (DBLP, IMDB, MONDIAL, YELP) into full relational databases.
 //!
-//! Run with: `cargo run -p mitra-bench --release --bin table2 [scale] [-- --json]
-//! [-- --threads N]`
+//! Run with: `cargo run -p mitra-bench --release --bin table2 [scale] [-- --threads N]`
 //!
 //! `scale` is the number of instances per top-level entity used for the *execution*
 //! document (the synthesis examples always use a tiny 2-instance sample, as in the
 //! paper).  The default of 200 keeps the run under a couple of minutes; larger values
-//! scale the `#Rows` and execution-time columns linearly.  With `--json`, one
-//! machine-readable JSON array is emitted on stdout instead of the table.
-//! `--threads N` sets the synthesis worker count (default: `MITRA_THREADS`, else all
-//! cores); the `SynthTot(s)` column reports the synthesis phase's wall clock, so it
-//! shrinks as the fan-out widens while the migrated rows stay byte-identical.
+//! scale the `#Rows` and execution-time columns linearly.  `--threads N` sets the
+//! synthesis worker count (default: `MITRA_THREADS`, else all cores); the
+//! `SynthTot(s)` column reports the synthesis phase's wall clock, so it shrinks as
+//! the fan-out widens while the migrated rows stay byte-identical.
 
-use mitra_bench::table2::{rows_to_json, run_table2_with};
+use mitra_bench::table2::run_table2_with;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let as_json = args.iter().any(|a| a == "--json");
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -34,11 +31,6 @@ fn main() {
         })
         .find_map(|(_, s)| s.parse().ok())
         .unwrap_or(200);
-
-    if as_json {
-        println!("{}", rows_to_json(&run_table2_with(scale, threads)));
-        return;
-    }
 
     println!("Table 2 — full-database migration of the dataset simulators (reproduction)\n");
     println!(

@@ -14,8 +14,8 @@
 //! * **metrics surfacing** — the `corpus.*` and `pool.panics_caught` counters
 //!   observe the run (the injected panic is caught, not fatal).
 //!
-//! Used by the `corpus_smoke` CI binary and embedded as the `corpus` block of
-//! `BENCH_synthesis.json` by `bench_smoke`.
+//! `bench_smoke` embeds the measurement as the `corpus` block of
+//! `BENCH_synthesis.json` and gates each contract.
 
 use crate::json::{int, num, obj, JsonValue};
 use mitra_datagen::fuzz::{mixed_corpus, mixer_job, CorpusMix};
@@ -24,7 +24,7 @@ use mitra_trace::fault::{set_fault, FaultSpec};
 use std::path::Path;
 use std::time::Instant;
 
-/// The measured corpus-service run and its pass/fail gates.
+/// The measured corpus-service run.
 pub struct CorpusBench {
     /// Documents in the generated corpus.
     pub docs: usize,
@@ -74,13 +74,12 @@ pub const SURFACED_COUNTERS: [&str; 6] = [
 ];
 
 impl CorpusBench {
-    /// True when every hard gate holds.
-    pub fn passed(&self) -> bool {
-        self.quarantine_exact
-            && self.threads_identical
-            && self.resume_identical
-            && self.violations == 0
-            && self.quarantined == self.malformed_expected
+    /// The measured delta of a surfaced counter (0 for any other name).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, v)| v)
     }
 
     /// The `corpus` block of `BENCH_synthesis.json`.
@@ -253,34 +252,10 @@ mod tests {
             rows_per_sec: 400.0,
             counters: SURFACED_COUNTERS.iter().map(|&n| (n, 0)).collect(),
         };
-        assert!(bench.passed());
         let text = bench.to_json().to_string_compact();
         for name in SURFACED_COUNTERS {
             assert!(text.contains(name), "{name} missing from {text}");
         }
         assert!(text.contains("\"docs_per_sec\""));
-    }
-
-    #[test]
-    fn failed_gates_are_reported() {
-        let bench = CorpusBench {
-            docs: 10,
-            malformed_expected: 2,
-            quarantined: 1,
-            retried: 0,
-            violations: 1,
-            rows: 0,
-            shards: 2,
-            resumed_shards: 0,
-            shapes: 1,
-            programs_synthesized: 2,
-            quarantine_exact: false,
-            threads_identical: true,
-            resume_identical: true,
-            docs_per_sec: 1.0,
-            rows_per_sec: 0.0,
-            counters: Vec::new(),
-        };
-        assert!(!bench.passed());
     }
 }

@@ -96,8 +96,8 @@ impl DescendMeasurement {
 ///
 /// The index is built *before* the timing loop (the query-construction and
 /// cross-check steps touch it), so both numbers are steady-state query costs.  The
-/// one-time index build is measured separately by the `index_build` case of
-/// `benches/descendants_bench.rs`.
+/// one-time index build is not timed here; `benchmark/` reports it as
+/// `hdt.index_frac`.
 pub fn measure(sections: usize, items: usize, repeats: usize) -> DescendMeasurement {
     let tree = corpus(sections, items);
     let qs = queries(&tree);

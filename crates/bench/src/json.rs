@@ -1,7 +1,7 @@
-//! Small builders over [`mitra_hdt::JsonValue`] for the benchmark binaries' `--json`
-//! mode.  The hdt crate already owns a full JSON model and serializer (pretty and
-//! compact), so the harness only adds convenience constructors; there is no second
-//! serializer to keep in sync.
+//! Small builders over [`mitra_hdt::JsonValue`] for `bench_smoke`'s
+//! `BENCH_synthesis.json`.  The hdt crate already owns a full JSON model and
+//! serializer (pretty and compact), so the harness only adds convenience
+//! constructors; there is no second serializer to keep in sync.
 
 pub use mitra_hdt::JsonValue;
 

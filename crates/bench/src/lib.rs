@@ -1,7 +1,7 @@
 //! # mitra-bench — the evaluation harness
 //!
 //! One regenerating target per table/figure of the paper's evaluation (see the
-//! experiment index in DESIGN.md):
+//! experiment index in DESIGN.md), plus the two CI gates:
 //!
 //! * `cargo run -p mitra-bench --release --bin table1` — Table 1 (the 98-task corpus):
 //!   per-category solved counts, median/average synthesis time, example sizes,
@@ -11,12 +11,15 @@
 //!   synthesis and execution times, row counts;
 //! * `cargo run -p mitra-bench --release --bin scalability` — the §7.1 performance
 //!   paragraph and §2 claim: execution time of synthesized programs against document
-//!   size;
-//! * `cargo bench -p mitra-bench` — Criterion micro-benchmarks (synthesis latency per
-//!   category, execution scaling, and the E7 ablations).
+//!   size, optimized engine vs naive cross product;
+//! * `cargo run -p mitra-bench --release --bin bench_smoke` — the perf ledger
+//!   `BENCH_synthesis.json` (a Table 1 slice, Table 2, overheads, the corpus
+//!   service, the executor, and the E7 ablations), with its gates;
+//! * `cargo run -p mitra-bench --release --bin fuzz_smoke` — the seeded
+//!   differential suite plus fault-injection and budget-exhaustion gates.
 //!
-//! The library part of this crate contains the shared measurement helpers so the bins
-//! and the Criterion benches report identical quantities.
+//! The library part of this crate contains the shared measurement helpers, so the
+//! bins report identical quantities.
 
 use mitra_codegen::{generate, Backend};
 use mitra_datagen::corpus::{DocFormat, Task};
@@ -52,8 +55,6 @@ pub struct TaskResult {
     /// True when DFA construction hit a limit for this task: its search space was
     /// silently under-explored and its numbers must be read accordingly.
     pub truncated: bool,
-    /// Worker threads used by the synthesizer.
-    pub threads: usize,
     /// Per-phase synthesis profile (default-zero when unsolved).
     pub profile: SynthProfile,
 }
@@ -82,7 +83,6 @@ pub fn run_task(task: &Task, config: &SynthConfig) -> TaskResult {
                 predicates: synthesis.cost.atoms,
                 loc: artifact.loc(),
                 truncated: synthesis.truncated,
-                threads: synthesis.threads_used,
                 profile: synthesis.profile,
             }
         }
@@ -97,14 +97,13 @@ pub fn run_task(task: &Task, config: &SynthConfig) -> TaskResult {
             predicates: 0,
             loc: 0,
             truncated: false,
-            threads: mitra_pool::resolve(config.threads),
             profile: SynthProfile::default(),
         },
     }
 }
 
 /// The per-phase synthesis profile as a JSON object (seconds and counts), shared by
-/// every `--json` bench output so profile fields stay byte-compatible across bins.
+/// the `table1` block and every Table 2 row of `BENCH_synthesis.json`.
 pub fn profile_to_json(p: &SynthProfile) -> json::JsonValue {
     json::obj(vec![
         ("dfa_build_secs", json::num(p.dfa_build.as_secs_f64())),
@@ -128,8 +127,9 @@ pub fn profile_to_json(p: &SynthProfile) -> json::JsonValue {
 
 /// A [`mitra_trace::MetricsSnapshot`] (usually a [`delta`] isolating one measured
 /// region) as a JSON object: counters by name, histogram summaries by name, and
-/// per-worker pool utilization.  Embedded in every `--json` bench output so cache
-/// hit rates, frontier depth and worker busy/idle time are attributable per run.
+/// per-worker pool utilization.  Embedded in every Table 2 row of
+/// `BENCH_synthesis.json` so cache hit rates, frontier depth and worker busy/idle
+/// time are attributable per run.
 ///
 /// [`delta`]: mitra_trace::MetricsSnapshot::delta
 pub fn metrics_to_json(m: &mitra_trace::MetricsSnapshot) -> json::JsonValue {

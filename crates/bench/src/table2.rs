@@ -1,6 +1,6 @@
 //! Shared measurement for the Table 2 harness (full-database migration of the four
-//! dataset simulators), used by the `table2` binary, its `--json` mode and the
-//! `bench_smoke` baseline writer.
+//! dataset simulators), used by the `table2` binary and by `bench_smoke`, which
+//! writes the rows into `BENCH_synthesis.json`.
 
 use crate::json::{int, num, obj, s, JsonValue};
 use crate::{execution_to_json, metrics_to_json, profile_to_json};
@@ -54,12 +54,6 @@ pub struct MigrationRow {
     pub error: Option<String>,
 }
 
-/// Runs every dataset simulator's migration plan at the given scale, on the
-/// process-global thread count.
-pub fn run_table2(scale: usize) -> Vec<MigrationRow> {
-    run_table2_with(scale, 0)
-}
-
 /// Runs every dataset simulator's migration plan at the given scale and worker
 /// thread count (`0` = the process-global setting, `1` = sequential).
 pub fn run_table2_with(scale: usize, threads: usize) -> Vec<MigrationRow> {
@@ -70,17 +64,11 @@ pub fn run_table2_with(scale: usize, threads: usize) -> Vec<MigrationRow> {
         .collect()
 }
 
-/// Runs a single dataset's migration plan by (case-insensitive) name — the
-/// overhead-measurement and trace-artifact paths of `bench_smoke` use this to
-/// re-run MONDIAL alone instead of the whole suite.
-pub fn run_single_dataset(name: &str, scale: usize, threads: usize) -> Option<MigrationRow> {
-    run_single_dataset_budgeted(name, scale, threads, Budget::UNLIMITED)
-}
-
-/// Like [`run_single_dataset`] but under an explicit fuel budget — the
-/// budget-overhead gate runs MONDIAL with a generous (never-binding) budget and
-/// compares against the unlimited run to price the budget checks themselves.
-pub fn run_single_dataset_budgeted(
+/// Runs a single dataset's migration plan by (case-insensitive) name under an
+/// explicit fuel budget — the overhead-measurement and trace-artifact paths of
+/// `bench_smoke` re-run MONDIAL alone this way, and the budget-overhead gate
+/// compares a generous (never-binding) budget against `Budget::UNLIMITED`.
+pub fn run_single_dataset(
     name: &str,
     scale: usize,
     threads: usize,
@@ -182,18 +170,13 @@ pub fn rows_to_json_value(rows: &[MigrationRow]) -> JsonValue {
     )
 }
 
-/// The rows as compact JSON text.
-pub fn rows_to_json(rows: &[MigrationRow]) -> String {
-    rows_to_json_value(rows).to_string_compact()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mitra_migrate::{TableOutcome, TableReport};
     use mitra_synth::exec::ExecStats;
 
-    // End-to-end `run_table2` is exercised by the release binaries (`table2`,
+    // End-to-end `run_table2_with` is exercised by the release binaries (`table2`,
     // `bench_smoke`) and the CI bench-smoke job; running dataset synthesis under the
     // debug profile is far too slow for the unit suite, so only the serialization is
     // tested here.
@@ -255,7 +238,7 @@ mod tests {
                 error: Some("synthesis failed".into()),
             },
         ];
-        let json = rows_to_json(&rows);
+        let json = rows_to_json_value(&rows).to_string_compact();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"name\":\"dblp\""));
         assert!(json.contains("\"rows\":275"));

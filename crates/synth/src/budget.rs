@@ -21,9 +21,10 @@
 //!
 //! Exhaustion surfaces as a typed [`BudgetExhausted`] carrying the partial
 //! [`SynthProfile`] of the work done so far (wrapped as
-//! `SynthError::Budget` / `MitraError::BudgetExhausted` up the stack), unless the
-//! search already holds a valid program — then the incumbent is returned and the
-//! breach is reported on [`crate::synthesize::Synthesis::budget_breach`].
+//! `SynthError::BudgetExhausted` / `MitraError::BudgetExhausted` up the stack),
+//! unless the search already holds a valid program — then the incumbent is
+//! returned and the breach is reported on
+//! [`crate::synthesize::Synthesis::budget_breach`].
 
 use crate::synthesize::SynthProfile;
 use std::fmt;
