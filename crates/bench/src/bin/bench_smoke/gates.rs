@@ -177,6 +177,13 @@ const SYNTH_CEILING_SECS: [(&str, f64); 2] = [("MONDIAL", 97.47 / 5.0), ("YELP",
 /// sequential synthesis (a soft floor; no speedup is promised).
 const MONDIAL_MIN_PARALLEL_SPEEDUP: f64 = 1.0;
 
+/// Sequential MONDIAL synthesis explores one DFA state graph per synthesis
+/// call (its 25 tables have one example each) and derives one column automaton
+/// per (column, example) pair from them (120 columns).  Exploring a graph per
+/// column automaton again would read 120 graphs.
+const MONDIAL_DFA_GRAPHS: u64 = 25;
+const MONDIAL_COLUMN_AUTOMATA: u64 = 120;
+
 fn table2(v: &mut Verdicts, m: &Measured) {
     v.check(
         "table2.programs_identical",
@@ -208,6 +215,16 @@ fn table2(v: &mut Verdicts, m: &Measured) {
             let workers = row.metrics.workers.len();
             let workers_detail = format!("pool worker slots recorded: {workers}");
             v.check("table2.MONDIAL.pool_workers", workers > 0, workers_detail);
+            let graphs = row.metrics.counter("synth.dfa.graphs");
+            let automata = row.metrics.counter("synth.dfa.column_automata");
+            v.check(
+                "table2.MONDIAL.dfa_graphs",
+                graphs == MONDIAL_DFA_GRAPHS && automata == MONDIAL_COLUMN_AUTOMATA,
+                format!(
+                    "{graphs} graphs for {automata} column automata \
+                     (expected {MONDIAL_DFA_GRAPHS} for {MONDIAL_COLUMN_AUTOMATA})"
+                ),
+            );
         }
     }
     let gate = "table2.MONDIAL.parallel_speedup";
@@ -384,7 +401,11 @@ mod tests {
                 let ceiling = SYNTH_CEILING_SECS.iter().find(|(n, _)| *n == name);
                 let mut r = row(name, ceiling.map_or(0.0, |(_, c)| *c));
                 if name == "MONDIAL" {
-                    r.metrics.counters = vec![("cache.column_nodes.hit", 1)];
+                    r.metrics.counters = vec![
+                        ("cache.column_nodes.hit", 1),
+                        ("synth.dfa.column_automata", MONDIAL_COLUMN_AUTOMATA),
+                        ("synth.dfa.graphs", MONDIAL_DFA_GRAPHS),
+                    ];
                     r.metrics.workers = vec![WorkerSnapshot {
                         slot: 0,
                         busy_ns: 1,
@@ -498,7 +519,7 @@ mod tests {
     #[test]
     fn every_gate_passes_at_its_bound() {
         let verdicts = check(&at_bounds());
-        assert_eq!(verdicts.len(), 33);
+        assert_eq!(verdicts.len(), 34);
         let not_passed: Vec<String> = verdicts
             .iter()
             .filter(|v| v.outcome != Outcome::Pass)
@@ -541,13 +562,33 @@ mod tests {
         }
     }
 
+    fn mondial_counter<'a>(m: &'a mut Measured, name: &str) -> &'a mut u64 {
+        let (_, value) = m.sequential[2]
+            .metrics
+            .counters
+            .iter_mut()
+            .find(|(n, _)| *n == name)
+            .expect("MONDIAL counter");
+        value
+    }
+
     #[test]
     fn mondial_metrics_must_observe_the_run() {
         flips("table2.MONDIAL.cache_hits", |m| {
-            m.sequential[2].metrics.counters = vec![("cache.column_nodes.hit", 0)]
+            *mondial_counter(m, "cache.column_nodes.hit") = 0
         });
         flips("table2.MONDIAL.pool_workers", |m| {
             m.sequential[2].metrics.workers.clear()
+        });
+    }
+
+    #[test]
+    fn mondial_builds_one_dfa_graph_per_table() {
+        flips("table2.MONDIAL.dfa_graphs", |m| {
+            *mondial_counter(m, "synth.dfa.graphs") += 1
+        });
+        flips("table2.MONDIAL.dfa_graphs", |m| {
+            *mondial_counter(m, "synth.dfa.column_automata") += 1
         });
     }
 

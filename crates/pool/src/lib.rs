@@ -1,6 +1,6 @@
 //! # mitra-pool — a scoped worker pool for deterministic fan-out
 //!
-//! The synthesizer's hot loops (per-column DFA construction, candidate predicate
+//! The synthesizer's hot loops (per-example DFA construction, candidate predicate
 //! learning, per-table migration synthesis) are embarrassingly parallel but must stay
 //! **byte-identical** to the sequential path: the paper's Occam's-razor ranking breaks
 //! ties by enumeration order, so results may never depend on thread scheduling.

@@ -4,9 +4,13 @@
 //! words accepted by the resulting automaton are exactly the column extractors
 //! consistent with every example.  We enumerate accepted words shortest-first so that
 //! the simplest candidates are considered first by the top-level synthesizer.
+//!
+//! The states and transitions of an example's automata depend on its tree only, so
+//! each example's state graph is explored once and shared by the automata of all its
+//! columns, which differ in their accepting states alone.
 
 use crate::budget::{Budget, BudgetBreach, BudgetResource};
-use crate::dfa::{Dfa, DfaLimits};
+use crate::dfa::{Dfa, DfaLimits, StateGraph};
 use crate::synthesize::Example;
 use mitra_dsl::ast::ColumnExtractor;
 use mitra_dsl::Value;
@@ -78,12 +82,14 @@ pub struct ColumnAutomata {
     /// examples, i.e. nothing to intersect — or when a state budget breached
     /// before the column's product was completed).
     pub dfas: Vec<Option<Dfa>>,
-    /// CPU time spent constructing per-example automata, summed across workers.
+    /// CPU time spent building each example's state graph and deriving its
+    /// per-column automata from it, summed across workers.
     pub build: std::time::Duration,
     /// Wall time spent intersecting automata (sequential, in example order).
     pub intersect: std::time::Duration,
-    /// DFA states constructed plus intersected, accumulated in canonical
-    /// (column, example) pair order then column-major intersection order —
+    /// DFA states charged as fuel: each per-(column, example) automaton's states
+    /// (its graph's, charged once per column the graph serves) in canonical pair
+    /// order, then each intersection product's states in column-major order —
     /// identical at every thread count.
     pub states_total: u64,
     /// Set when a state budget ran out; `dfas` is then partial and must not be
@@ -91,24 +97,29 @@ pub struct ColumnAutomata {
     pub breach: Option<BudgetBreach>,
 }
 
-/// Builds the intersected column automaton for **every** output column `0..arity`,
-/// constructing the per-example DFAs concurrently on up to `threads` pool workers.
+/// Builds the intersected column automaton for **every** output column `0..arity`
+/// on up to `threads` pool workers.
 ///
-/// Each (column, example) pair's automaton is independent, so construction — the
-/// dominant cost for large example documents — fans out freely; the per-column
-/// product automata are then intersected **in example order**, so the resulting
-/// automata (and any enumeration over them) are byte-identical to the sequential
-/// path regardless of scheduling.  The best-first table search streams words from
-/// these automata directly instead of materializing a capped candidate list.
+/// Rules 1–4 of Figure 9 read only the example tree, so each example's state graph
+/// is explored once (the examples fan out), and every (column, example) automaton
+/// is derived from its example's graph by computing acceptance alone (the pairs fan
+/// out).  The per-column product automata are then intersected **in example
+/// order**, so the resulting automata (and any enumeration over them) are
+/// byte-identical to the sequential path regardless of scheduling.  The best-first
+/// table search streams words from these automata directly instead of
+/// materializing a capped candidate list.
 ///
 /// `max_states` is an optional deterministic state budget.  State fuel is spent in
-/// canonical order — every constructed per-(column, example) automaton's states
-/// first (pair order, regardless of which worker built it), then each sequential
-/// intersection product's states — so the breach point is a pure function of the
-/// inputs, never of the thread count.  On a breach the per-example automata are
-/// still all built (their construction fans out before accounting), but
-/// intersection stops and the result carries `breach: Some(..)` with every
-/// remaining column `None`.
+/// canonical order — every per-(column, example) automaton's states first (pair
+/// order, regardless of which worker built it, so a graph serving several columns
+/// is charged once per column), then each sequential intersection product's states
+/// — so the breach point is a pure function of the inputs, never of the thread
+/// count.  On a breach the per-example automata are still all built (their
+/// construction fans out before accounting), but intersection stops and the result
+/// carries `breach: Some(..)` with every remaining column `None`.
+///
+/// Adds the graphs built, their states and the automata derived from them to the
+/// `synth.dfa.{graphs,graph_states,column_automata}` counters.
 pub fn learn_column_automata(
     examples: &[Example],
     arity: usize,
@@ -125,18 +136,26 @@ pub fn learn_column_automata(
         max_dfa_states: max_states,
         ..Budget::UNLIMITED
     };
+    // Both spans feed `build_nanos` on drop: summed across workers this is the
+    // CPU-time view the `SynthProfile` reports.
+    let build_nanos = std::sync::atomic::AtomicU64::new(0);
+    let graphs: Vec<StateGraph> = mitra_pool::parallel_map(threads, examples, |_, ex| {
+        let _span = mitra_trace::span_acc("synth", "dfa_build", &build_nanos);
+        StateGraph::build(&ex.tree, limits)
+    });
     let pairs: Vec<(usize, usize)> = (0..arity)
         .flat_map(|col| (0..examples.len()).map(move |ex| (col, ex)))
         .collect();
-    let build_nanos = std::sync::atomic::AtomicU64::new(0);
     let dfas: Vec<Dfa> = mitra_pool::parallel_map(threads, &pairs, |_, &(col, ex_idx)| {
-        // The span feeds `build_nanos` on drop: summed across workers this is the
-        // CPU-time view the `SynthProfile` reports.
         let _span = mitra_trace::span_acc("synth", "dfa_build", &build_nanos);
         let ex = &examples[ex_idx];
         let column: Vec<Value> = ex.output.column(col);
-        Dfa::construct(&ex.tree, &column, limits)
+        graphs[ex_idx].with_column(&ex.tree, &column)
     });
+    mitra_trace::counter_add!("synth.dfa.graphs", graphs.len() as u64);
+    let graph_states: usize = graphs.iter().map(StateGraph::num_states).sum();
+    mitra_trace::counter_add!("synth.dfa.graph_states", graph_states as u64);
+    mitra_trace::counter_add!("synth.dfa.column_automata", dfas.len() as u64);
 
     // Charge construction fuel in canonical pair order, after the fan-out: every
     // automaton is built either way (that keeps the build phase schedule-free),
@@ -281,27 +300,15 @@ mod tests {
 
     #[test]
     fn multiple_examples_restrict_candidates() {
-        let ex1 = example();
-        let ex2 = Example {
-            tree: social_network(3, 1),
-            output: Table::from_rows(
-                &["Person", "Friend-with", "years"],
-                &[
-                    &["Alice", "Bob", "12"],
-                    &["Bob", "Carol", "23"],
-                    &["Carol", "Alice", "31"],
-                ],
-            ),
-        };
-        let one = learn_column(std::slice::from_ref(&ex1), 0, &ColumnLearnConfig::default());
-        let both = learn_column(&[ex1, ex2], 0, &ColumnLearnConfig::default());
+        let examples = two_examples();
+        let one = learn_column(&examples[..1], 0, &ColumnLearnConfig::default());
+        let both = learn_column(&examples, 0, &ColumnLearnConfig::default());
         assert!(!both.is_empty());
         assert!(both.len() <= one.len());
     }
 
-    #[test]
-    fn learn_all_columns_is_identical_across_thread_counts() {
-        let ex1 = example();
+    /// `example()` plus a three-person example of the same three columns.
+    fn two_examples() -> [Example; 2] {
         let ex2 = Example {
             tree: social_network(3, 1),
             output: Table::from_rows(
@@ -313,7 +320,38 @@ mod tests {
                 ],
             ),
         };
-        let examples = [ex1, ex2];
+        [example(), ex2]
+    }
+
+    #[test]
+    fn dfa_state_budget_breaches_at_the_same_point() {
+        // Each example's automata have 22 and 29 states, and each column's
+        // product 22: pair charges run 22, 51, 73, 102, 124, 153, then the
+        // products 175, 197, 219.  A limit of 120 trips at the fifth pair, 190
+        // at the second product.  Fuel charged once per graph instead of once
+        // per column automaton would stay below both limits.
+        let examples = two_examples();
+        for (limit, spent) in [(120, 124), (190, 197)] {
+            for threads in [1, 4] {
+                let automata =
+                    learn_column_automata(&examples, 3, DfaLimits::default(), threads, Some(limit));
+                let expected = BudgetBreach {
+                    resource: BudgetResource::DfaStates,
+                    spent,
+                    limit,
+                };
+                assert_eq!(
+                    automata.breach,
+                    Some(expected),
+                    "limit {limit} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn learn_all_columns_is_identical_across_thread_counts() {
+        let examples = two_examples();
         let config = ColumnLearnConfig::default();
         let sequential = learn_all_columns(&examples, 3, &config, 1);
         let parallel = learn_all_columns(&examples, 3, &config, 4);

@@ -8,6 +8,12 @@
 //! accepted by the automaton is therefore exactly a column-extraction program that is
 //! consistent with the example (Theorem 1).
 //!
+//! States and transitions (rules 1–4) come from the tree and the [`DfaLimits`] alone;
+//! only acceptance (rule 5, `s ⊇ column(R, i)`) reads the column.  So construction is
+//! split in two: a crate-private `StateGraph` explores the states once per example
+//! tree, and each of the tree's columns derives its [`Dfa`] from that graph by
+//! computing acceptance only, sharing the graph's transitions.
+//!
 //! The automaton for several examples is the intersection (product) of the per-example
 //! automata.  Because all automata share the same *symbolic* alphabet, the product is
 //! taken over [`ExtractorStep`] letters.
@@ -16,6 +22,7 @@ use mitra_dsl::ast::ExtractorStep;
 use mitra_dsl::Value;
 use mitra_hdt::{Hdt, NodeId, TagId};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Limits applied while constructing and enumerating automata.
 #[derive(Debug, Clone, Copy)]
@@ -35,54 +42,31 @@ impl Default for DfaLimits {
     }
 }
 
-/// A DFA whose transitions are labelled with column-extractor steps.
-///
-/// States are dense indices; `0` is always the initial state.
-#[derive(Debug, Clone)]
-pub struct Dfa {
-    /// `transitions[q]` maps a letter to the successor state.
-    transitions: Vec<HashMap<ExtractorStep, usize>>,
-    /// Whether each state is accepting.
-    accepting: Vec<bool>,
-    /// Whether construction hit a limit (the language may then be under-approximated).
-    pub truncated: bool,
+/// `transitions[q]` maps a letter to the successor of state `q`.
+type Transitions = Vec<HashMap<ExtractorStep, usize>>;
+
+/// The states and transitions of Figure 9 for one example tree: everything but
+/// acceptance, which [`StateGraph::with_column`] adds per column.
+#[derive(Debug)]
+pub(crate) struct StateGraph {
+    /// The canonical node set of each state; `0` is `{root}`.
+    states: Vec<Vec<NodeId>>,
+    /// Shared with every automaton derived from this graph.
+    transitions: Arc<Transitions>,
+    /// Whether exploration hit a limit.
+    truncated: bool,
 }
 
-impl Dfa {
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.transitions.len()
-    }
-
-    /// True if any state is accepting.
-    pub fn has_accepting_state(&self) -> bool {
-        self.accepting.iter().any(|b| *b)
-    }
-
-    /// Whether the given word is accepted.
-    pub fn accepts(&self, word: &[ExtractorStep]) -> bool {
-        let mut q = 0usize;
-        for step in word {
-            match self.transitions[q].get(step) {
-                Some(&next) => q = next,
-                None => return false,
-            }
-        }
-        self.accepting[q]
-    }
-
-    /// Builds the DFA for one example: the tree `T` and the target column values.
-    ///
-    /// The target column is covered by a node set `s` when every value in the column
-    /// equals the data of some node in `s` (the `s ⊇ column(R, i)` side condition of
-    /// rule (5) in Figure 9).
-    pub fn construct(tree: &Hdt, column: &[Value], limits: DfaLimits) -> Dfa {
+impl StateGraph {
+    /// Explores the node-set states reachable from `{root}` breadth-first, up to
+    /// `limits.max_word_len` letters and `limits.max_states` states.
+    pub(crate) fn build(tree: &Hdt, limits: DfaLimits) -> StateGraph {
         // Alphabet: every children/pchildren/descendants letter instantiated from the tree.
         let alphabet = alphabet_of(tree);
 
         let mut states: Vec<Vec<NodeId>> = Vec::new();
         let mut index: HashMap<Vec<NodeId>, usize> = HashMap::new();
-        let mut transitions: Vec<HashMap<ExtractorStep, usize>> = Vec::new();
+        let mut transitions: Transitions = Vec::new();
         let mut depth_of: Vec<usize> = Vec::new();
         let mut truncated = false;
 
@@ -126,23 +110,76 @@ impl Dfa {
             }
         }
 
-        let accepting = states
-            .iter()
-            .map(|s| covers_column(tree, s, column))
-            .collect();
-
-        Dfa {
-            transitions,
-            accepting,
+        StateGraph {
+            states,
+            transitions: Arc::new(transitions),
             truncated,
         }
+    }
+
+    /// Number of states.
+    pub(crate) fn num_states(&self) -> usize {
+        self.states.len()
+    }
+
+    /// The DFA of one example column over this graph (built from `tree`): a state
+    /// accepts when its node set covers `column` (the `s ⊇ column(R, i)` side
+    /// condition of rule (5) in Figure 9, see [`covers_column`]).
+    pub(crate) fn with_column(&self, tree: &Hdt, column: &[Value]) -> Dfa {
+        Dfa {
+            transitions: Arc::clone(&self.transitions),
+            accepting: self
+                .states
+                .iter()
+                .map(|s| covers_column(tree, s, column))
+                .collect(),
+            truncated: self.truncated,
+        }
+    }
+}
+
+/// A DFA whose transitions are labelled with column-extractor steps.
+///
+/// States are dense indices; `0` is always the initial state.
+#[derive(Debug, Clone)]
+pub struct Dfa {
+    /// `transitions[q]` maps a letter to the successor state; shared by every
+    /// automaton derived from one `StateGraph`.
+    transitions: Arc<Transitions>,
+    /// Whether each state is accepting.
+    accepting: Vec<bool>,
+    /// Whether construction hit a limit (the language may then be under-approximated).
+    pub truncated: bool,
+}
+
+impl Dfa {
+    /// Number of states.
+    pub fn num_states(&self) -> usize {
+        self.transitions.len()
+    }
+
+    /// True if any state is accepting.
+    pub fn has_accepting_state(&self) -> bool {
+        self.accepting.iter().any(|b| *b)
+    }
+
+    /// Whether the given word is accepted.
+    pub fn accepts(&self, word: &[ExtractorStep]) -> bool {
+        let mut q = 0usize;
+        for step in word {
+            match self.transitions[q].get(step) {
+                Some(&next) => q = next,
+                None => return false,
+            }
+        }
+        self.accepting[q]
     }
 
     /// Standard product-automaton intersection: a word is accepted iff it is accepted
     /// by both inputs.
     pub fn intersect(&self, other: &Dfa) -> Dfa {
         let mut index: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut transitions: Vec<HashMap<ExtractorStep, usize>> = Vec::new();
+        let mut transitions: Transitions = Vec::new();
         let mut accepting: Vec<bool> = Vec::new();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
 
@@ -181,7 +218,7 @@ impl Dfa {
         }
 
         Dfa {
-            transitions,
+            transitions: Arc::new(transitions),
             accepting,
             truncated: self.truncated || other.truncated,
         }
@@ -406,20 +443,39 @@ mod tests {
         vec![Value::str("Alice"), Value::str("Bob")]
     }
 
+    /// The DFA of one (tree, column) example, built through its state graph.
+    fn construct(tree: &Hdt, column: &[Value], limits: DfaLimits) -> Dfa {
+        StateGraph::build(tree, limits).with_column(tree, column)
+    }
+
     #[test]
     fn construct_finds_accepting_state_for_names() {
         let t = social_network(2, 1);
-        let dfa = Dfa::construct(&t, &name_column(), DfaLimits::default());
+        let dfa = construct(&t, &name_column(), DfaLimits::default());
         assert!(dfa.has_accepting_state());
         assert!(!dfa.truncated);
         assert!(dfa.num_states() > 1);
     }
 
     #[test]
+    fn one_graph_serves_every_column() {
+        let t = social_network(2, 1);
+        let graph = StateGraph::build(&t, DfaLimits::default());
+        let names = graph.with_column(&t, &name_column());
+        let years = graph.with_column(&t, &[Value::int(12), Value::int(21)]);
+        assert!(Arc::ptr_eq(&names.transitions, &years.transitions));
+        assert_eq!(names.num_states(), graph.num_states());
+        let name_word = [ExtractorStep::Descendants("name".into())];
+        assert!(names.accepts(&name_word) && !years.accepts(&name_word));
+        let years_word = [ExtractorStep::Descendants("years".into())];
+        assert!(years.accepts(&years_word) && !names.accepts(&years_word));
+    }
+
+    #[test]
     fn accepted_words_are_consistent_extractors() {
         let t = social_network(2, 1);
         let col = name_column();
-        let dfa = Dfa::construct(&t, &col, DfaLimits::default());
+        let dfa = construct(&t, &col, DfaLimits::default());
         let words = dfa.enumerate(4, 50).words;
         assert!(!words.is_empty());
         for w in &words {
@@ -433,7 +489,7 @@ mod tests {
     #[test]
     fn expected_extractor_is_accepted() {
         let t = social_network(2, 1);
-        let dfa = Dfa::construct(&t, &name_column(), DfaLimits::default());
+        let dfa = construct(&t, &name_column(), DfaLimits::default());
         // pchildren(children(s, Person), name, 0)  — the paper's π11
         let word = vec![
             ExtractorStep::Children("Person".into()),
@@ -454,8 +510,8 @@ mod tests {
         let t2 = social_network(3, 1);
         let col1 = vec![Value::str("Alice"), Value::str("Bob")];
         let col2 = vec![Value::str("Alice"), Value::str("Bob"), Value::str("Carol")];
-        let d1 = Dfa::construct(&t1, &col1, DfaLimits::default());
-        let d2 = Dfa::construct(&t2, &col2, DfaLimits::default());
+        let d1 = construct(&t1, &col1, DfaLimits::default());
+        let d2 = construct(&t2, &col2, DfaLimits::default());
         let both = d1.intersect(&d2);
         assert!(both.has_accepting_state());
         let words = both.enumerate(4, 100).words;
@@ -467,8 +523,8 @@ mod tests {
     #[test]
     fn intersection_with_impossible_column_is_empty() {
         let t = social_network(2, 1);
-        let d1 = Dfa::construct(&t, &name_column(), DfaLimits::default());
-        let d2 = Dfa::construct(&t, &[Value::str("does-not-exist")], DfaLimits::default());
+        let d1 = construct(&t, &name_column(), DfaLimits::default());
+        let d2 = construct(&t, &[Value::str("does-not-exist")], DfaLimits::default());
         assert!(!d2.has_accepting_state());
         let both = d1.intersect(&d2);
         assert!(both.enumerate(4, 10).words.is_empty());
@@ -477,7 +533,7 @@ mod tests {
     #[test]
     fn enumeration_is_shortest_first() {
         let t = social_network(2, 1);
-        let dfa = Dfa::construct(&t, &name_column(), DfaLimits::default());
+        let dfa = construct(&t, &name_column(), DfaLimits::default());
         let words = dfa.enumerate(4, 100).words;
         for pair in words.windows(2) {
             assert!(pair[0].len() <= pair[1].len());
@@ -487,7 +543,7 @@ mod tests {
     #[test]
     fn enumeration_reports_word_cap_truncation() {
         let t = social_network(2, 1);
-        let dfa = Dfa::construct(&t, &name_column(), DfaLimits::default());
+        let dfa = construct(&t, &name_column(), DfaLimits::default());
         let full = dfa.enumerate(4, 10_000);
         assert!(!full.truncated, "generous cap must not truncate");
         assert!(full.words.len() > 1);
@@ -497,12 +553,12 @@ mod tests {
         // The cap is hard even when the initial state is accepting (empty column:
         // every non-empty node set covers it, including {root}, so the empty word
         // is accepted and must count against the cap).
-        let trivial = Dfa::construct(&t, &[], DfaLimits::default());
+        let trivial = construct(&t, &[], DfaLimits::default());
         for cap in [1usize, 2, 3] {
             assert!(trivial.enumerate(4, cap).words.len() <= cap);
         }
         // A DFA with no accepting states has nothing to truncate.
-        let empty = Dfa::construct(&t, &[Value::str("absent")], DfaLimits::default());
+        let empty = construct(&t, &[Value::str("absent")], DfaLimits::default());
         assert!(!empty.enumerate(4, 1).truncated);
     }
 
@@ -513,7 +569,7 @@ mod tests {
             max_states: 3,
             max_word_len: 2,
         };
-        let dfa = Dfa::construct(&t, &name_column(), limits);
+        let dfa = construct(&t, &name_column(), limits);
         assert!(dfa.num_states() <= 3);
     }
 

@@ -4,7 +4,8 @@
 //! optimizations (Section 6, Appendix C):
 //!
 //! * [`dfa`] — deterministic finite automata whose states are node sets of an HDT and
-//!   whose alphabet is the column-extractor operators (Figure 9); supports
+//!   whose alphabet is the column-extractor operators (Figure 9); one state graph per
+//!   example tree is shared by the automata of all its columns.  Supports
 //!   intersection and shortest-word enumeration.
 //! * [`column`](mod@column) — `LearnColExtractors` (Algorithm 2): learning the set of column
 //!   extraction programs consistent with all examples.

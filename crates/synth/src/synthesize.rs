@@ -138,15 +138,17 @@ impl fmt::Display for SynthError {
 impl std::error::Error for SynthError {}
 
 /// Wall-time and work breakdown of one synthesis call, threaded into
-/// [`Synthesis`], migration reports and the `--json` benchmark outputs so perf
-/// work can attribute wins per phase.
+/// [`Synthesis`], migration reports, `bench_smoke`'s ledger
+/// (`BENCH_synthesis.json`) and the benchmark's result lines (the
+/// `synth.*_frac` metrics), so perf work can attribute wins per phase.
 ///
 /// The duration fields are *summed across pool workers* where a phase fans out
 /// (DFA build, predicate learning, validation), so on multi-threaded runs they
 /// can exceed the elapsed wall clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthProfile {
-    /// Constructing the per-(column, example) automata.
+    /// Building each example's DFA state graph and deriving the per-(column,
+    /// example) automata from it.
     pub dfa_build: Duration,
     /// Intersecting them into per-column product automata.
     pub dfa_intersect: Duration,
@@ -412,9 +414,10 @@ pub fn learn_transformation(
         ex.tree.ensure_index();
     }
 
-    // Phase 1: the per-column product automata, all (column, example) DFAs built in
-    // parallel.  State accounting is canonical (pair order, then intersection
-    // order), so a `dfa_states` budget exhausts identically at every thread count.
+    // Phase 1: the per-column product automata, derived from one state graph per
+    // example, built in parallel.  State accounting is canonical (pair order, then
+    // intersection order), so a `dfa_states` budget exhausts identically at every
+    // thread count.
     let automata = learn_column_automata(
         examples,
         arity,

@@ -116,7 +116,8 @@ impl HistogramSnapshot {
 }
 
 /// Registries: name → leaked metric.  `BTreeMap` keeps snapshots deterministically
-/// ordered, which keeps `--json` output byte-stable run to run.
+/// ordered, so the `metrics` blocks of `bench_smoke`'s ledger
+/// (`BENCH_synthesis.json`) list their entries in the same order run to run.
 ///
 /// Lock poisoning is recovered (`PoisonError::into_inner`) rather than propagated:
 /// the maps are append-only and each entry is inserted with one `entry().or_insert`
