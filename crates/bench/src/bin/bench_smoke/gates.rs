@@ -38,7 +38,8 @@ pub struct Workload {
     pub planner_secs: f64,
 }
 
-/// The same work timed without and with the overhead under test.
+/// The same work timed without and with the overhead under test: each side's
+/// fastest run of three interleaved pairs.
 #[derive(Debug, Clone, Copy)]
 pub struct Overhead {
     pub base_secs: f64,

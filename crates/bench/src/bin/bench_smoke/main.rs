@@ -15,7 +15,7 @@
 //!   determinism guarantee) and the MONDIAL synthesis speedup;
 //! * `trace_overhead` / `budget_overhead` — MONDIAL sequential synthesis with the
 //!   metrics layer off vs on, and with an unlimited vs a never-binding finite
-//!   fuel budget;
+//!   fuel budget, each the fastest run per side of three interleaved pairs;
 //! * `corpus` — the checkpointed corpus migration service on a seeded mixer
 //!   corpus: thread-count and crash-resume byte-identity, exact quarantine of
 //!   the malformed fraction, docs/sec throughput, and the surfaced
@@ -67,6 +67,11 @@ const TABLE1_SLICE: usize = 12;
 /// Per-entity scale of the Table 2 execution documents; the executor
 /// fingerprint gates hold at this scale only.
 const SCALE: usize = 25;
+
+/// Interleaved (base, measured) run pairs per overhead check.  Single runs of
+/// one commit read budget ratios from 0.82 to 1.38 on a shared 2-vCPU VM, wider
+/// than the 2% bound, so each side is gated on its fastest run.
+const OVERHEAD_PAIRS: usize = 3;
 
 fn main() -> ExitCode {
     let mut out_path = "BENCH_synthesis.json".to_string();
@@ -139,26 +144,33 @@ fn main() -> ExitCode {
     };
 
     // Tracing-overhead check: MONDIAL sequential with the metrics layer off vs on
-    // (summary mode) — the "cheap enough to leave on" claim, measured.
+    // (summary mode) — the "cheap enough to leave on" claim, measured.  The
+    // summary side runs last, so the pinned mode is restored.
     eprintln!("bench_smoke: MONDIAL tracing-overhead check (off vs summary)...");
-    mitra_trace::set_mode(TraceMode::Off);
-    let base_secs = mondial(1, Budget::UNLIMITED).synth_total_secs;
-    mitra_trace::set_mode(TraceMode::Summary);
-    let secs = mondial(1, Budget::UNLIMITED).synth_total_secs;
-    let trace_overhead = Overhead { base_secs, secs };
+    let trace_overhead = overhead_best_of(
+        || {
+            mitra_trace::set_mode(TraceMode::Off);
+            mondial(1, Budget::UNLIMITED).synth_total_secs
+        },
+        || {
+            mitra_trace::set_mode(TraceMode::Summary);
+            mondial(1, Budget::UNLIMITED).synth_total_secs
+        },
+    );
 
     // Budget-overhead check: MONDIAL sequential with the default unlimited budget
     // vs a generous *finite* budget that never binds (the checks run, exhaustion
     // never fires).
     eprintln!("bench_smoke: MONDIAL budget-overhead check (unlimited vs finite)...");
-    let base_secs = mondial(1, Budget::UNLIMITED).synth_total_secs;
     let generous = Budget {
         max_candidates: Some(u64::MAX / 2),
         max_dfa_states: Some(u64::MAX / 2),
         max_rows: Some(u64::MAX / 2),
     };
-    let secs = mondial(1, generous).synth_total_secs;
-    let budget_overhead = Overhead { base_secs, secs };
+    let budget_overhead = overhead_best_of(
+        || mondial(1, Budget::UNLIMITED).synth_total_secs,
+        || mondial(1, generous).synth_total_secs,
+    );
 
     // Optional Perfetto artifact: re-run MONDIAL in full mode and export the span
     // buffer as Chrome trace-event JSON.
@@ -222,6 +234,7 @@ fn main() -> ExitCode {
     }
     let overhead_json = |o: Overhead, base: &'static str, measured: &'static str| {
         obj(vec![
+            ("pairs", int(OVERHEAD_PAIRS)),
             (base, num(o.base_secs)),
             (measured, num(o.secs)),
             ("overhead_ratio", num(o.ratio())),
@@ -302,6 +315,21 @@ fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (T, f64) {
         }
     }
     best.expect("n >= 1")
+}
+
+/// Runs `base` and `measured` (each returning its seconds) as [`OVERHEAD_PAIRS`]
+/// interleaved pairs and keeps each side's fastest run, as [`best_of`] does for
+/// one workload; interleaving exposes both sides to the same drift of the machine.
+fn overhead_best_of(mut base: impl FnMut() -> f64, mut measured: impl FnMut() -> f64) -> Overhead {
+    let mut o = Overhead {
+        base_secs: f64::INFINITY,
+        secs: f64::INFINITY,
+    };
+    for _ in 0..OVERHEAD_PAIRS {
+        o.base_secs = o.base_secs.min(base());
+        o.secs = o.secs.min(measured());
+    }
+    o
 }
 
 /// The three-column workload whose static join order is pathological: the only

@@ -32,6 +32,9 @@ impl Cost {
     /// least `atoms` atoms and whose table extractor has at least
     /// `extractor_constructs` constructs: the best-first search compares incumbents
     /// against these bounds to prune combos and to prove minimality at termination.
+    /// It passes the examples' atom floor as `atoms` (every program consistent with
+    /// them has that many; DESIGN.md §8), raised to 1 for a combo whose row product
+    /// differs from an example's output size.
     ///
     /// Admissibility rests on θ being lexicographic with non-negative components —
     /// zeroing the `node_extractor_steps` tie-break can only under-estimate.

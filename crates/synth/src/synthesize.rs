@@ -3,13 +3,16 @@
 //!
 //! The algorithm learns, for each output column, the intersected DFA of candidate
 //! column extractors (via [`crate::column`]), then explores the cartesian product of
-//! the columns' accepted words through a binary-heap frontier keyed by the admissible
-//! θ-cost lower bound `(0, Σ column-extractor sizes, 0)`.  Combos pop in true cost
+//! the columns' accepted words through a binary-heap frontier keyed by the sum of
+//! column-extractor sizes.  With the *atom floor* `L` — a lower bound on the atoms
+//! of any valid program, read off the example outputs alone — every combo's programs
+//! cost at least the admissible θ bound `(L, Σ sizes, 0)`.  Combos pop in true cost
 //! order — per-column candidates *stream* out of the automata on demand instead of
 //! being capped and materialized up front — and each popped combo learns a filtering
 //! predicate ([`crate::predicate`]) and validates against every example.  The search
 //! stops at the first point where the best validated program provably beats every
-//! unexplored combo (see DESIGN.md §8), or after `max_table_candidates` pops.
+//! unexplored combo (see DESIGN.md §8), when the frontier drains, or after
+//! `max_table_candidates` pops; the `synth.search.stop.*` counters record which.
 //!
 //! The returned program is identical at every thread count: batches of combos are
 //! popped on a deterministic schedule, evaluated concurrently, and merged in pop
@@ -24,10 +27,10 @@ use crate::universe::UniverseConfig;
 use mitra_dsl::ast::{ColumnExtractor, Program, TableExtractor};
 use mitra_dsl::cost::{cost, Cost};
 use mitra_dsl::eval::{eval_program_with, EvalLimits};
-use mitra_dsl::Table;
+use mitra_dsl::{Table, Value};
 use mitra_hdt::Hdt;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -218,6 +221,39 @@ enum CandidateOutcome {
     Valid(Box<Program>, Cost),
 }
 
+/// The atom floor `L`: a lower bound on the atom count of every program consistent
+/// with `examples`, read off the example outputs alone (proof in DESIGN.md §8).
+///
+/// Column `i` is *required* when, in some example, the output's distinct rows are
+/// not the product of its distinct column-`i` values and its distinct rows of the
+/// other columns, with rows keyed by [`Value::render`] as [`Table::same_bag`] keys
+/// them.  A predicate that reads no component `i` keeps every column-`i` node beside
+/// each rest-of-tuple it accepts, so its distinct rows are such a product: every
+/// required column is read by some atom, and an atom reads at most two columns.
+fn atom_floor(examples: &[Example]) -> usize {
+    let mut required = vec![false; examples[0].output.arity()];
+    for ex in examples {
+        let rows: Vec<Vec<String>> = ex
+            .output
+            .rows
+            .iter()
+            .map(|r| r.iter().map(Value::render).collect())
+            .collect();
+        let distinct: HashSet<&[String]> = rows.iter().map(Vec::as_slice).collect();
+        for (col, req) in required.iter_mut().enumerate().filter(|(_, req)| !**req) {
+            let values: HashSet<&str> = rows.iter().map(|r| r[col].as_str()).collect();
+            let rest: HashSet<(&[String], &[String])> =
+                rows.iter().map(|r| (&r[..col], &r[col + 1..])).collect();
+            // Distinct rows are always a subset of this product.
+            *req = values.len().checked_mul(rest.len()) != Some(distinct.len());
+        }
+        if required.iter().all(|&req| req) {
+            break;
+        }
+    }
+    required.iter().filter(|&&req| req).count().div_ceil(2)
+}
+
 /// Evaluates one candidate table extractor: cheap incremental pruning first (row
 /// coverage, product bounds, the admissible cost floor), then learn a predicate,
 /// build the program, and validate it against every example (Theorem 3 soundness
@@ -232,7 +268,8 @@ fn evaluate_candidate(
     examples: &[Example],
     combo: &[ColumnExtractor],
     combo_size: usize,
-    floor: Option<Cost>,
+    atom_floor: usize,
+    incumbent: Option<Cost>,
     pred_config: &PredicateLearnConfig,
     cache: &ColumnEvalCache,
     max_intermediate_rows: usize,
@@ -250,9 +287,10 @@ fn evaluate_candidate(
     }
 
     // Row-product guard (checked multiplication, mirroring `cross_product`)
-    // plus the admissible atom bound: an intermediate table bigger or smaller than
-    // the output needs at least one predicate atom to filter or fail.
-    let mut atoms_lower_bound = 0usize;
+    // plus the admissible atom bound: the call's atom floor, raised to one when an
+    // intermediate table bigger or smaller than the output needs a predicate atom
+    // to filter or fail.
+    let mut atoms_lower_bound = atom_floor;
     for (ex_idx, ex) in examples.iter().enumerate() {
         let mut product: Option<usize> = Some(1);
         for pi in combo {
@@ -265,15 +303,15 @@ fn evaluate_candidate(
             Some(p) if p > max_intermediate_rows => return CandidateOutcome::Rejected,
             Some(p) => {
                 if p != ex.output.rows.len() {
-                    atoms_lower_bound = 1;
+                    atoms_lower_bound = atoms_lower_bound.max(1);
                 }
             }
         }
     }
-    if let Some(floor) = floor {
+    if let Some(incumbent) = incumbent {
         // Any program this combo can produce costs at least the bound, and on an
         // exact tie the earlier-popped incumbent wins — so `<=` prunes.
-        if floor <= Cost::lower_bound(atoms_lower_bound, combo_size) {
+        if incumbent <= Cost::lower_bound(atoms_lower_bound, combo_size) {
             return CandidateOutcome::Pruned;
         }
     }
@@ -357,7 +395,8 @@ impl<'a> ColumnStream<'a> {
 /// The heap key of a combo: the sum of its column extractors' sizes (saturating —
 /// the sum, not a product, but wide candidate sets must degrade gracefully rather
 /// than wrap).  Equals the `extractor_constructs` component of any program built
-/// from the combo, which makes `(0, key, 0)` an admissible θ lower bound.
+/// from the combo, which makes `(L, key, 0)` an admissible θ lower bound for the
+/// call's atom floor `L`.
 fn combo_key(streams: &[ColumnStream<'_>], idxs: &[usize]) -> usize {
     idxs.iter().enumerate().fold(0usize, |acc, (col, &i)| {
         acc.saturating_add(streams[col].size(i))
@@ -373,7 +412,12 @@ fn combo_key(streams: &[ColumnStream<'_>], idxs: &[usize]) -> usize {
 /// products, the admissible cost floor against the incumbent best program) and
 /// only then runs predicate learning.  The search ends when the incumbent
 /// provably beats every unexplored combo, when `max_table_candidates` combos have
-/// been popped, or when the frontier empties.
+/// been popped, when the frontier empties, or when the budget or the deadline
+/// runs out; each call that reaches the search adds one to the matching
+/// `synth.search.stop.*` counter.  The proof uses the atom floor `L`, computed
+/// once per call from the example outputs (DESIGN.md §8): every valid program has
+/// at least `L` atoms, so once the incumbent has `L` atoms the search stops as
+/// soon as the frontier's keys pass its extractor size.
 ///
 /// With `config.threads > 1` (or `0` resolving to a parallel global setting)
 /// combos are evaluated concurrently in deterministically-scheduled batches;
@@ -467,6 +511,7 @@ pub fn learn_transformation(
     let cache = ColumnEvalCache::new(examples.len());
     let predicate_nanos = AtomicU64::new(0);
     let validate_nanos = AtomicU64::new(0);
+    let atom_floor = atom_floor(examples);
 
     // The frontier: combos keyed by (Σ sizes, index vector).  Every index vector is
     // generated exactly once — combo `v` is pushed only by its canonical
@@ -489,6 +534,8 @@ pub fn learn_transformation(
     // termination bound) refreshes quickly early on, while later batches are wide
     // enough to keep a pool busy.
     let mut batch_size = 1usize;
+    // Why the loop ended; the cap unless a `break` below says otherwise.
+    let mut stop = "synth.search.stop.cap";
 
     while popped_total < config.max_table_candidates {
         // Candidate fuel pays per frontier pop; the check (and the batch clamp
@@ -498,19 +545,23 @@ pub fn learn_transformation(
             .check(BudgetResource::Candidates, popped_total as u64)
         {
             budget_breach = Some(breach);
+            stop = "synth.search.stop.budget";
             break;
         }
         mitra_trace::hist_observe!("synth.frontier_depth", heap.len() as u64);
         // Provably-minimal stop (DESIGN.md §8): every unexplored combo — frontier
         // entry or descendant thereof — has Σ sizes ≥ the frontier's minimum key,
-        // hence program cost ≥ (0, min_key, 0).  An incumbent at or below that
-        // bound cannot be beaten, and on ties the incumbent's earlier enumeration
-        // index wins.
+        // and every valid program has at least `atom_floor` atoms, hence program
+        // cost ≥ (atom_floor, min_key, 0).  An incumbent at or below that bound
+        // cannot be beaten, and on ties the incumbent's earlier enumeration index
+        // wins.
         let Some(Reverse((min_key, _))) = heap.peek() else {
+            stop = "synth.search.stop.frontier";
             break;
         };
         if let Some((_, best_cost)) = &best {
-            if *best_cost <= Cost::lower_bound(0, *min_key) {
+            if *best_cost <= Cost::lower_bound(atom_floor, *min_key) {
+                stop = "synth.search.stop.proof";
                 break;
             }
         }
@@ -538,6 +589,7 @@ pub fn learn_transformation(
             batch.push((key, idxs));
         }
         if batch.is_empty() {
+            stop = "synth.search.stop.frontier";
             break;
         }
         let batch_start = popped_total;
@@ -557,7 +609,7 @@ pub fn learn_transformation(
         // Workers prune against the incumbent from before the batch: in-batch
         // improvements must not influence later jobs, or the outcome (and the
         // candidate counts) would depend on scheduling.
-        let floor = best.as_ref().map(|(_, c)| *c);
+        let incumbent = best.as_ref().map(|(_, c)| *c);
         let outcomes = mitra_pool::parallel_map_catch(threads, &jobs, |j, (key, combo)| {
             // Fault-injection site keyed by the global pop index — which candidate
             // dies is a pure function of the spec, never of worker scheduling.
@@ -573,7 +625,8 @@ pub fn learn_transformation(
                 examples,
                 combo,
                 *key,
-                floor,
+                atom_floor,
+                incumbent,
                 &pred_config,
                 &cache,
                 config.max_intermediate_rows,
@@ -615,11 +668,13 @@ pub fn learn_transformation(
             mitra_trace::counter_add!("synth.candidates.panicked", panicked);
         }
         if timed_out {
+            stop = "synth.search.stop.deadline";
             break;
         }
         batch_size = (batch_size * 2).min(16);
     }
 
+    mitra_trace::counter(stop).add(1);
     mitra_trace::counter_add!("synth.candidates.examined", candidates_tried as u64);
     mitra_trace::counter_add!("synth.candidates.pruned", pruned as u64);
     let profile = SynthProfile {
@@ -1144,6 +1199,68 @@ mod tests {
                 other => panic!("thread counts diverged at cap={cap}: {other:?}"),
             }
         }
+    }
+
+    /// An example whose output alone matters: `atom_floor` never reads the tree.
+    fn output_example(columns: &[&str], rows: &[&[&str]]) -> Example {
+        Example::new(social_network(2, 1), Table::from_rows(columns, rows))
+    }
+
+    #[test]
+    fn atom_floor_of_one_column_is_zero() {
+        let ex = output_example(&["name"], &[&["x"], &["y"], &["x"]]);
+        assert_eq!(atom_floor(&[ex]), 0);
+    }
+
+    #[test]
+    fn atom_floor_of_the_motivating_example_is_two() {
+        // All three columns are required, and two atoms can read three columns.
+        assert_eq!(atom_floor(&[social_example(3, 1)]), 2);
+    }
+
+    /// Column 0 pairs each of its values with every row of columns 1–2, which
+    /// vary together.
+    fn column0_free() -> Example {
+        output_example(
+            &["a", "b", "c"],
+            &[
+                &["1", "x", "p"],
+                &["2", "x", "p"],
+                &["1", "y", "q"],
+                &["2", "y", "q"],
+            ],
+        )
+    }
+
+    /// Column 2 pairs every value with every row of columns 0–1.
+    fn column2_free() -> Example {
+        output_example(
+            &["a", "b", "c"],
+            &[
+                &["1", "x", "p"],
+                &["2", "y", "p"],
+                &["1", "x", "q"],
+                &["2", "y", "q"],
+            ],
+        )
+    }
+
+    #[test]
+    fn atom_floor_skips_a_column_closed_under_swapping_its_values() {
+        // Columns 1 and 2 are required, column 0 is not: ⌈2/2⌉ = 1.
+        assert_eq!(atom_floor(&[column0_free()]), 1);
+    }
+
+    #[test]
+    fn atom_floor_of_an_empty_output_is_zero() {
+        assert_eq!(atom_floor(&[output_example(&["a", "b", "c"], &[])]), 0);
+    }
+
+    #[test]
+    fn atom_floor_unions_the_required_columns_of_every_example() {
+        // {1, 2} ∪ {0, 1} = all three columns: ⌈3/2⌉ = 2.
+        assert_eq!(atom_floor(&[column2_free()]), 1);
+        assert_eq!(atom_floor(&[column0_free(), column2_free()]), 2);
     }
 
     #[test]

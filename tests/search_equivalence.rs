@@ -19,8 +19,10 @@
 
 use mitra::datagen::generate_corpus;
 use mitra::dsl::ast::{ColumnExtractor, TableExtractor};
+use mitra::dsl::cost::Cost;
 use mitra::dsl::{pretty, Table, Value};
 use mitra::hdt::generate::{social_network, social_network_rows};
+use mitra::hdt::xml::xml_to_hdt;
 use mitra::hdt::Hdt;
 use mitra::synth::dfa::DfaLimits;
 use mitra::synth::predicate::{learn_predicate, learn_predicate_reference, PredicateLearnConfig};
@@ -35,10 +37,12 @@ use std::time::Duration;
 /// A configuration whose caps are wide enough that the exhaustive path's
 /// materialized candidate lists cover the whole space: the two searches then
 /// range over the same programs and must agree exactly.  The space itself is kept
-/// small through the word-length bound and a light predicate universe — with an
-/// `atoms ≥ 1` winner the best-first search cannot terminate before the frontier
-/// drains, so "non-binding caps" over the full default space would mean sweeping
-/// it exhaustively on both sides.
+/// small through the word-length bound and a light predicate universe — the
+/// exhaustive referee sweeps every combination, and the best-first search stops
+/// by proof only once its incumbent reaches the atom floor `(L, Σ sizes, 0)` of
+/// the frontier; a winner with more atoms than the floor keeps it popping until
+/// the frontier drains, so "non-binding caps" over the full default space would
+/// mean sweeping it exhaustively on both sides.
 fn uncapped_config() -> SynthConfig {
     SynthConfig {
         timeout: None,
@@ -112,6 +116,71 @@ fn equivalent_on_single_column_projection() {
         Table::from_rows(&["name"], &[&["Alice"], &["Bob"], &["Carol"]]),
     );
     assert_equivalent(&[ex]).unwrap();
+}
+
+/// The motivating example's first popped combo yields a program with the atom
+/// floor's two atoms, and every later combo has a larger extractor size, so the
+/// search proves that program minimal after one pop: the cap and the thread count
+/// change nothing.
+#[test]
+fn motivating_example_stops_by_proof_after_one_pop() {
+    let ex = social_example(3, 1);
+    let mut first: Option<(String, Cost)> = None;
+    for max_table_candidates in [128, 10_000] {
+        for threads in [1, 4] {
+            let config = SynthConfig {
+                timeout: None,
+                max_table_candidates,
+                threads,
+                ..Default::default()
+            };
+            let s = learn_transformation(std::slice::from_ref(&ex), &config).unwrap();
+            assert_eq!(
+                s.candidates_tried + s.profile.candidates_pruned,
+                1,
+                "cap {max_table_candidates}, {threads} threads"
+            );
+            let got = (pretty::program(&s.program), s.cost);
+            assert_eq!(first.get_or_insert_with(|| got.clone()), &got);
+        }
+    }
+    let (program, cost) = first.unwrap();
+    assert_eq!(program, MOTIVATING_PROGRAM);
+    assert_eq!(cost, MOTIVATING_COST);
+}
+
+/// The motivating example's θ-minimal program and its cost.
+const MOTIVATING_PROGRAM: &str = concat!(
+    r"\tau. filter((\s.descendants(s, name)){root(tau)} x ",
+    r"(\s.descendants(s, name)){root(tau)} x (\s.descendants(s, years)){root(tau)}, ",
+    r"\t. ((\n.parent(n)) t[0]) = ((\n.parent(parent(parent(n)))) t[2]) && ",
+    r"((\n.child(parent(n), id, 0)) t[1]) = ((\n.child(parent(n), fid, 0)) t[2]))"
+);
+const MOTIVATING_COST: Cost = Cost {
+    atoms: 2,
+    extractor_constructs: 3,
+    node_extractor_steps: 8,
+};
+
+/// A one-column output has an atom floor of zero.  A 1-atom program that keeps
+/// every `text` node but `y` comes up before the 0-atom program, so a floor that
+/// over-counted would stop there and return it.
+#[test]
+fn an_atom_free_program_beats_an_earlier_one_atom_program() {
+    let tree = xml_to_hdt("<r><a><name>x</name></a><b><name>y</name></b><a><name>z</name></a></r>")
+        .unwrap();
+    let ex = Example::new(tree, Table::from_rows(&["name"], &[&["x"], &["z"]]));
+    let config = SynthConfig {
+        timeout: None,
+        threads: 1,
+        ..Default::default()
+    };
+    let s = learn_transformation(std::slice::from_ref(&ex), &config).unwrap();
+    assert_eq!(
+        pretty::table_extractor(&s.program.extractor),
+        "(\\s.descendants(children(s, a), text)){root(tau)}"
+    );
+    assert_eq!(s.cost.atoms, 0);
 }
 
 #[test]

@@ -8,7 +8,9 @@
 //!   instrumentation may cost time but must never change results;
 //! * **export round-trip** — the Chrome trace-event document produced from a real
 //!   migration run is valid JSON with balanced B/E span pairs and per-thread
-//!   monotone timestamps, i.e. something Perfetto will actually load.
+//!   monotone timestamps, i.e. something Perfetto will actually load;
+//! * **search stops** — each synthesis call that reaches the best-first search adds
+//!   one to exactly one `synth.search.stop.*` counter.
 //!
 //! The trace mode is a process-global `AtomicU8`, so every test that flips it
 //! holds `MODE_LOCK` and restores the summary default before releasing it.
@@ -16,6 +18,7 @@
 use mitra::dsl::{pretty, Table, Value};
 use mitra::hdt::generate::{social_network, social_network_rows};
 use mitra::hdt::JsonValue;
+use mitra::synth::budget::Budget;
 use mitra::synth::synthesize::{learn_transformation, Example, SynthConfig};
 use mitra::trace::{self, export, Phase, TraceMode};
 use std::sync::Mutex;
@@ -161,4 +164,48 @@ fn chrome_trace_export_round_trips_through_the_json_parser() {
         .filter(|e| matches!(e.phase, Phase::Begin | Phase::End))
         .count();
     assert_eq!(span_items, buffer_spans);
+}
+
+/// The ways a best-first search can end, one counter each.
+const STOPS: [&str; 5] = [
+    "synth.search.stop.proof",
+    "synth.search.stop.frontier",
+    "synth.search.stop.cap",
+    "synth.search.stop.budget",
+    "synth.search.stop.deadline",
+];
+
+/// The `STOPS` counters one synthesis call adds, in `STOPS` order.
+fn stops_added_by(examples: &[Example], config: &SynthConfig) -> [u64; 5] {
+    let before = trace::snapshot();
+    let _ = learn_transformation(examples, config);
+    let delta = trace::snapshot().delta(&before);
+    STOPS.map(|name| delta.counter(name))
+}
+
+#[test]
+fn every_search_counts_how_it_stopped() {
+    // The registry is process-global: hold the lock so that no other test in
+    // this binary synthesizes between the two snapshots.
+    let _guard = MODE_LOCK.lock().unwrap();
+    trace::set_mode(TraceMode::Summary);
+    let example = motivating_example();
+    let examples = std::slice::from_ref(&example);
+
+    // The first popped program has the atom floor's two atoms: a stop by proof.
+    assert_eq!(stops_added_by(examples, &config(1)), [1, 0, 0, 0, 0]);
+    let no_candidates = SynthConfig {
+        budget: Budget {
+            max_candidates: Some(0),
+            ..Budget::UNLIMITED
+        },
+        ..config(1)
+    };
+    assert_eq!(stops_added_by(examples, &no_candidates), [0, 0, 0, 1, 0]);
+    // A column without extractors fails before the search starts.
+    let unsatisfiable = Example::new(
+        social_network(2, 1),
+        Table::from_rows(&["x"], &[&["not-in-the-tree"]]),
+    );
+    assert_eq!(stops_added_by(&[unsatisfiable], &config(1)), [0; 5]);
 }
