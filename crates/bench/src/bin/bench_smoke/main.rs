@@ -6,8 +6,9 @@
 //!
 //! The output has eight blocks:
 //!
-//! * `table1` — synthesis over the first 12 corpus tasks (Table 1 smoke slice),
-//!   run at the parallel thread count;
+//! * `table1` — synthesis over all 98 corpus tasks (Table 1), run at the
+//!   parallel thread count: solved tasks, and the median, p90 and max synthesis
+//!   time per column-count category;
 //! * `table2` — full-database migration of the four dataset simulators at scale
 //!   25, measured **twice**: once sequentially and once at the parallel thread
 //!   count (`--threads N`, default all cores), with a check that both runs
@@ -37,7 +38,8 @@ use gates::{Fingerprint, Measured, Outcome, Overhead, Workload};
 use mitra_bench::descend;
 use mitra_bench::json::{int, num, obj, s, JsonValue};
 use mitra_bench::table2::{rows_to_json_value, run_single_dataset, run_table2_with, MigrationRow};
-use mitra_bench::{mean, median, profile_to_json, run_task, table1_config};
+use mitra_bench::{median, percentile, profile_to_json, run_task, table1_config};
+use mitra_datagen::corpus::Category;
 use mitra_datagen::datasets::all_datasets;
 use mitra_datagen::generate_corpus;
 use mitra_datagen::social;
@@ -60,9 +62,6 @@ use mitra_synth::ColumnEvalCache;
 use mitra_trace::TraceMode;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// Corpus tasks in the Table 1 smoke slice.
-const TABLE1_SLICE: usize = 12;
 
 /// Per-entity scale of the Table 2 execution documents; the executor
 /// fingerprint gates hold at this scale only.
@@ -94,28 +93,59 @@ fn main() -> ExitCode {
     // environment's MITRA_TRACE; the overhead block below flips it deliberately.
     mitra_trace::set_mode(TraceMode::Summary);
 
-    // Table 1 smoke slice, at the parallel thread count.
-    eprintln!("bench_smoke: table1 slice ({TABLE1_SLICE} tasks, {parallel_threads} threads)...");
-    let mut tasks = generate_corpus();
-    tasks.truncate(TABLE1_SLICE);
+    // Table 1, every corpus task, at the parallel thread count.
+    let tasks = generate_corpus();
+    eprintln!(
+        "bench_smoke: table1 ({} tasks, {parallel_threads} threads)...",
+        tasks.len()
+    );
     let mut config = table1_config();
     config.threads = parallel_threads;
     let results: Vec<_> = tasks.iter().map(|t| run_task(t, &config)).collect();
-    let times: Vec<f64> = results
+    let table1_unsolved: Vec<String> = results
         .iter()
-        .filter(|r| r.solved)
-        .map(|r| r.time.as_secs_f64())
+        .filter(|r| !r.solved)
+        .map(|r| r.name.clone())
         .collect();
+    let table1_solved = results.len() - table1_unsolved.len();
+    let categories = [
+        Category::AtMostTwo,
+        Category::Three,
+        Category::Four,
+        Category::FivePlus,
+    ]
+    .map(|category| {
+        let in_category = tasks
+            .iter()
+            .zip(&results)
+            .filter(|(t, _)| t.category == category);
+        let times: Vec<f64> = in_category
+            .clone()
+            .filter(|(_, r)| r.solved)
+            .map(|(_, r)| r.time.as_secs_f64())
+            .collect();
+        obj(vec![
+            ("columns", s(category.label())),
+            ("tasks", int(in_category.count())),
+            ("solved", int(times.len())),
+            ("median_time_secs", num(median(&times))),
+            ("p90_time_secs", num(percentile(&times, 0.9))),
+            ("max_time_secs", num(percentile(&times, 1.0))),
+        ])
+    });
     let table1 = obj(vec![
         ("tasks", int(results.len())),
-        ("solved", int(results.iter().filter(|r| r.solved).count())),
-        ("median_time_secs", num(median(&times))),
-        ("mean_time_secs", num(mean(&times))),
+        ("solved", int(table1_solved)),
+        (
+            "unsolved",
+            JsonValue::Array(table1_unsolved.iter().map(s).collect()),
+        ),
         (
             "truncated_tasks",
             int(results.iter().filter(|r| r.truncated).count()),
         ),
         ("threads", int(parallel_threads)),
+        ("categories", JsonValue::Array(Vec::from(categories))),
         ("profile", {
             let mut total = mitra_synth::SynthProfile::default();
             for r in &results {
@@ -245,7 +275,8 @@ fn main() -> ExitCode {
         (
             "config",
             s(format!(
-                "table1 limit={TABLE1_SLICE}, table2 scale={SCALE} at threads 1 vs {parallel_threads}, descend 400x400 best-of-5"
+                "table1 all {} tasks, table2 scale={SCALE} at threads 1 vs {parallel_threads}, descend 400x400 best-of-5",
+                tasks.len()
             )),
         ),
         ("table1", table1),
@@ -278,6 +309,8 @@ fn main() -> ExitCode {
     eprintln!("bench_smoke: wrote {out_path}");
 
     let verdicts = gates::check(&Measured {
+        table1_solved,
+        table1_unsolved,
         descendants,
         sequential,
         programs_identical,

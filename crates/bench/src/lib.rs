@@ -13,7 +13,7 @@
 //!   paragraph and §2 claim: execution time of synthesized programs against document
 //!   size, optimized engine vs naive cross product;
 //! * `cargo run -p mitra-bench --release --bin bench_smoke` — the perf ledger
-//!   `BENCH_synthesis.json` (a Table 1 slice, Table 2, overheads, the corpus
+//!   `BENCH_synthesis.json` (Table 1, Table 2, overheads, the corpus
 //!   service, the executor, and the E7 ablations), with its gates;
 //! * `cargo run -p mitra-bench --release --bin fuzz_smoke` — the seeded
 //!   differential suite plus fault-injection and budget-exhaustion gates.
@@ -231,6 +231,19 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// The `q`-quantile of a slice of f64 values by the nearest-rank method (0.0 for
+/// an empty slice): the smallest value at or above a `q` share of them, so
+/// `percentile(v, 1.0)` is the maximum.
+pub fn percentile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Mean of a slice of f64 values (0.0 for an empty slice).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -260,6 +273,15 @@ mod tests {
         assert_eq!(median(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-9);
         assert_eq!(mean(&[]), 0.0);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let ten: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        assert_eq!(percentile(&ten, 0.9), 9.0);
+        assert_eq!(percentile(&ten, 1.0), 10.0);
+        assert_eq!(percentile(&[2.0], 0.9), 2.0);
+        assert_eq!(percentile(&[], 0.9), 0.0);
     }
 
     #[test]

@@ -173,6 +173,12 @@ pub fn label_tuples(
 /// The top-level synthesis loop passes one `cache` for all candidate table
 /// extractors of a task, which also shares the per-column [`ColumnPhiData`] across
 /// every combo touching the same column extractor.
+///
+/// The result depends on ψ only through the node lists `[[π_i]]T_e` of its columns
+/// (read via [`ColumnEvalCache::column_nodes`] and the [`ColumnPhiData`] built from
+/// them), never on the syntax of π: the search reuses one call's result for every
+/// candidate with the same lists.  A change that reads π itself must add π to that
+/// memo's key in `synthesize.rs`.
 pub fn learn_predicate(
     examples: &[Example],
     psi: &TableExtractor,

@@ -9,7 +9,10 @@
 //! cost at least the admissible θ bound `(L, Σ sizes, 0)`.  Combos pop in true cost
 //! order — per-column candidates *stream* out of the automata on demand instead of
 //! being capped and materialized up front — and each popped combo learns a filtering
-//! predicate ([`crate::predicate`]) and validates against every example.  The search
+//! predicate ([`crate::predicate`]) and validates against every example.  Both read a
+//! combo only through its columns' node lists on the examples, so combos whose
+//! columns select the same nodes as an earlier pop's reuse that pop's outcome: a
+//! call learns one predicate per distinct intermediate table.  The search
 //! stops at the first point where the best validated program provably beats every
 //! unexplored combo (see DESIGN.md §8), when the frontier drains, or after
 //! `max_table_candidates` pops; the `synth.search.stop.*` counters record which.
@@ -24,15 +27,16 @@ use crate::column::{learn_all_columns, learn_column_automata, ColumnLearnConfig}
 use crate::dfa::{DfaLimits, WordStream};
 use crate::predicate::{learn_predicate, learn_predicate_reference, PredicateLearnConfig};
 use crate::universe::UniverseConfig;
-use mitra_dsl::ast::{ColumnExtractor, Program, TableExtractor};
+use mitra_dsl::ast::{ColumnExtractor, Predicate, Program, TableExtractor};
 use mitra_dsl::cost::{cost, Cost};
 use mitra_dsl::eval::{eval_program_with, EvalLimits};
 use mitra_dsl::{Table, Value};
-use mitra_hdt::Hdt;
+use mitra_hdt::{Hdt, NodeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One input–output example: an HDT and the relational table it should map to.
@@ -221,6 +225,17 @@ enum CandidateOutcome {
     Valid(Box<Program>, Cost),
 }
 
+/// What predicate learning plus validation made of each intermediate table one
+/// `learn_transformation` call examined, keyed by the table's *extension*: the
+/// node lists `[[π_i]]T_e` of its columns on every example `e` (outer) and column
+/// `i` (inner).  `Some(φ)` when `Program(ψ, φ)` validated; `None` when no
+/// predicate was found or validation rejected the program.  Both read ψ only
+/// through those lists (DESIGN.md §8), so a candidate with a recorded extension
+/// takes the recorded outcome and only builds and costs its own program.  One
+/// entry per examined candidate at most; workers racing on one extension both
+/// compute the same value.
+type OutcomeMemo = Mutex<HashMap<Vec<Arc<Vec<NodeId>>>, Option<Predicate>>>;
+
 /// The atom floor `L`: a lower bound on the atom count of every program consistent
 /// with `examples`, read off the example outputs alone (proof in DESIGN.md §8).
 ///
@@ -257,7 +272,11 @@ fn atom_floor(examples: &[Example]) -> usize {
 /// Evaluates one candidate table extractor: cheap incremental pruning first (row
 /// coverage, product bounds, the admissible cost floor), then learn a predicate,
 /// build the program, and validate it against every example (Theorem 3 soundness
-/// check).
+/// check).  Learning and validation run once per distinct extension: a candidate
+/// whose column node lists an earlier one of this call already had reuses that
+/// one's predicate or rejection from `memo` (counted as
+/// `synth.candidates.reused`), after the same cheap rejections and prune, so the
+/// `Pruned` and `Rejected` counts do not change.
 ///
 /// The row cap matches the one `learn_predicate` already enforced on the same trees
 /// and extractor, so a candidate that reached validation can never fail on
@@ -272,6 +291,7 @@ fn evaluate_candidate(
     incumbent: Option<Cost>,
     pred_config: &PredicateLearnConfig,
     cache: &ColumnEvalCache,
+    memo: &OutcomeMemo,
     max_intermediate_rows: usize,
     predicate_nanos: &AtomicU64,
     validate_nanos: &AtomicU64,
@@ -289,13 +309,16 @@ fn evaluate_candidate(
     // Row-product guard (checked multiplication, mirroring `cross_product`)
     // plus the admissible atom bound: the call's atom floor, raised to one when an
     // intermediate table bigger or smaller than the output needs a predicate atom
-    // to filter or fail.
+    // to filter or fail.  The loop also gathers the memo key, the extension
+    // `[[π_i]]T_e` for every example `e` (outer) and column `i` (inner).
     let mut atoms_lower_bound = atom_floor;
+    let mut extension = Vec::with_capacity(examples.len() * combo.len());
     for (ex_idx, ex) in examples.iter().enumerate() {
         let mut product: Option<usize> = Some(1);
         for pi in combo {
-            let n = cache.column_nodes(ex_idx, &ex.tree, pi).len();
-            product = product.and_then(|p| p.checked_mul(n));
+            let nodes = cache.column_nodes(ex_idx, &ex.tree, pi);
+            product = product.and_then(|p| p.checked_mul(nodes.len()));
+            extension.push(nodes);
         }
         match product {
             // Overflow: `cross_product` would reject the candidate too.
@@ -317,27 +340,40 @@ fn evaluate_candidate(
     }
 
     let psi = TableExtractor::new(combo.to_vec());
-    let phi = {
-        let _span = mitra_trace::span_acc("synth", "predicate_learn", predicate_nanos);
-        learn_predicate(examples, &psi, pred_config, cache)
+    let recorded = memo
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&extension)
+        .cloned();
+    let phi = if let Some(phi) = recorded {
+        mitra_trace::counter_add!("synth.candidates.reused", 1);
+        phi
+    } else {
+        let phi = {
+            let _span = mitra_trace::span_acc("synth", "predicate_learn", predicate_nanos);
+            learn_predicate(examples, &psi, pred_config, cache)
+        };
+        let limits = EvalLimits::with_max_rows(max_intermediate_rows);
+        let phi = phi.and_then(|phi| {
+            let _span = mitra_trace::span_acc("synth", "validate", validate_nanos);
+            let program = Program::new(psi.clone(), phi);
+            let valid = examples.iter().all(|ex| {
+                eval_program_with(&ex.tree, &program, &limits)
+                    .map(|t| t.same_bag(&ex.output))
+                    .unwrap_or(false)
+            });
+            valid.then_some(program.predicate)
+        });
+        memo.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(extension, phi.clone());
+        phi
     };
     let Some(phi) = phi else {
         return CandidateOutcome::Rejected;
     };
     let mut program = Program::new(psi, phi);
     program.column_names = examples[0].output.columns.clone();
-    let limits = EvalLimits::with_max_rows(max_intermediate_rows);
-    let valid = {
-        let _span = mitra_trace::span_acc("synth", "validate", validate_nanos);
-        examples.iter().all(|ex| {
-            eval_program_with(&ex.tree, &program, &limits)
-                .map(|t| t.same_bag(&ex.output))
-                .unwrap_or(false)
-        })
-    };
-    if !valid {
-        return CandidateOutcome::Rejected;
-    }
     let c = cost(&program);
     CandidateOutcome::Valid(Box::new(program), c)
 }
@@ -509,6 +545,7 @@ pub fn learn_transformation(
         threads,
     };
     let cache = ColumnEvalCache::new(examples.len());
+    let memo = OutcomeMemo::default();
     let predicate_nanos = AtomicU64::new(0);
     let validate_nanos = AtomicU64::new(0);
     let atom_floor = atom_floor(examples);
@@ -629,6 +666,7 @@ pub fn learn_transformation(
                 incumbent,
                 &pred_config,
                 &cache,
+                &memo,
                 config.max_intermediate_rows,
                 &predicate_nanos,
                 &validate_nanos,

@@ -183,6 +183,41 @@ fn an_atom_free_program_beats_an_earlier_one_atom_program() {
     assert_eq!(s.cost.atoms, 0);
 }
 
+/// Two examples on which the shortest extractor, `descendants(s, text)`, is exact
+/// on the first and over-approximates the second, where it also selects the
+/// company's name.  The search reuses predicate outcomes between candidates whose
+/// columns select the same nodes on *every* example; a reuse keyed by the first
+/// example alone would hand later candidates that first rejection or a predicate
+/// learned for other nodes, and return a 1-atom program.
+#[test]
+fn outcome_reuse_reads_every_example() {
+    let example = |doc: &str, names: &[&[&str]]| {
+        Example::new(xml_to_hdt(doc).unwrap(), Table::from_rows(&["name"], names))
+    };
+    let examples = [
+        example(
+            "<r><p><name>Ann</name></p><p><name>Bob</name></p></r>",
+            &[&["Ann"], &["Bob"]],
+        ),
+        example(
+            "<r><p><name>Cy</name></p><c><name>Acme</name></c></r>",
+            &[&["Cy"]],
+        ),
+    ];
+    assert_equivalent(&examples).unwrap();
+    let config = SynthConfig {
+        timeout: None,
+        threads: 1,
+        ..Default::default()
+    };
+    let s = learn_transformation(&examples, &config).unwrap();
+    assert_eq!(
+        pretty::program(&s.program),
+        r"\tau. filter((\s.descendants(children(s, p), text)){root(tau)}, \t. true)"
+    );
+    assert_eq!(s.cost.atoms, 0);
+}
+
 #[test]
 fn equivalent_on_unsatisfiable_specification() {
     let ex = Example::new(

@@ -10,11 +10,14 @@
 //!   migration run is valid JSON with balanced B/E span pairs and per-thread
 //!   monotone timestamps, i.e. something Perfetto will actually load;
 //! * **search stops** — each synthesis call that reaches the best-first search adds
-//!   one to exactly one `synth.search.stop.*` counter.
+//!   one to exactly one `synth.search.stop.*` counter;
+//! * **outcome reuse** — `synth.candidates.reused` counts the examined candidates
+//!   that took an earlier candidate's predicate-learning outcome.
 //!
 //! The trace mode is a process-global `AtomicU8`, so every test that flips it
 //! holds `MODE_LOCK` and restores the summary default before releasing it.
 
+use mitra::datagen::generate_corpus;
 use mitra::dsl::{pretty, Table, Value};
 use mitra::hdt::generate::{social_network, social_network_rows};
 use mitra::hdt::JsonValue;
@@ -208,4 +211,36 @@ fn every_search_counts_how_it_stopped() {
         Table::from_rows(&["x"], &[&["not-in-the-tree"]]),
     );
     assert_eq!(stops_added_by(&[unsatisfiable], &config(1)), [0; 5]);
+}
+
+/// `synth.candidates.reused` and the examined-candidate count of one synthesis
+/// call at one thread with the default configuration and no deadline.
+fn reused_and_examined(examples: &[Example]) -> (u64, usize) {
+    let config = SynthConfig {
+        timeout: None,
+        threads: 1,
+        ..Default::default()
+    };
+    let before = trace::snapshot();
+    let s = learn_transformation(examples, &config).expect("synthesis");
+    let delta = trace::snapshot().delta(&before);
+    (delta.counter("synth.candidates.reused"), s.candidates_tried)
+}
+
+#[test]
+fn candidates_with_an_examined_extension_reuse_its_outcome() {
+    let _guard = MODE_LOCK.lock().unwrap();
+    trace::set_mode(TraceMode::Summary);
+    // A four-column Table 1 task pops to the cap, and every examined candidate
+    // after the first selects the first one's nodes.
+    let task = generate_corpus()
+        .into_iter()
+        .find(|t| t.name == "flat-4col-29")
+        .expect("corpus task");
+    let examples = std::slice::from_ref(&task.example);
+    assert_eq!(reused_and_examined(examples), (127, 128));
+    // The motivating example stops by proof after one pop: nothing to reuse.
+    let example = motivating_example();
+    let examples = std::slice::from_ref(&example);
+    assert_eq!(reused_and_examined(examples), (0, 1));
 }
