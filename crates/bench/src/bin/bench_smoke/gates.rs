@@ -210,8 +210,11 @@ const MONDIAL_MIN_PARALLEL_SPEEDUP: f64 = 1.0;
 /// Sequential MONDIAL synthesis explores one DFA state graph per synthesis
 /// call (its 25 tables have one example each) and derives one column automaton
 /// per (column, example) pair from them (120 columns).  Exploring a graph per
-/// column automaton again would read 120 graphs.
+/// column automaton again would read 120 graphs.  The 25 graphs hold 1,054
+/// states each; a build that discovers other states, or truncates elsewhere,
+/// reads another total.
 const MONDIAL_DFA_GRAPHS: u64 = 25;
+const MONDIAL_DFA_GRAPH_STATES: u64 = 26_350;
 const MONDIAL_COLUMN_AUTOMATA: u64 = 120;
 
 /// Sequential MONDIAL synthesis examines 600 candidates, and 466 of them select
@@ -253,13 +256,17 @@ fn table2(v: &mut Verdicts, m: &Measured) {
             let workers_detail = format!("pool worker slots recorded: {workers}");
             v.check("table2.MONDIAL.pool_workers", workers > 0, workers_detail);
             let graphs = row.metrics.counter("synth.dfa.graphs");
+            let states = row.metrics.counter("synth.dfa.graph_states");
             let automata = row.metrics.counter("synth.dfa.column_automata");
             v.check(
                 "table2.MONDIAL.dfa_graphs",
-                graphs == MONDIAL_DFA_GRAPHS && automata == MONDIAL_COLUMN_AUTOMATA,
+                graphs == MONDIAL_DFA_GRAPHS
+                    && states == MONDIAL_DFA_GRAPH_STATES
+                    && automata == MONDIAL_COLUMN_AUTOMATA,
                 format!(
-                    "{graphs} graphs for {automata} column automata \
-                     (expected {MONDIAL_DFA_GRAPHS} for {MONDIAL_COLUMN_AUTOMATA})"
+                    "{graphs} graphs of {states} states for {automata} column automata \
+                     (expected {MONDIAL_DFA_GRAPHS} of {MONDIAL_DFA_GRAPH_STATES} \
+                     for {MONDIAL_COLUMN_AUTOMATA})"
                 ),
             );
             let reused = row.metrics.counter("synth.candidates.reused");
@@ -453,6 +460,7 @@ mod tests {
                         ("synth.candidates.examined", MONDIAL_EXAMINED),
                         ("synth.candidates.reused", MONDIAL_REUSED),
                         ("synth.dfa.column_automata", MONDIAL_COLUMN_AUTOMATA),
+                        ("synth.dfa.graph_states", MONDIAL_DFA_GRAPH_STATES),
                         ("synth.dfa.graphs", MONDIAL_DFA_GRAPHS),
                     ];
                     r.metrics.workers = vec![WorkerSnapshot {
@@ -648,6 +656,12 @@ mod tests {
     fn mondial_builds_one_dfa_graph_per_table() {
         flips("table2.MONDIAL.dfa_graphs", |m| {
             *mondial_counter(m, "synth.dfa.graphs") += 1
+        });
+        flips("table2.MONDIAL.dfa_graphs", |m| {
+            *mondial_counter(m, "synth.dfa.graph_states") += 1
+        });
+        flips("table2.MONDIAL.dfa_graphs", |m| {
+            *mondial_counter(m, "synth.dfa.graph_states") -= 1
         });
         flips("table2.MONDIAL.dfa_graphs", |m| {
             *mondial_counter(m, "synth.dfa.column_automata") += 1

@@ -14,6 +14,18 @@
 //! tree, and each of the tree's columns derives its [`Dfa`] from that graph by
 //! computing acceptance only, sharing the graph's transitions.
 //!
+//! Few letters fire on a state: in one MONDIAL example graph, 3,187 of the 1,054
+//! states × 388 letters select a non-empty set.  So the build does not apply every
+//! letter to every state.  It computes all of a state's successors in one pass over
+//! its nodes' subtrees, read from the tree's pre-order index: a child selects itself
+//! for its `Children` and `PChildren` letters, a strict descendant for its
+//! `Descendants` letter.  A build then costs the alphabet, one rank lookup per node,
+//! and per state the size of its nodes' subtrees plus a sort of the (letter, node)
+//! pairs they yield; a state of leaves costs nothing.  The successors are interned in
+//! alphabet order, the order in which applying every letter in turn finds them, so
+//! state numbering and the states a `max_states` truncation keeps are those of the
+//! per-letter construction (the test module keeps it as the reference).
+//!
 //! The automaton for several examples is the intersection (product) of the per-example
 //! automata.  Because all automata share the same *symbolic* alphabet, the product is
 //! taken over [`ExtractorStep`] letters.
@@ -60,9 +72,31 @@ pub(crate) struct StateGraph {
 impl StateGraph {
     /// Explores the node-set states reachable from `{root}` breadth-first, up to
     /// `limits.max_word_len` letters and `limits.max_states` states.
+    ///
+    /// Each state's successors come from one pass over its nodes' subtrees and are
+    /// interned in alphabet order, the order in which applying every letter in turn
+    /// finds them (see the module docs).
     pub(crate) fn build(tree: &Hdt, limits: DfaLimits) -> StateGraph {
         // Alphabet: every children/pchildren/descendants letter instantiated from the tree.
         let alphabet = alphabet_of(tree);
+        let rank: HashMap<ExtractorStep, usize> =
+            alphabet.iter().enumerate().map(|(i, l)| (*l, i)).collect();
+        // The alphabet ranks of the letters that select each node: `Children` and
+        // `PChildren` from its parent, `Descendants` from any ancestor.  The root is
+        // selected by none, so its entry is never read.
+        let letters_of: Vec<[usize; 3]> = tree
+            .ids()
+            .map(|id| {
+                let n = tree.node(id);
+                [
+                    ExtractorStep::Children(n.tag),
+                    ExtractorStep::PChildren(n.tag, n.pos),
+                    ExtractorStep::Descendants(n.tag),
+                ]
+                .map(|l| rank.get(&l).copied().unwrap_or(usize::MAX))
+            })
+            .collect();
+        let preorder = tree.preorder();
 
         let mut states: Vec<Vec<NodeId>> = Vec::new();
         let mut index: HashMap<Vec<NodeId>, usize> = HashMap::new();
@@ -70,7 +104,7 @@ impl StateGraph {
         let mut depth_of: Vec<usize> = Vec::new();
         let mut truncated = false;
 
-        let initial = canonical(vec![tree.root()]);
+        let initial = vec![tree.root()];
         index.insert(initial.clone(), 0);
         states.push(initial);
         transitions.push(HashMap::new());
@@ -78,18 +112,33 @@ impl StateGraph {
 
         let mut queue = VecDeque::new();
         queue.push_back(0usize);
+        // (letter rank, node) for every node some letter selects from the state.
+        let mut selected: Vec<(usize, NodeId)> = Vec::new();
 
         while let Some(q) = queue.pop_front() {
             if depth_of[q] >= limits.max_word_len {
                 continue;
             }
-            let current = states[q].clone();
-            for letter in &alphabet {
-                let next_set = apply_step(tree, &current, letter);
-                if next_set.is_empty() {
-                    continue;
+            selected.clear();
+            for &n in &states[q] {
+                for &c in tree.children(n) {
+                    let [children, pchildren, _] = letters_of[c.index()];
+                    selected.extend([(children, c), (pchildren, c)]);
                 }
-                let next_set = canonical(next_set);
+                let subtree = tree.preorder_number(n) as usize + 1..tree.subtree_end(n) as usize;
+                selected.extend(preorder[subtree].iter().map(|&d| {
+                    let [.., descendants] = letters_of[d.index()];
+                    (descendants, d)
+                }));
+            }
+            // Sorting groups the pairs by letter in alphabet order and sorts each
+            // letter's nodes; dedup drops a node reached from two of the state's
+            // nodes (an ancestor and its descendant).
+            selected.sort_unstable();
+            selected.dedup();
+            for group in selected.chunk_by(|a, b| a.0 == b.0) {
+                let letter = alphabet[group[0].0];
+                let next_set: Vec<NodeId> = group.iter().map(|&(_, n)| n).collect();
                 let next_q = match index.get(&next_set) {
                     Some(&i) => i,
                     None => {
@@ -106,7 +155,7 @@ impl StateGraph {
                         i
                     }
                 };
-                transitions[q].insert(*letter, next_q);
+                transitions[q].insert(letter, next_q);
             }
         }
 
@@ -410,13 +459,6 @@ pub fn apply_step(tree: &Hdt, set: &[NodeId], step: &ExtractorStep) -> Vec<NodeI
     }
 }
 
-/// Canonicalizes a node set: sorted, deduplicated.
-fn canonical(mut set: Vec<NodeId>) -> Vec<NodeId> {
-    set.sort_unstable();
-    set.dedup();
-    set
-}
-
 /// `s ⊇ column`: every value in the column equals the data stored at some node in `s`.
 pub fn covers_column(tree: &Hdt, set: &[NodeId], column: &[Value]) -> bool {
     if column.is_empty() {
@@ -437,10 +479,103 @@ mod tests {
     use super::*;
     use mitra_dsl::ast::ColumnExtractor;
     use mitra_dsl::eval::eval_column;
-    use mitra_hdt::generate::social_network;
+    use mitra_hdt::generate::{chain, nested_objects, nested_objects_rich, social_network, wide};
 
     fn name_column() -> Vec<Value> {
         vec![Value::str("Alice"), Value::str("Bob")]
+    }
+
+    /// The reference for [`StateGraph::build`]: Figure 9's rules 1–4 read
+    /// literally, applying every alphabet letter to every state in turn.
+    fn build_per_letter(tree: &Hdt, limits: DfaLimits) -> StateGraph {
+        let alphabet = alphabet_of(tree);
+
+        let mut states: Vec<Vec<NodeId>> = Vec::new();
+        let mut index: HashMap<Vec<NodeId>, usize> = HashMap::new();
+        let mut transitions: Transitions = Vec::new();
+        let mut depth_of: Vec<usize> = Vec::new();
+        let mut truncated = false;
+
+        let initial = vec![tree.root()];
+        index.insert(initial.clone(), 0);
+        states.push(initial);
+        transitions.push(HashMap::new());
+        depth_of.push(0);
+
+        let mut queue = VecDeque::new();
+        queue.push_back(0usize);
+
+        while let Some(q) = queue.pop_front() {
+            if depth_of[q] >= limits.max_word_len {
+                continue;
+            }
+            let current = states[q].clone();
+            for letter in &alphabet {
+                let mut next_set = apply_step(tree, &current, letter);
+                if next_set.is_empty() {
+                    continue;
+                }
+                next_set.sort_unstable();
+                next_set.dedup();
+                let next_q = match index.get(&next_set) {
+                    Some(&i) => i,
+                    None => {
+                        if states.len() >= limits.max_states {
+                            truncated = true;
+                            continue;
+                        }
+                        let i = states.len();
+                        index.insert(next_set.clone(), i);
+                        states.push(next_set);
+                        transitions.push(HashMap::new());
+                        depth_of.push(depth_of[q] + 1);
+                        queue.push_back(i);
+                        i
+                    }
+                };
+                transitions[q].insert(*letter, next_q);
+            }
+        }
+
+        StateGraph {
+            states,
+            transitions: Arc::new(transitions),
+            truncated,
+        }
+    }
+
+    /// Asserts that the one-pass build equals the per-letter reference state for
+    /// state: node sets (and so numbering), transitions and truncation.
+    fn assert_matches_reference(tree: &Hdt, limits: DfaLimits) -> StateGraph {
+        let graph = StateGraph::build(tree, limits);
+        let reference = build_per_letter(tree, limits);
+        assert_eq!(graph.states, reference.states, "{limits:?}");
+        assert_eq!(graph.transitions, reference.transitions, "{limits:?}");
+        assert_eq!(graph.truncated, reference.truncated, "{limits:?}");
+        graph
+    }
+
+    #[test]
+    fn one_pass_build_matches_the_per_letter_reference() {
+        // The nested-object trees put an `object` inside an `object`, so a state
+        // can hold an ancestor and its descendant, whose successors overlap.
+        let trees = [
+            social_network(2, 1),
+            social_network(6, 3),
+            chain(8),
+            wide(50),
+            nested_objects(),
+            nested_objects_rich(),
+        ];
+        let d = DfaLimits::default();
+        let mut limits = vec![d];
+        limits.extend([3, 10, 100].map(|max_states| DfaLimits { max_states, ..d }));
+        limits.extend([1, 2].map(|max_word_len| DfaLimits { max_word_len, ..d }));
+        for tree in &trees {
+            for &l in &limits {
+                assert_matches_reference(tree, l);
+            }
+        }
     }
 
     /// The DFA of one (tree, column) example, built through its state graph.
@@ -569,8 +704,11 @@ mod tests {
             max_states: 3,
             max_word_len: 2,
         };
-        let dfa = construct(&t, &name_column(), limits);
-        assert!(dfa.num_states() <= 3);
+        // Truncation keeps the first states discovered, so the exact graph pins the
+        // discovery order.
+        let graph = assert_matches_reference(&t, limits);
+        assert!(graph.truncated);
+        assert_eq!(graph.num_states(), 3);
     }
 
     #[test]
