@@ -4,7 +4,7 @@
 //! Run with: `cargo run -p mitra-bench --release --bin bench_smoke [-- --out PATH]
 //! [-- --threads N] [-- --trace-out PATH]`
 //!
-//! The output has eight blocks:
+//! The output has seven blocks:
 //!
 //! * `table1` — synthesis over all 98 corpus tasks (Table 1), run at the
 //!   parallel thread count: solved tasks, and the median, p90 and max synthesis
@@ -25,8 +25,7 @@
 //!   naive subtree walk against the pre-order/occurrence-list index;
 //! * `executor` — planner wall time, plan shape and a table fingerprint (`rows`
 //!   and the FNV-1a hash of the CSV text) on the E3 million-element document, a
-//!   join-ordering workload, and every Table 2 dataset;
-//! * `ablation` — the E7 design-choice pairs on the motivating example, ungated.
+//!   join-ordering workload, and every Table 2 dataset.
 //!
 //! With `--trace-out` it also writes a full-mode MONDIAL Perfetto trace.  After
 //! writing the file it checks every gate in [`gates`] on the values it measured,
@@ -49,16 +48,10 @@ use mitra_dsl::ast::{
 use mitra_dsl::parse::parse_program;
 use mitra_dsl::{Table, Value};
 use mitra_hdt::Hdt;
-use mitra_synth::baseline::{
-    enumerate_column_extractors_blind, learn_transformation_baseline, EnumerationStats,
-};
 use mitra_synth::budget::Budget;
-use mitra_synth::column::{learn_all_columns, ColumnLearnConfig};
 use mitra_synth::exec::{execute_with_stats, plan_with_tree};
 use mitra_synth::fingerprint::{fnv1a, FNV_OFFSET};
-use mitra_synth::predicate::{learn_predicate, PredicateLearnConfig};
-use mitra_synth::synthesize::{learn_transformation, Example, SynthConfig};
-use mitra_synth::ColumnEvalCache;
+use mitra_synth::synthesize::{learn_transformation, SynthConfig};
 use mitra_trace::TraceMode;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -216,8 +209,7 @@ fn main() -> ExitCode {
         eprintln!("bench_smoke: wrote {path} ({} events)", events.len());
     }
 
-    // The synthesized motivating-example program, shared by the executor's E3
-    // workload and the ablation block.
+    // The synthesized motivating-example program, the executor's E3 workload.
     let motivating = learn_transformation(&[social::training_example()], &SynthConfig::default())
         .expect("motivating-example synthesis succeeds")
         .program;
@@ -241,9 +233,6 @@ fn main() -> ExitCode {
     // The descendants-index headline comparison.
     eprintln!("bench_smoke: descendants index workload...");
     let descendants = descend::measure(400, 400, 5);
-
-    eprintln!("bench_smoke: E7 ablations on the motivating example...");
-    let ablation = ablation_block(&motivating);
 
     let mut table2_fields = vec![
         (
@@ -302,7 +291,6 @@ fn main() -> ExitCode {
             ]),
         ),
         ("executor", executor_json),
-        ("ablation", ablation),
     ]);
     std::fs::write(&out_path, format!("{}\n", doc.to_string_pretty()))
         .expect("write baseline file");
@@ -504,77 +492,6 @@ fn executor_block(sequential: &[MigrationRow], motivating: &Program) -> (Vec<Wor
         ("datasets", JsonValue::Array(datasets)),
     ]);
     (workloads, json)
-}
-
-/// The E7 ablation pairs on the motivating example, each side best of five and
-/// all on one thread: the exact (ILP-equivalent) predicate cover vs the greedy
-/// cover over `motivating`'s extractors, DFA column learning vs blind
-/// enumeration on column 0, and the synthesizer vs the baseline synthesizer
-/// (blind enumeration plus greedy cover).  The optimized join vs the naive cross
-/// product is the `scalability` bin's pair.
-fn ablation_block(motivating: &Program) -> JsonValue {
-    const RUNS: usize = 5;
-    let example = social::training_example();
-    let examples = std::slice::from_ref(&example);
-
-    let exact = PredicateLearnConfig::default();
-    let greedy = PredicateLearnConfig {
-        exact_cover: false,
-        ..exact
-    };
-    // A fresh column cache per run, so no run reuses another's evaluations.
-    let cover = |config: &PredicateLearnConfig| {
-        let psi = &motivating.extractor;
-        best_of(RUNS, || {
-            learn_predicate(examples, psi, config, &ColumnEvalCache::new(1))
-        })
-        .1
-    };
-
-    let mut first_column = Table::new(vec![example.output.columns[0].clone()]);
-    for value in example.output.column(0) {
-        first_column.push(vec![value]);
-    }
-    let column_example = Example::new(example.tree.clone(), first_column);
-    let column_examples = std::slice::from_ref(&column_example);
-    let (_, dfa_secs) = best_of(RUNS, || {
-        learn_all_columns(column_examples, 1, &ColumnLearnConfig::default(), 1)
-    });
-    let (_, blind_secs) = best_of(RUNS, || {
-        enumerate_column_extractors_blind(examples, 0, 4, 16, &mut EnumerationStats::default())
-    });
-
-    let config = SynthConfig {
-        threads: 1,
-        timeout: None,
-        ..SynthConfig::default()
-    };
-    let (_, synth_secs) = best_of(RUNS, || learn_transformation(examples, &config));
-    let (_, baseline_secs) = best_of(RUNS, || learn_transformation_baseline(examples, &config));
-
-    obj(vec![
-        (
-            "predicate_cover",
-            obj(vec![
-                ("exact_secs", num(cover(&exact))),
-                ("greedy_secs", num(cover(&greedy))),
-            ]),
-        ),
-        (
-            "column_learning",
-            obj(vec![
-                ("dfa_secs", num(dfa_secs)),
-                ("blind_enumeration_secs", num(blind_secs)),
-            ]),
-        ),
-        (
-            "synthesis",
-            obj(vec![
-                ("synthesizer_secs", num(synth_secs)),
-                ("baseline_secs", num(baseline_secs)),
-            ]),
-        ),
-    ])
 }
 
 /// True when both runs synthesized byte-identical programs for every dataset.

@@ -11,10 +11,10 @@
 //!   synthesis and execution times, row counts;
 //! * `cargo run -p mitra-bench --release --bin scalability` — the §7.1 performance
 //!   paragraph and §2 claim: execution time of synthesized programs against document
-//!   size, optimized engine vs naive cross product;
+//!   size, optimized engine vs naive cross product (E3, and E7's design-choice pair);
 //! * `cargo run -p mitra-bench --release --bin bench_smoke` — the perf ledger
 //!   `BENCH_synthesis.json` (Table 1, Table 2, overheads, the corpus
-//!   service, the executor, and the E7 ablations), with its gates;
+//!   service, the descendants index and the executor), with its gates;
 //! * `cargo run -p mitra-bench --release --bin fuzz_smoke` — the seeded
 //!   differential suite plus fault-injection and budget-exhaustion gates.
 //!

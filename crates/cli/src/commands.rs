@@ -135,7 +135,7 @@ pub fn synthesize(
         out,
         "-- synthesized in {:.2}s ({} candidate table extractors, {} consistent programs, {} predicate atoms)",
         elapsed.as_secs_f64(),
-        synthesis.candidates_tried,
+        synthesis.profile.candidates_examined,
         synthesis.programs_found,
         synthesis.cost.atoms,
     );
@@ -370,13 +370,16 @@ fn find_dataset(name: &str) -> Result<DatasetSpec, CliError> {
         })
 }
 
-/// Makes sure the synthesis configuration used for dataset migrations is exposed for
-/// interested callers (the CLI prints it with `--verbose`).
+/// The knobs that bound synthesis in dataset migrations, as `datasets --verbose`
+/// prints them: the table candidates examined, the DFA limits and the timeout.
 pub fn dataset_config_summary() -> String {
     let config = dataset_synth_config();
     format!(
-        "dataset synthesis config: {} column candidates, {} table candidates, timeout {:?}",
-        config.max_column_candidates, config.max_table_candidates, config.timeout
+        "dataset synthesis config: {} table candidates, DFA of at most {} states and {}-letter words, timeout {:?}",
+        config.max_table_candidates,
+        config.dfa_limits.max_states,
+        config.dfa_limits.max_word_len,
+        config.timeout
     )
 }
 

@@ -82,7 +82,7 @@ USAGE:
     mitra-cli corpus gen --out <file> [--docs <n>] [--seed <s>] [--malformed-pct <p>]
     mitra-cli corpus run --input <file> --out-dir <dir> [--shard-size <n>] [--retries <k>] [--budget-rows <n>]
     mitra-cli corpus resume --input <file> --out-dir <dir> [--shard-size <n>] [--retries <k>] [--budget-rows <n>]
-    mitra-cli datasets
+    mitra-cli datasets [--verbose]
     mitra-cli migrate <dblp|imdb|mondial|yelp> [--scale <per-entity>] [--query <sql>] [--strict]
                       [--budget-candidates <n>] [--budget-dfa-states <n>] [--budget-rows <n>]
     mitra-cli help
@@ -621,6 +621,9 @@ mod tests {
         for name in ["DBLP", "IMDB", "MONDIAL", "YELP"] {
             assert!(out.contains(name));
         }
-        assert!(out.contains("synthesis config"));
+        assert!(out.contains(
+            "dataset synthesis config: 24 table candidates, DFA of at most 2048 states \
+             and 4-letter words, timeout Some(120s)"
+        ));
     }
 }

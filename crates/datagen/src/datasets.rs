@@ -171,7 +171,6 @@ pub fn dataset_synth_config() -> SynthConfig {
             max_states: 2048,
             max_word_len: 4,
         },
-        max_column_candidates: 6,
         max_table_candidates: 24,
         universe: UniverseConfig {
             max_node_extractor_depth: 2,
@@ -180,7 +179,6 @@ pub fn dataset_synth_config() -> SynthConfig {
             with_ordering: false,
         },
         max_intermediate_rows: 200_000,
-        exact_cover: true,
         timeout: Some(std::time::Duration::from_secs(120)),
         budget: mitra_synth::budget::Budget::UNLIMITED,
         threads: 0,

@@ -1,11 +1,12 @@
 //! Shared column-evaluation cache for candidate enumeration.
 //!
 //! The top-level synthesis loop tries up to `max_table_candidates` table extractors,
-//! but they are drawn from the cartesian product of small per-column candidate lists:
-//! with 3 columns × 16 candidates, 128 combos reuse only 48 distinct column
-//! extractors.  Evaluating `[[π]]T` once per distinct extractor per example — instead
-//! of once per combo — removes the redundant tree walks, and sharing the cache across
-//! pool workers means concurrent candidates never repeat each other's work either.
+//! but they are combinations of the columns' streamed words, so column extractors
+//! recur across combos: the cheap combos the search pops pair a few short words of
+//! each column in many ways.  Evaluating `[[π]]T` once per distinct extractor per
+//! example — instead of once per combo — removes the redundant tree walks, and
+//! sharing the cache across pool workers means concurrent candidates never repeat
+//! each other's work either.
 //!
 //! Keys are [`ColumnExtractor`]s, which hash as their interned `TagId` step paths
 //! (`u32` handles, no strings).  Values are `Arc`'d node lists so workers borrow the

@@ -2,8 +2,8 @@
 //!
 //! For each input–output example we build the DFA of Figure 9 and intersect them; the
 //! words accepted by the resulting automaton are exactly the column extractors
-//! consistent with every example.  We enumerate accepted words shortest-first so that
-//! the simplest candidates are considered first by the top-level synthesizer.
+//! consistent with every example.  The top-level synthesizer streams the accepted
+//! words shortest-first ([`Dfa::stream`]), so the simplest candidates come first.
 //!
 //! The states and transitions of an example's automata depend on its tree only, so
 //! each example's state graph is explored once and shared by the automata of all its
@@ -12,68 +12,7 @@
 use crate::budget::{Budget, BudgetBreach, BudgetResource};
 use crate::dfa::{Dfa, DfaLimits, StateGraph};
 use crate::synthesize::Example;
-use mitra_dsl::ast::ColumnExtractor;
 use mitra_dsl::Value;
-
-/// Configuration knobs for column-extractor learning.
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnLearnConfig {
-    /// Limits on DFA construction.
-    pub limits: DfaLimits,
-    /// Maximum number of candidate extractors returned per column.
-    pub max_candidates: usize,
-}
-
-impl Default for ColumnLearnConfig {
-    fn default() -> Self {
-        ColumnLearnConfig {
-            limits: DfaLimits::default(),
-            max_candidates: 32,
-        }
-    }
-}
-
-/// Candidate extractors learned for one output column, with truncation provenance.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnCandidates {
-    /// Candidate extractors, ordered simplest-first.  Empty when no extractor within
-    /// the configured limits covers the column.
-    pub extractors: Vec<ColumnExtractor>,
-    /// True when any per-example DFA hit a construction limit or the enumeration hit
-    /// the candidate cap: the candidate list may then under-approximate the search
-    /// space.
-    pub truncated: bool,
-}
-
-/// Learns capped, simplest-first candidate extractor lists for **every** output
-/// column `0..arity` by enumerating the automata of [`learn_column_automata`]
-/// (shortest words first, name-sorted tie-break).  Only the exhaustive reference
-/// search materializes these lists; the best-first search streams words instead.
-pub fn learn_all_columns(
-    examples: &[Example],
-    arity: usize,
-    config: &ColumnLearnConfig,
-    threads: usize,
-) -> Vec<ColumnCandidates> {
-    learn_column_automata(examples, arity, config.limits, threads, None)
-        .dfas
-        .into_iter()
-        .map(|dfa| {
-            let Some(dfa) = dfa else {
-                return ColumnCandidates::default();
-            };
-            let enumeration = dfa.enumerate(config.limits.max_word_len, config.max_candidates);
-            ColumnCandidates {
-                extractors: enumeration
-                    .words
-                    .iter()
-                    .map(|word| ColumnExtractor::from_steps(word))
-                    .collect(),
-                truncated: dfa.truncated || enumeration.truncated,
-            }
-        })
-        .collect()
-}
 
 /// Per-column product automata plus phase timings for [`learn_column_automata`].
 #[derive(Debug)]
@@ -104,10 +43,8 @@ pub struct ColumnAutomata {
 /// is explored once (the examples fan out), and every (column, example) automaton
 /// is derived from its example's graph by computing acceptance alone (the pairs fan
 /// out).  The per-column product automata are then intersected **in example
-/// order**, so the resulting automata (and any enumeration over them) are
-/// byte-identical to the sequential path regardless of scheduling.  The best-first
-/// table search streams words from these automata directly instead of
-/// materializing a capped candidate list.
+/// order**, so the resulting automata (and the words streamed from them) are
+/// byte-identical to the sequential path regardless of scheduling.
 ///
 /// `max_states` is an optional deterministic state budget.  State fuel is spent in
 /// canonical order — every per-(column, example) automaton's states first (pair
@@ -224,20 +161,23 @@ pub fn learn_column_automata(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mitra_dsl::ast::ColumnExtractor;
     use mitra_dsl::eval::{eval_column, node_value};
     use mitra_dsl::Table;
     use mitra_hdt::generate::social_network;
 
-    /// The candidates of column `col`, learned sequentially.
-    fn learn_column(
-        examples: &[Example],
-        col: usize,
-        config: &ColumnLearnConfig,
-    ) -> Vec<ColumnExtractor> {
+    /// The first 32 words of column `col`'s automaton, as extractors, built at
+    /// `threads` workers.
+    fn learn_column(examples: &[Example], col: usize, threads: usize) -> Vec<ColumnExtractor> {
+        let limits = DfaLimits::default();
         let arity = examples[0].output.arity();
-        learn_all_columns(examples, arity, config, 1)
-            .swap_remove(col)
-            .extractors
+        let automata = learn_column_automata(examples, arity, limits, threads, None);
+        let dfa = automata.dfas[col].as_ref().expect("examples to intersect");
+        let mut stream = dfa.stream(limits.max_word_len);
+        std::iter::from_fn(|| stream.next_word())
+            .take(32)
+            .map(|word| ColumnExtractor::from_steps(&word))
+            .collect()
     }
 
     fn example() -> Example {
@@ -253,7 +193,7 @@ mod tests {
     #[test]
     fn learns_name_extractor_for_first_column() {
         let ex = example();
-        let cands = learn_column(std::slice::from_ref(&ex), 0, &ColumnLearnConfig::default());
+        let cands = learn_column(std::slice::from_ref(&ex), 0, 1);
         assert!(!cands.is_empty());
         // Every candidate must cover {Alice, Bob}.
         for pi in &cands {
@@ -270,7 +210,7 @@ mod tests {
     #[test]
     fn candidates_are_ordered_simplest_first() {
         let ex = example();
-        let cands = learn_column(&[ex], 0, &ColumnLearnConfig::default());
+        let cands = learn_column(&[ex], 0, 1);
         for pair in cands.windows(2) {
             assert!(pair[0].size() <= pair[1].size());
         }
@@ -281,7 +221,7 @@ mod tests {
         // The paper notes four different extractors for the `years` column (π31..π34);
         // we only require that more than one exists (e.g. via years and via id).
         let ex = example();
-        let cands = learn_column(&[ex], 2, &ColumnLearnConfig::default());
+        let cands = learn_column(&[ex], 2, 1);
         assert!(
             cands.len() > 1,
             "expected several candidates, got {cands:?}"
@@ -294,15 +234,15 @@ mod tests {
             tree: social_network(2, 1),
             output: Table::from_rows(&["x"], &[&["value-not-in-tree"]]),
         };
-        let cands = learn_column(&[ex], 0, &ColumnLearnConfig::default());
+        let cands = learn_column(&[ex], 0, 1);
         assert!(cands.is_empty());
     }
 
     #[test]
     fn multiple_examples_restrict_candidates() {
         let examples = two_examples();
-        let one = learn_column(&examples[..1], 0, &ColumnLearnConfig::default());
-        let both = learn_column(&examples, 0, &ColumnLearnConfig::default());
+        let one = learn_column(&examples[..1], 0, 1);
+        let both = learn_column(&examples, 0, 1);
         assert!(!both.is_empty());
         assert!(both.len() <= one.len());
     }
@@ -350,47 +290,14 @@ mod tests {
     }
 
     #[test]
-    fn learn_all_columns_is_identical_across_thread_counts() {
+    fn column_words_are_identical_across_thread_counts() {
         let examples = two_examples();
-        let config = ColumnLearnConfig::default();
-        let sequential = learn_all_columns(&examples, 3, &config, 1);
-        let parallel = learn_all_columns(&examples, 3, &config, 4);
         for col in 0..3 {
             assert_eq!(
-                sequential[col].extractors, parallel[col].extractors,
+                learn_column(&examples, col, 1),
+                learn_column(&examples, col, 4),
                 "column {col} diverged between thread counts"
             );
         }
-    }
-
-    #[test]
-    fn learn_all_columns_reports_truncation() {
-        let ex = example();
-        let tight = ColumnLearnConfig {
-            max_candidates: 1,
-            ..Default::default()
-        };
-        let cands = learn_all_columns(std::slice::from_ref(&ex), 3, &tight, 2);
-        assert!(
-            cands.iter().any(|c| c.truncated),
-            "a 1-candidate cap must report truncation"
-        );
-        let generous = ColumnLearnConfig {
-            max_candidates: 100_000,
-            ..Default::default()
-        };
-        let roomy = learn_all_columns(std::slice::from_ref(&ex), 1, &generous, 2);
-        assert!(!roomy[0].truncated);
-    }
-
-    #[test]
-    fn respects_candidate_cap() {
-        let ex = example();
-        let config = ColumnLearnConfig {
-            max_candidates: 2,
-            ..Default::default()
-        };
-        let cands = learn_column(&[ex], 2, &config);
-        assert!(cands.len() <= 2);
     }
 }

@@ -6,15 +6,13 @@
 //! minimum set-cover instance where the elements are the pairs and each predicate
 //! covers the pairs on which its truth value differs.
 //!
-//! Two solvers are provided:
-//!
-//! * [`solve_exact`] — branch-and-bound search that returns an optimal cover (the
-//!   behaviour required by Theorem 2).  The greedy solution is used as the initial
-//!   upper bound, and ties between equally-sized covers are broken in favour of
-//!   smaller total predicate weight (we use the predicate's syntactic size as weight so
-//!   the Occam's-razor ranking is deterministic).
-//! * [`solve_greedy`] — the classical ln(n)-approximation, used as a fallback for very
-//!   large universes and as the ablation baseline of experiment E7.
+//! Predicate learning and QM's Petrick step call [`solve_exact`], a branch-and-bound
+//! search that returns an optimal cover (the behaviour required by Theorem 2).  Ties
+//! between equally-sized covers are broken in favour of smaller total predicate
+//! weight (we use the predicate's syntactic size as weight so the Occam's-razor
+//! ranking is deterministic).  Its initial upper bound, and its answer when the node
+//! cap stops it before it finds a better cover, is [`solve_greedy`], the classical
+//! ln(n)-approximation.
 //!
 //! Both solvers return the empty cover for a zero-element instance.  Since the
 //! cost-ordered search landed, predicate learning short-circuits the all-positive

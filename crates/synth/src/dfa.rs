@@ -207,11 +207,6 @@ impl Dfa {
         self.transitions.len()
     }
 
-    /// True if any state is accepting.
-    pub fn has_accepting_state(&self) -> bool {
-        self.accepting.iter().any(|b| *b)
-    }
-
     /// Whether the given word is accepted.
     pub fn accepts(&self, word: &[ExtractorStep]) -> bool {
         let mut q = 0usize;
@@ -273,54 +268,14 @@ impl Dfa {
         }
     }
 
-    /// Enumerates accepted words in order of increasing length (ties broken by the
-    /// letters' kind and tag *name*, so the order is deterministic and independent of
-    /// global interning history), up to `max_len` letters and at most `max_words`
-    /// results.
-    ///
-    /// The empty word is included when the initial state is accepting (it corresponds
-    /// to the identity column extractor `s`).
-    ///
-    /// The result carries a `truncated` flag: when the `max_words` cap stops the
-    /// search, the word list *may* under-approximate the bounded language (the
-    /// search halts at the cap without checking whether further accepting words
-    /// remained), and benchmark numbers derived from the word count must not be
-    /// read as "the whole search space".  (Truncation during *construction* is
-    /// reported separately via [`Dfa::truncated`].)
-    pub fn enumerate(&self, max_len: usize, max_words: usize) -> Enumeration {
-        if max_words == 0 {
-            return Enumeration {
-                words: Vec::new(),
-                truncated: self.has_accepting_state(),
-            };
-        }
-        let mut stream = self.stream(max_len);
-        let mut results = Vec::new();
-        while let Some(word) = stream.next_word() {
-            results.push(word);
-            // `max_words` is a hard cap and the search halts at it without checking
-            // whether further accepting words remained, so a list that happens to be
-            // complete is still flagged.
-            if results.len() >= max_words {
-                return Enumeration {
-                    words: results,
-                    truncated: true,
-                };
-            }
-        }
-        Enumeration {
-            words: results,
-            truncated: false,
-        }
-    }
-
     /// Returns an incremental shortest-word-first generator over the accepted
     /// language, bounded at `max_len` letters.
     ///
-    /// Words come out in exactly the order [`Dfa::enumerate`] lists them (length,
-    /// then the letters' kind/tag-name/position at each expanded state), but one at
-    /// a time: the best-first table search pulls per-column candidates on demand
-    /// instead of materializing a capped list up front.
+    /// Words come out by length, then by the letters' kind, tag name and position
+    /// at each expanded state (so the order is deterministic and independent of
+    /// global interning history), one at a time: the table search pulls
+    /// per-column candidates on demand.  The empty word comes first when the
+    /// initial state is accepting (it is the identity column extractor `s`).
     pub fn stream(&self, max_len: usize) -> WordStream<'_> {
         let mut pending = VecDeque::new();
         if self.accepting[0] {
@@ -386,18 +341,6 @@ impl WordStream<'_> {
     }
 }
 
-/// Result of [`Dfa::enumerate`]: the accepted words plus whether the `max_words`
-/// cap cut the enumeration short.
-#[derive(Debug, Clone)]
-pub struct Enumeration {
-    /// Accepted words, shortest first; never more than the requested `max_words`.
-    pub words: Vec<Vec<ExtractorStep>>,
-    /// True when the word cap stopped the search, in which case the word list may
-    /// under-approximate the bounded language (the search does not look past the
-    /// cap, so a list that happens to be complete is still flagged).
-    pub truncated: bool,
-}
-
 /// The DFA alphabet induced by a tree: one `children`/`descendants` letter per tag and
 /// one `pchildren` letter per (tag, pos) pair occurring in the tree.
 ///
@@ -441,24 +384,6 @@ fn step_name_key(step: &ExtractorStep) -> (u8, &'static str, usize) {
     }
 }
 
-/// Applies one extractor step to a node set.
-pub fn apply_step(tree: &Hdt, set: &[NodeId], step: &ExtractorStep) -> Vec<NodeId> {
-    match step {
-        ExtractorStep::Children(tag) => set
-            .iter()
-            .flat_map(|n| tree.children_with_tag(*n, *tag).iter().copied())
-            .collect(),
-        ExtractorStep::PChildren(tag, pos) => set
-            .iter()
-            .flat_map(|n| tree.children_with_tag_pos(*n, *tag, *pos))
-            .collect(),
-        ExtractorStep::Descendants(tag) => set
-            .iter()
-            .flat_map(|n| tree.descendants_with_tag(*n, *tag).iter().copied())
-            .collect(),
-    }
-}
-
 /// `s ⊇ column`: every value in the column equals the data stored at some node in `s`.
 pub fn covers_column(tree: &Hdt, set: &[NodeId], column: &[Value]) -> bool {
     if column.is_empty() {
@@ -483,6 +408,25 @@ mod tests {
 
     fn name_column() -> Vec<Value> {
         vec![Value::str("Alice"), Value::str("Bob")]
+    }
+
+    /// Applies one extractor step to a node set: the per-letter reference's
+    /// transition function.
+    fn apply_step(tree: &Hdt, set: &[NodeId], step: &ExtractorStep) -> Vec<NodeId> {
+        match step {
+            ExtractorStep::Children(tag) => set
+                .iter()
+                .flat_map(|n| tree.children_with_tag(*n, *tag).iter().copied())
+                .collect(),
+            ExtractorStep::PChildren(tag, pos) => set
+                .iter()
+                .flat_map(|n| tree.children_with_tag_pos(*n, *tag, *pos))
+                .collect(),
+            ExtractorStep::Descendants(tag) => set
+                .iter()
+                .flat_map(|n| tree.descendants_with_tag(*n, *tag).iter().copied())
+                .collect(),
+        }
     }
 
     /// The reference for [`StateGraph::build`]: Figure 9's rules 1–4 read
@@ -583,11 +527,24 @@ mod tests {
         StateGraph::build(tree, limits).with_column(tree, column)
     }
 
+    /// True if any state of `dfa` is accepting.
+    fn has_accepting_state(dfa: &Dfa) -> bool {
+        dfa.accepting.iter().any(|b| *b)
+    }
+
+    /// The first `max_words` accepted words of at most `max_len` letters.
+    fn words(dfa: &Dfa, max_len: usize, max_words: usize) -> Vec<Vec<ExtractorStep>> {
+        let mut stream = dfa.stream(max_len);
+        std::iter::from_fn(|| stream.next_word())
+            .take(max_words)
+            .collect()
+    }
+
     #[test]
     fn construct_finds_accepting_state_for_names() {
         let t = social_network(2, 1);
         let dfa = construct(&t, &name_column(), DfaLimits::default());
-        assert!(dfa.has_accepting_state());
+        assert!(has_accepting_state(&dfa));
         assert!(!dfa.truncated);
         assert!(dfa.num_states() > 1);
     }
@@ -611,7 +568,7 @@ mod tests {
         let t = social_network(2, 1);
         let col = name_column();
         let dfa = construct(&t, &col, DfaLimits::default());
-        let words = dfa.enumerate(4, 50).words;
+        let words = words(&dfa, 4, 50);
         assert!(!words.is_empty());
         for w in &words {
             assert!(dfa.accepts(w));
@@ -648,8 +605,8 @@ mod tests {
         let d1 = construct(&t1, &col1, DfaLimits::default());
         let d2 = construct(&t2, &col2, DfaLimits::default());
         let both = d1.intersect(&d2);
-        assert!(both.has_accepting_state());
-        let words = both.enumerate(4, 100).words;
+        assert!(has_accepting_state(&both));
+        let words = words(&both, 4, 100);
         for w in &words {
             assert!(d1.accepts(w) && d2.accepts(w));
         }
@@ -660,41 +617,19 @@ mod tests {
         let t = social_network(2, 1);
         let d1 = construct(&t, &name_column(), DfaLimits::default());
         let d2 = construct(&t, &[Value::str("does-not-exist")], DfaLimits::default());
-        assert!(!d2.has_accepting_state());
+        assert!(!has_accepting_state(&d2));
         let both = d1.intersect(&d2);
-        assert!(both.enumerate(4, 10).words.is_empty());
+        assert!(words(&both, 4, 10).is_empty());
     }
 
     #[test]
     fn enumeration_is_shortest_first() {
         let t = social_network(2, 1);
         let dfa = construct(&t, &name_column(), DfaLimits::default());
-        let words = dfa.enumerate(4, 100).words;
+        let words = words(&dfa, 4, 100);
         for pair in words.windows(2) {
             assert!(pair[0].len() <= pair[1].len());
         }
-    }
-
-    #[test]
-    fn enumeration_reports_word_cap_truncation() {
-        let t = social_network(2, 1);
-        let dfa = construct(&t, &name_column(), DfaLimits::default());
-        let full = dfa.enumerate(4, 10_000);
-        assert!(!full.truncated, "generous cap must not truncate");
-        assert!(full.words.len() > 1);
-        let capped = dfa.enumerate(4, 1);
-        assert!(capped.truncated, "cap of 1 must report truncation");
-        assert_eq!(capped.words.len(), 1);
-        // The cap is hard even when the initial state is accepting (empty column:
-        // every non-empty node set covers it, including {root}, so the empty word
-        // is accepted and must count against the cap).
-        let trivial = construct(&t, &[], DfaLimits::default());
-        for cap in [1usize, 2, 3] {
-            assert!(trivial.enumerate(4, cap).words.len() <= cap);
-        }
-        // A DFA with no accepting states has nothing to truncate.
-        let empty = construct(&t, &[Value::str("absent")], DfaLimits::default());
-        assert!(!empty.enumerate(4, 1).truncated);
     }
 
     #[test]

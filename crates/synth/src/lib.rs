@@ -6,20 +6,21 @@
 //! * [`dfa`] — deterministic finite automata whose states are node sets of an HDT and
 //!   whose alphabet is the column-extractor operators (Figure 9); one state graph per
 //!   example tree is shared by the automata of all its columns.  Supports
-//!   intersection and shortest-word enumeration.
+//!   intersection and shortest-word-first streaming of the accepted words.
 //! * [`column`](mod@column) — `LearnColExtractors` (Algorithm 2): learning the set of column
 //!   extraction programs consistent with all examples.
 //! * [`universe`] — construction of the atomic-predicate universe (Figure 10).
 //! * [`cover`] — the 0–1 ILP / minimum set-cover solver behind `FindMinCover`
-//!   (Algorithm 4), with both an exact branch-and-bound mode and a greedy mode.
+//!   (Algorithm 4): exact branch and bound, seeded with a greedy cover as its
+//!   initial bound.
 //! * [`qm`] — Quine–McCluskey logic minimization with don't-cares plus a Petrick-style
 //!   minimum prime-implicant cover, used to produce the smallest DNF classifier.
 //! * [`predicate`] — `LearnPredicate` (Algorithm 3): positive/negative example
 //!   construction and classifier learning.
-//! * [`synthesize`] — `LearnTransformation` (Algorithm 1): the top-level loop with the
-//!   Occam's-razor ranking of Section 6.  Both phases fan out over a scoped worker
-//!   pool (`mitra-pool`) with canonical-order merges, so results are byte-identical
-//!   at every thread count.
+//! * [`synthesize`] — `LearnTransformation` (Algorithm 1): the best-first search with
+//!   the Occam's-razor ranking of Section 6, and the exhaustive sweep that referees
+//!   it.  Both phases fan out over a scoped worker pool (`mitra-pool`) with
+//!   canonical-order merges, so results are byte-identical at every thread count.
 //! * [`cache`] — the shared, concurrency-safe column-evaluation cache that candidate
 //!   validation workers use to avoid repeating `[[π]]T` tree walks.
 //! * [`budget`] — deterministic fuel budgets (candidates / DFA states / rows, never
@@ -32,10 +33,7 @@
 //!   cross-product semantics in `mitra_dsl::eval`.
 //! * [`fingerprint`](mod@fingerprint) — document-shape fingerprints (stable tag-path-set hashes) and the
 //!   per-shape program cache that lets the corpus service synthesize once per shape.
-//! * [`baseline`] — a deliberately naive enumerative synthesizer used for the ablation
-//!   experiments (E7 in DESIGN.md).
 
-pub mod baseline;
 mod bits;
 pub mod budget;
 pub mod cache;
@@ -53,7 +51,7 @@ pub mod universe;
 
 pub use budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 pub use cache::{ColumnEvalCache, ColumnPhiData};
-pub use column::{learn_all_columns, learn_column_automata};
+pub use column::learn_column_automata;
 pub use exec::{execute, execute_nodes_budgeted};
 pub use fingerprint::{fingerprint, Fingerprint, ProgramCache};
 pub use ops::ValueInterner;

@@ -60,10 +60,10 @@
 
 use crate::bits;
 use crate::cache::{ColumnEvalCache, ColumnPhiData};
-use crate::cover::{solve_exact, solve_greedy, CoverInstance, MAX_COVER_NODES};
+use crate::cover::{solve_exact, CoverInstance, MAX_COVER_NODES};
 use crate::qm::minimize;
-use crate::synthesize::Example;
-use crate::universe::{construct_universe, UniverseConfig};
+use crate::synthesize::{Example, SynthConfig};
+use crate::universe::construct_universe;
 use mitra_dsl::ast::{CompareOp, Operand, Predicate, TableExtractor};
 use mitra_dsl::eval::{cross_product, eval_predicate, node_value, EvalLimits};
 use mitra_dsl::Value;
@@ -74,35 +74,6 @@ use std::sync::Arc;
 
 /// Maximum number of distinct predicates kept after behaviour deduplication.
 const MAX_UNIVERSE: usize = 20_000;
-
-/// Configuration for predicate learning.
-#[derive(Debug, Clone, Copy)]
-pub struct PredicateLearnConfig {
-    /// Universe construction knobs.
-    pub universe: UniverseConfig,
-    /// Upper bound on the number of intermediate tuples considered per example; larger
-    /// intermediate tables cause the candidate ψ to be rejected (the top-level loop
-    /// will try another one).
-    pub max_intermediate_rows: usize,
-    /// Use the exact branch-and-bound cover solver (true) or the greedy approximation.
-    pub exact_cover: bool,
-    /// Worker threads for the reference path's universe evaluation (1 = sequential;
-    /// 0 = the process-global setting).  The fast path's truth vectors are cheap
-    /// enough to always compute inline, so this only affects
-    /// [`learn_predicate_reference`]; results are identical for every value.
-    pub threads: usize,
-}
-
-impl Default for PredicateLearnConfig {
-    fn default() -> Self {
-        PredicateLearnConfig {
-            universe: UniverseConfig::default(),
-            max_intermediate_rows: 50_000,
-            exact_cover: true,
-            threads: 1,
-        }
-    }
-}
 
 /// A labelled tuple of the intermediate table.
 #[derive(Debug, Clone)]
@@ -168,7 +139,7 @@ pub fn label_tuples(
 
 /// Learns a filtering predicate for the candidate table extractor ψ, following
 /// Algorithm 3.  Returns `None` when no classifier exists within the configured
-/// universe bounds.
+/// universe bounds.  Of `config` it reads `universe` and `max_intermediate_rows`.
 ///
 /// The top-level synthesis loop passes one `cache` for all candidate table
 /// extractors of a task, which also shares the per-column [`ColumnPhiData`] across
@@ -182,7 +153,7 @@ pub fn label_tuples(
 pub fn learn_predicate(
     examples: &[Example],
     psi: &TableExtractor,
-    config: &PredicateLearnConfig,
+    config: &SynthConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
     let tuples = {
@@ -202,7 +173,7 @@ pub fn learn_predicate(
         let _span = mitra_trace::span("synth", "truth_vectors");
         truth_vectors(examples, psi, tuples.len(), config, cache)
     };
-    classifier_from_kept(&tuples, kept, config)
+    classifier_from_kept(&tuples, kept)
 }
 
 /// Cross-product layout of one example's block of the intermediate table.
@@ -236,7 +207,7 @@ fn truth_vectors(
     examples: &[Example],
     psi: &TableExtractor,
     num_tuples: usize,
-    config: &PredicateLearnConfig,
+    config: &SynthConfig,
     cache: &ColumnEvalCache,
 ) -> Vec<(Predicate, Vec<u64>, usize)> {
     // Cross-product layout of the intermediate table: example blocks in order, and
@@ -507,11 +478,13 @@ fn truth_vectors(
 /// Reference implementation of [`learn_predicate`]: full universe construction and
 /// direct per-tuple [`eval_predicate`] evaluation.  Kept as the oracle for the
 /// differential suite (`tests/search_equivalence.rs`) — the fast path must produce
-/// byte-identical predicates.
+/// byte-identical predicates.  Besides what [`learn_predicate`] reads, it
+/// evaluates the universe on `config.threads` workers (`0` resolves to the
+/// process-global setting); the result is identical for every value.
 pub fn learn_predicate_reference(
     examples: &[Example],
     psi: &TableExtractor,
-    config: &PredicateLearnConfig,
+    config: &SynthConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
     let tuples = label_tuples(examples, psi, config.max_intermediate_rows, cache)?;
@@ -556,7 +529,7 @@ pub fn learn_predicate_reference(
             break;
         }
     }
-    classifier_from_kept(&tuples, dedup.into_kept(), config)
+    classifier_from_kept(&tuples, dedup.into_kept())
 }
 
 /// The behaviour dedup fold shared by the fast and reference paths: predicates
@@ -643,7 +616,6 @@ impl Dedup {
 fn classifier_from_kept(
     tuples: &[LabelledTuple],
     kept: Vec<(Predicate, Vec<u64>, usize)>,
-    config: &PredicateLearnConfig,
 ) -> Option<Predicate> {
     if kept.is_empty() {
         return None;
@@ -696,11 +668,7 @@ fn classifier_from_kept(
             covers,
             weights: kept.iter().map(|(_, _, s)| *s).collect(),
         };
-        if config.exact_cover {
-            solve_exact(&instance, MAX_COVER_NODES)?
-        } else {
-            solve_greedy(&instance)?
-        }
+        solve_exact(&instance, MAX_COVER_NODES)?
     };
     if chosen.is_empty() {
         return None;
@@ -752,10 +720,20 @@ fn predicate_weight(p: &Predicate) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universe::UniverseConfig;
     use mitra_dsl::ast::ColumnExtractor;
     use mitra_dsl::eval::eval_program;
     use mitra_dsl::{Program, Table};
     use mitra_hdt::generate::{nested_objects, social_network};
+
+    /// The default configuration, with the reference path's universe evaluated
+    /// inline.
+    fn one_thread() -> SynthConfig {
+        SynthConfig {
+            threads: 1,
+            ..Default::default()
+        }
+    }
 
     fn social_example() -> Example {
         Example {
@@ -802,7 +780,7 @@ mod tests {
         let phi = learn_predicate(
             std::slice::from_ref(&ex),
             &psi,
-            &PredicateLearnConfig::default(),
+            &one_thread(),
             &ColumnEvalCache::new(1),
         )
         .expect("a predicate should be found");
@@ -826,13 +804,7 @@ mod tests {
             "name",
             0,
         )]);
-        let phi = learn_predicate(
-            &[ex],
-            &psi,
-            &PredicateLearnConfig::default(),
-            &ColumnEvalCache::new(1),
-        )
-        .unwrap();
+        let phi = learn_predicate(&[ex], &psi, &one_thread(), &ColumnEvalCache::new(1)).unwrap();
         assert_eq!(phi, Predicate::True);
     }
 
@@ -852,7 +824,7 @@ mod tests {
         let phi = learn_predicate(
             std::slice::from_ref(&ex),
             &psi,
-            &PredicateLearnConfig::default(),
+            &one_thread(),
             &ColumnEvalCache::new(1),
         )
         .expect("predicate expected");
@@ -865,7 +837,7 @@ mod tests {
     fn fast_path_matches_reference_on_motivating_example() {
         let ex = social_example();
         let psi = social_psi();
-        let config = PredicateLearnConfig::default();
+        let config = one_thread();
         let fast = learn_predicate(
             std::slice::from_ref(&ex),
             &psi,
@@ -894,12 +866,12 @@ mod tests {
         );
         let psi = TableExtractor::new(vec![pi.clone(), pi]);
         for with_ordering in [false, true] {
-            let config = PredicateLearnConfig {
+            let config = SynthConfig {
                 universe: UniverseConfig {
                     with_ordering,
                     ..Default::default()
                 },
-                ..Default::default()
+                ..one_thread()
             };
             let fast = learn_predicate(
                 std::slice::from_ref(&ex),
@@ -924,13 +896,13 @@ mod tests {
         let sequential = learn_predicate_reference(
             std::slice::from_ref(&ex),
             &psi,
-            &PredicateLearnConfig::default(),
+            &one_thread(),
             &ColumnEvalCache::new(1),
         );
         for threads in [2, 4] {
-            let config = PredicateLearnConfig {
+            let config = SynthConfig {
                 threads,
-                ..Default::default()
+                ..one_thread()
             };
             let parallel = learn_predicate_reference(
                 std::slice::from_ref(&ex),
@@ -962,25 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_mode_also_learns_a_correct_predicate() {
-        let ex = social_example();
-        let psi = social_psi();
-        let config = PredicateLearnConfig {
-            exact_cover: false,
-            ..Default::default()
-        };
-        let phi = learn_predicate(
-            std::slice::from_ref(&ex),
-            &psi,
-            &config,
-            &ColumnEvalCache::new(1),
-        )
-        .expect("greedy predicate");
-        let prog = Program::new(psi, phi);
-        assert!(eval_program(&ex.tree, &prog).unwrap().same_bag(&ex.output));
-    }
-
-    #[test]
     fn impossible_output_returns_none() {
         // Output contains a row whose years value never co-occurs, and no predicate in
         // a tiny universe can separate it.
@@ -992,12 +945,12 @@ mod tests {
             ),
         };
         let psi = social_psi();
-        let config = PredicateLearnConfig {
+        let config = SynthConfig {
             universe: UniverseConfig {
                 max_node_extractor_depth: 0,
                 ..Default::default()
             },
-            ..Default::default()
+            ..one_thread()
         };
         // With only identity node extractors the spurious (Alice, Alice, 4) cannot be
         // distinguished from (Alice, Bob, 4) tuples sharing all leaf data... the learner

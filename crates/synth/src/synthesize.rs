@@ -23,9 +23,9 @@
 
 use crate::budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 use crate::cache::ColumnEvalCache;
-use crate::column::{learn_all_columns, learn_column_automata, ColumnLearnConfig};
+use crate::column::learn_column_automata;
 use crate::dfa::{DfaLimits, WordStream};
-use crate::predicate::{learn_predicate, learn_predicate_reference, PredicateLearnConfig};
+use crate::predicate::{learn_predicate, learn_predicate_reference};
 use crate::universe::UniverseConfig;
 use mitra_dsl::ast::{ColumnExtractor, Predicate, Program, TableExtractor};
 use mitra_dsl::cost::{cost, Cost};
@@ -60,20 +60,14 @@ impl Example {
 pub struct SynthConfig {
     /// Limits for DFA construction and enumeration.
     pub dfa_limits: DfaLimits,
-    /// Maximum candidate column extractors per column.
-    ///
-    /// Only the exhaustive reference path materializes per-column candidate lists;
-    /// the best-first search streams candidates from the column automata and is
-    /// bounded by `max_table_candidates` alone.
-    pub max_column_candidates: usize,
-    /// Maximum candidate table extractors (combinations) examined.
+    /// Maximum candidate table extractors (combinations) examined.  The
+    /// exhaustive referee derives its per-column word cap from it (see
+    /// [`learn_transformation_exhaustive`]).
     pub max_table_candidates: usize,
     /// Predicate-universe knobs.
     pub universe: UniverseConfig,
     /// Maximum intermediate-table size per example.
     pub max_intermediate_rows: usize,
-    /// Whether the exact (ILP-equivalent) cover solver is used.
-    pub exact_cover: bool,
     /// Overall wall-clock budget; `None` means unlimited.
     pub timeout: Option<Duration>,
     /// Deterministic fuel budget (candidates popped, DFA states, rows
@@ -94,11 +88,9 @@ impl Default for SynthConfig {
     fn default() -> Self {
         SynthConfig {
             dfa_limits: DfaLimits::default(),
-            max_column_candidates: 16,
             max_table_candidates: 128,
             universe: UniverseConfig::default(),
             max_intermediate_rows: 50_000,
-            exact_cover: true,
             timeout: Some(Duration::from_secs(120)),
             budget: Budget::UNLIMITED,
             threads: 0,
@@ -191,20 +183,19 @@ pub struct Synthesis {
     pub program: Program,
     /// Its cost under θ.
     pub cost: Cost,
-    /// Number of candidate table extractors examined.
-    pub candidates_tried: usize,
     /// Number of candidate programs that satisfied all examples.
     pub programs_found: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// True when any column's DFA *construction* hit a configured limit: the
     /// search space was under-explored and "no better program" claims must be
-    /// read accordingly.  (Enumeration no longer truncates — candidates stream
-    /// from the automata on demand.)
+    /// read accordingly.  (Words stream from the automata on demand, so
+    /// enumeration itself never truncates.)
     pub truncated: bool,
     /// Worker threads actually used (after resolving `SynthConfig::threads`).
     pub threads_used: usize,
-    /// Per-phase wall times and candidate counts.
+    /// Per-phase wall times and candidate counts; `profile.candidates_examined`
+    /// is the number of candidate table extractors examined.
     pub profile: SynthProfile,
     /// Set when a fuel budget ran out *after* a valid program was already in
     /// hand: the incumbent is returned, but the search was cut short and
@@ -289,10 +280,9 @@ fn evaluate_candidate(
     combo_size: usize,
     atom_floor: usize,
     incumbent: Option<Cost>,
-    pred_config: &PredicateLearnConfig,
+    config: &SynthConfig,
     cache: &ColumnEvalCache,
     memo: &OutcomeMemo,
-    max_intermediate_rows: usize,
     predicate_nanos: &AtomicU64,
     validate_nanos: &AtomicU64,
 ) -> CandidateOutcome {
@@ -323,7 +313,7 @@ fn evaluate_candidate(
         match product {
             // Overflow: `cross_product` would reject the candidate too.
             None => return CandidateOutcome::Rejected,
-            Some(p) if p > max_intermediate_rows => return CandidateOutcome::Rejected,
+            Some(p) if p > config.max_intermediate_rows => return CandidateOutcome::Rejected,
             Some(p) => {
                 if p != ex.output.rows.len() {
                     atoms_lower_bound = atoms_lower_bound.max(1);
@@ -351,9 +341,9 @@ fn evaluate_candidate(
     } else {
         let phi = {
             let _span = mitra_trace::span_acc("synth", "predicate_learn", predicate_nanos);
-            learn_predicate(examples, &psi, pred_config, cache)
+            learn_predicate(examples, &psi, config, cache)
         };
-        let limits = EvalLimits::with_max_rows(max_intermediate_rows);
+        let limits = EvalLimits::with_max_rows(config.max_intermediate_rows);
         let phi = phi.and_then(|phi| {
             let _span = mitra_trace::span_acc("synth", "validate", validate_nanos);
             let program = Program::new(psi.clone(), phi);
@@ -538,12 +528,6 @@ pub fn learn_transformation(
         }
     }
 
-    let pred_config = PredicateLearnConfig {
-        universe: config.universe,
-        max_intermediate_rows: config.max_intermediate_rows,
-        exact_cover: config.exact_cover,
-        threads,
-    };
     let cache = ColumnEvalCache::new(examples.len());
     let memo = OutcomeMemo::default();
     let predicate_nanos = AtomicU64::new(0);
@@ -560,7 +544,7 @@ pub fn learn_transformation(
     heap.push(Reverse((combo_key(&streams, &seed), seed)));
 
     let mut best: Option<(Program, Cost)> = None;
-    let mut candidates_tried = 0usize;
+    let mut examined = 0usize;
     let mut programs_found = 0usize;
     let mut pruned = 0usize;
     let mut timed_out = false;
@@ -664,10 +648,9 @@ pub fn learn_transformation(
                 *key,
                 atom_floor,
                 incumbent,
-                &pred_config,
+                config,
                 &cache,
                 &memo,
-                config.max_intermediate_rows,
                 &predicate_nanos,
                 &validate_nanos,
             )
@@ -683,14 +666,14 @@ pub fn learn_transformation(
                 // with it the returned program) is identical at every thread
                 // count for an index-keyed fault.
                 Err(_) => {
-                    candidates_tried += 1;
+                    examined += 1;
                     panicked += 1;
                 }
                 Ok(CandidateOutcome::DeadlineSkipped) => timed_out = true,
                 Ok(CandidateOutcome::Pruned) => pruned += 1,
-                Ok(CandidateOutcome::Rejected) => candidates_tried += 1,
+                Ok(CandidateOutcome::Rejected) => examined += 1,
                 Ok(CandidateOutcome::Valid(program, c)) => {
-                    candidates_tried += 1;
+                    examined += 1;
                     programs_found += 1;
                     let better = match &best {
                         None => true,
@@ -713,7 +696,7 @@ pub fn learn_transformation(
     }
 
     mitra_trace::counter(stop).add(1);
-    mitra_trace::counter_add!("synth.candidates.examined", candidates_tried as u64);
+    mitra_trace::counter_add!("synth.candidates.examined", examined as u64);
     mitra_trace::counter_add!("synth.candidates.pruned", pruned as u64);
     let profile = SynthProfile {
         dfa_build: automata.build,
@@ -721,14 +704,13 @@ pub fn learn_transformation(
         dfa_enumerate: Duration::from_nanos(enumerate_nanos.load(Relaxed)),
         predicate_learn: Duration::from_nanos(predicate_nanos.load(Relaxed)),
         validate: Duration::from_nanos(validate_nanos.load(Relaxed)),
-        candidates_examined: candidates_tried,
+        candidates_examined: examined,
         candidates_pruned: pruned,
     };
     match best {
         Some((program, c)) => Ok(Synthesis {
             program,
             cost: c,
-            candidates_tried,
             programs_found,
             elapsed: start.elapsed(),
             truncated,
@@ -750,12 +732,18 @@ pub fn learn_transformation(
     }
 }
 
-/// The pre-refactor materialize-then-sweep pipeline, kept as the oracle for the
-/// differential suite (`tests/search_equivalence.rs`): capped per-column candidate
-/// lists, every combination evaluated with the reference predicate learner, no
-/// early termination and no pruning.  When neither the per-column cap nor the
-/// combination cap binds, the best-first search must return a byte-identical
-/// program and cost.
+/// The referee of the best-first search, kept as the oracle for the differential
+/// suite (`tests/search_equivalence.rs`) and the fuzz harness: every combination
+/// evaluated in (Σ sizes, index vector) order with the reference predicate
+/// learner, with no outcome reuse, no pruning and no early stop.  When the
+/// combination cap does not bind, the best-first search must return a
+/// byte-identical program and cost.
+///
+/// Each column streams at most `max_table_candidates` words from the automata of
+/// [`learn_column_automata`], as the search does.  That per-column cap is exact: a
+/// combo holding word `k` in some column comes after the `k` combos that hold
+/// words `0..k` there instead, so none of the first `max_table_candidates` combos
+/// holds a later word.
 pub fn learn_transformation_exhaustive(
     examples: &[Example],
     config: &SynthConfig,
@@ -772,37 +760,34 @@ pub fn learn_transformation_exhaustive(
         return Err(SynthError::InconsistentArity);
     }
     let threads = mitra_pool::resolve(config.threads);
-    for ex in examples {
-        ex.tree.ensure_index();
-    }
 
-    let col_config = ColumnLearnConfig {
-        limits: config.dfa_limits,
-        max_candidates: config.max_column_candidates,
-    };
-    let learned = learn_all_columns(examples, arity, &col_config, threads);
+    let automata = learn_column_automata(examples, arity, config.dfa_limits, threads, None);
     let mut truncated = false;
     let mut per_column: Vec<Vec<ColumnExtractor>> = Vec::with_capacity(arity);
-    for (col, cands) in learned.into_iter().enumerate() {
-        if cands.extractors.is_empty() {
+    for (col, dfa) in automata.dfas.iter().enumerate() {
+        let Some(dfa) = dfa else {
+            return Err(SynthError::NoColumnExtractor(col));
+        };
+        let mut stream = dfa.stream(config.dfa_limits.max_word_len);
+        // At least one word, so that a column without extractors still fails as
+        // one under a zero cap.
+        let words: Vec<ColumnExtractor> = std::iter::from_fn(|| stream.next_word())
+            .take(config.max_table_candidates.max(1))
+            .map(|word| ColumnExtractor::from_steps(&word))
+            .collect();
+        if words.is_empty() {
             return Err(SynthError::NoColumnExtractor(col));
         }
-        truncated |= cands.truncated;
-        per_column.push(cands.extractors);
+        truncated |= dfa.truncated;
+        per_column.push(words);
     }
 
     let combos = ordered_combinations(&per_column, config.max_table_candidates);
-    let pred_config = PredicateLearnConfig {
-        universe: config.universe,
-        max_intermediate_rows: config.max_intermediate_rows,
-        exact_cover: config.exact_cover,
-        threads,
-    };
     let cache = ColumnEvalCache::new(examples.len());
     let limits = EvalLimits::with_max_rows(config.max_intermediate_rows);
 
     let mut best: Option<(Program, Cost)> = None;
-    let mut candidates_tried = 0usize;
+    let mut examined = 0usize;
     let mut programs_found = 0usize;
     let mut timed_out = false;
     let mut budget_breach: Option<BudgetBreach> = None;
@@ -811,7 +796,7 @@ pub fn learn_transformation_exhaustive(
         // the best-first frontier's pay-per-pop accounting.
         if let Err(breach) = config
             .budget
-            .check(BudgetResource::Candidates, candidates_tried as u64)
+            .check(BudgetResource::Candidates, examined as u64)
         {
             budget_breach = Some(breach);
             break;
@@ -822,9 +807,9 @@ pub fn learn_transformation_exhaustive(
                 continue;
             }
         }
-        candidates_tried += 1;
+        examined += 1;
         let psi = TableExtractor::new(combo.clone());
-        let Some(phi) = learn_predicate_reference(examples, &psi, &pred_config, &cache) else {
+        let Some(phi) = learn_predicate_reference(examples, &psi, config, &cache) else {
             continue;
         };
         let mut program = Program::new(psi, phi);
@@ -848,14 +833,13 @@ pub fn learn_transformation_exhaustive(
     }
 
     let profile = SynthProfile {
-        candidates_examined: candidates_tried,
+        candidates_examined: examined,
         ..Default::default()
     };
     match best {
         Some((program, c)) => Ok(Synthesis {
             program,
             cost: c,
-            candidates_tried,
             programs_found,
             elapsed: start.elapsed(),
             truncated,
@@ -877,35 +861,38 @@ pub fn learn_transformation_exhaustive(
     }
 }
 
-/// Enumerates combinations (one candidate per column), ordered by the total size of
-/// the chosen extractors so that simpler table extractors are tried first, capped at
-/// `max` combinations.
+/// The first `max` combinations (one candidate per column) in (Σ sizes, index
+/// vector) order, the order in which the best-first search pops them.
 ///
-/// Only the exhaustive reference path uses this; the best-first search generates
-/// the same (size, index) order lazily through its heap frontier.
+/// Each column's extension is cut to its first `max` prefixes in that order.
+/// The cut is exact: putting an earlier prefix in place of a combo's prefix gives
+/// an earlier combo, so a prefix with `max` prefixes before it starts no combo
+/// among the first `max`.
 fn ordered_combinations(
     per_column: &[Vec<ColumnExtractor>],
     max: usize,
 ) -> Vec<Vec<ColumnExtractor>> {
+    let key = |idxs: &Vec<usize>| {
+        let size = idxs.iter().enumerate().fold(0usize, |acc, (col, &i)| {
+            acc.saturating_add(per_column[col][i].size())
+        });
+        (size, idxs.clone())
+    };
     let mut combos: Vec<Vec<usize>> = vec![vec![]];
     for cands in per_column {
-        let mut next = Vec::new();
-        for combo in &combos {
-            for (i, _) in cands.iter().enumerate() {
-                let mut c = combo.clone();
-                c.push(i);
-                next.push(c);
-            }
-        }
-        combos = next;
-        // Keep the combination count in check as we go: sort by partial size and trim.
-        if combos.len() > max * 8 {
-            combos.sort_by_key(|c| partial_size(per_column, c));
-            combos.truncate(max * 8);
-        }
+        combos = combos
+            .iter()
+            .flat_map(|combo| {
+                (0..cands.len()).map(move |i| {
+                    let mut c = combo.clone();
+                    c.push(i);
+                    c
+                })
+            })
+            .collect();
+        combos.sort_by_cached_key(key);
+        combos.truncate(max);
     }
-    combos.sort_by_key(|c| partial_size(per_column, c));
-    combos.truncate(max);
     combos
         .into_iter()
         .map(|idxs| {
@@ -915,15 +902,6 @@ fn ordered_combinations(
                 .collect()
         })
         .collect()
-}
-
-/// Total extractor size of a (partial) combination.  Saturating: on pathologically
-/// wide candidate sets the sum must degrade to "effectively infinite", not wrap
-/// around and sort a gigantic combo ahead of everything else.
-fn partial_size(per_column: &[Vec<ColumnExtractor>], combo: &[usize]) -> usize {
-    combo.iter().enumerate().fold(0usize, |acc, (col, &i)| {
-        acc.saturating_add(per_column[col][i].size())
-    })
 }
 
 #[cfg(test)]
@@ -1091,14 +1069,52 @@ mod tests {
         }
     }
 
+    /// A `children` chain of `size` steps over `tag`.
+    fn chain_of(tag: &str, size: usize) -> ColumnExtractor {
+        (0..size).fold(ColumnExtractor::Input, |pi, _| {
+            ColumnExtractor::children(pi, tag)
+        })
+    }
+
+    #[test]
+    fn trimmed_combinations_are_the_first_of_the_full_order() {
+        // Per-column word sizes, shortest first as the streams produce them; each
+        // word has its own tag.  Prefix (1, 0) is shorter than (0, 1) but
+        // lexicographically later, and the last column brings both to Σ sizes 4
+        // as (1, 0, 1) and (0, 1, 0): a cut that kept prefixes in size order
+        // alone would put (1, 0, 1) first.
+        let sizes: [&[usize]; 3] = [&[1, 1, 2, 2, 2, 3], &[1, 2, 2, 2, 2, 3], &[1, 2]];
+        let per_column: Vec<Vec<ColumnExtractor>> = (0..3)
+            .map(|col| {
+                let word = |(i, &size): (usize, &usize)| chain_of(&format!("c{col}w{i}"), size);
+                sizes[col].iter().enumerate().map(word).collect()
+            })
+            .collect();
+        // Every index vector in lexicographic order, then stably by Σ sizes: the
+        // (Σ sizes, index vector) order of the best-first frontier.
+        let mut all: Vec<Vec<ColumnExtractor>> = Vec::new();
+        for a in &per_column[0] {
+            for b in &per_column[1] {
+                for c in &per_column[2] {
+                    all.push(vec![a.clone(), b.clone(), c.clone()]);
+                }
+            }
+        }
+        all.sort_by_key(|combo| combo.iter().map(ColumnExtractor::size).sum::<usize>());
+        for max in 1..=all.len() + 1 {
+            let combos = ordered_combinations(&per_column, max);
+            assert_eq!(combos, all[..max.min(all.len())], "max {max}");
+        }
+    }
+
     #[test]
     fn best_first_matches_exhaustive_on_motivating_example() {
         let ex = social_example(3, 1);
-        // Caps wide enough that neither path's bound binds: the searches explore
-        // the same space and must agree byte-for-byte.
+        // The referee sweeps the first 2,000 of the 4,018 combos (7 × 7 × 82
+        // words), which hold the θ-minimal program: the best-first search proves
+        // it minimal after one pop, and both must return it byte for byte.
         let config = SynthConfig {
             timeout: None,
-            max_column_candidates: 1_000,
             max_table_candidates: 2_000,
             threads: 1,
             ..Default::default()
@@ -1110,6 +1126,23 @@ mod tests {
             pretty::program(&slow.program)
         );
         assert_eq!(fast.cost, slow.cost);
+    }
+
+    #[test]
+    fn a_zero_cap_finds_no_program_in_either_search() {
+        // Every column has extractors, so neither search may report a column
+        // without one.
+        let ex = social_example(2, 1);
+        let config = SynthConfig {
+            timeout: None,
+            max_table_candidates: 0,
+            threads: 1,
+            ..Default::default()
+        };
+        let examples = std::slice::from_ref(&ex);
+        let fast = learn_transformation(examples, &config).unwrap_err();
+        let slow = learn_transformation_exhaustive(examples, &config).unwrap_err();
+        assert_eq!((fast, slow), (SynthError::NoProgram, SynthError::NoProgram));
     }
 
     #[test]
@@ -1176,7 +1209,7 @@ mod tests {
         // Allow exactly as many pops as the natural run makes: the loop-top check
         // trips before the termination bound does, so the same incumbent comes
         // back carrying a breach.
-        let total_pops = free.candidates_tried + free.profile.candidates_pruned;
+        let total_pops = free.profile.candidates_examined + free.profile.candidates_pruned;
         let capped = SynthConfig {
             budget: Budget {
                 max_candidates: Some(total_pops as u64),
@@ -1217,7 +1250,7 @@ mod tests {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(pretty::program(&a.program), pretty::program(&b.program));
                     assert_eq!(a.cost, b.cost);
-                    assert_eq!(a.candidates_tried, b.candidates_tried);
+                    assert_eq!(a.profile.candidates_examined, b.profile.candidates_examined);
                     assert_eq!(a.budget_breach, b.budget_breach, "cap={cap}");
                 }
                 // Work counters must match exactly; profile *durations* are wall
@@ -1318,9 +1351,9 @@ mod tests {
         let result = learn_transformation(&[ex], &config).unwrap();
         assert_eq!(result.cost.atoms, 0);
         assert!(
-            result.candidates_tried + result.profile.candidates_pruned < 10_000,
-            "search did not terminate early: {} tried, {} pruned",
-            result.candidates_tried,
+            result.profile.candidates_examined + result.profile.candidates_pruned < 10_000,
+            "search did not terminate early: {} examined, {} pruned",
+            result.profile.candidates_examined,
             result.profile.candidates_pruned
         );
     }

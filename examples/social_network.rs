@@ -25,7 +25,7 @@ fn main() {
     println!(
         "Synthesized in {:.2?} ({} candidate table extractors tried, {} consistent programs)",
         start.elapsed(),
-        synthesis.candidates_tried,
+        synthesis.profile.candidates_examined,
         synthesis.programs_found
     );
     println!(

@@ -19,7 +19,6 @@ use proptest::prelude::*;
 fn config(threads: usize) -> SynthConfig {
     SynthConfig {
         timeout: None,
-        max_column_candidates: 8,
         max_table_candidates: 16,
         threads,
         ..Default::default()
@@ -42,7 +41,10 @@ fn assert_deterministic(examples: &[Example], a: usize, b: usize) -> Result<(), 
                 pretty::program(&sb.program)
             );
             prop_assert_eq!(sa.cost, sb.cost);
-            prop_assert_eq!(sa.candidates_tried, sb.candidates_tried);
+            prop_assert_eq!(
+                sa.profile.candidates_examined,
+                sb.profile.candidates_examined
+            );
             prop_assert_eq!(sa.programs_found, sb.programs_found);
             for ex in examples {
                 let ta = eval_program(&ex.tree, &sa.program).expect("program evaluates");

@@ -43,7 +43,10 @@ fn snapshot_line(name: &str, examples: &[Example], config: &SynthConfig) -> Stri
             let c = s.cost;
             format!(
                 "{name}: {text} cost=({},{},{}) tried={}",
-                c.atoms, c.extractor_constructs, c.node_extractor_steps, s.candidates_tried
+                c.atoms,
+                c.extractor_constructs,
+                c.node_extractor_steps,
+                s.profile.candidates_examined
             )
         }
         Err(e) => format!("{name}: ERR {e}"),

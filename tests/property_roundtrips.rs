@@ -4,11 +4,11 @@
 use mitra::dsl::ast::{
     ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, TableExtractor,
 };
-use mitra::dsl::eval::eval_program;
+use mitra::dsl::eval::{eval_program, node_value};
 use mitra::dsl::validate::validate_against;
 use mitra::dsl::{Program, Table, Value};
 use mitra::hdt::html::parse_html;
-use mitra::hdt::json::json_string;
+use mitra::hdt::json::{json_string, json_to_hdt};
 use mitra::hdt::{parse_json, parse_xml, Hdt, JsonValue};
 use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter, ShardRecord};
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
@@ -17,7 +17,7 @@ use mitra::migrate::query::run_query;
 use mitra::migrate::{Column, Database, Schema, TableSchema};
 use mitra::parse_csv_table;
 use mitra::synth::exec::execute;
-use mitra::synth::fingerprint::{fnv1a, FNV_OFFSET};
+use mitra::synth::fingerprint::{fingerprint, fnv1a, FNV_OFFSET};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -122,14 +122,33 @@ proptest! {
     #[test]
     fn xml_roundtrip_of_generated_trees(tree in random_tree()) {
         // Serialize via the datagen helper and reparse through the XML plug-in; the
-        // resulting HDT must have the same number of data leaves.
+        // resulting HDT must hold the same data values in document order.  Shapes
+        // differ by design: the plug-in puts an element's text in a `text` child.
         let xml = mitra::datagen::corpus::hdt_to_xml_text(&tree);
         let doc = parse_xml(&xml).expect("generated XML parses");
         let reparsed = doc.to_hdt();
-        prop_assert_eq!(
-            reparsed.data_values().len(),
-            tree.data_values().len()
-        );
+        prop_assert_eq!(reparsed.data_values(), tree.data_values());
+    }
+
+    #[test]
+    fn json_roundtrip_of_generated_trees(tree in random_tree()) {
+        // Through JSON text and the JSON plug-in the tree keeps its tag paths, and
+        // its leaves keep their values as a multiset: repeated tags are grouped
+        // into arrays, and a childless element comes back as `null`, which reads
+        // as `Null` like the element's missing data.
+        let json = mitra::datagen::corpus::hdt_to_json_text(&tree);
+        let reparsed = json_to_hdt(&json).expect("generated JSON parses");
+        prop_assert_eq!(fingerprint(&reparsed), fingerprint(&tree));
+        let leaf_values = |t: &Hdt| {
+            let mut values: Vec<String> = t
+                .ids()
+                .filter(|&n| t.is_leaf(n))
+                .map(|n| node_value(t, n).render())
+                .collect();
+            values.sort();
+            values
+        };
+        prop_assert_eq!(leaf_values(&reparsed), leaf_values(&tree));
     }
 
     #[test]

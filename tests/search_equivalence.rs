@@ -1,11 +1,11 @@
 //! Differential suite for the cost-ordered best-first search.
 //!
 //! The lazy heap-frontier search in `learn_transformation` must be a pure
-//! performance transformation: on any specification where the pre-refactor
-//! materialize-then-sweep pipeline's caps do not bind, both searches explore the
-//! same program space and must return **identical** programs and costs (or the
-//! same error).  `learn_transformation_exhaustive` preserves the old pipeline
-//! exactly for that comparison.
+//! performance transformation: on any specification where the combination cap
+//! does not bind, it and the exhaustive sweep `learn_transformation_exhaustive`
+//! (every combination of the streamed column words, no reuse, no pruning, no
+//! early stop) explore the same program space and must return **identical**
+//! programs and costs (or the same error).
 //!
 //! The suite also pins the headline search-space win: the two Table 1 slice tasks
 //! that used to report `truncated: true` (the per-column word cap cut their
@@ -25,7 +25,7 @@ use mitra::hdt::generate::{social_network, social_network_rows};
 use mitra::hdt::xml::xml_to_hdt;
 use mitra::hdt::Hdt;
 use mitra::synth::dfa::DfaLimits;
-use mitra::synth::predicate::{learn_predicate, learn_predicate_reference, PredicateLearnConfig};
+use mitra::synth::predicate::{learn_predicate, learn_predicate_reference};
 use mitra::synth::synthesize::{
     learn_transformation, learn_transformation_exhaustive, Example, SynthConfig, SynthError,
 };
@@ -34,9 +34,10 @@ use mitra::synth::ColumnEvalCache;
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// A configuration whose caps are wide enough that the exhaustive path's
-/// materialized candidate lists cover the whole space: the two searches then
-/// range over the same programs and must agree exactly.  The space itself is kept
+/// A configuration whose combination cap is wide enough that the exhaustive
+/// path sweeps the whole space (its per-column word cap is derived from it, so
+/// it does not bind either): the two searches then range over the same
+/// programs and must agree exactly.  The space itself is kept
 /// small through the word-length bound and a light predicate universe — the
 /// exhaustive referee sweeps every combination, and the best-first search stops
 /// by proof only once its incumbent reaches the atom floor `(L, Σ sizes, 0)` of
@@ -56,7 +57,6 @@ fn uncapped_config() -> SynthConfig {
             max_constants: 8,
             with_ordering: false,
         },
-        max_column_candidates: 100_000,
         max_table_candidates: 100_000,
         threads: 1,
         ..Default::default()
@@ -136,7 +136,7 @@ fn motivating_example_stops_by_proof_after_one_pop() {
             };
             let s = learn_transformation(std::slice::from_ref(&ex), &config).unwrap();
             assert_eq!(
-                s.candidates_tried + s.profile.candidates_pruned,
+                s.profile.candidates_examined + s.profile.candidates_pruned,
                 1,
                 "cap {max_table_candidates}, {threads} threads"
             );
@@ -360,7 +360,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (ex, psi) = rule4_spec(records, arity, seed);
-        let config = PredicateLearnConfig::default();
+        let config = SynthConfig {
+            threads: 1,
+            ..Default::default()
+        };
         prop_assert!(config.universe.with_ordering);
         prop_assert_eq!(config.universe.max_constants, 64);
         let examples = std::slice::from_ref(&ex);

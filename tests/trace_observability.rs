@@ -32,7 +32,6 @@ static MODE_LOCK: Mutex<()> = Mutex::new(());
 fn config(threads: usize) -> SynthConfig {
     SynthConfig {
         timeout: None,
-        max_column_candidates: 8,
         max_table_candidates: 16,
         threads,
         ..Default::default()
@@ -76,7 +75,10 @@ fn trace_mode_never_changes_synthesis_results() {
             "tracing changed the synthesized program at {threads} threads"
         );
         assert_eq!(off.cost, full.cost);
-        assert_eq!(off.candidates_tried, full.candidates_tried);
+        assert_eq!(
+            off.profile.candidates_examined,
+            full.profile.candidates_examined
+        );
         assert_eq!(off.programs_found, full.programs_found);
         // Full mode actually recorded the search; off mode stays silent by design.
         assert!(
@@ -224,7 +226,10 @@ fn reused_and_examined(examples: &[Example]) -> (u64, usize) {
     let before = trace::snapshot();
     let s = learn_transformation(examples, &config).expect("synthesis");
     let delta = trace::snapshot().delta(&before);
-    (delta.counter("synth.candidates.reused"), s.candidates_tried)
+    (
+        delta.counter("synth.candidates.reused"),
+        s.profile.candidates_examined,
+    )
 }
 
 #[test]
