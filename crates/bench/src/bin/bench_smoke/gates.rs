@@ -372,7 +372,7 @@ fn executor(v: &mut Verdicts, workloads: &[Workload]) {
     }
 }
 
-/// Corpus throughput floor: tiny documents behind the per-shape program cache
+/// Corpus throughput floor: tiny documents that reuse their shape's programs
 /// migrate orders of magnitude faster than this even on shared runners, so
 /// falling below it means synthesis runs per document again.
 const CORPUS_MIN_DOCS_PER_SEC: f64 = 5.0;

@@ -11,69 +11,15 @@ use mitra_datagen::datasets::{all_datasets, dataset_synth_config, DatasetSpec};
 use mitra_dsl::parse::parse_program;
 use mitra_dsl::pretty;
 use mitra_dsl::validate::validate_against;
-use mitra_hdt::Hdt;
+use mitra_hdt::DocFormat;
 use mitra_migrate::query::run_query;
 use mitra_synth::budget::Budget;
 use mitra_synth::exec::execute;
+use mitra_synth::synthesize::Example;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::CliError;
-
-/// Input document formats the CLI understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// XML documents (the Mitra-xml plug-in).
-    Xml,
-    /// JSON documents (the Mitra-json plug-in).
-    Json,
-    /// HTML documents (the HTML plug-in).
-    Html,
-}
-
-impl Format {
-    /// Parses a `--format` value.
-    pub fn from_option(text: &str) -> Result<Format, CliError> {
-        match text.to_ascii_lowercase().as_str() {
-            "xml" => Ok(Format::Xml),
-            "json" => Ok(Format::Json),
-            "html" | "htm" => Ok(Format::Html),
-            other => Err(CliError::Usage(format!(
-                "unknown format `{other}` (expected xml, json or html)"
-            ))),
-        }
-    }
-
-    /// Infers the format from a file name, falling back to XML.
-    pub fn from_path(path: &str) -> Format {
-        let lower = path.to_ascii_lowercase();
-        if lower.ends_with(".json") {
-            Format::Json
-        } else if lower.ends_with(".html") || lower.ends_with(".htm") {
-            Format::Html
-        } else {
-            Format::Xml
-        }
-    }
-
-    /// Parses a document of this format into an HDT.
-    pub fn parse(self, document: &str) -> Result<Hdt, CliError> {
-        let tree = match self {
-            Format::Xml => mitra_hdt::xml::xml_to_hdt(document),
-            Format::Json => mitra_hdt::json::json_to_hdt(document),
-            Format::Html => mitra_hdt::html::html_to_hdt(document),
-        };
-        Ok(tree.map_err(MitraError::from)?)
-    }
-
-    /// The natural code-generation backend for this format.
-    pub fn backend(self) -> Backend {
-        match self {
-            Format::Xml | Format::Html => Backend::Xslt,
-            Format::Json => Backend::JavaScript,
-        }
-    }
-}
 
 /// What `synthesize` should print.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,18 +52,13 @@ impl EmitKind {
 pub fn synthesize(
     document: &str,
     output_csv: &str,
-    format: Format,
+    format: DocFormat,
     emit: EmitKind,
 ) -> Result<String, CliError> {
-    let mitra = Mitra::new();
-    let examples = [(document, output_csv)];
     let start = Instant::now();
-    let synthesis = match format {
-        Format::Xml => mitra.synthesize_from_xml(&examples),
-        Format::Json => mitra.synthesize_from_json(&examples),
-        Format::Html => mitra.synthesize_from_html(&examples),
-    }
-    .map_err(CliError::from)?;
+    let tree = format.parse(document).map_err(MitraError::from)?;
+    let example = Example::new(tree, parse_csv_table(output_csv)?);
+    let synthesis = Mitra::new().synthesize(&[example])?;
     let elapsed = start.elapsed();
 
     let mut out = String::new();
@@ -148,11 +89,11 @@ pub fn synthesize(
 pub fn run_program(
     document: &str,
     program_text: &str,
-    format: Format,
+    format: DocFormat,
     explain: bool,
 ) -> Result<String, CliError> {
     let program = parse_program(program_text).map_err(MitraError::from)?;
-    let tree = format.parse(document)?;
+    let tree = format.parse(document).map_err(MitraError::from)?;
 
     let validation = validate_against(&program, &tree);
     if !validation.is_valid() {
@@ -408,31 +349,24 @@ mod tests {
     const OUT: &str = "name,role\nAda,engineer\nGrace,admiral\n";
 
     #[test]
-    fn format_detection_and_parsing() {
-        assert_eq!(Format::from_path("a/b/doc.json"), Format::Json);
-        assert_eq!(Format::from_path("page.HTML"), Format::Html);
-        assert_eq!(Format::from_path("data.xml"), Format::Xml);
-        assert_eq!(Format::from_path("noext"), Format::Xml);
-        assert!(Format::from_option("yaml").is_err());
-        assert!(Format::Xml.parse(XML).is_ok());
-        assert!(Format::Json.parse("{\"a\": 1}").is_ok());
-        assert!(Format::Json.parse("{broken").is_err());
-    }
-
-    #[test]
     fn synthesize_emits_dsl_and_code() {
-        let dsl = synthesize(XML, OUT, Format::Xml, EmitKind::Dsl).unwrap();
+        let dsl = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Dsl).unwrap();
         assert!(dsl.contains("filter"));
         assert!(dsl.contains("synthesized in"));
-        let xslt = synthesize(XML, OUT, Format::Xml, EmitKind::Xslt).unwrap();
+        let xslt = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Xslt).unwrap();
         assert!(xslt.contains("xsl:stylesheet"));
-        let js = synthesize(XML, OUT, Format::Xml, EmitKind::JavaScript).unwrap();
+        let js = synthesize(XML, OUT, DocFormat::Xml, EmitKind::JavaScript).unwrap();
         assert!(js.contains("function transform"));
     }
 
     #[test]
     fn synthesize_reports_failures() {
-        let err = synthesize(XML, "name\nNotInTheDocument\n", Format::Xml, EmitKind::Dsl);
+        let err = synthesize(
+            XML,
+            "name\nNotInTheDocument\n",
+            DocFormat::Xml,
+            EmitKind::Dsl,
+        );
         assert!(matches!(err, Err(CliError::Synthesis(_))));
     }
 
@@ -440,20 +374,20 @@ mod tests {
     fn run_round_trips_a_synthesized_program() {
         // Synthesize, print the DSL program, parse it back, and run it: the output must
         // match the original example.
-        let printed = synthesize(XML, OUT, Format::Xml, EmitKind::Dsl).unwrap();
+        let printed = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Dsl).unwrap();
         let program_text: String = printed
             .lines()
             .filter(|l| !l.starts_with("--"))
             .collect::<Vec<_>>()
             .join("\n");
-        let csv = run_program(XML, &program_text, Format::Xml, false).unwrap();
+        let csv = run_program(XML, &program_text, DocFormat::Xml, false).unwrap();
         assert!(csv.contains("Ada,engineer"));
         assert!(csv.contains("Grace,admiral"));
     }
 
     #[test]
     fn run_rejects_invalid_programs() {
-        assert!(run_program(XML, "not a program", Format::Xml, false).is_err());
+        assert!(run_program(XML, "not a program", DocFormat::Xml, false).is_err());
     }
 
     #[test]
@@ -462,7 +396,7 @@ mod tests {
         // CSV is prefixed with warning comments.
         let program_text =
             "\\tau. filter((\\s.pchildren(children(s, nosuch), name, 0)){root(tau)}, \\t. true)";
-        let out = run_program(XML, program_text, Format::Xml, false).unwrap();
+        let out = run_program(XML, program_text, DocFormat::Xml, false).unwrap();
         assert!(out.contains("-- warning"));
     }
 

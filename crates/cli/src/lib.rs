@@ -21,7 +21,8 @@ pub mod args;
 pub mod commands;
 
 use args::ParsedArgs;
-use commands::{EmitKind, Format};
+use commands::EmitKind;
+use mitra_hdt::DocFormat;
 use std::fmt;
 use std::fs;
 
@@ -291,7 +292,7 @@ fn corpus_service(args: &ParsedArgs, verb: &str) -> Result<String, CliError> {
         .map_err(CliError::Usage)?;
     let retries = args.numeric_option("retries", 3).map_err(CliError::Usage)?;
     job.config.retry.max_attempts = (retries as u32).max(1);
-    job.config.max_rows_per_doc = budget_option(args, "budget-rows")?;
+    job.config.synth.budget.max_rows = budget_option(args, "budget-rows")?;
     if verb == "resume" && !std::path::Path::new(out_dir).join("journal.jsonl").exists() {
         return Err(CliError::Input(format!(
             "nothing to resume: `{out_dir}/journal.jsonl` does not exist (run `corpus run` first)"
@@ -321,10 +322,19 @@ fn budget_option(args: &ParsedArgs, key: &str) -> Result<Option<u64>, CliError> 
     }
 }
 
-fn resolve_format(args: &ParsedArgs, input_path: &str) -> Result<Format, CliError> {
+/// The `--format` option, else the input file's extension, else XML.
+fn resolve_format(args: &ParsedArgs, input_path: &str) -> Result<DocFormat, CliError> {
     match args.option("format") {
-        Some(f) => Format::from_option(f),
-        None => Ok(Format::from_path(input_path)),
+        Some(f) => DocFormat::from_label(f).ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown format `{}` (expected xml, json or html)",
+                f.to_ascii_lowercase()
+            ))
+        }),
+        None => Ok(input_path
+            .rsplit_once('.')
+            .and_then(|(_, extension)| DocFormat::from_label(extension))
+            .unwrap_or(DocFormat::Xml)),
     }
 }
 
@@ -364,6 +374,29 @@ mod tests {
         let out = run_cli(Vec::<String>::new()).unwrap();
         assert!(out.contains("USAGE"));
         assert_eq!(run_cli(["help"]).unwrap(), USAGE);
+    }
+
+    #[test]
+    fn format_comes_from_the_option_then_the_extension() {
+        let inferred = ParsedArgs::parse(["run"]).unwrap();
+        assert_eq!(
+            resolve_format(&inferred, "a/b/doc.json"),
+            Ok(DocFormat::Json)
+        );
+        assert_eq!(resolve_format(&inferred, "page.HTML"), Ok(DocFormat::Html));
+        assert_eq!(resolve_format(&inferred, "page.htm"), Ok(DocFormat::Html));
+        assert_eq!(resolve_format(&inferred, "data.xml"), Ok(DocFormat::Xml));
+        assert_eq!(resolve_format(&inferred, "noext"), Ok(DocFormat::Xml));
+        assert_eq!(resolve_format(&inferred, "a.json/doc"), Ok(DocFormat::Xml));
+        let htm = ParsedArgs::parse(["run", "--format", "HTM"]).unwrap();
+        assert_eq!(resolve_format(&htm, "doc.json"), Ok(DocFormat::Html));
+        let yaml = ParsedArgs::parse(["run", "--format", "YAML"]).unwrap();
+        assert_eq!(
+            resolve_format(&yaml, "doc.xml"),
+            Err(CliError::Usage(
+                "unknown format `yaml` (expected xml, json or html)".into()
+            ))
+        );
     }
 
     #[test]

@@ -954,8 +954,12 @@ mod tests {
             !a.malformed.is_empty(),
             "20% of 50 docs should corrupt some"
         );
-        let (header, docs) = mitra_migrate::corpus::parse_corpus_text(&a.text);
-        assert_eq!(header.get("job"), Some("mixer"));
+        let header = a.text.lines().next().unwrap_or_default();
+        assert!(
+            header.starts_with("#mitra-corpus ") && header.contains(" job=mixer "),
+            "{header}"
+        );
+        let docs = mitra_migrate::corpus::parse_corpus_text(&a.text);
         assert_eq!(docs.len(), mix.docs, "corruption must not change indexing");
         for doc in &docs {
             let parsed = xml_to_hdt(doc.text);
@@ -984,7 +988,7 @@ mod tests {
             promo_pct: 0,
         };
         let corpus = mixed_corpus(&mix);
-        let (_, docs) = mitra_migrate::corpus::parse_corpus_text(&corpus.text);
+        let docs = mitra_migrate::corpus::parse_corpus_text(&corpus.text);
         let fps: Vec<_> = docs
             .iter()
             .map(|d| mitra_synth::fingerprint::fingerprint(&xml_to_hdt(d.text).unwrap()))
@@ -995,7 +999,7 @@ mod tests {
             ..mix
         };
         let promo = mixed_corpus(&promo_mix);
-        let (_, pdocs) = mitra_migrate::corpus::parse_corpus_text(&promo.text);
+        let pdocs = mitra_migrate::corpus::parse_corpus_text(&promo.text);
         let pfp = mitra_synth::fingerprint::fingerprint(&xml_to_hdt(pdocs[0].text).unwrap());
         assert_ne!(pfp, fps[0], "promo documents are a second shape");
     }

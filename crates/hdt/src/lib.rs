@@ -16,6 +16,7 @@
 //! * [`html`] — a lenient HTML parser and the HTML→HDT mapping, demonstrating the
 //!   "other hierarchical formats" extensibility claimed in Section 6.
 //!
+//! [`DocFormat`] names one of the three formats and dispatches to its parser.
 //! Finally, [`generate`] contains small helpers used by tests and examples to build
 //! trees programmatically.
 //!
@@ -29,6 +30,7 @@
 #![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod error;
+pub mod format;
 pub mod generate;
 pub mod html;
 pub mod intern;
@@ -38,6 +40,7 @@ pub mod tree;
 pub mod xml;
 
 pub use error::{HdtError, Result, MAX_PARSE_DEPTH};
+pub use format::DocFormat;
 pub use html::{parse_html, HtmlDocument, HtmlElement};
 pub use intern::{Interner, Symbol, TagId};
 pub use json::{parse_json, JsonValue};

@@ -5,9 +5,9 @@
 //! therefore synthesize **once per shape** and stream the learned programs over
 //! every document.  This module is the long-running service around that split:
 //!
-//! * **Per-shape program cache** — each document is fingerprinted
-//!   ([`mitra_synth::fingerprint()`]) and synthesis runs once per distinct
-//!   fingerprint, not once per document.
+//! * **Synthesis once per shape** — one scan fingerprints each document
+//!   ([`mitra_synth::fingerprint()`]) and numbers the distinct shapes, and
+//!   synthesis runs once per shape, not once per document.
 //! * **Deterministic sharding** — documents are processed in fixed-size shards,
 //!   fanned across `mitra-pool` in waves, with per-shard result tables and a
 //!   canonical-order concatenation, so the assembled tables are byte-identical
@@ -35,7 +35,7 @@ use crate::migrate::{validate_tasks, MigrationError};
 use crate::schema::Schema;
 use mitra_dsl::{Program, Table};
 use mitra_hdt::json::json_string;
-use mitra_hdt::{Hdt, HdtError};
+use mitra_hdt::Hdt;
 use mitra_synth::synthesize::SynthConfig;
 use std::fmt;
 use std::path::Path;
@@ -43,48 +43,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub use journal::{JournalHeader, JournalState, JournalWriter, ShardRecord};
+pub use mitra_hdt::DocFormat;
 pub use run::{resume, run};
-
-/// The source format every document of a corpus is parsed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DocFormat {
-    /// XML via [`mitra_hdt::xml::xml_to_hdt`].
-    Xml,
-    /// JSON via [`mitra_hdt::json::json_to_hdt`].
-    Json,
-    /// HTML via [`mitra_hdt::html::html_to_hdt`].
-    Html,
-}
-
-impl DocFormat {
-    /// Parses one document into an HDT.
-    pub fn parse(self, text: &str) -> Result<Hdt, HdtError> {
-        match self {
-            DocFormat::Xml => mitra_hdt::xml::xml_to_hdt(text),
-            DocFormat::Json => mitra_hdt::json::json_to_hdt(text),
-            DocFormat::Html => mitra_hdt::html::html_to_hdt(text),
-        }
-    }
-
-    /// Stable lowercase label used in journals and corpus headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            DocFormat::Xml => "xml",
-            DocFormat::Json => "json",
-            DocFormat::Html => "html",
-        }
-    }
-
-    /// Inverse of [`DocFormat::label`].
-    pub fn from_label(label: &str) -> Option<DocFormat> {
-        match label {
-            "xml" => Some(DocFormat::Xml),
-            "json" => Some(DocFormat::Json),
-            "html" => Some(DocFormat::Html),
-            _ => None,
-        }
-    }
-}
 
 /// A pure function from a parsed document to the expected output table for one
 /// target table — the corpus-side analogue of a per-document input–output
@@ -128,7 +88,7 @@ pub struct CorpusTask {
 
 /// Deterministic retry policy for `BudgetExhausted` documents: fuel-based,
 /// never wall-clock, so retry outcomes are identical at any thread count.
-/// Attempt `k` (1-based) runs with `max_rows_per_doc * 4^(k-1)` row fuel.
+/// Attempt `k` (1-based) runs with `synth.budget.max_rows * 4^(k-1)` row fuel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per document (first try included).
@@ -153,11 +113,11 @@ pub struct CorpusConfig {
     pub shard_size: usize,
     /// Worker threads for scanning and shard execution (`0` = process-global).
     pub threads: usize,
-    /// Synthesis configuration used for oracle-sourced tables.
+    /// Synthesis configuration used for oracle-sourced tables.  Its
+    /// `budget.max_rows` is the row fuel of one document's execution (`None`
+    /// = unlimited; retries escalate from this base), the field
+    /// `MigrationPlan` executes under too; synthesis never reads it.
     pub synth: SynthConfig,
-    /// Row fuel per document execution (`None` = unlimited; retries escalate
-    /// from this base).
-    pub max_rows_per_doc: Option<u64>,
     /// Retry policy for budget-exhausted documents.
     pub retry: RetryPolicy,
 }
@@ -168,7 +128,6 @@ impl Default for CorpusConfig {
             shard_size: 32,
             threads: 0,
             synth: SynthConfig::default(),
-            max_rows_per_doc: None,
             retry: RetryPolicy::default(),
         }
     }
@@ -278,46 +237,17 @@ pub struct CorpusDoc<'a> {
     pub text: &'a str,
 }
 
-/// Key/value pairs of a `#mitra-corpus` header line.
-#[derive(Debug, Clone, Default)]
-pub struct CorpusHeader {
-    /// Pairs in header order.
-    pub pairs: Vec<(String, String)>,
-}
-
-impl CorpusHeader {
-    /// Looks up a header key.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// Splits corpus text into documents: one document per line; blank lines and
-/// `#`-prefixed lines are skipped; an optional leading `#mitra-corpus v1 k=v…`
-/// line is parsed into a [`CorpusHeader`].  Offsets are byte offsets of line
-/// starts, so ledger entries point back into the corpus file.
-pub fn parse_corpus_text(text: &str) -> (CorpusHeader, Vec<CorpusDoc<'_>>) {
-    let mut header = CorpusHeader::default();
+/// `#`-prefixed lines (such as a leading `#mitra-corpus` line) are skipped.
+/// Offsets are byte offsets of line starts, so ledger entries point back into
+/// the corpus file.
+pub fn parse_corpus_text(text: &str) -> Vec<CorpusDoc<'_>> {
     let mut docs = Vec::new();
     let mut offset = 0usize;
-    let mut first_line = true;
     for line in text.split('\n') {
         let start = offset;
         offset += line.len() + 1;
         let trimmed = line.trim_end_matches('\r');
-        if first_line && trimmed.starts_with("#mitra-corpus") {
-            for token in trimmed.split_whitespace().skip(1) {
-                if let Some((k, v)) = token.split_once('=') {
-                    header.pairs.push((k.to_string(), v.to_string()));
-                }
-            }
-            first_line = false;
-            continue;
-        }
-        first_line = false;
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
@@ -327,7 +257,7 @@ pub fn parse_corpus_text(text: &str) -> (CorpusHeader, Vec<CorpusDoc<'_>>) {
             text: trimmed,
         });
     }
-    (header, docs)
+    docs
 }
 
 /// Errors of the corpus service.
@@ -340,7 +270,7 @@ pub enum CorpusError {
         /// Rendered `std::io::Error`.
         error: String,
     },
-    /// The corpus text or its header is unusable.
+    /// The corpus text or a shard file is unusable.
     Corpus(String),
     /// The checkpoint journal is missing, corrupt, or inconsistent with the
     /// corpus being resumed.
@@ -485,10 +415,7 @@ mod tests {
     #[test]
     fn corpus_text_parsing_skips_comments_and_tracks_offsets() {
         let text = "#mitra-corpus v1 format=xml seed=7\n<a/>\n\n# note\n<b>x</b>\n";
-        let (header, docs) = parse_corpus_text(text);
-        assert_eq!(header.get("format"), Some("xml"));
-        assert_eq!(header.get("seed"), Some("7"));
-        assert_eq!(header.get("missing"), None);
+        let docs = parse_corpus_text(text);
         assert_eq!(docs.len(), 2);
         assert_eq!(docs[0].index, 0);
         assert_eq!(docs[0].text, "<a/>");
@@ -508,15 +435,6 @@ mod tests {
             assert_eq!(FailureKind::from_label(kind.label()), Some(kind));
         }
         assert_eq!(FailureKind::from_label("nope"), None);
-    }
-
-    #[test]
-    fn doc_format_labels_round_trip() {
-        for f in [DocFormat::Xml, DocFormat::Json, DocFormat::Html] {
-            assert_eq!(DocFormat::from_label(f.label()), Some(f));
-        }
-        assert!(DocFormat::Xml.parse("<a>1</a>").is_ok());
-        assert!(DocFormat::Xml.parse("<a>1").is_err());
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   freshly executed shards, which makes interrupted+resumed byte-identity
 //!   structural rather than incidental.
 //!
+//! The scan is the only place a document gets its shape: it parses and
+//! fingerprints every document once, and execution reads the shape index it
+//! recorded.
+//!
 //! Fault sites: `corpus.shard` fires at shard-worker entry (an injected panic
 //! kills the run mid-corpus, exercising crash-resume); `corpus.doc` fires at
 //! document entry inside the per-document `catch_unwind` (an injected panic is
@@ -36,16 +40,27 @@ use mitra_dsl::table::write_csv_row;
 use mitra_dsl::{Program, Table, Value};
 use mitra_pool::{panic_message, parallel_map_catch};
 use mitra_synth::budget::BudgetBreach;
-use mitra_synth::fingerprint::{fingerprint, fnv1a, Fingerprint, ProgramCache, FNV_OFFSET};
+use mitra_synth::fingerprint::{fingerprint, fnv1a, Fingerprint, FNV_OFFSET};
 use mitra_synth::synthesize::{learn_transformation, Example, SynthError};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
 
-/// What the program cache stores per shape: the per-task programs, or the
-/// typed failure every document of the shape inherits.
-type ShapePrograms = Result<Vec<Program>, (FailureKind, String)>;
+/// A typed document failure: its quarantine kind and error text.
+type Failure = (FailureKind, String);
+
+/// What the scan learned.  Shapes are numbered in first-seen order, so each
+/// shape's exemplar is its lowest-index document.
+#[derive(Default)]
+struct Scan {
+    /// Per document: its shape index, or the failure it is quarantined with
+    /// (`malformed` with the parser's error, or `panic` if its slot panicked).
+    shapes: Vec<Result<usize, Failure>>,
+    /// Per shape: the per-task programs, or the failure every document of the
+    /// shape inherits.
+    programs: Vec<Result<Vec<Program>, Failure>>,
+}
 
 /// Runs a corpus job from scratch, truncating any previous journal in
 /// `out_dir`.  On success the directory holds `journal.jsonl`,
@@ -88,7 +103,7 @@ fn run_impl(
         // changed under us.
         return Err(CorpusError::Corpus("schema lost a task table".into()));
     }
-    let (_header, docs) = parse_corpus_text(corpus_text);
+    let docs = parse_corpus_text(corpus_text);
     let shard_size = job.config.shard_size.max(1);
     let shard_count = docs.len().div_ceil(shard_size);
     let tables = job.table_names();
@@ -144,44 +159,42 @@ fn run_impl(
     // shards — so each shape's exemplar (its lowest document index) is a pure
     // function of the corpus, identical for fresh and resumed runs.
     let synth_start = Instant::now();
-    let cache: ProgramCache<ShapePrograms> = ProgramCache::new();
+    let mut scan = Scan::default();
     let (shapes, programs_synthesized) = if pending.is_empty() {
         prior_synth.unwrap_or((0, 0))
     } else {
-        let fps: Vec<Option<Fingerprint>> =
-            parallel_map_catch(job.config.threads, &docs, |_, doc| {
-                job.format.parse(doc.text).ok().map(|t| fingerprint(&t))
-            })
-            .into_iter()
-            .map(|slot| slot.unwrap_or(None))
-            .collect();
-        let mut seen: HashSet<Fingerprint> = HashSet::new();
-        let mut order: Vec<(Fingerprint, usize)> = Vec::new();
-        for (i, fp) in fps.iter().enumerate() {
-            if let Some(fp) = fp {
-                if seen.insert(*fp) {
-                    order.push((*fp, i));
-                }
-            }
+        let fps = parallel_map_catch(job.config.threads, &docs, |_, doc| {
+            job.format.parse(doc.text).map(|t| fingerprint(&t))
+        });
+        let mut shape_of: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut exemplars: Vec<usize> = Vec::new();
+        for (i, slot) in fps.into_iter().enumerate() {
+            scan.shapes.push(match slot {
+                Ok(Ok(fp)) => Ok(*shape_of.entry(fp).or_insert_with(|| {
+                    exemplars.push(i);
+                    exemplars.len() - 1
+                })),
+                Ok(Err(e)) => Err((FailureKind::Malformed, e.to_string())),
+                Err(payload) => Err((FailureKind::Panic, payload.message)),
+            });
         }
-        let learned = parallel_map_catch(job.config.threads, &order, |_, &(_, exemplar)| {
+        let learned = parallel_map_catch(job.config.threads, &exemplars, |_, &exemplar| {
             synthesize_shape(job, docs[exemplar])
         });
         let mut programs = 0usize;
-        for (slot, &(fp, _)) in learned.into_iter().zip(&order) {
-            let (entry, count) = match slot {
-                Ok((entry, count)) => (entry, count),
-                Err(payload) => (Err((FailureKind::Panic, payload.message)), 0),
-            };
+        for slot in learned {
+            let (entry, count) =
+                slot.unwrap_or_else(|payload| (Err((FailureKind::Panic, payload.message)), 0));
             programs += count;
-            cache.insert(fp, entry);
+            mitra_trace::counter_add!("cache.shape_programs.insert", 1);
+            scan.programs.push(entry);
         }
         mitra_trace::counter_add!("corpus.programs_synthesized", programs as u64);
         writer.record(&format!(
             "{{\"kind\": \"synth\", \"shapes\": {}, \"programs\": {programs}}}",
-            order.len()
+            exemplars.len()
         ))?;
-        (order.len(), programs)
+        (exemplars.len(), programs)
     };
     let synth_wall = synth_start.elapsed();
 
@@ -192,7 +205,7 @@ fn run_impl(
     let wave_size = mitra_pool::resolve(job.config.threads).max(1);
     for wave in pending.chunks(wave_size) {
         let results = parallel_map_catch(job.config.threads, wave, |_, &shard_idx| {
-            run_shard(job, &schemas, &docs, shard_idx, shard_size, &cache)
+            run_shard(job, &schemas, &docs, shard_idx, shard_size, &scan)
         });
         let mut panicked: Option<(usize, String)> = None;
         for (&shard_idx, slot) in wave.iter().zip(results) {
@@ -312,9 +325,12 @@ fn run_impl(
 }
 
 /// Learns the per-task programs for one shape from its exemplar document.
-/// Returns the cache entry plus the number of `learn_transformation` calls
+/// Returns the shape's entry plus the number of `learn_transformation` calls
 /// that produced a program.
-fn synthesize_shape(job: &CorpusJob, exemplar: CorpusDoc<'_>) -> (ShapePrograms, usize) {
+fn synthesize_shape(
+    job: &CorpusJob,
+    exemplar: CorpusDoc<'_>,
+) -> (Result<Vec<Program>, Failure>, usize) {
     let tree = match job.format.parse(exemplar.text) {
         Ok(t) => t,
         // The scan already parsed this document; treat a flaky re-parse as a
@@ -378,7 +394,7 @@ fn run_shard(
     docs: &[CorpusDoc<'_>],
     shard_idx: usize,
     shard_size: usize,
-    cache: &ProgramCache<ShapePrograms>,
+    scan: &Scan,
 ) -> ShardOutput {
     mitra_trace::fault::hit("corpus.shard", shard_idx as u64);
     let start = shard_idx * shard_size;
@@ -392,7 +408,7 @@ fn run_shard(
     let mut ok = 0usize;
     let mut retried = 0u64;
     for doc in &docs[start..end] {
-        let outcome = catch_unwind(AssertUnwindSafe(|| process_doc(job, schemas, *doc, cache)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| process_doc(job, schemas, *doc, scan)));
         match outcome {
             Ok(DocResult::Ok(rows, doc_retries)) => {
                 ok += 1;
@@ -402,20 +418,13 @@ fn run_shard(
                 }
             }
             Ok(DocResult::Quarantine(record)) => quarantined.push(record),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                mitra_trace::fault::record_panic(
-                    format!("corpus.doc#{}", doc.index),
-                    message.clone(),
-                );
-                quarantined.push(QuarantineRecord {
-                    doc: doc.index,
-                    offset: doc.offset,
-                    kind: FailureKind::Panic,
-                    error: message,
-                    attempts: 1,
-                });
-            }
+            Err(payload) => quarantined.push(QuarantineRecord {
+                doc: doc.index,
+                offset: doc.offset,
+                kind: FailureKind::Panic,
+                error: panic_message(payload.as_ref()),
+                attempts: 1,
+            }),
         }
     }
     ShardOutput {
@@ -435,7 +444,7 @@ fn process_doc(
     job: &CorpusJob,
     schemas: &[TableSchema],
     doc: CorpusDoc<'_>,
-    cache: &ProgramCache<ShapePrograms>,
+    scan: &Scan,
 ) -> DocResult {
     mitra_trace::fault::hit("corpus.doc", doc.index as u64);
     let quarantine = |kind: FailureKind, error: String, attempts: u32| {
@@ -447,33 +456,25 @@ fn process_doc(
             attempts,
         })
     };
+    let programs = match scan.shapes[doc.index].as_ref().map(|&s| &scan.programs[s]) {
+        Ok(Ok(programs)) => programs,
+        Ok(Err((kind, error))) | Err((kind, error)) => return quarantine(*kind, error.clone(), 1),
+    };
+    // Parsed again rather than kept from the scan, so only the documents in
+    // flight hold a tree.
     let tree = match job.format.parse(doc.text) {
         Ok(t) => t,
         Err(e) => return quarantine(FailureKind::Malformed, e.to_string(), 1),
     };
-    let fp = fingerprint(&tree);
-    let Some(entry) = cache.get(fp) else {
-        // Only possible if the scan pass failed on this shape's exemplar.
-        return quarantine(
-            FailureKind::Panic,
-            "shape was not fingerprinted during the scan pass".into(),
-            1,
-        );
-    };
-    let programs = match entry.as_ref() {
-        Ok(p) => p,
-        Err((kind, error)) => return quarantine(*kind, error.clone(), 1),
-    };
 
     let max_attempts = job.config.retry.max_attempts.max(1);
+    let base_fuel = job.config.synth.budget.max_rows;
     let mut retries = 0u64;
     for attempt in 1..=max_attempts {
         // Fuel-based escalation: attempt k runs with base * ESCALATION^(k-1)
         // row fuel — a pure function of the attempt number, so retry outcomes
         // are identical at every thread count.
-        let fuel = job
-            .config
-            .max_rows_per_doc
+        let fuel = base_fuel
             .map(|base| base.saturating_mul(RetryPolicy::ESCALATION.saturating_pow(attempt - 1)));
         let executed: Result<Vec<Vec<Vec<String>>>, BudgetBreach> = job
             .tasks
@@ -498,7 +499,7 @@ fn process_doc(
             .collect();
         match executed {
             Ok(rendered) => return DocResult::Ok(rendered, retries),
-            Err(_) if attempt < max_attempts && job.config.max_rows_per_doc.is_some() => {
+            Err(_) if attempt < max_attempts && base_fuel.is_some() => {
                 retries += 1;
             }
             Err(breach) => return quarantine(FailureKind::Budget, breach.to_string(), attempt),

@@ -694,16 +694,10 @@ impl MigrationPlan {
                 breach,
                 profile.unwrap_or_default(),
             ))),
-            Err(payload) => {
-                let message = mitra_pool::panic_message(payload.as_ref());
-                let site = format!("migrate.exec:{}", task.table);
-                mitra_trace::fault::record_panic(site, message.clone());
-                let table = task.table.clone();
-                Err(TableOutcome::Failed(MigrationError::Panicked {
-                    table,
-                    message,
-                }))
-            }
+            Err(payload) => Err(TableOutcome::Failed(MigrationError::Panicked {
+                table: task.table.clone(),
+                message: mitra_pool::panic_message(payload.as_ref()),
+            })),
         }
     }
 }

@@ -29,8 +29,8 @@
 //! **Panic isolation**: every slot runs under `catch_unwind`, so a panicking task
 //! poisons only its own result.  [`parallel_map_catch`] surfaces each slot as a
 //! `Result<R, PanicPayload>` (sibling tasks and the deterministic merge order
-//! survive; the payload message and a backtrace land in the `mitra-trace` panic
-//! log and the `pool.panics_caught` counter), while [`parallel_map`] keeps the
+//! survive; the payload message is the slot's result and the catch counts as
+//! `pool.panics_caught`), while [`parallel_map`] keeps the
 //! infallible signature by re-panicking with the **first panicking slot in input
 //! order** after all siblings finish — deterministic at every thread count,
 //! unlike the raw scope-join propagation it replaces.
@@ -135,8 +135,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one slot under `catch_unwind`: the deterministic fault site
-/// `pool.slot:<index>` fires inside the guard, and a caught panic is recorded
-/// into the `mitra-trace` panic log before it is returned as data.
+/// `pool.slot:<index>` fires inside the guard, and a caught panic is counted
+/// and returned as data.
 fn run_caught<T, R, F>(f: &F, i: usize, item: &T) -> Result<R, PanicPayload>
 where
     F: Fn(usize, &T) -> R + Sync,
@@ -147,10 +147,10 @@ where
     })) {
         Ok(r) => Ok(r),
         Err(payload) => {
-            let message = panic_message(payload.as_ref());
             mitra_trace::counter_add!("pool.panics_caught", 1);
-            mitra_trace::fault::record_panic(format!("pool.slot#{i}"), message.clone());
-            Err(PanicPayload { message })
+            Err(PanicPayload {
+                message: panic_message(payload.as_ref()),
+            })
         }
     }
 }
@@ -188,9 +188,8 @@ where
 /// result slot is `Ok(R)` or the caught [`PanicPayload`] of that slot alone.
 ///
 /// Sibling tasks, the pool, and the input-order result layout all survive a
-/// panicking slot; the payload message and a backtrace captured at the unwind
-/// boundary are recorded into the `mitra-trace` panic log
-/// ([`mitra_trace::fault::take_panics`]) and counted by `pool.panics_caught`.
+/// panicking slot; the slot's result carries the payload message, and
+/// `pool.panics_caught` counts the catch.
 pub fn parallel_map_catch<T, R, F>(
     threads: usize,
     items: &[T],

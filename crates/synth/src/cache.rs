@@ -26,7 +26,7 @@ use mitra_dsl::eval::{eval_column, node_value};
 use mitra_dsl::{Table, Value};
 use mitra_hdt::{Hdt, NodeId};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per-node comparison data for the pairwise predicate rule (rule 5): leafness,
@@ -65,8 +65,6 @@ pub struct ColumnPhiData {
     /// Indices of the first member (= representative) of each distinct behaviour
     /// class, in enumeration order.
     pub reps: Vec<usize>,
-    /// For each extractor, the index of its class representative.
-    pub rep_of: Vec<usize>,
     /// `info[p][e][k]`: comparison data for `nodes[p][e][k]`, populated for
     /// behaviour-class representatives only (`info[p]` is empty otherwise) — the
     /// predicate rules never touch non-representatives.
@@ -229,20 +227,11 @@ impl ColumnEvalCache {
         // Behaviour classes: first extractor with a given node map represents it.
         // The enumeration is size-nondecreasing per BFS level, so a representative
         // is also a minimum-size member of its class.
-        let mut first_of: HashMap<&[Vec<NodeId>], usize> = HashMap::new();
-        let mut reps = Vec::new();
-        let mut rep_of = Vec::with_capacity(nodes.len());
-        for (p, map) in nodes.iter().enumerate() {
-            match first_of.get(map.as_slice()) {
-                Some(&r) => rep_of.push(r),
-                None => {
-                    first_of.insert(map.as_slice(), p);
-                    reps.push(p);
-                    rep_of.push(p);
-                }
-            }
-        }
-        drop(first_of);
+        let mut seen: HashSet<&[Vec<NodeId>]> = HashSet::new();
+        let reps: Vec<usize> = (0..nodes.len())
+            .filter(|&p| seen.insert(nodes[p].as_slice()))
+            .collect();
+        drop(seen);
         // Comparison data for the representatives: leafness, interned value id and
         // null flag per extracted node, so rule 5 compares node pairs
         // through integer ids instead of re-deriving values per tuple, and the
@@ -274,7 +263,6 @@ impl ColumnEvalCache {
             phis,
             nodes,
             reps,
-            rep_of,
             info,
             orderings,
         });

@@ -44,8 +44,6 @@ pub struct ExecStats {
     pub tuples_considered: usize,
     /// Rows in the final output.
     pub rows_emitted: usize,
-    /// Whether any cross-product (non-join) extension step was needed.
-    pub used_cross_product: bool,
     /// Number of chunks the residual filter fanned out over (1 when it ran inline).
     pub chunks: usize,
     /// Join steps executed as pre-order interval joins.
@@ -155,7 +153,6 @@ fn run_plan(
             }
             StepMethod::CrossProduct => {
                 stats.cross_product_steps += 1;
-                stats.used_cross_product = true;
                 ops::cross_join(&tuples, col, &columns[col])
             }
         };
@@ -380,7 +377,6 @@ mod tests {
         let tree = social_network(3, 1);
         let (out, stats) = execute_with_stats(&tree, &program);
         assert_eq!(out.len(), 9);
-        assert!(stats.used_cross_product);
         assert_eq!(stats.cross_product_steps, 1);
     }
 

@@ -1,4 +1,4 @@
-//! Document-shape fingerprints and the per-shape program cache (DESIGN.md §12).
+//! Document-shape fingerprints (DESIGN.md §12).
 //!
 //! A corpus-scale migration (millions of documents sharing a handful of
 //! layouts) must not pay the ~seconds synthesis cost per document when
@@ -18,8 +18,7 @@
 //! and multiplicity-insensitive, with no dependency beyond `mitra-hdt`.
 
 use mitra_hdt::Hdt;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::BTreeSet;
 
 /// The 64-bit FNV-1a offset basis: the hash of the empty input.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -63,8 +62,9 @@ impl std::fmt::Display for Fingerprint {
 /// Computes the shape fingerprint of a document: hash the root-to-node tag
 /// path of every node (explicit stack — adversarially deep documents must not
 /// overflow), collect the distinct path hashes, and fold them in sorted order.
+/// It reads only the arena (`children` and tag names) and leaves the tree's
+/// navigation index unbuilt; execution builds that on first use.
 pub fn fingerprint(tree: &Hdt) -> Fingerprint {
-    tree.ensure_index();
     let root = tree.root();
     let mut paths: BTreeSet<u64> = BTreeSet::new();
     let mut stack: Vec<(mitra_hdt::NodeId, u64)> =
@@ -80,69 +80,6 @@ pub fn fingerprint(tree: &Hdt) -> Fingerprint {
             .iter()
             .fold(FNV_OFFSET, |h, p| fnv1a(h, &p.to_le_bytes())),
     )
-}
-
-/// A concurrency-safe, first-write-wins memo from [`Fingerprint`] to a shared
-/// per-shape value (the corpus service stores the learned per-table programs —
-/// or the typed synthesis failure — for each shape).
-///
-/// The cache never evicts: a corpus has a handful of shapes, and determinism
-/// requires that every document of a shape sees the same entry.  When two
-/// writers race on the same fingerprint the first insert wins and both receive
-/// the same `Arc`, so readers can never observe two different programs for one
-/// shape.
-#[derive(Debug, Default)]
-pub struct ProgramCache<V> {
-    inner: Mutex<HashMap<Fingerprint, Arc<V>>>,
-}
-
-impl<V> ProgramCache<V> {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ProgramCache {
-            inner: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Looks a shape up, counting `cache.shape_programs.{hit,miss}`.
-    pub fn get(&self, fp: Fingerprint) -> Option<Arc<V>> {
-        let found = self
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&fp)
-            .cloned();
-        if found.is_some() {
-            mitra_trace::counter_add!("cache.shape_programs.hit", 1);
-        } else {
-            mitra_trace::counter_add!("cache.shape_programs.miss", 1);
-        }
-        found
-    }
-
-    /// Inserts a value for a shape (first write wins) and returns the entry
-    /// that ended up cached.
-    pub fn insert(&self, fp: Fingerprint, value: V) -> Arc<V> {
-        let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = map.entry(fp).or_insert_with(|| {
-            mitra_trace::counter_add!("cache.shape_programs.insert", 1);
-            Arc::new(value)
-        });
-        Arc::clone(entry)
-    }
-
-    /// Number of cached shapes.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True when no shape has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -186,20 +123,5 @@ mod tests {
         assert_eq!(fp, fingerprint(&t));
         assert_eq!(fp.to_hex().len(), 16);
         assert_eq!(fp.to_hex(), format!("{fp}"));
-    }
-
-    #[test]
-    fn cache_is_first_write_wins() {
-        let cache: ProgramCache<u32> = ProgramCache::new();
-        let t = xml_to_hdt("<r><a>1</a></r>").unwrap();
-        let fp = fingerprint(&t);
-        assert!(cache.get(fp).is_none());
-        assert!(cache.is_empty());
-        let first = cache.insert(fp, 7);
-        let second = cache.insert(fp, 99);
-        assert_eq!(*first, 7);
-        assert_eq!(*second, 7, "first insert must win");
-        assert_eq!(*cache.get(fp).unwrap(), 7);
-        assert_eq!(cache.len(), 1);
     }
 }

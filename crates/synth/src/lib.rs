@@ -31,8 +31,8 @@
 //!   pre-order interval joins, interned-key hash joins, vectorized residual
 //!   filters) and the executor driving them.  Its reference is the naive
 //!   cross-product semantics in `mitra_dsl::eval`.
-//! * [`fingerprint`](mod@fingerprint) — document-shape fingerprints (stable tag-path-set hashes) and the
-//!   per-shape program cache that lets the corpus service synthesize once per shape.
+//! * [`fingerprint`](mod@fingerprint) — document-shape fingerprints (stable tag-path-set hashes),
+//!   which let the corpus service synthesize once per shape.
 
 mod bits;
 pub mod budget;
@@ -53,7 +53,7 @@ pub use budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 pub use cache::{ColumnEvalCache, ColumnPhiData};
 pub use column::learn_column_automata;
 pub use exec::{execute, execute_nodes_budgeted};
-pub use fingerprint::{fingerprint, Fingerprint, ProgramCache};
+pub use fingerprint::{fingerprint, Fingerprint};
 pub use ops::ValueInterner;
 pub use plan::{plan_with_tree, Plan, PlanStep, StepMethod};
 pub use predicate::{learn_predicate, learn_predicate_reference};

@@ -192,8 +192,6 @@ pub struct Synthesis {
     /// read accordingly.  (Words stream from the automata on demand, so
     /// enumeration itself never truncates.)
     pub truncated: bool,
-    /// Worker threads actually used (after resolving `SynthConfig::threads`).
-    pub threads_used: usize,
     /// Per-phase wall times and candidate counts; `profile.candidates_examined`
     /// is the number of candidate table extractors examined.
     pub profile: SynthProfile,
@@ -714,7 +712,6 @@ pub fn learn_transformation(
             programs_found,
             elapsed: start.elapsed(),
             truncated,
-            threads_used: threads,
             profile,
             budget_breach,
         }),
@@ -843,7 +840,6 @@ pub fn learn_transformation_exhaustive(
             programs_found,
             elapsed: start.elapsed(),
             truncated,
-            threads_used: threads,
             profile,
             budget_breach,
         }),

@@ -1,4 +1,4 @@
-//! Deterministic fault injection and panic capture for robustness testing.
+//! Deterministic fault injection for robustness testing.
 //!
 //! The fuzz harness and the robustness suite need to kill one specific unit of
 //! work — one pool slot, one candidate validation, one table synthesis — and then
@@ -22,10 +22,9 @@
 //! | `corpus.shard`   | shard index of one corpus-service run            |
 //! | `corpus.doc`     | document index within the corpus                 |
 //!
-//! Panic capture: when `mitra-pool` catches a worker panic it calls
-//! [`record_panic`]; the payload message and a backtrace captured at the unwind
-//! boundary are kept in a bounded in-process log readable via [`take_panics`] /
-//! [`panics_snapshot`], alongside the `pool.panics_caught` counter.
+//! Caught panics: `mitra-pool` counts each one as `pool.panics_caught`, and its
+//! message travels as data into the error or record the catching site returns
+//! (`MigrationError::Panicked`, a corpus `panic` quarantine).
 //!
 //! This module is compiled unconditionally (it is behaviour under test, not
 //! telemetry), and the unarmed fast path is one relaxed atomic load.
@@ -89,12 +88,6 @@ pub fn set_fault(spec: Option<FaultSpec>) {
     install(spec);
 }
 
-/// The currently installed fault, if any (resolving `MITRA_FAULT` on first use).
-pub fn current_fault() -> Option<FaultSpec> {
-    init_from_env();
-    SPEC.lock().unwrap_or_else(PoisonError::into_inner).clone()
-}
-
 /// Fault check for one canonical unit of work: panics iff a fault is installed
 /// for `site` with `nth == index`.  The panic message is
 /// `injected fault: <site>#<index>`.
@@ -113,51 +106,6 @@ pub fn hit(site: &str, index: u64) {
     if matched {
         panic!("injected fault: {site}#{index}");
     }
-}
-
-/// One caught panic: where it was caught, what the payload said, and a backtrace
-/// captured at the unwind boundary (honours `RUST_BACKTRACE`).
-#[derive(Debug, Clone)]
-pub struct PanicRecord {
-    /// Catch-site context (e.g. `pool.slot` plus the slot index).
-    pub context: String,
-    /// Stringified panic payload.
-    pub message: String,
-    /// Backtrace captured where the panic was caught.
-    pub backtrace: String,
-}
-
-/// Bounded log of caught panics (oldest dropped past [`MAX_PANIC_RECORDS`]).
-static PANICS: Mutex<Vec<PanicRecord>> = Mutex::new(Vec::new());
-
-/// Upper bound on retained panic records.
-pub const MAX_PANIC_RECORDS: usize = 128;
-
-/// Records one caught panic into the bounded in-process log.
-pub fn record_panic(context: String, message: String) {
-    let backtrace = std::backtrace::Backtrace::capture().to_string();
-    let mut log = PANICS.lock().unwrap_or_else(PoisonError::into_inner);
-    if log.len() >= MAX_PANIC_RECORDS {
-        log.remove(0);
-    }
-    log.push(PanicRecord {
-        context,
-        message,
-        backtrace,
-    });
-}
-
-/// Drains and returns every recorded panic.
-pub fn take_panics() -> Vec<PanicRecord> {
-    std::mem::take(&mut PANICS.lock().unwrap_or_else(PoisonError::into_inner))
-}
-
-/// A copy of the recorded panics, leaving the log in place.
-pub fn panics_snapshot() -> Vec<PanicRecord> {
-    PANICS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
 }
 
 #[cfg(test)]
@@ -207,18 +155,5 @@ mod tests {
         assert_eq!(msg, "injected fault: test.site#2");
         // Cleared: nothing fires any more.
         hit("test.site", 2);
-    }
-
-    #[test]
-    fn panic_log_is_bounded_and_drainable() {
-        let _ = take_panics();
-        record_panic("ctx".into(), "boom".into());
-        let snap = panics_snapshot();
-        assert!(snap
-            .iter()
-            .any(|p| p.message == "boom" && p.context == "ctx"));
-        let drained = take_panics();
-        assert!(drained.iter().any(|p| p.message == "boom"));
-        assert!(take_panics().is_empty());
     }
 }

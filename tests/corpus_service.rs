@@ -1,8 +1,8 @@
 //! Integration tests for the checkpointed corpus migration service
 //! (DESIGN.md §12): crash-resume byte-identity at 1 vs 4 threads, exact
-//! quarantine of a seeded malformed fraction with zero FK violations, and
+//! quarantine of a seeded malformed fraction with zero FK violations,
 //! synthesize-once-per-shape verified through the `synth.candidates.examined`
-//! counter.
+//! counter, and escalating retries under a row budget.
 //!
 //! Fault injection and metrics counters are process-global, so the tests
 //! serialize on one mutex.
@@ -229,10 +229,58 @@ fn thousand_document_single_shape_corpus_synthesizes_exactly_once() {
     assert_eq!(
         after.delta(&mid).counter("cache.shape_programs.insert"),
         1,
-        "exactly one shape entered the program cache"
+        "exactly one shape's programs were stored"
     );
     std::fs::remove_dir_all(&dir_one).ok();
     std::fs::remove_dir_all(&dir_all).ok();
+}
+
+#[test]
+fn row_budget_escalates_then_quarantines() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mix = CorpusMix {
+        seed: 11,
+        docs: 400,
+        malformed_pct: 10,
+        promo_pct: 0,
+    };
+    let corpus = mixed_corpus(&mix);
+    let mut per_thread_artifacts = Vec::new();
+    for threads in [1usize, 2] {
+        // Row fuel 2, then 8, then 32: no document fits in 8 rows, so every
+        // surviving document takes all three attempts.
+        let mut job = mixer_job_with(threads, 16);
+        job.config.synth.budget.max_rows = Some(2);
+        let dir = temp_dir(&format!("row-budget-t{threads}"));
+        let report = run(&job, &corpus.text, &dir).unwrap();
+        let kinds =
+            |kind: FailureKind| report.quarantined.iter().filter(|q| q.kind == kind).count();
+        assert_eq!((report.ok_docs, report.quarantined.len()), (196, 204));
+        assert_eq!(
+            (kinds(FailureKind::Malformed), kinds(FailureKind::Budget)),
+            (38, 166)
+        );
+        assert_eq!(report.retried, 392, "two retries per surviving document");
+        assert_eq!(
+            report.table_rows,
+            [("customer".to_string(), 480), ("purchase".to_string(), 866)]
+        );
+        let ledger = std::fs::read_to_string(dir.join("failure_ledger.jsonl")).unwrap();
+        assert_eq!(
+            ledger.lines().next(),
+            Some(
+                "{\"doc\": 3, \"offset\": 1198, \"kind\": \"budget-exhausted\", \"error\": \
+                 \"rows-materialized fuel exhausted (33 spent of 32 allowed)\", \"attempts\": 3}"
+            ),
+            "the third attempt runs with 2 × 4² rows of fuel"
+        );
+        per_thread_artifacts.push(artifacts(&dir));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_eq!(
+        per_thread_artifacts[0], per_thread_artifacts[1],
+        "budgeted artifacts must be byte-identical at 1 vs 2 threads"
+    );
 }
 
 #[test]
