@@ -6,8 +6,8 @@
 //! construction and the evaluator actually do: many `descendants` queries for a
 //! *selective* tag issued against interior nodes of a large document.  Both
 //! implementations are exercised through public `Hdt` API so the comparison stays
-//! honest: [`mitra_hdt::Hdt::descendants_with_tag_naive`] is the pre-refactor
-//! traversal, kept as the reference implementation.
+//! honest: [`walk_descendants`] is the pre-refactor traversal, an explicit-stack
+//! subtree walk over `Hdt::children`, kept here as the reference implementation.
 
 use mitra_hdt::{Hdt, NodeId, TagId};
 use std::time::Instant;
@@ -58,11 +58,27 @@ pub fn run_indexed(tree: &Hdt, queries: &[(NodeId, TagId)]) -> usize {
         .sum()
 }
 
+/// All strict descendants of `id` tagged `tag`, in pre-order, found by walking the
+/// whole subtree with an explicit stack: the pre-refactor `descendants_with_tag`.
+pub fn walk_descendants(tree: &Hdt, id: NodeId, tag: TagId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack: Vec<NodeId> = tree.children(id).iter().rev().copied().collect();
+    while let Some(n) = stack.pop() {
+        if tree.tag(n) == tag {
+            out.push(n);
+        }
+        for c in tree.children(n).iter().rev() {
+            stack.push(*c);
+        }
+    }
+    out
+}
+
 /// Runs the query mix through the pre-refactor full-subtree walk.
 pub fn run_naive(tree: &Hdt, queries: &[(NodeId, TagId)]) -> usize {
     queries
         .iter()
-        .map(|(n, t)| tree.descendants_with_tag_naive(*n, *t).len())
+        .map(|(n, t)| walk_descendants(tree, *n, *t).len())
         .sum()
 }
 

@@ -284,16 +284,17 @@ mod tests {
             "guard should precede the inner loop:\n{xslt}"
         );
         // The pushed-up guard still nests correctly.
-        let doc = mitra_hdt::parse_xml(&xslt).expect("well-formed");
-        assert_eq!(doc.root.name, "xsl:stylesheet");
+        let tree = mitra_hdt::xml::xml_to_hdt(&xslt).expect("well-formed");
+        assert_eq!(tree.tag_name(tree.root()), "xsl:stylesheet");
     }
 
     #[test]
     fn stylesheet_is_well_formed_xml() {
         // Parse the emitted stylesheet with our own XML parser as a structural check.
         let xslt = generate_xslt(&social_program());
-        let doc = mitra_hdt::parse_xml(&xslt).expect("emitted XSLT should be well-formed XML");
-        assert_eq!(doc.root.name, "xsl:stylesheet");
+        let tree =
+            mitra_hdt::xml::xml_to_hdt(&xslt).expect("emitted XSLT should be well-formed XML");
+        assert_eq!(tree.tag_name(tree.root()), "xsl:stylesheet");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! # mitra-core — the high-level Mitra engine
 //!
 //! This crate is the public face of the reproduction: it ties together the plug-ins
-//! (XML/JSON → HDT), the synthesis engine, the optimized execution engine, the code
-//! generators and the full-database migration machinery behind one small API, mirroring
-//! the architecture of Figure 14 in the paper (a language-agnostic core plus
-//! domain-specific plug-ins).
+//! (XML/JSON/HTML → HDT, chosen by a [`DocFormat`]), the synthesis engine, the
+//! optimized execution engine, the code generators and the full-database migration
+//! machinery behind one small API, mirroring the architecture of Figure 14 in the
+//! paper (a language-agnostic core plus domain-specific plug-ins).
 //!
 //! ```
-//! use mitra_core::Mitra;
+//! use mitra_core::{DocFormat, Mitra};
 //!
 //! let xml = r#"<root>
 //!   <person><name>Ada</name><role>engineer</role></person>
@@ -16,8 +16,8 @@
 //! let output = "name,role\nAda,engineer\nGrace,admiral\n";
 //!
 //! let mitra = Mitra::new();
-//! let synthesized = mitra.synthesize_from_xml(&[(xml, output)]).unwrap();
-//! let table = mitra.run_on_xml(&synthesized.program, xml).unwrap();
+//! let synthesized = mitra.synthesize_from(DocFormat::Xml, &[(xml, output)]).unwrap();
+//! let table = mitra.run_on(DocFormat::Xml, &synthesized.program, xml).unwrap();
 //! assert_eq!(table.len(), 2);
 //! ```
 
@@ -25,7 +25,6 @@ use mitra_codegen::{generate, Artifact, Backend};
 use mitra_dsl::table::read_csv_record;
 use mitra_dsl::{Program, Table, Value};
 use mitra_hdt::Hdt;
-use mitra_migrate::migrate::{MigrationPlan, MigrationReport};
 use mitra_migrate::Database;
 use mitra_synth::exec::execute;
 use mitra_synth::synthesize::{learn_transformation, Example, SynthConfig, Synthesis};
@@ -37,16 +36,16 @@ pub use mitra_codegen as codegen;
 pub use mitra_dsl as dsl;
 pub use mitra_hdt as hdt;
 pub use mitra_hdt::intern;
-pub use mitra_hdt::{Interner, Symbol, TagId};
+pub use mitra_hdt::{DocFormat, Interner, Symbol, TagId};
 pub use mitra_migrate as migrate;
 pub use mitra_synth as synth;
 pub use mitra_trace as trace;
 
-/// The high-level Mitra engine: a synthesis configuration plus convenience entry
-/// points for the XML and JSON plug-ins.
+/// The high-level Mitra engine: a synthesis configuration plus entry points that
+/// read documents through any plug-in ([`DocFormat`]).
 #[derive(Debug, Clone, Default)]
 pub struct Mitra {
-    /// The synthesis configuration used by all `synthesize_*` calls.
+    /// The synthesis configuration used by every synthesis call.
     pub config: SynthConfig,
 }
 
@@ -63,47 +62,19 @@ impl Mitra {
         Mitra { config }
     }
 
-    /// Synthesizes a program from (XML document, output CSV) example pairs.
+    /// Synthesizes a program from (document, output CSV) example pairs, each
+    /// document parsed by `format`'s plug-in.
     ///
     /// The CSV's first line is treated as the header (column names); remaining lines
     /// are the expected rows.
-    pub fn synthesize_from_xml(&self, examples: &[(&str, &str)]) -> Result<Synthesis, MitraError> {
+    pub fn synthesize_from(
+        &self,
+        format: DocFormat,
+        examples: &[(&str, &str)],
+    ) -> Result<Synthesis, MitraError> {
         let examples = examples
             .iter()
-            .map(|(doc, out)| {
-                Ok(Example::new(
-                    mitra_hdt::xml::xml_to_hdt(doc)?,
-                    parse_csv_table(out)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, MitraError>>()?;
-        Ok(learn_transformation(&examples, &self.config)?)
-    }
-
-    /// Synthesizes a program from (JSON document, output CSV) example pairs.
-    pub fn synthesize_from_json(&self, examples: &[(&str, &str)]) -> Result<Synthesis, MitraError> {
-        let examples = examples
-            .iter()
-            .map(|(doc, out)| {
-                Ok(Example::new(
-                    mitra_hdt::json::json_to_hdt(doc)?,
-                    parse_csv_table(out)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, MitraError>>()?;
-        Ok(learn_transformation(&examples, &self.config)?)
-    }
-
-    /// Synthesizes a program from (HTML document, output CSV) example pairs.
-    pub fn synthesize_from_html(&self, examples: &[(&str, &str)]) -> Result<Synthesis, MitraError> {
-        let examples = examples
-            .iter()
-            .map(|(doc, out)| {
-                Ok(Example::new(
-                    mitra_hdt::html::html_to_hdt(doc)?,
-                    parse_csv_table(out)?,
-                ))
-            })
+            .map(|(doc, out)| Ok(Example::new(format.parse(doc)?, parse_csv_table(out)?)))
             .collect::<Result<Vec<_>, MitraError>>()?;
         Ok(learn_transformation(&examples, &self.config)?)
     }
@@ -113,21 +84,15 @@ impl Mitra {
         Ok(learn_transformation(examples, &self.config)?)
     }
 
-    /// Runs a program over an XML document using the optimized execution engine.
-    pub fn run_on_xml(&self, program: &Program, document: &str) -> Result<Table, MitraError> {
-        let tree = mitra_hdt::xml::xml_to_hdt(document)?;
-        Ok(execute(&tree, program))
-    }
-
-    /// Runs a program over a JSON document using the optimized execution engine.
-    pub fn run_on_json(&self, program: &Program, document: &str) -> Result<Table, MitraError> {
-        let tree = mitra_hdt::json::json_to_hdt(document)?;
-        Ok(execute(&tree, program))
-    }
-
-    /// Runs a program over an HTML document using the optimized execution engine.
-    pub fn run_on_html(&self, program: &Program, document: &str) -> Result<Table, MitraError> {
-        let tree = mitra_hdt::html::html_to_hdt(document)?;
+    /// Runs a program over a document, parsed by `format`'s plug-in, using the
+    /// optimized execution engine.
+    pub fn run_on(
+        &self,
+        format: DocFormat,
+        program: &Program,
+        document: &str,
+    ) -> Result<Table, MitraError> {
+        let tree = format.parse(document)?;
         Ok(execute(&tree, program))
     }
 
@@ -145,15 +110,6 @@ impl Mitra {
     /// Parses a DSL program from its textual (paper-syntax) form.
     pub fn parse_program(&self, text: &str) -> Result<Program, MitraError> {
         Ok(mitra_dsl::parse::parse_program(text)?)
-    }
-
-    /// Runs a full-database migration plan over a parsed document.
-    pub fn run_migration(
-        &self,
-        plan: &MigrationPlan,
-        document: &Hdt,
-    ) -> Result<MigrationReport, MitraError> {
-        Ok(plan.run(document)?)
     }
 
     /// Runs a SQL `SELECT` query against a migrated database.
@@ -237,8 +193,10 @@ mod tests {
     #[test]
     fn xml_end_to_end_synthesis_and_execution() {
         let mitra = Mitra::new();
-        let result = mitra.synthesize_from_xml(&[(XML, OUT)]).unwrap();
-        let table = mitra.run_on_xml(&result.program, XML).unwrap();
+        let result = mitra
+            .synthesize_from(DocFormat::Xml, &[(XML, OUT)])
+            .unwrap();
+        let table = mitra.run_on(DocFormat::Xml, &result.program, XML).unwrap();
         assert_eq!(table.len(), 3);
         assert_eq!(table.columns, vec!["name", "role"]);
     }
@@ -246,8 +204,12 @@ mod tests {
     #[test]
     fn json_end_to_end_synthesis_and_execution() {
         let mitra = Mitra::new();
-        let result = mitra.synthesize_from_json(&[(JSON, OUT)]).unwrap();
-        let table = mitra.run_on_json(&result.program, JSON).unwrap();
+        let result = mitra
+            .synthesize_from(DocFormat::Json, &[(JSON, OUT)])
+            .unwrap();
+        let table = mitra
+            .run_on(DocFormat::Json, &result.program, JSON)
+            .unwrap();
         assert_eq!(table.len(), 3);
     }
 
@@ -259,8 +221,12 @@ mod tests {
           <tr><td class="name">Edsger</td><td class="role">professor</td></tr>
         </table></body></html>"#;
         let mitra = Mitra::new();
-        let result = mitra.synthesize_from_html(&[(html, OUT)]).unwrap();
-        let table = mitra.run_on_html(&result.program, html).unwrap();
+        let result = mitra
+            .synthesize_from(DocFormat::Html, &[(html, OUT)])
+            .unwrap();
+        let table = mitra
+            .run_on(DocFormat::Html, &result.program, html)
+            .unwrap();
         assert_eq!(table.len(), 3);
         assert_eq!(table.columns, vec!["name", "role"]);
     }
@@ -268,7 +234,9 @@ mod tests {
     #[test]
     fn emit_produces_both_backends() {
         let mitra = Mitra::new();
-        let result = mitra.synthesize_from_xml(&[(XML, OUT)]).unwrap();
+        let result = mitra
+            .synthesize_from(DocFormat::Xml, &[(XML, OUT)])
+            .unwrap();
         assert!(mitra
             .emit(&result.program, Backend::Xslt)
             .source
@@ -283,11 +251,11 @@ mod tests {
     fn parse_errors_are_reported() {
         let mitra = Mitra::new();
         assert!(matches!(
-            mitra.synthesize_from_xml(&[("<broken", OUT)]),
+            mitra.synthesize_from(DocFormat::Xml, &[("<broken", OUT)]),
             Err(MitraError::Parse(_))
         ));
         assert!(matches!(
-            mitra.synthesize_from_xml(&[(XML, "")]),
+            mitra.synthesize_from(DocFormat::Xml, &[(XML, "")]),
             Err(MitraError::BadOutputExample(_))
         ));
     }
@@ -297,7 +265,7 @@ mod tests {
         let mitra = Mitra::new();
         let bad_out = "name,role\nNotInTheDocument,whatever\n";
         assert!(matches!(
-            mitra.synthesize_from_xml(&[(XML, bad_out)]),
+            mitra.synthesize_from(DocFormat::Xml, &[(XML, bad_out)]),
             Err(MitraError::Synthesis(_))
         ));
     }

@@ -661,7 +661,7 @@ mod tests {
             let text = task.document_text();
             match task.format {
                 DocFormat::Xml => {
-                    mitra_hdt::parse_xml(&text).expect("emitted XML parses");
+                    mitra_hdt::xml::xml_to_hdt(&text).expect("emitted XML parses");
                 }
                 DocFormat::Json => {
                     mitra_hdt::parse_json(&text).expect("emitted JSON parses");

@@ -693,7 +693,7 @@ mod tests {
     fn document_text_renders_in_declared_format() {
         let xml = document_text(&dblp(), 1);
         assert!(xml.starts_with("<?xml"));
-        mitra_hdt::parse_xml(&xml).unwrap();
+        mitra_hdt::xml::xml_to_hdt(&xml).unwrap();
         let json = document_text(&yelp(), 1);
         mitra_hdt::parse_json(&json).unwrap();
     }

@@ -117,8 +117,8 @@ mod tests {
     #[test]
     fn xml_rendering_parses_back() {
         let xml = social_network_xml(5, 2);
-        let doc = mitra_hdt::parse_xml(&xml).unwrap();
-        assert_eq!(doc.root.name, "root");
+        let tree = mitra_hdt::xml::xml_to_hdt(&xml).unwrap();
+        assert_eq!(tree.tag_name(tree.root()), "root");
     }
 
     #[test]

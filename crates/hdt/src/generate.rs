@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn chain_has_expected_depth() {
         let t = chain(10);
-        assert_eq!(t.height(), 11);
+        assert_eq!(t.ids().map(|id| t.node_depth(id)).max(), Some(11));
         assert_eq!(t.descendants_with_tag(t.root(), "value").len(), 1);
     }
 

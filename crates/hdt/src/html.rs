@@ -1,4 +1,4 @@
-//! From-scratch lenient HTML parsing and the HTML→HDT mapping.
+//! From-scratch lenient HTML parsing straight into an HDT (the HTML plug-in).
 //!
 //! Section 6 of the paper notes that Mitra "can be easily extended to handle other
 //! forms of hierarchical documents (e.g., HTML and HDF) by implementing suitable
@@ -16,122 +16,23 @@
 //! * `<script>` and `<style>` contents are treated as raw text;
 //! * comments and the doctype are skipped.
 //!
-//! The HDT mapping is the same as the XML one (Section 3): each element becomes an
-//! internal node, each attribute becomes a leaf child tagged with the attribute name,
-//! and text content becomes a leaf child tagged `text`.
+//! The HDT mapping is the same as the XML one (Section 3), and so is the way it is
+//! built: the parser creates each node in the arena when its start tag or attribute
+//! is parsed, in document order.  Each element becomes an internal node, each
+//! attribute a leaf child tagged with the attribute name, and an element's text one
+//! `text` leaf, created at its first non-blank text and holding all of its text with
+//! whitespace runs collapsed (raw-text elements keep theirs, trimmed).  A page with
+//! one top-level element (usually `<html>`) has that element as its root; a fragment
+//! with several gets a synthetic `html` root, added when the second one opens.
 
 use crate::error::{HdtError, Result, MAX_PARSE_DEPTH};
-use crate::tree::Hdt;
+use crate::tree::{ElementText, Hdt};
 use crate::NodeId;
 
-/// A parsed HTML element.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HtmlElement {
-    /// Lowercased element name.
-    pub name: String,
-    /// Attributes in document order, names lowercased.  Value-less attributes get an
-    /// empty-string value.
-    pub attributes: Vec<(String, String)>,
-    /// Child elements in document order.
-    pub children: Vec<HtmlElement>,
-    /// Concatenated, whitespace-trimmed text directly inside this element.
-    pub text: Option<String>,
-}
-
-impl HtmlElement {
-    /// Creates an element with the given (already lowercased) name and no content.
-    pub fn new(name: impl Into<String>) -> Self {
-        HtmlElement {
-            name: name.into(),
-            attributes: Vec::new(),
-            children: Vec::new(),
-            text: None,
-        }
-    }
-
-    /// Returns the value of the named attribute, if present.
-    pub fn attribute(&self, name: &str) -> Option<&str> {
-        self.attributes
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Total number of elements in this subtree (including `self`).
-    pub fn element_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(HtmlElement::element_count)
-            .sum::<usize>()
-    }
-}
-
-/// A parsed HTML document.
-///
-/// If the input has a single top-level element (usually `<html>`), that element is the
-/// root; otherwise a synthetic `html` root wraps the top-level elements, so that a
-/// fragment like `<table>...</table>` still maps to a single HDT.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HtmlDocument {
-    /// The root element.
-    pub root: HtmlElement,
-}
-
-impl HtmlDocument {
-    /// Converts the document into a hierarchical data tree (Section 3 mapping).
-    pub fn to_hdt(&self) -> Hdt {
-        let mut tree = Hdt::with_root(&self.root.name);
-        let root = tree.root();
-        Self::fill(&mut tree, root, &self.root);
-        tree
-    }
-
-    fn fill(tree: &mut Hdt, id: NodeId, elem: &HtmlElement) {
-        // Same interning funnel as the XML plug-in: every tag goes through
-        // `add_child` and the shared global interner.
-        for (k, v) in &elem.attributes {
-            tree.add_child(id, k, Some(v.clone()));
-        }
-        if let Some(t) = &elem.text {
-            if !t.is_empty() {
-                tree.add_child(id, "text", Some(t.clone()));
-            }
-        }
-        for c in &elem.children {
-            let cid = tree.add_child(id, &c.name, None);
-            Self::fill(tree, cid, c);
-        }
-    }
-}
-
-/// Parses an HTML document or fragment.
-pub fn parse_html(input: &str) -> Result<HtmlDocument> {
-    let mut parser = Parser::new(input);
-    let mut top = parser.parse_nodes()?;
-    let root = match top.pop() {
-        // `parse_nodes` never returns an empty list, but degrade to a typed
-        // error rather than panic if that invariant ever breaks.
-        None => {
-            return Err(HdtError::Structure(
-                "no elements found in HTML input".into(),
-            ))
-        }
-        Some(only) if top.is_empty() => only,
-        Some(last) => {
-            top.push(last);
-            let mut synthetic = HtmlElement::new("html");
-            synthetic.children = top;
-            synthetic
-        }
-    };
-    Ok(HtmlDocument { root })
-}
-
-/// Parses an HTML document and immediately converts it to an HDT.
+/// Parses an HTML document or fragment into a hierarchical data tree.
 pub fn html_to_hdt(input: &str) -> Result<Hdt> {
     let _span = mitra_trace::span("ingest", "html_to_hdt");
-    let tree = parse_html(input)?.to_hdt();
+    let tree = Parser::new(input).parse()?;
     mitra_trace::counter_add!("ingest.html.docs", 1);
     mitra_trace::counter_add!("ingest.html.nodes", tree.len() as u64);
     Ok(tree)
@@ -186,47 +87,22 @@ fn implicitly_closes(open: &str, incoming: &str) -> bool {
     }
 }
 
-/// An open element on the parse stack.
-struct OpenElement {
-    element: HtmlElement,
-    text: String,
-}
-
-impl OpenElement {
-    fn new(element: HtmlElement) -> Self {
-        OpenElement {
-            element,
-            text: String::new(),
-        }
-    }
-
-    fn finish(mut self) -> HtmlElement {
-        let trimmed = collapse_whitespace(&self.text);
-        if !trimmed.is_empty() {
-            self.element.text = Some(trimmed);
-        }
-        self.element
-    }
+/// An element on the parse stack: its node, its name and its text so far.
+struct Open {
+    id: NodeId,
+    name: String,
+    text: ElementText,
 }
 
 /// Collapses runs of whitespace to single spaces and trims the ends, the usual HTML
 /// rendering treatment of inter-element whitespace.
-fn collapse_whitespace(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut last_was_space = true;
-    for ch in s.chars() {
-        if ch.is_whitespace() {
-            if !last_was_space {
-                out.push(' ');
-            }
-            last_was_space = true;
-        } else {
-            out.push(ch);
-            last_was_space = false;
+fn collapse_whitespace(text: String) -> String {
+    let mut out = String::with_capacity(text.len());
+    for word in text.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
         }
-    }
-    while out.ends_with(' ') {
-        out.pop();
+        out.push_str(word);
     }
     out
 }
@@ -284,11 +160,23 @@ fn decode_entities(s: &str) -> String {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// The arena being built: a placeholder until the first element opens.
+    tree: Hdt,
+    /// Top-level elements opened so far.
+    top_level: usize,
+    /// Elements opened and not yet closed, innermost last.
+    stack: Vec<Open>,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { input, pos: 0 }
+        Parser {
+            input,
+            pos: 0,
+            tree: Hdt::with_root("html"),
+            top_level: 0,
+            stack: Vec::new(),
+        }
     }
 
     fn at_end(&self) -> bool {
@@ -321,18 +209,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses all top-level elements, driving the lenient stack machine.
-    fn parse_nodes(&mut self) -> Result<Vec<HtmlElement>> {
-        let mut finished: Vec<HtmlElement> = Vec::new();
-        let mut stack: Vec<OpenElement> = Vec::new();
-
+    /// Parses the whole input, driving the lenient stack machine.
+    fn parse(mut self) -> Result<Hdt> {
         while !self.at_end() {
             if self.starts_with_ci("<!--") {
                 self.skip_comment();
             } else if self.starts_with_ci("<!doctype") || self.rest().starts_with("<!") {
                 self.skip_until('>');
             } else if self.rest().starts_with("</") {
-                self.handle_closing_tag(&mut stack, &mut finished)?;
+                self.handle_closing_tag();
             } else if self.peek() == Some(b'<')
                 && self
                     .input
@@ -340,29 +225,30 @@ impl<'a> Parser<'a> {
                     .get(self.pos + 1)
                     .is_some_and(|b| b.is_ascii_alphabetic())
             {
-                self.handle_opening_tag(&mut stack, &mut finished)?;
+                self.handle_opening_tag()?;
             } else {
                 // Text (or a stray '<' that does not start a tag — taken literally).
                 let text = self.take_text();
-                if let Some(open) = stack.last_mut() {
-                    open.text.push_str(&text);
-                    open.text.push(' ');
+                if let Some(open) = self.stack.last_mut() {
+                    open.text.push(&mut self.tree, open.id, &text);
+                    open.text.push(&mut self.tree, open.id, " ");
                 }
             }
         }
 
         // Any elements still open at end-of-input are closed implicitly.
-        while let Some(open) = stack.pop() {
-            let element = open.finish();
-            match stack.last_mut() {
-                Some(parent) => parent.element.children.push(element),
-                None => finished.push(element),
-            }
-        }
-        if finished.is_empty() {
+        self.close_from(0);
+        if self.top_level == 0 {
             return Err(HdtError::parse("no elements found in HTML input", 0));
         }
-        Ok(finished)
+        Ok(self.tree)
+    }
+
+    /// Closes the open elements from stack index `from` on.
+    fn close_from(&mut self, from: usize) {
+        for open in self.stack.drain(from..) {
+            open.text.close(&mut self.tree, collapse_whitespace);
+        }
     }
 
     fn skip_comment(&mut self) {
@@ -418,93 +304,81 @@ impl<'a> Parser<'a> {
         Ok(self.input[start..self.pos].to_ascii_lowercase())
     }
 
-    fn handle_closing_tag(
-        &mut self,
-        stack: &mut Vec<OpenElement>,
-        finished: &mut Vec<HtmlElement>,
-    ) -> Result<()> {
-        self.bump(2); // "</"
-                      // A closing tag with no name (`</ >`, `</>`) is bogus markup; browsers drop it,
-                      // and so do we.
+    fn handle_closing_tag(&mut self) {
+        // "</" then the name.  A closing tag with no name (`</ >`, `</>`) is bogus
+        // markup; browsers drop it, and so do we.
+        self.bump(2);
         let Ok(name) = self.parse_name() else {
             self.skip_until('>');
-            return Ok(());
+            return;
         };
         self.skip_until('>');
-        // Ignore a closing tag that matches nothing currently open (lenient).
-        if !stack.iter().any(|open| open.element.name == name) {
-            return Ok(());
+        // Close everything up to and including the innermost match; a closing tag
+        // that matches nothing currently open is ignored (lenient).
+        if let Some(open) = self.stack.iter().rposition(|open| open.name == name) {
+            self.close_from(open);
         }
-        // Pop (and implicitly close) everything up to and including the match.
-        while let Some(open) = stack.pop() {
-            let was_match = open.element.name == name;
-            let element = open.finish();
-            match stack.last_mut() {
-                Some(parent) => parent.element.children.push(element),
-                None => finished.push(element),
-            }
-            if was_match {
-                break;
-            }
-        }
-        Ok(())
     }
 
-    fn handle_opening_tag(
-        &mut self,
-        stack: &mut Vec<OpenElement>,
-        finished: &mut Vec<HtmlElement>,
-    ) -> Result<()> {
+    fn handle_opening_tag(&mut self) -> Result<()> {
         self.bump(1); // '<'
         let name = self.parse_name()?;
-        let mut element = HtmlElement::new(name.clone());
-        let self_closing = self.parse_attributes(&mut element)?;
 
         // Optional-tag rules: the incoming element may implicitly close open ones.
-        while stack
-            .last()
-            .is_some_and(|open| implicitly_closes(&open.element.name, &name))
-        {
-            let Some(open) = stack.pop() else { break };
-            let closed = open.finish();
-            match stack.last_mut() {
-                Some(parent) => parent.element.children.push(closed),
-                None => finished.push(closed),
-            }
-        }
+        let kept = self
+            .stack
+            .iter()
+            .rposition(|open| !implicitly_closes(&open.name, &name))
+            .map_or(0, |innermost_kept| innermost_kept + 1);
+        self.close_from(kept);
 
+        let id = self.create(&name);
+        let self_closing = self.parse_attributes(id);
         if is_void(&name) || self_closing {
-            match stack.last_mut() {
-                Some(parent) => parent.element.children.push(element),
-                None => finished.push(element),
-            }
             return Ok(());
         }
 
         if is_raw_text(&name) {
             let raw = self.take_raw_text(&name);
-            let trimmed = raw.trim();
-            if !trimmed.is_empty() {
-                element.text = Some(trimmed.to_string());
-            }
-            match stack.last_mut() {
-                Some(parent) => parent.element.children.push(element),
-                None => finished.push(element),
-            }
+            let mut text = ElementText::default();
+            text.push(&mut self.tree, id, &raw);
+            text.close(&mut self.tree, std::convert::identity);
             return Ok(());
         }
 
-        // The parse itself is iterative, but the recursive HDT fill (and the
-        // recursive drop of the element tree) below would overflow on
-        // adversarially deep nesting — bound it here, where depth accumulates.
-        if stack.len() >= MAX_PARSE_DEPTH {
+        // Nothing here recurses (the arena is flat and so is its drop), but the
+        // bound keeps adversarially deep pages a typed `DepthLimit` rejection, as
+        // in the XML and JSON parsers; `tests/fixtures/malformed/deep.html` pins it.
+        if self.stack.len() >= MAX_PARSE_DEPTH {
             return Err(HdtError::DepthLimit {
                 limit: MAX_PARSE_DEPTH,
                 offset: self.pos,
             });
         }
-        stack.push(OpenElement::new(element));
+        self.stack.push(Open {
+            id,
+            name,
+            text: ElementText::default(),
+        });
         Ok(())
+    }
+
+    /// Creates the node of an element whose start tag is being parsed: under the
+    /// innermost open element, else at the top level.  The first top-level element
+    /// becomes the root; the second puts a synthetic `html` root above it.
+    fn create(&mut self, name: &str) -> NodeId {
+        if let Some(open) = self.stack.last() {
+            return self.tree.add_child(open.id, name, None);
+        }
+        self.top_level += 1;
+        if self.top_level == 1 {
+            self.tree = Hdt::with_root(name);
+            return self.tree.root();
+        }
+        if self.top_level == 2 {
+            self.tree.wrap_root("html");
+        }
+        self.tree.add_child(NodeId::ROOT, name, None)
     }
 
     /// Consumes the contents of a raw-text element up to (and including) its closing
@@ -528,15 +402,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses attributes up to the closing `>`; returns whether the tag ended in `/>`.
-    fn parse_attributes(&mut self, element: &mut HtmlElement) -> Result<bool> {
+    /// Parses attributes up to the closing `>` into leaves of `element`; returns
+    /// whether the tag ended in `/>`.
+    fn parse_attributes(&mut self, element: NodeId) -> bool {
         loop {
             self.skip_ws();
             match self.peek() {
-                None => return Ok(false), // unterminated tag: treat as closed (lenient)
+                None => return false, // unterminated tag: treat as closed (lenient)
                 Some(b'>') => {
                     self.bump(1);
-                    return Ok(false);
+                    return false;
                 }
                 Some(b'/') => {
                     self.bump(1);
@@ -544,7 +419,7 @@ impl<'a> Parser<'a> {
                     if self.peek() == Some(b'>') {
                         self.bump(1);
                     }
-                    return Ok(true);
+                    return true;
                 }
                 Some(_) => {
                     let key = match self.parse_name() {
@@ -560,9 +435,10 @@ impl<'a> Parser<'a> {
                         self.bump(1);
                         self.skip_ws();
                         let value = self.parse_attribute_value();
-                        element.attributes.push((key, decode_entities(&value)));
+                        self.tree
+                            .add_child(element, key, Some(decode_entities(&value)));
                     } else {
-                        element.attributes.push((key, String::new()));
+                        self.tree.add_child(element, key, Some(String::new()));
                     }
                 }
             }
@@ -601,6 +477,32 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// The first child of `id` tagged `tag`.
+    fn first(tree: &Hdt, id: NodeId, tag: &str) -> NodeId {
+        tree.children_with_tag(id, tag)[0]
+    }
+
+    /// Data of the attribute (or `text`) leaf `tag` of `id`.
+    fn leaf<'t>(tree: &'t Hdt, id: NodeId, tag: &str) -> Option<&'t str> {
+        tree.child(id, tag, 0).and_then(|leaf| tree.data(leaf))
+    }
+
+    /// Child elements of `id`: its children that are not data leaves.
+    fn elements(tree: &Hdt, id: NodeId) -> Vec<NodeId> {
+        let children = tree.children(id).iter().copied();
+        children.filter(|&c| tree.data(c).is_none()).collect()
+    }
+
+    /// `(tag, pos, data, parent)` of every node, in arena order.
+    fn nodes(tree: &Hdt) -> Vec<(&str, usize, Option<&str>, Option<u32>)> {
+        tree.ids()
+            .map(|n| {
+                let parent = tree.parent(n).map(|p| p.0);
+                (tree.tag_name(n), tree.pos(n), tree.data(n), parent)
+            })
+            .collect()
+    }
+
     #[test]
     fn parses_well_formed_table() {
         let html = r#"<html><body>
@@ -609,39 +511,40 @@ mod tests {
               <tr><td>Grace</td><td>1906</td></tr>
             </table>
         </body></html>"#;
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "html");
-        let body = &doc.root.children[0];
-        let table = &body.children[0];
-        assert_eq!(table.attribute("id"), Some("people"));
-        assert_eq!(table.children.len(), 2);
-        assert_eq!(table.children[0].children[0].text.as_deref(), Some("Ada"));
+        let tree = html_to_hdt(html).unwrap();
+        assert_eq!(tree.tag_name(tree.root()), "html");
+        let body = elements(&tree, tree.root())[0];
+        let table = elements(&tree, body)[0];
+        assert_eq!(leaf(&tree, table, "id"), Some("people"));
+        assert_eq!(elements(&tree, table).len(), 2);
+        let td = elements(&tree, elements(&tree, table)[0])[0];
+        assert_eq!(leaf(&tree, td, "text"), Some("Ada"));
     }
 
     #[test]
     fn void_elements_and_unclosed_tags_are_tolerated() {
         let html = "<div><p>first<br>second<p>third<img src=pic.png></div>";
-        let doc = parse_html(html).unwrap();
-        let div = &doc.root;
-        assert_eq!(div.name, "div");
+        let tree = html_to_hdt(html).unwrap();
+        let div = tree.root();
+        assert_eq!(tree.tag_name(div), "div");
         // Two paragraphs: the second <p> implicitly closes the first.
-        let paragraphs: Vec<_> = div.children.iter().filter(|c| c.name == "p").collect();
+        let paragraphs = tree.children_with_tag(div, "p");
         assert_eq!(paragraphs.len(), 2);
-        assert_eq!(paragraphs[0].children[0].name, "br");
-        assert_eq!(paragraphs[1].children[0].attribute("src"), Some("pic.png"));
+        assert_eq!(tree.tag_name(elements(&tree, paragraphs[0])[0]), "br");
+        let img = elements(&tree, paragraphs[1])[0];
+        assert_eq!(leaf(&tree, img, "src"), Some("pic.png"));
     }
 
     #[test]
     fn implicit_closing_of_list_items_and_cells() {
         let html = "<ul><li>one<li>two<li>three</ul>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "ul");
-        assert_eq!(doc.root.children.len(), 3);
-        let texts: Vec<_> = doc
-            .root
-            .children
+        let tree = html_to_hdt(html).unwrap();
+        assert_eq!(tree.tag_name(tree.root()), "ul");
+        let items = elements(&tree, tree.root());
+        assert_eq!(items.len(), 3);
+        let texts: Vec<_> = items
             .iter()
-            .map(|li| li.text.as_deref().unwrap_or(""))
+            .map(|&li| leaf(&tree, li, "text").unwrap_or(""))
             .collect();
         assert_eq!(texts, vec!["one", "two", "three"]);
     }
@@ -649,48 +552,51 @@ mod tests {
     #[test]
     fn attributes_without_values_and_unquoted_values() {
         let html = "<input type=checkbox checked name=\"agree\">";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "input");
-        assert_eq!(doc.root.attribute("type"), Some("checkbox"));
-        assert_eq!(doc.root.attribute("checked"), Some(""));
-        assert_eq!(doc.root.attribute("name"), Some("agree"));
+        let tree = html_to_hdt(html).unwrap();
+        let root = tree.root();
+        assert_eq!(tree.tag_name(root), "input");
+        assert_eq!(leaf(&tree, root, "type"), Some("checkbox"));
+        assert_eq!(leaf(&tree, root, "checked"), Some(""));
+        assert_eq!(leaf(&tree, root, "name"), Some("agree"));
     }
 
     #[test]
     fn case_is_normalized_and_doctype_comments_skipped() {
         let html = "<!DOCTYPE html><!-- greeting --><DIV Class=\"Box\">Hi</DIV>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "div");
-        assert_eq!(doc.root.attribute("class"), Some("Box"));
-        assert_eq!(doc.root.text.as_deref(), Some("Hi"));
+        let tree = html_to_hdt(html).unwrap();
+        let root = tree.root();
+        assert_eq!(tree.tag_name(root), "div");
+        assert_eq!(leaf(&tree, root, "class"), Some("Box"));
+        assert_eq!(leaf(&tree, root, "text"), Some("Hi"));
     }
 
     #[test]
     fn script_contents_are_raw_text() {
         let html =
             "<body><script>if (a < b && c > d) { render('<td>'); }</script><p>after</p></body>";
-        let doc = parse_html(html).unwrap();
-        let script = &doc.root.children[0];
-        assert_eq!(script.name, "script");
-        assert!(script.text.as_deref().unwrap().contains("a < b"));
-        assert_eq!(doc.root.children[1].text.as_deref(), Some("after"));
+        let tree = html_to_hdt(html).unwrap();
+        let children = elements(&tree, tree.root());
+        assert_eq!(tree.tag_name(children[0]), "script");
+        assert!(leaf(&tree, children[0], "text").unwrap().contains("a < b"));
+        assert_eq!(leaf(&tree, children[1], "text"), Some("after"));
     }
 
     #[test]
     fn entities_are_decoded_in_text_and_attributes() {
         let html = "<p title=\"Tom &amp; Jerry\">1 &lt; 2 &#65;&#x42;</p>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.attribute("title"), Some("Tom & Jerry"));
-        assert_eq!(doc.root.text.as_deref(), Some("1 < 2 AB"));
+        let tree = html_to_hdt(html).unwrap();
+        assert_eq!(leaf(&tree, tree.root(), "title"), Some("Tom & Jerry"));
+        assert_eq!(leaf(&tree, tree.root(), "text"), Some("1 < 2 AB"));
     }
 
     #[test]
     fn mismatched_closing_tag_closes_up_to_match() {
         let html = "<div><span><b>bold</div>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "div");
-        assert_eq!(doc.root.children[0].name, "span");
-        assert_eq!(doc.root.children[0].children[0].name, "b");
+        let tree = html_to_hdt(html).unwrap();
+        assert_eq!(tree.tag_name(tree.root()), "div");
+        let span = elements(&tree, tree.root())[0];
+        assert_eq!(tree.tag_name(span), "span");
+        assert_eq!(tree.tag_name(elements(&tree, span)[0]), "b");
     }
 
     #[test]
@@ -698,26 +604,64 @@ mod tests {
         // `</` followed by a non-name is bogus markup; it is skipped up to the next
         // `>`, which may swallow following text exactly as browsers' bogus-comment
         // state does.  The important property is that parsing stays total.
-        assert!(parse_html("</<a>").is_err() || parse_html("</<a>").is_ok());
-        assert!(parse_html("</ ><p>ok</p>").unwrap().root.name == "p");
-        assert!(parse_html("<div></ ></div>").unwrap().root.name == "div");
+        assert!(html_to_hdt("</<a>").is_err() || html_to_hdt("</<a>").is_ok());
+        let root_tag = |html| html_to_hdt(html).map(|t| t.tag_name(t.root()));
+        assert_eq!(root_tag("</ ><p>ok</p>"), Ok("p"));
+        assert_eq!(root_tag("<div></ ></div>"), Ok("div"));
     }
 
     #[test]
     fn stray_closing_tag_is_ignored() {
         let html = "<div></table><p>ok</p></div>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "div");
-        assert_eq!(doc.root.children.len(), 1);
-        assert_eq!(doc.root.children[0].text.as_deref(), Some("ok"));
+        let tree = html_to_hdt(html).unwrap();
+        assert_eq!(tree.tag_name(tree.root()), "div");
+        let children = elements(&tree, tree.root());
+        assert_eq!(children.len(), 1);
+        assert_eq!(leaf(&tree, children[0], "text"), Some("ok"));
     }
 
     #[test]
     fn fragment_with_multiple_roots_gets_synthetic_html_root() {
-        let html = "<h1>Title</h1><p>Body</p>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.name, "html");
-        assert_eq!(doc.root.children.len(), 2);
+        let html = "<h1>Title</h1><p>Body</p><p>More";
+        let tree = html_to_hdt(html).unwrap();
+        tree.validate().unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("html", 0, None, None),
+                ("h1", 0, None, Some(0)),
+                ("text", 0, Some("Title"), Some(1)),
+                ("p", 0, None, Some(0)),
+                ("text", 0, Some("Body"), Some(3)),
+                ("p", 1, None, Some(0)),
+                ("text", 0, Some("More"), Some(5)),
+            ]
+        );
+    }
+
+    #[test]
+    fn text_leaf_sits_at_its_first_non_blank_text() {
+        let tree = html_to_hdt("<div><b>x</b> tail</div>").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("div", 0, None, None),
+                ("b", 0, None, Some(0)),
+                ("text", 0, Some("x"), Some(1)),
+                ("text", 0, Some("tail"), Some(0)),
+            ]
+        );
+        // One leaf per element, before the child when text precedes it, holding all
+        // of the element's text collapsed.
+        let tree = html_to_hdt("<p>a<br>b\n  c</p>").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("p", 0, None, None),
+                ("text", 0, Some("a b c"), Some(0)),
+                ("br", 0, None, Some(0)),
+            ]
+        );
     }
 
     #[test]
@@ -726,29 +670,29 @@ mod tests {
         let tree = html_to_hdt(html).unwrap();
         let root = tree.root();
         assert_eq!(tree.tag_name(root), "table");
-        let tr = tree.children_with_tag(root, "tr")[0];
-        let td = tree.children_with_tag(tr, "td")[0];
+        let tr = first(&tree, root, "tr");
+        let td = first(&tree, tr, "td");
         // Attribute and text content both become leaf children.
-        let class = tree.children_with_tag(td, "class")[0];
+        let class = first(&tree, td, "class");
         assert_eq!(tree.data(class), Some("name"));
-        let text = tree.children_with_tag(td, "text")[0];
+        let text = first(&tree, td, "text");
         assert_eq!(tree.data(text), Some("Ada"));
     }
 
     #[test]
     fn empty_input_is_an_error() {
-        assert!(parse_html("").is_err());
-        assert!(parse_html("   \n  ").is_err());
-        assert!(parse_html("just text, no markup").is_err());
+        assert!(html_to_hdt("").is_err());
+        assert!(html_to_hdt("   \n  ").is_err());
+        assert!(html_to_hdt("just text, no markup").is_err());
     }
 
     #[test]
     fn depth_limit_is_a_typed_error_not_a_crash() {
-        // The HTML parse itself is iterative, so no big-stack thread is needed:
-        // the guard fires while the open-element stack grows.
+        // The HTML parse is iterative, so no big-stack thread is needed: the
+        // guard fires while the open-element stack grows.
         let limit = crate::error::MAX_PARSE_DEPTH;
         let deep = "<div>".repeat(limit + 1);
-        match parse_html(&deep) {
+        match html_to_hdt(&deep) {
             Err(HdtError::DepthLimit { limit: l, .. }) => assert_eq!(l, limit),
             Err(other) => panic!("expected depth-limit error, got {other:?}"),
             Ok(_) => panic!("expected depth-limit error, got a parsed document"),
@@ -758,8 +702,8 @@ mod tests {
     #[test]
     fn whitespace_inside_text_is_collapsed() {
         let html = "<p>  spread \n  over   lines  </p>";
-        let doc = parse_html(html).unwrap();
-        assert_eq!(doc.root.text.as_deref(), Some("spread over lines"));
+        let tree = html_to_hdt(html).unwrap();
+        assert_eq!(leaf(&tree, tree.root(), "text"), Some("spread over lines"));
     }
 
     #[test]
@@ -769,6 +713,6 @@ mod tests {
         // prefix probe lands inside the character; `starts_with_ci` used to slice
         // the `str` at that offset and panic on the char boundary.
         let html = "n-\u{fffd}0</td><td>545</td><tr><td>n-1</td></table>";
-        assert!(parse_html(html).is_ok(), "lenient parse must not panic");
+        assert!(html_to_hdt(html).is_ok(), "lenient parse must not panic");
     }
 }

@@ -6,15 +6,18 @@
 //! node is the `pos`'th child with that tag under its parent, and `data` is the payload
 //! stored at the node (only leaves carry data; internal nodes carry `None`).
 //!
-//! The crate also contains the two *plug-ins* of the paper's architecture (Figure 14):
+//! The crate also contains the *plug-ins* of the paper's architecture (Figure 14):
 //!
-//! * [`xml`] — a from-scratch XML parser and serializer plus the XML→HDT mapping of
-//!   Section 3 (elements, attributes and text content all become HDT nodes);
+//! * [`xml`] — a from-scratch XML parser that builds the HDT directly, in document
+//!   order, with the Section 3 mapping (elements, attributes and text content all
+//!   become HDT nodes).  It has no serializer: [`xml::escape`] and `mitra_datagen`'s
+//!   `hdt_to_xml_text` are the XML writers;
 //! * [`json`] — a from-scratch JSON parser and serializer plus the JSON→HDT mapping of
 //!   Section 3 (objects/arrays become internal nodes, array entries get increasing
-//!   `pos` values);
-//! * [`html`] — a lenient HTML parser and the HTML→HDT mapping, demonstrating the
-//!   "other hierarchical formats" extensibility claimed in Section 6.
+//!   `pos` values); it parses to a [`JsonValue`] first, the workspace's one JSON model;
+//! * [`html`] — a lenient HTML parser that builds the HDT directly with the XML
+//!   plug-in's mapping, demonstrating the "other hierarchical formats" extensibility
+//!   claimed in Section 6.
 //!
 //! [`DocFormat`] names one of the three formats and dispatches to its parser.
 //! Finally, [`generate`] contains small helpers used by tests and examples to build
@@ -41,9 +44,7 @@ pub mod xml;
 
 pub use error::{HdtError, Result, MAX_PARSE_DEPTH};
 pub use format::DocFormat;
-pub use html::{parse_html, HtmlDocument, HtmlElement};
 pub use intern::{Interner, Symbol, TagId};
 pub use json::{parse_json, JsonValue};
 pub use node::{Node, NodeId};
 pub use tree::{Hdt, HdtBuilder};
-pub use xml::{parse_xml, XmlDocument, XmlNode};

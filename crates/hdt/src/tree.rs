@@ -305,18 +305,6 @@ impl Hdt {
             .unwrap_or(&[])
     }
 
-    /// Children of `id` whose tag equals `tag`, computed by scanning the child list.
-    /// Reference implementation used by property tests and benchmarks to validate the
-    /// indexed [`Hdt::children_with_tag`].
-    pub fn children_with_tag_naive(&self, id: NodeId, tag: impl Into<TagId>) -> Vec<NodeId> {
-        let tag = tag.into();
-        self.children(id)
-            .iter()
-            .copied()
-            .filter(|c| self.node(*c).tag == tag)
-            .collect()
-    }
-
     /// Children of `id` whose tag equals `tag` and whose pos equals `pos`
     /// (the `pchildren` DSL construct).
     pub fn children_with_tag_pos(
@@ -362,7 +350,7 @@ impl Hdt {
     }
 
     /// Depth of a node via the navigation index (root is 0).  O(1) once the index
-    /// exists; [`Hdt::depth`] is the index-free O(depth) parent walk.
+    /// exists.
     #[inline]
     pub fn node_depth(&self, id: NodeId) -> u32 {
         self.index().depth[id.index()]
@@ -378,24 +366,6 @@ impl Hdt {
             .get(&tag)
             .map(|occ| occ.nodes.len())
             .unwrap_or(0)
-    }
-
-    /// All (strict) descendants of `id` with the given tag, found by walking the
-    /// subtree.  Reference implementation used by property tests and benchmarks to
-    /// validate the indexed [`Hdt::descendants_with_tag`].
-    pub fn descendants_with_tag_naive(&self, id: NodeId, tag: impl Into<TagId>) -> Vec<NodeId> {
-        let tag = tag.into();
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.children(id).iter().rev().copied().collect();
-        while let Some(n) = stack.pop() {
-            if self.node(n).tag == tag {
-                out.push(n);
-            }
-            for c in self.children(n).iter().rev() {
-                stack.push(*c);
-            }
-        }
-        out
     }
 
     /// Pre-order number of a node (root is 0).
@@ -461,27 +431,6 @@ impl Hdt {
             .collect()
     }
 
-    /// Depth of a node (root has depth 0).
-    pub fn depth(&self, id: NodeId) -> usize {
-        let mut d = 0;
-        let mut cur = id;
-        while let Some(p) = self.parent(cur) {
-            d += 1;
-            cur = p;
-        }
-        d
-    }
-
-    /// Height of the whole tree (max depth over all nodes).
-    pub fn height(&self) -> usize {
-        self.ids().map(|id| self.depth(id)).max().unwrap_or(0)
-    }
-
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.children.is_empty()).count()
-    }
-
     /// Counts "elements": internal nodes plus the root.  Used to report the
     /// `#Elements` statistic of Table 1.
     pub fn element_count(&self) -> usize {
@@ -535,11 +484,74 @@ impl Hdt {
         Ok(())
     }
 
+    /// Puts a new root tagged `tag` above the current root, which becomes its first
+    /// child.  Every id shifts up by one, so arena order stays document order.  The
+    /// HTML parser calls this when a fragment's second top-level element opens.
+    pub(crate) fn wrap_root(&mut self, tag: impl Into<TagId>) {
+        let shift = |id: NodeId| NodeId(id.0 + 1);
+        for node in &mut self.nodes {
+            node.parent = Some(node.parent.map_or(NodeId::ROOT, shift));
+            for child in &mut node.children {
+                *child = shift(*child);
+            }
+        }
+        let mut root = Node::new(tag, 0, None);
+        root.children.push(NodeId(1));
+        self.nodes.insert(0, root);
+        self.child_tag_counts = self
+            .child_tag_counts
+            .drain()
+            .map(|((parent, tag), count)| ((shift(parent), tag), count))
+            .collect();
+        self.child_tag_counts
+            .insert((NodeId::ROOT, self.nodes[1].tag), 1);
+        self.index.take();
+    }
+
     /// Test-only access to the raw node storage (used to corrupt trees on purpose).
     #[cfg(test)]
     pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Node> {
         self.index.take();
         &mut self.nodes
+    }
+}
+
+/// The text content of one open markup element, which Section 3 maps to a nested
+/// `text` leaf.  The XML and HTML parsers create that leaf at the element's first
+/// non-blank text, so it sits at that text's document position (after any child
+/// elements that precede the text), and fill in its data when the element closes.
+#[derive(Debug, Default)]
+pub(crate) struct ElementText {
+    leaf: Option<NodeId>,
+    text: String,
+}
+
+impl ElementText {
+    /// Appends text parsed directly inside `element`.  Blank text before the first
+    /// non-blank text, and that text's leading whitespace, are dropped: both
+    /// formats trim them.
+    pub(crate) fn push(&mut self, tree: &mut Hdt, element: NodeId, text: &str) {
+        let text = if self.leaf.is_some() {
+            text
+        } else {
+            text.trim_start()
+        };
+        if !text.is_empty() {
+            self.leaf
+                .get_or_insert_with(|| tree.add_child(element, "text", None));
+            self.text.push_str(text);
+        }
+    }
+
+    /// Fills in the `text` leaf, if the element has one, when the element closes:
+    /// its data is the gathered text, trimmed, then `normalize`d (HTML collapses
+    /// whitespace runs; XML keeps them).
+    pub(crate) fn close(self, tree: &mut Hdt, normalize: fn(String) -> String) {
+        if let Some(leaf) = self.leaf {
+            let mut text = self.text;
+            text.truncate(text.trim_end().len());
+            tree.nodes[leaf.index()].data = Some(normalize(text));
+        }
     }
 }
 
@@ -682,19 +694,40 @@ mod tests {
         assert_eq!(years.len(), 1);
     }
 
+    /// Every strict descendant of `id`, by an explicit-stack walk in pre-order.
+    fn subtree_walk(t: &Hdt, id: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut stack: Vec<NodeId> = t.children(id).iter().rev().copied().collect();
+        while let Some(n) = stack.pop() {
+            out.push(n);
+            stack.extend(t.children(n).iter().rev());
+        }
+        out
+    }
+
     #[test]
     fn indexed_lookups_agree_with_naive_reference() {
         let t = sample();
         for id in t.ids() {
             for tag in t.tags() {
+                let walked: Vec<NodeId> = subtree_walk(&t, id)
+                    .into_iter()
+                    .filter(|&d| t.tag(d) == tag)
+                    .collect();
                 assert_eq!(
                     t.descendants_with_tag(id, tag).to_vec(),
-                    t.descendants_with_tag_naive(id, tag),
+                    walked,
                     "descendants mismatch at {id} tag {tag}"
                 );
+                let scanned: Vec<NodeId> = t
+                    .children(id)
+                    .iter()
+                    .copied()
+                    .filter(|&c| t.tag(c) == tag)
+                    .collect();
                 assert_eq!(
                     t.children_with_tag(id, tag).to_vec(),
-                    t.children_with_tag_naive(id, tag),
+                    scanned,
                     "children mismatch at {id} tag {tag}"
                 );
             }
@@ -732,7 +765,7 @@ mod tests {
             let lo = t.preorder_number(id);
             let hi = t.subtree_end(id);
             assert!(lo < hi);
-            for d in t.descendants_with_tag_naive(id, "fid") {
+            for d in subtree_walk(&t, id) {
                 assert!(t.preorder_number(d) > lo && t.preorder_number(d) < hi);
             }
         }
@@ -752,19 +785,22 @@ mod tests {
     #[test]
     fn depth_and_height() {
         let t = sample();
-        assert_eq!(t.depth(t.root()), 0);
-        assert_eq!(t.height(), 4); // root -> Person -> Friendship -> Friend -> fid
+        assert_eq!(t.node_depth(t.root()), 0);
+        // root -> Person -> Friendship -> Friend -> fid
+        assert_eq!(t.ids().map(|id| t.node_depth(id)).max(), Some(4));
     }
 
     #[test]
     fn node_depth_agrees_with_parent_walk() {
         let t = sample();
         for id in t.ids() {
-            assert_eq!(
-                t.node_depth(id) as usize,
-                t.depth(id),
-                "depth mismatch at {id}"
-            );
+            let mut walked = 0;
+            let mut cur = id;
+            while let Some(p) = t.parent(cur) {
+                walked += 1;
+                cur = p;
+            }
+            assert_eq!(t.node_depth(id), walked, "depth mismatch at {id}");
         }
     }
 
@@ -818,8 +854,29 @@ mod tests {
     #[test]
     fn element_and_leaf_counts() {
         let t = sample();
-        assert_eq!(t.leaf_count(), 6);
+        assert_eq!(t.ids().filter(|&id| t.is_leaf(id)).count(), 6);
         assert!(t.element_count() >= 4);
+    }
+
+    #[test]
+    fn wrap_root_shifts_ids_and_keeps_document_order() {
+        let mut t = sample();
+        let before = t.len();
+        t.wrap_root("html");
+        t.validate().unwrap();
+        assert_eq!(t.len(), before + 1);
+        assert_eq!(t.tag_name(t.root()), "html");
+        assert_eq!(t.children(t.root()), &[NodeId(1)]);
+        assert_eq!(t.tag_name(NodeId(1)), "root");
+        assert_eq!(t.preorder(), t.ids().collect::<Vec<_>>());
+        // Later children of the new root get their pos from the shifted counts.
+        let root = t.root();
+        let second = t.add_child(root, "root", None);
+        assert_eq!(t.pos(second), 1);
+        let person = t.children_with_tag(NodeId(1), "Person")[1];
+        let name = t.add_child(person, "name", None);
+        assert_eq!(t.pos(name), 1);
+        t.validate().unwrap();
     }
 
     #[test]

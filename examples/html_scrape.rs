@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example html_scrape`
 
 use mitra::codegen::Backend;
-use mitra::Mitra;
+use mitra::{DocFormat, Mitra};
 
 fn main() {
     // 1. A small, imperfect HTML page (unclosed <li>/<th>/<td> tags, value-less
@@ -25,7 +25,7 @@ fn main() {
     // 2. Synthesize the extraction program through the HTML plug-in.
     let mitra = Mitra::new();
     let synthesis = mitra
-        .synthesize_from_html(&[(example_html, example_output)])
+        .synthesize_from(DocFormat::Html, &[(example_html, example_output)])
         .expect("synthesis should succeed");
     println!(
         "Synthesized in {:?} (cost: {:?})",
@@ -47,7 +47,7 @@ fn main() {
       </table>
     </body></html>"#;
     let table = mitra
-        .run_on_html(&synthesis.program, full_html)
+        .run_on(DocFormat::Html, &synthesis.program, full_html)
         .expect("execution should succeed");
     println!(
         "Extracted table ({} rows):\n{}",

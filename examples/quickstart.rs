@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use mitra::codegen::Backend;
-use mitra::Mitra;
+use mitra::{DocFormat, Mitra};
 
 fn main() {
     // 1. A small XML document and the relational table we want from it.
@@ -17,7 +17,7 @@ fn main() {
     // 2. Synthesize the transformation program.
     let mitra = Mitra::new();
     let synthesis = mitra
-        .synthesize_from_xml(&[(example_xml, example_output)])
+        .synthesize_from(DocFormat::Xml, &[(example_xml, example_output)])
         .expect("synthesis should succeed");
     println!(
         "Synthesized in {:?} (cost: {:?})",
@@ -36,7 +36,7 @@ fn main() {
       <book><isbn>4</isbn><title>Neuromancer</title><author>Gibson</author></book>
     </catalog>"#;
     let table = mitra
-        .run_on_xml(&synthesis.program, full_xml)
+        .run_on(DocFormat::Xml, &synthesis.program, full_xml)
         .expect("execution should succeed");
     println!(
         "Resulting table ({} rows):\n{}",

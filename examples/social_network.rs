@@ -6,7 +6,7 @@
 use mitra::datagen::social;
 use mitra::synth::exec::{execute_with_stats, plan_with_tree};
 use mitra::synth::synthesize::{learn_transformation, SynthConfig};
-use mitra::Mitra;
+use mitra::{DocFormat, Mitra};
 use std::time::Instant;
 
 fn main() {
@@ -61,7 +61,7 @@ fn main() {
     let mitra = Mitra::new();
     let xml = social::social_network_xml_attrs(100, 1);
     let table = mitra
-        .run_on_xml(&synthesis.program, &xml)
+        .run_on(DocFormat::Xml, &synthesis.program, &xml)
         .expect("run on xml");
     println!("From XML text (100 persons): {} rows", table.len());
     assert_eq!(

@@ -8,7 +8,7 @@ use mitra::codegen::Backend;
 use mitra::datagen::datasets::document_text;
 use mitra::datagen::yelp;
 use mitra::synth::synthesize::Example;
-use mitra::Mitra;
+use mitra::{DocFormat, Mitra};
 
 fn main() {
     let spec = yelp();
@@ -37,7 +37,7 @@ fn main() {
     let json = document_text(&spec, 20);
     println!("Full document: {} bytes of JSON", json.len());
     let table = mitra
-        .run_on_json(&synthesis.program, &json)
+        .run_on(DocFormat::Json, &synthesis.program, &json)
         .expect("execution");
     let (_, expected_large) = spec.generate(20);
     println!(

@@ -22,5 +22,5 @@
 
 pub use mitra_core::{codegen, dsl, hdt, migrate, synth, trace};
 pub use mitra_core::{intern, Interner, Symbol, TagId};
-pub use mitra_core::{parse_csv_table, Mitra, MitraError};
+pub use mitra_core::{parse_csv_table, DocFormat, Mitra, MitraError};
 pub use mitra_datagen as datagen;

@@ -48,6 +48,27 @@ fn random_tree() -> impl Strategy<Value = Hdt> {
     })
 }
 
+/// Strict descendants of `id` tagged `tag`, by an explicit-stack subtree walk in
+/// pre-order: the reference for the indexed range scan.
+fn walk_descendants(tree: &Hdt, id: NodeId, tag: mitra::TagId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack: Vec<NodeId> = tree.children(id).iter().rev().copied().collect();
+    while let Some(n) = stack.pop() {
+        if tree.tag(n) == tag {
+            out.push(n);
+        }
+        stack.extend(tree.children(n).iter().rev());
+    }
+    out
+}
+
+/// Children of `id` tagged `tag`, by scanning its child list: the reference for
+/// the children-by-tag map.
+fn scan_children(tree: &Hdt, id: NodeId, tag: mitra::TagId) -> Vec<NodeId> {
+    let children = tree.children(id).iter().copied();
+    children.filter(|&c| tree.tag(c) == tag).collect()
+}
+
 fn all_tags(tree: &Hdt) -> Vec<mitra::TagId> {
     let mut tags = tree.tags();
     // Also query a tag that never occurs in the tree: both implementations must
@@ -64,7 +85,7 @@ proptest! {
         for id in tree.ids() {
             for tag in all_tags(&tree) {
                 let indexed: Vec<NodeId> = tree.descendants_with_tag(id, tag).to_vec();
-                let naive = tree.descendants_with_tag_naive(id, tag);
+                let naive = walk_descendants(&tree, id, tag);
                 prop_assert!(
                     indexed == naive,
                     "descendants({}, {}) diverged: {:?} vs {:?}", id, tag, indexed, naive
@@ -78,7 +99,7 @@ proptest! {
         for id in tree.ids() {
             for tag in all_tags(&tree) {
                 let indexed: Vec<NodeId> = tree.children_with_tag(id, tag).to_vec();
-                let naive = tree.children_with_tag_naive(id, tag);
+                let naive = scan_children(&tree, id, tag);
                 prop_assert!(
                     indexed == naive,
                     "children({}, {}) diverged: {:?} vs {:?}", id, tag, indexed, naive

@@ -6,6 +6,7 @@ use mitra::codegen::Backend;
 use mitra::datagen::social;
 use mitra::synth::exec::execute;
 use mitra::synth::synthesize::{learn_transformation, SynthConfig};
+use mitra::DocFormat;
 
 #[test]
 fn motivating_example_synthesizes_and_generalizes() {
@@ -58,17 +59,19 @@ fn motivating_example_through_xml_plugin() {
     let csv = expected.to_csv();
     let mitra = mitra::Mitra::new();
     let synthesis = mitra
-        .synthesize_from_xml(&[(xml.as_str(), csv.as_str())])
+        .synthesize_from(DocFormat::Xml, &[(xml.as_str(), csv.as_str())])
         .expect("synthesis from XML text");
 
     // The program reproduces the training example through the XML plug-in...
     let out = mitra
-        .run_on_xml(&synthesis.program, &xml)
+        .run_on(DocFormat::Xml, &synthesis.program, &xml)
         .expect("run on training doc");
     assert!(out.same_bag(&expected));
 
     // ... and generalizes to a much larger document, including more friends per person.
     let big_xml = social::social_network_xml_attrs(10, 2);
-    let out = mitra.run_on_xml(&synthesis.program, &big_xml).expect("run");
+    let out = mitra
+        .run_on(DocFormat::Xml, &synthesis.program, &big_xml)
+        .expect("run");
     assert!(out.same_bag(&social::expected_table(10, 2)));
 }

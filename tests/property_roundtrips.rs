@@ -1,15 +1,17 @@
 //! Property-based integration tests: parser and codec round-trips and
 //! execution-engine equivalence over randomly generated documents and programs.
 
+use mitra::datagen::fuzz::{mixed_corpus, CorpusMix};
 use mitra::dsl::ast::{
     ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, TableExtractor,
 };
 use mitra::dsl::eval::{eval_program, node_value};
 use mitra::dsl::validate::validate_against;
 use mitra::dsl::{Program, Table, Value};
-use mitra::hdt::html::parse_html;
+use mitra::hdt::html::html_to_hdt;
 use mitra::hdt::json::{json_string, json_to_hdt};
-use mitra::hdt::{parse_json, parse_xml, Hdt, JsonValue};
+use mitra::hdt::xml::xml_to_hdt;
+use mitra::hdt::{parse_json, Hdt, JsonValue};
 use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter, ShardRecord};
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
 use mitra::migrate::corpus::{FailureKind, QuarantineRecord};
@@ -63,6 +65,43 @@ fn random_tree() -> impl Strategy<Value = Hdt> {
         }
         tree
     })
+}
+
+/// Strategy for HTML pages: one to three top-level `<section>`s (several make a
+/// fragment with a synthetic root) holding pieces that exercise implicit closes,
+/// void elements, raw-text elements and text before and after child elements.
+fn html_page() -> impl Strategy<Value = String> {
+    let pieces = [
+        "<li>one",
+        "<li>two",
+        "<p>para",
+        "<div>",
+        "</div>",
+        "<td>1<td>2",
+        "<tr>",
+        "</p>",
+        "<br>",
+        "<img src=x.png>",
+        "<input checked>",
+        " tail ",
+        "<b>bold</b>",
+        "<script>if (a < b) { f('<td>'); }</script>",
+        "<style> p { } </style>",
+        "&amp; text",
+    ];
+    let section = prop::collection::vec(0..pieces.len(), 0..10).prop_map(move |picks| {
+        let body: String = picks.iter().map(|&i| pieces[i]).collect();
+        format!("<section>{body}</section>")
+    });
+    prop::collection::vec(section, 1..4).prop_map(|sections| sections.concat())
+}
+
+/// Parsed markup must validate and be numbered in document order: arena order is
+/// pre-order, because the parsers create each node when its start is parsed.
+fn assert_document_order(tree: &Hdt) -> Result<(), TestCaseError> {
+    prop_assert!(tree.validate().is_ok());
+    prop_assert_eq!(tree.preorder(), tree.ids().collect::<Vec<_>>());
+    Ok(())
 }
 
 /// Strategy for simple programs over the random-tree tag alphabet.
@@ -125,9 +164,19 @@ proptest! {
         // resulting HDT must hold the same data values in document order.  Shapes
         // differ by design: the plug-in puts an element's text in a `text` child.
         let xml = mitra::datagen::corpus::hdt_to_xml_text(&tree);
-        let doc = parse_xml(&xml).expect("generated XML parses");
-        let reparsed = doc.to_hdt();
+        let reparsed = xml_to_hdt(&xml).expect("generated XML parses");
         prop_assert_eq!(reparsed.data_values(), tree.data_values());
+    }
+
+    #[test]
+    fn xml_of_generated_trees_parses_in_document_order(tree in random_tree()) {
+        let xml = mitra::datagen::corpus::hdt_to_xml_text(&tree);
+        assert_document_order(&xml_to_hdt(&xml).expect("generated XML parses"))?;
+    }
+
+    #[test]
+    fn html_pages_parse_in_document_order(html in html_page()) {
+        assert_document_order(&html_to_hdt(&html).expect("a page with a section parses"))?;
     }
 
     #[test]
@@ -198,13 +247,14 @@ proptest! {
         // could swallow the tag as a bogus comment, browser-style, so the prefix stays
         // markup-free; hostile prefixes are covered by unit tests in the html module.)
         let html = format!("{prefix}<{tag}>{body}");
-        let parsed = parse_html(&html);
+        let parsed = html_to_hdt(&html);
         prop_assert!(parsed.is_ok(), "input with a tag must parse: {html}");
         // Whatever markup soup surrounded it, the parser produced a lowercase-named
-        // element tree (the prefix may legitimately contribute the root element).
-        let root = parsed.unwrap().root;
-        prop_assert!(!root.name.is_empty());
-        prop_assert!(root.name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()
+        // root element (the prefix may legitimately contribute it).
+        let tree = parsed.unwrap();
+        let root = tree.tag_name(tree.root());
+        prop_assert!(!root.is_empty());
+        prop_assert!(root.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()
             || c == '-' || c == '_' || c == ':'));
     }
 
@@ -392,6 +442,26 @@ fn rendered(table: &Table) -> Vec<Vec<String>> {
         .iter()
         .map(|row| row.iter().map(Value::render).collect())
         .collect()
+}
+
+#[test]
+fn mixer_corpus_documents_parse_in_document_order() {
+    let mix = CorpusMix {
+        seed: 11,
+        docs: 400,
+        malformed_pct: 10,
+        promo_pct: 20,
+    };
+    let corpus = mixed_corpus(&mix);
+    let trees: Vec<Hdt> = corpus
+        .text
+        .lines()
+        .filter_map(|line| xml_to_hdt(line).ok())
+        .collect();
+    assert_eq!(trees.len(), 400 - corpus.malformed.len());
+    for tree in &trees {
+        assert_document_order(tree).expect("mixer document in document order");
+    }
 }
 
 #[test]
