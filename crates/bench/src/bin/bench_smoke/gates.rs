@@ -224,12 +224,37 @@ const MONDIAL_COLUMN_AUTOMATA: u64 = 120;
 const MONDIAL_REUSED: u64 = 466;
 const MONDIAL_EXAMINED: u64 = 600;
 
+/// Each dataset's SQL dump of its sequential migration, as FNV-1a of the dump's
+/// bytes, recorded on the last commit whose `dump_sql` rendered one statement
+/// per row through `insert_statement`: writing in place must keep every byte.
+const SQL_FNV: [(&str, u64); 4] = [
+    ("DBLP", 0x11fc90f722e54d2e),
+    ("IMDB", 0xb4dc82b9af224b0e),
+    ("MONDIAL", 0x1ff4d377caf3ab83),
+    ("YELP", 0x02fecba16c470b17),
+];
+
 fn table2(v: &mut Verdicts, m: &Measured) {
     v.check(
         "table2.programs_identical",
         m.programs_identical,
         format!("programs and rows at threads 1 vs {}", m.parallel_threads),
     );
+    for (name, pinned) in SQL_FNV {
+        let fnv = m
+            .sequential
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.sql_fnv);
+        v.check(
+            format!("table2.{name}.sql_fnv"),
+            fnv == Some(pinned),
+            format!(
+                "{} (pinned {pinned:016x})",
+                fnv.map_or("no run".to_string(), |f| format!("{f:016x}"))
+            ),
+        );
+    }
     for (name, ceiling) in SYNTH_CEILING_SECS {
         let row = m.sequential.iter().find(|r| r.name == name);
         let error = row.map_or(Some("no run"), |r| r.error.as_deref());
@@ -438,6 +463,10 @@ mod tests {
             rows: 0,
             exec_total_secs: 0.0,
             violations: 0,
+            sql_fnv: SQL_FNV
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, f)| *f),
             threads: 1,
             programs: Vec::new(),
             profile: SynthProfile::default(),
@@ -578,7 +607,7 @@ mod tests {
     #[test]
     fn every_gate_passes_at_its_bound() {
         let verdicts = check(&at_bounds());
-        assert_eq!(verdicts.len(), 36);
+        assert_eq!(verdicts.len(), 40);
         let not_passed: Vec<String> = verdicts
             .iter()
             .filter(|v| v.outcome != Outcome::Pass)
@@ -617,8 +646,23 @@ mod tests {
         flips("table2.MONDIAL.migrated", |m| {
             m.sequential[2].error = Some("synthesis failed".to_string())
         });
-        flips("table2.YELP.migrated", |m| {
-            m.sequential.retain(|r| r.name != "YELP")
+        let mut m = at_bounds();
+        m.sequential.retain(|r| r.name != "YELP");
+        assert_eq!(
+            failures(&m),
+            ["table2.YELP.sql_fnv", "table2.YELP.migrated"]
+        );
+    }
+
+    #[test]
+    fn a_changed_sql_dump_fails_its_dataset() {
+        for (i, (name, _)) in SQL_FNV.into_iter().enumerate() {
+            flips(&format!("table2.{name}.sql_fnv"), |m| {
+                m.sequential[i].sql_fnv ^= 1
+            });
+        }
+        flips("table2.IMDB.sql_fnv", |m| {
+            m.sequential.retain(|r| r.name != "IMDB")
         });
     }
 

@@ -5,7 +5,9 @@
 use crate::json::{int, num, obj, s, JsonValue};
 use crate::{execution_to_json, metrics_to_json, profile_to_json};
 use mitra_datagen::datasets::{all_datasets, DatasetSpec};
+use mitra_migrate::dump_sql;
 use mitra_synth::budget::Budget;
+use mitra_synth::fingerprint::{fnv1a, FNV_OFFSET};
 use mitra_synth::synthesize::SynthProfile;
 use mitra_trace::MetricsSnapshot;
 use std::time::Duration;
@@ -35,6 +37,9 @@ pub struct MigrationRow {
     pub exec_total_secs: f64,
     /// Constraint violations in the migrated database (0 on success).
     pub violations: usize,
+    /// FNV-1a hash of the migrated database's SQL dump (`dump_sql`), taken after
+    /// the report's wall times; 0 when the migration failed.
+    pub sql_fnv: u64,
     /// Worker threads the migration plan was run with (after resolution).
     pub threads: usize,
     /// Pretty-printed synthesized programs in table order — not serialized; used by
@@ -112,6 +117,7 @@ fn run_dataset_row(
             rows: report.total_rows(),
             exec_total_secs: report.total_execution_time().as_secs_f64(),
             violations: report.violations,
+            sql_fnv: fnv1a(FNV_OFFSET, dump_sql(&report.database).as_bytes()),
             threads: resolved,
             programs: report.programs().into_iter().map(str::to_string).collect(),
             profile: report.synthesis_profile(),
@@ -130,6 +136,7 @@ fn run_dataset_row(
             rows: 0,
             exec_total_secs: 0.0,
             violations: 0,
+            sql_fnv: 0,
             threads: resolved,
             programs: Vec::new(),
             profile: SynthProfile::default(),
@@ -156,6 +163,7 @@ pub fn rows_to_json_value(rows: &[MigrationRow]) -> JsonValue {
                     ("rows", int(r.rows)),
                     ("exec_total_secs", num(r.exec_total_secs)),
                     ("violations", int(r.violations)),
+                    ("sql_fnv", s(format!("{:016x}", r.sql_fnv))),
                     ("threads", int(r.threads)),
                     ("profile", profile_to_json(&r.profile)),
                     ("execution", r.execution.clone()),
@@ -194,6 +202,7 @@ mod tests {
                 rows: 275,
                 exec_total_secs: 0.001,
                 violations: 0,
+                sql_fnv: 0x11fc90f722e54d2e,
                 threads: 1,
                 programs: vec!["filter(...)".into()],
                 profile: SynthProfile::default(),
@@ -230,6 +239,7 @@ mod tests {
                 rows: 0,
                 exec_total_secs: 0.0,
                 violations: 0,
+                sql_fnv: 0,
                 threads: 1,
                 programs: Vec::new(),
                 profile: SynthProfile::default(),
@@ -243,6 +253,7 @@ mod tests {
         assert!(json.contains("\"name\":\"dblp\""));
         assert!(json.contains("\"rows\":275"));
         assert!(json.contains("\"threads\":1"));
+        assert!(json.contains("\"sql_fnv\":\"11fc90f722e54d2e\""));
         assert!(json.contains("\"synth_cpu_secs\":3.5"));
         assert!(json.contains("\"profile\":{\"dfa_build_secs\":0"));
         assert!(json.contains("\"candidates_pruned\":0"));

@@ -384,10 +384,15 @@ impl<'a> Parser<'a> {
     /// Consumes the contents of a raw-text element up to (and including) its closing
     /// tag; returns the raw contents.
     fn take_raw_text(&mut self, name: &str) -> String {
-        let closer = format!("</{name}");
+        // The first `</` followed by the name, ASCII case-insensitively, scanning
+        // forward from here only: lowercasing the rest of the input per element
+        // made a page of many scripts quadratic.
         let rest = self.rest();
-        let lower = rest.to_ascii_lowercase();
-        match lower.find(&closer) {
+        let closer = rest
+            .as_bytes()
+            .windows(name.len() + 2)
+            .position(|w| w.starts_with(b"</") && w[2..].eq_ignore_ascii_case(name.as_bytes()));
+        match closer {
             Some(rel) => {
                 let raw = rest[..rel].to_string();
                 self.bump(rel);
@@ -579,6 +584,50 @@ mod tests {
         assert_eq!(tree.tag_name(children[0]), "script");
         assert!(leaf(&tree, children[0], "text").unwrap().contains("a < b"));
         assert_eq!(leaf(&tree, children[1], "text"), Some("after"));
+    }
+
+    #[test]
+    fn raw_text_closers_match_ascii_case_insensitively() {
+        let html = "<body><script>a()</SCRIPT><style> p { } </StYlE ><p>after</p></body>";
+        let tree = html_to_hdt(html).unwrap();
+        let children = elements(&tree, tree.root());
+        let names: Vec<&str> = children.iter().map(|&c| tree.tag_name(c)).collect();
+        assert_eq!(names, ["script", "style", "p"]);
+        assert_eq!(leaf(&tree, children[0], "text"), Some("a()"));
+        assert_eq!(leaf(&tree, children[1], "text"), Some("p { }"));
+        assert_eq!(leaf(&tree, children[2], "text"), Some("after"));
+    }
+
+    #[test]
+    fn raw_text_runs_to_the_first_closer_with_the_name() {
+        // A `</` of another name stays raw text.
+        let html = "<body><script>s = '</b>' + '</scrip';</script><p>after</p></body>";
+        let tree = html_to_hdt(html).unwrap();
+        let children = elements(&tree, tree.root());
+        assert_eq!(
+            leaf(&tree, children[0], "text"),
+            Some("s = '</b>' + '</scrip';")
+        );
+        assert_eq!(leaf(&tree, children[1], "text"), Some("after"));
+        // The name is matched as a prefix: `</scriptx>` ends the script, and the
+        // real closer after it closes nothing.
+        let html = "<body><script>a</scriptx>b</script><p>after</p></body>";
+        let tree = html_to_hdt(html).unwrap();
+        let children = elements(&tree, tree.root());
+        let names: Vec<&str> = children.iter().map(|&c| tree.tag_name(c)).collect();
+        assert_eq!(names, ["script", "p"]);
+        assert_eq!(leaf(&tree, children[0], "text"), Some("a"));
+        assert_eq!(leaf(&tree, tree.root(), "text"), Some("b"));
+    }
+
+    #[test]
+    fn an_unterminated_raw_text_element_takes_the_rest() {
+        let tree = html_to_hdt("<div><script>if (a < b) { x('</div>') </scrip").unwrap();
+        let script = elements(&tree, tree.root())[0];
+        assert_eq!(
+            leaf(&tree, script, "text"),
+            Some("if (a < b) { x('</div>') </scrip")
+        );
     }
 
     #[test]

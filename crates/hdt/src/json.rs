@@ -1,16 +1,27 @@
 //! From-scratch JSON parsing, serialization and the JSON→HDT mapping.
 //!
 //! The parser accepts the full JSON grammar (RFC 8259): objects, arrays, strings with
-//! escapes (including `\uXXXX` surrogate pairs), numbers, booleans and null.
+//! escapes (including `\uXXXX` surrogate pairs), numbers, booleans and null.  There is
+//! one grammar, and it reports what it parses, in document order, to a builder:
+//! [`parse_json`] builds a [`JsonValue`], and [`json_to_hdt`] builds the HDT arena as
+//! it parses, with no `JsonValue` in between.
 //!
 //! Section 3 of the paper maps a JSON document to an HDT as follows: each key/value
 //! pair becomes a node whose tag is the key and whose data is the value (for scalar
-//! values); objects and arrays become internal nodes with `data = nil`; an array value
-//! under key `k` becomes several nodes tagged `k` with `pos` 0, 1, 2, ….
+//! values); an object becomes an internal node with `data = nil`, created at its `{`;
+//! an array value under key `k` becomes its entries, nodes tagged `k` with `pos` 0, 1,
+//! 2, … (an array nested in an array flattens the same way).  The document's own
+//! entries hang under a root tagged `root`; a bare root array's entries are tagged
+//! `item`, and a bare root scalar is a `value` leaf.
+//!
+//! A scalar's data is its text: a string's content, `true`, `false` or `null`, and for
+//! a number [`format_number`] of its `f64` (`1.50` is stored as `1.5`, `007` and `1e2`
+//! as `7` and `100`).
 
 use crate::error::{HdtError, Result, MAX_PARSE_DEPTH};
 use crate::tree::Hdt;
-use crate::NodeId;
+use crate::{NodeId, TagId};
+use std::borrow::Cow;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,17 +57,6 @@ impl JsonValue {
         }
     }
 
-    /// Renders a scalar value the way it is stored as HDT node data.
-    fn scalar_data(&self) -> Option<String> {
-        match self {
-            JsonValue::Null => Some("null".to_string()),
-            JsonValue::Bool(b) => Some(b.to_string()),
-            JsonValue::Number(n) => Some(format_number(*n)),
-            JsonValue::String(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
     /// Number of object/array values in this subtree (the `#Elements` statistic).
     pub fn element_count(&self) -> usize {
         match self {
@@ -68,14 +68,6 @@ impl JsonValue {
             }
             _ => 0,
         }
-    }
-
-    /// Converts the value into an HDT rooted at a node tagged `root_tag`.
-    pub fn to_hdt(&self, root_tag: &str) -> Hdt {
-        let mut tree = Hdt::with_root(root_tag);
-        let root = tree.root();
-        fill(&mut tree, root, self);
-        tree
     }
 
     /// Serializes with two-space indentation.
@@ -93,51 +85,26 @@ impl JsonValue {
     }
 }
 
-fn fill(tree: &mut Hdt, parent: NodeId, value: &JsonValue) {
-    match value {
-        JsonValue::Object(fields) => {
-            for (key, v) in fields {
-                add_entry(tree, parent, key, v, 0);
-            }
-        }
-        JsonValue::Array(items) => {
-            // A bare array at this level: entries become `item` nodes with increasing pos.
-            for (i, v) in items.iter().enumerate() {
-                add_entry(tree, parent, "item", v, i);
-            }
-        }
-        scalar => {
-            if let Some(d) = scalar.scalar_data() {
-                tree.add_child_with_pos(parent, "value", 0, Some(d));
-            }
-        }
-    }
-}
-
-fn add_entry(tree: &mut Hdt, parent: NodeId, key: &str, value: &JsonValue, pos: usize) {
-    match value {
-        JsonValue::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                add_entry(tree, parent, key, item, i);
-            }
-        }
-        JsonValue::Object(fields) => {
-            let id = tree.add_child_with_pos(parent, key, pos, None);
-            for (k, v) in fields {
-                add_entry(tree, id, k, v, 0);
-            }
-        }
-        scalar => {
-            tree.add_child_with_pos(parent, key, pos, scalar.scalar_data());
-        }
-    }
-}
-
 /// Parses a JSON document.
 pub fn parse_json(input: &str) -> Result<JsonValue> {
-    let mut p = JsonParser::new(input);
+    Ok(parse(input, ValueBuilder::new())?.root)
+}
+
+/// Parses a JSON document into an HDT rooted at a node tagged `root`, building the
+/// arena as it parses (the mapping in the module docs).
+pub fn json_to_hdt(input: &str) -> Result<Hdt> {
+    let _span = mitra_trace::span("ingest", "json_to_hdt");
+    let tree = parse(input, TreeBuilder::new())?.tree;
+    mitra_trace::counter_add!("ingest.json.docs", 1);
+    mitra_trace::counter_add!("ingest.json.nodes", tree.len() as u64);
+    Ok(tree)
+}
+
+/// Runs the grammar over a whole document, reporting to `builder`.
+fn parse<B: Builder>(input: &str, builder: B) -> Result<B> {
+    let mut p = JsonParser::new(input, builder);
     p.skip_ws();
-    let v = p.parse_value()?;
+    p.parse_value()?;
     p.skip_ws();
     if !p.at_end() {
         return Err(HdtError::parse(
@@ -145,16 +112,183 @@ pub fn parse_json(input: &str) -> Result<JsonValue> {
             p.pos,
         ));
     }
-    Ok(v)
+    Ok(p.builder)
 }
 
-/// Parses a JSON document and converts it to an HDT rooted at `root`.
-pub fn json_to_hdt(input: &str) -> Result<Hdt> {
-    let _span = mitra_trace::span("ingest", "json_to_hdt");
-    let tree = parse_json(input)?.to_hdt("root");
-    mitra_trace::counter_add!("ingest.json.docs", 1);
-    mitra_trace::counter_add!("ingest.json.nodes", tree.len() as u64);
-    Ok(tree)
+/// A scalar value as the grammar parsed it.
+enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Number(f64),
+    /// A string's content: borrowed from the input when it has no escape.
+    String(Cow<'a, str>),
+}
+
+/// Receives what the grammar parses, in document order.  Every `begin_*` is matched
+/// by one [`Builder::end`], and inside an object each value follows its key.
+trait Builder {
+    fn begin_object(&mut self);
+    fn begin_array(&mut self);
+    fn key(&mut self, key: Cow<'_, str>);
+    /// Closes the innermost open object or array.
+    fn end(&mut self);
+    fn scalar(&mut self, scalar: Scalar<'_>);
+}
+
+/// Builds the [`JsonValue`] behind [`parse_json`].
+struct ValueBuilder {
+    /// Open objects and arrays, innermost last, each with the key it sits under.
+    open: Vec<(String, JsonValue)>,
+    /// The key of the next object entry.
+    key: String,
+    /// The document's value once it is complete.
+    root: JsonValue,
+}
+
+impl ValueBuilder {
+    fn new() -> Self {
+        ValueBuilder {
+            open: Vec::new(),
+            key: String::new(),
+            root: JsonValue::Null,
+        }
+    }
+
+    fn begin(&mut self, container: JsonValue) {
+        let key = std::mem::take(&mut self.key);
+        self.open.push((key, container));
+    }
+
+    /// Adds a complete value to the innermost open container, or makes it the root.
+    fn add(&mut self, value: JsonValue) {
+        match self.open.last_mut() {
+            Some((_, JsonValue::Object(fields))) => {
+                fields.push((std::mem::take(&mut self.key), value))
+            }
+            Some((_, JsonValue::Array(items))) => items.push(value),
+            _ => self.root = value,
+        }
+    }
+}
+
+impl Builder for ValueBuilder {
+    fn begin_object(&mut self) {
+        self.begin(JsonValue::Object(Vec::new()));
+    }
+
+    fn begin_array(&mut self) {
+        self.begin(JsonValue::Array(Vec::new()));
+    }
+
+    fn key(&mut self, key: Cow<'_, str>) {
+        self.key = key.into_owned();
+    }
+
+    fn end(&mut self) {
+        if let Some((key, value)) = self.open.pop() {
+            self.key = key;
+            self.add(value);
+        }
+    }
+
+    fn scalar(&mut self, scalar: Scalar<'_>) {
+        self.add(match scalar {
+            Scalar::Null => JsonValue::Null,
+            Scalar::Bool(b) => JsonValue::Bool(b),
+            Scalar::Number(n) => JsonValue::Number(n),
+            Scalar::String(s) => JsonValue::String(s.into_owned()),
+        });
+    }
+}
+
+/// Builds the HDT behind [`json_to_hdt`], applying Section 3's mapping as the grammar
+/// reports.
+struct TreeBuilder {
+    tree: Hdt,
+    /// Open objects and arrays, innermost last.
+    open: Vec<Open>,
+    /// The tag of the next object entry.
+    key: TagId,
+}
+
+/// An open object or array, as the arena sees it.
+enum Open {
+    /// An object whose entries become children of this node.
+    Object(NodeId),
+    /// An array whose entries become children of `parent` tagged `tag`, the next one
+    /// at `pos`.
+    Array {
+        parent: NodeId,
+        tag: TagId,
+        pos: usize,
+    },
+}
+
+impl TreeBuilder {
+    fn new() -> Self {
+        let tree = Hdt::with_root("root");
+        let key = tree.tag(tree.root());
+        TreeBuilder {
+            tree,
+            open: Vec::new(),
+            key,
+        }
+    }
+
+    /// The parent, tag and `pos` of the next value, or `None` at the top level.
+    fn slot(&mut self) -> Option<(NodeId, TagId, usize)> {
+        match self.open.last_mut()? {
+            Open::Object(node) => Some((*node, self.key, 0)),
+            Open::Array { parent, tag, pos } => {
+                *pos += 1;
+                Some((*parent, *tag, *pos - 1))
+            }
+        }
+    }
+}
+
+impl Builder for TreeBuilder {
+    fn begin_object(&mut self) {
+        // The document's object is the root itself.
+        let node = match self.slot() {
+            Some((parent, tag, pos)) => self.tree.add_child_with_pos(parent, tag, pos, None),
+            None => NodeId::ROOT,
+        };
+        self.open.push(Open::Object(node));
+    }
+
+    fn begin_array(&mut self) {
+        // An array makes no node: its entries take its slot's parent and tag.
+        let (parent, tag, _) = self
+            .slot()
+            .unwrap_or_else(|| (NodeId::ROOT, TagId::from("item"), 0));
+        self.open.push(Open::Array {
+            parent,
+            tag,
+            pos: 0,
+        });
+    }
+
+    fn key(&mut self, key: Cow<'_, str>) {
+        self.key = TagId::from(&*key);
+    }
+
+    fn end(&mut self) {
+        self.open.pop();
+    }
+
+    fn scalar(&mut self, scalar: Scalar<'_>) {
+        let (parent, tag, pos) = self
+            .slot()
+            .unwrap_or_else(|| (NodeId::ROOT, TagId::from("value"), 0));
+        let data = match scalar {
+            Scalar::Null => "null".to_string(),
+            Scalar::Bool(b) => b.to_string(),
+            Scalar::Number(n) => format_number(n),
+            Scalar::String(s) => s.into_owned(),
+        };
+        self.tree.add_child_with_pos(parent, tag, pos, Some(data));
+    }
 }
 
 /// Formats an f64 the way JSON integers are usually written (no trailing `.0`).
@@ -266,21 +400,23 @@ fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct JsonParser<'a> {
+struct JsonParser<'a, B> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current object/array nesting depth, bounded by [`MAX_PARSE_DEPTH`].
     depth: usize,
+    builder: B,
 }
 
-impl<'a> JsonParser<'a> {
-    fn new(input: &'a str) -> Self {
+impl<'a, B: Builder> JsonParser<'a, B> {
+    fn new(input: &'a str, builder: B) -> Self {
         JsonParser {
             input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
+            builder,
         }
     }
 
@@ -330,7 +466,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue> {
+    fn parse_value(&mut self) -> Result<()> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {
@@ -345,10 +481,14 @@ impl<'a> JsonParser<'a> {
                 self.leave();
                 v
             }
-            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", JsonValue::Null),
+            Some(b'"') => {
+                let s = self.parse_string()?;
+                self.builder.scalar(Scalar::String(s));
+                Ok(())
+            }
+            Some(b't') => self.parse_keyword("true", Scalar::Bool(true)),
+            Some(b'f') => self.parse_keyword("false", Scalar::Bool(false)),
+            Some(b'n') => self.parse_keyword("null", Scalar::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(HdtError::parse(
                 format!("unexpected character '{}'", c as char),
@@ -358,30 +498,32 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue> {
+    fn parse_keyword(&mut self, word: &str, value: Scalar<'a>) -> Result<()> {
         if self.input[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            self.builder.scalar(value);
+            Ok(())
         } else {
             Err(HdtError::parse(format!("expected '{word}'"), self.pos))
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue> {
+    fn parse_object(&mut self) -> Result<()> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        self.builder.begin_object();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(fields));
+            self.builder.end();
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
+            self.builder.key(key);
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
+            self.parse_value()?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -389,24 +531,25 @@ impl<'a> JsonParser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
+                    self.builder.end();
+                    return Ok(());
                 }
                 _ => return Err(HdtError::parse("expected ',' or '}' in object", self.pos)),
             }
         }
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue> {
+    fn parse_array(&mut self) -> Result<()> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        self.builder.begin_array();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            self.builder.end();
+            return Ok(());
         }
         loop {
-            let value = self.parse_value()?;
-            items.push(value);
+            self.parse_value()?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -414,81 +557,108 @@ impl<'a> JsonParser<'a> {
                 }
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    self.builder.end();
+                    return Ok(());
                 }
                 _ => return Err(HdtError::parse("expected ',' or ']' in array", self.pos)),
             }
         }
     }
 
-    fn parse_string(&mut self) -> Result<String> {
+    /// Parses a string literal, borrowing its content from the input when it holds
+    /// no escape and copying each run between escapes in one step otherwise.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let input = self.input;
+        let mut run = self.pos;
+        let mut unescaped: Option<String> = None;
         loop {
+            let rest = &self.bytes[self.pos..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
             match self.peek() {
                 None => return Err(HdtError::parse("unterminated string", self.pos)),
                 Some(b'"') => {
+                    let tail = &input[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.parse_hex4()?;
-                            if (0xD800..0xDC00).contains(&cp) {
-                                // High surrogate: expect \uXXXX low surrogate.
-                                if self.input[self.pos..].starts_with("\\u") {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    out.push(char::from_u32(combined).unwrap_or('\u{FFFD}'));
-                                } else {
-                                    out.push('\u{FFFD}');
-                                }
-                            } else {
-                                out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                            }
-                            continue;
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
                         }
-                        _ => return Err(HdtError::parse("invalid escape sequence", self.pos)),
-                    }
-                    self.pos += 1;
+                    });
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character; `peek` saw a byte, so one is
-                    // there, but degrade to a typed error rather than panic.
-                    let Some(ch) = self.input[self.pos..].chars().next() else {
-                        return Err(HdtError::parse("unterminated string", self.pos));
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(&input[run..self.pos]);
+                    self.pos += 1;
+                    self.parse_escape(out)?;
+                    run = self.pos;
                 }
             }
         }
     }
 
+    /// Decodes the escape sequence after a backslash into `out`.
+    fn parse_escape(&mut self, out: &mut String) -> Result<()> {
+        let ch = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    // High surrogate: expect a \uXXXX low surrogate.
+                    if self.input[self.pos..].starts_with("\\u") {
+                        self.pos += 2;
+                        let low = self.parse_hex4()?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                            out.push(char::from_u32(combined).unwrap_or('\u{FFFD}'));
+                        } else {
+                            // Not a low surrogate: the high one stands alone.
+                            out.push('\u{FFFD}');
+                            out.push(char::from_u32(low).unwrap_or('\u{FFFD}'));
+                        }
+                    } else {
+                        out.push('\u{FFFD}');
+                    }
+                } else {
+                    out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+                }
+                return Ok(());
+            }
+            _ => return Err(HdtError::parse("invalid escape sequence", self.pos)),
+        };
+        out.push(ch);
+        self.pos += 1;
+        Ok(())
+    }
+
     fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(hex) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(HdtError::parse("truncated \\u escape", self.pos));
-        }
-        let hex = &self.input[self.pos..self.pos + 4];
-        let cp = u32::from_str_radix(hex, 16)
-            .map_err(|_| HdtError::parse("invalid \\u escape", self.pos))?;
+        };
+        // Bytes, not a `str` slice: the fourth byte may sit inside a multi-byte
+        // character.
+        let cp = std::str::from_utf8(hex)
+            .ok()
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| HdtError::parse("invalid \\u escape", self.pos))?;
         self.pos += 4;
         Ok(cp)
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue> {
+    fn parse_number(&mut self) -> Result<()> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -512,9 +682,11 @@ impl<'a> JsonParser<'a> {
             }
         }
         let text = &self.input[start..self.pos];
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| HdtError::parse(format!("invalid number '{text}'"), start))
+        let value = text
+            .parse::<f64>()
+            .map_err(|_| HdtError::parse(format!("invalid number '{text}'"), start))?;
+        self.builder.scalar(Scalar::Number(value));
+        Ok(())
     }
 }
 
@@ -637,9 +809,12 @@ mod tests {
                     Err(HdtError::DepthLimit { limit: l, .. }) => assert_eq!(l, limit),
                     other => panic!("expected depth-limit error, got {other:?}"),
                 }
+                assert_eq!(json_to_hdt(&deep).err(), parse_json(&deep).err());
                 // Exactly at the limit still parses.
                 let ok = format!("{}1{}", "[".repeat(limit), "]".repeat(limit));
                 assert!(parse_json(&ok).is_ok());
+                let tree = json_to_hdt(&ok).unwrap();
+                assert_eq!(tree.len(), 2, "nested arrays flatten to one `item` leaf");
             })
             .expect("spawn big-stack thread")
             .join()
@@ -653,5 +828,67 @@ mod tests {
         assert_eq!(items.len(), 3);
         assert_eq!(tree.pos(items[2]), 2);
         assert_eq!(tree.data(items[2]), Some("30"));
+    }
+
+    #[test]
+    fn keys_with_and_without_escapes_become_tags() {
+        let tree = json_to_hdt(r#"{"plain": 1, "a\"b\u0041": {"x": "y\nz"}}"#).unwrap();
+        let root = tree.root();
+        assert_eq!(tree.data(tree.child(root, "plain", 0).unwrap()), Some("1"));
+        let escaped = tree.child(root, "a\"bA", 0).unwrap();
+        assert_eq!(tree.data(escaped), None);
+        assert_eq!(
+            tree.data(tree.child(escaped, "x", 0).unwrap()),
+            Some("y\nz")
+        );
+    }
+
+    #[test]
+    fn nested_arrays_flatten_under_the_enclosing_key() {
+        let tree = json_to_hdt(r#"{"k": [[1, 2], 3, {"a": true}]}"#).unwrap();
+        let ks = tree.children_with_tag(tree.root(), "k");
+        let entries: Vec<(usize, Option<&str>)> =
+            ks.iter().map(|&k| (tree.pos(k), tree.data(k))).collect();
+        assert_eq!(
+            entries,
+            [(0, Some("1")), (1, Some("2")), (1, Some("3")), (2, None)]
+        );
+        assert_eq!(tree.data(tree.child(ks[3], "a", 0).unwrap()), Some("true"));
+    }
+
+    #[test]
+    fn a_bare_root_scalar_is_a_value_leaf() {
+        for (text, data) in [
+            ("null", "null"),
+            ("false", "false"),
+            ("\"s\"", "s"),
+            ("-0", "0"),
+        ] {
+            let tree = json_to_hdt(text).unwrap();
+            let value = tree.child(tree.root(), "value", 0).unwrap();
+            assert_eq!(tree.data(value), Some(data), "{text}");
+        }
+    }
+
+    #[test]
+    fn malformed_unicode_escapes_are_typed_errors_or_replacements() {
+        // The fourth byte after `\u` inside a multi-byte character is a typed
+        // error, not a `str` slice across a character boundary.
+        for text in ["\"\\u000\u{e9}\"", "{\"\\u00\u{e9}\": 1}"] {
+            assert!(
+                matches!(parse_json(text), Err(HdtError::Parse { .. })),
+                "{text}"
+            );
+            assert_eq!(json_to_hdt(text).err(), parse_json(text).err());
+        }
+        // A high surrogate followed by an escape that is no low surrogate stands
+        // alone, and the second escape keeps its own character.
+        for (text, want) in [
+            ("\"\\uD800\\u0041\"", "\u{FFFD}A"),
+            ("\"\\uD800\\uE000\"", "\u{FFFD}\u{E000}"),
+            ("\"\\uD800x\"", "\u{FFFD}x"),
+        ] {
+            assert_eq!(parse_json(text).unwrap(), JsonValue::String(want.into()));
+        }
     }
 }

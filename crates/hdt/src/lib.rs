@@ -13,8 +13,10 @@
 //!   become HDT nodes).  It has no serializer: [`xml::escape`] and `mitra_datagen`'s
 //!   `hdt_to_xml_text` are the XML writers;
 //! * [`json`] — a from-scratch JSON parser and serializer plus the JSON→HDT mapping of
-//!   Section 3 (objects/arrays become internal nodes, array entries get increasing
-//!   `pos` values); it parses to a [`JsonValue`] first, the workspace's one JSON model;
+//!   Section 3 (objects become internal nodes, array entries become same-tag siblings
+//!   with increasing `pos` values).  Its one grammar reports to two builders:
+//!   [`parse_json`] builds a [`JsonValue`], the workspace's one JSON model, and
+//!   [`json::json_to_hdt`] builds the HDT as it parses, with no `JsonValue` between;
 //! * [`html`] — a lenient HTML parser that builds the HDT directly with the XML
 //!   plug-in's mapping, demonstrating the "other hierarchical formats" extensibility
 //!   claimed in Section 6.

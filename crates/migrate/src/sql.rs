@@ -1,9 +1,14 @@
 //! SQL dump back-end: emits `CREATE TABLE` DDL and `INSERT` statements for a populated
 //! database, so migration results can be loaded into an actual RDBMS.
+//!
+//! [`dump_sql`] writes every statement straight into its one output string: a
+//! table's quoted `INSERT INTO "t" ("c", …) VALUES (` prefix is built once, and each
+//! row's literals are written in place after it.
 
 use crate::database::Database;
 use crate::schema::{Schema, TableSchema};
 use mitra_dsl::Value;
+use std::fmt::Write as _;
 
 /// Emits `CREATE TABLE` statements for the whole schema.
 pub fn dump_ddl(schema: &Schema) -> String {
@@ -55,43 +60,57 @@ pub fn create_table(table: &TableSchema) -> String {
     out
 }
 
-/// Emits a full dump: DDL followed by `INSERT` statements for every row.
+/// Emits a full dump: DDL followed by one `INSERT` statement per row, tables in
+/// schema order.
 pub fn dump_sql(db: &Database) -> String {
     let mut out = dump_ddl(&db.schema);
     out.push('\n');
     for table in &db.schema.tables {
-        if let Some(data) = db.table(&table.name) {
-            for row in &data.rows {
-                out.push_str(&insert_statement(&table.name, &table.column_names(), row));
-                out.push('\n');
+        let Some(data) = db.table(&table.name) else {
+            continue;
+        };
+        let columns: Vec<String> = table.columns.iter().map(|c| quote_ident(&c.name)).collect();
+        let prefix = format!(
+            "INSERT INTO {} ({}) VALUES (",
+            quote_ident(&table.name),
+            columns.join(", ")
+        );
+        for row in &data.rows {
+            out.push_str(&prefix);
+            for (i, value) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_literal(&mut out, value);
             }
+            out.push_str(");\n");
         }
     }
     out
 }
 
-/// Emits one `INSERT` statement.
-pub fn insert_statement(table: &str, columns: &[String], row: &[Value]) -> String {
-    let cols = columns
-        .iter()
-        .map(|c| quote_ident(c))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let vals = row.iter().map(sql_literal).collect::<Vec<_>>().join(", ");
-    format!(
-        "INSERT INTO {} ({cols}) VALUES ({vals});",
-        quote_ident(table)
-    )
-}
-
-/// Renders a value as a SQL literal.
-pub fn sql_literal(v: &Value) -> String {
+/// Writes a value as a SQL literal: `NULL`, `TRUE`/`FALSE`, a bare number, or a
+/// single-quoted string with `'` doubled.
+fn write_literal(out: &mut String, v: &Value) {
     match v {
-        Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Null => out.push_str("NULL"),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Float(f) => {
+            let _ = write!(out, "{f}");
+        }
+        Value::Bool(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
+        Value::Str(s) => {
+            out.push('\'');
+            for (i, part) in s.split('\'').enumerate() {
+                if i > 0 {
+                    out.push_str("''");
+                }
+                out.push_str(part);
+            }
+            out.push('\'');
+        }
     }
 }
 
@@ -131,22 +150,48 @@ mod tests {
 
     #[test]
     fn insert_statements_escape_strings() {
-        let stmt = insert_statement(
-            "person",
-            &["pid".to_string(), "name".to_string()],
-            &[Value::int(1), Value::str("O'Brien")],
-        );
+        let mut db = Database::new(schema());
+        db.insert("person", vec![Value::int(1), Value::str("O'Brien")]);
+        let dump = dump_sql(&db);
+        let inserts: Vec<&str> = dump.lines().filter(|l| l.starts_with("INSERT")).collect();
         assert_eq!(
-            stmt,
-            "INSERT INTO \"person\" (\"pid\", \"name\") VALUES (1, 'O''Brien');"
+            inserts,
+            ["INSERT INTO \"person\" (\"pid\", \"name\") VALUES (1, 'O''Brien');"]
         );
     }
 
     #[test]
     fn literals_for_all_value_kinds() {
-        assert_eq!(sql_literal(&Value::Null), "NULL");
-        assert_eq!(sql_literal(&Value::Bool(true)), "TRUE");
-        assert_eq!(sql_literal(&Value::Float(2.5)), "2.5");
+        let schema = Schema::new().with_table(TableSchema::new(
+            "t",
+            vec![
+                Column::integer("i"),
+                Column::integer("n"),
+                Column::integer("b"),
+                Column::integer("f"),
+                Column::text("s"),
+            ],
+        ));
+        let mut db = Database::new(schema);
+        let row = vec![
+            Value::int(-7),
+            Value::Null,
+            Value::Bool(true),
+            Value::Float(2.5),
+            Value::str("''"),
+        ];
+        assert!(db.insert("t", row));
+        db.insert("t", vec![Value::Bool(false); 5]);
+        let dump = dump_sql(&db);
+        assert!(
+            dump.ends_with(
+                "INSERT INTO \"t\" (\"i\", \"n\", \"b\", \"f\", \"s\") \
+                 VALUES (-7, NULL, TRUE, 2.5, '''''');\n\
+                 INSERT INTO \"t\" (\"i\", \"n\", \"b\", \"f\", \"s\") \
+                 VALUES (FALSE, FALSE, FALSE, FALSE, FALSE);\n"
+            ),
+            "{dump}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based integration tests: parser and codec round-trips and
 //! execution-engine equivalence over randomly generated documents and programs.
 
-use mitra::datagen::fuzz::{mixed_corpus, CorpusMix};
+use mitra::datagen::fuzz::{mixed_corpus, scenario, CorpusMix, Payload, ScenarioKind};
 use mitra::dsl::ast::{
     ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, TableExtractor,
 };
@@ -9,13 +9,14 @@ use mitra::dsl::eval::{eval_program, node_value};
 use mitra::dsl::validate::validate_against;
 use mitra::dsl::{Program, Table, Value};
 use mitra::hdt::html::html_to_hdt;
-use mitra::hdt::json::{json_string, json_to_hdt};
+use mitra::hdt::json::{format_number, json_string, json_to_hdt};
 use mitra::hdt::xml::xml_to_hdt;
-use mitra::hdt::{parse_json, Hdt, JsonValue};
+use mitra::hdt::{parse_json, Hdt, JsonValue, NodeId};
 use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter, ShardRecord};
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
 use mitra::migrate::corpus::{FailureKind, QuarantineRecord};
 use mitra::migrate::query::run_query;
+use mitra::migrate::sql::{dump_ddl, dump_sql, quote_ident};
 use mitra::migrate::{Column, Database, Schema, TableSchema};
 use mitra::parse_csv_table;
 use mitra::synth::exec::execute;
@@ -23,20 +24,98 @@ use mitra::synth::fingerprint::{fingerprint, fnv1a, FNV_OFFSET};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Strategy for arbitrary JSON values of bounded depth.
+/// Strategy for arbitrary JSON values of bounded depth: numbers with fractions and
+/// large and tiny magnitudes, and strings and keys that need escapes or hold
+/// non-ASCII text.
 fn json_value(depth: u32) -> impl Strategy<Value = JsonValue> {
     let leaf = prop_oneof![
         Just(JsonValue::Null),
         any::<bool>().prop_map(JsonValue::Bool),
         (-1000i64..1000).prop_map(|i| JsonValue::Number(i as f64)),
+        finite_f64().prop_map(JsonValue::Number),
         "[a-zA-Z0-9 _-]{0,12}".prop_map(JsonValue::String),
+        "[a\"\\/\n\t\u{1}\u{1f} é€\u{1f600}]{0,8}".prop_map(JsonValue::String),
     ];
-    leaf.prop_recursive(depth, 24, 4, |inner| {
+    let key = prop_oneof!["[a-z]{1,6}", "[a\"\\\n\u{1}é€\u{1f600}]{1,4}"];
+    leaf.prop_recursive(depth, 24, 4, move |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(JsonValue::Array),
-            prop::collection::vec(("[a-z]{1,6}", inner), 0..4).prop_map(JsonValue::Object),
+            prop::collection::vec((key.clone(), inner), 0..4).prop_map(JsonValue::Object),
         ]
     })
+}
+
+/// Strategy for finite `f64`s: fractions, integers around 2^53 (15 to 16 digits),
+/// powers of ten past 1e15, and arbitrary bit patterns for huge and tiny magnitudes.
+fn finite_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-100_000i64..100_000).prop_map(|i| i as f64 / 64.0),
+        (-10_000i64..10_000).prop_map(|i| i as f64 / 1000.0),
+        (-(1i64 << 53)..(1i64 << 53)).prop_map(|i| i as f64),
+        (1i64..1_000_000, 10i32..25).prop_map(|(m, e)| m as f64 * 10f64.powi(e)),
+        any::<u64>().prop_map(|bits| {
+            let f = f64::from_bits(bits);
+            if f.is_finite() {
+                f
+            } else {
+                -1e300
+            }
+        }),
+    ]
+}
+
+/// The two-step JSON→HDT mapping that `json_to_hdt` replaced, kept as its oracle:
+/// a parsed [`JsonValue`] copied into an arena with Section 3's mapping.
+fn json_to_hdt_oracle(value: &JsonValue) -> Hdt {
+    let mut tree = Hdt::with_root("root");
+    let root = tree.root();
+    match value {
+        JsonValue::Object(fields) => {
+            for (key, v) in fields {
+                add_entry(&mut tree, root, key, v, 0);
+            }
+        }
+        JsonValue::Array(items) => {
+            // A bare array at this level: entries become `item` nodes with increasing pos.
+            for (i, v) in items.iter().enumerate() {
+                add_entry(&mut tree, root, "item", v, i);
+            }
+        }
+        scalar => {
+            tree.add_child_with_pos(root, "value", 0, scalar_data(scalar));
+        }
+    }
+    tree
+}
+
+fn add_entry(tree: &mut Hdt, parent: NodeId, key: &str, value: &JsonValue, pos: usize) {
+    match value {
+        JsonValue::Array(items) => {
+            for (i, item) in items.iter().enumerate() {
+                add_entry(tree, parent, key, item, i);
+            }
+        }
+        JsonValue::Object(fields) => {
+            let id = tree.add_child_with_pos(parent, key, pos, None);
+            for (k, v) in fields {
+                add_entry(tree, id, k, v, 0);
+            }
+        }
+        scalar => {
+            tree.add_child_with_pos(parent, key, pos, scalar_data(scalar));
+        }
+    }
+}
+
+/// A scalar's node data.
+fn scalar_data(value: &JsonValue) -> Option<String> {
+    match value {
+        JsonValue::Null => Some("null".to_string()),
+        JsonValue::Bool(b) => Some(b.to_string()),
+        JsonValue::Number(n) => Some(format_number(*n)),
+        JsonValue::String(s) => Some(s.clone()),
+        _ => None,
+    }
 }
 
 /// Strategy for small random trees built through the builder API.
@@ -156,6 +235,46 @@ proptest! {
         prop_assert_eq!(&reparsed, &value);
         let compact = value.to_string_compact();
         prop_assert_eq!(parse_json(&compact).expect("compact output parses"), value);
+    }
+
+    #[test]
+    fn json_to_hdt_matches_the_two_step_oracle(value in json_value(3)) {
+        let want = json_to_hdt_oracle(&value);
+        for text in [value.to_string_compact(), value.to_string_pretty()] {
+            let tree = json_to_hdt(&text).expect("serialized JSON parses");
+            prop_assert!(tree == want, "json_to_hdt differs from the oracle on {}", text);
+        }
+    }
+
+    #[test]
+    fn sql_dump_reads_back_cell_for_cell(
+        parents in prop::collection::vec((sql_cell(), sql_cell()), 0..6),
+        children in prop::collection::vec((0usize..8, sql_cell()), 0..8)
+    ) {
+        let db = two_table_database(&parents, &children);
+        let dump = dump_sql(&db);
+        prop_assert_eq!(&dump, &reference_dump(&db));
+        let ddl = format!("{}\n", dump_ddl(&db.schema));
+        prop_assert!(dump.starts_with(&ddl));
+        let statements = read_inserts(&dump[ddl.len()..]);
+        let written: Vec<(&str, Vec<String>, &Vec<Value>)> = db
+            .schema
+            .tables
+            .iter()
+            .flat_map(|t| {
+                let rows = db.table(&t.name).map_or(&[][..], |data| &data.rows[..]);
+                rows.iter().map(move |row| (t.name.as_str(), t.column_names(), row))
+            })
+            .collect();
+        prop_assert_eq!(statements.len(), written.len());
+        for ((table, columns, literals), (want_table, want_columns, row)) in statements.iter().zip(&written) {
+            prop_assert_eq!(table, want_table);
+            prop_assert_eq!(columns, want_columns);
+            prop_assert_eq!(literals.len(), row.len());
+            for (literal, value) in literals.iter().zip(row.iter()) {
+                prop_assert!(literal.reads_back_as(value), "{:?} read back from {:?}", literal, value);
+            }
+        }
     }
 
     #[test]
@@ -474,4 +593,306 @@ fn fnv1a_matches_the_standard_vectors() {
         fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
         fnv1a(FNV_OFFSET, b"foobar")
     );
+}
+
+#[test]
+fn json_numbers_keep_the_format_number_rule() {
+    // (literal, node data): a number's data is `format_number` of its `f64`, in
+    // an object and in an array alike.
+    let cases = [
+        ("0", "0"),
+        ("-0", "0"),
+        ("007", "7"),
+        ("-007", "-7"),
+        ("1.0", "1"),
+        ("1.50", "1.5"),
+        ("1e2", "100"),
+        ("-12.0", "-12"),
+        ("123456789012345", "123456789012345"),
+        ("-999999999999999", "-999999999999999"),
+        ("1234567890123456", "1234567890123456"),
+        ("9007199254740993", "9007199254740992"),
+        ("123456789012345678", "123456789012345680"),
+        ("1e400", "inf"),
+    ];
+    for (literal, data) in cases {
+        let text = format!("{{\"n\": {literal}, \"a\": [{literal}]}}");
+        let tree = json_to_hdt(&text).expect("a number parses");
+        let oracle = json_to_hdt_oracle(&parse_json(&text).expect("a number parses"));
+        assert_eq!(tree, oracle, "{literal}");
+        for tag in ["n", "a"] {
+            let node = tree.child(tree.root(), tag, 0).expect("one node per key");
+            assert_eq!(tree.data(node), Some(data), "{literal} under {tag}");
+        }
+    }
+}
+
+/// The suite seed `fuzz_smoke` runs by default.
+const FUZZ_SEED: u64 = 0x004D_177A;
+
+#[test]
+fn json_to_hdt_and_parse_json_agree_on_malformed_json() {
+    let mut texts: Vec<(String, String)> = (0..1_400)
+        .filter(|id| id % 7 == 5)
+        .map(|id| match scenario(FUZZ_SEED, id).payload {
+            Payload::Malformed {
+                kind: ScenarioKind::MalformedJson,
+                text,
+            } => (format!("scenario {id}"), text),
+            other => panic!("scenario {id} is not malformed JSON: {other:?}"),
+        })
+        .collect();
+    assert_eq!(texts.len(), 200);
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/malformed");
+    let mut fixtures = 0;
+    for entry in std::fs::read_dir(&dir).expect("the malformed fixtures exist") {
+        let path = entry.expect("readable dir entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).expect("JSON fixtures are UTF-8");
+            texts.push((path.display().to_string(), text));
+            fixtures += 1;
+        }
+    }
+    assert_eq!(fixtures, 4);
+    // `deep.json` recurses to the depth guard, which needs more than the
+    // default test stack.
+    let parsed = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(move || {
+            let mut parsed = Vec::new();
+            for (name, text) in &texts {
+                match (json_to_hdt(text), parse_json(text)) {
+                    (Ok(tree), Ok(value)) => {
+                        assert_eq!(tree, json_to_hdt_oracle(&value), "{name}");
+                        parsed.push(name.clone());
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "{name}");
+                        assert_eq!(a.to_string(), b.to_string(), "{name}");
+                    }
+                    (a, b) => panic!(
+                        "{name}: json_to_hdt {:?} but parse_json {:?}",
+                        a.err(),
+                        b.err()
+                    ),
+                }
+            }
+            parsed
+        })
+        .expect("spawn a big-stack thread")
+        .join()
+        .expect("no panic");
+    // Six of the corrupted texts are still JSON; no fixture is.
+    assert_eq!(parsed.len(), 6, "{parsed:?}");
+    assert!(
+        parsed.iter().all(|name| name.starts_with("scenario")),
+        "{parsed:?}"
+    );
+}
+
+/// Cells of every kind `dump_sql` writes: `NULL`, booleans, extreme and ordinary
+/// integers, finite floats, and strings holding quotes, SQL punctuation,
+/// newlines, `""`, non-ASCII text and keyword- or number-like text.
+fn sql_cell() -> impl Strategy<Value = Value> {
+    let text = "[a',();\n\"é€\u{1f600} ]{0,10}";
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), -1000i64..1000].prop_map(Value::Int),
+        finite_f64().prop_map(Value::Float),
+        text.prop_map(Value::Str),
+        (text, text).prop_map(|(a, b)| Value::Str(format!("{a}\"\"{b}"))),
+        prop_oneof![
+            Just("NULL"),
+            Just("TRUE"),
+            Just("-0"),
+            Just("1.5"),
+            Just("")
+        ]
+        .prop_map(Value::str),
+    ]
+}
+
+/// A database of two tables, the second with a foreign key into the first; each
+/// child row points at a parent by index (or at a missing id when out of range).
+fn two_table_database(parents: &[(Value, Value)], children: &[(usize, Value)]) -> Database {
+    let schema = Schema::new()
+        .with_table(
+            TableSchema::new(
+                "parent",
+                vec![
+                    Column::integer("id"),
+                    Column::text("we\"ird"),
+                    Column::text("b"),
+                ],
+            )
+            .with_primary_key(&["id"]),
+        )
+        .with_table(
+            TableSchema::new("child's", vec![Column::integer("pid"), Column::text("x")])
+                .with_foreign_key(&["pid"], "parent", &["id"]),
+        );
+    let mut db = Database::new(schema);
+    for (id, (a, b)) in parents.iter().enumerate() {
+        assert!(db.insert("parent", vec![Value::int(id as i64), a.clone(), b.clone()]));
+    }
+    for (parent, x) in children {
+        assert!(db.insert("child's", vec![Value::int(*parent as i64), x.clone()]));
+    }
+    db
+}
+
+/// `dump_sql` as it was before it wrote in place: one rendered statement per
+/// row, each literal its own `String`.  Kept as the reference for the dump's
+/// bytes.
+fn reference_dump(db: &Database) -> String {
+    let mut out = dump_ddl(&db.schema);
+    out.push('\n');
+    for table in &db.schema.tables {
+        if let Some(data) = db.table(&table.name) {
+            for row in &data.rows {
+                out.push_str(&insert_statement(&table.name, &table.column_names(), row));
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+fn insert_statement(table: &str, columns: &[String], row: &[Value]) -> String {
+    let cols = columns
+        .iter()
+        .map(|c| quote_ident(c))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let vals = row.iter().map(sql_literal).collect::<Vec<_>>().join(", ");
+    format!(
+        "INSERT INTO {} ({cols}) VALUES ({vals});",
+        quote_ident(table)
+    )
+}
+
+fn sql_literal(v: &Value) -> String {
+    match v {
+        Value::Null => "NULL".to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Float(f) => f.to_string(),
+        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+    }
+}
+
+/// A literal read back from a SQL dump.
+#[derive(Debug)]
+enum SqlLiteral {
+    Null,
+    Bool(bool),
+    /// A bare number, as written.
+    Number(String),
+    Str(String),
+}
+
+impl SqlLiteral {
+    /// Whether the literal reads back as `value`: a string as the exact string,
+    /// an integer as the same integer, a float as a number with the same bits.
+    fn reads_back_as(&self, value: &Value) -> bool {
+        match (self, value) {
+            (SqlLiteral::Null, Value::Null) => true,
+            (SqlLiteral::Bool(a), Value::Bool(b)) => a == b,
+            (SqlLiteral::Number(text), Value::Int(i)) => text.parse::<i64>() == Ok(*i),
+            (SqlLiteral::Number(text), Value::Float(f)) => {
+                text.parse::<f64>().map(f64::to_bits) == Ok(f.to_bits())
+            }
+            (SqlLiteral::Str(a), Value::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// Reads the `INSERT` statements of a SQL dump (the text after its DDL): each
+/// statement's table, columns and literals.
+fn read_inserts(mut sql: &str) -> Vec<(String, Vec<String>, Vec<SqlLiteral>)> {
+    let mut statements = Vec::new();
+    while !sql.is_empty() {
+        sql = expect(sql, "INSERT INTO ");
+        let (table, rest) = read_ident(sql);
+        sql = expect(rest, " (");
+        let mut columns = Vec::new();
+        loop {
+            let (column, rest) = read_ident(sql);
+            columns.push(column);
+            match rest.strip_prefix(", ") {
+                Some(rest) => sql = rest,
+                None => {
+                    sql = expect(rest, ") VALUES (");
+                    break;
+                }
+            }
+        }
+        let mut literals = Vec::new();
+        loop {
+            let (literal, rest) = read_literal(sql);
+            literals.push(literal);
+            match rest.strip_prefix(", ") {
+                Some(rest) => sql = rest,
+                None => {
+                    sql = expect(rest, ");\n");
+                    break;
+                }
+            }
+        }
+        statements.push((table, columns, literals));
+    }
+    statements
+}
+
+fn expect<'a>(sql: &'a str, token: &str) -> &'a str {
+    sql.strip_prefix(token)
+        .unwrap_or_else(|| panic!("expected {token:?} at {sql:?}"))
+}
+
+/// Reads text quoted by `quote`, in which a doubled quote stands for one.
+fn read_quoted(sql: &str, quote: char) -> (String, &str) {
+    let mut rest = expect(sql, &quote.to_string());
+    let mut text = String::new();
+    loop {
+        let end = rest
+            .find(quote)
+            .unwrap_or_else(|| panic!("unterminated {quote} in {sql:?}"));
+        text.push_str(&rest[..end]);
+        rest = &rest[end + 1..];
+        match rest.strip_prefix(quote) {
+            Some(after) => {
+                text.push(quote);
+                rest = after;
+            }
+            None => return (text, rest),
+        }
+    }
+}
+
+fn read_ident(sql: &str) -> (String, &str) {
+    read_quoted(sql, '"')
+}
+
+fn read_literal(sql: &str) -> (SqlLiteral, &str) {
+    if sql.starts_with('\'') {
+        let (text, rest) = read_quoted(sql, '\'');
+        return (SqlLiteral::Str(text), rest);
+    }
+    for (keyword, literal) in [
+        ("NULL", SqlLiteral::Null),
+        ("TRUE", SqlLiteral::Bool(true)),
+        ("FALSE", SqlLiteral::Bool(false)),
+    ] {
+        if let Some(rest) = sql.strip_prefix(keyword) {
+            return (literal, rest);
+        }
+    }
+    let end = sql
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+        .unwrap_or(sql.len());
+    assert!(end > 0, "expected a literal at {sql:?}");
+    (SqlLiteral::Number(sql[..end].to_string()), &sql[end..])
 }
