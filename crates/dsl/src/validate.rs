@@ -138,7 +138,7 @@ pub fn validate(program: &Program) -> Validation {
 pub fn validate_against(program: &Program, tree: &Hdt) -> Validation {
     let mut v = validate(program);
     let alphabet: HashSet<TagId> = tree.ids().map(|id| tree.tag(id)).collect();
-    let max_pos = tree.positions().into_iter().max().unwrap_or(0);
+    let max_pos = tree.ids().map(|id| tree.pos(id)).max().unwrap_or(0);
 
     for (i, column) in program.extractor.columns.iter().enumerate() {
         check_column_tags(column, i, &alphabet, max_pos, &mut v);
@@ -361,6 +361,31 @@ mod tests {
             .warnings()
             .iter()
             .any(|d| d.message.contains("position 99")));
+    }
+
+    #[test]
+    fn position_warnings_fire_exactly_past_the_widest_array() {
+        // The largest `pos` in the document is the last entry of the 50-wide array.
+        let items: Vec<String> = (0..50).map(|i| i.to_string()).collect();
+        let text = format!("{{\"a\": [{}], \"b\": {{\"c\": 1}}}}", items.join(", "));
+        let tree = mitra_hdt::json::json_to_hdt(&text).unwrap();
+        assert_eq!(tree.ids().map(|id| tree.pos(id)).max(), Some(49));
+        for pos in [0, 48, 49, 50, 1000] {
+            let pi = ColumnExtractor::pchildren(ColumnExtractor::Input, "a", pos);
+            let mut program = Program::new(TableExtractor::new(vec![pi]), Predicate::True);
+            program.predicate = Predicate::Compare {
+                extractor: NodeExtractor::child(NodeExtractor::parent(NodeExtractor::Id), "a", pos),
+                index: 0,
+                op: CompareOp::Ne,
+                rhs: Operand::Const(Value::str("x")),
+            };
+            let v = validate_against(&program, &tree);
+            let warnings = v.warnings();
+            let positional = warnings.iter().filter(|d| d.message.contains("position"));
+            // One warning for the column, one for the predicate, or none at all.
+            let expected = if pos > 49 { 2 } else { 0 };
+            assert_eq!(positional.count(), expected, "pos {pos}: {warnings:?}");
+        }
     }
 
     #[test]

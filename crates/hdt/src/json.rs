@@ -15,8 +15,8 @@
 //! `item`, and a bare root scalar is a `value` leaf.
 //!
 //! A scalar's data is its text: a string's content, `true`, `false` or `null`, and for
-//! a number [`format_number`] of its `f64` (`1.50` is stored as `1.5`, `007` and `1e2`
-//! as `7` and `100`).
+//! a number [`format_number`] of its `f64` (`1.50` is stored as `1.5`, `1e2` as
+//! `100`).  Numbers follow RFC 8259: `007`, `1.` and `.5` are errors.
 
 use crate::error::{HdtError, Result, MAX_PARSE_DEPTH};
 use crate::tree::Hdt;
@@ -54,19 +54,6 @@ impl JsonValue {
         match self {
             JsonValue::String(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// Number of object/array values in this subtree (the `#Elements` statistic).
-    pub fn element_count(&self) -> usize {
-        match self {
-            JsonValue::Array(items) => {
-                1 + items.iter().map(JsonValue::element_count).sum::<usize>()
-            }
-            JsonValue::Object(fields) => {
-                1 + fields.iter().map(|(_, v)| v.element_count()).sum::<usize>()
-            }
-            _ => 0,
         }
     }
 
@@ -644,47 +631,60 @@ impl<'a, B: Builder> JsonParser<'a, B> {
         Ok(())
     }
 
+    /// Reads the four hex digits of a `\u` escape.
     fn parse_hex4(&mut self) -> Result<u32> {
+        // Bytes, not a `str` slice: the fourth byte may sit inside a multi-byte
+        // character.
         let Some(hex) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(HdtError::parse("truncated \\u escape", self.pos));
         };
-        // Bytes, not a `str` slice: the fourth byte may sit inside a multi-byte
-        // character.
-        let cp = std::str::from_utf8(hex)
-            .ok()
-            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| HdtError::parse("invalid \\u escape", self.pos))?;
+        // Four ASCII hex digits (`u32::from_str_radix` would also take a sign).
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(HdtError::parse("invalid \\u escape", self.pos));
+        }
+        let digit = |b: u8| char::from(b).to_digit(16).unwrap_or(0);
+        let cp = hex.iter().fold(0, |cp, &b| cp << 4 | digit(b));
         self.pos += 4;
         Ok(cp)
     }
 
+    /// Skips a run of ASCII digits and returns its length.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Parses a number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, as
+    /// RFC 8259 has it.  The scan takes every digit, `.`, exponent and sign in
+    /// that order, so a malformed literal is reported whole.
     fn parse_number(&mut self) -> Result<()> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        let int = self.skip_digits();
+        // One digit, or several not led by a zero.
+        let mut valid = int == 1 || (int > 1 && self.bytes[self.pos - int] != b'0');
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            valid &= self.skip_digits() > 0;
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            valid &= self.skip_digits() > 0;
         }
         let text = &self.input[start..self.pos];
         let value = text
             .parse::<f64>()
-            .map_err(|_| HdtError::parse(format!("invalid number '{text}'"), start))?;
+            .ok()
+            .filter(|_| valid)
+            .ok_or_else(|| HdtError::parse(format!("invalid number '{text}'"), start))?;
         self.builder.scalar(Scalar::Number(value));
         Ok(())
     }
@@ -786,13 +786,6 @@ mod tests {
     fn json_string_escapes_control_characters() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn element_count_counts_objects_and_arrays() {
-        let v = parse_json(SOCIAL).unwrap();
-        // object root + Person array + 2 person objects + Friendship + Friend array + friend object
-        assert_eq!(v.element_count(), 7);
     }
 
     #[test]

@@ -4,21 +4,28 @@
 //! primitives that the DSL semantics (Figure 7) need: children lookup by tag, children
 //! lookup by tag *and* position, descendant search by tag, and parent lookup.
 //!
-//! Tags are interned [`TagId`]s (see [`crate::intern`]), so every lookup compares and
-//! hashes `u32`s.  On top of the arena the tree maintains a lazily built
-//! `TreeIndex`:
+//! Tags are interned [`TagId`]s (see [`crate::intern`]), so every lookup compares
+//! `u32`s.  On top of the arena the tree maintains a lazily built `TreeIndex`:
 //!
 //! * a **pre-order numbering** — `preorder(n)` and an exclusive `subtree_end(n)` — so
 //!   that "is `d` a descendant of `n`" becomes an interval test;
 //! * a **per-tag occurrence list** sorted by pre-order number, making
 //!   [`Hdt::descendants_with_tag`] a binary-search range scan (`O(log n + k)`) that
 //!   returns a contiguous slice, instead of a full subtree walk;
-//! * a **children-grouped-by-tag map**, making [`Hdt::children_with_tag`] a single
-//!   hash lookup returning a slice.
+//! * **children sorted by tag**, every node's children in one flat array, node after
+//!   node, making [`Hdt::children_with_tag`] two binary searches in the node's span
+//!   that return a slice in document order.
 //!
 //! The index is built on first query and invalidated by mutation (`add_child*`), so
 //! construction stays cheap and read-heavy workloads (synthesis, evaluation) pay the
 //! build cost exactly once per tree.
+//!
+//! A node's `pos` comes from one of three places.  [`Hdt::add_child_with_pos`] takes
+//! it from the caller (the JSON plug-in numbers array entries itself).
+//! [`Hdt::add_child`] counts the parent's earlier children with the same tag in a
+//! `(parent, tag)` map, which it brings up to date with any nodes added since it last
+//! ran.  The XML and HTML plug-ins create every node with `pos` 0 and number all
+//! siblings in one pass when the document is parsed, with no map.
 
 use crate::error::{HdtError, Result};
 use crate::intern::TagId;
@@ -40,8 +47,11 @@ struct TreeIndex {
     depth: Vec<u32>,
     /// Per-tag occurrence lists, both vectors sorted by pre-order number in lockstep.
     occurrences: HashMap<TagId, TagOccurrences>,
-    /// Children of a node holding a given tag, in document order.
-    children_by_tag: HashMap<(NodeId, TagId), Vec<NodeId>>,
+    /// Every node's children, stably sorted by tag (so each tag's children stay in
+    /// document order), laid out node after node in arena order.
+    children_by_tag: Vec<NodeId>,
+    /// Node `n`'s children sit at `children_by_tag[child_start[n]..child_start[n + 1]]`.
+    child_start: Vec<u32>,
 }
 
 /// All nodes carrying one tag, sorted by pre-order number.  `pre` and `nodes` are
@@ -86,24 +96,37 @@ impl TreeIndex {
         }
 
         // Occurrence lists: pushing in pre-order keeps each tag's vectors sorted.
-        let mut occurrences: HashMap<TagId, TagOccurrences> = HashMap::new();
-        for id in &order {
-            let node = tree.node(*id);
-            let occ = occurrences.entry(node.tag).or_default();
-            occ.pre.push(pre[id.index()]);
+        // A tag-id-indexed slot table groups the nodes, so the map takes one
+        // entry per distinct tag rather than one hash per node.
+        let mut slot_of: Vec<u32> = Vec::new();
+        let mut lists: Vec<(TagId, TagOccurrences)> = Vec::new();
+        for (number, id) in order.iter().enumerate() {
+            let tag = tree.node(*id).tag;
+            let t = tag.id() as usize;
+            if t >= slot_of.len() {
+                slot_of.resize(t + 1, u32::MAX);
+            }
+            if slot_of[t] == u32::MAX {
+                slot_of[t] = lists.len() as u32;
+                lists.push((tag, TagOccurrences::default()));
+            }
+            let occ = &mut lists[slot_of[t] as usize].1;
+            occ.pre.push(number as u32);
             occ.nodes.push(*id);
         }
+        let occurrences: HashMap<TagId, TagOccurrences> = lists.into_iter().collect();
 
-        // Children grouped by tag, preserving document order within each group.
-        let mut children_by_tag: HashMap<(NodeId, TagId), Vec<NodeId>> = HashMap::new();
-        for id in tree.ids() {
-            for c in &tree.node(id).children {
-                children_by_tag
-                    .entry((id, tree.node(*c).tag))
-                    .or_default()
-                    .push(*c);
-            }
+        // Children sorted by tag, node after node; the sort is stable, so each
+        // tag's children keep their document order.
+        let mut children_by_tag: Vec<NodeId> = Vec::with_capacity(n.saturating_sub(1));
+        let mut child_start: Vec<u32> = Vec::with_capacity(n + 1);
+        for node in &tree.nodes {
+            let start = children_by_tag.len();
+            child_start.push(start as u32);
+            children_by_tag.extend_from_slice(&node.children);
+            children_by_tag[start..].sort_by_key(|c| tree.node(*c).tag);
         }
+        child_start.push(children_by_tag.len() as u32);
 
         TreeIndex {
             pre,
@@ -111,6 +134,7 @@ impl TreeIndex {
             depth,
             occurrences,
             children_by_tag,
+            child_start,
         }
     }
 }
@@ -121,10 +145,13 @@ impl TreeIndex {
 #[derive(Debug)]
 pub struct Hdt {
     nodes: Vec<Node>,
-    /// Number of children with a given tag already inserted under a parent; makes
-    /// automatic `pos` assignment in [`Hdt::add_child`] O(1) instead of a scan over
-    /// the parent's children (quadratic ingestion for wide nodes).
+    /// Number of children with a given tag under a parent, counting the arena's
+    /// first `counted` nodes only.  Only [`Hdt::add_child`] reads it, after folding
+    /// in the nodes added since; it makes automatic `pos` assignment O(1) instead of
+    /// a scan over the parent's children (quadratic ingestion for wide nodes).
     child_tag_counts: HashMap<(NodeId, TagId), usize>,
+    /// How many nodes, in arena order, `child_tag_counts` covers.
+    counted: usize,
     /// Lazily built navigation index; cleared by every mutation.
     index: OnceLock<TreeIndex>,
 }
@@ -137,6 +164,7 @@ impl Clone for Hdt {
         Hdt {
             nodes: self.nodes.clone(),
             child_tag_counts: self.child_tag_counts.clone(),
+            counted: self.counted,
             index: OnceLock::new(),
         }
     }
@@ -158,6 +186,7 @@ impl Hdt {
         Hdt {
             nodes: vec![Node::new(tag, 0, None)],
             child_tag_counts: HashMap::new(),
+            counted: 0,
             index: OnceLock::new(),
         }
     }
@@ -266,12 +295,18 @@ impl Hdt {
         data: Option<String>,
     ) -> NodeId {
         let tag = tag.into();
-        let pos = self
-            .child_tag_counts
-            .get(&(parent, tag))
-            .copied()
-            .unwrap_or(0);
-        self.add_child_with_pos(parent, tag, pos, data)
+        // Fold in the nodes added since the last call, then count this one.
+        for node in &self.nodes[self.counted..] {
+            if let Some(p) = node.parent {
+                *self.child_tag_counts.entry((p, node.tag)).or_insert(0) += 1;
+            }
+        }
+        let count = self.child_tag_counts.entry((parent, tag)).or_insert(0);
+        let pos = *count;
+        *count += 1;
+        let id = self.add_child_with_pos(parent, tag, pos, data);
+        self.counted = self.nodes.len();
+        id
     }
 
     /// Adds a child node under `parent` with an explicit `pos` value.
@@ -282,27 +317,50 @@ impl Hdt {
         pos: usize,
         data: Option<String>,
     ) -> NodeId {
-        let tag = tag.into();
         let id = NodeId(self.nodes.len() as u32);
         let mut node = Node::new(tag, pos, data);
         node.parent = Some(parent);
         self.nodes.push(node);
         self.nodes[parent.index()].children.push(id);
-        *self.child_tag_counts.entry((parent, tag)).or_insert(0) += 1;
         // Any previously built index is stale now.
         self.index.take();
         id
     }
 
-    /// Children of `id` whose tag equals `tag` (the `children` DSL construct).
-    /// A single hash lookup into the children-by-tag index.
+    /// Sets every node's `pos` to its index among its same-tag siblings, in one pass
+    /// over the child lists.  The XML and HTML parsers create nodes with `pos` 0 and
+    /// call this once the document is parsed.
+    pub(crate) fn number_siblings(&mut self) {
+        // Indexed by tag id; reset after each parent, touching only its children.
+        let mut counts: Vec<usize> = Vec::new();
+        for parent in 0..self.nodes.len() {
+            let children = std::mem::take(&mut self.nodes[parent].children);
+            for &c in &children {
+                let tag = self.nodes[c.index()].tag.id() as usize;
+                if tag >= counts.len() {
+                    counts.resize(tag + 1, 0);
+                }
+                self.nodes[c.index()].pos = counts[tag];
+                counts[tag] += 1;
+            }
+            for &c in &children {
+                counts[self.nodes[c.index()].tag.id() as usize] = 0;
+            }
+            self.nodes[parent].children = children;
+        }
+    }
+
+    /// Children of `id` whose tag equals `tag` (the `children` DSL construct), in
+    /// document order: two binary searches in `id`'s span of the index's
+    /// tag-sorted child array.
     pub fn children_with_tag(&self, id: NodeId, tag: impl Into<TagId>) -> &[NodeId] {
         let tag = tag.into();
-        self.index()
-            .children_by_tag
-            .get(&(id, tag))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let idx = self.index();
+        let span = &idx.children_by_tag
+            [idx.child_start[id.index()] as usize..idx.child_start[id.index() + 1] as usize];
+        let a = span.partition_point(|c| self.node(*c).tag < tag);
+        let b = a + span[a..].partition_point(|c| self.node(*c).tag == tag);
+        &span[a..b]
     }
 
     /// Children of `id` whose tag equals `tag` and whose pos equals `pos`
@@ -410,18 +468,6 @@ impl Hdt {
         tags
     }
 
-    /// Set of distinct `pos` values appearing in the tree.
-    pub fn positions(&self) -> Vec<usize> {
-        let mut ps: Vec<usize> = Vec::new();
-        for n in &self.nodes {
-            if !ps.contains(&n.pos) {
-                ps.push(n.pos);
-            }
-        }
-        ps.sort_unstable();
-        ps
-    }
-
     /// All leaf data values in the tree (used for constant mining in predicate
     /// universe construction, rule (4) of Figure 10).
     pub fn data_values(&self) -> Vec<&str> {
@@ -498,13 +544,9 @@ impl Hdt {
         let mut root = Node::new(tag, 0, None);
         root.children.push(NodeId(1));
         self.nodes.insert(0, root);
-        self.child_tag_counts = self
-            .child_tag_counts
-            .drain()
-            .map(|((parent, tag), count)| ((shift(parent), tag), count))
-            .collect();
-        self.child_tag_counts
-            .insert((NodeId::ROOT, self.nodes[1].tag), 1);
+        // Every count's parent shifted: the next `add_child` recounts them all.
+        self.child_tag_counts.clear();
+        self.counted = 0;
         self.index.take();
     }
 
@@ -520,6 +562,8 @@ impl Hdt {
 /// `text` leaf.  The XML and HTML parsers create that leaf at the element's first
 /// non-blank text, so it sits at that text's document position (after any child
 /// elements that precede the text), and fill in its data when the element closes.
+/// Like every node the markup parsers create, the leaf gets `pos` 0 until
+/// `Hdt::number_siblings` runs.
 #[derive(Debug, Default)]
 pub(crate) struct ElementText {
     leaf: Option<NodeId>,
@@ -538,7 +582,7 @@ impl ElementText {
         };
         if !text.is_empty() {
             self.leaf
-                .get_or_insert_with(|| tree.add_child(element, "text", None));
+                .get_or_insert_with(|| tree.add_child_with_pos(element, "text", 0, None));
             self.text.push_str(text);
         }
     }
@@ -890,5 +934,115 @@ mod tests {
         let root = u.root();
         u.add_child(root, "Person", None);
         assert_ne!(t, u);
+    }
+
+    /// How many of `child`'s siblings before it share its tag: the `pos` that
+    /// [`Hdt::add_child`] must give it.
+    fn earlier_same_tag(t: &Hdt, child: NodeId) -> usize {
+        let parent = t.parent(child).expect("not the root");
+        let siblings = t.children(parent).iter().take_while(|&&c| c != child);
+        siblings.filter(|&&c| t.tag(c) == t.tag(child)).count()
+    }
+
+    #[test]
+    fn add_child_counts_siblings_added_with_explicit_positions() {
+        // JSON-style explicit positions and automatic ones under one parent, in
+        // both orders, and under a parent that gets children after a later one.
+        let mut t = Hdt::with_root("root");
+        let root = t.root();
+        let first = t.add_child_with_pos(root, "a", 0, None);
+        t.add_child_with_pos(root, "a", 1, None);
+        let mut added = vec![t.add_child(root, "a", None)];
+        t.add_child_with_pos(root, "b", 0, None);
+        added.push(t.add_child(root, "b", None));
+        added.push(t.add_child(first, "c", None));
+        t.add_child_with_pos(first, "c", 1, None);
+        added.push(t.add_child(root, "a", None));
+        added.push(t.add_child(first, "c", None));
+        let positions: Vec<usize> = added.iter().map(|&id| t.pos(id)).collect();
+        assert_eq!(positions, [2, 1, 0, 3, 2]);
+        for id in added {
+            assert_eq!(t.pos(id), earlier_same_tag(&t, id), "{id}");
+        }
+        t.validate().unwrap();
+    }
+
+    #[test]
+    fn add_child_counts_siblings_numbered_by_the_parsers() {
+        let mut t = crate::xml::xml_to_hdt("<r><a/><b x=\"1\"/><a/>y<a/></r>").unwrap();
+        let root = t.root();
+        let b = t.children_with_tag(root, "b")[0];
+        let added = [
+            t.add_child(root, "a", None),
+            t.add_child(root, "text", None),
+            t.add_child(b, "x", None),
+            t.add_child(root, "b", None),
+        ];
+        let positions: Vec<usize> = added.iter().map(|&id| t.pos(id)).collect();
+        assert_eq!(positions, [3, 1, 1, 1]);
+        // A fragment: the parser wrapped the first `p` under a synthetic root.
+        let mut h = crate::html::html_to_hdt("<p>one</p><p>two</p><ul><li>x</ul>").unwrap();
+        let root = h.root();
+        let ul = h.children_with_tag(root, "ul")[0];
+        added_positions_match(&mut h, &[(root, "p"), (ul, "li"), (root, "ul"), (ul, "li")]);
+    }
+
+    /// Adds `(parent, tag)` children one by one, checking each new `pos`.
+    fn added_positions_match(t: &mut Hdt, children: &[(NodeId, &str)]) {
+        for &(parent, tag) in children {
+            let id = t.add_child(parent, tag, None);
+            assert_eq!(t.pos(id), earlier_same_tag(t, id), "{tag} under {parent}");
+        }
+        t.validate().unwrap();
+    }
+
+    #[test]
+    fn add_child_counts_siblings_after_wrap_root() {
+        // Wrapping a tree whose counts are current (built by `add_child`) and one
+        // whose counts were never taken (numbered by the XML parser's pass).
+        let built = sample();
+        let parsed = crate::xml::xml_to_hdt("<r><a/><a><b/></a></r>").unwrap();
+        for mut t in [built, parsed] {
+            let old_root = t.tag(t.root());
+            t.wrap_root("html");
+            let root = t.root();
+            let first = NodeId(1);
+            let inner = t.children(first).last().copied().unwrap();
+            let inner_tag = t.tag_name(inner);
+            added_positions_match(
+                &mut t,
+                &[
+                    (root, old_root.as_str()),
+                    (first, inner_tag),
+                    (root, "other"),
+                    (root, old_root.as_str()),
+                    (inner, "b"),
+                ],
+            );
+        }
+    }
+
+    #[test]
+    fn number_siblings_counts_each_parents_children_by_tag() {
+        // Children of an earlier parent added after a later parent's, all at pos 0.
+        let mut t = Hdt::with_root("r");
+        let root = t.root();
+        let a = t.add_child_with_pos(root, "a", 0, None);
+        let b = t.add_child_with_pos(root, "b", 0, None);
+        for (parent, tag) in [
+            (b, "x"),
+            (a, "x"),
+            (b, "x"),
+            (root, "a"),
+            (a, "y"),
+            (a, "x"),
+        ] {
+            t.add_child_with_pos(parent, tag, 0, None);
+        }
+        t.number_siblings();
+        t.validate().unwrap();
+        for id in t.ids().skip(1) {
+            assert_eq!(t.pos(id), earlier_same_tag(&t, id), "{id}");
+        }
     }
 }

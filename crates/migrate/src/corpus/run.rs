@@ -92,6 +92,9 @@ fn run_impl(
     resuming: bool,
 ) -> Result<CorpusReport, CorpusError> {
     let run_start = Instant::now();
+    // Preparation: split and hash the corpus, and open the journal (a fresh
+    // run fsyncs its header; a resume verifies the journaled shards).
+    let prepare_span = mitra_trace::span("migrate", "corpus_prepare");
     job.validate().map_err(CorpusError::Plan)?;
     let schemas: Vec<TableSchema> = job
         .tasks
@@ -153,6 +156,7 @@ fn run_impl(
     let pending: Vec<usize> = (0..shard_count)
         .filter(|i| !completed.contains_key(i))
         .collect();
+    drop(prepare_span);
 
     // Pass 1+2: fingerprint every document and synthesize once per shape.
     // The scan covers *all* documents — even those of already-checkpointed
@@ -163,6 +167,7 @@ fn run_impl(
     let (shapes, programs_synthesized) = if pending.is_empty() {
         prior_synth.unwrap_or((0, 0))
     } else {
+        let scan_span = mitra_trace::span("migrate", "corpus_scan");
         let fps = parallel_map_catch(job.config.threads, &docs, |_, doc| {
             job.format.parse(doc.text).map(|t| fingerprint(&t))
         });
@@ -178,6 +183,8 @@ fn run_impl(
                 Err(payload) => Err((FailureKind::Panic, payload.message)),
             });
         }
+        drop(scan_span);
+        let _synth_span = mitra_trace::span("migrate", "corpus_synthesis");
         let learned = parallel_map_catch(job.config.threads, &exemplars, |_, &exemplar| {
             synthesize_shape(job, docs[exemplar])
         });
@@ -234,6 +241,7 @@ fn run_impl(
     // Assembly: concatenate the persisted shard files in shard order.  Fresh
     // and resumed runs share this path, so byte-identity of the final tables
     // does not depend on which shards were replayed.
+    let assemble_span = mitra_trace::span("migrate", "corpus_assemble");
     let mut table_cells: Vec<Vec<Vec<String>>> = vec![Vec::new(); tables.len()];
     for shard_idx in 0..shard_count {
         let path = shards_dir.join(shard_file_name(shard_idx));
@@ -258,13 +266,14 @@ fn run_impl(
     }
 
     let mut table_rows: Vec<(String, usize)> = Vec::with_capacity(tables.len());
-    let mut database = Database::new(job.schema.clone());
-    for ((name, schema), rows) in tables.iter().zip(&schemas).zip(&table_cells) {
+    let mut table_csvs: Vec<String> = Vec::with_capacity(tables.len());
+    let mut built: Vec<Table> = Vec::with_capacity(tables.len());
+    for ((name, schema), rows) in tables.iter().zip(&schemas).zip(table_cells) {
         let columns = schema.column_names();
         let mut csv = String::new();
         write_csv_row(&mut csv, &columns);
         let mut table = Table::new(columns);
-        for cells in rows {
+        for cells in &rows {
             if cells.len() != table.arity() {
                 return Err(CorpusError::Corpus(format!(
                     "table {name}: a shard row has {} cells, expected {}",
@@ -275,13 +284,25 @@ fn run_impl(
             write_csv_row(&mut csv, cells);
             table.push(cells.iter().map(|c| Value::from_data(c)).collect());
         }
+        table_csvs.push(csv);
+        table_rows.push((name.clone(), table.len()));
+        built.push(table);
+    }
+    drop(assemble_span);
+    let violations = {
+        let _span = mitra_trace::span("migrate", "corpus_constraints");
+        let mut database = Database::new(job.schema.clone());
+        for (name, table) in tables.iter().zip(built) {
+            database.set_table(name, table);
+        }
+        database.check_constraints().len()
+    };
+
+    let _writes_span = mitra_trace::span("migrate", "corpus_write_outputs");
+    for (name, csv) in tables.iter().zip(table_csvs) {
         let path = tables_dir.join(format!("{name}.csv"));
         std::fs::write(&path, csv).map_err(io_err(&path))?;
-        table_rows.push((name.clone(), table.len()));
-        database.set_table(name, table);
     }
-    let violations = database.check_constraints().len();
-
     let mut quarantined: Vec<QuarantineRecord> = Vec::new();
     let mut ok_docs = 0usize;
     let mut retried = 0u64;
@@ -396,6 +417,8 @@ fn run_shard(
     shard_size: usize,
     scan: &Scan,
 ) -> ShardOutput {
+    let _span =
+        mitra_trace::span_detail("migrate", "corpus_execute_shard", || shard_idx.to_string());
     mitra_trace::fault::hit("corpus.shard", shard_idx as u64);
     let start = shard_idx * shard_size;
     let end = (start + shard_size).min(docs.len());
@@ -534,23 +557,33 @@ fn persist_shard(
     tables: &[String],
     output: ShardOutput,
 ) -> Result<ShardRecord, CorpusError> {
+    let _span =
+        mitra_trace::span_detail("migrate", "corpus_persist_shard", || shard_idx.to_string());
     let shard_start = Instant::now();
-    let text = render_shard(&output.sections);
+    // Unpacked so the shard's rows are freed inside the span.
+    let ShardOutput {
+        docs,
+        ok,
+        retried,
+        quarantined,
+        sections,
+    } = output;
+    let text = render_shard(&sections);
     let path = shards_dir.join(shard_file_name(shard_idx));
     std::fs::write(&path, &text).map_err(io_err(&path))?;
     let file = std::fs::File::open(&path).map_err(io_err(&path))?;
     file.sync_data().map_err(io_err(&path))?;
     let record = ShardRecord {
         shard: shard_idx,
-        docs: output.docs,
-        ok: output.ok,
-        retried: output.retried,
+        docs,
+        ok,
+        retried,
         rows: tables
             .iter()
-            .zip(&output.sections)
+            .zip(&sections)
             .map(|(name, (_, rows))| (name.clone(), rows.len()))
             .collect(),
-        quarantined: output.quarantined,
+        quarantined,
         result_hash: fnv1a(FNV_OFFSET, text.as_bytes()),
     };
     writer.record(&record.to_json_line())?;

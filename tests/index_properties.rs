@@ -1,8 +1,12 @@
 //! Property tests for the interned, indexed HDT arena:
 //!
 //! * the indexed `descendants_with_tag` / `children_with_tag` (pre-order range scan
-//!   and children-by-tag map) must agree with the naive subtree/child-list traversals
-//!   on random trees, for every node and every tag;
+//!   and tag-sorted child array) must agree with the naive subtree/child-list
+//!   traversals on random trees, for every node and every tag: trees built in
+//!   document order, trees whose children are added to earlier parents, and trees
+//!   with wide nodes of many distinct tags;
+//! * `add_child` numbers a child by its earlier same-tag siblings, however it is
+//!   interleaved with `add_child_with_pos`;
 //! * the pre-order numbering must nest subtrees correctly;
 //! * interning must round-trip every tag produced by the XML, JSON and HTML parsers.
 
@@ -46,6 +50,84 @@ fn random_tree() -> impl Strategy<Value = Hdt> {
         }
         tree
     })
+}
+
+/// Strategy for random trees built out of document order: every new node goes
+/// under any node created so far, by `add_child` or by `add_child_with_pos` with
+/// an arbitrary `pos`, with a query now and then so the index is built and then
+/// invalidated.  Tags come from an alphabet of 40.
+fn scattered_tree() -> impl Strategy<Value = Hdt> {
+    let ops = prop::collection::vec((0u8..5, 0usize..1000, 0usize..40, 0usize..4), 1..80);
+    ops.prop_map(|ops| {
+        let mut tree = Hdt::with_root("root");
+        for (kind, parent, tag, pos) in ops {
+            let parent = NodeId((parent % tree.len()) as u32);
+            let tag = format!("s{tag}");
+            match kind {
+                0 | 1 => {
+                    tree.add_child(parent, tag.as_str(), None);
+                }
+                2 => {
+                    tree.add_child_with_pos(parent, tag.as_str(), pos, None);
+                }
+                3 => {
+                    tree.add_child(parent, tag.as_str(), Some(pos.to_string()));
+                }
+                _ => {
+                    let _ = tree.children_with_tag(parent, tag.as_str()).len();
+                }
+            }
+        }
+        tree
+    })
+}
+
+/// Strategy for trees with wide nodes: a root and a few internal nodes, each with
+/// up to 200 children drawn from 64 tags, with every child added to a random one
+/// of them.
+fn wide_tree() -> impl Strategy<Value = Hdt> {
+    let children = prop::collection::vec((0usize..4, 0usize..64), 1..200);
+    (1usize..4, children).prop_map(|(parents, children)| {
+        let mut tree = Hdt::with_root("root");
+        let mut wide = vec![tree.root()];
+        for _ in 1..parents {
+            let root = tree.root();
+            wide.push(tree.add_child(root, "wide", None));
+        }
+        for (parent, tag) in children {
+            let tag = format!("w{tag}");
+            tree.add_child(wide[parent % wide.len()], tag.as_str(), None);
+        }
+        tree
+    })
+}
+
+/// Checks every indexed lookup against its naive scan, for every node and tag.
+fn assert_lookups_agree(tree: &Hdt) -> Result<(), TestCaseError> {
+    for id in tree.ids() {
+        for tag in all_tags(tree) {
+            let indexed: Vec<NodeId> = tree.children_with_tag(id, tag).to_vec();
+            let naive = scan_children(tree, id, tag);
+            prop_assert!(indexed == naive, "children({}, {})", id, tag);
+            for pos in 0..4usize {
+                let with_pos: Vec<NodeId> = naive
+                    .iter()
+                    .copied()
+                    .filter(|&c| tree.pos(c) == pos)
+                    .collect();
+                prop_assert_eq!(tree.children_with_tag_pos(id, tag, pos), with_pos.clone());
+                prop_assert_eq!(tree.child(id, tag, pos), with_pos.first().copied());
+            }
+            let descendants = tree.descendants_with_tag(id, tag).to_vec();
+            prop_assert!(
+                descendants == walk_descendants(tree, id, tag),
+                "descendants({}, {})",
+                id,
+                tag
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Strict descendants of `id` tagged `tag`, by an explicit-stack subtree walk in
@@ -110,6 +192,36 @@ proptest! {
                     let via_naive = naive.iter().copied().find(|c| tree.pos(*c) == pos);
                     prop_assert_eq!(via_child, via_naive);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_lookups_agree_with_naive_scans_out_of_document_order(tree in scattered_tree()) {
+        assert_lookups_agree(&tree)?;
+    }
+
+    #[test]
+    fn indexed_lookups_agree_with_naive_scans_on_wide_nodes(tree in wide_tree()) {
+        assert_lookups_agree(&tree)?;
+    }
+
+    #[test]
+    fn add_child_counts_earlier_same_tag_siblings(
+        ops in prop::collection::vec((any::<bool>(), 0usize..1000, 0usize..6, 0usize..3), 1..80)
+    ) {
+        // `add_child` interleaved with `add_child_with_pos` under the same parents,
+        // as datagen's `contact` generator mixes them.
+        let mut tree = Hdt::with_root("root");
+        for (automatic, parent, tag, pos) in ops {
+            let parent = NodeId((parent % tree.len()) as u32);
+            let tag = intern::intern(&format!("c{tag}"));
+            if automatic {
+                let earlier = scan_children(&tree, parent, tag).len();
+                let id = tree.add_child(parent, tag, None);
+                prop_assert_eq!(tree.pos(id), earlier);
+            } else {
+                tree.add_child_with_pos(parent, tag, pos, None);
             }
         }
     }

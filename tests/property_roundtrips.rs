@@ -11,7 +11,7 @@ use mitra::dsl::{Program, Table, Value};
 use mitra::hdt::html::html_to_hdt;
 use mitra::hdt::json::{format_number, json_string, json_to_hdt};
 use mitra::hdt::xml::xml_to_hdt;
-use mitra::hdt::{parse_json, Hdt, JsonValue, NodeId};
+use mitra::hdt::{parse_json, Hdt, HdtError, JsonValue, NodeId};
 use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter, ShardRecord};
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
 use mitra::migrate::corpus::{FailureKind, QuarantineRecord};
@@ -176,10 +176,20 @@ fn html_page() -> impl Strategy<Value = String> {
 }
 
 /// Parsed markup must validate and be numbered in document order: arena order is
-/// pre-order, because the parsers create each node when its start is parsed.
+/// pre-order, because the parsers create each node when its start is parsed.  Its
+/// `pos` values, which the parsers assign in one pass at the end, must be the ones
+/// `add_child` gives: the tree rebuilt node by node with `add_child`, in arena
+/// order, equals it.
 fn assert_document_order(tree: &Hdt) -> Result<(), TestCaseError> {
     prop_assert!(tree.validate().is_ok());
     prop_assert_eq!(tree.preorder(), tree.ids().collect::<Vec<_>>());
+    let mut rebuilt = Hdt::with_root(tree.tag(tree.root()));
+    for id in tree.ids().skip(1) {
+        let parent = tree.parent(id).expect("only the root has no parent");
+        let data = tree.data(id).map(str::to_string);
+        prop_assert_eq!(rebuilt.add_child(parent, tree.tag(id), data), id);
+    }
+    prop_assert!(rebuilt == *tree, "add_child numbers siblings differently");
     Ok(())
 }
 
@@ -602,8 +612,6 @@ fn json_numbers_keep_the_format_number_rule() {
     let cases = [
         ("0", "0"),
         ("-0", "0"),
-        ("007", "7"),
-        ("-007", "-7"),
         ("1.0", "1"),
         ("1.50", "1.5"),
         ("1e2", "100"),
@@ -624,6 +632,24 @@ fn json_numbers_keep_the_format_number_rule() {
             let node = tree.child(tree.root(), tag, 0).expect("one node per key");
             assert_eq!(tree.data(node), Some(data), "{literal} under {tag}");
         }
+    }
+    // (literal, error) for literals RFC 8259 rejects: a leading zero, a missing
+    // digit before or after `.`, and a `\u` escape that is not four hex digits.
+    // Each error sits at the literal's start (byte 6), or at the escape's digits.
+    let number = |text: &str| HdtError::parse(format!("invalid number '{text}'"), 6);
+    let rejected = [
+        ("007", number("007")),
+        ("-007", number("-007")),
+        ("01", number("01")),
+        ("1.", number("1.")),
+        ("-.5", number("-.5")),
+        ("1.e5", number("1.e5")),
+        ("\"\\u+041\"", HdtError::parse("invalid \\u escape", 9)),
+    ];
+    for (literal, error) in rejected {
+        let text = format!("{{\"n\": {literal}}}");
+        assert_eq!(json_to_hdt(&text).err(), Some(error.clone()), "{literal}");
+        assert_eq!(parse_json(&text).err(), Some(error), "{literal}");
     }
 }
 
