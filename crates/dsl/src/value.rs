@@ -32,23 +32,27 @@ impl Value {
     /// else stays a string — including `NaN`, `inf` and literals like `1e400` that
     /// overflow to infinity, which Rust's float parser would accept.
     pub fn from_data(s: &str) -> Value {
+        Value::scalar(s).unwrap_or_else(|| Value::Str(s.to_string()))
+    }
+
+    /// The non-text value a data string parses to, or `None` when it stays a
+    /// string: the one classifier behind [`Value::from_data`] and
+    /// `From<String>`.
+    fn scalar(s: &str) -> Option<Value> {
         let t = s.trim();
         if t.is_empty() || t == "null" {
-            return Value::Null;
+            return Some(Value::Null);
         }
         if t == "true" {
-            return Value::Bool(true);
+            return Some(Value::Bool(true));
         }
         if t == "false" {
-            return Value::Bool(false);
+            return Some(Value::Bool(false));
         }
         if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
+            return Some(Value::Int(i));
         }
-        if let Some(f) = parse_finite(t) {
-            return Value::Float(f);
-        }
-        Value::Str(s.to_string())
+        parse_finite(t).map(Value::Float)
     }
 
     /// Builds a string value.
@@ -168,8 +172,9 @@ impl From<i64> for Value {
 }
 
 impl From<String> for Value {
+    /// [`Value::from_data`], keeping the string itself when the value is text.
     fn from(s: String) -> Self {
-        Value::from_data(&s)
+        Value::scalar(&s).unwrap_or(Value::Str(s))
     }
 }
 
@@ -184,6 +189,20 @@ mod tests {
         assert_eq!(Value::from_data("true"), Value::Bool(true));
         assert_eq!(Value::from_data(""), Value::Null);
         assert_eq!(Value::from_data("abc"), Value::Str("abc".into()));
+    }
+
+    #[test]
+    fn owned_strings_classify_like_borrowed_ones() {
+        for s in [
+            "42", " 4.5 ", "true", "false", "", "null", "abc", " x ", "NaN", "1e400",
+        ] {
+            let owned = Value::from(s.to_string());
+            assert_eq!(
+                format!("{owned:?}"),
+                format!("{:?}", Value::from_data(s)),
+                "{s:?}"
+            );
+        }
     }
 
     #[test]

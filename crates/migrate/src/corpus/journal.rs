@@ -6,24 +6,29 @@
 //! `timing` records — never inside the comparable `header`/`shard`/`complete`
 //! payloads — so byte-identity probes can filter them out mechanically.
 //!
-//! Record kinds:
+//! Record kinds ([`load_journal`] reads them by kind, wherever they sit):
 //!
 //! * `header`  — corpus identity (FNV hash, doc count, shard layout, tables);
 //!   written once at the start of a fresh run, validated on resume.
-//! * `synth`   — shape/program counts after the synthesis pass (fresh runs).
+//! * `synth`   — the shape and program counts of the whole corpus, journaled
+//!   by the last execution wave once its scan has reached the corpus end,
+//!   before that wave's `shard` records, so a resume that finds no pending
+//!   shard still finds it.
 //! * `shard`   — one per completed shard, fsync'd before the next wave starts:
 //!   per-table row counts, quarantine records, and the FNV hash of the written
 //!   shard file, so resume can verify the checkpoint survived the crash.
-//! * `timing`  — wall-clock seconds for one shard (non-compared).
+//! * `timing`  — wall-clock seconds spent persisting one shard (rendering,
+//!   writing and fsyncing its file; the journal write is not counted).  It
+//!   shares its `shard` record's write and fsync, is not compared, and resume
+//!   never reads it.
 //! * `complete` — terminal record of a finished run.
 
 use super::{io_err, CorpusError, FailureKind, QuarantineRecord};
 use mitra_hdt::json::json_string;
 use mitra_hdt::{parse_json, JsonValue};
-use mitra_synth::fingerprint::{fnv1a, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Renders one quarantine record with fixed field order — the exact line
@@ -119,8 +124,8 @@ impl ShardRecord {
 }
 
 /// Appends fsync'd records to `journal.jsonl`.  Every [`JournalWriter::record`]
-/// call writes one line and `sync_data`s it, so a record observed by a resumed
-/// process is complete.
+/// call (or `record_all`, for several lines) writes its lines in one write and
+/// `sync_data`s them, so a record observed by a resumed process is complete.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -135,21 +140,44 @@ impl JournalWriter {
         Ok(JournalWriter { file, path })
     }
 
-    /// Opens an existing journal for appending (resume).
+    /// Opens an existing journal for appending (resume).  When a crash tore
+    /// the last line (it has no `\n`), a newline ends it first, so the next
+    /// record starts a line of its own instead of being glued to the garbage.
     pub fn append(path: &Path) -> Result<JournalWriter, CorpusError> {
-        let file = OpenOptions::new()
+        let io_err = io_err(path);
+        let mut file = OpenOptions::new()
+            .read(true)
             .append(true)
             .open(path)
-            .map_err(io_err(path))?;
+            .map_err(&io_err)?;
+        let len = file.metadata().map_err(&io_err)?.len();
+        if len > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::Start(len - 1)).map_err(&io_err)?;
+            file.read_exact(&mut last).map_err(&io_err)?;
+            if last != *b"\n" {
+                // Appending writes at the end whatever the read position.
+                file.write_all(b"\n").map_err(&io_err)?;
+            }
+        }
         let path = path.to_path_buf();
         Ok(JournalWriter { file, path })
     }
 
     /// Appends one record line and fsyncs it to disk.
     pub fn record(&mut self, line: &str) -> Result<(), CorpusError> {
+        self.record_all(&[line])
+    }
+
+    /// Appends record lines with one write and one fsync.
+    pub(crate) fn record_all(&mut self, lines: &[&str]) -> Result<(), CorpusError> {
+        let mut text = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            text.push_str(line);
+            text.push('\n');
+        }
         let io_err = io_err(&self.path);
-        self.file.write_all(line.as_bytes()).map_err(&io_err)?;
-        self.file.write_all(b"\n").map_err(&io_err)?;
+        self.file.write_all(text.as_bytes()).map_err(&io_err)?;
         self.file.sync_data().map_err(&io_err)?;
         Ok(())
     }
@@ -316,17 +344,6 @@ pub fn load_journal(path: &Path) -> Result<JournalState, CorpusError> {
     })
 }
 
-/// Verifies a journaled shard against its on-disk shard file: the file must
-/// exist and hash to the journaled `result_hash`.  Shards that fail the check
-/// are simply re-run by `resume`.
-pub fn verify_shard_file(shards_dir: &Path, record: &ShardRecord) -> bool {
-    let path = shards_dir.join(super::shard::shard_file_name(record.shard));
-    match std::fs::read(&path) {
-        Ok(bytes) => fnv1a(FNV_OFFSET, &bytes) == record.result_hash,
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +402,36 @@ mod tests {
         assert!(!state.complete);
         assert_eq!(state.shards.len(), 1);
         assert_eq!(state.shards[&3], record);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resume_after_a_torn_tail_keeps_its_first_record() {
+        let dir = std::env::temp_dir().join(format!("mitra-journal-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let header = JournalHeader {
+            version: 1,
+            format: "xml".into(),
+            corpus_hash: 7,
+            docs: 2,
+            shard_size: 1,
+            shards: 2,
+            tables: vec!["t".into()],
+        };
+        // The crash tore the shard record mid-line: no newline follows it.
+        let torn = format!(
+            "{}\n{{\"kind\": \"shard\", \"shard\": 0, \"do",
+            header.to_json_line()
+        );
+        std::fs::write(&path, torn).unwrap();
+        let mut w = JournalWriter::append(&path).unwrap();
+        w.record("{\"kind\": \"synth\", \"shapes\": 2, \"programs\": 4}")
+            .unwrap();
+        let state = load_journal(&path).unwrap();
+        assert_eq!(state.header, header);
+        assert_eq!(state.synth, Some((2, 4)));
+        assert!(state.shards.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

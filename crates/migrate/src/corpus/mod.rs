@@ -7,7 +7,9 @@
 //!
 //! * **Synthesis once per shape** — one scan fingerprints each document
 //!   ([`mitra_synth::fingerprint()`]) and numbers the distinct shapes, and
-//!   synthesis runs once per shape, not once per document.
+//!   synthesis runs once per shape, not once per document.  The scan advances
+//!   wave by wave and hands each wave's trees to its execution, so every
+//!   document is parsed once.
 //! * **Deterministic sharding** — documents are processed in fixed-size shards,
 //!   fanned across `mitra-pool` in waves, with per-shard result tables and a
 //!   canonical-order concatenation, so the assembled tables are byte-identical
@@ -335,9 +337,10 @@ pub struct CorpusReport {
     pub table_rows: Vec<(String, usize)>,
     /// Constraint violations in the assembled database.
     pub violations: usize,
-    /// Wall clock of the scan + synthesis passes.
+    /// Wall clock of scanning and synthesis, summed over the execution waves
+    /// (each wave scans and synthesizes before it executes).
     pub synth_wall: Duration,
-    /// Wall clock of the shard-execution pass.
+    /// Wall clock of shard execution and persistence, summed over the waves.
     pub exec_wall: Duration,
     /// Wall clock of the whole run.
     pub wall: Duration,

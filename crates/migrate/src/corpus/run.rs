@@ -1,5 +1,5 @@
-//! The corpus runner: scan → synthesize-per-shape → execute in checkpointed
-//! shard waves → assemble.
+//! The corpus runner: waves of scan → synthesize new shapes → execute →
+//! persist, then one assembly.
 //!
 //! Determinism contract (the corpus-level extension of the per-table contract
 //! in [`crate::migrate`]):
@@ -8,16 +8,28 @@
 //!   quarantine — is a pure function of the corpus text and the job, never of
 //!   wall-clock or scheduling;
 //! * shard workers fan out over `mitra-pool` but their outputs are journaled
-//!   and persisted **in shard order**, and final tables are assembled by
-//!   concatenating the persisted shard files in shard order, so assembled
-//!   artifacts are byte-identical at every thread count;
-//! * [`resume`] takes the same assembly path over a mix of journaled and
-//!   freshly executed shards, which makes interrupted+resumed byte-identity
-//!   structural rather than incidental.
+//!   and persisted **in shard order**, and final tables concatenate the
+//!   shards' rows in shard order, so assembled artifacts are byte-identical
+//!   at every thread count;
+//! * [`resume`] takes the same assembly path over a mix of journaled shards,
+//!   read back from their files, and freshly executed ones, kept in memory;
+//!   a shard file parses back to the rows it was rendered from, which makes
+//!   interrupted+resumed byte-identity structural rather than incidental.
 //!
-//! The scan is the only place a document gets its shape: it parses and
-//! fingerprints every document once, and execution reads the shape index it
-//! recorded.
+//! Each document is parsed once, and the scan is the only place it gets its
+//! shape.  The run walks the corpus in waves of pending shards, one shard per
+//! worker.  A wave first scans: it parses and fingerprints every document up
+//! to the end of its last shard (the last wave's scan runs to the end of the
+//! corpus, so every shape is synthesized), numbering new shapes in
+//! first-seen order, so each shape's exemplar is its lowest-index document on
+//! fresh and resumed runs alike.  The scan keeps the trees of the wave's own
+//! documents and of its new shapes' exemplars; it drops every other tree (the
+//! documents of checkpointed shards) as soon as their shard is numbered.  The
+//! wave then synthesizes its new shapes from their exemplars' trees and
+//! executes its shards on the kept trees, each freed as soon as its document
+//! has run.  So at most one wave's documents and its new exemplars hold a tree
+//! at a time, plus, while a resume scans a checkpointed shard, that shard's
+//! documents.
 //!
 //! Fault sites: `corpus.shard` fires at shard-worker entry (an injected panic
 //! kills the run mid-corpus, exercising crash-resume); `corpus.doc` fires at
@@ -27,7 +39,7 @@
 use super::journal::{
     self, quarantine_json, JournalHeader, JournalState, JournalWriter, ShardRecord,
 };
-use super::shard::{parse_shard, render_shard, shard_file_name, Section};
+use super::shard::{read_shard_file, render_shard, shard_file_name, Section};
 use super::{
     io_err, parse_corpus_text, CorpusDoc, CorpusError, CorpusJob, CorpusReport, CorpusTableSource,
     FailureKind, QuarantineRecord, RetryPolicy,
@@ -38,6 +50,7 @@ use crate::migrate::execute_table;
 use crate::schema::TableSchema;
 use mitra_dsl::table::write_csv_row;
 use mitra_dsl::{Program, Table, Value};
+use mitra_hdt::Hdt;
 use mitra_pool::{panic_message, parallel_map_catch};
 use mitra_synth::budget::BudgetBreach;
 use mitra_synth::fingerprint::{fingerprint, fnv1a, Fingerprint, FNV_OFFSET};
@@ -45,21 +58,113 @@ use mitra_synth::synthesize::{learn_transformation, Example, SynthError};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::time::Instant;
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// A typed document failure: its quarantine kind and error text.
 type Failure = (FailureKind, String);
 
-/// What the scan learned.  Shapes are numbered in first-seen order, so each
-/// shape's exemplar is its lowest-index document.
+/// The trees a wave holds, by document index.  Each sits in a slot of its
+/// own, which the document's execution empties, so the tree is freed while it
+/// is still in cache and its memory goes straight to the next document.
+/// Freeing a wave's trees together after its execution made the benchmark's
+/// `corpus` runs about 14% slower (2-vCPU VM, one thread).
+#[derive(Default)]
+struct Trees(BTreeMap<usize, Mutex<Option<Hdt>>>);
+
+impl Trees {
+    fn keep(&mut self, doc: usize, tree: Hdt) {
+        self.0.insert(doc, Mutex::new(Some(tree)));
+    }
+
+    /// Applies `f` to document `doc`'s tree, leaving it in its slot.
+    fn with<R>(&self, doc: usize, f: impl FnOnce(&Hdt) -> R) -> Option<R> {
+        // A slot is poisoned only by a panic while `f` read its tree, which
+        // left the tree intact.
+        let slot = self.0.get(&doc)?.lock();
+        slot.unwrap_or_else(PoisonError::into_inner).as_ref().map(f)
+    }
+
+    /// Takes document `doc`'s tree out of its slot.
+    fn take(&self, doc: usize) -> Option<Hdt> {
+        let slot = self.0.get(&doc)?.lock();
+        slot.unwrap_or_else(PoisonError::into_inner).take()
+    }
+}
+
+/// What the scan has learned so far.  Shapes are numbered in first-seen order,
+/// so each shape's exemplar is its lowest-index document.
 #[derive(Default)]
 struct Scan {
-    /// Per document: its shape index, or the failure it is quarantined with
-    /// (`malformed` with the parser's error, or `panic` if its slot panicked).
+    /// Per scanned document, in document order: its shape index, or the
+    /// failure it is quarantined with (`malformed` with the parser's error, or
+    /// `panic` if its slot panicked).
     shapes: Vec<Result<usize, Failure>>,
+    /// Shape index by fingerprint.
+    shape_of: HashMap<Fingerprint, usize>,
     /// Per shape: the per-task programs, or the failure every document of the
     /// shape inherits.
     programs: Vec<Result<Vec<Program>, Failure>>,
+    /// `learn_transformation` calls that produced a program.
+    programs_synthesized: usize,
+}
+
+impl Scan {
+    /// Parses and fingerprints `docs`, the next unscanned documents, and
+    /// numbers their new shapes, pushing each new shape's exemplar onto
+    /// `exemplars`.  The exemplars' trees go into `trees`, and so does every
+    /// tree when `keep` is set; the others are dropped here.
+    fn extend(
+        &mut self,
+        job: &CorpusJob,
+        docs: &[CorpusDoc<'_>],
+        keep: bool,
+        trees: &mut Trees,
+        exemplars: &mut Vec<usize>,
+    ) {
+        let parsed = parallel_map_catch(job.config.threads, docs, |_, doc| {
+            job.format
+                .parse(doc.text)
+                .map(|tree| (fingerprint(&tree), tree))
+        });
+        for (doc, slot) in docs.iter().zip(parsed) {
+            self.shapes.push(match slot {
+                Ok(Ok((fp, tree))) => {
+                    let next = self.shape_of.len();
+                    let shape = *self.shape_of.entry(fp).or_insert(next);
+                    if shape == next {
+                        exemplars.push(doc.index);
+                    }
+                    if keep || shape == next {
+                        trees.keep(doc.index, tree);
+                    }
+                    Ok(shape)
+                }
+                Ok(Err(e)) => Err((FailureKind::Malformed, e.to_string())),
+                Err(payload) => Err((FailureKind::Panic, payload.message)),
+            });
+        }
+    }
+
+    /// Learns the programs of the new shapes whose exemplars are `exemplars`,
+    /// from the exemplars' trees.
+    fn synthesize(&mut self, job: &CorpusJob, exemplars: &[usize], trees: &Trees) {
+        let learned = parallel_map_catch(job.config.threads, exemplars, |_, &doc| {
+            trees
+                .with(doc, |tree| synthesize_shape(job, tree))
+                .expect("the scan keeps every new exemplar's tree")
+        });
+        let mut programs = 0usize;
+        for slot in learned {
+            let (entry, count) =
+                slot.unwrap_or_else(|payload| (Err((FailureKind::Panic, payload.message)), 0));
+            programs += count;
+            mitra_trace::counter_add!("cache.shape_programs.insert", 1);
+            self.programs.push(entry);
+        }
+        self.programs_synthesized += programs;
+        mitra_trace::counter_add!("corpus.programs_synthesized", programs as u64);
+    }
 }
 
 /// Runs a corpus job from scratch, truncating any previous journal in
@@ -93,7 +198,7 @@ fn run_impl(
 ) -> Result<CorpusReport, CorpusError> {
     let run_start = Instant::now();
     // Preparation: split and hash the corpus, and open the journal (a fresh
-    // run fsyncs its header; a resume verifies the journaled shards).
+    // run fsyncs its header; a resume reads back the journaled shards).
     let prepare_span = mitra_trace::span("migrate", "corpus_prepare");
     job.validate().map_err(CorpusError::Plan)?;
     let schemas: Vec<TableSchema> = job
@@ -128,7 +233,8 @@ fn run_impl(
         tables: tables.clone(),
     };
 
-    let mut completed: BTreeMap<usize, ShardRecord> = BTreeMap::new();
+    // Every completed shard's journal record and rows, by shard index.
+    let mut completed: BTreeMap<usize, (ShardRecord, Vec<Section>)> = BTreeMap::new();
     let mut prior_synth: Option<(usize, usize)> = None;
     let mut writer = if resuming {
         let state: JournalState = journal::load_journal(&journal_path)?;
@@ -139,8 +245,11 @@ fn run_impl(
             )));
         }
         for (idx, record) in state.shards {
-            if idx < shard_count && journal::verify_shard_file(&shards_dir, &record) {
-                completed.insert(idx, record);
+            if idx >= shard_count {
+                continue;
+            }
+            if let Some(sections) = read_shard_file(&shards_dir, &record)? {
+                completed.insert(idx, (record, sections));
             }
         }
         prior_synth = state.synth;
@@ -158,69 +267,67 @@ fn run_impl(
         .collect();
     drop(prepare_span);
 
-    // Pass 1+2: fingerprint every document and synthesize once per shape.
-    // The scan covers *all* documents — even those of already-checkpointed
-    // shards — so each shape's exemplar (its lowest document index) is a pure
-    // function of the corpus, identical for fresh and resumed runs.
-    let synth_start = Instant::now();
+    // Waves of one pending shard per worker: scan and synthesize, then
+    // execute; each wave's results are journaled and persisted in shard order
+    // before the next wave starts, so a crash loses at most one wave of work.
+    let wave_size = mitra_pool::resolve(job.config.threads).max(1);
+    let wave_count = pending.len().div_ceil(wave_size);
     let mut scan = Scan::default();
-    let (shapes, programs_synthesized) = if pending.is_empty() {
-        prior_synth.unwrap_or((0, 0))
-    } else {
+    let mut scanned_shards = 0usize;
+    let mut synth_wall = Duration::ZERO;
+    let mut exec_wall = Duration::ZERO;
+    for (w, wave) in pending.chunks(wave_size).enumerate() {
+        let last_wave = w + 1 == wave_count;
+        let synth_start = Instant::now();
+        let mut trees = Trees::default();
+        let mut exemplars = Vec::new();
         let scan_span = mitra_trace::span("migrate", "corpus_scan");
-        let fps = parallel_map_catch(job.config.threads, &docs, |_, doc| {
-            job.format.parse(doc.text).map(|t| fingerprint(&t))
-        });
-        let mut shape_of: HashMap<Fingerprint, usize> = HashMap::new();
-        let mut exemplars: Vec<usize> = Vec::new();
-        for (i, slot) in fps.into_iter().enumerate() {
-            scan.shapes.push(match slot {
-                Ok(Ok(fp)) => Ok(*shape_of.entry(fp).or_insert_with(|| {
-                    exemplars.push(i);
-                    exemplars.len() - 1
-                })),
-                Ok(Err(e)) => Err((FailureKind::Malformed, e.to_string())),
-                Err(payload) => Err((FailureKind::Panic, payload.message)),
-            });
+        // The last wave scans to the end of the corpus, so every shape is
+        // synthesized before the `synth` record.
+        let scan_end = if last_wave {
+            shard_count
+        } else {
+            wave[wave.len() - 1] + 1
+        };
+        let in_wave = |shard: usize| wave.binary_search(&shard).is_ok();
+        while scanned_shards < scan_end {
+            // The wave's consecutive shards are scanned together; any other
+            // (checkpointed) shard alone, so its trees go before the next
+            // shard is parsed.
+            let keep = in_wave(scanned_shards);
+            let mut stop = scanned_shards + 1;
+            while keep && stop < scan_end && in_wave(stop) {
+                stop += 1;
+            }
+            let range = scanned_shards * shard_size..(stop * shard_size).min(docs.len());
+            scan.extend(job, &docs[range], keep, &mut trees, &mut exemplars);
+            scanned_shards = stop;
         }
         drop(scan_span);
-        let _synth_span = mitra_trace::span("migrate", "corpus_synthesis");
-        let learned = parallel_map_catch(job.config.threads, &exemplars, |_, &exemplar| {
-            synthesize_shape(job, docs[exemplar])
-        });
-        let mut programs = 0usize;
-        for slot in learned {
-            let (entry, count) =
-                slot.unwrap_or_else(|payload| (Err((FailureKind::Panic, payload.message)), 0));
-            programs += count;
-            mitra_trace::counter_add!("cache.shape_programs.insert", 1);
-            scan.programs.push(entry);
+        {
+            let _span = mitra_trace::span("migrate", "corpus_synthesis");
+            scan.synthesize(job, &exemplars, &trees);
         }
-        mitra_trace::counter_add!("corpus.programs_synthesized", programs as u64);
-        writer.record(&format!(
-            "{{\"kind\": \"synth\", \"shapes\": {}, \"programs\": {programs}}}",
-            exemplars.len()
-        ))?;
-        (exemplars.len(), programs)
-    };
-    let synth_wall = synth_start.elapsed();
+        if last_wave {
+            writer.record(&format!(
+                "{{\"kind\": \"synth\", \"shapes\": {}, \"programs\": {}}}",
+                scan.programs.len(),
+                scan.programs_synthesized
+            ))?;
+        }
+        synth_wall += synth_start.elapsed();
 
-    // Pass 3: execute pending shards in waves of one shard per worker; each
-    // wave's results are journaled and persisted in shard order before the
-    // next wave starts, so a crash loses at most one wave of work.
-    let exec_start = Instant::now();
-    let wave_size = mitra_pool::resolve(job.config.threads).max(1);
-    for wave in pending.chunks(wave_size) {
+        let exec_start = Instant::now();
         let results = parallel_map_catch(job.config.threads, wave, |_, &shard_idx| {
-            run_shard(job, &schemas, &docs, shard_idx, shard_size, &scan)
+            run_shard(job, &schemas, &docs, shard_idx, shard_size, &scan, &trees)
         });
+        drop(trees);
         let mut panicked: Option<(usize, String)> = None;
         for (&shard_idx, slot) in wave.iter().zip(results) {
             match slot {
                 Ok(output) => {
-                    let record =
-                        persist_shard(&shards_dir, &mut writer, shard_idx, &tables, output)?;
-                    completed.insert(shard_idx, record);
+                    let done = persist_shard(&shards_dir, &mut writer, shard_idx, output)?;
+                    completed.insert(shard_idx, done);
                 }
                 Err(payload) => {
                     // Keep journaling the wave's survivors before reporting
@@ -232,21 +339,37 @@ fn run_impl(
                 }
             }
         }
+        exec_wall += exec_start.elapsed();
         if let Some((shard, message)) = panicked {
             return Err(CorpusError::ShardPanicked { shard, message });
         }
     }
-    let exec_wall = exec_start.elapsed();
+    let (shapes, programs_synthesized) = if pending.is_empty() {
+        prior_synth.unwrap_or((0, 0))
+    } else {
+        (scan.programs.len(), scan.programs_synthesized)
+    };
 
-    // Assembly: concatenate the persisted shard files in shard order.  Fresh
-    // and resumed runs share this path, so byte-identity of the final tables
-    // does not depend on which shards were replayed.
+    // Assembly: concatenate the completed shards' rows in shard order.  Fresh
+    // and resumed shards share this path, so byte-identity of the final
+    // tables does not depend on which shards were replayed.
     let assemble_span = mitra_trace::span("migrate", "corpus_assemble");
-    let mut table_cells: Vec<Vec<Vec<String>>> = vec![Vec::new(); tables.len()];
-    for shard_idx in 0..shard_count {
-        let path = shards_dir.join(shard_file_name(shard_idx));
-        let text = std::fs::read_to_string(&path).map_err(io_err(&path))?;
-        let sections = parse_shard(&text)?;
+    let mut table_csvs: Vec<String> = Vec::with_capacity(tables.len());
+    let mut built: Vec<Table> = Vec::with_capacity(tables.len());
+    for schema in &schemas {
+        let columns = schema.column_names();
+        let mut csv = String::new();
+        write_csv_row(&mut csv, &columns);
+        table_csvs.push(csv);
+        built.push(Table::new(columns));
+    }
+    let mut quarantined: Vec<QuarantineRecord> = Vec::new();
+    let mut ok_docs = 0usize;
+    let mut retried = 0u64;
+    for (shard_idx, (record, sections)) in completed {
+        ok_docs += record.ok;
+        retried += record.retried;
+        quarantined.extend(record.quarantined);
         if sections.len() != tables.len() {
             return Err(CorpusError::Corpus(format!(
                 "shard {shard_idx} has {} sections, expected {}",
@@ -261,33 +384,25 @@ fn run_impl(
                     tables[t]
                 )));
             }
-            table_cells[t].extend(rows);
-        }
-    }
-
-    let mut table_rows: Vec<(String, usize)> = Vec::with_capacity(tables.len());
-    let mut table_csvs: Vec<String> = Vec::with_capacity(tables.len());
-    let mut built: Vec<Table> = Vec::with_capacity(tables.len());
-    for ((name, schema), rows) in tables.iter().zip(&schemas).zip(table_cells) {
-        let columns = schema.column_names();
-        let mut csv = String::new();
-        write_csv_row(&mut csv, &columns);
-        let mut table = Table::new(columns);
-        for cells in &rows {
-            if cells.len() != table.arity() {
-                return Err(CorpusError::Corpus(format!(
-                    "table {name}: a shard row has {} cells, expected {}",
-                    cells.len(),
-                    table.arity()
-                )));
+            let table = &mut built[t];
+            for cells in rows {
+                if cells.len() != table.arity() {
+                    return Err(CorpusError::Corpus(format!(
+                        "table {name}: a shard row has {} cells, expected {}",
+                        cells.len(),
+                        table.arity()
+                    )));
+                }
+                write_csv_row(&mut table_csvs[t], &cells);
+                table.push(cells.into_iter().map(Value::from).collect());
             }
-            write_csv_row(&mut csv, cells);
-            table.push(cells.iter().map(|c| Value::from_data(c)).collect());
         }
-        table_csvs.push(csv);
-        table_rows.push((name.clone(), table.len()));
-        built.push(table);
     }
+    let table_rows: Vec<(String, usize)> = tables
+        .iter()
+        .zip(&built)
+        .map(|(name, table)| (name.clone(), table.len()))
+        .collect();
     drop(assemble_span);
     let violations = {
         let _span = mitra_trace::span("migrate", "corpus_constraints");
@@ -302,14 +417,6 @@ fn run_impl(
     for (name, csv) in tables.iter().zip(table_csvs) {
         let path = tables_dir.join(format!("{name}.csv"));
         std::fs::write(&path, csv).map_err(io_err(&path))?;
-    }
-    let mut quarantined: Vec<QuarantineRecord> = Vec::new();
-    let mut ok_docs = 0usize;
-    let mut retried = 0u64;
-    for record in completed.values() {
-        ok_docs += record.ok;
-        retried += record.retried;
-        quarantined.extend(record.quarantined.iter().cloned());
     }
     let mut ledger = String::new();
     for q in &quarantined {
@@ -345,19 +452,10 @@ fn run_impl(
     Ok(report)
 }
 
-/// Learns the per-task programs for one shape from its exemplar document.
+/// Learns the per-task programs for one shape from its exemplar's tree.
 /// Returns the shape's entry plus the number of `learn_transformation` calls
 /// that produced a program.
-fn synthesize_shape(
-    job: &CorpusJob,
-    exemplar: CorpusDoc<'_>,
-) -> (Result<Vec<Program>, Failure>, usize) {
-    let tree = match job.format.parse(exemplar.text) {
-        Ok(t) => t,
-        // The scan already parsed this document; treat a flaky re-parse as a
-        // shape-level failure rather than crashing the pass.
-        Err(e) => return (Err((FailureKind::Malformed, e.to_string())), 0),
-    };
+fn synthesize_shape(job: &CorpusJob, tree: &Hdt) -> (Result<Vec<Program>, Failure>, usize) {
     // Collecting stops at the first failing table, so `learned` counts only
     // the programs synthesized before it.
     let mut learned = 0usize;
@@ -368,7 +466,7 @@ fn synthesize_shape(
             CorpusTableSource::Program(p) => Ok(p.clone()),
             CorpusTableSource::Oracle(oracle) => {
                 let table = &task.table;
-                let expected = oracle(&tree).ok_or_else(|| {
+                let expected = oracle(tree).ok_or_else(|| {
                     let error = format!("oracle produced no example for table {table}");
                     (FailureKind::Synthesis, error)
                 })?;
@@ -416,6 +514,7 @@ fn run_shard(
     shard_idx: usize,
     shard_size: usize,
     scan: &Scan,
+    trees: &Trees,
 ) -> ShardOutput {
     let _span =
         mitra_trace::span_detail("migrate", "corpus_execute_shard", || shard_idx.to_string());
@@ -431,7 +530,9 @@ fn run_shard(
     let mut ok = 0usize;
     let mut retried = 0u64;
     for doc in &docs[start..end] {
-        let outcome = catch_unwind(AssertUnwindSafe(|| process_doc(job, schemas, *doc, scan)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            process_doc(job, schemas, *doc, scan, trees)
+        }));
         match outcome {
             Ok(DocResult::Ok(rows, doc_retries)) => {
                 ok += 1;
@@ -468,6 +569,7 @@ fn process_doc(
     schemas: &[TableSchema],
     doc: CorpusDoc<'_>,
     scan: &Scan,
+    trees: &Trees,
 ) -> DocResult {
     mitra_trace::fault::hit("corpus.doc", doc.index as u64);
     let quarantine = |kind: FailureKind, error: String, attempts: u32| {
@@ -483,13 +585,11 @@ fn process_doc(
         Ok(Ok(programs)) => programs,
         Ok(Err((kind, error))) | Err((kind, error)) => return quarantine(*kind, error.clone(), 1),
     };
-    // Parsed again rather than kept from the scan, so only the documents in
-    // flight hold a tree.
-    let tree = match job.format.parse(doc.text) {
-        Ok(t) => t,
-        Err(e) => return quarantine(FailureKind::Malformed, e.to_string(), 1),
-    };
+    let tree = trees
+        .take(doc.index)
+        .expect("the scan keeps the tree of every document in its wave");
 
+    let prefix = format!("d{}_", doc.index);
     let max_attempts = job.config.retry.max_attempts.max(1);
     let base_fuel = job.config.synth.budget.max_rows;
     let mut retries = 0u64;
@@ -512,11 +612,11 @@ fn process_doc(
                     &task.data_columns,
                     &task.keys,
                     fuel,
-                    |key, spec| namespace_key(key, spec, doc.index),
+                    |key, spec| namespace_key(key, spec, &prefix),
                 )?;
                 Ok(rows
-                    .iter()
-                    .map(|row| row.iter().map(Value::render).collect())
+                    .into_iter()
+                    .map(|row| row.into_iter().map(into_cell).collect())
                     .collect())
             })
             .collect();
@@ -536,31 +636,42 @@ fn process_doc(
     )
 }
 
+/// A value's shard-file cell: a `Str`'s own string, any other value rendered.
+fn into_cell(value: Value) -> String {
+    match value {
+        Value::Str(s) => s,
+        other => other.render(),
+    }
+}
+
 /// Namespaces node-identity keys per document: `node_key` joins node ids that
 /// are only unique *within* one tree, so synthetic primary keys and the
 /// foreign keys that re-derive them get a `d<doc>_` prefix to stay injective
 /// across the concatenated corpus.  Data-derived keys pass through untouched.
-fn namespace_key(value: Value, spec: &KeySpec, doc_index: usize) -> Value {
+/// The document's `prefix` goes into the key's own string.
+fn namespace_key(value: Value, spec: &KeySpec, prefix: &str) -> Value {
     match (value, spec) {
         (v, KeySpec::FromColumn(_)) => v,
-        (Value::Str(s), _) => Value::Str(format!("d{doc_index}_{s}")),
+        (Value::Str(mut s), _) => {
+            s.insert_str(0, prefix);
+            Value::Str(s)
+        }
         (v, _) => v,
     }
 }
 
 /// Writes one executed shard's file, fsyncs it, and journals its record
-/// followed by a non-compared `timing` record.
+/// followed by a non-compared `timing` record, both with one write and one
+/// fsync.  Returns the record and the shard's rows.
 fn persist_shard(
     shards_dir: &Path,
     writer: &mut JournalWriter,
     shard_idx: usize,
-    tables: &[String],
     output: ShardOutput,
-) -> Result<ShardRecord, CorpusError> {
+) -> Result<(ShardRecord, Vec<Section>), CorpusError> {
     let _span =
         mitra_trace::span_detail("migrate", "corpus_persist_shard", || shard_idx.to_string());
     let shard_start = Instant::now();
-    // Unpacked so the shard's rows are freed inside the span.
     let ShardOutput {
         docs,
         ok,
@@ -578,21 +689,20 @@ fn persist_shard(
         docs,
         ok,
         retried,
-        rows: tables
+        rows: sections
             .iter()
-            .zip(&sections)
-            .map(|(name, (_, rows))| (name.clone(), rows.len()))
+            .map(|(name, rows)| (name.clone(), rows.len()))
             .collect(),
         quarantined,
         result_hash: fnv1a(FNV_OFFSET, text.as_bytes()),
     };
-    writer.record(&record.to_json_line())?;
+    let timing = format!(
+        "{{\"kind\": \"timing\", \"shard\": {shard_idx}, \"secs\": {:.6}}}",
+        shard_start.elapsed().as_secs_f64()
+    );
+    writer.record_all(&[&record.to_json_line(), &timing])?;
     mitra_trace::counter_add!("corpus.docs", record.docs as u64);
     mitra_trace::counter_add!("corpus.quarantined", record.quarantined.len() as u64);
     mitra_trace::counter_add!("corpus.retried", record.retried);
-    writer.record(&format!(
-        "{{\"kind\": \"timing\", \"shard\": {shard_idx}, \"secs\": {:.6}}}",
-        shard_start.elapsed().as_secs_f64()
-    ))?;
-    Ok(record)
+    Ok((record, sections))
 }

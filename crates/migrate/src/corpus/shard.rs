@@ -1,17 +1,25 @@
 //! Per-shard result files (`shards/shard-NNNNNN.tbl`).
 //!
-//! Each completed shard persists its rows to one file so that final tables are
-//! assembled the same way on every path — fresh run, crash-resume, any thread
-//! count: concatenate the shard files in shard order.  The format is CSV
-//! grouped into `#table <name>` sections, one section per task table **in task
-//! order** (present even when empty, so the section layout is a pure function
-//! of the job).  Rows use the workspace CSV codec ([`mitra_dsl::table`]), so a
-//! cell holding a raw newline is quoted and may span lines, and a cell starting
-//! with `#` is quoted too; the reader is quote-aware and only recognizes a
-//! `#table` line where a record starts, so no row reads back as a section header.
+//! Each completed shard persists its rows to one file, the checkpoint a
+//! resume continues from.  A run keeps the rows of the shards it executes in
+//! memory and reads back only the shards a previous run journaled, each file
+//! once (`read_shard_file`); final tables concatenate the shards' rows in
+//! shard order either way.  Because [`parse_shard`] inverts [`render_shard`],
+//! a shard's rows are the same whichever way they arrive, so the assembled
+//! tables are the same on every path — fresh run, crash-resume, any thread
+//! count.  The format is CSV grouped into `#table <name>` sections, one
+//! section per task table **in task order** (present even when empty, so the
+//! section layout is a pure function of the job).  Rows use the workspace CSV
+//! codec ([`mitra_dsl::table`]), so a cell holding a raw newline is quoted and
+//! may span lines, and a cell starting with `#` is quoted too; the reader is
+//! quote-aware and only recognizes a `#table` line where a record starts, so
+//! no row reads back as a section header.
 
+use super::journal::ShardRecord;
 use super::CorpusError;
 use mitra_dsl::table::{read_csv_record, write_csv_row};
+use mitra_synth::fingerprint::{fnv1a, FNV_OFFSET};
+use std::path::Path;
 
 /// One shard section: a table name and its rows as rendered cell text.
 pub type Section = (String, Vec<Vec<String>>);
@@ -61,6 +69,23 @@ pub fn parse_shard(text: &str) -> Result<Vec<Section>, CorpusError> {
         }
     }
     Ok(sections)
+}
+
+/// Reads a journaled shard's file once: `None` when the file cannot be read or
+/// no longer hashes to the record's `result_hash` (resume re-runs such a
+/// shard), else the sections it holds.
+pub(crate) fn read_shard_file(
+    shards_dir: &Path,
+    record: &ShardRecord,
+) -> Result<Option<Vec<Section>>, CorpusError> {
+    let path = shards_dir.join(shard_file_name(record.shard));
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) if fnv1a(FNV_OFFSET, &bytes) == record.result_hash => bytes,
+        _ => return Ok(None),
+    };
+    let text = String::from_utf8(bytes)
+        .map_err(|_| CorpusError::Corpus(format!("shard file {} is not UTF-8", path.display())))?;
+    parse_shard(&text).map(Some)
 }
 
 #[cfg(test)]

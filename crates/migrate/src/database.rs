@@ -7,8 +7,10 @@
 
 use crate::schema::{Schema, TableSchema};
 use mitra_dsl::{Row, Table, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// An in-memory relational database: a schema plus one value table per schema table.
 #[derive(Debug, Clone)]
@@ -129,8 +131,16 @@ impl Database {
     }
 
     /// Checks all primary- and foreign-key constraints, returning every violation.
+    ///
+    /// Keys compare by their cells' rendering, so `Int(1)` matches `Str("1")`;
+    /// a primary key may not hold NULL, and a foreign key with a NULL cell
+    /// references nothing.  Violations come table by table in schema order:
+    /// arity, then each row's primary key, then each foreign key's rows.
     pub fn check_constraints(&self) -> Vec<ConstraintViolation> {
         let mut violations = Vec::new();
+        // The key set of each referenced (table, columns), built once for
+        // every foreign key that points there.
+        let mut referenced: HashMap<(&str, Vec<usize>), HashSet<Cow<'_, str>>> = HashMap::new();
         for ts in &self.schema.tables {
             let Some(table) = self.tables.get(&ts.name) else {
                 continue;
@@ -144,23 +154,18 @@ impl Database {
             }
             // Primary key uniqueness / non-null.
             if !ts.primary_key.is_empty() {
-                let idx: Vec<usize> = ts
-                    .primary_key
-                    .iter()
-                    .filter_map(|c| ts.column_index(c))
-                    .collect();
-                let mut seen: HashSet<Vec<String>> = HashSet::with_capacity(table.len());
+                let idx = column_indices(ts, &ts.primary_key);
+                let mut seen: HashSet<Cow<'_, str>> = HashSet::with_capacity(table.len());
                 for row in &table.rows {
-                    let key: Vec<String> = idx.iter().map(|&i| row[i].render()).collect();
                     if idx.iter().any(|&i| row[i].is_null()) {
                         violations.push(ConstraintViolation::NullInPrimaryKey {
                             table: ts.name.clone(),
                         });
                     }
-                    if !seen.insert(key.clone()) {
+                    if !seen.insert(row_key(row, &idx)) {
                         violations.push(ConstraintViolation::DuplicatePrimaryKey {
                             table: ts.name.clone(),
-                            key,
+                            key: rendered_key(row, &idx),
                         });
                     }
                 }
@@ -173,32 +178,25 @@ impl Database {
                 let Some(ref_table) = self.tables.get(&fk.referenced_table) else {
                     continue;
                 };
-                let ref_idx: Vec<usize> = fk
-                    .referenced_columns
-                    .iter()
-                    .filter_map(|c| ref_schema.column_index(c))
-                    .collect();
-                let referenced_keys: HashSet<Vec<String>> = ref_table
-                    .rows
-                    .iter()
-                    .map(|r| ref_idx.iter().map(|&i| r[i].render()).collect())
-                    .collect();
-                let idx: Vec<usize> = fk
-                    .columns
-                    .iter()
-                    .filter_map(|c| ts.column_index(c))
-                    .collect();
+                let ref_idx = column_indices(ref_schema, &fk.referenced_columns);
+                let idx = column_indices(ts, &fk.columns);
+                // Keys of different widths never match.
+                let comparable = idx.len() == ref_idx.len();
+                let keys = referenced
+                    .entry((fk.referenced_table.as_str(), ref_idx))
+                    .or_insert_with_key(|(_, ref_idx)| {
+                        ref_table.rows.iter().map(|r| row_key(r, ref_idx)).collect()
+                    });
                 for row in &table.rows {
-                    let key: Vec<String> = idx.iter().map(|&i| row[i].render()).collect();
                     // NULL foreign keys are allowed (no reference).
                     if idx.iter().any(|&i| row[i].is_null()) {
                         continue;
                     }
-                    if !referenced_keys.contains(&key) {
+                    if !comparable || !keys.contains(&row_key(row, &idx)) {
                         violations.push(ConstraintViolation::DanglingForeignKey {
                             table: ts.name.clone(),
                             referenced_table: fk.referenced_table.clone(),
-                            key,
+                            key: rendered_key(row, &idx),
                         });
                     }
                 }
@@ -249,6 +247,40 @@ impl Database {
     pub fn table_schema(&self, name: &str) -> Option<&TableSchema> {
         self.schema.table(name)
     }
+}
+
+/// The schema positions of the named columns, skipping unknown names.
+fn column_indices(ts: &TableSchema, columns: &[String]) -> Vec<usize> {
+    columns.iter().filter_map(|c| ts.column_index(c)).collect()
+}
+
+/// A cell's rendering, borrowed from a `Str` cell.
+fn cell_text(value: &Value) -> Cow<'_, str> {
+    match value {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.render()),
+    }
+}
+
+/// The comparable text of a row's key: a one-column key is its cell's
+/// rendering, and a wider key each cell's rendering behind its byte length,
+/// so two keys of one width are equal exactly when their renderings are.
+fn row_key<'a>(row: &'a [Value], idx: &[usize]) -> Cow<'a, str> {
+    if let [i] = idx {
+        return cell_text(&row[*i]);
+    }
+    let mut key = String::new();
+    for &i in idx {
+        let text = cell_text(&row[i]);
+        let _ = write!(key, "{}:", text.len());
+        key.push_str(&text);
+    }
+    Cow::Owned(key)
+}
+
+/// A row's key as the rendered cells a violation reports.
+fn rendered_key(row: &[Value], idx: &[usize]) -> Vec<String> {
+    idx.iter().map(|&i| row[i].render()).collect()
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use mitra_dsl::eval::eval_node_extractor;
 use mitra_dsl::Value;
 use mitra_hdt::{Hdt, NodeId, TagId};
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 /// Specification of how to produce one key value from the node tuple of a row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +40,7 @@ pub fn node_key(nodes: &[NodeId]) -> Value {
         if i > 0 {
             s.push('_');
         }
-        s.push_str(&n.0.to_string());
+        let _ = write!(s, "{}", n.0);
     }
     Value::Str(s)
 }

@@ -319,25 +319,32 @@ pub(crate) fn execute_table(
     map_key: impl Fn(Value, &KeySpec) -> Value,
 ) -> Result<(Vec<Row>, ExecStats), BudgetBreach> {
     let (node_rows, stats) = execute_nodes_budgeted(document, program, max_rows)?;
+    let key_idx: Vec<Option<usize>> = keys.iter().map(|(c, _)| schema.column_index(c)).collect();
+    // A key column that is also a data column keeps the key.
     let data_idx: Vec<Option<usize>> = data_columns
         .iter()
-        .map(|c| schema.column_index(c))
+        .map(|c| {
+            schema
+                .column_index(c)
+                .filter(|i| !key_idx.contains(&Some(*i)))
+        })
         .collect();
-    let key_idx: Vec<Option<usize>> = keys.iter().map(|(c, _)| schema.column_index(c)).collect();
     let rows = node_rows
         .iter()
         .map(|nodes| {
             let data_values: Vec<Value> = nodes.iter().map(|n| node_value(document, *n)).collect();
             let mut row: Row = vec![Value::Null; schema.arity()];
-            for (value, idx) in data_values.iter().zip(&data_idx) {
-                if let Some(idx) = *idx {
-                    row[idx] = value.clone();
-                }
-            }
+            // Keys first, from the borrowed data values; then the values move
+            // into the row.
             for ((_, spec), idx) in keys.iter().zip(&key_idx) {
                 if let Some(idx) = *idx {
                     let key = eval_key(document, nodes, &data_values, spec).unwrap_or(Value::Null);
                     row[idx] = map_key(key, spec);
+                }
+            }
+            for (value, idx) in data_values.into_iter().zip(&data_idx) {
+                if let Some(idx) = *idx {
+                    row[idx] = value;
                 }
             }
             row
@@ -817,6 +824,35 @@ mod tests {
                 )],
                 data_columns: vec!["friend_pid".to_string(), "years".to_string()],
             })
+    }
+
+    #[test]
+    fn a_key_column_that_is_also_a_data_column_keeps_the_key() {
+        let doc = social_network(3, 1);
+        let schema = schema();
+        let person = schema.table("person").unwrap();
+        let data_columns = ["pk".to_string(), "name".to_string()];
+        let keys = [("pk".to_string(), KeySpec::SyntheticPrimary)];
+        let program = person_program();
+        let (rows, _) = execute_table(
+            &doc,
+            &program,
+            person,
+            &data_columns,
+            &keys,
+            None,
+            |key, _| key,
+        )
+        .unwrap();
+        let (node_rows, _) = execute_nodes_budgeted(&doc, &program, None).unwrap();
+        assert_eq!(rows.len(), 3);
+        for (row, nodes) in rows.iter().zip(&node_rows) {
+            // The key joins two node ids, so it never equals the `id` value.
+            assert_eq!(row[0].render(), crate::keys::node_key(nodes).render());
+            assert!(row[0].render().contains('_'));
+            assert!(row[1].is_null(), "pid is neither a data nor a key column");
+            assert_eq!(row[2], node_value(&doc, nodes[1]));
+        }
     }
 
     #[test]

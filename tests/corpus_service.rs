@@ -1,14 +1,16 @@
 //! Integration tests for the checkpointed corpus migration service
-//! (DESIGN.md §12): crash-resume byte-identity at 1 vs 4 threads, exact
-//! quarantine of a seeded malformed fraction with zero FK violations,
-//! synthesize-once-per-shape verified through the `synth.candidates.examined`
-//! counter, and escalating retries under a row budget.
+//! (DESIGN.md §12): crash-resume byte-identity at 1 vs 4 threads (with one
+//! shape and with two), exact quarantine of a seeded malformed fraction with
+//! zero FK violations, synthesize-once-per-shape verified through the
+//! `synth.candidates.examined` counter, parse-once verified through the
+//! `ingest.xml.docs` counter, and escalating retries under a row budget.
 //!
 //! Fault injection and metrics counters are process-global, so the tests
 //! serialize on one mutex.
 
 use mitra::datagen::fuzz::{mixed_corpus, mixer_job, CorpusMix};
-use mitra::migrate::corpus::{resume, run, CorpusError, CorpusJob, FailureKind};
+use mitra::migrate::corpus::{parse_corpus_text, resume, run, CorpusError, CorpusJob, FailureKind};
+use mitra::synth::fingerprint::fingerprint;
 use mitra::trace::fault::{set_fault, FaultSpec};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -112,6 +114,106 @@ fn crash_resume_is_byte_identical_to_an_uninterrupted_run() {
         per_thread_artifacts[0], per_thread_artifacts[1],
         "artifacts must be byte-identical at 1 vs 4 threads"
     );
+}
+
+#[test]
+fn two_shape_crash_resume_is_byte_identical_to_an_uninterrupted_run() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // Seed 25's second shape first appears in shard 2.
+    let mix = CorpusMix {
+        seed: 25,
+        docs: 64,
+        malformed_pct: 10,
+        promo_pct: 20,
+    };
+    let corpus = mixed_corpus(&mix);
+    // The second shape's exemplar: the first document whose fingerprint
+    // differs from the first well-formed document's.
+    let fingerprints: Vec<_> = parse_corpus_text(&corpus.text)
+        .iter()
+        .map(|doc| {
+            mitra::hdt::xml::xml_to_hdt(doc.text)
+                .ok()
+                .map(|t| fingerprint(&t))
+        })
+        .collect();
+    let first = fingerprints.iter().flatten().next().unwrap();
+    let second = fingerprints
+        .iter()
+        .position(|fp| fp.is_some_and(|fp| fp != *first))
+        .expect("the corpus has a second shape");
+    let shard_size = 8;
+    assert!(
+        second >= shard_size,
+        "the second shape starts after shard 0"
+    );
+    let crash = second / shard_size + 1;
+    assert!(crash < mix.docs / shard_size, "the crash shard exists");
+    for threads in [1usize, 4] {
+        let job = mixer_job_with(threads, shard_size);
+        let clean_dir = temp_dir(&format!("two-shape-clean-t{threads}"));
+        let clean = run(&job, &corpus.text, &clean_dir).unwrap();
+        assert_eq!((clean.shapes, clean.programs_synthesized), (2, 4));
+
+        // Crash after the exemplar's shard is checkpointed: the resume must
+        // find that exemplar again while scanning checkpointed shards.
+        let faulted_dir = temp_dir(&format!("two-shape-faulted-t{threads}"));
+        let _fault_guard = FaultGuard;
+        set_fault(FaultSpec::parse(&format!("panic:corpus.shard:{crash}")));
+        match run(&job, &corpus.text, &faulted_dir) {
+            Err(CorpusError::ShardPanicked { shard, .. }) => assert_eq!(shard, crash),
+            other => panic!("expected a shard panic, got {other:?}"),
+        }
+        set_fault(None);
+        let resumed = resume(&job, &corpus.text, &faulted_dir).unwrap();
+        assert!(resumed.resumed_shards >= crash);
+        assert_eq!(
+            artifacts(&clean_dir),
+            artifacts(&faulted_dir),
+            "interrupted+resumed artifacts must be byte-identical (threads={threads})"
+        );
+        // A resume with nothing pending reads the shape counts from the
+        // journal's `synth` record.
+        let again = resume(&job, &corpus.text, &faulted_dir).unwrap();
+        assert_eq!(again.resumed_shards, clean.shards);
+        assert_eq!(again.summary_json(), clean.summary_json());
+        // Re-running only shard 0 still scans to the corpus end, so the
+        // second shape is counted again.
+        std::fs::remove_file(faulted_dir.join("shards").join("shard-000000.tbl")).unwrap();
+        let rerun = resume(&job, &corpus.text, &faulted_dir).unwrap();
+        assert_eq!(rerun.resumed_shards, clean.shards - 1);
+        assert_eq!(artifacts(&clean_dir), artifacts(&faulted_dir));
+        std::fs::remove_dir_all(&clean_dir).ok();
+        std::fs::remove_dir_all(&faulted_dir).ok();
+    }
+}
+
+#[test]
+fn a_fresh_run_parses_each_well_formed_document_once() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mix = CorpusMix {
+        seed: 5,
+        docs: 120,
+        malformed_pct: 10,
+        promo_pct: 30,
+    };
+    let corpus = mixed_corpus(&mix);
+    let well_formed = (mix.docs - corpus.malformed.len()) as u64;
+    for threads in [1usize, 4] {
+        let job = mixer_job_with(threads, 16);
+        let dir = temp_dir(&format!("parse-once-t{threads}"));
+        let before = mitra::trace::snapshot();
+        let report = run(&job, &corpus.text, &dir).unwrap();
+        let parses = mitra::trace::snapshot()
+            .delta(&before)
+            .counter("ingest.xml.docs");
+        assert_eq!(report.shapes, 2);
+        assert_eq!(
+            parses, well_formed,
+            "every well-formed document is parsed once (threads={threads})"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

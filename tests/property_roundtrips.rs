@@ -15,6 +15,7 @@ use mitra::hdt::{parse_json, Hdt, HdtError, JsonValue, NodeId};
 use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter, ShardRecord};
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
 use mitra::migrate::corpus::{FailureKind, QuarantineRecord};
+use mitra::migrate::database::ConstraintViolation;
 use mitra::migrate::query::run_query;
 use mitra::migrate::sql::{dump_ddl, dump_sql, quote_ident};
 use mitra::migrate::{Column, Database, Schema, TableSchema};
@@ -22,7 +23,7 @@ use mitra::parse_csv_table;
 use mitra::synth::exec::execute;
 use mitra::synth::fingerprint::{fingerprint, fnv1a, FNV_OFFSET};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Strategy for arbitrary JSON values of bounded depth: numbers with fractions and
 /// large and tiny magnitudes, and strings and keys that need escapes or hold
@@ -471,6 +472,16 @@ proptest! {
     }
 
     #[test]
+    fn constraint_checks_match_the_reference_implementation(
+        a in prop::collection::vec((key_cell(), key_cell()), 0..7),
+        b in prop::collection::vec((key_cell(), key_cell(), key_cell(), key_cell()), 0..7),
+        c in prop::collection::vec((key_cell(), key_cell(), key_cell()), 0..7)
+    ) {
+        let db = keyed_database(&a, &b, &c);
+        prop_assert_eq!(db.check_constraints(), reference_constraints(&db));
+    }
+
+    #[test]
     fn json_string_writer_roundtrips_through_parse_json(s in "[a-z\"\\\\/\n\r\t\u{1}\u{1f} é€]{0,16}") {
         let literal = json_string(&s);
         prop_assert_eq!(parse_json(&literal).expect("a JSON string literal parses"), JsonValue::String(s));
@@ -738,6 +749,160 @@ fn sql_cell() -> impl Strategy<Value = Value> {
         ]
         .prop_map(Value::str),
     ]
+}
+
+/// Key cells that collide under rendering: NULL, `Int`s and the `Str`s and
+/// `Float`s that render like them, the empty string, and text that looks
+/// like a length-prefixed key (`"1:11:1"` is how a two-column key of two
+/// `"1"` cells is written).
+fn key_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (0i64..3).prop_map(Value::Int),
+        (0i64..3).prop_map(|i| Value::str(i.to_string())),
+        Just(Value::Float(1.0)),
+        Just(Value::Float(2.5)),
+        Just(Value::str("2.5")),
+        Just(Value::str("")),
+        Just(Value::str("1:1")),
+        Just(Value::str("1:11:1")),
+        Just(Value::str("a")),
+        Just(Value::Bool(true)),
+        Just(Value::str("true")),
+    ]
+}
+
+/// Three tables: `a` with a two-column primary key; `b` with a one-column
+/// primary key and a two-column foreign key into `a`; `c` with no primary key,
+/// two foreign keys to `b`'s primary key, one to `b`'s non-key `name`, and one
+/// whose single column references `a`'s two (keys of different widths never
+/// match; only an unvalidated schema can hold it).
+fn keyed_database(
+    a: &[(Value, Value)],
+    b: &[(Value, Value, Value, Value)],
+    c: &[(Value, Value, Value)],
+) -> Database {
+    let schema = Schema::new()
+        .with_table(
+            TableSchema::new("a", vec![Column::text("k1"), Column::integer("k2")])
+                .with_primary_key(&["k1", "k2"]),
+        )
+        .with_table(
+            TableSchema::new(
+                "b",
+                vec![
+                    Column::integer("id"),
+                    Column::text("name"),
+                    Column::text("a1"),
+                    Column::integer("a2"),
+                ],
+            )
+            .with_primary_key(&["id"])
+            .with_foreign_key(&["a1", "a2"], "a", &["k1", "k2"]),
+        )
+        .with_table(
+            TableSchema::new(
+                "c",
+                vec![
+                    Column::integer("x"),
+                    Column::integer("y"),
+                    Column::text("z"),
+                ],
+            )
+            .with_foreign_key(&["x"], "b", &["id"])
+            .with_foreign_key(&["y"], "b", &["id"])
+            .with_foreign_key(&["z"], "b", &["name"])
+            .with_foreign_key(&["z"], "a", &["k1", "k2"]),
+        );
+    let mut db = Database::new(schema);
+    for (k1, k2) in a {
+        assert!(db.insert("a", vec![k1.clone(), k2.clone()]));
+    }
+    for (id, name, a1, a2) in b {
+        let row = vec![id.clone(), name.clone(), a1.clone(), a2.clone()];
+        assert!(db.insert("b", row));
+    }
+    for (x, y, z) in c {
+        assert!(db.insert("c", vec![x.clone(), y.clone(), z.clone()]));
+    }
+    db
+}
+
+/// `Database::check_constraints` as it was before keys were borrowed: every
+/// key a `Vec` of rendered cells, and one referenced-key set per foreign key.
+/// Kept as the reference for the violation list.
+fn reference_constraints(db: &Database) -> Vec<ConstraintViolation> {
+    let mut violations = Vec::new();
+    for ts in &db.schema.tables {
+        let Some(table) = db.table(&ts.name) else {
+            continue;
+        };
+        if table.rows.iter().any(|r| r.len() != ts.arity()) {
+            violations.push(ConstraintViolation::ArityMismatch {
+                table: ts.name.clone(),
+            });
+            continue;
+        }
+        if !ts.primary_key.is_empty() {
+            let idx: Vec<usize> = ts
+                .primary_key
+                .iter()
+                .filter_map(|c| ts.column_index(c))
+                .collect();
+            let mut seen: HashSet<Vec<String>> = HashSet::new();
+            for row in &table.rows {
+                let key: Vec<String> = idx.iter().map(|&i| row[i].render()).collect();
+                if idx.iter().any(|&i| row[i].is_null()) {
+                    violations.push(ConstraintViolation::NullInPrimaryKey {
+                        table: ts.name.clone(),
+                    });
+                }
+                if !seen.insert(key.clone()) {
+                    violations.push(ConstraintViolation::DuplicatePrimaryKey {
+                        table: ts.name.clone(),
+                        key,
+                    });
+                }
+            }
+        }
+        for fk in &ts.foreign_keys {
+            let (Some(ref_schema), Some(ref_table)) = (
+                db.schema.table(&fk.referenced_table),
+                db.table(&fk.referenced_table),
+            ) else {
+                continue;
+            };
+            let ref_idx: Vec<usize> = fk
+                .referenced_columns
+                .iter()
+                .filter_map(|c| ref_schema.column_index(c))
+                .collect();
+            let referenced_keys: HashSet<Vec<String>> = ref_table
+                .rows
+                .iter()
+                .map(|r| ref_idx.iter().map(|&i| r[i].render()).collect())
+                .collect();
+            let idx: Vec<usize> = fk
+                .columns
+                .iter()
+                .filter_map(|c| ts.column_index(c))
+                .collect();
+            for row in &table.rows {
+                let key: Vec<String> = idx.iter().map(|&i| row[i].render()).collect();
+                if idx.iter().any(|&i| row[i].is_null()) {
+                    continue;
+                }
+                if !referenced_keys.contains(&key) {
+                    violations.push(ConstraintViolation::DanglingForeignKey {
+                        table: ts.name.clone(),
+                        referenced_table: fk.referenced_table.clone(),
+                        key,
+                    });
+                }
+            }
+        }
+    }
+    violations
 }
 
 /// A database of two tables, the second with a foreign key into the first; each
