@@ -173,7 +173,7 @@ pub fn corpus_service_summary(report: &mitra_migrate::CorpusReport, out_dir: &st
     );
     let _ = writeln!(
         out,
-        "shapes: {} distinct; {} programs synthesized (cached per shape)",
+        "shapes: {} distinct; {} programs synthesized (once per shape)",
         report.shapes, report.programs_synthesized
     );
     let _ = writeln!(

@@ -37,6 +37,9 @@ pub enum CliError {
     Synthesis(String),
     /// Writing an output file failed.
     Output(String),
+    /// A corpus run stopped part-way (a shard worker crashed); the shards that
+    /// finished are journaled, so `corpus resume` continues from there.
+    Interrupted(String),
 }
 
 impl fmt::Display for CliError {
@@ -46,6 +49,7 @@ impl fmt::Display for CliError {
             CliError::Input(m) => write!(f, "input error: {m}"),
             CliError::Synthesis(m) => write!(f, "synthesis error: {m}"),
             CliError::Output(m) => write!(f, "output error: {m}"),
+            CliError::Interrupted(m) => write!(f, "interrupted: {m}"),
         }
     }
 }
@@ -109,7 +113,7 @@ of executing the program.
 The corpus service (`corpus gen` / `corpus run` / `corpus resume`) migrates a
 whole corpus of documents — one document per line — through the checkpointed
 pipeline of DESIGN.md §12: programs are synthesized once per document *shape*
-and cached, shards execute in deterministic waves, every completed shard is
+and reused, shards execute in deterministic waves, every completed shard is
 journaled (fsync'd, fixed field order) so `corpus resume` after a crash replays
 only unfinished shards and produces byte-identical tables, and malformed or
 budget-exhausted documents land in `<out-dir>/failure_ledger.jsonl` with a
@@ -302,14 +306,23 @@ fn corpus_service(args: &ParsedArgs, verb: &str) -> Result<String, CliError> {
         "resume" => mitra_migrate::corpus::resume(&job, &text, std::path::Path::new(out_dir)),
         _ => mitra_migrate::corpus::run(&job, &text, std::path::Path::new(out_dir)),
     }
-    .map_err(|e| match &e {
-        mitra_migrate::CorpusError::Io { .. } => CliError::Output(e.to_string()),
-        mitra_migrate::CorpusError::Corpus(_) | mitra_migrate::CorpusError::Journal(_) => {
+    .map_err(corpus_error)?;
+    Ok(commands::corpus_service_summary(&report, out_dir))
+}
+
+/// The CLI category of a corpus-service failure.  Failed documents never get here:
+/// the service quarantines them in its failure ledger.
+fn corpus_error(e: mitra_migrate::CorpusError) -> CliError {
+    use mitra_migrate::CorpusError;
+    match &e {
+        CorpusError::Io { .. } => CliError::Output(e.to_string()),
+        CorpusError::Corpus(_) | CorpusError::Journal(_) | CorpusError::Plan(_) => {
             CliError::Input(e.to_string())
         }
-        _ => CliError::Synthesis(e.to_string()),
-    })?;
-    Ok(commands::corpus_service_summary(&report, out_dir))
+        CorpusError::ShardPanicked { .. } => {
+            CliError::Interrupted(format!("{e}; `corpus resume` continues from the journal"))
+        }
+    }
 }
 
 /// Parses one optional `--budget-*` fuel limit; absent means unlimited.
@@ -646,6 +659,35 @@ mod tests {
             Err(CliError::Input(_))
         ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_corpus_error_maps_to_its_category() {
+        use mitra_migrate::{CorpusError, MigrationError};
+        let io = CorpusError::Io {
+            path: "out/shard-0.csv".into(),
+            error: "permission denied".into(),
+        };
+        assert_eq!(corpus_error(io.clone()), CliError::Output(io.to_string()));
+        for input in [
+            CorpusError::Corpus("empty corpus".into()),
+            CorpusError::Journal("bad header".into()),
+            CorpusError::Plan(MigrationError::UnknownTable("nope".into())),
+        ] {
+            assert_eq!(
+                corpus_error(input.clone()),
+                CliError::Input(input.to_string())
+            );
+        }
+        let crashed = corpus_error(CorpusError::ShardPanicked {
+            shard: 2,
+            message: "injected fault: corpus.shard#2".into(),
+        });
+        assert_eq!(
+            crashed.to_string(),
+            "interrupted: shard 2 worker panicked: injected fault: corpus.shard#2; \
+             `corpus resume` continues from the journal"
+        );
     }
 
     #[test]

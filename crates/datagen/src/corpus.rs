@@ -460,7 +460,7 @@ fn positional_pick(rng: &mut StdRng, columns: usize, size: usize) -> (Hdt, Table
         let mut phones = Vec::new();
         for p in 0..3 {
             let v = format!("555-{r}{p}{}", rng.gen_range(10..99));
-            tree.add_child_with_pos(rec, "phone", p, Some(v.clone()));
+            tree.add_child(rec, "phone", Some(v.clone()));
             phones.push(v);
         }
         for phone in phones.iter().take(picks) {

@@ -16,7 +16,7 @@
 //! that the dataset already obeys these constraints").
 
 use mitra_dsl::{Table, Value};
-use mitra_hdt::{Hdt, NodeId};
+use mitra_hdt::Hdt;
 use mitra_migrate::migrate::{MigrationPlan, TableSource, TableTask};
 use mitra_migrate::schema::{Column, Schema, TableSchema};
 use mitra_synth::dfa::DfaLimits;
@@ -216,11 +216,6 @@ pub fn document_text(spec: &DatasetSpec, per_entity: usize) -> String {
     } else {
         crate::corpus::hdt_to_xml_text(&tree)
     }
-}
-
-/// Utility used by benches: count the elements (internal nodes) of a generated doc.
-pub fn element_count(tree: &Hdt) -> usize {
-    tree.ids().filter(|id: &NodeId| !tree.is_leaf(*id)).count()
 }
 
 // ---------------------------------------------------------------------------------

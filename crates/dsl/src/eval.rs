@@ -90,7 +90,7 @@ fn eval_column_from(tree: &Hdt, start: &[NodeId], pi: &ColumnExtractor) -> Vec<N
         ColumnExtractor::PChildren { inner, tag, pos } => {
             let base = eval_column_from(tree, start, inner);
             base.iter()
-                .flat_map(|n| tree.children_with_tag_pos(*n, *tag, *pos))
+                .filter_map(|n| tree.child(*n, *tag, *pos))
                 .collect()
         }
         ColumnExtractor::Descendants { inner, tag } => {

@@ -18,13 +18,13 @@
 //!
 //! The HDT mapping is the same as the XML one (Section 3), and so is the way it is
 //! built: the parser creates each node in the arena when its start tag or attribute
-//! is parsed, in document order, with `pos` 0, and numbers same-tag siblings in one
-//! pass once the page is parsed.  Each element becomes an internal node, each
-//! attribute a leaf child tagged with the attribute name, and an element's text one
-//! `text` leaf, created at its first non-blank text and holding all of its text with
-//! whitespace runs collapsed (raw-text elements keep theirs, trimmed).  A page with
-//! one top-level element (usually `<html>`) has that element as its root; a fragment
-//! with several gets a synthetic `html` root, added when the second one opens.
+//! is parsed, in document order, and the tree's index derives every `pos`.  Each
+//! element becomes an internal node, each attribute a leaf child tagged with the
+//! attribute name, and an element's text one `text` leaf, created at its first
+//! non-blank text and holding all of its text with whitespace runs collapsed
+//! (raw-text elements keep theirs, trimmed).  A page with one top-level element
+//! (usually `<html>`) has that element as its root; a fragment with several gets a
+//! synthetic `html` root, added when the second one opens.
 
 use crate::error::{HdtError, Result, MAX_PARSE_DEPTH};
 use crate::tree::{ElementText, Hdt};
@@ -242,7 +242,6 @@ impl<'a> Parser<'a> {
         if self.top_level == 0 {
             return Err(HdtError::parse("no elements found in HTML input", 0));
         }
-        self.tree.number_siblings();
         Ok(self.tree)
     }
 
@@ -370,7 +369,7 @@ impl<'a> Parser<'a> {
     /// becomes the root; the second puts a synthetic `html` root above it.
     fn create(&mut self, name: &str) -> NodeId {
         if let Some(open) = self.stack.last() {
-            return self.tree.add_child_with_pos(open.id, name, 0, None);
+            return self.tree.add_child(open.id, name, None);
         }
         self.top_level += 1;
         if self.top_level == 1 {
@@ -380,7 +379,7 @@ impl<'a> Parser<'a> {
         if self.top_level == 2 {
             self.tree.wrap_root("html");
         }
-        self.tree.add_child_with_pos(NodeId::ROOT, name, 0, None)
+        self.tree.add_child(NodeId::ROOT, name, None)
     }
 
     /// Consumes the contents of a raw-text element up to (and including) its closing
@@ -443,10 +442,9 @@ impl<'a> Parser<'a> {
                         self.skip_ws();
                         let value = self.parse_attribute_value();
                         let data = Some(decode_entities(&value));
-                        self.tree.add_child_with_pos(element, key, 0, data);
+                        self.tree.add_child(element, key, data);
                     } else {
-                        self.tree
-                            .add_child_with_pos(element, key, 0, Some(String::new()));
+                        self.tree.add_child(element, key, Some(String::new()));
                     }
                 }
             }

@@ -9,10 +9,13 @@
 //! Section 3 of the paper maps a JSON document to an HDT as follows: each key/value
 //! pair becomes a node whose tag is the key and whose data is the value (for scalar
 //! values); an object becomes an internal node with `data = nil`, created at its `{`;
-//! an array value under key `k` becomes its entries, nodes tagged `k` with `pos` 0, 1,
-//! 2, … (an array nested in an array flattens the same way).  The document's own
-//! entries hang under a root tagged `root`; a bare root array's entries are tagged
-//! `item`, and a bare root scalar is a `value` leaf.
+//! an array value under key `k` becomes its entries, nodes tagged `k` (an array
+//! nested in an array flattens the same way).  The document's own entries hang under
+//! a root tagged `root`; a bare root array's entries are tagged `item`, and a bare
+//! root scalar is a `value` leaf.  Like every tree's, a node's `pos` is derived by
+//! the tree's index: the `k` entries under one parent are numbered 0, 1, 2, … in
+//! document order, so nested arrays and repeated keys continue their key's
+//! numbering (`{"k": [[1, 2], 3], "k": 4}` gives `k` positions 0 to 3).
 //!
 //! A scalar's data is its text: a string's content, `true`, `false` or `null`, and for
 //! a number [`format_number`] of its `f64` (`1.50` is stored as `1.5`, `1e2` as
@@ -202,13 +205,8 @@ struct TreeBuilder {
 enum Open {
     /// An object whose entries become children of this node.
     Object(NodeId),
-    /// An array whose entries become children of `parent` tagged `tag`, the next one
-    /// at `pos`.
-    Array {
-        parent: NodeId,
-        tag: TagId,
-        pos: usize,
-    },
+    /// An array whose entries become children of `parent` tagged `tag`.
+    Array { parent: NodeId, tag: TagId },
 }
 
 impl TreeBuilder {
@@ -222,14 +220,11 @@ impl TreeBuilder {
         }
     }
 
-    /// The parent, tag and `pos` of the next value, or `None` at the top level.
-    fn slot(&mut self) -> Option<(NodeId, TagId, usize)> {
-        match self.open.last_mut()? {
-            Open::Object(node) => Some((*node, self.key, 0)),
-            Open::Array { parent, tag, pos } => {
-                *pos += 1;
-                Some((*parent, *tag, *pos - 1))
-            }
+    /// The parent and tag of the next value, or `None` at the top level.
+    fn slot(&self) -> Option<(NodeId, TagId)> {
+        match self.open.last()? {
+            Open::Object(node) => Some((*node, self.key)),
+            Open::Array { parent, tag } => Some((*parent, *tag)),
         }
     }
 }
@@ -238,7 +233,7 @@ impl Builder for TreeBuilder {
     fn begin_object(&mut self) {
         // The document's object is the root itself.
         let node = match self.slot() {
-            Some((parent, tag, pos)) => self.tree.add_child_with_pos(parent, tag, pos, None),
+            Some((parent, tag)) => self.tree.add_child(parent, tag, None),
             None => NodeId::ROOT,
         };
         self.open.push(Open::Object(node));
@@ -246,14 +241,10 @@ impl Builder for TreeBuilder {
 
     fn begin_array(&mut self) {
         // An array makes no node: its entries take its slot's parent and tag.
-        let (parent, tag, _) = self
+        let (parent, tag) = self
             .slot()
-            .unwrap_or_else(|| (NodeId::ROOT, TagId::from("item"), 0));
-        self.open.push(Open::Array {
-            parent,
-            tag,
-            pos: 0,
-        });
+            .unwrap_or_else(|| (NodeId::ROOT, TagId::from("item")));
+        self.open.push(Open::Array { parent, tag });
     }
 
     fn key(&mut self, key: Cow<'_, str>) {
@@ -265,16 +256,16 @@ impl Builder for TreeBuilder {
     }
 
     fn scalar(&mut self, scalar: Scalar<'_>) {
-        let (parent, tag, pos) = self
+        let (parent, tag) = self
             .slot()
-            .unwrap_or_else(|| (NodeId::ROOT, TagId::from("value"), 0));
+            .unwrap_or_else(|| (NodeId::ROOT, TagId::from("value")));
         let data = match scalar {
             Scalar::Null => "null".to_string(),
             Scalar::Bool(b) => b.to_string(),
             Scalar::Number(n) => format_number(n),
             Scalar::String(s) => s.into_owned(),
         };
-        self.tree.add_child_with_pos(parent, tag, pos, Some(data));
+        self.tree.add_child(parent, tag, Some(data));
     }
 }
 
@@ -844,9 +835,27 @@ mod tests {
             ks.iter().map(|&k| (tree.pos(k), tree.data(k))).collect();
         assert_eq!(
             entries,
-            [(0, Some("1")), (1, Some("2")), (1, Some("3")), (2, None)]
+            [(0, Some("1")), (1, Some("2")), (2, Some("3")), (3, None)]
         );
         assert_eq!(tree.data(tree.child(ks[3], "a", 0).unwrap()), Some("true"));
+    }
+
+    #[test]
+    fn nested_arrays_and_repeated_keys_continue_their_keys_numbering() {
+        for (text, tag) in [
+            (r#"{"a":1,"a":2}"#, "a"),
+            (r#"{"a":[1,2],"a":[3]}"#, "a"),
+            ("[[1],[2,3]]", "item"),
+        ] {
+            let tree = json_to_hdt(text).unwrap();
+            tree.validate().unwrap();
+            let entries = tree.children_with_tag(tree.root(), tag);
+            let positions: Vec<usize> = entries.iter().map(|&e| tree.pos(e)).collect();
+            assert_eq!(positions, (0..entries.len()).collect::<Vec<_>>(), "{text}");
+            for (pos, &entry) in entries.iter().enumerate() {
+                assert_eq!(tree.child(tree.root(), tag, pos), Some(entry), "{text}");
+            }
+        }
     }
 
     #[test]

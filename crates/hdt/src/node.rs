@@ -2,7 +2,8 @@
 //!
 //! A node is the triple `(tag, pos, data)` of Definition 1.  Nodes are stored in a flat
 //! arena inside [`crate::tree::Hdt`] and referenced by [`NodeId`], a small copyable
-//! index.  Keeping nodes in an arena (rather than `Rc`-linked structures) makes the
+//! index.  A node stores its tag and data; its `pos` is a function of the tree, which
+//! the tree's index derives (see [`crate::tree`]).  Keeping nodes in an arena (rather than `Rc`-linked structures) makes the
 //! synthesis algorithms cheap: node sets become sorted `Vec<NodeId>`s and hashing a
 //! DFA state is hashing a slice of `u32`s.
 
@@ -41,15 +42,13 @@ impl From<u32> for NodeId {
 
 /// A single node of a hierarchical data tree.
 ///
-/// Mirrors Definition 1: `tag` is the label (an interned [`TagId`]), `pos` the position
-/// among same-tag siblings and `data` the payload (only meaningful for leaves).  The
-/// parent/children links are maintained by the owning [`crate::Hdt`].
+/// Mirrors Definition 1: `tag` is the label (an interned [`TagId`]) and `data` the
+/// payload (only meaningful for leaves).  The parent/children links are maintained by
+/// the owning [`crate::Hdt`], which also answers the node's `pos` ([`crate::Hdt::pos`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Label of the node (XML element name, JSON key, synthetic tag, ...), interned.
     pub tag: TagId,
-    /// `pos` means this node is the `pos`'th child with tag `tag` under its parent.
-    pub pos: usize,
     /// Data stored at the node.  `None` for internal nodes, `Some` for leaves.
     pub data: Option<String>,
     /// Parent link (`None` only for the root).
@@ -60,10 +59,9 @@ pub struct Node {
 
 impl Node {
     /// Creates a new node with no parent/children links yet.
-    pub fn new(tag: impl Into<TagId>, pos: usize, data: Option<String>) -> Self {
+    pub fn new(tag: impl Into<TagId>, data: Option<String>) -> Self {
         Node {
             tag: tag.into(),
-            pos,
             data,
             parent: None,
             children: Vec::new(),
@@ -94,7 +92,7 @@ mod tests {
 
     #[test]
     fn leaf_detection() {
-        let mut n = Node::new("name", 0, Some("Alice".into()));
+        let mut n = Node::new("name", Some("Alice".into()));
         assert!(n.is_leaf());
         n.children.push(NodeId(3));
         assert!(!n.is_leaf());

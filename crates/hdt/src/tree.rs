@@ -14,18 +14,15 @@
 //!   returns a contiguous slice, instead of a full subtree walk;
 //! * **children sorted by tag**, every node's children in one flat array, node after
 //!   node, making [`Hdt::children_with_tag`] two binary searches in the node's span
-//!   that return a slice in document order.
+//!   that return a slice in document order;
+//! * **every node's `pos`**, its offset in its tag's run of that array: the number of
+//!   earlier siblings with its tag, as Definition 1 asks.  [`Hdt::pos`] reads it, and
+//!   [`Hdt::child`] is the `pos`'th entry of [`Hdt::children_with_tag`].
 //!
-//! The index is built on first query and invalidated by mutation (`add_child*`), so
-//! construction stays cheap and read-heavy workloads (synthesis, evaluation) pay the
-//! build cost exactly once per tree.
-//!
-//! A node's `pos` comes from one of three places.  [`Hdt::add_child_with_pos`] takes
-//! it from the caller (the JSON plug-in numbers array entries itself).
-//! [`Hdt::add_child`] counts the parent's earlier children with the same tag in a
-//! `(parent, tag)` map, which it brings up to date with any nodes added since it last
-//! ran.  The XML and HTML plug-ins create every node with `pos` 0 and number all
-//! siblings in one pass when the document is parsed, with no map.
+//! The index is built on first query and invalidated by mutation ([`Hdt::add_child`]),
+//! so construction stays cheap and read-heavy workloads (synthesis, evaluation) pay
+//! the build cost exactly once per tree.  No node stores its `pos`, so every
+//! ingestion path builds a tree with the one mutator, a plain push.
 
 use crate::error::{HdtError, Result};
 use crate::intern::TagId;
@@ -52,6 +49,8 @@ struct TreeIndex {
     children_by_tag: Vec<NodeId>,
     /// Node `n`'s children sit at `children_by_tag[child_start[n]..child_start[n + 1]]`.
     child_start: Vec<u32>,
+    /// Each node's offset in its tag's run of its parent's span (0 for the root).
+    pos: Vec<u32>,
 }
 
 /// All nodes carrying one tag, sorted by pre-order number.  `pre` and `nodes` are
@@ -117,14 +116,28 @@ impl TreeIndex {
         let occurrences: HashMap<TagId, TagOccurrences> = lists.into_iter().collect();
 
         // Children sorted by tag, node after node; the sort is stable, so each
-        // tag's children keep their document order.
+        // tag's children keep their document order, and a child's offset in its
+        // tag's run is its `pos`.
         let mut children_by_tag: Vec<NodeId> = Vec::with_capacity(n.saturating_sub(1));
         let mut child_start: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut pos = vec![0u32; n];
         for node in &tree.nodes {
             let start = children_by_tag.len();
             child_start.push(start as u32);
             children_by_tag.extend_from_slice(&node.children);
-            children_by_tag[start..].sort_by_key(|c| tree.node(*c).tag);
+            let span = &mut children_by_tag[start..];
+            span.sort_by_key(|c| tree.node(*c).tag);
+            let mut run_tag = None;
+            let mut offset = 0;
+            for c in span.iter() {
+                let tag = tree.node(*c).tag;
+                if run_tag != Some(tag) {
+                    run_tag = Some(tag);
+                    offset = 0;
+                }
+                pos[c.index()] = offset;
+                offset += 1;
+            }
         }
         child_start.push(children_by_tag.len() as u32);
 
@@ -135,6 +148,7 @@ impl TreeIndex {
             occurrences,
             children_by_tag,
             child_start,
+            pos,
         }
     }
 }
@@ -145,33 +159,24 @@ impl TreeIndex {
 #[derive(Debug)]
 pub struct Hdt {
     nodes: Vec<Node>,
-    /// Number of children with a given tag under a parent, counting the arena's
-    /// first `counted` nodes only.  Only [`Hdt::add_child`] reads it, after folding
-    /// in the nodes added since; it makes automatic `pos` assignment O(1) instead of
-    /// a scan over the parent's children (quadratic ingestion for wide nodes).
-    child_tag_counts: HashMap<(NodeId, TagId), usize>,
-    /// How many nodes, in arena order, `child_tag_counts` covers.
-    counted: usize,
     /// Lazily built navigation index; cleared by every mutation.
     index: OnceLock<TreeIndex>,
 }
 
-/// Cloning copies the tree structure and construction bookkeeping but *not* the
-/// derived index: a clone starts cold and rebuilds on its first indexed query.  This
-/// keeps clones cheap and gives benchmarks a way to measure the index build.
+/// Cloning copies the tree structure but *not* the derived index: a clone starts cold
+/// and rebuilds on its first indexed query.  This keeps clones cheap and gives
+/// benchmarks a way to measure the index build.
 impl Clone for Hdt {
     fn clone(&self) -> Self {
         Hdt {
             nodes: self.nodes.clone(),
-            child_tag_counts: self.child_tag_counts.clone(),
-            counted: self.counted,
             index: OnceLock::new(),
         }
     }
 }
 
-/// Equality considers only the tree structure; the derived index and construction
-/// bookkeeping are ignored (they are functions of the nodes).
+/// Equality considers only the tree structure; the derived index is ignored (it is a
+/// function of the nodes).
 impl PartialEq for Hdt {
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes
@@ -184,9 +189,7 @@ impl Hdt {
     /// Creates a tree consisting only of a root node with the given tag.
     pub fn with_root(tag: impl Into<TagId>) -> Self {
         Hdt {
-            nodes: vec![Node::new(tag, 0, None)],
-            child_tag_counts: HashMap::new(),
-            counted: 0,
+            nodes: vec![Node::new(tag, None)],
             index: OnceLock::new(),
         }
     }
@@ -237,10 +240,11 @@ impl Hdt {
         self.node(id).tag.as_str()
     }
 
-    /// Position of a node among same-tag siblings.
+    /// Position of a node among same-tag siblings: how many of its parent's earlier
+    /// children share its tag (0 for the root).  Read from the navigation index.
     #[inline]
     pub fn pos(&self, id: NodeId) -> usize {
-        self.node(id).pos
+        self.index().pos[id.index()] as usize
     }
 
     /// Data stored at a node (only leaves carry data).
@@ -285,69 +289,23 @@ impl Hdt {
         let _ = self.index();
     }
 
-    /// Adds a child node under `parent`.  The `pos` field is computed automatically as
-    /// the number of existing children of `parent` with the same tag (O(1) via the
-    /// per-parent tag counts).
+    /// Adds a child node as the last child of `parent`.  Its `pos` is derived, when
+    /// the index is next built, as the number of `parent`'s earlier children with the
+    /// same tag.
     pub fn add_child(
         &mut self,
         parent: NodeId,
         tag: impl Into<TagId>,
         data: Option<String>,
     ) -> NodeId {
-        let tag = tag.into();
-        // Fold in the nodes added since the last call, then count this one.
-        for node in &self.nodes[self.counted..] {
-            if let Some(p) = node.parent {
-                *self.child_tag_counts.entry((p, node.tag)).or_insert(0) += 1;
-            }
-        }
-        let count = self.child_tag_counts.entry((parent, tag)).or_insert(0);
-        let pos = *count;
-        *count += 1;
-        let id = self.add_child_with_pos(parent, tag, pos, data);
-        self.counted = self.nodes.len();
-        id
-    }
-
-    /// Adds a child node under `parent` with an explicit `pos` value.
-    pub fn add_child_with_pos(
-        &mut self,
-        parent: NodeId,
-        tag: impl Into<TagId>,
-        pos: usize,
-        data: Option<String>,
-    ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let mut node = Node::new(tag, pos, data);
+        let mut node = Node::new(tag, data);
         node.parent = Some(parent);
         self.nodes.push(node);
         self.nodes[parent.index()].children.push(id);
         // Any previously built index is stale now.
         self.index.take();
         id
-    }
-
-    /// Sets every node's `pos` to its index among its same-tag siblings, in one pass
-    /// over the child lists.  The XML and HTML parsers create nodes with `pos` 0 and
-    /// call this once the document is parsed.
-    pub(crate) fn number_siblings(&mut self) {
-        // Indexed by tag id; reset after each parent, touching only its children.
-        let mut counts: Vec<usize> = Vec::new();
-        for parent in 0..self.nodes.len() {
-            let children = std::mem::take(&mut self.nodes[parent].children);
-            for &c in &children {
-                let tag = self.nodes[c.index()].tag.id() as usize;
-                if tag >= counts.len() {
-                    counts.resize(tag + 1, 0);
-                }
-                self.nodes[c.index()].pos = counts[tag];
-                counts[tag] += 1;
-            }
-            for &c in &children {
-                counts[self.nodes[c.index()].tag.id() as usize] = 0;
-            }
-            self.nodes[parent].children = children;
-        }
     }
 
     /// Children of `id` whose tag equals `tag` (the `children` DSL construct), in
@@ -363,28 +321,12 @@ impl Hdt {
         &span[a..b]
     }
 
-    /// Children of `id` whose tag equals `tag` and whose pos equals `pos`
-    /// (the `pchildren` DSL construct).
-    pub fn children_with_tag_pos(
-        &self,
-        id: NodeId,
-        tag: impl Into<TagId>,
-        pos: usize,
-    ) -> Vec<NodeId> {
-        self.children_with_tag(id, tag)
-            .iter()
-            .copied()
-            .filter(|c| self.node(*c).pos == pos)
-            .collect()
-    }
-
-    /// A single child of `id` with the given tag and pos (the `child` node-extractor
-    /// construct of the predicate language).  Returns `None` if no such child exists.
+    /// The child of `id` with the given tag and pos (the `child` node-extractor
+    /// construct of the predicate language, and the one node `pchildren` selects
+    /// under `id`): the `pos`'th entry of [`Hdt::children_with_tag`].  Returns `None`
+    /// if no such child exists.
     pub fn child(&self, id: NodeId, tag: impl Into<TagId>, pos: usize) -> Option<NodeId> {
-        self.children_with_tag(id, tag)
-            .iter()
-            .copied()
-            .find(|c| self.node(*c).pos == pos)
+        self.children_with_tag(id, tag).get(pos).copied()
     }
 
     /// All (strict) descendants of `id` with the given tag, in pre-order
@@ -487,8 +429,8 @@ impl Hdt {
             .max(1)
     }
 
-    /// Validates internal consistency (parent/child symmetry and pos correctness).
-    /// Intended for tests and debugging.
+    /// Validates internal consistency (parent/child symmetry).  Intended for tests
+    /// and debugging.
     pub fn validate(&self) -> Result<()> {
         if self.nodes.is_empty() {
             return Err(HdtError::Structure("tree has no nodes".into()));
@@ -498,26 +440,12 @@ impl Hdt {
         }
         for id in self.ids() {
             let n = self.node(id);
-            // pos must equal the index among same-tag siblings; counting with a
-            // per-tag map keeps validation linear in the child count.
-            let mut tag_counts: HashMap<TagId, usize> = HashMap::new();
             for c in &n.children {
-                let child = self.try_node(*c)?;
-                if child.parent != Some(id) {
+                if self.try_node(*c)?.parent != Some(id) {
                     return Err(HdtError::Structure(format!(
                         "child {c} of {id} has wrong parent link"
                     )));
                 }
-                let expected = tag_counts.entry(child.tag).or_insert(0);
-                if child.pos != *expected {
-                    return Err(HdtError::Structure(format!(
-                        "{c} has pos {} but is the {}'th `{}` child of {id}",
-                        child.pos,
-                        expected,
-                        child.tag.as_str()
-                    )));
-                }
-                *expected += 1;
             }
             if let Some(p) = n.parent {
                 if !self.node(p).children.contains(&id) {
@@ -541,20 +469,10 @@ impl Hdt {
                 *child = shift(*child);
             }
         }
-        let mut root = Node::new(tag, 0, None);
+        let mut root = Node::new(tag, None);
         root.children.push(NodeId(1));
         self.nodes.insert(0, root);
-        // Every count's parent shifted: the next `add_child` recounts them all.
-        self.child_tag_counts.clear();
-        self.counted = 0;
         self.index.take();
-    }
-
-    /// Test-only access to the raw node storage (used to corrupt trees on purpose).
-    #[cfg(test)]
-    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Node> {
-        self.index.take();
-        &mut self.nodes
     }
 }
 
@@ -562,8 +480,6 @@ impl Hdt {
 /// `text` leaf.  The XML and HTML parsers create that leaf at the element's first
 /// non-blank text, so it sits at that text's document position (after any child
 /// elements that precede the text), and fill in its data when the element closes.
-/// Like every node the markup parsers create, the leaf gets `pos` 0 until
-/// `Hdt::number_siblings` runs.
 #[derive(Debug, Default)]
 pub(crate) struct ElementText {
     leaf: Option<NodeId>,
@@ -582,7 +498,7 @@ impl ElementText {
         };
         if !text.is_empty() {
             self.leaf
-                .get_or_insert_with(|| tree.add_child_with_pos(element, "text", 0, None));
+                .get_or_insert_with(|| tree.add_child(element, "text", None));
             self.text.push_str(text);
         }
     }
@@ -602,8 +518,8 @@ impl ElementText {
 /// Convenience builder for constructing trees in a nested, declarative style.
 ///
 /// All four ingestion paths (XML, JSON, HTML and the synthetic generators) funnel
-/// through the same arena mutators ([`Hdt::add_child`]/[`Hdt::add_child_with_pos`]),
-/// which intern every tag through the shared global interner.
+/// through the one arena mutator, [`Hdt::add_child`], which interns every tag through
+/// the shared global interner.
 ///
 /// ```
 /// use mitra_hdt::HdtBuilder;
@@ -721,10 +637,12 @@ mod tests {
     }
 
     #[test]
-    fn children_with_tag_pos_filters_both() {
+    fn child_filters_both_tag_and_pos() {
         let t = sample();
-        assert_eq!(t.children_with_tag_pos(t.root(), "Person", 1).len(), 1);
-        assert_eq!(t.children_with_tag_pos(t.root(), "Person", 5).len(), 0);
+        let persons = t.children_with_tag(t.root(), "Person");
+        assert_eq!(t.child(t.root(), "Person", 1), Some(persons[1]));
+        assert_eq!(t.child(t.root(), "Person", 5), None);
+        assert_eq!(t.child(t.root(), "name", 0), None);
     }
 
     #[test]
@@ -881,15 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_detects_bad_pos() {
-        let mut t = sample();
-        // Corrupt a pos on purpose.
-        let persons = t.children_with_tag(t.root(), "Person").to_vec();
-        t.nodes_mut()[persons[1].index()].pos = 7;
-        assert!(t.validate().is_err());
-    }
-
-    #[test]
     fn try_node_out_of_range_errors() {
         let t = sample();
         assert!(t.try_node(NodeId(9999)).is_err());
@@ -913,7 +822,7 @@ mod tests {
         assert_eq!(t.children(t.root()), &[NodeId(1)]);
         assert_eq!(t.tag_name(NodeId(1)), "root");
         assert_eq!(t.preorder(), t.ids().collect::<Vec<_>>());
-        // Later children of the new root get their pos from the shifted counts.
+        // Later children of the new root and of shifted nodes count their siblings.
         let root = t.root();
         let second = t.add_child(root, "root", None);
         assert_eq!(t.pos(second), 1);
@@ -936,8 +845,8 @@ mod tests {
         assert_ne!(t, u);
     }
 
-    /// How many of `child`'s siblings before it share its tag: the `pos` that
-    /// [`Hdt::add_child`] must give it.
+    /// How many of `child`'s siblings before it share its tag: the `pos` that the
+    /// index must derive for it.
     fn earlier_same_tag(t: &Hdt, child: NodeId) -> usize {
         let parent = t.parent(child).expect("not the root");
         let siblings = t.children(parent).iter().take_while(|&&c| c != child);
@@ -945,18 +854,18 @@ mod tests {
     }
 
     #[test]
-    fn add_child_counts_siblings_added_with_explicit_positions() {
-        // JSON-style explicit positions and automatic ones under one parent, in
-        // both orders, and under a parent that gets children after a later one.
+    fn add_child_counts_siblings_under_interleaved_parents() {
+        // Same-tag siblings under one parent, and under a parent that gets
+        // children after a later one.
         let mut t = Hdt::with_root("root");
         let root = t.root();
-        let first = t.add_child_with_pos(root, "a", 0, None);
-        t.add_child_with_pos(root, "a", 1, None);
+        let first = t.add_child(root, "a", None);
+        t.add_child(root, "a", None);
         let mut added = vec![t.add_child(root, "a", None)];
-        t.add_child_with_pos(root, "b", 0, None);
+        t.add_child(root, "b", None);
         added.push(t.add_child(root, "b", None));
         added.push(t.add_child(first, "c", None));
-        t.add_child_with_pos(first, "c", 1, None);
+        t.add_child(first, "c", None);
         added.push(t.add_child(root, "a", None));
         added.push(t.add_child(first, "c", None));
         let positions: Vec<usize> = added.iter().map(|&id| t.pos(id)).collect();
@@ -968,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn add_child_counts_siblings_numbered_by_the_parsers() {
+    fn add_child_counts_siblings_the_parsers_added() {
         let mut t = crate::xml::xml_to_hdt("<r><a/><b x=\"1\"/><a/>y<a/></r>").unwrap();
         let root = t.root();
         let b = t.children_with_tag(root, "b")[0];
@@ -998,8 +907,7 @@ mod tests {
 
     #[test]
     fn add_child_counts_siblings_after_wrap_root() {
-        // Wrapping a tree whose counts are current (built by `add_child`) and one
-        // whose counts were never taken (numbered by the XML parser's pass).
+        // Wrapping a tree built by `add_child` and one parsed from XML.
         let built = sample();
         let parsed = crate::xml::xml_to_hdt("<r><a/><a><b/></a></r>").unwrap();
         for mut t in [built, parsed] {
@@ -1023,12 +931,12 @@ mod tests {
     }
 
     #[test]
-    fn number_siblings_counts_each_parents_children_by_tag() {
-        // Children of an earlier parent added after a later parent's, all at pos 0.
+    fn pos_counts_each_parents_children_by_tag() {
+        // Children of an earlier parent added after a later parent's.
         let mut t = Hdt::with_root("r");
         let root = t.root();
-        let a = t.add_child_with_pos(root, "a", 0, None);
-        let b = t.add_child_with_pos(root, "b", 0, None);
+        let a = t.add_child(root, "a", None);
+        let b = t.add_child(root, "b", None);
         for (parent, tag) in [
             (b, "x"),
             (a, "x"),
@@ -1037,12 +945,25 @@ mod tests {
             (a, "y"),
             (a, "x"),
         ] {
-            t.add_child_with_pos(parent, tag, 0, None);
+            t.add_child(parent, tag, None);
         }
-        t.number_siblings();
         t.validate().unwrap();
         for id in t.ids().skip(1) {
             assert_eq!(t.pos(id), earlier_same_tag(&t, id), "{id}");
         }
+    }
+
+    #[test]
+    fn a_pos_read_after_a_mutation_counts_the_new_sibling() {
+        let mut t = sample();
+        let root = t.root();
+        let persons = t.children_with_tag(root, "Person").to_vec();
+        assert_eq!(t.pos(persons[1]), 1);
+        let third = t.add_child(root, "Person", None);
+        assert_eq!(t.pos(third), 2);
+        assert_eq!(t.child(root, "Person", 2), Some(third));
+        let name = t.add_child(persons[1], "name", None);
+        assert_eq!(t.pos(name), 1);
+        assert_eq!(t.pos(persons[1]), 1, "earlier siblings keep their pos");
     }
 }

@@ -12,8 +12,8 @@
 //! order: an element's node at its start tag, a leaf per attribute `a="v"` (tag `a`,
 //! data `v`), and one `text` leaf at the element's first non-blank text, whose data
 //! is the trimmed concatenation of all its text (see [`crate::tree`]'s
-//! `ElementText`).  Nodes are created with `pos` 0, and one pass over the finished
-//! arena numbers each among its same-tag siblings.
+//! `ElementText`).  The tree's index derives each node's `pos` among its same-tag
+//! siblings.
 //!
 //! There is no XML serializer here: [`escape`] and `mitra_datagen`'s
 //! `hdt_to_xml_text` write XML text.
@@ -36,7 +36,6 @@ pub fn xml_to_hdt(input: &str) -> Result<Hdt> {
             p.pos,
         ));
     }
-    p.tree.number_siblings();
     mitra_trace::counter_add!("ingest.xml.docs", 1);
     mitra_trace::counter_add!("ingest.xml.nodes", p.tree.len() as u64);
     Ok(p.tree)
@@ -190,7 +189,7 @@ impl<'a> Parser<'a> {
         self.bump(1);
         let name = self.parse_name()?;
         let id = match parent {
-            Some(parent) => self.tree.add_child_with_pos(parent, name, 0, None),
+            Some(parent) => self.tree.add_child(parent, name, None),
             None => {
                 self.tree = Hdt::with_root(name);
                 self.tree.root()
@@ -245,7 +244,7 @@ impl<'a> Parser<'a> {
                     let raw = &self.input[start..self.pos];
                     self.bump(1);
                     let value = unescape(raw, start)?.into_owned();
-                    self.tree.add_child_with_pos(id, key, 0, Some(value));
+                    self.tree.add_child(id, key, Some(value));
                 }
                 None => return Err(HdtError::parse("unexpected end of input in tag", self.pos)),
             }

@@ -113,9 +113,9 @@ fn enumerate_extractors(tree: &Hdt, depth: usize) -> Vec<NodeExtractor> {
         if id == tree.root() {
             continue;
         }
-        let n = tree.node(id);
-        if seen.insert((n.tag, n.pos)) {
-            tag_pos.push((n.tag, n.pos));
+        let key = (tree.tag(id), tree.pos(id));
+        if seen.insert(key) {
+            tag_pos.push(key);
         }
     }
     let mut all = vec![NodeExtractor::Id];

@@ -87,11 +87,11 @@ impl StateGraph {
         let letters_of: Vec<[usize; 3]> = tree
             .ids()
             .map(|id| {
-                let n = tree.node(id);
+                let tag = tree.tag(id);
                 [
-                    ExtractorStep::Children(n.tag),
-                    ExtractorStep::PChildren(n.tag, n.pos),
-                    ExtractorStep::Descendants(n.tag),
+                    ExtractorStep::Children(tag),
+                    ExtractorStep::PChildren(tag, tree.pos(id)),
+                    ExtractorStep::Descendants(tag),
                 ]
                 .map(|l| rank.get(&l).copied().unwrap_or(usize::MAX))
             })
@@ -354,8 +354,7 @@ pub fn alphabet_of(tree: &Hdt) -> Vec<ExtractorStep> {
         if id == tree.root() {
             continue;
         }
-        let n = tree.node(id);
-        tag_pos.insert((n.tag, n.pos));
+        tag_pos.insert((tree.tag(id), tree.pos(id)));
     }
     let mut tags: Vec<TagId> = tag_pos.iter().map(|(t, _)| *t).collect();
     tags.sort_by_key(|t| t.as_str());
@@ -420,7 +419,7 @@ mod tests {
                 .collect(),
             ExtractorStep::PChildren(tag, pos) => set
                 .iter()
-                .flat_map(|n| tree.children_with_tag_pos(*n, *tag, *pos))
+                .filter_map(|n| tree.child(*n, *tag, *pos))
                 .collect(),
             ExtractorStep::Descendants(tag) => set
                 .iter()

@@ -88,9 +88,9 @@ pub fn valid_node_extractors_with_nodes(
             if id == ex.tree.root() {
                 continue;
             }
-            let n = ex.tree.node(id);
-            if seen.insert((n.tag, n.pos)) {
-                tag_pos.push((n.tag, n.pos));
+            let key = (ex.tree.tag(id), ex.tree.pos(id));
+            if seen.insert(key) {
+                tag_pos.push(key);
             }
         }
     }

@@ -5,8 +5,8 @@
 //!   traversals on random trees, for every node and every tag: trees built in
 //!   document order, trees whose children are added to earlier parents, and trees
 //!   with wide nodes of many distinct tags;
-//! * `add_child` numbers a child by its earlier same-tag siblings, however it is
-//!   interleaved with `add_child_with_pos`;
+//! * a node's `pos`, which the index derives, is the number of its earlier same-tag
+//!   siblings, counted in its parent's child list, and `child` finds it;
 //! * the pre-order numbering must nest subtrees correctly;
 //! * interning must round-trip every tag produced by the XML, JSON and HTML parsers.
 
@@ -17,9 +17,8 @@ use mitra::hdt::{Hdt, NodeId};
 use mitra::intern;
 use proptest::prelude::*;
 
-/// Strategy for small random trees built through the arena mutators, mixing
-/// automatic (`add_child`) and explicit (`add_child_with_pos`) position assignment
-/// the way the JSON plug-in does.
+/// Strategy for small random trees built in document order through `add_child`,
+/// with queries in between.
 fn random_tree() -> impl Strategy<Value = Hdt> {
     let ops = prop::collection::vec((0u8..4, 0usize..5, 0usize..50), 1..60);
     ops.prop_map(|ops| {
@@ -53,9 +52,8 @@ fn random_tree() -> impl Strategy<Value = Hdt> {
 }
 
 /// Strategy for random trees built out of document order: every new node goes
-/// under any node created so far, by `add_child` or by `add_child_with_pos` with
-/// an arbitrary `pos`, with a query now and then so the index is built and then
-/// invalidated.  Tags come from an alphabet of 40.
+/// under any node created so far, with a query now and then so the index is built
+/// and then invalidated.  Tags come from an alphabet of 40.
 fn scattered_tree() -> impl Strategy<Value = Hdt> {
     let ops = prop::collection::vec((0u8..5, 0usize..1000, 0usize..40, 0usize..4), 1..80);
     ops.prop_map(|ops| {
@@ -64,11 +62,8 @@ fn scattered_tree() -> impl Strategy<Value = Hdt> {
             let parent = NodeId((parent % tree.len()) as u32);
             let tag = format!("s{tag}");
             match kind {
-                0 | 1 => {
+                0..=2 => {
                     tree.add_child(parent, tag.as_str(), None);
-                }
-                2 => {
-                    tree.add_child_with_pos(parent, tag.as_str(), pos, None);
                 }
                 3 => {
                     tree.add_child(parent, tag.as_str(), Some(pos.to_string()));
@@ -104,19 +99,19 @@ fn wide_tree() -> impl Strategy<Value = Hdt> {
 
 /// Checks every indexed lookup against its naive scan, for every node and tag.
 fn assert_lookups_agree(tree: &Hdt) -> Result<(), TestCaseError> {
+    let naive_positions: Vec<usize> = tree.ids().map(|id| naive_pos(tree, id)).collect();
     for id in tree.ids() {
+        prop_assert!(tree.pos(id) == naive_positions[id.index()], "pos({})", id);
         for tag in all_tags(tree) {
             let indexed: Vec<NodeId> = tree.children_with_tag(id, tag).to_vec();
             let naive = scan_children(tree, id, tag);
             prop_assert!(indexed == naive, "children({}, {})", id, tag);
             for pos in 0..4usize {
-                let with_pos: Vec<NodeId> = naive
+                let with_pos = naive
                     .iter()
                     .copied()
-                    .filter(|&c| tree.pos(c) == pos)
-                    .collect();
-                prop_assert_eq!(tree.children_with_tag_pos(id, tag, pos), with_pos.clone());
-                prop_assert_eq!(tree.child(id, tag, pos), with_pos.first().copied());
+                    .find(|c| naive_positions[c.index()] == pos);
+                prop_assert_eq!(tree.child(id, tag, pos), with_pos);
             }
             let descendants = tree.descendants_with_tag(id, tag).to_vec();
             prop_assert!(
@@ -142,6 +137,16 @@ fn walk_descendants(tree: &Hdt, id: NodeId, tag: mitra::TagId) -> Vec<NodeId> {
         stack.extend(tree.children(n).iter().rev());
     }
     out
+}
+
+/// How many of `id`'s siblings before it share its tag, by scanning its parent's
+/// child list (0 for the root): the reference for `Hdt::pos`.
+fn naive_pos(tree: &Hdt, id: NodeId) -> usize {
+    let Some(parent) = tree.parent(id) else {
+        return 0;
+    };
+    let earlier = tree.children(parent).iter().take_while(|&&c| c != id);
+    earlier.filter(|&&c| tree.tag(c) == tree.tag(id)).count()
 }
 
 /// Children of `id` tagged `tag`, by scanning its child list: the reference for
@@ -189,7 +194,7 @@ proptest! {
                 // child() must agree with position-filtering the naive result.
                 for pos in 0..3usize {
                     let via_child = tree.child(id, tag, pos);
-                    let via_naive = naive.iter().copied().find(|c| tree.pos(*c) == pos);
+                    let via_naive = naive.iter().copied().find(|&c| naive_pos(&tree, c) == pos);
                     prop_assert_eq!(via_child, via_naive);
                 }
             }
@@ -208,21 +213,22 @@ proptest! {
 
     #[test]
     fn add_child_counts_earlier_same_tag_siblings(
-        ops in prop::collection::vec((any::<bool>(), 0usize..1000, 0usize..6, 0usize..3), 1..80)
+        ops in prop::collection::vec((any::<bool>(), 0usize..1000, 0usize..6), 1..80)
     ) {
-        // `add_child` interleaved with `add_child_with_pos` under the same parents,
-        // as datagen's `contact` generator mixes them.
+        // Children added under any node so far, with a `pos` read now and then, so
+        // the index is built and then invalidated by the next `add_child`.
         let mut tree = Hdt::with_root("root");
-        for (automatic, parent, tag, pos) in ops {
+        for (read_now, parent, tag) in ops {
             let parent = NodeId((parent % tree.len()) as u32);
             let tag = intern::intern(&format!("c{tag}"));
-            if automatic {
-                let earlier = scan_children(&tree, parent, tag).len();
-                let id = tree.add_child(parent, tag, None);
+            let earlier = scan_children(&tree, parent, tag).len();
+            let id = tree.add_child(parent, tag, None);
+            if read_now {
                 prop_assert_eq!(tree.pos(id), earlier);
-            } else {
-                tree.add_child_with_pos(parent, tag, pos, None);
             }
+        }
+        for id in tree.ids() {
+            prop_assert!(tree.pos(id) == naive_pos(&tree, id), "pos({})", id);
         }
     }
 

@@ -73,37 +73,33 @@ fn json_to_hdt_oracle(value: &JsonValue) -> Hdt {
     match value {
         JsonValue::Object(fields) => {
             for (key, v) in fields {
-                add_entry(&mut tree, root, key, v, 0);
+                add_entry(&mut tree, root, key, v);
             }
         }
-        JsonValue::Array(items) => {
-            // A bare array at this level: entries become `item` nodes with increasing pos.
-            for (i, v) in items.iter().enumerate() {
-                add_entry(&mut tree, root, "item", v, i);
-            }
-        }
+        // A bare array at this level: entries become `item` nodes.
+        JsonValue::Array(_) => add_entry(&mut tree, root, "item", value),
         scalar => {
-            tree.add_child_with_pos(root, "value", 0, scalar_data(scalar));
+            tree.add_child(root, "value", scalar_data(scalar));
         }
     }
     tree
 }
 
-fn add_entry(tree: &mut Hdt, parent: NodeId, key: &str, value: &JsonValue, pos: usize) {
+fn add_entry(tree: &mut Hdt, parent: NodeId, key: &str, value: &JsonValue) {
     match value {
         JsonValue::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                add_entry(tree, parent, key, item, i);
+            for item in items {
+                add_entry(tree, parent, key, item);
             }
         }
         JsonValue::Object(fields) => {
-            let id = tree.add_child_with_pos(parent, key, pos, None);
+            let id = tree.add_child(parent, key, None);
             for (k, v) in fields {
-                add_entry(tree, id, k, v, 0);
+                add_entry(tree, id, k, v);
             }
         }
         scalar => {
-            tree.add_child_with_pos(parent, key, pos, scalar_data(scalar));
+            tree.add_child(parent, key, scalar_data(scalar));
         }
     }
 }
@@ -177,20 +173,23 @@ fn html_page() -> impl Strategy<Value = String> {
 }
 
 /// Parsed markup must validate and be numbered in document order: arena order is
-/// pre-order, because the parsers create each node when its start is parsed.  Its
-/// `pos` values, which the parsers assign in one pass at the end, must be the ones
-/// `add_child` gives: the tree rebuilt node by node with `add_child`, in arena
-/// order, equals it.
+/// pre-order, because the parsers create each node when its start is parsed.
 fn assert_document_order(tree: &Hdt) -> Result<(), TestCaseError> {
     prop_assert!(tree.validate().is_ok());
     prop_assert_eq!(tree.preorder(), tree.ids().collect::<Vec<_>>());
-    let mut rebuilt = Hdt::with_root(tree.tag(tree.root()));
+    assert_positions_count_earlier_siblings(tree)
+}
+
+/// Every node's `pos` is the number of its earlier same-tag siblings, counted in
+/// its parent's child list, and `child(parent, tag, pos)` finds it.
+fn assert_positions_count_earlier_siblings(tree: &Hdt) -> Result<(), TestCaseError> {
     for id in tree.ids().skip(1) {
         let parent = tree.parent(id).expect("only the root has no parent");
-        let data = tree.data(id).map(str::to_string);
-        prop_assert_eq!(rebuilt.add_child(parent, tree.tag(id), data), id);
+        let earlier = tree.children(parent).iter().take_while(|&&c| c != id);
+        let naive = earlier.filter(|&&c| tree.tag(c) == tree.tag(id)).count();
+        prop_assert!(tree.pos(id) == naive, "pos of {}", id);
+        prop_assert_eq!(tree.child(parent, tree.tag(id), naive), Some(id));
     }
-    prop_assert!(rebuilt == *tree, "add_child numbers siblings differently");
     Ok(())
 }
 
@@ -255,6 +254,14 @@ proptest! {
             let tree = json_to_hdt(&text).expect("serialized JSON parses");
             prop_assert!(tree == want, "json_to_hdt differs from the oracle on {}", text);
         }
+    }
+
+    #[test]
+    fn json_to_hdt_numbers_same_tag_siblings_consecutively(value in json_value(3)) {
+        // Nested arrays and repeated keys continue their key's numbering.
+        let tree = json_to_hdt(&value.to_string_compact()).expect("serialized JSON parses");
+        prop_assert!(tree.validate().is_ok());
+        assert_positions_count_earlier_siblings(&tree)?;
     }
 
     #[test]
