@@ -48,13 +48,14 @@ impl EmitKind {
 
 /// `synthesize`: learn a program from one (document, output CSV) example.
 ///
-/// Returns the rendered output (program text plus a short report).
+/// Returns the artifact (the program text or the generated code, ending in a
+/// newline) and a one-line `-- synthesized in …` report.
 pub fn synthesize(
     document: &str,
     output_csv: &str,
     format: DocFormat,
     emit: EmitKind,
-) -> Result<String, CliError> {
+) -> Result<(String, String), CliError> {
     let start = Instant::now();
     let tree = format.parse(document).map_err(MitraError::from)?;
     let example = Example::new(tree, parse_csv_table(output_csv)?);
@@ -72,15 +73,14 @@ pub fn synthesize(
     if !out.ends_with('\n') {
         out.push('\n');
     }
-    let _ = writeln!(
-        out,
+    let report = format!(
         "-- synthesized in {:.2}s ({} candidate table extractors, {} consistent programs, {} predicate atoms)",
         elapsed.as_secs_f64(),
         synthesis.profile.candidates_examined,
         synthesis.programs_found,
         synthesis.cost.atoms,
     );
-    Ok(out)
+    Ok((out, report))
 }
 
 /// `run`: evaluate a DSL program (in the paper's textual syntax) over a document and
@@ -350,12 +350,13 @@ mod tests {
 
     #[test]
     fn synthesize_emits_dsl_and_code() {
-        let dsl = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Dsl).unwrap();
+        let (dsl, report) = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Dsl).unwrap();
         assert!(dsl.contains("filter"));
-        assert!(dsl.contains("synthesized in"));
-        let xslt = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Xslt).unwrap();
+        assert!(!dsl.contains("synthesized in"));
+        assert!(report.contains("synthesized in"));
+        let (xslt, _) = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Xslt).unwrap();
         assert!(xslt.contains("xsl:stylesheet"));
-        let js = synthesize(XML, OUT, DocFormat::Xml, EmitKind::JavaScript).unwrap();
+        let (js, _) = synthesize(XML, OUT, DocFormat::Xml, EmitKind::JavaScript).unwrap();
         assert!(js.contains("function transform"));
     }
 
@@ -374,12 +375,7 @@ mod tests {
     fn run_round_trips_a_synthesized_program() {
         // Synthesize, print the DSL program, parse it back, and run it: the output must
         // match the original example.
-        let printed = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Dsl).unwrap();
-        let program_text: String = printed
-            .lines()
-            .filter(|l| !l.starts_with("--"))
-            .collect::<Vec<_>>()
-            .join("\n");
+        let (program_text, _) = synthesize(XML, OUT, DocFormat::Xml, EmitKind::Dsl).unwrap();
         let csv = run_program(XML, &program_text, DocFormat::Xml, false).unwrap();
         assert!(csv.contains("Ada,engineer"));
         assert!(csv.contains("Grace,admiral"));

@@ -188,8 +188,10 @@ fn dispatch(args: &ParsedArgs, command: &str) -> Result<String, CliError> {
                 Some(kind) => EmitKind::from_option(kind)?,
                 None => EmitKind::Dsl,
             };
-            let rendered = commands::synthesize(&document, &example, format, emit)?;
-            write_or_return(args, rendered)
+            let (artifact, report) = commands::synthesize(&document, &example, format, emit)?;
+            // The report goes to stderr, so stdout and `--out` carry the artifact alone.
+            eprintln!("{report}");
+            write_or_return(args, artifact)
         }
         "run" => {
             let program_path = args.require("program").map_err(CliError::Usage)?;
@@ -197,8 +199,8 @@ fn dispatch(args: &ParsedArgs, command: &str) -> Result<String, CliError> {
             let program_text = read_file(program_path)?;
             let document = read_file(input_path)?;
             let format = resolve_format(args, input_path)?;
-            // Strip report/comment lines so `synthesize --out p.dsl` output can be fed
-            // back directly.
+            // Strip comment lines, such as the report line older `synthesize --out`
+            // files end with.
             let program_text: String = program_text
                 .lines()
                 .filter(|l| !l.trim_start().starts_with("--"))
@@ -458,6 +460,42 @@ mod tests {
         assert!(plan.contains("output: rows sorted"), "{plan}");
         assert!(!plan.contains("Ada,engineer"), "{plan}");
         for path in [doc, example, program_file] {
+            let _ = fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn synthesize_out_writes_the_artifact_alone() {
+        let doc = temp_file("emit-doc.xml", XML);
+        let example = temp_file("emit-example.csv", OUT);
+        for (emit, last_line) in [
+            ("dsl", None),
+            ("xslt", Some("</xsl:stylesheet>")),
+            ("js", Some("module.exports = { transform };")),
+        ] {
+            let out = temp_file(&format!("emit-program.{emit}"), "");
+            run_cli([
+                "synthesize",
+                "--input",
+                doc.to_str().unwrap(),
+                "--output",
+                example.to_str().unwrap(),
+                "--emit",
+                emit,
+                "--out",
+                out.to_str().unwrap(),
+            ])
+            .unwrap();
+            let written = fs::read_to_string(&out).unwrap();
+            assert!(!written.contains("-- synthesized"), "{emit}: {written}");
+            let last = written.lines().last().unwrap();
+            match last_line {
+                Some(line) => assert_eq!(last, line, "{emit}"),
+                None => assert!(last.contains("filter"), "{emit}: {written}"),
+            }
+            let _ = fs::remove_file(out);
+        }
+        for path in [doc, example] {
             let _ = fs::remove_file(path);
         }
     }

@@ -6,6 +6,7 @@
 //! on.  [`Value`] captures this: it keeps the original text but compares numerically
 //! whenever both operands are numeric.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -35,9 +36,18 @@ impl Value {
         Value::scalar(s).unwrap_or_else(|| Value::Str(s.to_string()))
     }
 
+    /// `Value::from_data(raw).render()`, borrowing `raw` when the value is text
+    /// (a text value renders as itself), so only scalars allocate.
+    pub fn rendered_data(raw: &str) -> Cow<'_, str> {
+        match Value::scalar(raw) {
+            Some(v) => Cow::Owned(v.render()),
+            None => Cow::Borrowed(raw),
+        }
+    }
+
     /// The non-text value a data string parses to, or `None` when it stays a
-    /// string: the one classifier behind [`Value::from_data`] and
-    /// `From<String>`.
+    /// string: the one classifier behind [`Value::from_data`],
+    /// [`Value::rendered_data`] and `From<String>`.
     fn scalar(s: &str) -> Option<Value> {
         let t = s.trim();
         if t.is_empty() || t == "null" {
@@ -84,35 +94,55 @@ impl Value {
 
     /// Canonical textual rendering (what would be written into a CSV cell).
     pub fn render(&self) -> String {
+        self.text().into_owned()
+    }
+
+    /// [`Value::render`], borrowed unless the value is a number.
+    fn text(&self) -> Cow<'_, str> {
         match self {
-            Value::Null => String::new(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    format!("{}", *f as i64)
-                } else {
-                    format!("{f}")
-                }
-            }
-            Value::Bool(b) => b.to_string(),
-            Value::Str(s) => s.clone(),
+            Value::Null => Cow::Borrowed(""),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Float(f) => Cow::Owned(if f.fract() == 0.0 && f.abs() < 1e15 {
+                format!("{}", *f as i64)
+            } else {
+                format!("{f}")
+            }),
+            Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            Value::Str(s) => Cow::Borrowed(s),
         }
     }
 
     /// Comparison used by the DSL predicates: numeric when both sides are numeric,
-    /// textual otherwise.  NULL compares equal only to NULL and is unordered otherwise.
+    /// textual otherwise.  Two integers, and an integer against an integral float,
+    /// compare exactly, not through `f64`.  A boolean equals only a boolean (or its
+    /// own text); against anything else it orders by rendered text.  NULL compares
+    /// equal only to NULL and is unordered otherwise.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, Value::Null) => Some(Ordering::Equal),
             (Value::Null, _) | (_, Value::Null) => None,
-            _ => {
-                if let (Some(a), Some(b)) = (self.as_number(), other.as_number()) {
-                    a.partial_cmp(&b)
-                } else {
-                    Some(self.render().cmp(&other.render()))
-                }
-            }
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Int(i), Value::Float(f)) => compare_int_float(*i, *f),
+            (Value::Float(f), Value::Int(i)) => compare_int_float(*i, *f).map(Ordering::reverse),
+            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (Value::Bool(_), _) | (_, Value::Bool(_)) => Some(self.text().cmp(&other.text())),
+            _ => match (self.as_number(), other.as_number()) {
+                (Some(a), Some(b)) => a.partial_cmp(&b),
+                _ => Some(self.text().cmp(&other.text())),
+            },
         }
+    }
+}
+
+/// An integer against a float, exactly: an integral float converts to `i128`
+/// (saturating far outside `i64`'s range, which keeps the order); any other
+/// float is fractional, so below 2^52 in magnitude, or not finite, and the
+/// rounding of `i as f64` cannot cross it.
+fn compare_int_float(i: i64, f: f64) -> Option<Ordering> {
+    if f.fract() == 0.0 {
+        Some(i128::from(i).cmp(&(f as i128)))
+    } else {
+        (i as f64).partial_cmp(&f)
     }
 }
 
@@ -133,15 +163,16 @@ impl Eq for Value {}
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Hash consistently with `eq`: numeric values hash by their canonical numeric
-        // rendering, everything else by its text.
-        if let Some(n) = self.as_number() {
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                (n as i64).hash(state);
-            } else {
-                n.to_bits().hash(state);
+        // rendering, everything else (booleans included) by its text.
+        match self.as_number() {
+            Some(n) if !matches!(self, Value::Bool(_)) => {
+                if n.fract() == 0.0 && n.abs() < 1e15 {
+                    (n as i64).hash(state);
+                } else {
+                    n.to_bits().hash(state);
+                }
             }
-        } else {
-            self.render().hash(state);
+            _ => self.text().hash(state),
         }
         self.is_null().hash(state);
     }
@@ -276,5 +307,134 @@ mod tests {
             Value::str("apple").compare(&Value::str("banana")),
             Some(Ordering::Less)
         );
+    }
+
+    /// Data strings whose values meet at the edges of the typed comparison:
+    /// integers one apart above 2^53, spellings of one, booleans against 0 and 1,
+    /// the NULL spellings, non-finite text and plain text.
+    const POOL: [&str; 20] = [
+        "9007199254740992",
+        "9007199254740993",
+        "9007199254740994",
+        "9007199254740992.0",
+        "1",
+        "01",
+        "1.0",
+        "1e0",
+        "true",
+        "false",
+        "0",
+        "",
+        "null",
+        "NaN",
+        "1e400",
+        "abc",
+        "1a",
+        " x ",
+        "-0.0",
+        "2.5",
+    ];
+
+    fn hash_of(v: &Value) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn integers_compare_exactly_beyond_f64_precision() {
+        let big = Value::from_data("9007199254740993");
+        let below = Value::from_data("9007199254740992");
+        assert_ne!(big, below);
+        assert_eq!(big.compare(&below), Some(Ordering::Greater));
+        // An integral float compares with an integer through `i128`.
+        assert_eq!(below, Value::Float(9007199254740992.0));
+        assert_eq!(
+            big.compare(&Value::Float(9007199254740992.0)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            Value::Float(9007199254740992.0).compare(&big),
+            Some(Ordering::Less)
+        );
+        // `i64::MAX as f64` rounds up to 2^63; the integer stays below it.
+        assert_eq!(
+            Value::Int(i64::MAX).compare(&Value::Float(2f64.powi(63))),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(2).compare(&Value::Float(2.5)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(-3).compare(&Value::Float(-2.5)),
+            Some(Ordering::Less)
+        );
+    }
+
+    #[test]
+    fn booleans_equal_only_booleans_and_their_own_text() {
+        assert_ne!(Value::Bool(true), Value::Int(1));
+        assert_ne!(Value::Bool(false), Value::Int(0));
+        assert_ne!(Value::Bool(true), Value::Float(1.0));
+        assert_eq!(
+            Value::Bool(false).compare(&Value::Bool(true)),
+            Some(Ordering::Less)
+        );
+        // Against a non-boolean a boolean orders by rendered text.
+        assert_eq!(
+            Value::Bool(true).compare(&Value::Int(5)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(Value::Bool(true), Value::str("true"));
+        assert_eq!(hash_of(&Value::Bool(true)), hash_of(&Value::str("true")));
+    }
+
+    #[test]
+    fn equality_on_parsed_data_is_an_equivalence_that_hashes_consistently() {
+        let values: Vec<Value> = POOL.iter().map(|s| Value::from_data(s)).collect();
+        for (i, a) in values.iter().enumerate() {
+            assert_eq!(a, a, "reflexive on {:?}", POOL[i]);
+            for (j, b) in values.iter().enumerate() {
+                let (si, sj) = (POOL[i], POOL[j]);
+                assert_eq!(a == b, b == a, "symmetric on {si:?}, {sj:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "hash of {si:?}, {sj:?}");
+                    for (k, c) in values.iter().enumerate() {
+                        if b == c {
+                            assert_eq!(a, c, "transitive on {si:?}, {sj:?}, {:?}", POOL[k]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_data_renders_the_parsed_value_and_borrows_text() {
+        for s in POOL {
+            let value = Value::from_data(s);
+            let rendered = Value::rendered_data(s);
+            assert_eq!(rendered, value.render(), "{s:?}");
+            assert_eq!(
+                matches!(rendered, Cow::Borrowed(_)),
+                matches!(value, Value::Str(_)),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn integral_floats_from_1e15_compare_equal_but_render_apart() {
+        // What stays open: an integral float of 1e15 or more renders its
+        // shortest round-trip digits, so it equals an integer whose digits it
+        // does not render.  Hash joins key leaves by rendered text and keep
+        // the two apart.
+        let int = Value::from_data("1152921504606846976");
+        let float = Value::from_data("1.152921504606846976e18");
+        assert!(matches!(float, Value::Float(_)));
+        assert_eq!(int, float);
+        assert_ne!(int.render(), float.render());
     }
 }

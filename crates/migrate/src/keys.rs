@@ -9,7 +9,7 @@
 //! `T'` was built, and feeding them through the same `f`.
 
 use mitra_dsl::ast::NodeExtractor;
-use mitra_dsl::eval::eval_node_extractor;
+use mitra_dsl::eval::{eval_node_extractor, node_value};
 use mitra_dsl::Value;
 use mitra_hdt::{Hdt, NodeId, TagId};
 use std::collections::HashSet;
@@ -45,20 +45,14 @@ pub fn node_key(nodes: &[NodeId]) -> Value {
     Value::Str(s)
 }
 
-/// Evaluates a key specification on a row's node tuple.
-///
-/// `row_values` are the already-extracted data values of the row (used by
-/// [`KeySpec::FromColumn`]).  Returns `None` when a foreign-key derivation fails (a
-/// node extractor hits ⊥), which migration reports as a constraint problem.
-pub fn eval_key(
-    tree: &Hdt,
-    nodes: &[NodeId],
-    row_values: &[Value],
-    spec: &KeySpec,
-) -> Option<Value> {
+/// Evaluates a key specification on a row's node tuple ([`KeySpec::FromColumn`]
+/// reads its column's node value).  Returns `None` when a foreign-key derivation
+/// fails (a node extractor hits ⊥), which migration reports as a constraint
+/// problem.
+pub fn eval_key(tree: &Hdt, nodes: &[NodeId], spec: &KeySpec) -> Option<Value> {
     match spec {
         KeySpec::SyntheticPrimary => Some(node_key(nodes)),
-        KeySpec::FromColumn(i) => row_values.get(*i).cloned(),
+        KeySpec::FromColumn(i) => nodes.get(*i).map(|&n| node_value(tree, n)),
         KeySpec::Foreign { derivations } => {
             let mut referenced = Vec::with_capacity(derivations.len());
             for (col, extractor) in derivations {
@@ -163,21 +157,20 @@ mod tests {
     fn synthetic_primary_key_from_nodes() {
         let t = social_network(2, 1);
         let persons = t.children_with_tag(t.root(), "Person");
-        let k = eval_key(&t, persons, &[], &KeySpec::SyntheticPrimary).unwrap();
+        let k = eval_key(&t, persons, &KeySpec::SyntheticPrimary).unwrap();
         assert_eq!(k, node_key(persons));
     }
 
     #[test]
-    fn from_column_key_uses_row_values() {
+    fn from_column_key_reads_the_columns_node_value() {
         let t = social_network(2, 1);
-        let k = eval_key(
-            &t,
-            &[NodeId(1)],
-            &[Value::int(7), Value::str("x")],
-            &KeySpec::FromColumn(1),
-        )
-        .unwrap();
-        assert_eq!(k, Value::str("x"));
+        let persons = t.children_with_tag(t.root(), "Person");
+        let name = t.child(persons[1], "name", 0).unwrap();
+        let row = [persons[0], name];
+        let k = eval_key(&t, &row, &KeySpec::FromColumn(1)).unwrap();
+        assert_eq!(k, node_value(&t, name));
+        assert!(!k.is_null());
+        assert_eq!(eval_key(&t, &row, &KeySpec::FromColumn(2)), None);
     }
 
     #[test]
@@ -189,7 +182,7 @@ mod tests {
         let spec = KeySpec::Foreign {
             derivations: vec![(0, NodeExtractor::parent(NodeExtractor::Id))],
         };
-        let fk = eval_key(&t, &[name0], &[], &spec).unwrap();
+        let fk = eval_key(&t, &[name0], &spec).unwrap();
         assert_eq!(fk, node_key(&[persons[0]]));
     }
 
@@ -199,7 +192,7 @@ mod tests {
         let spec = KeySpec::Foreign {
             derivations: vec![(0, NodeExtractor::child(NodeExtractor::Id, "missing", 0))],
         };
-        assert_eq!(eval_key(&t, &[t.root()], &[], &spec), None);
+        assert_eq!(eval_key(&t, &[t.root()], &spec), None);
     }
 
     #[test]

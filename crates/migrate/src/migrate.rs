@@ -330,21 +330,18 @@ pub(crate) fn execute_table(
         })
         .collect();
     let rows = node_rows
-        .iter()
+        .rows()
         .map(|nodes| {
-            let data_values: Vec<Value> = nodes.iter().map(|n| node_value(document, *n)).collect();
             let mut row: Row = vec![Value::Null; schema.arity()];
-            // Keys first, from the borrowed data values; then the values move
-            // into the row.
             for ((_, spec), idx) in keys.iter().zip(&key_idx) {
                 if let Some(idx) = *idx {
-                    let key = eval_key(document, nodes, &data_values, spec).unwrap_or(Value::Null);
+                    let key = eval_key(document, nodes, spec).unwrap_or(Value::Null);
                     row[idx] = map_key(key, spec);
                 }
             }
-            for (value, idx) in data_values.into_iter().zip(&data_idx) {
+            for (&node, idx) in nodes.iter().zip(&data_idx) {
                 if let Some(idx) = *idx {
-                    row[idx] = value;
+                    row[idx] = node_value(document, node);
                 }
             }
             row
@@ -846,7 +843,7 @@ mod tests {
         .unwrap();
         let (node_rows, _) = execute_nodes_budgeted(&doc, &program, None).unwrap();
         assert_eq!(rows.len(), 3);
-        for (row, nodes) in rows.iter().zip(&node_rows) {
+        for (row, nodes) in rows.iter().zip(node_rows.rows()) {
             // The key joins two node ids, so it never equals the `id` value.
             assert_eq!(row[0].render(), crate::keys::node_key(nodes).render());
             assert!(row[0].render().contains('_'));

@@ -54,6 +54,31 @@ pub struct ExecStats {
     pub cross_product_steps: usize,
 }
 
+/// The rows an execution keeps, in emission order: `arity`-strided node ids in
+/// one buffer.
+#[derive(Debug, Default)]
+pub struct NodeRows {
+    arity: usize,
+    nodes: Vec<NodeId>,
+}
+
+impl NodeRows {
+    /// Number of rows (0 at arity 0).
+    pub fn len(&self) -> usize {
+        self.nodes.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// True when no row survived.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The rows, each one node per column.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, NodeId> {
+        self.nodes.chunks_exact(self.arity.max(1))
+    }
+}
+
 /// Executes a program with the optimized plan, returning the output table.
 pub fn execute(tree: &Hdt, program: &Program) -> Table {
     execute_with_stats(tree, program).0
@@ -69,27 +94,27 @@ pub fn execute_nodes_budgeted(
     tree: &Hdt,
     program: &Program,
     max_rows: Option<u64>,
-) -> Result<(Vec<Vec<NodeId>>, ExecStats), BudgetBreach> {
+) -> Result<(NodeRows, ExecStats), BudgetBreach> {
     run_plan(tree, program, max_rows)
 }
 
 /// Executes a program with the optimized plan, returning the table and statistics.
 pub fn execute_with_stats(tree: &Hdt, program: &Program) -> (Table, ExecStats) {
     match run_plan(tree, program, None) {
-        Ok((tuples, stats)) => (project(tree, program, &tuples), stats),
+        Ok((rows, stats)) => (project(tree, program, &rows), stats),
         // An unlimited budget cannot breach.
         Err(_) => unreachable!("unlimited row budget breached"),
     }
 }
 
-fn project(tree: &Hdt, program: &Program, tuples: &[Vec<NodeId>]) -> Table {
+fn project(tree: &Hdt, program: &Program, rows: &NodeRows) -> Table {
     let mut table = if program.column_names.is_empty() {
         Table::anonymous(program.arity())
     } else {
         Table::new(program.column_names.clone())
     };
-    for t in tuples {
-        table.push(t.iter().map(|n| node_value(tree, *n)).collect());
+    for row in rows.rows() {
+        table.push(row.iter().map(|n| node_value(tree, *n)).collect());
     }
     table
 }
@@ -98,7 +123,7 @@ fn run_plan(
     tree: &Hdt,
     program: &Program,
     max_rows: Option<u64>,
-) -> Result<(Vec<Vec<NodeId>>, ExecStats), BudgetBreach> {
+) -> Result<(NodeRows, ExecStats), BudgetBreach> {
     let _span = mitra_trace::span("exec", "run_plan");
     let arity = program.arity();
     let budget = Budget {
@@ -108,7 +133,7 @@ fn run_plan(
     let mut materialized: u64 = 0;
     let mut stats = ExecStats::default();
     if arity == 0 {
-        return Ok((Vec::new(), stats));
+        return Ok((NodeRows::default(), stats));
     }
 
     let (p, columns) = crate::plan::plan_and_columns(program, tree);
@@ -202,10 +227,11 @@ fn run_plan(
             .find(|o| o.is_ne())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let result: Vec<Vec<NodeId>> = survivors
-        .iter()
-        .map(|&i| tuples.row(i as usize).to_vec())
-        .collect();
+    let mut nodes = Vec::with_capacity(survivors.len() * arity);
+    for &i in &survivors {
+        nodes.extend_from_slice(tuples.row(i as usize));
+    }
+    let result = NodeRows { arity, nodes };
     stats.rows_emitted = result.len();
     // Checked after all chunks merge (never per chunk — chunk boundaries depend
     // on the thread count, the merged total does not).
@@ -396,5 +422,74 @@ mod tests {
         // Unlimited path is untouched.
         let (rows, _) = execute_nodes_budgeted(&tree, &program, None).unwrap();
         assert_eq!(rows.len(), 9);
+    }
+
+    #[test]
+    fn no_rows_at_arity_zero_or_without_survivors() {
+        let tree = social_network(3, 1);
+        let nullary = mitra_dsl::Program::new(TableExtractor::new(Vec::new()), Predicate::True);
+        let (rows, _) = execute_nodes_budgeted(&tree, &nullary, None).unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(rows.len(), 0);
+        assert_eq!(rows.rows().count(), 0);
+
+        let pi = ColumnExtractor::children(ColumnExtractor::Input, "Person");
+        let none_match = Predicate::Compare {
+            extractor: NodeExtractor::child(NodeExtractor::Id, "id", 0),
+            index: 0,
+            op: CompareOp::Eq,
+            rhs: Operand::Column {
+                extractor: NodeExtractor::child(NodeExtractor::Id, "name", 0),
+                index: 1,
+            },
+        };
+        let program =
+            mitra_dsl::Program::new(TableExtractor::new(vec![pi.clone(), pi]), none_match);
+        let (rows, stats) = execute_nodes_budgeted(&tree, &program, None).unwrap();
+        assert_eq!(stats.hash_join_steps, 1);
+        assert!(rows.is_empty());
+        assert_eq!(rows.len(), 0);
+        assert_eq!(rows.rows().count(), 0);
+    }
+
+    #[test]
+    fn typed_equality_and_hash_joins_agree_on_big_integers_and_booleans() {
+        // filter(children(children(s, A), k) × children(children(s, B), k), t[0] = t[1])
+        let column = |tag| {
+            ColumnExtractor::children(ColumnExtractor::children(ColumnExtractor::Input, tag), "k")
+        };
+        let program = mitra_dsl::Program::new(
+            TableExtractor::new(vec![column("A"), column("B")]),
+            Predicate::Compare {
+                extractor: NodeExtractor::Id,
+                index: 0,
+                op: CompareOp::Eq,
+                rhs: Operand::Column {
+                    extractor: NodeExtractor::Id,
+                    index: 1,
+                },
+            },
+        );
+        for (a, b, rows) in [
+            ("9007199254740993", "9007199254740992", 0),
+            ("true", "1", 0),
+            ("false", "0", 0),
+            ("01", "1.0", 1),
+            ("9007199254740993", "9007199254740993", 1),
+        ] {
+            let tree = mitra_hdt::HdtBuilder::new("root")
+                .open("A")
+                .leaf("k", a)
+                .close()
+                .open("B")
+                .leaf("k", b)
+                .close()
+                .build();
+            let referee = eval_program(&tree, &program).unwrap();
+            let (fast, stats) = execute_with_stats(&tree, &program);
+            assert_eq!(stats.hash_join_steps, 1);
+            assert_eq!(referee.rows, fast.rows, "{a} = {b}");
+            assert_eq!(fast.len(), rows, "{a} = {b}");
+        }
     }
 }

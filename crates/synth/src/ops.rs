@@ -10,33 +10,35 @@
 //!
 //! Join keys mirror the comparison semantics of Figure 7: internal nodes join by
 //! identity, leaves by the *rendered* typed value of their data (so `"1"` and
-//! `"1.0"` collide).  [`KeyInterner`] memoizes that rendering per distinct raw
-//! string, so a probe costs a `u32` id instead of a `String` allocation.
+//! `"1.0"` collide).  [`KeyInterner`] turns both into dense `u32` ids, derived once
+//! per node, so [`hash_join`] indexes a column with two flat arrays.
 
 use crate::plan::Plan;
 use mitra_dsl::ast::{CompareOp, NodeExtractor, Operand, Predicate};
 use mitra_dsl::eval::{eval_node_extractor, eval_predicate, node_value};
 use mitra_dsl::Value;
 use mitra_hdt::{Hdt, NodeId};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Key used for hash joins: node identity for internal nodes, an interned rendered
-/// value id for leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinKey {
-    /// An internal node, joining by identity.
-    Node(NodeId),
-    /// A leaf, joining by the interned id of its rendered data value.
-    Data(u32),
-}
+/// The end of a hash-join chain.
+const NONE: u32 = u32::MAX;
 
-/// Interns leaf data for join keys.  Two leaves receive the same id exactly when
-/// `Value::from_data(data).render()` agrees.  The interner renders once per
-/// *distinct raw string* per execution and hands out `Copy` ids.
+/// Dense hash-join keys from one id space: an internal node gets a fresh id, so
+/// it joins by identity; a leaf gets the id of its rendered data, so two leaves
+/// share an id exactly when `Value::from_data(data).render()` agrees.  Each
+/// node's id is cached by arena position, so a leaf's text is hashed at most
+/// once per execution, and only scalar data allocates its rendering.
 pub struct KeyInterner<'t> {
     tree: &'t Hdt,
+    /// Each node's id plus one by arena position (0 until derived), sized at
+    /// the first lookup; a zeroed allocation, which the allocator can serve
+    /// from pages no one has touched.
+    by_node: Vec<u32>,
     by_raw: HashMap<&'t str, u32>,
-    by_rendered: HashMap<String, u32>,
+    by_rendered: HashMap<Cow<'t, str>, u32>,
+    next: u32,
 }
 
 impl<'t> KeyInterner<'t> {
@@ -44,25 +46,39 @@ impl<'t> KeyInterner<'t> {
     pub fn new(tree: &'t Hdt) -> Self {
         KeyInterner {
             tree,
+            by_node: Vec::new(),
             by_raw: HashMap::new(),
             by_rendered: HashMap::new(),
+            next: 0,
         }
     }
 
     /// The join key of a node.
-    pub fn key(&mut self, node: NodeId) -> JoinKey {
-        if !self.tree.is_leaf(node) {
-            return JoinKey::Node(node);
+    pub fn key(&mut self, node: NodeId) -> u32 {
+        if self.by_node.is_empty() {
+            self.by_node = vec![0; self.tree.len()];
         }
-        let raw = self.tree.data(node).unwrap_or("");
-        if let Some(&id) = self.by_raw.get(raw) {
-            return JoinKey::Data(id);
+        if let Some(id) = self.by_node[node.index()].checked_sub(1) {
+            return id;
         }
-        let rendered = Value::from_data(raw).render();
-        let next = self.by_rendered.len() as u32;
-        let id = *self.by_rendered.entry(rendered).or_insert(next);
-        self.by_raw.insert(raw, id);
-        JoinKey::Data(id)
+        let fresh = self.next;
+        let id = if self.tree.is_leaf(node) {
+            let raw = self.tree.data(node).unwrap_or("");
+            match self.by_raw.entry(raw) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let rendered = self.by_rendered.entry(Value::rendered_data(raw));
+                    *e.insert(*rendered.or_insert(fresh))
+                }
+            }
+        } else {
+            fresh
+        };
+        if id == fresh {
+            self.next += 1;
+        }
+        self.by_node[node.index()] = id + 1;
+        id
     }
 }
 
@@ -160,7 +176,10 @@ pub fn scan(arity: usize, col: usize, nodes: &[NodeId]) -> Tuples {
 }
 
 /// Hash join: extends each input tuple with the nodes of `col` whose derived join
-/// key matches the key derived from the tuple's `old_col` node.
+/// key matches the key derived from the tuple's `old_col` node.  The column is
+/// indexed as chains: `head[key]` is the first position with that key and
+/// `next[position]` the one after it, threaded back to front so every chain
+/// lists its positions in ascending order.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     tree: &Hdt,
@@ -172,11 +191,16 @@ pub fn hash_join(
     old_col: usize,
     old_extractor: &NodeExtractor,
 ) -> Tuples {
-    let mut index: HashMap<JoinKey, Vec<(NodeId, u32)>> = HashMap::new();
-    for (p, &n) in col_nodes.iter().enumerate() {
+    let mut head: Vec<u32> = Vec::new();
+    let mut next = vec![NONE; col_nodes.len()];
+    for (p, &n) in col_nodes.iter().enumerate().rev() {
         if let Some(target) = eval_node_extractor(tree, n, new_extractor) {
-            let key = interner.key(target);
-            index.entry(key).or_default().push((n, p as u32));
+            let key = interner.key(target) as usize;
+            if key >= head.len() {
+                head.resize(key + 1, NONE);
+            }
+            next[p] = head[key];
+            head[key] = p as u32;
         }
     }
     let mut out = Tuples::new(input.arity);
@@ -185,11 +209,14 @@ pub fn hash_join(
         let Some(target) = eval_node_extractor(tree, old_node, old_extractor) else {
             continue;
         };
-        let key = interner.key(target);
-        if let Some(matches) = index.get(&key) {
-            for &(n, p) in matches {
-                out.push_extended(input, i, col, n, p);
-            }
+        // A key first derived after the build has no chain.
+        let mut p = head
+            .get(interner.key(target) as usize)
+            .copied()
+            .unwrap_or(NONE);
+        while p != NONE {
+            out.push_extended(input, i, col, col_nodes[p as usize], p);
+            p = next[p as usize];
         }
     }
     out
@@ -319,7 +346,7 @@ fn join_keys_equal(tree: &Hdt, a: NodeId, b: NodeId) -> bool {
         (true, true) => {
             let da = tree.data(a).unwrap_or("");
             let db = tree.data(b).unwrap_or("");
-            da == db || Value::from_data(da).render() == Value::from_data(db).render()
+            da == db || Value::rendered_data(da) == Value::rendered_data(db)
         }
         _ => false,
     }
@@ -557,8 +584,137 @@ mod tests {
         assert_ne!(interner.key(scores[0]), interner.key(scores[1]));
         // Internal nodes key by identity, never equal to a leaf key.
         let persons = tree.children_with_tag(tree.root(), "Person").to_vec();
-        assert_eq!(interner.key(persons[0]), JoinKey::Node(persons[0]));
+        assert_eq!(interner.key(persons[0]), interner.key(persons[0]));
+        assert_ne!(interner.key(persons[0]), interner.key(persons[1]));
         assert_ne!(interner.key(persons[0]), interner.key(ids[0]));
+    }
+
+    /// The join-key rule the interner must reproduce: internal nodes by
+    /// identity, leaves by the rendering of their parsed data.
+    fn same_join_key(tree: &Hdt, a: NodeId, b: NodeId) -> bool {
+        match (tree.is_leaf(a), tree.is_leaf(b)) {
+            (false, false) => a == b,
+            (true, true) => {
+                let render = |n| Value::from_data(tree.data(n).unwrap_or("")).render();
+                render(a) == render(b)
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn join_keys_agree_with_rendered_value_equality_in_any_lookup_order() {
+        const POOL: [&str; 20] = [
+            "9007199254740992",
+            "9007199254740993",
+            "9007199254740994",
+            "9007199254740992.0",
+            "1",
+            "01",
+            "1.0",
+            "1e0",
+            "true",
+            "false",
+            "0",
+            "",
+            "null",
+            "NaN",
+            "1e400",
+            "abc",
+            "1a",
+            " x ",
+            "-0.0",
+            "2.5",
+        ];
+        let mut builder = HdtBuilder::new("root");
+        for (i, raw) in POOL.iter().enumerate() {
+            builder = builder.open("rec").leaf("v", *raw);
+            if i % 3 == 0 {
+                builder = builder.empty("nothing");
+            }
+            builder = builder.close();
+        }
+        let tree = builder.build();
+        let all: Vec<NodeId> = tree.ids().collect();
+        let mut orders = vec![all.clone(), all.iter().rev().copied().collect()];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..8 {
+            let mut order = all.clone();
+            for i in (1..order.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                order.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            orders.push(order);
+        }
+        for order in orders {
+            let mut interner = KeyInterner::new(&tree);
+            let mut keys = vec![NONE; tree.len()];
+            for &n in &order {
+                keys[n.index()] = interner.key(n);
+            }
+            for &a in &all {
+                for &b in &all {
+                    assert_eq!(
+                        keys[a.index()] == keys[b.index()],
+                        same_join_key(&tree, a, b),
+                        "{:?} vs {:?}",
+                        tree.data(a),
+                        tree.data(b)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_join_chains_yield_matches_in_column_position_order() {
+        let tree = HdtBuilder::new("root")
+            .leaf("probe", "a")
+            .leaf("probe", "1")
+            .leaf("probe", "c")
+            .leaf("probe", "a")
+            .leaf("v", "a")
+            .leaf("v", "b")
+            .leaf("v", "a")
+            .leaf("v", "1")
+            .leaf("v", "01")
+            .leaf("v", "a")
+            .build();
+        let probes = tree.children_with_tag(tree.root(), "probe").to_vec();
+        let column = tree.children_with_tag(tree.root(), "v").to_vec();
+        let input = scan(2, 0, &probes);
+        let mut interner = KeyInterner::new(&tree);
+        let out = hash_join(
+            &tree,
+            &mut interner,
+            &input,
+            1,
+            &column,
+            &NodeExtractor::Id,
+            0,
+            &NodeExtractor::Id,
+        );
+        let positions: Vec<(u32, u32)> = (0..out.len())
+            .map(|i| (out.row_pos(i)[0], out.row_pos(i)[1]))
+            .collect();
+        // Probes 0 and 3 ("a") match "a" at 0, 2 and 5; probe 1 ("1") matches
+        // "1" and "01" at 3 and 4; probe 2 ("c") matches nothing.
+        let expected = [
+            (0, 0),
+            (0, 2),
+            (0, 5),
+            (1, 3),
+            (1, 4),
+            (3, 0),
+            (3, 2),
+            (3, 5),
+        ];
+        assert_eq!(positions, expected);
+        for (i, &(p, q)) in positions.iter().enumerate() {
+            assert_eq!(out.row(i), [probes[p as usize], column[q as usize]]);
+        }
     }
 
     #[test]
