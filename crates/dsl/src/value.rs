@@ -59,10 +59,18 @@ impl Value {
         if t == "false" {
             return Some(Value::Bool(false));
         }
-        if let Ok(i) = t.parse::<i64>() {
-            return Some(Value::Int(i));
+        numeric(t)
+    }
+
+    /// The value a number compares as: itself, or for a string the `Int` or
+    /// `Float` that [`Value::from_data`] would parse it to.
+    fn number(&self) -> Option<Value> {
+        match self {
+            Value::Int(i) => Some(Value::Int(*i)),
+            Value::Float(f) => Some(Value::Float(*f)),
+            Value::Str(s) => numeric(s.trim()),
+            Value::Null | Value::Bool(_) => None,
         }
-        parse_finite(t).map(Value::Float)
     }
 
     /// Builds a string value.
@@ -113,24 +121,35 @@ impl Value {
     }
 
     /// Comparison used by the DSL predicates: numeric when both sides are numeric,
-    /// textual otherwise.  Two integers, and an integer against an integral float,
-    /// compare exactly, not through `f64`.  A boolean equals only a boolean (or its
-    /// own text); against anything else it orders by rendered text.  NULL compares
-    /// equal only to NULL and is unordered otherwise.
+    /// textual otherwise.  A numeric string compares as the number
+    /// [`Value::from_data`] parses it to, and two integers, or an integer against
+    /// an integral float, compare exactly, not through `f64`.  A boolean equals
+    /// only a boolean (or its own text); against anything else it orders by
+    /// rendered text.  NULL compares equal only to NULL and is unordered otherwise.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, Value::Null) => Some(Ordering::Equal),
             (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Int(i), Value::Float(f)) => compare_int_float(*i, *f),
-            (Value::Float(f), Value::Int(i)) => compare_int_float(*i, *f).map(Ordering::reverse),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Bool(_), _) | (_, Value::Bool(_)) => Some(self.text().cmp(&other.text())),
-            _ => match (self.as_number(), other.as_number()) {
-                (Some(a), Some(b)) => a.partial_cmp(&b),
+            _ => match (self.number(), other.number()) {
+                (Some(Value::Int(a)), Some(Value::Int(b))) => Some(a.cmp(&b)),
+                (Some(Value::Int(i)), Some(Value::Float(f))) => compare_int_float(i, f),
+                (Some(Value::Float(f)), Some(Value::Int(i))) => {
+                    compare_int_float(i, f).map(Ordering::reverse)
+                }
+                (Some(Value::Float(a)), Some(Value::Float(b))) => a.partial_cmp(&b),
                 _ => Some(self.text().cmp(&other.text())),
             },
         }
+    }
+}
+
+/// The `Int` or `Float` a trimmed data string parses to, if it is a number.
+fn numeric(t: &str) -> Option<Value> {
+    match t.parse::<i64>() {
+        Ok(i) => Some(Value::Int(i)),
+        Err(_) => parse_finite(t).map(Value::Float),
     }
 }
 
@@ -393,17 +412,26 @@ mod tests {
 
     #[test]
     fn equality_on_parsed_data_is_an_equivalence_that_hashes_consistently() {
-        let values: Vec<Value> = POOL.iter().map(|s| Value::from_data(s)).collect();
+        // Every pool string parsed, and kept as a string.
+        let values: Vec<Value> = POOL
+            .iter()
+            .map(|s| Value::from_data(s))
+            .chain(POOL.iter().map(|s| Value::str(*s)))
+            .collect();
+        let label = |i: usize| {
+            let kind = if i < POOL.len() { "data" } else { "str" };
+            format!("{kind} {:?}", POOL[i % POOL.len()])
+        };
         for (i, a) in values.iter().enumerate() {
-            assert_eq!(a, a, "reflexive on {:?}", POOL[i]);
+            assert_eq!(a, a, "reflexive on {}", label(i));
             for (j, b) in values.iter().enumerate() {
-                let (si, sj) = (POOL[i], POOL[j]);
-                assert_eq!(a == b, b == a, "symmetric on {si:?}, {sj:?}");
+                let (si, sj) = (label(i), label(j));
+                assert_eq!(a == b, b == a, "symmetric on {si}, {sj}");
                 if a == b {
-                    assert_eq!(hash_of(a), hash_of(b), "hash of {si:?}, {sj:?}");
+                    assert_eq!(hash_of(a), hash_of(b), "hash of {si}, {sj}");
                     for (k, c) in values.iter().enumerate() {
                         if b == c {
-                            assert_eq!(a, c, "transitive on {si:?}, {sj:?}, {:?}", POOL[k]);
+                            assert_eq!(a, c, "transitive on {si}, {sj}, {}", label(k));
                         }
                     }
                 }

@@ -30,8 +30,17 @@ pub enum HdtError {
     },
     /// The document was well-formed but structurally unusable (e.g. empty).
     Structure(String),
-    /// A node id was used with a tree it does not belong to.
-    InvalidNode(String),
+    /// A tree's leaf data would pass the `limit` bytes its one text buffer
+    /// addresses (`u32::MAX`).
+    TextLimit {
+        /// The largest text buffer a tree can address, in bytes.
+        limit: usize,
+    },
+    /// A tree would pass the `limit` nodes its `u32` node ids can number.
+    NodeLimit {
+        /// The most nodes a tree can hold.
+        limit: usize,
+    },
 }
 
 impl HdtError {
@@ -54,7 +63,15 @@ impl fmt::Display for HdtError {
                 write!(f, "nesting depth limit ({limit}) exceeded at byte {offset}")
             }
             HdtError::Structure(msg) => write!(f, "structure error: {msg}"),
-            HdtError::InvalidNode(msg) => write!(f, "invalid node reference: {msg}"),
+            HdtError::TextLimit { limit } => {
+                write!(
+                    f,
+                    "leaf data exceeds the tree's text limit of {limit} bytes"
+                )
+            }
+            HdtError::NodeLimit { limit } => {
+                write!(f, "the tree exceeds its limit of {limit} nodes")
+            }
         }
     }
 }

@@ -198,7 +198,7 @@ mod tests {
             .filter(|&&obj| {
                 t.children_with_tag(obj, "id")
                     .first()
-                    .and_then(|&id| t.node(id).data.as_deref())
+                    .and_then(|&id| t.data(id))
                     .and_then(|d| d.parse::<i64>().ok())
                     .is_some_and(|id| id < 20)
             })

@@ -22,9 +22,12 @@
 //! element becomes an internal node, each attribute a leaf child tagged with the
 //! attribute name, and an element's text one `text` leaf, created at its first
 //! non-blank text and holding all of its text with whitespace runs collapsed
-//! (raw-text elements keep theirs, trimmed).  A page with one top-level element
-//! (usually `<html>`) has that element as its root; a fragment with several gets a
-//! synthetic `html` root, added when the second one opens.
+//! (raw-text elements keep theirs, trimmed).  The open elements' text waits in one
+//! scratch `String` used as a stack (see [`crate::tree`]'s `ElementText`), so an
+//! element closes before the elements around it, innermost first, and its text goes
+//! from the scratch into the tree's text buffer collapsed on the way.  A page with
+//! one top-level element (usually `<html>`) has that element as its root; a fragment
+//! with several gets a synthetic `html` root, added when the second one opens.
 
 use crate::error::{HdtError, Result, MAX_PARSE_DEPTH};
 use crate::tree::{ElementText, Hdt};
@@ -88,24 +91,25 @@ fn implicitly_closes(open: &str, incoming: &str) -> bool {
     }
 }
 
-/// An element on the parse stack: its node, its name and its text so far.
+/// An element on the parse stack: its node, its name and its text's place in the
+/// scratch.
 struct Open {
     id: NodeId,
     name: String,
     text: ElementText,
 }
 
-/// Collapses runs of whitespace to single spaces and trims the ends, the usual HTML
-/// rendering treatment of inter-element whitespace.
-fn collapse_whitespace(text: String) -> String {
-    let mut out = String::with_capacity(text.len());
-    for word in text.split_whitespace() {
-        if !out.is_empty() {
+/// Appends `text` to `out` with runs of whitespace collapsed to single spaces and
+/// the ends trimmed, the usual HTML rendering treatment of inter-element whitespace.
+fn collapse_whitespace(out: &mut String, text: &str) {
+    let mut words = text.split_whitespace();
+    if let Some(first) = words.next() {
+        out.push_str(first);
+        for word in words {
             out.push(' ');
+            out.push_str(word);
         }
-        out.push_str(word);
     }
-    out
 }
 
 /// Decodes the common named entities plus numeric character references.
@@ -167,6 +171,8 @@ struct Parser<'a> {
     top_level: usize,
     /// Elements opened and not yet closed, innermost last.
     stack: Vec<Open>,
+    /// The text of the open elements, innermost last (see `ElementText`).
+    scratch: String,
 }
 
 impl<'a> Parser<'a> {
@@ -177,6 +183,7 @@ impl<'a> Parser<'a> {
             tree: Hdt::with_root("html"),
             top_level: 0,
             stack: Vec::new(),
+            scratch: String::new(),
         }
     }
 
@@ -184,7 +191,7 @@ impl<'a> Parser<'a> {
         self.pos >= self.input.len()
     }
 
-    fn rest(&self) -> &str {
+    fn rest(&self) -> &'a str {
         &self.input[self.pos..]
     }
 
@@ -218,7 +225,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with_ci("<!doctype") || self.rest().starts_with("<!") {
                 self.skip_until('>');
             } else if self.rest().starts_with("</") {
-                self.handle_closing_tag();
+                self.handle_closing_tag()?;
             } else if self.peek() == Some(b'<')
                 && self
                     .input
@@ -231,25 +238,29 @@ impl<'a> Parser<'a> {
                 // Text (or a stray '<' that does not start a tag — taken literally).
                 let text = self.take_text();
                 if let Some(open) = self.stack.last_mut() {
-                    open.text.push(&mut self.tree, open.id, &text);
-                    open.text.push(&mut self.tree, open.id, " ");
+                    let (tree, scratch) = (&mut self.tree, &mut self.scratch);
+                    open.text.push(tree, scratch, open.id, &text)?;
+                    open.text.push(tree, scratch, open.id, " ")?;
                 }
             }
         }
 
         // Any elements still open at end-of-input are closed implicitly.
-        self.close_from(0);
+        self.close_from(0)?;
         if self.top_level == 0 {
             return Err(HdtError::parse("no elements found in HTML input", 0));
         }
         Ok(self.tree)
     }
 
-    /// Closes the open elements from stack index `from` on.
-    fn close_from(&mut self, from: usize) {
-        for open in self.stack.drain(from..) {
-            open.text.close(&mut self.tree, collapse_whitespace);
+    /// Closes the open elements from stack index `from` on, innermost first, so
+    /// each one's text is the top of the scratch when it closes.
+    fn close_from(&mut self, from: usize) -> Result<()> {
+        for open in self.stack.drain(from..).rev() {
+            open.text
+                .close(&mut self.tree, &mut self.scratch, collapse_whitespace)?;
         }
+        Ok(())
     }
 
     fn skip_comment(&mut self) {
@@ -305,19 +316,20 @@ impl<'a> Parser<'a> {
         Ok(self.input[start..self.pos].to_ascii_lowercase())
     }
 
-    fn handle_closing_tag(&mut self) {
+    fn handle_closing_tag(&mut self) -> Result<()> {
         // "</" then the name.  A closing tag with no name (`</ >`, `</>`) is bogus
         // markup; browsers drop it, and so do we.
         self.bump(2);
         let Ok(name) = self.parse_name() else {
             self.skip_until('>');
-            return;
+            return Ok(());
         };
         self.skip_until('>');
         // Close everything up to and including the innermost match; a closing tag
         // that matches nothing currently open is ignored (lenient).
-        if let Some(open) = self.stack.iter().rposition(|open| open.name == name) {
-            self.close_from(open);
+        match self.stack.iter().rposition(|open| open.name == name) {
+            Some(open) => self.close_from(open),
+            None => Ok(()),
         }
     }
 
@@ -331,19 +343,19 @@ impl<'a> Parser<'a> {
             .iter()
             .rposition(|open| !implicitly_closes(&open.name, &name))
             .map_or(0, |innermost_kept| innermost_kept + 1);
-        self.close_from(kept);
+        self.close_from(kept)?;
 
-        let id = self.create(&name);
-        let self_closing = self.parse_attributes(id);
+        let id = self.create(&name)?;
+        let self_closing = self.parse_attributes(id)?;
         if is_void(&name) || self_closing {
             return Ok(());
         }
 
         if is_raw_text(&name) {
-            let raw = self.take_raw_text(&name);
-            let mut text = ElementText::default();
-            text.push(&mut self.tree, id, &raw);
-            text.close(&mut self.tree, std::convert::identity);
+            let raw = self.take_raw_text(&name).trim();
+            if !raw.is_empty() {
+                self.tree.push_child(id, "text", Some(raw))?;
+            }
             return Ok(());
         }
 
@@ -367,24 +379,24 @@ impl<'a> Parser<'a> {
     /// Creates the node of an element whose start tag is being parsed: under the
     /// innermost open element, else at the top level.  The first top-level element
     /// becomes the root; the second puts a synthetic `html` root above it.
-    fn create(&mut self, name: &str) -> NodeId {
+    fn create(&mut self, name: &str) -> Result<NodeId> {
         if let Some(open) = self.stack.last() {
-            return self.tree.add_child(open.id, name, None);
+            return self.tree.push_child(open.id, name, None);
         }
         self.top_level += 1;
         if self.top_level == 1 {
             self.tree = Hdt::with_root(name);
-            return self.tree.root();
+            return Ok(self.tree.root());
         }
         if self.top_level == 2 {
-            self.tree.wrap_root("html");
+            self.tree.wrap_root("html")?;
         }
-        self.tree.add_child(NodeId::ROOT, name, None)
+        self.tree.push_child(NodeId::ROOT, name, None)
     }
 
     /// Consumes the contents of a raw-text element up to (and including) its closing
     /// tag; returns the raw contents.
-    fn take_raw_text(&mut self, name: &str) -> String {
+    fn take_raw_text(&mut self, name: &str) -> &'a str {
         // The first `</` followed by the name, ASCII case-insensitively, scanning
         // forward from here only: lowercasing the rest of the input per element
         // made a page of many scripts quadratic.
@@ -395,29 +407,27 @@ impl<'a> Parser<'a> {
             .position(|w| w.starts_with(b"</") && w[2..].eq_ignore_ascii_case(name.as_bytes()));
         match closer {
             Some(rel) => {
-                let raw = rest[..rel].to_string();
                 self.bump(rel);
                 self.skip_until('>');
-                raw
+                &rest[..rel]
             }
             None => {
-                let raw = rest.to_string();
                 self.pos = self.input.len();
-                raw
+                rest
             }
         }
     }
 
     /// Parses attributes up to the closing `>` into leaves of `element`; returns
     /// whether the tag ended in `/>`.
-    fn parse_attributes(&mut self, element: NodeId) -> bool {
+    fn parse_attributes(&mut self, element: NodeId) -> Result<bool> {
         loop {
             self.skip_ws();
             match self.peek() {
-                None => return false, // unterminated tag: treat as closed (lenient)
+                None => return Ok(false), // unterminated tag: treat as closed (lenient)
                 Some(b'>') => {
                     self.bump(1);
-                    return false;
+                    return Ok(false);
                 }
                 Some(b'/') => {
                     self.bump(1);
@@ -425,7 +435,7 @@ impl<'a> Parser<'a> {
                     if self.peek() == Some(b'>') {
                         self.bump(1);
                     }
-                    return true;
+                    return Ok(true);
                 }
                 Some(_) => {
                     let key = match self.parse_name() {
@@ -437,21 +447,20 @@ impl<'a> Parser<'a> {
                         }
                     };
                     self.skip_ws();
-                    if self.peek() == Some(b'=') {
+                    let value = if self.peek() == Some(b'=') {
                         self.bump(1);
                         self.skip_ws();
-                        let value = self.parse_attribute_value();
-                        let data = Some(decode_entities(&value));
-                        self.tree.add_child(element, key, data);
+                        decode_entities(self.parse_attribute_value())
                     } else {
-                        self.tree.add_child(element, key, Some(String::new()));
-                    }
+                        String::new()
+                    };
+                    self.tree.push_child(element, key, Some(&value))?;
                 }
             }
         }
     }
 
-    fn parse_attribute_value(&mut self) -> String {
+    fn parse_attribute_value(&mut self) -> &'a str {
         match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
                 self.bump(1);
@@ -459,7 +468,7 @@ impl<'a> Parser<'a> {
                 while self.peek().is_some_and(|b| b != q) {
                     self.pos += 1;
                 }
-                let value = self.input[start..self.pos].to_string();
+                let value = &self.input[start..self.pos];
                 if !self.at_end() {
                     self.bump(1);
                 }
@@ -473,7 +482,7 @@ impl<'a> Parser<'a> {
                 {
                     self.pos += 1;
                 }
-                self.input[start..self.pos].to_string()
+                &self.input[start..self.pos]
             }
         }
     }
@@ -710,6 +719,87 @@ mod tests {
                 ("p", 0, None, None),
                 ("text", 0, Some("a b c"), Some(0)),
                 ("br", 0, None, Some(0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn outer_and_inner_text_survive_implicit_closes() {
+        // A new `li` or `p` closes the open one; a new `tr` closes a `td` and the
+        // `tr` around it, innermost first.
+        let tree = html_to_hdt("<ul>list <li>one<li>two</ul>").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("ul", 0, None, None),
+                ("text", 0, Some("list"), Some(0)),
+                ("li", 0, None, Some(0)),
+                ("text", 0, Some("one"), Some(2)),
+                ("li", 1, None, Some(0)),
+                ("text", 0, Some("two"), Some(4)),
+            ]
+        );
+        let tree = html_to_hdt("<div>intro<p>first <b>bold</b> end<p>second</div>").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("div", 0, None, None),
+                ("text", 0, Some("intro"), Some(0)),
+                ("p", 0, None, Some(0)),
+                ("text", 0, Some("first end"), Some(2)),
+                ("b", 0, None, Some(2)),
+                ("text", 0, Some("bold"), Some(4)),
+                ("p", 1, None, Some(0)),
+                ("text", 0, Some("second"), Some(6)),
+            ]
+        );
+        let tree = html_to_hdt("<table><tr>row<td>cell<tr>next</table>").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("table", 0, None, None),
+                ("tr", 0, None, Some(0)),
+                ("text", 0, Some("row"), Some(1)),
+                ("td", 0, None, Some(1)),
+                ("text", 0, Some("cell"), Some(3)),
+                ("tr", 1, None, Some(0)),
+                ("text", 0, Some("next"), Some(5)),
+            ]
+        );
+    }
+
+    #[test]
+    fn outer_and_inner_text_survive_a_mismatched_closing_tag() {
+        // `</div>` closes `b`, `span` and `div`, innermost first.
+        let tree =
+            html_to_hdt("<section><div>outer <span>inner <b>bold</div> after</section>").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("section", 0, None, None),
+                ("div", 0, None, Some(0)),
+                ("text", 0, Some("outer"), Some(1)),
+                ("span", 0, None, Some(1)),
+                ("text", 0, Some("inner"), Some(3)),
+                ("b", 0, None, Some(3)),
+                ("text", 0, Some("bold"), Some(5)),
+                ("text", 0, Some("after"), Some(0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn outer_and_inner_text_survive_the_end_of_input() {
+        let tree = html_to_hdt("<div>outer <span>inner <b>bold</b> more").unwrap();
+        assert_eq!(
+            nodes(&tree),
+            vec![
+                ("div", 0, None, None),
+                ("text", 0, Some("outer"), Some(0)),
+                ("span", 0, None, Some(0)),
+                ("text", 0, Some("inner more"), Some(2)),
+                ("b", 0, None, Some(2)),
+                ("text", 0, Some("bold"), Some(4)),
             ]
         );
     }

@@ -19,12 +19,16 @@
 //!
 //! A scalar's data is its text: a string's content, `true`, `false` or `null`, and for
 //! a number [`format_number`] of its `f64` (`1.50` is stored as `1.5`, `1e2` as
-//! `100`).  Numbers follow RFC 8259: `007`, `1.` and `.5` are errors.
+//! `100`).  Numbers follow RFC 8259: `007`, `1.` and `.5` are errors.  The arena
+//! builder writes each datum straight into the tree's text buffer: a string from the
+//! parsed slice, a number through `format_number`'s rule, so a parse allocates per
+//! document, not per node.
 
 use crate::error::{HdtError, Result, MAX_PARSE_DEPTH};
 use crate::tree::Hdt;
 use crate::{NodeId, TagId};
 use std::borrow::Cow;
+use std::fmt::Write;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,14 +119,15 @@ enum Scalar<'a> {
 }
 
 /// Receives what the grammar parses, in document order.  Every `begin_*` is matched
-/// by one [`Builder::end`], and inside an object each value follows its key.
+/// by one [`Builder::end`], and inside an object each value follows its key.  A
+/// builder's error ends the parse.
 trait Builder {
-    fn begin_object(&mut self);
+    fn begin_object(&mut self) -> Result<()>;
     fn begin_array(&mut self);
     fn key(&mut self, key: Cow<'_, str>);
     /// Closes the innermost open object or array.
     fn end(&mut self);
-    fn scalar(&mut self, scalar: Scalar<'_>);
+    fn scalar(&mut self, scalar: Scalar<'_>) -> Result<()>;
 }
 
 /// Builds the [`JsonValue`] behind [`parse_json`].
@@ -162,8 +167,9 @@ impl ValueBuilder {
 }
 
 impl Builder for ValueBuilder {
-    fn begin_object(&mut self) {
+    fn begin_object(&mut self) -> Result<()> {
         self.begin(JsonValue::Object(Vec::new()));
+        Ok(())
     }
 
     fn begin_array(&mut self) {
@@ -181,13 +187,14 @@ impl Builder for ValueBuilder {
         }
     }
 
-    fn scalar(&mut self, scalar: Scalar<'_>) {
+    fn scalar(&mut self, scalar: Scalar<'_>) -> Result<()> {
         self.add(match scalar {
             Scalar::Null => JsonValue::Null,
             Scalar::Bool(b) => JsonValue::Bool(b),
             Scalar::Number(n) => JsonValue::Number(n),
             Scalar::String(s) => JsonValue::String(s.into_owned()),
         });
+        Ok(())
     }
 }
 
@@ -230,13 +237,14 @@ impl TreeBuilder {
 }
 
 impl Builder for TreeBuilder {
-    fn begin_object(&mut self) {
+    fn begin_object(&mut self) -> Result<()> {
         // The document's object is the root itself.
         let node = match self.slot() {
-            Some((parent, tag)) => self.tree.add_child(parent, tag, None),
+            Some((parent, tag)) => self.tree.push_child(parent, tag, None)?,
             None => NodeId::ROOT,
         };
         self.open.push(Open::Object(node));
+        Ok(())
     }
 
     fn begin_array(&mut self) {
@@ -255,34 +263,46 @@ impl Builder for TreeBuilder {
         self.open.pop();
     }
 
-    fn scalar(&mut self, scalar: Scalar<'_>) {
+    fn scalar(&mut self, scalar: Scalar<'_>) -> Result<()> {
         let (parent, tag) = self
             .slot()
             .unwrap_or_else(|| (NodeId::ROOT, TagId::from("value")));
         let data = match scalar {
-            Scalar::Null => "null".to_string(),
-            Scalar::Bool(b) => b.to_string(),
-            Scalar::Number(n) => format_number(n),
-            Scalar::String(s) => s.into_owned(),
+            Scalar::Null => "null",
+            Scalar::Bool(true) => "true",
+            Scalar::Bool(false) => "false",
+            Scalar::String(s) => return self.tree.push_child(parent, tag, Some(&s)).map(drop),
+            Scalar::Number(n) => {
+                let leaf = self.tree.push_child(parent, tag, None)?;
+                return self.tree.fill_leaf(leaf, |buf| write_number(buf, n));
+            }
         };
-        self.tree.add_child(parent, tag, Some(data));
+        self.tree.push_child(parent, tag, Some(data)).map(drop)
     }
 }
 
 /// Formats an f64 the way JSON integers are usually written (no trailing `.0`).
 pub fn format_number(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+    let mut out = String::new();
+    write_number(&mut out, n);
+    out
+}
+
+/// Appends `n` to `out` by [`format_number`]'s rule, through `fmt::Write`.
+fn write_number(out: &mut String, n: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n}")
-    }
+        write!(out, "{n}")
+    };
 }
 
 fn write_value(v: &JsonValue, indent: usize, out: &mut String) {
     match v {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Number(n) => out.push_str(&format_number(*n)),
+        JsonValue::Number(n) => write_number(out, *n),
         JsonValue::String(s) => write_json_string(s, out),
         JsonValue::Array(items) => {
             if items.is_empty() {
@@ -327,7 +347,7 @@ fn write_compact(v: &JsonValue, out: &mut String) {
     match v {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Number(n) => out.push_str(&format_number(*n)),
+        JsonValue::Number(n) => write_number(out, *n),
         JsonValue::String(s) => write_json_string(s, out),
         JsonValue::Array(items) => {
             out.push('[');
@@ -461,8 +481,7 @@ impl<'a, B: Builder> JsonParser<'a, B> {
             }
             Some(b'"') => {
                 let s = self.parse_string()?;
-                self.builder.scalar(Scalar::String(s));
-                Ok(())
+                self.builder.scalar(Scalar::String(s))
             }
             Some(b't') => self.parse_keyword("true", Scalar::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Scalar::Bool(false)),
@@ -479,8 +498,7 @@ impl<'a, B: Builder> JsonParser<'a, B> {
     fn parse_keyword(&mut self, word: &str, value: Scalar<'a>) -> Result<()> {
         if self.input[self.pos..].starts_with(word) {
             self.pos += word.len();
-            self.builder.scalar(value);
-            Ok(())
+            self.builder.scalar(value)
         } else {
             Err(HdtError::parse(format!("expected '{word}'"), self.pos))
         }
@@ -488,7 +506,7 @@ impl<'a, B: Builder> JsonParser<'a, B> {
 
     fn parse_object(&mut self) -> Result<()> {
         self.expect(b'{')?;
-        self.builder.begin_object();
+        self.builder.begin_object()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -676,8 +694,7 @@ impl<'a, B: Builder> JsonParser<'a, B> {
             .ok()
             .filter(|_| valid)
             .ok_or_else(|| HdtError::parse(format!("invalid number '{text}'"), start))?;
-        self.builder.scalar(Scalar::Number(value));
-        Ok(())
+        self.builder.scalar(Scalar::Number(value))
     }
 }
 

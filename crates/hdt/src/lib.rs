@@ -26,9 +26,13 @@
 //! trees programmatically.
 //!
 //! Tags are interned: [`intern`] defines [`Symbol`]/[`TagId`] and the process-wide
-//! [`Interner`] every ingestion path funnels through, and [`tree::Hdt`] maintains the
-//! pre-order / per-tag occurrence indexes that make `descendants`/`children` lookups
-//! `O(log n + k)` range scans (see DESIGN.md §2 "Tree representation & indexing").
+//! [`Interner`] every ingestion path funnels through.  A [`tree::Hdt`] is a flat
+//! arena whose nodes own no heap memory — a tag, a parent link, a child count and a
+//! span of the tree's one text buffer — so parsing a document allocates per
+//! document, not per node.  The tree derives each node's children, its `pos` and
+//! the pre-order / per-tag occurrence indexes that make `descendants`/`children`
+//! lookups `O(log n + k)` range scans from the parent links, in a few linear passes
+//! (see DESIGN.md §2 "Tree representation & indexing").
 
 // This crate is part of the hardened ingestion surface: panicking shortcuts are
 // lint-rejected outside tests (see clippy.toml for the disallowed method list).
@@ -48,5 +52,5 @@ pub use error::{HdtError, Result, MAX_PARSE_DEPTH};
 pub use format::DocFormat;
 pub use intern::{Interner, Symbol, TagId};
 pub use json::{parse_json, JsonValue};
-pub use node::{Node, NodeId};
+pub use node::NodeId;
 pub use tree::{Hdt, HdtBuilder};

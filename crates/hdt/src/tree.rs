@@ -4,29 +4,40 @@
 //! primitives that the DSL semantics (Figure 7) need: children lookup by tag, children
 //! lookup by tag *and* position, descendant search by tag, and parent lookup.
 //!
-//! Tags are interned [`TagId`]s (see [`crate::intern`]), so every lookup compares
-//! `u32`s.  On top of the arena the tree maintains a lazily built `TreeIndex`:
+//! A node owns no heap memory: its slot holds its tag, its parent link, its child
+//! count and the span of its data in the tree's one text buffer.  Every parent
+//! precedes its children in the arena ([`Hdt::add_child`] needs an existing parent),
+//! and arena order is insertion order.
 //!
+//! Tags are interned [`TagId`]s (see [`crate::intern`]), so every lookup compares
+//! `u32`s.  On top of the arena the tree maintains a lazily built `TreeIndex`, whose
+//! build makes a few linear passes over the arena:
+//!
+//! * **every node's children**, in the order [`Hdt::add_child`] added them, in one
+//!   flat array node after node: one forward pass places each node in its parent's
+//!   span, which starts at the prefix sum of the earlier nodes' child counts.
+//!   [`Hdt::children`] reads it;
 //! * a **pre-order numbering** — `preorder(n)` and an exclusive `subtree_end(n)` — so
-//!   that "is `d` a descendant of `n`" becomes an interval test;
+//!   that "is `d` a descendant of `n`" becomes an interval test.  One backward pass
+//!   sums subtree sizes and one forward pass hands out numbers and depths;
 //! * a **per-tag occurrence list** sorted by pre-order number, making
 //!   [`Hdt::descendants_with_tag`] a binary-search range scan (`O(log n + k)`) that
 //!   returns a contiguous slice, instead of a full subtree walk;
-//! * **children sorted by tag**, every node's children in one flat array, node after
-//!   node, making [`Hdt::children_with_tag`] two binary searches in the node's span
-//!   that return a slice in document order;
+//! * **children sorted by tag**, a copy of the children array whose spans are stably
+//!   sorted by tag, making [`Hdt::children_with_tag`] two binary searches in the
+//!   node's span that return a slice in document order;
 //! * **every node's `pos`**, its offset in its tag's run of that array: the number of
 //!   earlier siblings with its tag, as Definition 1 asks.  [`Hdt::pos`] reads it, and
 //!   [`Hdt::child`] is the `pos`'th entry of [`Hdt::children_with_tag`].
 //!
 //! The index is built on first query and invalidated by mutation ([`Hdt::add_child`]),
 //! so construction stays cheap and read-heavy workloads (synthesis, evaluation) pay
-//! the build cost exactly once per tree.  No node stores its `pos`, so every
-//! ingestion path builds a tree with the one mutator, a plain push.
+//! the build cost exactly once per tree.  No node stores its children or its `pos`,
+//! so every ingestion path builds a tree with plain pushes.
 
 use crate::error::{HdtError, Result};
 use crate::intern::TagId;
-use crate::node::{Node, NodeId};
+use crate::node::{Node, NodeId, Span};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -44,10 +55,13 @@ struct TreeIndex {
     depth: Vec<u32>,
     /// Per-tag occurrence lists, both vectors sorted by pre-order number in lockstep.
     occurrences: HashMap<TagId, TagOccurrences>,
-    /// Every node's children, stably sorted by tag (so each tag's children stay in
-    /// document order), laid out node after node in arena order.
+    /// Every node's children in the order they were added, laid out node after node
+    /// in arena order.
+    children: Vec<NodeId>,
+    /// `children` with each node's span stably sorted by tag, so each tag's
+    /// children stay in document order.
     children_by_tag: Vec<NodeId>,
-    /// Node `n`'s children sit at `children_by_tag[child_start[n]..child_start[n + 1]]`.
+    /// Node `n`'s span of both arrays is `child_start[n]..child_start[n + 1]`.
     child_start: Vec<u32>,
     /// Each node's offset in its tag's run of its parent's span (0 for the root).
     pos: Vec<u32>,
@@ -64,43 +78,66 @@ struct TagOccurrences {
 
 impl TreeIndex {
     fn build(tree: &Hdt) -> TreeIndex {
-        let n = tree.nodes.len();
-        let mut pre = vec![0u32; n];
-        let mut end = vec![0u32; n];
-        let mut depth = vec![0u32; n];
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        let nodes = &tree.nodes;
+        let n = nodes.len();
 
-        // Iterative pre-order numbering with explicit enter/exit frames so arbitrarily
-        // deep documents cannot overflow the call stack.
-        enum Frame {
-            Enter(NodeId),
-            Exit(NodeId),
+        // Each node's span of the children array starts after every earlier
+        // node's children.
+        let mut child_start: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut total = 0u32;
+        for node in nodes {
+            child_start.push(total);
+            total += node.child_count;
         }
-        let mut counter = 0u32;
-        let mut stack = vec![Frame::Enter(tree.root())];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Enter(id) => {
-                    pre[id.index()] = counter;
-                    counter += 1;
-                    order.push(id);
-                    stack.push(Frame::Exit(id));
-                    for c in tree.node(id).children.iter().rev() {
-                        depth[c.index()] = depth[id.index()] + 1;
-                        stack.push(Frame::Enter(*c));
-                    }
-                }
-                Frame::Exit(id) => end[id.index()] = counter,
+        child_start.push(total);
+
+        // One forward pass: arena order is insertion order, so each parent's
+        // children arrive in the order they were added.  `pre` serves as the
+        // fill cursor of each span until the numbering pass below overwrites it.
+        let mut children = vec![NodeId::ROOT; total as usize];
+        let mut pre = child_start[..n].to_vec();
+        for (id, node) in nodes.iter().enumerate() {
+            if let Some(parent) = node.parent() {
+                let cursor = &mut pre[parent.index()];
+                children[*cursor as usize] = NodeId(id as u32);
+                *cursor += 1;
             }
+        }
+
+        // Every parent precedes its children, so one backward pass sums the
+        // subtree sizes (kept in `end` until the numbering pass turns them into
+        // ends) ...
+        let mut end = vec![1u32; n];
+        for (id, node) in nodes.iter().enumerate().skip(1).rev() {
+            if let Some(parent) = node.parent() {
+                end[parent.index()] += end[id];
+            }
+        }
+        // ... and one forward pass numbers each node's children after it, each
+        // child's subtree after its earlier siblings'.
+        let mut depth = vec![0u32; n];
+        pre[0] = 0;
+        for id in 0..n {
+            let mut next = pre[id] + 1;
+            for &c in &children[child_span(&child_start, id)] {
+                pre[c.index()] = next;
+                depth[c.index()] = depth[id] + 1;
+                next += end[c.index()];
+            }
+            end[id] += pre[id];
         }
 
         // Occurrence lists: pushing in pre-order keeps each tag's vectors sorted.
         // A tag-id-indexed slot table groups the nodes, so the map takes one
         // entry per distinct tag rather than one hash per node.
+        let mut order = vec![NodeId::ROOT; n];
+        for (id, &number) in pre.iter().enumerate() {
+            order[number as usize] = NodeId(id as u32);
+        }
         let mut slot_of: Vec<u32> = Vec::new();
         let mut lists: Vec<(TagId, TagOccurrences)> = Vec::new();
         for (number, id) in order.iter().enumerate() {
-            let tag = tree.node(*id).tag;
+            let tag = nodes[id.index()].tag;
             let t = tag.id() as usize;
             if t >= slot_of.len() {
                 slot_of.resize(t + 1, u32::MAX);
@@ -118,19 +155,15 @@ impl TreeIndex {
         // Children sorted by tag, node after node; the sort is stable, so each
         // tag's children keep their document order, and a child's offset in its
         // tag's run is its `pos`.
-        let mut children_by_tag: Vec<NodeId> = Vec::with_capacity(n.saturating_sub(1));
-        let mut child_start: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut children_by_tag = children.clone();
         let mut pos = vec![0u32; n];
-        for node in &tree.nodes {
-            let start = children_by_tag.len();
-            child_start.push(start as u32);
-            children_by_tag.extend_from_slice(&node.children);
-            let span = &mut children_by_tag[start..];
-            span.sort_by_key(|c| tree.node(*c).tag);
+        for id in 0..n {
+            let span = &mut children_by_tag[child_span(&child_start, id)];
+            span.sort_by_key(|c| nodes[c.index()].tag);
             let mut run_tag = None;
             let mut offset = 0;
             for c in span.iter() {
-                let tag = tree.node(*c).tag;
+                let tag = nodes[c.index()].tag;
                 if run_tag != Some(tag) {
                     run_tag = Some(tag);
                     offset = 0;
@@ -139,18 +172,24 @@ impl TreeIndex {
                 offset += 1;
             }
         }
-        child_start.push(children_by_tag.len() as u32);
 
         TreeIndex {
             pre,
             end,
             depth,
             occurrences,
+            children,
             children_by_tag,
             child_start,
             pos,
         }
     }
+}
+
+/// Node `id`'s span of `children` and `children_by_tag`.
+#[inline]
+fn child_span(child_start: &[u32], id: usize) -> std::ops::Range<usize> {
+    child_start[id] as usize..child_start[id + 1] as usize
 }
 
 /// A hierarchical data tree: a rooted, ordered tree of `(tag, pos, data)` nodes.
@@ -159,6 +198,8 @@ impl TreeIndex {
 #[derive(Debug)]
 pub struct Hdt {
     nodes: Vec<Node>,
+    /// Every node's data, back to back; each node's [`Span`] says where its own is.
+    text: String,
     /// Lazily built navigation index; cleared by every mutation.
     index: OnceLock<TreeIndex>,
 }
@@ -170,16 +211,24 @@ impl Clone for Hdt {
     fn clone(&self) -> Self {
         Hdt {
             nodes: self.nodes.clone(),
+            text: self.text.clone(),
             index: OnceLock::new(),
         }
     }
 }
 
-/// Equality considers only the tree structure; the derived index is ignored (it is a
-/// function of the nodes).
+/// Equality compares every node's tag, parent, child count and data text; where
+/// each datum sits in the text buffer, and the derived index, are ignored.
 impl PartialEq for Hdt {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
+        self.len() == other.len()
+            && self.ids().all(|id| {
+                let (a, b) = (&self.nodes[id.index()], &other.nodes[id.index()]);
+                a.tag == b.tag
+                    && a.parent() == b.parent()
+                    && a.child_count == b.child_count
+                    && self.data(id) == other.data(id)
+            })
     }
 }
 
@@ -189,7 +238,8 @@ impl Hdt {
     /// Creates a tree consisting only of a root node with the given tag.
     pub fn with_root(tag: impl Into<TagId>) -> Self {
         Hdt {
-            nodes: vec![Node::new(tag, None)],
+            nodes: vec![Node::new(tag.into(), None, Span::NONE)],
+            text: String::new(),
             index: OnceLock::new(),
         }
     }
@@ -211,33 +261,17 @@ impl Hdt {
         self.nodes.len() <= 1
     }
 
-    /// Immutable access to a node.
-    ///
-    /// # Panics
-    /// Panics if `id` does not belong to this tree.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
-    /// Checked access to a node.
-    pub fn try_node(&self, id: NodeId) -> Result<&Node> {
-        self.nodes.get(id.index()).ok_or_else(|| {
-            HdtError::InvalidNode(format!("{id} out of range ({} nodes)", self.len()))
-        })
-    }
-
     /// Interned tag of a node.
     #[inline]
     pub fn tag(&self, id: NodeId) -> TagId {
-        self.node(id).tag
+        self.nodes[id.index()].tag
     }
 
     /// Tag of a node, resolved to its name (string boundary only — rendering,
     /// diagnostics, SQL/codegen emission).
     #[inline]
     pub fn tag_name(&self, id: NodeId) -> &'static str {
-        self.node(id).tag.as_str()
+        self.tag(id).as_str()
     }
 
     /// Position of a node among same-tag siblings: how many of its parent's earlier
@@ -250,25 +284,28 @@ impl Hdt {
     /// Data stored at a node (only leaves carry data).
     #[inline]
     pub fn data(&self, id: NodeId) -> Option<&str> {
-        self.node(id).data.as_deref()
+        let range = self.nodes[id.index()].data.range()?;
+        Some(&self.text[range])
     }
 
     /// True if the node has no children.
     #[inline]
     pub fn is_leaf(&self, id: NodeId) -> bool {
-        self.node(id).children.is_empty()
+        self.nodes[id.index()].child_count == 0
     }
 
     /// Parent of a node (`None` for the root).
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        self.nodes[id.index()].parent()
     }
 
-    /// Children of a node in document order.
+    /// Children of a node in document order (the order they were added), read
+    /// from the navigation index.
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+        let idx = self.index();
+        &idx.children[child_span(&idx.child_start, id.index())]
     }
 
     /// The navigation index, building it on first use.
@@ -289,23 +326,77 @@ impl Hdt {
         let _ = self.index();
     }
 
-    /// Adds a child node as the last child of `parent`.  Its `pos` is derived, when
-    /// the index is next built, as the number of `parent`'s earlier children with the
-    /// same tag.
+    /// Adds a child node as the last child of `parent`, copying `data` into the
+    /// tree's text buffer.  Its `pos` is derived, when the index is next built, as
+    /// the number of `parent`'s earlier children with the same tag.
+    ///
+    /// # Panics
+    /// Panics, leaving the tree unchanged, if `parent` does not belong to this
+    /// tree, if the tree's leaf data would pass [`HdtError::TextLimit`]'s
+    /// `u32::MAX` bytes, or if the tree would pass [`HdtError::NodeLimit`]'s
+    /// `u32::MAX` nodes.
     pub fn add_child(
         &mut self,
         parent: NodeId,
         tag: impl Into<TagId>,
         data: Option<String>,
     ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        let mut node = Node::new(tag, data);
-        node.parent = Some(parent);
-        self.nodes.push(node);
-        self.nodes[parent.index()].children.push(id);
+        match self.push_child(parent, tag, data.as_deref()) {
+            Ok(id) => id,
+            Err(e) => panic!("add_child: {e}"),
+        }
+    }
+
+    /// [`Hdt::add_child`] for the parsers: the data is borrowed, and a text buffer
+    /// or a node count that would pass `u32::MAX` is a typed error.  An
+    /// out-of-range `parent` panics before the arena changes.
+    pub(crate) fn push_child(
+        &mut self,
+        parent: NodeId,
+        tag: impl Into<TagId>,
+        data: Option<&str>,
+    ) -> Result<NodeId> {
+        let len = self.nodes.len();
+        assert!(
+            parent.index() < len,
+            "parent {parent} is out of range ({len} nodes)"
+        );
+        let id = NodeId::at(len)?;
+        let span = match data {
+            Some(data) => {
+                let start = self.text.len();
+                let span = Span::new(start, start + data.len())?;
+                self.text.push_str(data);
+                span
+            }
+            None => Span::NONE,
+        };
+        self.nodes[parent.index()].child_count += 1;
+        self.nodes.push(Node::new(tag.into(), Some(parent), span));
         // Any previously built index is stale now.
         self.index.take();
-        id
+        Ok(id)
+    }
+
+    /// Gives `leaf`, a node added without data, the text `write` appends to the
+    /// tree's text buffer, so the parsers write data in place.
+    pub(crate) fn fill_leaf(
+        &mut self,
+        leaf: NodeId,
+        write: impl FnOnce(&mut String),
+    ) -> Result<()> {
+        let start = self.text.len();
+        write(&mut self.text);
+        match Span::new(start, self.text.len()) {
+            Ok(span) => {
+                self.nodes[leaf.index()].data = span;
+                Ok(())
+            }
+            Err(e) => {
+                self.text.truncate(start);
+                Err(e)
+            }
+        }
     }
 
     /// Children of `id` whose tag equals `tag` (the `children` DSL construct), in
@@ -314,10 +405,9 @@ impl Hdt {
     pub fn children_with_tag(&self, id: NodeId, tag: impl Into<TagId>) -> &[NodeId] {
         let tag = tag.into();
         let idx = self.index();
-        let span = &idx.children_by_tag
-            [idx.child_start[id.index()] as usize..idx.child_start[id.index() + 1] as usize];
-        let a = span.partition_point(|c| self.node(*c).tag < tag);
-        let b = a + span[a..].partition_point(|c| self.node(*c).tag == tag);
+        let span = &idx.children_by_tag[child_span(&idx.child_start, id.index())];
+        let a = span.partition_point(|c| self.tag(*c) < tag);
+        let b = a + span[a..].partition_point(|c| self.tag(*c) == tag);
         &span[a..b]
     }
 
@@ -413,10 +503,7 @@ impl Hdt {
     /// All leaf data values in the tree (used for constant mining in predicate
     /// universe construction, rule (4) of Figure 10).
     pub fn data_values(&self) -> Vec<&str> {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.data.as_deref())
-            .collect()
+        self.ids().filter_map(|id| self.data(id)).collect()
     }
 
     /// Counts "elements": internal nodes plus the root.  Used to report the
@@ -424,35 +511,35 @@ impl Hdt {
     pub fn element_count(&self) -> usize {
         self.nodes
             .iter()
-            .filter(|n| !n.children.is_empty())
+            .filter(|n| n.child_count > 0)
             .count()
             .max(1)
     }
 
-    /// Validates internal consistency (parent/child symmetry).  Intended for tests
-    /// and debugging.
+    /// Validates internal consistency: the root has no parent, every other node's
+    /// parent precedes it, and every child count matches the parent links.
+    /// Intended for tests and debugging.
     pub fn validate(&self) -> Result<()> {
-        if self.nodes.is_empty() {
-            return Err(HdtError::Structure("tree has no nodes".into()));
-        }
-        if self.nodes[0].parent.is_some() {
+        if self.nodes[0].parent().is_some() {
             return Err(HdtError::Structure("root must not have a parent".into()));
         }
-        for id in self.ids() {
-            let n = self.node(id);
-            for c in &n.children {
-                if self.try_node(*c)?.parent != Some(id) {
+        let mut counts = vec![0u32; self.len()];
+        for id in self.ids().skip(1) {
+            match self.parent(id) {
+                Some(p) if p < id => counts[p.index()] += 1,
+                _ => {
                     return Err(HdtError::Structure(format!(
-                        "child {c} of {id} has wrong parent link"
-                    )));
+                        "{id} does not follow its parent"
+                    )))
                 }
             }
-            if let Some(p) = n.parent {
-                if !self.node(p).children.contains(&id) {
-                    return Err(HdtError::Structure(format!(
-                        "{id} not listed among children of its parent {p}"
-                    )));
-                }
+        }
+        for (id, count) in self.ids().zip(counts) {
+            let counted = self.nodes[id.index()].child_count;
+            if counted != count {
+                return Err(HdtError::Structure(format!(
+                    "{id} counts {counted} children, but {count} nodes name it their parent"
+                )));
             }
         }
         Ok(())
@@ -461,18 +548,16 @@ impl Hdt {
     /// Puts a new root tagged `tag` above the current root, which becomes its first
     /// child.  Every id shifts up by one, so arena order stays document order.  The
     /// HTML parser calls this when a fragment's second top-level element opens.
-    pub(crate) fn wrap_root(&mut self, tag: impl Into<TagId>) {
-        let shift = |id: NodeId| NodeId(id.0 + 1);
+    pub(crate) fn wrap_root(&mut self, tag: impl Into<TagId>) -> Result<()> {
+        NodeId::at(self.nodes.len())?;
         for node in &mut self.nodes {
-            node.parent = Some(node.parent.map_or(NodeId::ROOT, shift));
-            for child in &mut node.children {
-                *child = shift(*child);
-            }
+            node.set_parent(node.parent().map_or(NodeId::ROOT, |p| NodeId(p.0 + 1)));
         }
-        let mut root = Node::new(tag, None);
-        root.children.push(NodeId(1));
+        let mut root = Node::new(tag.into(), None, Span::NONE);
+        root.child_count = 1;
         self.nodes.insert(0, root);
         self.index.take();
+        Ok(())
     }
 }
 
@@ -480,46 +565,71 @@ impl Hdt {
 /// `text` leaf.  The XML and HTML parsers create that leaf at the element's first
 /// non-blank text, so it sits at that text's document position (after any child
 /// elements that precede the text), and fill in its data when the element closes.
+///
+/// The text itself waits in one scratch `String` per parse, used as a stack: an
+/// element's text starts at the scratch's length when its first non-blank text
+/// arrives, and each child element closes before its parent does, copying its own
+/// text into the tree and truncating the scratch back.  So an open element's text
+/// is always the scratch's top segment, and every byte is pushed once and copied
+/// once.
 #[derive(Debug, Default)]
 pub(crate) struct ElementText {
     leaf: Option<NodeId>,
-    text: String,
+    /// Where the element's text starts in the scratch.
+    start: usize,
 }
 
 impl ElementText {
     /// Appends text parsed directly inside `element`.  Blank text before the first
     /// non-blank text, and that text's leading whitespace, are dropped: both
     /// formats trim them.
-    pub(crate) fn push(&mut self, tree: &mut Hdt, element: NodeId, text: &str) {
+    pub(crate) fn push(
+        &mut self,
+        tree: &mut Hdt,
+        scratch: &mut String,
+        element: NodeId,
+        text: &str,
+    ) -> Result<()> {
         let text = if self.leaf.is_some() {
             text
         } else {
             text.trim_start()
         };
-        if !text.is_empty() {
-            self.leaf
-                .get_or_insert_with(|| tree.add_child(element, "text", None));
-            self.text.push_str(text);
+        if text.is_empty() {
+            return Ok(());
         }
+        if self.leaf.is_none() {
+            self.leaf = Some(tree.push_child(element, "text", None)?);
+            self.start = scratch.len();
+        }
+        scratch.push_str(text);
+        Ok(())
     }
 
     /// Fills in the `text` leaf, if the element has one, when the element closes:
-    /// its data is the gathered text, trimmed, then `normalize`d (HTML collapses
-    /// whitespace runs; XML keeps them).
-    pub(crate) fn close(self, tree: &mut Hdt, normalize: fn(String) -> String) {
-        if let Some(leaf) = self.leaf {
-            let mut text = self.text;
-            text.truncate(text.trim_end().len());
-            tree.nodes[leaf.index()].data = Some(normalize(text));
-        }
+    /// `write` copies the gathered text, trimmed, into the tree's text buffer (HTML
+    /// collapses whitespace runs on the way; XML keeps them).
+    pub(crate) fn close(
+        self,
+        tree: &mut Hdt,
+        scratch: &mut String,
+        write: fn(&mut String, &str),
+    ) -> Result<()> {
+        let Some(leaf) = self.leaf else {
+            return Ok(());
+        };
+        let text = scratch[self.start..].trim_end();
+        tree.fill_leaf(leaf, |buf| write(buf, text))?;
+        scratch.truncate(self.start);
+        Ok(())
     }
 }
 
 /// Convenience builder for constructing trees in a nested, declarative style.
 ///
 /// All four ingestion paths (XML, JSON, HTML and the synthetic generators) funnel
-/// through the one arena mutator, [`Hdt::add_child`], which interns every tag through
-/// the shared global interner.
+/// through the one arena mutator behind [`Hdt::add_child`], which interns every tag
+/// through the shared global interner.
 ///
 /// ```
 /// use mitra_hdt::HdtBuilder;
@@ -799,9 +909,67 @@ mod tests {
     }
 
     #[test]
-    fn try_node_out_of_range_errors() {
-        let t = sample();
-        assert!(t.try_node(NodeId(9999)).is_err());
+    fn an_out_of_range_parent_panics_before_the_arena_changes() {
+        let mut t = sample();
+        let before = t.clone();
+        let added = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.add_child(NodeId(9999), "x", Some("data".into()))
+        }));
+        assert!(added.is_err());
+        assert_eq!(t, before);
+        assert_eq!(
+            (t.nodes.len(), t.text.len()),
+            (before.len(), before.text.len())
+        );
+        t.validate().unwrap();
+    }
+
+    #[test]
+    fn leaf_detection() {
+        let mut t = sample();
+        let name = t
+            .child(t.root(), "Person", 0)
+            .and_then(|p| t.child(p, "name", 0));
+        let name = name.unwrap();
+        assert!(t.is_leaf(name));
+        assert!(!t.is_leaf(t.root()));
+        t.add_child(name, "inner", None);
+        assert!(!t.is_leaf(name));
+        assert_eq!(t.data(name), Some("Alice"), "a leaf keeps its data");
+    }
+
+    #[test]
+    fn validate_checks_parent_order_and_child_counts() {
+        let mut t = sample();
+        t.nodes[1].child_count += 1;
+        assert!(
+            t.validate().is_err(),
+            "a child count the links do not match"
+        );
+        let mut t = sample();
+        t.nodes[2].set_parent(NodeId(5));
+        assert!(t.validate().is_err(), "a parent after its child");
+        let mut t = sample();
+        t.nodes[0].set_parent(NodeId(1));
+        assert!(t.validate().is_err(), "a root with a parent");
+    }
+
+    #[test]
+    fn filled_leaves_and_clones_keep_their_data() {
+        let mut t = Hdt::with_root("r");
+        let root = t.root();
+        let a = t.push_child(root, "a", None).unwrap();
+        let b = t.push_child(root, "b", Some("bee")).unwrap();
+        let empty = t.push_child(root, "e", Some("")).unwrap();
+        t.fill_leaf(a, |buf| buf.push_str("ay")).unwrap();
+        assert_eq!(
+            [t.data(a), t.data(b), t.data(empty), t.data(root)],
+            [Some("ay"), Some("bee"), Some(""), None]
+        );
+        let u = t.clone();
+        assert_eq!(u, t);
+        assert_eq!(u.data(a), Some("ay"));
+        assert!(u.index.get().is_none(), "a clone starts with a cold index");
     }
 
     #[test]
@@ -815,7 +983,7 @@ mod tests {
     fn wrap_root_shifts_ids_and_keeps_document_order() {
         let mut t = sample();
         let before = t.len();
-        t.wrap_root("html");
+        t.wrap_root("html").unwrap();
         t.validate().unwrap();
         assert_eq!(t.len(), before + 1);
         assert_eq!(t.tag_name(t.root()), "html");
@@ -912,7 +1080,7 @@ mod tests {
         let parsed = crate::xml::xml_to_hdt("<r><a/><a><b/></a></r>").unwrap();
         for mut t in [built, parsed] {
             let old_root = t.tag(t.root());
-            t.wrap_root("html");
+            t.wrap_root("html").unwrap();
             let root = t.root();
             let first = NodeId(1);
             let inner = t.children(first).last().copied().unwrap();

@@ -12,8 +12,10 @@
 //! order: an element's node at its start tag, a leaf per attribute `a="v"` (tag `a`,
 //! data `v`), and one `text` leaf at the element's first non-blank text, whose data
 //! is the trimmed concatenation of all its text (see [`crate::tree`]'s
-//! `ElementText`).  The tree's index derives each node's `pos` among its same-tag
-//! siblings.
+//! `ElementText`).  Attribute values go straight into the tree's text buffer, and an
+//! element's text waits in the parser's one scratch `String` until the element
+//! closes, so a parse allocates per document, not per node.  The tree's index
+//! derives each node's children and its `pos` among its same-tag siblings.
 //!
 //! There is no XML serializer here: [`escape`] and `mitra_datagen`'s
 //! `hdt_to_xml_text` write XML text.
@@ -65,6 +67,8 @@ struct Parser<'a> {
     depth: usize,
     /// The arena being built: a placeholder until the root's start tag is parsed.
     tree: Hdt,
+    /// The text of the open elements, innermost last (see `ElementText`).
+    scratch: String,
 }
 
 impl<'a> Parser<'a> {
@@ -75,6 +79,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             depth: 0,
             tree: Hdt::with_root("xml"),
+            scratch: String::new(),
         }
     }
 
@@ -189,7 +194,7 @@ impl<'a> Parser<'a> {
         self.bump(1);
         let name = self.parse_name()?;
         let id = match parent {
-            Some(parent) => self.tree.add_child(parent, name, None),
+            Some(parent) => self.tree.push_child(parent, name, None)?,
             None => {
                 self.tree = Hdt::with_root(name);
                 self.tree.root()
@@ -243,8 +248,8 @@ impl<'a> Parser<'a> {
                     }
                     let raw = &self.input[start..self.pos];
                     self.bump(1);
-                    let value = unescape(raw, start)?.into_owned();
-                    self.tree.add_child(id, key, Some(value));
+                    let value = unescape(raw, start)?;
+                    self.tree.push_child(id, key, Some(&value))?;
                 }
                 None => return Err(HdtError::parse("unexpected end of input in tag", self.pos)),
             }
@@ -286,7 +291,7 @@ impl<'a> Parser<'a> {
                 match self.input[self.pos..].find("]]>") {
                     Some(rel) => {
                         let cdata = &self.input[self.pos..self.pos + rel];
-                        text.push(&mut self.tree, id, cdata);
+                        text.push(&mut self.tree, &mut self.scratch, id, cdata)?;
                         self.bump(rel + 3);
                     }
                     None => return Err(HdtError::parse("unterminated CDATA section", self.pos)),
@@ -312,11 +317,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 let chunk = unescape(&self.input[start..self.pos], start)?;
-                text.push(&mut self.tree, id, &chunk);
+                text.push(&mut self.tree, &mut self.scratch, id, &chunk)?;
             }
         }
-        text.close(&mut self.tree, std::convert::identity);
-        Ok(())
+        text.close(&mut self.tree, &mut self.scratch, String::push_str)
     }
 }
 

@@ -15,10 +15,11 @@
 //! values, so a fingerprint written to a checkpoint journal in one process
 //! matches the one recomputed after a crash in a fresh process.  The hash is a
 //! 64-bit FNV-1a fold over the sorted path-hash set: deterministic, ordering-
-//! and multiplicity-insensitive, with no dependency beyond `mitra-hdt`.
+//! and multiplicity-insensitive, with no dependency beyond `mitra-hdt`.  The
+//! path hashes come from one forward pass over the arena's parent links, so
+//! fingerprinting a document never builds its navigation index.
 
 use mitra_hdt::Hdt;
-use std::collections::BTreeSet;
 
 /// The 64-bit FNV-1a offset basis: the hash of the empty input.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -60,24 +61,23 @@ impl std::fmt::Display for Fingerprint {
 }
 
 /// Computes the shape fingerprint of a document: hash the root-to-node tag
-/// path of every node (explicit stack — adversarially deep documents must not
-/// overflow), collect the distinct path hashes, and fold them in sorted order.
-/// It reads only the arena (`children` and tag names) and leaves the tree's
-/// navigation index unbuilt; execution builds that on first use.
+/// path of every node, collect the distinct path hashes, and fold them in
+/// sorted order.  Every parent precedes its children in the arena, so one
+/// forward pass extends each parent's path hash by its child's tag, with no
+/// recursion however deep the document.  It reads only the arena (parent links
+/// and tag names) and leaves the tree's navigation index unbuilt: a resumed
+/// corpus run fingerprints checkpointed shards' documents without executing
+/// them, and execution builds the index on first use.
 pub fn fingerprint(tree: &Hdt) -> Fingerprint {
-    let root = tree.root();
-    let mut paths: BTreeSet<u64> = BTreeSet::new();
-    let mut stack: Vec<(mitra_hdt::NodeId, u64)> =
-        vec![(root, fnv_segment(FNV_OFFSET, tree.tag_name(root)))];
-    while let Some((id, h)) = stack.pop() {
-        paths.insert(h);
-        for &child in tree.children(id) {
-            stack.push((child, fnv_segment(h, tree.tag_name(child))));
-        }
+    let mut path: Vec<u64> = Vec::with_capacity(tree.len());
+    for id in tree.ids() {
+        let prefix = tree.parent(id).map_or(FNV_OFFSET, |p| path[p.index()]);
+        path.push(fnv_segment(prefix, tree.tag_name(id)));
     }
+    path.sort_unstable();
+    path.dedup();
     Fingerprint(
-        paths
-            .iter()
+        path.iter()
             .fold(FNV_OFFSET, |h, p| fnv1a(h, &p.to_le_bytes())),
     )
 }

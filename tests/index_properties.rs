@@ -8,6 +8,10 @@
 //! * a node's `pos`, which the index derives, is the number of its earlier same-tag
 //!   siblings, counted in its parent's child list, and `child` finds it;
 //! * the pre-order numbering must nest subtrees correctly;
+//! * the flat arena answers every node's children, data and leafness from parent
+//!   links, child counts and one text buffer: `children` equals a naive scan of the
+//!   parent links and, for built trees, the ids `add_child` returned, and equality
+//!   ignores where the parsers wrote each datum;
 //! * interning must round-trip every tag produced by the XML, JSON and HTML parsers.
 
 use mitra::hdt::html::html_to_hdt;
@@ -51,30 +55,83 @@ fn random_tree() -> impl Strategy<Value = Hdt> {
     })
 }
 
+/// A tree and what each `add_child` call was given and returned:
+/// `(parent, child, data)`, in call order.
+#[derive(Debug, Clone)]
+struct Built {
+    tree: Hdt,
+    calls: Vec<(NodeId, NodeId, Option<String>)>,
+}
+
 /// Strategy for random trees built out of document order: every new node goes
 /// under any node created so far, with a query now and then so the index is built
 /// and then invalidated.  Tags come from an alphabet of 40.
-fn scattered_tree() -> impl Strategy<Value = Hdt> {
+fn scattered_build() -> impl Strategy<Value = Built> {
     let ops = prop::collection::vec((0u8..5, 0usize..1000, 0usize..40, 0usize..4), 1..80);
     ops.prop_map(|ops| {
         let mut tree = Hdt::with_root("root");
+        let mut calls = Vec::new();
         for (kind, parent, tag, pos) in ops {
             let parent = NodeId((parent % tree.len()) as u32);
             let tag = format!("s{tag}");
-            match kind {
-                0..=2 => {
-                    tree.add_child(parent, tag.as_str(), None);
-                }
-                3 => {
-                    tree.add_child(parent, tag.as_str(), Some(pos.to_string()));
-                }
+            let data = match kind {
+                0..=2 => None,
+                3 => Some(pos.to_string()),
                 _ => {
                     let _ = tree.children_with_tag(parent, tag.as_str()).len();
+                    continue;
                 }
-            }
+            };
+            let child = tree.add_child(parent, tag.as_str(), data.clone());
+            calls.push((parent, child, data));
         }
-        tree
+        Built { tree, calls }
     })
+}
+
+/// The trees of [`scattered_build`].
+fn scattered_tree() -> impl Strategy<Value = Hdt> {
+    scattered_build().prop_map(|built| built.tree)
+}
+
+/// Strategy for HTML fragments: two to four top-level elements (so the parser
+/// puts a synthetic root above the first through `wrap_root`), holding text,
+/// attributes, implicitly closed items and nested elements.  No piece opens a
+/// `div`, `ul` or `section`, so each top-level element's closing tag closes it.
+fn html_fragment() -> impl Strategy<Value = String> {
+    let pieces = [
+        "<li>one",
+        "<li>two",
+        "<p>para",
+        "<b class=x>bold</b>",
+        " tail ",
+        "<br>",
+        "<i>in <u>deep</u> out</i>",
+        "<script> s() </script>",
+    ];
+    let element =
+        (0usize..3, prop::collection::vec(0..pieces.len(), 0..6)).prop_map(move |(name, picks)| {
+            let name = ["div", "ul", "section"][name];
+            let body: String = picks.iter().map(|&i| pieces[i]).collect();
+            format!("<{name} id=t>{body}</{name}>")
+        });
+    prop::collection::vec(element, 2..5).prop_map(|elements| elements.concat())
+}
+
+/// The arena's answers against its parent links: `children(n)` is every node
+/// whose parent is `n`, in arena order, `is_leaf(n)` holds exactly when there is
+/// none, and a clone equals the tree and validates.
+fn assert_arena_consistent(tree: &Hdt) -> Result<(), TestCaseError> {
+    prop_assert!(tree.validate().is_ok());
+    for id in tree.ids() {
+        let naive: Vec<NodeId> = tree.ids().filter(|&c| tree.parent(c) == Some(id)).collect();
+        prop_assert!(tree.children(id) == naive.as_slice(), "children({})", id);
+        prop_assert_eq!(tree.is_leaf(id), naive.is_empty());
+    }
+    let clone = tree.clone();
+    prop_assert!(clone == *tree);
+    prop_assert!(clone.validate().is_ok());
+    Ok(())
 }
 
 /// Strategy for trees with wide nodes: a root and a few internal nodes, each with
@@ -233,6 +290,31 @@ proptest! {
     }
 
     #[test]
+    fn arena_children_data_and_leaves_agree_with_add_child(built in scattered_build()) {
+        let tree = &built.tree;
+        assert_arena_consistent(tree)?;
+        for id in tree.ids() {
+            let added: Vec<NodeId> = built
+                .calls
+                .iter()
+                .filter(|call| call.0 == id)
+                .map(|call| call.1)
+                .collect();
+            prop_assert!(tree.children(id) == added.as_slice(), "children({})", id);
+        }
+        for (_, child, data) in &built.calls {
+            prop_assert_eq!(tree.data(*child), data.as_deref());
+        }
+    }
+
+    #[test]
+    fn parsed_html_fragments_keep_a_consistent_arena(html in html_fragment()) {
+        let tree = html_to_hdt(&html).expect("a fragment parses");
+        prop_assert_eq!(tree.tag_name(tree.root()), "html");
+        assert_arena_consistent(&tree)?;
+    }
+
+    #[test]
     fn preorder_numbering_nests_subtrees(tree in random_tree()) {
         let order = tree.preorder();
         prop_assert_eq!(order.len(), tree.len());
@@ -317,4 +399,20 @@ proptest! {
             );
         }
     }
+}
+
+#[test]
+fn equality_ignores_where_each_datum_was_written() {
+    // The parser writes the `text` leaf's data when `a` closes, after `c`'s;
+    // `add_child` in arena order writes it first.
+    let parsed = xml_to_hdt(r#"<a>x<b c="1"/>y</a>"#).expect("well-formed XML");
+    let mut built = Hdt::with_root("a");
+    let root = built.root();
+    built.add_child(root, "text", Some("xy".into()));
+    let b = built.add_child(root, "b", None);
+    built.add_child(b, "c", Some("1".into()));
+    assert_eq!(parsed, built);
+    let mut other = built.clone();
+    other.add_child(b, "c", Some("2".into()));
+    assert_ne!(parsed, other);
 }

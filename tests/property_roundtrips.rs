@@ -172,6 +172,147 @@ fn html_page() -> impl Strategy<Value = String> {
     prop::collection::vec(section, 1..4).prop_map(|sections| sections.concat())
 }
 
+/// A random mixed-content document, as XML and as HTML text, with the data each
+/// element's `text` leaf must hold, element by element in document order (`None`
+/// where the element has no text leaf).
+#[derive(Debug, Clone)]
+struct MixedContent {
+    xml: String,
+    html: String,
+    xml_texts: Vec<Option<String>>,
+    html_texts: Vec<Option<String>>,
+}
+
+/// Element names of [`mixed_content`]: none is void, raw-text or closed
+/// implicitly in HTML, and none is an attribute name or `text`.
+const MIXED_ELEMENTS: [&str; 4] = ["r", "e", "f", "g"];
+
+/// Strategy for mixed content: text runs alternating with child elements that
+/// carry their own text, attributes and, in the XML rendering, CDATA.  The HTML
+/// rendering leaves the elements open at the end to the end of input.  A
+/// per-element accumulator is the oracle: an XML element's text is its runs
+/// concatenated, then trimmed, and an HTML element's is the words of its runs
+/// joined by single spaces (a child element splits two runs apart).
+fn mixed_content() -> impl Strategy<Value = MixedContent> {
+    // (markup, decoded text) of a text run.
+    const RUNS: [(&str, &str); 7] = [
+        ("x", "x"),
+        (" y z ", " y z "),
+        ("\n  ", "\n  "),
+        ("w\tv", "w\tv"),
+        ("&lt;u&gt;", "<u>"),
+        ("  ", "  "),
+        ("q", "q"),
+    ];
+    const CDATA: [&str; 3] = [" <raw>& ", "]", "c  d"];
+    const VALUES: [&str; 3] = ["1", "v w", ""];
+    prop::collection::vec((0u8..4, 0usize..64), 0..40).prop_map(|ops| {
+        /// One open element: its index in document order, its name, and its
+        /// text so far in both renderings.
+        struct Open {
+            element: usize,
+            name: &'static str,
+            xml: String,
+            html: String,
+        }
+        let mut xml = String::from("<r>");
+        let mut html = String::from("<r>");
+        let mut texts: Vec<(String, String)> = vec![(String::new(), String::new())];
+        let mut stack = vec![Open {
+            element: 0,
+            name: "r",
+            xml: String::new(),
+            html: String::new(),
+        }];
+        let close = |open: Open, texts: &mut Vec<(String, String)>| {
+            texts[open.element] = (open.xml, open.html);
+        };
+        for (kind, pick) in ops {
+            match kind {
+                0 => {
+                    let name = MIXED_ELEMENTS[1 + pick % 3];
+                    let mut tag = name.to_string();
+                    for a in 0..pick % 3 {
+                        tag.push_str(&format!(" k{a}=\"{}\"", VALUES[(pick + a) % 3]));
+                    }
+                    xml.push_str(&format!("<{tag}>"));
+                    html.push_str(&format!("<{tag}>"));
+                    // A child element splits its parent's HTML text runs.
+                    if let Some(parent) = stack.last_mut() {
+                        parent.html.push(' ');
+                    }
+                    stack.push(Open {
+                        element: texts.len(),
+                        name,
+                        xml: String::new(),
+                        html: String::new(),
+                    });
+                    texts.push((String::new(), String::new()));
+                }
+                1 => {
+                    let (markup, text) = RUNS[pick % RUNS.len()];
+                    xml.push_str(markup);
+                    html.push_str(markup);
+                    if let Some(open) = stack.last_mut() {
+                        open.xml.push_str(text);
+                        open.html.push_str(text);
+                    }
+                }
+                2 => {
+                    let cdata = CDATA[pick % CDATA.len()];
+                    xml.push_str(&format!("<![CDATA[{cdata}]]>"));
+                    if let Some(open) = stack.last_mut() {
+                        open.xml.push_str(cdata);
+                    }
+                }
+                _ => {
+                    if stack.len() > 1 {
+                        let open = stack.pop().expect("an open child");
+                        xml.push_str(&format!("</{}>", open.name));
+                        html.push_str(&format!("</{}>", open.name));
+                        close(open, &mut texts);
+                    }
+                }
+            }
+        }
+        // HTML leaves the rest open: the end of input closes them all at once.
+        while let Some(open) = stack.pop() {
+            xml.push_str(&format!("</{}>", open.name));
+            close(open, &mut texts);
+        }
+        let nonempty = |s: String| (!s.is_empty()).then_some(s);
+        let words = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
+        MixedContent {
+            xml,
+            html,
+            xml_texts: texts
+                .iter()
+                .map(|(x, _)| nonempty(x.trim().to_string()))
+                .collect(),
+            html_texts: texts.iter().map(|(_, h)| nonempty(words(h))).collect(),
+        }
+    })
+}
+
+/// The data of each element's `text` leaf, element by element in arena order,
+/// checking that no element has two.
+fn element_texts(tree: &Hdt) -> Result<Vec<Option<String>>, TestCaseError> {
+    let mut texts = Vec::new();
+    for id in tree.ids() {
+        if MIXED_ELEMENTS.contains(&tree.tag_name(id)) {
+            let leaves = tree.children_with_tag(id, "text");
+            prop_assert!(leaves.len() <= 1, "{} has {} text leaves", id, leaves.len());
+            texts.push(
+                leaves
+                    .first()
+                    .and_then(|&t| tree.data(t))
+                    .map(str::to_string),
+            );
+        }
+    }
+    Ok(texts)
+}
+
 /// Parsed markup must validate and be numbered in document order: arena order is
 /// pre-order, because the parsers create each node when its start is parsed.
 fn assert_document_order(tree: &Hdt) -> Result<(), TestCaseError> {
@@ -309,6 +450,16 @@ proptest! {
     fn xml_of_generated_trees_parses_in_document_order(tree in random_tree()) {
         let xml = mitra::datagen::corpus::hdt_to_xml_text(&tree);
         assert_document_order(&xml_to_hdt(&xml).expect("generated XML parses"))?;
+    }
+
+    #[test]
+    fn mixed_content_text_matches_a_per_element_accumulator(doc in mixed_content()) {
+        let tree = xml_to_hdt(&doc.xml).expect("generated XML parses");
+        assert_document_order(&tree)?;
+        prop_assert_eq!(element_texts(&tree)?, doc.xml_texts);
+        let tree = html_to_hdt(&doc.html).expect("generated HTML parses");
+        assert_document_order(&tree)?;
+        prop_assert_eq!(element_texts(&tree)?, doc.html_texts);
     }
 
     #[test]
