@@ -2,7 +2,8 @@
 //!
 //! The CLI only needs subcommands, `--flag value` options and boolean flags, so a
 //! hand-rolled parser keeps the dependency set at zero and the error messages specific
-//! to this tool.
+//! to this tool.  A `--name` it does not know is an error, so a mistyped option never
+//! passes silently.
 
 use std::collections::HashMap;
 
@@ -19,8 +20,8 @@ pub struct ParsedArgs {
     pub flags: Vec<String>,
 }
 
-/// Option keys that take a value; everything else starting with `--` is a switch.
-const VALUE_OPTIONS: [&str; 21] = [
+/// Option keys that take a value.
+const VALUE_OPTIONS: [&str; 20] = [
     "input",
     "output",
     "program",
@@ -30,7 +31,6 @@ const VALUE_OPTIONS: [&str; 21] = [
     "out-dir",
     "limit",
     "scale",
-    "query",
     "threads",
     "trace-out",
     "trace-folded",
@@ -43,6 +43,9 @@ const VALUE_OPTIONS: [&str; 21] = [
     "shard-size",
     "retries",
 ];
+
+/// Boolean switches.  A `--name` in neither list is a usage error.
+const SWITCHES: [&str; 4] = ["explain", "strict", "verbose", "help"];
 
 impl ParsedArgs {
     /// Parses raw arguments (excluding the program name).
@@ -59,17 +62,24 @@ impl ParsedArgs {
                     return Err("unexpected bare `--`".to_string());
                 }
                 // Support both `--key value` and `--key=value`.
-                if let Some((key, value)) = name.split_once('=') {
-                    parsed.options.insert(key.to_string(), value.to_string());
-                } else if VALUE_OPTIONS.contains(&name) {
-                    match iter.next() {
-                        Some(value) if !value.starts_with("--") => {
-                            parsed.options.insert(name.to_string(), value);
-                        }
-                        _ => return Err(format!("option `--{name}` expects a value")),
-                    }
+                let (key, inline) = match name.split_once('=') {
+                    Some((key, value)) => (key, Some(value)),
+                    None => (name, None),
+                };
+                if VALUE_OPTIONS.contains(&key) {
+                    let value = match inline {
+                        Some(value) => value.to_string(),
+                        None => iter
+                            .next_if(|v| !v.starts_with("--"))
+                            .ok_or_else(|| format!("option `--{key}` expects a value"))?,
+                    };
+                    parsed.options.insert(key.to_string(), value);
+                } else if !SWITCHES.contains(&key) {
+                    return Err(format!("unknown option `--{key}`"));
+                } else if inline.is_some() {
+                    return Err(format!("switch `--{key}` takes no value"));
                 } else {
-                    parsed.flags.push(name.to_string());
+                    parsed.flags.push(key.to_string());
                 }
             } else if parsed.command.is_none() {
                 parsed.command = Some(arg);
@@ -133,6 +143,29 @@ mod tests {
     fn missing_value_is_an_error() {
         assert!(ParsedArgs::parse(["run", "--program"]).is_err());
         assert!(ParsedArgs::parse(["run", "--program", "--input", "x"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_errors_that_name_the_option() {
+        for args in [
+            &["datasets", "--frobnicate"][..],
+            &["datasets", "--thread", "2"],
+            &["datasets", "--thread=2"],
+            &["migrate", "yelp", "--query", "SELECT 1"],
+        ] {
+            let err = ParsedArgs::parse(args.iter().copied()).unwrap_err();
+            let name = args.iter().find(|a| a.starts_with("--")).unwrap();
+            let name = name.split('=').next().unwrap();
+            assert_eq!(err, format!("unknown option `{name}`"), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        let err = ParsedArgs::parse(["migrate", "yelp", "--strict=yes"]).unwrap_err();
+        assert_eq!(err, "switch `--strict` takes no value");
+        let args = ParsedArgs::parse(["run", "--explain", "--help"]).unwrap();
+        assert!(args.has_flag("explain") && args.has_flag("help"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use mitra_dsl::parse::parse_program;
 use mitra_dsl::pretty;
 use mitra_dsl::validate::validate_against;
 use mitra_hdt::DocFormat;
-use mitra_migrate::query::run_query;
+use mitra_migrate::Database;
 use mitra_synth::budget::Budget;
 use mitra_synth::exec::execute;
 use mitra_synth::synthesize::Example;
@@ -203,8 +203,9 @@ pub fn corpus_service_summary(report: &mitra_migrate::CorpusReport, out_dir: &st
     out
 }
 
-/// `datasets`: migrate one of the built-in dataset simulators into a relational
-/// database at the given scale and optionally run a SQL query over the result.
+/// `migrate`: migrate one of the built-in dataset simulators into a relational
+/// database at the given scale.  Returns the report text and the migrated
+/// database, which `--out` writes as a SQL dump.
 ///
 /// Under `strict`, any degraded table aborts the whole migration with the first
 /// failure; otherwise degraded tables are reported per-table and the healthy
@@ -214,10 +215,9 @@ pub fn corpus_service_summary(report: &mitra_migrate::CorpusReport, out_dir: &st
 pub fn migrate_dataset(
     name: &str,
     per_entity: usize,
-    query: Option<&str>,
     strict: bool,
     budget: Budget,
-) -> Result<String, CliError> {
+) -> Result<(String, Database), CliError> {
     let spec = find_dataset(name)?;
     let (document, _expected) = spec.generate(per_entity);
     let mut plan = spec.migration_plan().with_strict(strict);
@@ -235,8 +235,7 @@ pub fn migrate_dataset(
         report.total_execution_time().as_secs_f64(),
         report.total_synthesis_time().as_secs_f64(),
     );
-    let violations = report.database.check_constraints();
-    let _ = writeln!(out, "constraint violations: {}", violations.len());
+    let _ = writeln!(out, "constraint violations: {}", report.violations);
     for table in &report.tables {
         if table.outcome.is_ok() {
             let _ = writeln!(
@@ -271,12 +270,7 @@ pub fn migrate_dataset(
             report.summary_json()
         )));
     }
-    if let Some(sql) = query {
-        let result = run_query(&report.database, sql).map_err(MitraError::from)?;
-        let _ = writeln!(out, "query: {sql}");
-        out.push_str(&result.to_csv());
-    }
-    Ok(out)
+    Ok((out, report.database))
 }
 
 /// Lists the built-in dataset simulators.
@@ -417,19 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn migrate_dataset_with_query() {
+    fn migrate_dataset_reports_the_database_it_returns() {
         let scale = if cfg!(debug_assertions) { 2 } else { 3 };
-        let out = migrate_dataset(
-            "yelp",
-            scale,
-            Some("SELECT COUNT(*) FROM business"),
-            false,
-            Budget::UNLIMITED,
-        )
-        .unwrap();
+        let (out, database) = migrate_dataset("yelp", scale, false, Budget::UNLIMITED).unwrap();
         assert!(out.contains("constraint violations: 0"), "{out}");
-        assert!(out.contains("COUNT(*)"), "{out}");
         assert!(!out.contains("degraded:"), "{out}");
+        let rows = format!("{} rows migrated", database.total_rows());
+        assert!(out.contains(&rows), "{rows}: {out}");
+        for table in &database.schema.tables {
+            let line = format!(
+                "{:<24} {:>8} rows",
+                table.name,
+                database.row_count(&table.name)
+            );
+            assert!(out.contains(&line), "{line}: {out}");
+        }
     }
 
     #[test]
@@ -441,7 +437,7 @@ mod tests {
             max_candidates: Some(0),
             ..Budget::UNLIMITED
         };
-        let err = migrate_dataset("yelp", 2, None, false, exhausted).unwrap_err();
+        let err = migrate_dataset("yelp", 2, false, exhausted).unwrap_err();
         match err {
             CliError::Synthesis(msg) => {
                 assert!(msg.contains("no table migrated"), "{msg}");
@@ -457,7 +453,7 @@ mod tests {
             max_candidates: Some(0),
             ..Budget::UNLIMITED
         };
-        let err = migrate_dataset("yelp", 2, None, true, exhausted).unwrap_err();
+        let err = migrate_dataset("yelp", 2, true, exhausted).unwrap_err();
         assert!(
             matches!(&err, CliError::Synthesis(msg) if msg.contains("fuel exhausted")),
             "{err:?}"

@@ -10,9 +10,12 @@
 //! mitra-cli corpus gen --out F [--docs N] [--seed S] [--malformed-pct P]
 //! mitra-cli corpus run|resume --input F --out-dir D [--shard-size N] [--retries K] [--budget-rows N]
 //! mitra-cli datasets
-//! mitra-cli migrate    <dblp|imdb|mondial|yelp> [--scale N] [--query 'SELECT ...'] [--strict]
+//! mitra-cli migrate    <dblp|imdb|mondial|yelp> [--scale N] [--out dump.sql] [--strict]
 //!                      [--budget-candidates N] [--budget-dfa-states N] [--budget-rows N]
 //! ```
+//!
+//! `migrate --out` writes the migrated database as a SQL dump (`CREATE TABLE` and
+//! `INSERT` statements) that an existing RDBMS loads, e.g. `sqlite3 db < dump.sql`.
 //!
 //! All the work happens in [`commands`], which operates on strings and is therefore
 //! unit-testable; [`run_cli`] performs the I/O.
@@ -59,7 +62,7 @@ impl std::error::Error for CliError {}
 impl From<mitra_core::MitraError> for CliError {
     /// Routes the unified library error into the CLI's user-facing categories:
     /// synthesis/migration failures are reported as synthesis errors, everything
-    /// else (document parsing, bad examples, bad programs, bad queries) as input
+    /// else (document parsing, bad examples, bad programs, bad schemas) as input
     /// errors.
     fn from(e: mitra_core::MitraError) -> Self {
         use mitra_core::MitraError;
@@ -71,7 +74,6 @@ impl From<mitra_core::MitraError> for CliError {
             | MitraError::BadOutputExample(_)
             | MitraError::DslParse(_)
             | MitraError::Eval(_)
-            | MitraError::Query(_)
             | MitraError::Schema(_) => CliError::Input(e.to_string()),
         }
     }
@@ -88,7 +90,7 @@ USAGE:
     mitra-cli corpus run --input <file> --out-dir <dir> [--shard-size <n>] [--retries <k>] [--budget-rows <n>]
     mitra-cli corpus resume --input <file> --out-dir <dir> [--shard-size <n>] [--retries <k>] [--budget-rows <n>]
     mitra-cli datasets [--verbose]
-    mitra-cli migrate <dblp|imdb|mondial|yelp> [--scale <per-entity>] [--query <sql>] [--strict]
+    mitra-cli migrate <dblp|imdb|mondial|yelp> [--scale <per-entity>] [--out <dump.sql>] [--strict]
                       [--budget-candidates <n>] [--budget-dfa-states <n>] [--budget-rows <n>]
     mitra-cli help
 
@@ -119,6 +121,11 @@ only unfinished shards and produces byte-identical tables, and malformed or
 budget-exhausted documents land in `<out-dir>/failure_ledger.jsonl` with a
 typed error instead of aborting the run.
 
+The migrate command prints a per-table report; with --out it also writes the
+migrated database as a SQL dump (CREATE TABLE and INSERT statements, tables in
+schema order) to load into an existing RDBMS, e.g. `sqlite3 db < dump.sql`.
+It writes no file when no table migrates or --strict aborts the migration.
+
 The migrate command accepts deterministic fuel budgets: --budget-candidates,
 --budget-dfa-states and --budget-rows cap, per table, the candidate programs
 examined, the DFA states built, and the rows materialized (unset means unlimited).
@@ -145,8 +152,9 @@ where
     if threads > 0 {
         mitra_pool::set_threads(threads);
     }
-    let Some(command) = args.command.clone() else {
-        return Ok(USAGE.to_string());
+    let command = match &args.command {
+        Some(command) if !args.has_flag("help") => command.clone(),
+        _ => return Ok(USAGE.to_string()),
     };
 
     // `--trace-out` / `--trace-folded` record a full trace of the command and write
@@ -176,7 +184,7 @@ where
 /// Dispatches one parsed command line to its [`commands`] implementation.
 fn dispatch(args: &ParsedArgs, command: &str) -> Result<String, CliError> {
     match command {
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
+        "help" | "-h" => Ok(USAGE.to_string()),
         "synthesize" => {
             let input_path = args.require("input").map_err(CliError::Usage)?;
             let output_path = args.require("output").map_err(CliError::Usage)?;
@@ -241,14 +249,13 @@ fn dispatch(args: &ParsedArgs, command: &str) -> Result<String, CliError> {
                 max_dfa_states: budget_option(args, "budget-dfa-states")?,
                 max_rows: budget_option(args, "budget-rows")?,
             };
-            let rendered = commands::migrate_dataset(
-                &dataset,
-                scale,
-                args.option("query"),
-                args.has_flag("strict"),
-                budget,
-            )?;
-            write_or_return(args, rendered)
+            let (report, database) =
+                commands::migrate_dataset(&dataset, scale, args.has_flag("strict"), budget)?;
+            // `--out` takes the migrated database as a SQL dump; the report stays on stdout.
+            match args.option("out") {
+                None => Ok(report),
+                Some(_) => Ok(report + &write_or_return(args, mitra_migrate::dump_sql(&database))?),
+            }
         }
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n\n{USAGE}"
@@ -420,6 +427,28 @@ mod tests {
     }
 
     #[test]
+    fn help_switch_prints_usage() {
+        assert_eq!(run_cli(["--help"]).unwrap(), USAGE);
+        assert_eq!(run_cli(["migrate", "yelp", "--help"]).unwrap(), USAGE);
+    }
+
+    #[test]
+    fn unknown_options_are_usage_errors() {
+        assert_eq!(
+            run_cli(["migrate", "yelp", "--query", "x"]),
+            Err(CliError::Usage("unknown option `--query`".into()))
+        );
+        assert_eq!(
+            run_cli(["datasets", "--thread", "2"]),
+            Err(CliError::Usage("unknown option `--thread`".into()))
+        );
+        assert_eq!(
+            run_cli(["datasets", "--verbose=yes"]),
+            Err(CliError::Usage("switch `--verbose` takes no value".into()))
+        );
+    }
+
+    #[test]
     fn synthesize_then_run_through_files() {
         let doc = temp_file("doc.xml", XML);
         let example = temp_file("example.csv", OUT);
@@ -574,6 +603,37 @@ mod tests {
             run_cli(["migrate", "yelp", "--budget-dfa-states"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn migrate_out_writes_the_sql_dump() {
+        let dump = std::env::temp_dir().join(format!("mitra-cli-dump-{}.sql", std::process::id()));
+        let path = dump.to_str().unwrap();
+        let _ = fs::remove_file(&dump);
+        let out = run_cli(["migrate", "yelp", "--scale", "2", "--out", path]).unwrap();
+        let spec = mitra_datagen::datasets::yelp();
+        let report = spec.migration_plan().run(&spec.generate(2).0).unwrap();
+        let expected = mitra_migrate::dump_sql(&report.database);
+        assert_eq!(fs::read_to_string(&dump).unwrap(), expected);
+        assert!(out.starts_with("dataset YELP: "), "{out}");
+        assert!(out.contains("constraint violations: 0"), "{out}");
+        let wrote = format!("wrote {} bytes to {path}\n", expected.len());
+        assert!(out.ends_with(&wrote), "{out}");
+        fs::remove_file(&dump).unwrap();
+
+        // A run that migrates no table fails and writes no file.
+        let err = run_cli([
+            "migrate",
+            "yelp",
+            "--scale",
+            "2",
+            "--budget-candidates",
+            "0",
+            "--out",
+            path,
+        ]);
+        assert!(matches!(err, Err(CliError::Synthesis(_))), "{err:?}");
+        assert!(!dump.exists());
     }
 
     #[test]

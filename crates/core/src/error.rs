@@ -2,7 +2,7 @@
 //!
 //! Each crate in the workspace keeps a small, crate-local error type close to the
 //! code that raises it (`HdtError` in `mitra-hdt`, `SynthError` in `mitra-synth`,
-//! `ParseError` in `mitra-dsl`, `MigrationError` / `QueryError` / `SchemaError` in
+//! `ParseError` in `mitra-dsl`, `MigrationError` / `SchemaError` in
 //! `mitra-migrate`). Those types cannot share a definition without inverting the
 //! dependency DAG, so the unification happens here, at the top of the DAG:
 //! [`MitraError`] wraps every crate-local error *losslessly* (the full inner error
@@ -17,7 +17,6 @@ use mitra_dsl::eval::EvalError;
 use mitra_dsl::parse::ParseError;
 use mitra_hdt::HdtError;
 use mitra_migrate::migrate::MigrationError;
-use mitra_migrate::query::QueryError;
 use mitra_migrate::schema::SchemaError;
 use mitra_synth::budget::BudgetExhausted;
 use mitra_synth::synthesize::SynthError;
@@ -41,8 +40,6 @@ pub enum MitraError {
     BudgetExhausted(BudgetExhausted),
     /// Full-database migration failed.
     Migration(MigrationError),
-    /// A SQL query over a migrated database failed.
-    Query(QueryError),
     /// A relational schema was invalid.
     Schema(SchemaError),
 }
@@ -57,7 +54,6 @@ impl fmt::Display for MitraError {
             MitraError::Synthesis(e) => write!(f, "synthesis failed: {e}"),
             MitraError::BudgetExhausted(e) => write!(f, "synthesis budget exhausted: {e}"),
             MitraError::Migration(e) => write!(f, "migration failed: {e}"),
-            MitraError::Query(e) => write!(f, "query failed: {e}"),
             MitraError::Schema(e) => write!(f, "invalid schema: {e}"),
         }
     }
@@ -73,7 +69,6 @@ impl std::error::Error for MitraError {
             MitraError::Synthesis(e) => Some(e),
             MitraError::BudgetExhausted(e) => Some(e),
             MitraError::Migration(e) => Some(e),
-            MitraError::Query(e) => Some(e),
             MitraError::Schema(e) => Some(e),
         }
     }
@@ -118,12 +113,6 @@ impl From<BudgetExhausted> for MitraError {
 impl From<MigrationError> for MitraError {
     fn from(e: MigrationError) -> Self {
         MitraError::Migration(e)
-    }
-}
-
-impl From<QueryError> for MitraError {
-    fn from(e: QueryError) -> Self {
-        MitraError::Query(e)
     }
 }
 
@@ -175,7 +164,6 @@ mod tests {
             })
             .into(),
             MigrationError::UnknownTable("t".into()).into(),
-            QueryError::UnknownColumn("c".into()).into(),
             SchemaError("dangling foreign key".into()).into(),
         ];
         // Each conversion lands in its own variant.
@@ -189,7 +177,6 @@ mod tests {
                 MitraError::Synthesis(_) => "synth",
                 MitraError::BudgetExhausted(_) => "budget",
                 MitraError::Migration(_) => "migration",
-                MitraError::Query(_) => "query",
                 MitraError::Schema(_) => "schema",
             })
             .collect();
@@ -202,7 +189,6 @@ mod tests {
                 "synth",
                 "budget",
                 "migration",
-                "query",
                 "schema"
             ]
         );
@@ -214,8 +200,8 @@ mod tests {
         let source = e.source().expect("wrapped errors expose a source");
         assert_eq!(source.to_string(), SynthError::Timeout.to_string());
 
-        let e: MitraError = QueryError::Parse("unbalanced parens".into()).into();
-        assert!(e.source().unwrap().to_string().contains("unbalanced"));
+        let e: MitraError = SchemaError("dangling foreign key".into()).into();
+        assert!(e.source().unwrap().to_string().contains("dangling"));
 
         // String-only variants have no structured cause.
         assert!(MitraError::BadOutputExample("empty".into())
@@ -231,8 +217,8 @@ mod tests {
         assert!(MitraError::from(MigrationError::ArityMismatch("t".into()))
             .to_string()
             .starts_with("migration failed"));
-        assert!(MitraError::from(QueryError::UnknownTable("t".into()))
+        assert!(MitraError::from(SchemaError("no tables".into()))
             .to_string()
-            .starts_with("query failed"));
+            .starts_with("invalid schema"));
     }
 }

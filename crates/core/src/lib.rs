@@ -25,7 +25,6 @@ use mitra_codegen::{generate, Artifact, Backend};
 use mitra_dsl::table::read_csv_record;
 use mitra_dsl::{Program, Table, Value};
 use mitra_hdt::Hdt;
-use mitra_migrate::Database;
 use mitra_synth::exec::execute;
 use mitra_synth::synthesize::{learn_transformation, Example, SynthConfig, Synthesis};
 
@@ -110,11 +109,6 @@ impl Mitra {
     /// Parses a DSL program from its textual (paper-syntax) form.
     pub fn parse_program(&self, text: &str) -> Result<Program, MitraError> {
         Ok(mitra_dsl::parse::parse_program(text)?)
-    }
-
-    /// Runs a SQL `SELECT` query against a migrated database.
-    pub fn query(&self, db: &Database, sql: &str) -> Result<Table, MitraError> {
-        Ok(mitra_migrate::run_query(db, sql)?)
     }
 }
 

@@ -204,49 +204,6 @@ impl Database {
         }
         violations
     }
-
-    /// Simple scan query: rows of `table` where column `column` equals `value`.
-    pub fn select_where(&self, table: &str, column: &str, value: &Value) -> Vec<Row> {
-        let Some(ts) = self.schema.table(table) else {
-            return Vec::new();
-        };
-        let Some(idx) = ts.column_index(column) else {
-            return Vec::new();
-        };
-        self.tables
-            .get(table)
-            .map(|t| {
-                t.rows
-                    .iter()
-                    .filter(|r| &r[idx] == value)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Looks up a single row by primary key.
-    pub fn lookup(&self, table: &str, key: &[Value]) -> Option<&Row> {
-        let ts = self.schema.table(table)?;
-        let idx: Vec<usize> = ts
-            .primary_key
-            .iter()
-            .filter_map(|c| ts.column_index(c))
-            .collect();
-        if idx.len() != key.len() {
-            return None;
-        }
-        self.tables
-            .get(table)?
-            .rows
-            .iter()
-            .find(|r| idx.iter().zip(key).all(|(&i, v)| &r[i] == v))
-    }
-
-    /// Helper to fetch a table's schema.
-    pub fn table_schema(&self, name: &str) -> Option<&TableSchema> {
-        self.schema.table(name)
-    }
 }
 
 /// The schema positions of the named columns, skipping unknown names.
@@ -361,16 +318,6 @@ mod tests {
         assert!(v.iter().any(
             |x| matches!(x, ConstraintViolation::NullInPrimaryKey { table } if table == "person")
         ));
-    }
-
-    #[test]
-    fn select_and_lookup() {
-        let db = populated();
-        let rows = db.select_where("person", "name", &Value::str("Alice"));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0], Value::int(1));
-        assert!(db.lookup("person", &[Value::int(2)]).is_some());
-        assert!(db.lookup("person", &[Value::int(42)]).is_none());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`schema`] — relational schema descriptions (tables, columns, primary keys,
 //!   foreign keys) plus validation of a populated database against its schema;
-//! * [`database`] — a small in-memory relational database substrate (insert, scan,
-//!   lookup by key) used to hold migration results and check constraints;
+//! * [`database`] — a small in-memory relational database substrate (insert, count,
+//!   check constraints) that holds migration results;
 //! * [`keys`] — the injective key-generation scheme of Section 6: a synthetic primary
 //!   key is derived from the identities of the tree nodes a row was built from, and a
 //!   foreign key re-derives the referenced row's node identities through learned node
@@ -18,16 +18,14 @@
 //!   final database;
 //! * [`corpus`] — the checkpointed corpus migration service: per-shape program reuse,
 //!   deterministic shard waves, a crash-resume journal and a quarantine ledger;
-//! * [`sql`] — a SQL dump back-end (DDL `CREATE TABLE` + `INSERT` statements);
-//! * [`query`] — a small SQL `SELECT` engine over the migrated database, closing the
-//!   loop on the paper's motivation that migrated data is meant to be queried
-//!   relationally.
+//! * [`sql`] — a SQL dump back-end (DDL `CREATE TABLE` + `INSERT` statements): the
+//!   migrated database as text that an existing RDBMS loads, which is where the
+//!   paper's motivating application queries it (`mitra migrate --out` writes it).
 
 pub mod corpus;
 pub mod database;
 pub mod keys;
 pub mod migrate;
-pub mod query;
 pub mod schema;
 pub mod sql;
 
@@ -41,6 +39,5 @@ pub use migrate::{
     DegradationSummary, MigrationError, MigrationPlan, MigrationReport, TableOutcome, TableReport,
     TableSource, TableTask,
 };
-pub use query::{run_query, QueryError};
 pub use schema::{Column, ColumnType, ForeignKey, Schema, TableSchema};
 pub use sql::dump_sql;

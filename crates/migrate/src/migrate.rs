@@ -910,12 +910,14 @@ mod tests {
         let db = &report.database;
         // Every friendship row's person_fk must resolve to a person row, and the
         // referenced person must not be the friend itself (fid differs from pid).
+        let person = db.table("person").unwrap();
         let friendship = db.table("friendship").unwrap();
         for row in &friendship.rows {
             let fk = &row[0];
-            let person = db
-                .select_where("person", "pk", fk)
-                .pop()
+            let person = person
+                .rows
+                .iter()
+                .find(|p| &p[0] == fk)
                 .expect("fk must resolve");
             let friend_pid = &row[1];
             assert_ne!(

@@ -54,7 +54,6 @@ pub use cache::{ColumnEvalCache, ColumnPhiData};
 pub use column::learn_column_automata;
 pub use exec::{execute, execute_nodes_budgeted};
 pub use fingerprint::{fingerprint, Fingerprint};
-pub use ops::ValueInterner;
 pub use plan::{plan_with_tree, Plan, PlanStep, StepMethod};
 pub use predicate::{learn_predicate, learn_predicate_reference};
 pub use synthesize::{

@@ -82,30 +82,6 @@ impl<'t> KeyInterner<'t> {
     }
 }
 
-/// Interns [`Value`]s to dense `u32` ids.  The migrate query path uses this for its
-/// hash-join keys instead of rendering every cell to a fresh `String`.
-#[derive(Debug, Default)]
-pub struct ValueInterner {
-    ids: HashMap<Value, u32>,
-}
-
-impl ValueInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        ValueInterner::default()
-    }
-
-    /// The id of a value, assigning the next free id on first sight.
-    pub fn intern(&mut self, v: &Value) -> u32 {
-        if let Some(&id) = self.ids.get(v) {
-            return id;
-        }
-        let id = self.ids.len() as u32;
-        self.ids.insert(v.clone(), id);
-        id
-    }
-}
-
 /// A struct-of-arrays tuple store: `arity`-strided rows of node ids plus, in
 /// lockstep, the position of each node inside its filtered column.  Cells of
 /// not-yet-joined columns hold `NodeId(u32::MAX)` / `u32::MAX` placeholders.
@@ -715,15 +691,6 @@ mod tests {
         for (i, &(p, q)) in positions.iter().enumerate() {
             assert_eq!(out.row(i), [probes[p as usize], column[q as usize]]);
         }
-    }
-
-    #[test]
-    fn value_interner_is_stable_per_value() {
-        let mut vi = ValueInterner::new();
-        let a = vi.intern(&Value::int(7));
-        let b = vi.intern(&Value::from_data("7"));
-        assert_eq!(a, b);
-        assert_ne!(a, vi.intern(&Value::from_data("8")));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based integration tests: parser and codec round-trips and
 //! execution-engine equivalence over randomly generated documents and programs.
 
+use mitra::datagen::datasets::all_datasets;
 use mitra::datagen::fuzz::{mixed_corpus, scenario, CorpusMix, Payload, ScenarioKind};
 use mitra::dsl::ast::{
     ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, TableExtractor,
@@ -16,7 +17,6 @@ use mitra::migrate::corpus::journal::{load_journal, JournalHeader, JournalWriter
 use mitra::migrate::corpus::shard::{parse_shard, render_shard};
 use mitra::migrate::corpus::{FailureKind, QuarantineRecord};
 use mitra::migrate::database::ConstraintViolation;
-use mitra::migrate::query::run_query;
 use mitra::migrate::sql::{dump_ddl, dump_sql, quote_ident};
 use mitra::migrate::{Column, Database, Schema, TableSchema};
 use mitra::parse_csv_table;
@@ -547,37 +547,6 @@ proptest! {
     }
 
     #[test]
-    fn sql_where_filter_matches_direct_evaluation(
-        values in prop::collection::vec((0i64..100, 0i64..100), 1..40),
-        threshold in 0i64..100
-    ) {
-        // A single-table WHERE query must return exactly the rows whose column passes
-        // the comparison, in the original order.
-        let schema = Schema::new().with_table(TableSchema::new(
-            "t",
-            vec![Column::integer("a"), Column::integer("b")],
-        ));
-        let mut db = Database::new(schema);
-        for (a, b) in &values {
-            db.insert("t", vec![Value::int(*a), Value::int(*b)]);
-        }
-        let sql = format!("SELECT a, b FROM t WHERE a >= {threshold}");
-        let result = run_query(&db, &sql).expect("query runs");
-        let expected: Vec<Vec<Value>> = values
-            .iter()
-            .filter(|(a, _)| *a >= threshold)
-            .map(|(a, b)| vec![Value::int(*a), Value::int(*b)])
-            .collect();
-        prop_assert_eq!(result.rows, expected);
-
-        // COUNT(*) agrees with the filtered row count.
-        let count_sql = format!("SELECT COUNT(*) FROM t WHERE a >= {threshold}");
-        let count = run_query(&db, &count_sql).expect("count runs");
-        let expected_count = values.iter().filter(|(a, _)| *a >= threshold).count() as i64;
-        prop_assert_eq!(count.rows[0][0].clone(), Value::int(expected_count));
-    }
-
-    #[test]
     fn table_csv_roundtrips_through_parse_csv_table(
         header in prop::collection::vec(csv_text(), 1..4),
         cells in prop::collection::vec(csv_text(), 3..13)
@@ -772,6 +741,69 @@ fn fnv1a_matches_the_standard_vectors() {
         fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
         fnv1a(FNV_OFFSET, b"foobar")
     );
+}
+
+#[test]
+fn table2_dumps_load_under_per_statement_foreign_key_checks() {
+    // sqlite3 with `PRAGMA foreign_keys=ON`, like PostgreSQL without deferred
+    // constraints, checks each `INSERT`'s foreign keys as it runs.  So the dump
+    // must write one `INSERT` per migrated row, and each non-NULL foreign-key
+    // tuple must match a key that an earlier `INSERT` of the referenced table
+    // wrote.
+    for spec in all_datasets() {
+        let (document, _) = spec.generate(25);
+        let report = spec
+            .migration_plan()
+            .run(&document)
+            .expect("Table 2 migrates");
+        let db = &report.database;
+        let dump = dump_sql(db);
+        let ddl = format!("{}\n", dump_ddl(&db.schema));
+        let statements = read_inserts(&dump[ddl.len()..]);
+        assert_eq!(statements.len(), report.total_rows(), "{}", spec.name);
+        for table in &db.schema.tables {
+            let inserts = statements.iter().filter(|(t, ..)| *t == table.name).count();
+            assert_eq!(
+                inserts,
+                db.row_count(&table.name),
+                "{}.{}",
+                spec.name,
+                table.name
+            );
+        }
+        // The key tuples written so far, per referenced (table, columns).
+        let mut written: BTreeMap<(&str, &[String]), HashSet<Vec<&SqlLiteral>>> = BTreeMap::new();
+        for (table, columns, literals) in &statements {
+            let cell =
+                |column: &String| &literals[columns.iter().position(|c| c == column).unwrap()];
+            let ts = db.schema.table(table).unwrap();
+            for fk in &ts.foreign_keys {
+                let key: Vec<&SqlLiteral> = fk.columns.iter().map(cell).collect();
+                if key.contains(&&SqlLiteral::Null) {
+                    continue;
+                }
+                let target = (fk.referenced_table.as_str(), &fk.referenced_columns[..]);
+                assert!(
+                    written.get(&target).is_some_and(|keys| keys.contains(&key)),
+                    "{}: {table} references {target:?} = {key:?} before it is written",
+                    spec.name
+                );
+            }
+            for referencing in &db.schema.tables {
+                for fk in referencing
+                    .foreign_keys
+                    .iter()
+                    .filter(|fk| fk.referenced_table == *table)
+                {
+                    let key = fk.referenced_columns.iter().map(cell).collect();
+                    written
+                        .entry((table.as_str(), &fk.referenced_columns[..]))
+                        .or_default()
+                        .insert(key);
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -1133,7 +1165,7 @@ fn sql_literal(v: &Value) -> String {
 }
 
 /// A literal read back from a SQL dump.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 enum SqlLiteral {
     Null,
     Bool(bool),
