@@ -181,8 +181,24 @@ where
     result
 }
 
+/// How many positional arguments `command` takes after its name: the dataset of
+/// `migrate`, the optional verb of `corpus`, none for the others.  `None` for an
+/// unknown command.
+fn positional_arity(command: &str) -> Option<usize> {
+    match command {
+        "migrate" | "corpus" => Some(1),
+        "help" | "-h" | "synthesize" | "run" | "datasets" => Some(0),
+        _ => None,
+    }
+}
+
 /// Dispatches one parsed command line to its [`commands`] implementation.
 fn dispatch(args: &ParsedArgs, command: &str) -> Result<String, CliError> {
+    if let Some(extra) = positional_arity(command).and_then(|n| args.positional.get(n)) {
+        return Err(CliError::Usage(format!(
+            "unexpected argument `{extra}` for `{command}`"
+        )));
+    }
     match command {
         "help" | "-h" => Ok(USAGE.to_string()),
         "synthesize" => {
@@ -446,6 +462,45 @@ mod tests {
             run_cli(["datasets", "--verbose=yes"]),
             Err(CliError::Usage("switch `--verbose` takes no value".into()))
         );
+    }
+
+    #[test]
+    fn extra_positional_arguments_are_usage_errors() {
+        for (args, extra) in [
+            (
+                &["migrate", "yelp", "extra-arg", "--scale", "2"][..],
+                "extra-arg",
+            ),
+            (&["migrate", "yelp", "-h", "--scale", "2"], "-h"),
+            (&["datasets", "foo", "bar"], "foo"),
+            (&["corpus", "gen", "x", "--out", "/nonexistent/c.txt"], "x"),
+            (
+                &["run", "p.dsl", "--program", "p.dsl", "--input", "d.xml"],
+                "p.dsl",
+            ),
+            (&["synthesize", "doc.xml"], "doc.xml"),
+            (&["help", "migrate"], "migrate"),
+        ] {
+            let command = args[0];
+            assert_eq!(
+                run_cli(args.iter().copied()),
+                Err(CliError::Usage(format!(
+                    "unexpected argument `{extra}` for `{command}`"
+                ))),
+                "{args:?}"
+            );
+        }
+        // The positionals a command takes still work, and an unknown command is
+        // reported as one, not as an extra argument.
+        assert!(run_cli(["datasets"]).is_ok());
+        assert!(matches!(
+            run_cli(["corpus", "frobnicate"]),
+            Err(CliError::Usage(m)) if m.contains("unknown corpus subcommand")
+        ));
+        assert!(matches!(
+            run_cli(["frobnicate", "x"]),
+            Err(CliError::Usage(m)) if m.starts_with("unknown command `frobnicate`")
+        ));
     }
 
     #[test]

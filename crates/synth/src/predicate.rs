@@ -50,9 +50,14 @@
 //! member, its weight computed from the parts.  The set-cover rows are built from
 //! the words segment by segment (see [`crate::cover`]).
 //!
+//! The cover instance goes through [`ColumnEvalCache::cover`], which solves each
+//! distinct instance once per synthesis call: candidates with different
+//! extensions often build byte-equal instances.
+//!
 //! [`learn_predicate_reference`] retains the direct per-tuple evaluation over the
-//! full universe; `tests/search_equivalence.rs` and the unit tests below assert
-//! the two paths agree, and it serves as the oracle for differential testing.
+//! full universe, and it calls [`solve_exact`] itself instead of the memo;
+//! `tests/search_equivalence.rs` and the unit tests below assert the two paths
+//! agree, and it serves as the oracle for differential testing.
 //!
 //! Spans `label_tuples`, `truth_vectors`, `cover` and `qm` split the caller's
 //! `predicate_learn` span, and each call adds its tallies to the counters
@@ -60,7 +65,7 @@
 
 use crate::bits;
 use crate::cache::{ColumnEvalCache, ColumnPhiData};
-use crate::cover::{solve_exact, CoverInstance, MAX_COVER_NODES};
+use crate::cover::{solve_exact, Cover, CoverInstance, MAX_COVER_NODES};
 use crate::qm::minimize;
 use crate::synthesize::{Example, SynthConfig};
 use crate::universe::construct_universe;
@@ -173,7 +178,7 @@ pub fn learn_predicate(
         let _span = mitra_trace::span("synth", "truth_vectors");
         truth_vectors(examples, psi, tuples.len(), config, cache)
     };
-    classifier_from_kept(&tuples, kept)
+    classifier_from_kept(&tuples, kept, |instance| cache.cover(instance))
 }
 
 /// Cross-product layout of one example's block of the intermediate table.
@@ -529,7 +534,11 @@ pub fn learn_predicate_reference(
             break;
         }
     }
-    classifier_from_kept(&tuples, dedup.into_kept())
+    // The reference solves every cover itself, so the search-equivalence suite
+    // referees the fast path's cover memo too.
+    classifier_from_kept(&tuples, dedup.into_kept(), |instance| {
+        solve_exact(&instance, MAX_COVER_NODES)
+    })
 }
 
 /// The behaviour dedup fold shared by the fast and reference paths: predicates
@@ -612,10 +621,13 @@ impl Dedup {
 /// Algorithm 3 steps 3–4 over the deduplicated predicate set: minimum set cover of
 /// the positive/negative pairs, then Quine–McCluskey DNF minimization.  Shared
 /// verbatim by the fast and reference paths so any divergence is confined to the
-/// truth-vector construction.
+/// truth-vector construction and to `solve`, which answers the cover instance:
+/// the fast path through [`ColumnEvalCache::cover`]'s memo, the reference with
+/// [`solve_exact`] itself.
 fn classifier_from_kept(
     tuples: &[LabelledTuple],
     kept: Vec<(Predicate, Vec<u64>, usize)>,
+    solve: impl FnOnce(CoverInstance) -> Option<Cover>,
 ) -> Option<Predicate> {
     if kept.is_empty() {
         return None;
@@ -663,12 +675,11 @@ fn classifier_from_kept(
                 row
             })
             .collect();
-        let instance = CoverInstance {
+        solve(CoverInstance {
             num_elements,
             covers,
             weights: kept.iter().map(|(_, _, s)| *s).collect(),
-        };
-        solve_exact(&instance, MAX_COVER_NODES)?
+        })?
     };
     if chosen.is_empty() {
         return None;
@@ -931,6 +942,75 @@ mod tests {
             assert_eq!(a.nodes, b.nodes);
             assert_eq!(a.positive, b.positive);
         }
+    }
+
+    /// Two same-shaped subtrees `A` and `B` of `item`s with a `k` and a `v`
+    /// leaf, and the table of their (k, v) pairs.
+    fn twin_example() -> Example {
+        let mut tree = mitra_hdt::Hdt::with_root("root");
+        for side in ["A", "B"] {
+            let subtree = tree.add_child(tree.root(), side, None);
+            for (k, v) in [("1", "x"), ("2", "y")] {
+                let item = tree.add_child(subtree, "item", None);
+                tree.add_child(item, "k", Some(k.to_string()));
+                tree.add_child(item, "v", Some(v.to_string()));
+            }
+        }
+        Example {
+            tree,
+            output: Table::from_rows(&["k", "v"], &[&["1", "x"], &["2", "y"]]),
+        }
+    }
+
+    /// The (k, v) columns read from one side's items.
+    fn twin_psi(side: &str) -> TableExtractor {
+        use ColumnExtractor as CE;
+        let items = CE::children(CE::children(CE::Input, side), "item");
+        TableExtractor::new(vec![
+            CE::pchildren(items.clone(), "k", 0),
+            CE::pchildren(items, "v", 0),
+        ])
+    }
+
+    #[test]
+    fn equal_cover_instances_are_solved_once_per_cache() {
+        // The two candidates select different nodes, so the search's outcome memo
+        // keeps them apart, but their cover instances are byte-equal.
+        let ex = twin_example();
+        let examples = std::slice::from_ref(&ex);
+        let config = one_thread();
+        let (a, b) = (twin_psi("A"), twin_psi("B"));
+        let fresh = |psi: &TableExtractor| {
+            learn_predicate(examples, psi, &config, &ColumnEvalCache::new(1))
+                .expect("a predicate should be found")
+        };
+        let (want_a, want_b) = (fresh(&a), fresh(&b));
+
+        let cache = ColumnEvalCache::new(1);
+        assert_ne!(
+            cache.column_nodes(0, &ex.tree, &a.columns[0]),
+            cache.column_nodes(0, &ex.tree, &b.columns[0])
+        );
+        assert_eq!(
+            learn_predicate(examples, &a, &config, &cache).as_ref(),
+            Some(&want_a)
+        );
+        assert_eq!(cache.covers_len(), 1);
+        // One entry after both: `b`'s instance is `a`'s, and `b` took `a`'s cover.
+        assert_eq!(
+            learn_predicate(examples, &b, &config, &cache).as_ref(),
+            Some(&want_b)
+        );
+        assert_eq!(cache.covers_len(), 1);
+
+        // The reference solves its covers itself: it neither reads nor fills the
+        // memo of the cache it is given.
+        let cache = ColumnEvalCache::new(1);
+        for (psi, want) in [(&a, &want_a), (&b, &want_b)] {
+            let reference = learn_predicate_reference(examples, psi, &config, &cache);
+            assert_eq!(reference.as_ref(), Some(want));
+        }
+        assert_eq!(cache.covers_len(), 0);
     }
 
     #[test]

@@ -12,17 +12,21 @@
 //! * **search stops** — each synthesis call that reaches the best-first search adds
 //!   one to exactly one `synth.search.stop.*` counter;
 //! * **outcome reuse** — `synth.candidates.reused` counts the examined candidates
-//!   that took an earlier candidate's predicate-learning outcome.
+//!   that took an earlier candidate's predicate-learning outcome;
+//! * **cover reuse** — `synth.cover.reused` counts the cover instances predicate
+//!   learning answered from its memo, which the reference path never consults.
 //!
 //! The trace mode is a process-global `AtomicU8`, so every test that flips it
 //! holds `MODE_LOCK` and restores the summary default before releasing it.
 
 use mitra::datagen::generate_corpus;
+use mitra::dsl::ast::{ColumnExtractor, TableExtractor};
 use mitra::dsl::{pretty, Table, Value};
 use mitra::hdt::generate::{social_network, social_network_rows};
-use mitra::hdt::JsonValue;
+use mitra::hdt::{Hdt, JsonValue};
 use mitra::synth::budget::Budget;
 use mitra::synth::synthesize::{learn_transformation, Example, SynthConfig};
+use mitra::synth::{learn_predicate, learn_predicate_reference, ColumnEvalCache};
 use mitra::trace::{self, export, Phase, TraceMode};
 use std::sync::Mutex;
 
@@ -248,4 +252,47 @@ fn candidates_with_an_examined_extension_reuse_its_outcome() {
     let example = motivating_example();
     let examples = std::slice::from_ref(&example);
     assert_eq!(reused_and_examined(examples), (0, 1));
+}
+
+#[test]
+fn equal_cover_instances_are_solved_once_per_call() {
+    let _guard = MODE_LOCK.lock().unwrap();
+    trace::set_mode(TraceMode::Summary);
+    // Two same-shaped subtrees: the candidates reading the (k, v) pairs of one or
+    // of the other select different nodes but build byte-equal cover instances.
+    let mut tree = Hdt::with_root("root");
+    for side in ["A", "B"] {
+        let subtree = tree.add_child(tree.root(), side, None);
+        for (k, v) in [("1", "x"), ("2", "y")] {
+            let item = tree.add_child(subtree, "item", None);
+            tree.add_child(item, "k", Some(k.to_string()));
+            tree.add_child(item, "v", Some(v.to_string()));
+        }
+    }
+    let output = Table::from_rows(&["k", "v"], &[&["1", "x"], &["2", "y"]]);
+    let example = Example::new(tree, output);
+    let examples = std::slice::from_ref(&example);
+    let psi = |side: &str| {
+        let items = ColumnExtractor::children(
+            ColumnExtractor::children(ColumnExtractor::Input, side),
+            "item",
+        );
+        TableExtractor::new(vec![
+            ColumnExtractor::pchildren(items.clone(), "k", 0),
+            ColumnExtractor::pchildren(items, "v", 0),
+        ])
+    };
+    let config = config(1);
+    let reused = |learn: &dyn Fn(&TableExtractor, &ColumnEvalCache) -> bool| {
+        let cache = ColumnEvalCache::new(1);
+        let before = trace::snapshot();
+        assert!(learn(&psi("A"), &cache) && learn(&psi("B"), &cache));
+        trace::snapshot()
+            .delta(&before)
+            .counter("synth.cover.reused")
+    };
+    let fast = reused(&|psi, cache| learn_predicate(examples, psi, &config, cache).is_some());
+    let reference =
+        reused(&|psi, cache| learn_predicate_reference(examples, psi, &config, cache).is_some());
+    assert_eq!((fast, reference), (1, 0));
 }
