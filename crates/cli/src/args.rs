@@ -21,7 +21,7 @@ pub struct ParsedArgs {
 }
 
 /// Option keys that take a value.
-const VALUE_OPTIONS: [&str; 20] = [
+const VALUE_OPTIONS: [&str; 19] = [
     "input",
     "output",
     "program",
@@ -29,7 +29,6 @@ const VALUE_OPTIONS: [&str; 20] = [
     "emit",
     "out",
     "out-dir",
-    "limit",
     "scale",
     "threads",
     "trace-out",
@@ -177,11 +176,11 @@ mod tests {
 
     #[test]
     fn numeric_options_are_validated() {
-        let args = ParsedArgs::parse(["corpus", "--limit", "12"]).unwrap();
-        assert_eq!(args.numeric_option("limit", 98).unwrap(), 12);
+        let args = ParsedArgs::parse(["corpus", "gen", "--docs", "12"]).unwrap();
+        assert_eq!(args.numeric_option("docs", 100).unwrap(), 12);
         assert_eq!(args.numeric_option("scale", 200).unwrap(), 200);
-        let bad = ParsedArgs::parse(["corpus", "--limit", "many"]).unwrap();
-        assert!(bad.numeric_option("limit", 98).is_err());
+        let bad = ParsedArgs::parse(["corpus", "gen", "--docs", "many"]).unwrap();
+        assert!(bad.numeric_option("docs", 100).is_err());
     }
 
     #[test]

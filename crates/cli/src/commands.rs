@@ -6,7 +6,6 @@
 
 use mitra_codegen::{generate, Backend};
 use mitra_core::{parse_csv_table, Mitra, MitraError};
-use mitra_datagen::corpus::generate_corpus;
 use mitra_datagen::datasets::{all_datasets, dataset_synth_config, DatasetSpec};
 use mitra_dsl::parse::parse_program;
 use mitra_dsl::pretty;
@@ -120,45 +119,6 @@ pub fn run_program(
     let table = execute(&tree, &program);
     out.push_str(&table.to_csv());
     Ok(out)
-}
-
-/// `corpus`: run the first `limit` tasks of the 98-task benchmark corpus and print a
-/// per-task line plus a Table 1-style summary.
-pub fn corpus_report(limit: usize) -> String {
-    let tasks = generate_corpus();
-    let config = mitra_bench::table1_config();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<4} {:<34} {:>6} {:>9} {:>7}",
-        "id", "task", "format", "time(s)", "solved"
-    );
-    let mut solved = 0usize;
-    let mut times = Vec::new();
-    for task in tasks.iter().take(limit) {
-        let result = mitra_bench::run_task(task, &config);
-        if result.solved {
-            solved += 1;
-        }
-        times.push(result.time.as_secs_f64());
-        let _ = writeln!(
-            out,
-            "{:<4} {:<34} {:>6} {:>9.2} {:>7}",
-            result.id,
-            truncate(&result.name, 34),
-            format!("{:?}", result.format),
-            result.time.as_secs_f64(),
-            if result.solved { "yes" } else { "no" },
-        );
-    }
-    let attempted = limit.min(tasks.len());
-    let _ = writeln!(
-        out,
-        "solved {solved}/{attempted} tasks; median {:.2}s, average {:.2}s",
-        mitra_bench::median(&times),
-        mitra_bench::mean(&times),
-    );
-    out
 }
 
 /// `corpus run` / `corpus resume`: render the finished [`mitra_migrate::CorpusReport`] as a
@@ -326,14 +286,6 @@ pub fn check_output_example(csv: &str) -> Result<(), CliError> {
     parse_csv_table(csv).map(|_| ()).map_err(CliError::from)
 }
 
-fn truncate(s: &str, max: usize) -> String {
-    if s.len() <= max {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..max.saturating_sub(1)])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,15 +342,6 @@ mod tests {
             "\\tau. filter((\\s.pchildren(children(s, nosuch), name, 0)){root(tau)}, \\t. true)";
         let out = run_program(XML, program_text, DocFormat::Xml, false).unwrap();
         assert!(out.contains("-- warning"));
-    }
-
-    #[test]
-    fn corpus_report_runs_a_prefix_of_the_suite() {
-        // Unoptimized synthesis is slow, so the dev-profile run covers fewer tasks.
-        let limit = if cfg!(debug_assertions) { 1 } else { 3 };
-        let report = corpus_report(limit);
-        assert!(report.contains("solved"));
-        assert!(report.lines().count() >= limit + 2);
     }
 
     #[test]

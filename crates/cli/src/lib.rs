@@ -6,7 +6,6 @@
 //! mitra-cli synthesize --input doc.xml --output example.csv [--format xml|json|html]
 //!                      [--emit dsl|xslt|js] [--out program.txt]
 //! mitra-cli run        --program program.dsl --input big.xml [--format ...] [--out rows.csv] [--explain]
-//! mitra-cli corpus     [--limit N]
 //! mitra-cli corpus gen --out F [--docs N] [--seed S] [--malformed-pct P]
 //! mitra-cli corpus run|resume --input F --out-dir D [--shard-size N] [--retries K] [--budget-rows N]
 //! mitra-cli datasets
@@ -85,7 +84,6 @@ pub const USAGE: &str = "mitra-cli — programming-by-example migration of hiera
 USAGE:
     mitra-cli synthesize --input <doc> --output <example.csv> [--format xml|json|html] [--emit dsl|xslt|js] [--out <file>]
     mitra-cli run --program <program.dsl> --input <doc> [--format xml|json|html] [--out <file>] [--explain]
-    mitra-cli corpus [--limit <n>]
     mitra-cli corpus gen --out <file> [--docs <n>] [--seed <s>] [--malformed-pct <p>]
     mitra-cli corpus run --input <file> --out-dir <dir> [--shard-size <n>] [--retries <k>] [--budget-rows <n>]
     mitra-cli corpus resume --input <file> --out-dir <dir> [--shard-size <n>] [--retries <k>] [--budget-rows <n>]
@@ -182,7 +180,7 @@ where
 }
 
 /// How many positional arguments `command` takes after its name: the dataset of
-/// `migrate`, the optional verb of `corpus`, none for the others.  `None` for an
+/// `migrate`, the verb of `corpus`, none for the others.  `None` for an
 /// unknown command.
 fn positional_arity(command: &str) -> Option<usize> {
     match command {
@@ -235,15 +233,14 @@ fn dispatch(args: &ParsedArgs, command: &str) -> Result<String, CliError> {
             write_or_return(args, rendered)
         }
         "corpus" => match args.positional.first().map(String::as_str) {
-            None => {
-                let limit = args.numeric_option("limit", 98).map_err(CliError::Usage)?;
-                Ok(commands::corpus_report(limit))
-            }
             Some("gen") => corpus_gen(args),
             Some(verb @ ("run" | "resume")) => corpus_service(args, verb),
             Some(other) => Err(CliError::Usage(format!(
                 "unknown corpus subcommand `{other}` (expected gen, run or resume)"
             ))),
+            None => Err(CliError::Usage(
+                "`corpus` needs a subcommand: gen, run or resume".to_string(),
+            )),
         },
         "datasets" => {
             let mut out = commands::list_datasets();
@@ -496,6 +493,15 @@ mod tests {
         assert!(matches!(
             run_cli(["corpus", "frobnicate"]),
             Err(CliError::Usage(m)) if m.contains("unknown corpus subcommand")
+        ));
+        // `corpus` alone names its verbs; `--limit` is gone with the Table 1 run.
+        assert!(matches!(
+            run_cli(["corpus"]),
+            Err(CliError::Usage(m)) if m.contains("gen, run or resume")
+        ));
+        assert!(matches!(
+            run_cli(["corpus", "--limit", "3"]),
+            Err(CliError::Usage(m)) if m.contains("--limit")
         ));
         assert!(matches!(
             run_cli(["frobnicate", "x"]),

@@ -11,6 +11,7 @@
 
 use crate::guards::guards_by_depth;
 use mitra_dsl::ast::{ColumnExtractor, NodeExtractor, Operand, Predicate, Program};
+use mitra_hdt::json::json_string;
 
 /// Generates a self-contained JavaScript program implementing `program`.
 pub fn generate_javascript(program: &Program) -> String {
@@ -46,7 +47,7 @@ pub fn generate_javascript(program: &Program) -> String {
             .get(i)
             .cloned()
             .unwrap_or_else(|| format!("c{i}"));
-        out.push_str(&format!("{indent}  {:?}: data(c{i}),\n", name));
+        out.push_str(&format!("{indent}  {}: data(c{i}),\n", json_string(&name)));
     }
     out.push_str(&format!("{indent}}});\n"));
     for blocks in opened.iter().rev() {
@@ -81,18 +82,26 @@ pub fn column_expr(pi: &ColumnExtractor) -> String {
     match pi {
         ColumnExtractor::Input => "[root]".to_string(),
         ColumnExtractor::Children { inner, tag } => {
-            format!("children({}, {:?})", column_expr(inner), tag.as_str())
+            format!(
+                "children({}, {})",
+                column_expr(inner),
+                json_string(tag.as_str())
+            )
         }
         ColumnExtractor::PChildren { inner, tag, pos } => {
             format!(
-                "pchildren({}, {:?}, {})",
+                "pchildren({}, {}, {})",
                 column_expr(inner),
-                tag.as_str(),
+                json_string(tag.as_str()),
                 pos
             )
         }
         ColumnExtractor::Descendants { inner, tag } => {
-            format!("descendants({}, {:?})", column_expr(inner), tag.as_str())
+            format!(
+                "descendants({}, {})",
+                column_expr(inner),
+                json_string(tag.as_str())
+            )
         }
     }
 }
@@ -104,9 +113,9 @@ pub fn node_expr(base: &str, phi: &NodeExtractor) -> String {
         NodeExtractor::Parent(inner) => format!("parent({})", node_expr(base, inner)),
         NodeExtractor::Child { inner, tag, pos } => {
             format!(
-                "child({}, {:?}, {})",
+                "child({}, {}, {})",
                 node_expr(base, inner),
-                tag.as_str(),
+                json_string(tag.as_str()),
                 pos
             )
         }
@@ -133,16 +142,18 @@ pub fn predicate_expr(p: &Predicate) -> String {
                     let constant = if c.as_number().is_some() {
                         c.render()
                     } else {
-                        format!("{:?}", c.render())
+                        json_string(&c.render())
                     };
-                    format!("cmp(data({lhs}), {constant}, {:?})", op.symbol())
+                    let op = json_string(op.symbol());
+                    format!("cmp(data({lhs}), {constant}, {op})")
                 }
                 Operand::Column {
                     extractor: phi2,
                     index: j,
                 } => {
                     let rhs_expr = node_expr(&format!("c{j}"), phi2);
-                    format!("cmpNodes({lhs}, {rhs_expr}, {:?})", op.symbol())
+                    let op = json_string(op.symbol());
+                    format!("cmpNodes({lhs}, {rhs_expr}, {op})")
                 }
             }
         }
@@ -325,6 +336,38 @@ mod tests {
             .nth(1)
             .expect("transform body");
         assert!(!body.contains("if ("), "no guard expected:\n{body}");
+    }
+
+    #[test]
+    fn literals_are_json_strings() {
+        use ColumnExtractor as CE;
+        // Rust's `{:?}` writes `\u{0}`, which is no JavaScript escape.
+        let text = "a\u{0}1b\"\\\n\u{2028}é";
+        let eq = Predicate::Compare {
+            extractor: NodeExtractor::child(NodeExtractor::Id, text, 0),
+            index: 0,
+            op: CompareOp::Eq,
+            rhs: Operand::Const(Value::str(text)),
+        };
+        let mut program = Program::new(
+            TableExtractor::new(vec![CE::pchildren(
+                CE::descendants(CE::Input, text),
+                text,
+                0,
+            )]),
+            eq,
+        );
+        program.column_names = vec![text.into()];
+        let js = generate_javascript(&program);
+        let literal = json_string(text);
+        assert!(!js.contains("\\u{"), "{js}");
+        for expected in [
+            format!("pchildren(descendants([root], {literal}), {literal}, 0)"),
+            format!("cmp(data(child(c0, {literal}, 0)), {literal}, \"=\")"),
+            format!("{literal}: data(c0)"),
+        ] {
+            assert!(js.contains(&expected), "{expected} missing from\n{js}");
+        }
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! axes: `children(π, t)` → `π/t`, `pchildren(π, t, p)` → `π/t[p+1]`,
 //! `descendants(π, t)` → `π//t`; node extractors inside predicates map to `..`
 //! (parent) and `child[pos]` steps.
+//!
+//! XPath is built as plain text, string constants quoted as XPath literals, and
+//! every attribute value is escaped exactly once, by [`mitra_hdt::xml::escape`],
+//! as it is written.
 
 use crate::guards::guards_by_depth;
 use mitra_dsl::ast::{ColumnExtractor, CompareOp, NodeExtractor, Operand, Predicate, Program};
+use mitra_hdt::xml::escape;
 
 /// Generates an XSLT stylesheet implementing `program`.
 pub fn generate_xslt(program: &Program) -> String {
@@ -32,7 +37,7 @@ pub fn generate_xslt(program: &Program) -> String {
     let mut indent = String::from("      ");
     let mut has_guard: Vec<bool> = Vec::with_capacity(arity);
     for (i, pi) in program.extractor.columns.iter().enumerate() {
-        let path = column_xpath(pi);
+        let path = escape(&column_xpath(pi));
         out.push_str(&format!("{indent}<xsl:for-each select=\"{path}\">\n"));
         indent.push_str("  ");
         out.push_str(&format!(
@@ -40,7 +45,7 @@ pub fn generate_xslt(program: &Program) -> String {
         ));
         let guarded = guards.get(i).map(|g| !g.is_empty()).unwrap_or(false);
         if guarded {
-            let test = combined_test(&guards[i]);
+            let test = escape(&combined_test(&guards[i]));
             out.push_str(&format!("{indent}<xsl:if test=\"{test}\">\n"));
             indent.push_str("  ");
         }
@@ -55,7 +60,7 @@ pub fn generate_xslt(program: &Program) -> String {
             .unwrap_or_else(|| format!("c{i}"));
         out.push_str(&format!(
             "{indent}  <cell column=\"{}\"><xsl:value-of select=\"${}\"/></cell>\n",
-            escape_attr(&name),
+            escape(&name),
             format_args!("c{i}")
         ));
     }
@@ -132,13 +137,12 @@ pub fn predicate_xpath(p: &Predicate) -> String {
             let lhs = node_xpath(&format!("$c{index}"), extractor);
             match rhs {
                 Operand::Const(c) => {
-                    let constant = c.render();
-                    let quoted = if c.as_number().is_some() {
-                        constant
+                    let constant = if c.as_number().is_some() {
+                        c.render()
                     } else {
-                        format!("'{}'", constant.replace('\'', ""))
+                        string_literal(&c.render())
                     };
-                    format!("{} {} {}", value_of(&lhs), xpath_op(*op), quoted)
+                    format!("{} {} {}", value_of(&lhs), xpath_op(*op), constant)
                 }
                 Operand::Column {
                     extractor: phi2,
@@ -174,17 +178,25 @@ fn xpath_op(op: CompareOp) -> &'static str {
     match op {
         CompareOp::Eq => "=",
         CompareOp::Ne => "!=",
-        CompareOp::Lt => "&lt;",
-        CompareOp::Le => "&lt;=",
-        CompareOp::Gt => "&gt;",
-        CompareOp::Ge => "&gt;=",
+        CompareOp::Lt => "<",
+        CompareOp::Le => "<=",
+        CompareOp::Gt => ">",
+        CompareOp::Ge => ">=",
     }
 }
 
-fn escape_attr(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('"', "&quot;")
-        .replace('<', "&lt;")
+/// An XPath 1.0 string literal of `s`, which has no escapes: quoted with `'`, or
+/// with `"` when `s` holds `'`, or as a `concat()` of both kinds of pieces when it
+/// holds both quotes.
+fn string_literal(s: &str) -> String {
+    if !s.contains('\'') {
+        format!("'{s}'")
+    } else if !s.contains('"') {
+        format!("\"{s}\"")
+    } else {
+        let pieces: Vec<String> = s.split('\'').map(|piece| format!("'{piece}'")).collect();
+        format!("concat({})", pieces.join(", \"'\", "))
+    }
 }
 
 #[cfg(test)]
@@ -246,7 +258,7 @@ mod tests {
             rhs: Operand::Const(Value::int(20)),
         };
         let s = predicate_xpath(&p);
-        assert!(s.contains("&lt; 20"));
+        assert!(s.contains("< 20"));
         let p2 = Predicate::Compare {
             extractor: NodeExtractor::Id,
             index: 0,
@@ -254,6 +266,41 @@ mod tests {
             rhs: Operand::Const(Value::str("Alice")),
         };
         assert!(predicate_xpath(&p2).contains("'Alice'"));
+    }
+
+    #[test]
+    fn string_literals_survive_quotes_and_ampersands() {
+        let eq = |constant: &str| Predicate::Compare {
+            extractor: NodeExtractor::Id,
+            index: 0,
+            op: CompareOp::Eq,
+            rhs: Operand::Const(Value::str(constant)),
+        };
+        assert_eq!(string_literal("a'b\"c"), r#"concat('a', "'", 'b"c')"#);
+        let pred = Predicate::or(eq("O'Brien"), Predicate::or(eq("AT&T"), eq("x<y")));
+        let mut program = Program::new(
+            TableExtractor::new(vec![ColumnExtractor::descendants(
+                ColumnExtractor::Input,
+                "name",
+            )]),
+            pred,
+        );
+        program.column_names = vec!["a&b \"c\"".into()];
+        let xslt = generate_xslt(&program);
+        let tree = mitra_hdt::xml::xml_to_hdt(&xslt).expect("well-formed");
+        let data_of = |tag: &str| -> Vec<String> {
+            let nodes = tree.descendants_with_tag(tree.root(), tag);
+            nodes
+                .iter()
+                .filter_map(|&n| tree.data(n).map(str::to_string))
+                .collect()
+        };
+        let test = data_of("test");
+        assert_eq!(
+            test,
+            [r#"((string($c0) = "O'Brien") or (string($c0) = 'AT&T')) or (string($c0) = 'x<y')"#]
+        );
+        assert_eq!(data_of("column"), ["a&b \"c\""]);
     }
 
     #[test]

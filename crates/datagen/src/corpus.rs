@@ -532,7 +532,11 @@ fn concat_task(rng: &mut StdRng, columns: usize, size: usize) -> (Hdt, Table) {
 
 // --- Document text rendering ------------------------------------------------------
 
-/// Renders an HDT as XML text (inverse of the XML plug-in for leaf/element trees).
+/// Renders an HDT as XML text: each internal node as an element around its
+/// children, and each data leaf as an element whose text is its data.  It is not
+/// the XML plug-in's inverse: `xml_to_hdt` maps an element's text one level
+/// deeper, to a `text` leaf under the element, so a data leaf `<year>1999</year>`
+/// comes back as an internal `year` node with a `text` child.
 pub fn hdt_to_xml_text(tree: &Hdt) -> String {
     fn write_node(tree: &Hdt, node: NodeId, indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);

@@ -105,16 +105,21 @@ impl Value {
         self.text().into_owned()
     }
 
-    /// [`Value::render`], borrowed unless the value is a number.
+    /// [`Value::render`], borrowed unless the value is a number.  An integral
+    /// float inside `i64`'s range renders as its exact integer, the text of the
+    /// `Int` it compares equal to, so keys built from rendered text (hash joins,
+    /// [`crate::Table::same_bag`], constraint keys) agree with [`Value::compare`].
     fn text(&self) -> Cow<'_, str> {
         match self {
             Value::Null => Cow::Borrowed(""),
             Value::Int(i) => Cow::Owned(i.to_string()),
-            Value::Float(f) => Cow::Owned(if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{}", *f as i64)
-            } else {
-                format!("{f}")
-            }),
+            Value::Float(f) => {
+                Cow::Owned(if f.fract() == 0.0 && (-I64_BOUND..I64_BOUND).contains(f) {
+                    (*f as i64).to_string()
+                } else {
+                    format!("{f}")
+                })
+            }
             Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
             Value::Str(s) => Cow::Borrowed(s),
         }
@@ -144,6 +149,9 @@ impl Value {
         }
     }
 }
+
+/// 2^63: the integral floats in `-2^63..2^63` convert to `i64` exactly.
+const I64_BOUND: f64 = 9_223_372_036_854_775_808.0;
 
 /// The `Int` or `Float` a trimmed data string parses to, if it is a number.
 fn numeric(t: &str) -> Option<Value> {
@@ -454,15 +462,24 @@ mod tests {
     }
 
     #[test]
-    fn integral_floats_from_1e15_compare_equal_but_render_apart() {
-        // What stays open: an integral float of 1e15 or more renders its
-        // shortest round-trip digits, so it equals an integer whose digits it
-        // does not render.  Hash joins key leaves by rendered text and keep
-        // the two apart.
+    fn integral_floats_render_as_the_integers_they_equal() {
+        // Above 1e15 a float's shortest round-trip digits are not its integer:
+        // 2^60 would render `1152921504606847000`, which parses back to another
+        // value.  Hash joins key leaves by rendered text, so equal values must
+        // render equal.
         let int = Value::from_data("1152921504606846976");
         let float = Value::from_data("1.152921504606846976e18");
         assert!(matches!(float, Value::Float(_)));
         assert_eq!(int, float);
-        assert_ne!(int.render(), float.render());
+        assert_eq!(float.render(), int.render());
+        assert_eq!(Value::from_data(&float.render()), float);
+        // The ends of `i64`'s range, and past them the shortest digits.
+        assert_eq!(
+            Value::Float(-(2f64.powi(63))).render(),
+            i64::MIN.to_string()
+        );
+        assert_eq!(Value::Float(2f64.powi(63)).render(), "9223372036854776000");
+        assert_eq!(Value::Float(1e20).render(), "100000000000000000000");
+        assert_eq!(Value::Float(-0.0).render(), "0");
     }
 }

@@ -12,6 +12,11 @@ pub(crate) fn get(set: &[u64], i: usize) -> bool {
     set[i / 64] >> (i % 64) & 1 == 1
 }
 
+/// The number of set bits.
+pub(crate) fn count(set: &[u64]) -> usize {
+    set.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 /// Sets bit `i`.
 pub(crate) fn set(set: &mut [u64], i: usize) {
     set[i / 64] |= 1 << (i % 64);

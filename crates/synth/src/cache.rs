@@ -19,12 +19,18 @@
 //! key, so a shard abandoned mid-insert by a panicking worker is at worst missing
 //! an entry — surviving siblings recompute it, they never observe torn state.
 //!
+//! Per (example, π) it also keeps the output rows each node of `[[π]]T` matches
+//! (`ColumnEvalCache::row_coverage`): the search's coverage test reads them,
+//! and predicate learning labels every tuple of the intermediate table from
+//! them, without materializing a tuple or a value.
+//!
 //! The cache also memoizes predicate learning's set covers ([`ColumnEvalCache::cover`]).
 //! Candidates with different extensions, which the search's outcome memo keeps
 //! apart, often build byte-equal cover instances: of the 233 instances a `table2`
 //! benchmark pass builds, 97 repeat one of the same synthesis call, and of its 40
 //! searches that stopped at the 200,000-node cap, 17 remain.
 
+use crate::bits;
 use crate::cover::{solve_exact, Cover, CoverInstance, MAX_COVER_NODES};
 use crate::synthesize::Example;
 use crate::universe::{mine_constants, valid_node_extractors_with_nodes, UniverseConfig};
@@ -84,17 +90,49 @@ pub struct ColumnPhiData {
     pub orderings: Vec<Vec<Vec<Option<Ordering>>>>,
 }
 
+/// The output rows each node of `[[π]]T_e` matches, per output column: node `k`'s
+/// column-`c` mask holds the rows whose column-`c` cell equals the node's value
+/// under `Value`'s `==`, the equality [`Table::contains_row`] applies.  A tuple of
+/// the intermediate table is a row of the output exactly when the AND of its
+/// nodes' masks (node `i`'s in column `i`) is not empty.
+///
+/// Each column keeps one mask per distinct cell value, and a node holds the index
+/// of its value's mask in each column, so the memo grows with nodes × columns
+/// plus the output's size, not with nodes × rows.
+#[derive(Debug)]
+pub(crate) struct RowCoverage {
+    /// Output columns.
+    arity: usize,
+    /// Words per mask: ⌈output rows / 64⌉.
+    words: usize,
+    /// Node `k`'s column-`c` mask index, at `k * arity + c`; mask 0 is empty, for
+    /// a value no cell of the column holds.
+    groups: Vec<u32>,
+    /// The masks, `words` each.
+    masks: Vec<u64>,
+    /// `covers[c]`: every row's column-`c` cell equals some node's value, which a
+    /// combo's column-`c` extractor needs to reproduce the rows.
+    pub(crate) covers: Vec<bool>,
+}
+
+impl RowCoverage {
+    /// The rows whose column-`c` cell equals node `k`'s value.
+    pub(crate) fn mask(&self, k: usize, c: usize) -> &[u64] {
+        let at = self.groups[k * self.arity + c] as usize * self.words;
+        &self.masks[at..at + self.words]
+    }
+}
+
 /// Concurrent per-example memo table for `[[π]]T` evaluations, plus the derived
 /// per-extractor artifacts the best-first search reuses across candidate combos:
-/// row-coverage bitmaps (incremental combo pruning) and valid-node-extractor data
+/// row coverage (combo pruning and tuple labels) and valid-node-extractor data
 /// (fast predicate learning).  One cache lives for the duration of one synthesis
 /// call; the examples it serves are fixed, so every entry is insert-only.
 #[derive(Debug)]
 pub struct ColumnEvalCache {
     shards: Vec<Mutex<HashMap<ColumnExtractor, Arc<Vec<NodeId>>>>>,
-    /// Per-example `(π → coverage bitmap)` maps: bit `c` says whether every value
-    /// of output column `c` occurs among `[[π]]T`'s node values.
-    coverage: Vec<Mutex<HashMap<ColumnExtractor, Arc<Vec<bool>>>>>,
+    /// Per-example `(π → row coverage)` maps.
+    coverage: Vec<Mutex<HashMap<ColumnExtractor, Arc<RowCoverage>>>>,
     /// `π → ColumnPhiData` (one map across examples: validity spans all of them).
     phi_data: Mutex<HashMap<ColumnExtractor, Arc<ColumnPhiData>>>,
     /// Constants mined from the example trees (rule 4), computed on first use.
@@ -166,22 +204,21 @@ impl ColumnEvalCache {
         }
     }
 
-    /// The row-coverage bitmap of extractor `pi` on example `ex_idx`: bit `c` is
-    /// set when every value of `output` column `c` occurs among the values of
-    /// `[[π]]T`'s nodes.  A combo whose column `c` extractor has bit `c` clear can
-    /// never reproduce the example rows, so the search rejects it without labelling
-    /// tuples or learning a predicate.
+    /// The row coverage of extractor `pi` on example `ex_idx` (see
+    /// [`RowCoverage`]), computed on first use.  A combo whose column `c`
+    /// extractor does not cover column `c` can never reproduce the example rows,
+    /// so the search rejects it without labelling tuples or learning a predicate.
     ///
     /// The caller must pass the same `output` for a given `ex_idx` for the lifetime
-    /// of the cache (one synthesis call fixes the examples), since the bitmap is
+    /// of the cache (one synthesis call fixes the examples), since the masks are
     /// memoized per extractor only.
-    pub fn row_coverage(
+    pub(crate) fn row_coverage(
         &self,
         ex_idx: usize,
         tree: &Hdt,
         pi: &ColumnExtractor,
         output: &Table,
-    ) -> Arc<Vec<bool>> {
+    ) -> Arc<RowCoverage> {
         if let Some(hit) = self.coverage[ex_idx]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -192,11 +229,38 @@ impl ColumnEvalCache {
         }
         mitra_trace::counter_add!("cache.row_coverage.miss", 1);
         let nodes = self.column_nodes(ex_idx, tree, pi);
-        let values: Vec<Value> = nodes.iter().map(|n| node_value(tree, *n)).collect();
-        let bitmap: Vec<bool> = (0..output.arity())
-            .map(|c| output.rows.iter().all(|row| values.contains(&row[c])))
-            .collect();
-        let bitmap = Arc::new(bitmap);
+        let (arity, rows) = (output.arity(), output.rows.len());
+        let words = rows.div_ceil(64);
+        // Each column's mask index by cell value (`Value`'s hash agrees with its
+        // `==`), and the masks, the empty one first.
+        let mut by_value: Vec<HashMap<&Value, u32>> = vec![HashMap::new(); arity];
+        let mut masks = bits::zeros(rows);
+        for (r, row) in output.rows.iter().enumerate() {
+            for (groups, value) in by_value.iter_mut().zip(row) {
+                let g = *groups.entry(value).or_insert_with(|| {
+                    masks.extend(bits::zeros(rows));
+                    (masks.len() / words - 1) as u32
+                });
+                bits::set(&mut masks[g as usize * words..], r);
+            }
+        }
+        let mut groups = Vec::with_capacity(nodes.len() * arity);
+        let mut covered = vec![bits::zeros(rows); arity];
+        for &n in nodes.iter() {
+            let value = node_value(tree, n);
+            for (c, column) in by_value.iter().enumerate() {
+                let g = column.get(&value).copied().unwrap_or(0);
+                bits::or_at(&mut covered[c], 0, &masks[g as usize * words..][..words]);
+                groups.push(g);
+            }
+        }
+        let coverage = Arc::new(RowCoverage {
+            arity,
+            words,
+            groups,
+            masks,
+            covers: covered.iter().map(|set| bits::count(set) == rows).collect(),
+        });
         let mut shard = self.coverage[ex_idx]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
@@ -204,7 +268,7 @@ impl ColumnEvalCache {
             std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
             std::collections::hash_map::Entry::Vacant(e) => {
                 mitra_trace::counter_add!("cache.row_coverage.insert", 1);
-                Arc::clone(e.insert(bitmap))
+                Arc::clone(e.insert(coverage))
             }
         }
     }

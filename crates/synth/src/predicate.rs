@@ -13,6 +13,18 @@
 //! negative one; `None` is returned when no such predicate exists in the (bounded)
 //! universe.
 //!
+//! ## One layout, no materialized intermediate table
+//!
+//! A private `Layout` decides the intermediate table's shape in one place: one
+//! block per example of the cached column node lists, the *last* column varying
+//! fastest as in the naive cross product, and the checked product against
+//! `max_intermediate_rows`.  The search's per-candidate checks, the labels, the
+//! truth vectors, the cover rows and the reference path all read it, and no
+//! tuple is ever built for the fast path.  Labels come from the per-node
+//! output-row masks of `ColumnEvalCache::row_coverage`: a tuple is positive when
+//! the AND of its nodes' masks is not empty, and ψ over-approximates an output
+//! when the positives' ANDs OR to every row.
+//!
 //! ## The fast truth-vector path
 //!
 //! Evaluating every universe predicate on every intermediate tuple with
@@ -24,7 +36,7 @@
 //!
 //! * evaluates each valid node extractor **once per column node** (cached in
 //!   [`ColumnPhiData`]) instead of once per tuple, and tiles the per-node results
-//!   across the cross-product layout of the intermediate table;
+//!   across the layout of the intermediate table;
 //! * enumerates only the behaviour-class **representatives** of each column's
 //!   extractors.  Equivalent extractors produce equal truth vectors, the
 //!   representative is the earliest (hence smallest) member of its class, and the
@@ -55,13 +67,15 @@
 //! extensions often build byte-equal instances.
 //!
 //! [`learn_predicate_reference`] retains the direct per-tuple evaluation over the
-//! full universe, and it calls [`solve_exact`] itself instead of the memo;
-//! `tests/search_equivalence.rs` and the unit tests below assert the two paths
-//! agree, and it serves as the oracle for differential testing.
+//! full universe, decoding each tuple's nodes from the layout, and it calls
+//! [`solve_exact`] itself instead of the memo; `tests/search_equivalence.rs` and
+//! the unit tests below assert the two paths agree, and it serves as the oracle
+//! for differential testing.  The test module keeps the labelling oracle, which
+//! materializes every tuple through the naive cross product.
 //!
-//! Spans `label_tuples`, `truth_vectors`, `cover` and `qm` split the caller's
-//! `predicate_learn` span, and each call adds its tallies to the counters
-//! `synth.predicate.{vectors,constant_skipped,kept}`.
+//! Spans `label_tuples` (the mask walk), `truth_vectors`, `cover` and `qm` split
+//! the caller's `predicate_learn` span, and each call adds its tallies to the
+//! counters `synth.predicate.{vectors,constant_skipped,kept}`.
 
 use crate::bits;
 use crate::cache::{ColumnEvalCache, ColumnPhiData};
@@ -69,9 +83,8 @@ use crate::cover::{solve_exact, Cover, CoverInstance, MAX_COVER_NODES};
 use crate::qm::minimize;
 use crate::synthesize::{Example, SynthConfig};
 use crate::universe::construct_universe;
-use mitra_dsl::ast::{CompareOp, Operand, Predicate, TableExtractor};
-use mitra_dsl::eval::{cross_product, eval_predicate, node_value, EvalLimits};
-use mitra_dsl::Value;
+use mitra_dsl::ast::{ColumnExtractor, CompareOp, Operand, Predicate, TableExtractor};
+use mitra_dsl::eval::eval_predicate;
 use mitra_hdt::NodeId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -80,66 +93,205 @@ use std::sync::Arc;
 /// Maximum number of distinct predicates kept after behaviour deduplication.
 const MAX_UNIVERSE: usize = 20_000;
 
-/// A labelled tuple of the intermediate table.
-#[derive(Debug, Clone)]
-pub struct LabelledTuple {
-    /// Index of the example this tuple came from.
-    pub example: usize,
-    /// The node tuple.
-    pub nodes: Vec<NodeId>,
-    /// True when the tuple's data projection appears in the output example.
-    pub positive: bool,
+/// ψ's intermediate table on the examples: example blocks in order, and within a
+/// block the *last* column varying fastest, so tuple `t` of a block holds node
+/// `(t / strides[c]) % counts[c]` of column `c`.  The one place that decides the
+/// table's product and tuple order; it keeps the examples, columns and cache it
+/// was built from, so what reads it cannot pair it with others.
+pub(crate) struct Layout<'a> {
+    examples: &'a [Example],
+    /// ψ's columns.
+    columns: &'a [ColumnExtractor],
+    cache: &'a ColumnEvalCache,
+    /// `[[π_i]]T_e` for every example `e` (outer) and column `i` (inner): the
+    /// table's extension, which the search keys its outcome memo by.
+    extension: Vec<Arc<Vec<NodeId>>>,
+    blocks: Vec<Block>,
+    /// Tuples over all blocks.
+    len: usize,
 }
 
-/// Builds the positive/negative example tuples for a candidate table extractor.
-///
-/// Returns `None` when an intermediate table exceeds `max_rows` (the candidate should
-/// then be skipped) or when ψ does not overapproximate some output example (a required
-/// precondition of Theorem 2).  Each distinct column extractor of ψ is evaluated at
-/// most once per example across all candidates (and all pool workers) sharing
-/// `cache`.
-pub fn label_tuples(
-    examples: &[Example],
-    psi: &TableExtractor,
-    max_rows: usize,
-    cache: &ColumnEvalCache,
-) -> Option<Vec<LabelledTuple>> {
-    let mut out = Vec::new();
-    let limits = EvalLimits::with_max_rows(max_rows);
-    for (ex_idx, ex) in examples.iter().enumerate() {
-        // The row cap doubles as the candidate filter: an oversized intermediate
-        // table rejects the candidate without materializing anything.
-        let columns: Vec<_> = psi
-            .columns
-            .iter()
-            .map(|pi| cache.column_nodes(ex_idx, &ex.tree, pi))
-            .collect();
-        let slices: Vec<&[NodeId]> = columns.iter().map(|c| c.as_slice()).collect();
-        let tuples = cross_product(&slices, &limits).ok()?;
-        let mut covered_rows = vec![false; ex.output.rows.len()];
-        for nodes in tuples {
-            let values: Vec<Value> = nodes.iter().map(|n| node_value(&ex.tree, *n)).collect();
-            let positive = ex.output.contains_row(&values);
-            if positive {
-                for (ri, row) in ex.output.rows.iter().enumerate() {
-                    if row.as_slice() == values.as_slice() {
-                        covered_rows[ri] = true;
+/// One example's block of the layout.
+struct Block {
+    /// The block's first tuple.
+    base: usize,
+    /// Its tuples: the product of `counts`, or zero when a column is empty.
+    len: usize,
+    /// Nodes per column.
+    counts: Vec<usize>,
+    /// Tuples between consecutive nodes of a column (the last column's is 1).
+    strides: Vec<usize>,
+}
+
+impl<'a> Layout<'a> {
+    /// The layout of the columns' node lists on `examples`, or `None` when some
+    /// example's product overflows or exceeds `max_rows`.  As in the naive cross
+    /// product, no columns or an empty column give an empty block.
+    pub(crate) fn new(
+        examples: &'a [Example],
+        columns: &'a [ColumnExtractor],
+        max_rows: usize,
+        cache: &'a ColumnEvalCache,
+    ) -> Option<Layout<'a>> {
+        let arity = columns.len();
+        let mut extension = Vec::with_capacity(examples.len() * arity);
+        let mut blocks = Vec::with_capacity(examples.len());
+        let mut base = 0;
+        for (e, ex) in examples.iter().enumerate() {
+            let counts: Vec<usize> = columns
+                .iter()
+                .map(|pi| {
+                    let nodes = cache.column_nodes(e, &ex.tree, pi);
+                    let count = nodes.len();
+                    extension.push(nodes);
+                    count
+                })
+                .collect();
+            let mut strides = vec![0; arity];
+            let len = if arity == 0 || counts.contains(&0) {
+                0
+            } else {
+                let len = counts
+                    .iter()
+                    .try_fold(1usize, |acc, &n| acc.checked_mul(n))
+                    .filter(|&len| len <= max_rows)?;
+                strides[arity - 1] = 1;
+                for c in (0..arity - 1).rev() {
+                    strides[c] = strides[c + 1] * counts[c + 1];
+                }
+                len
+            };
+            blocks.push(Block {
+                base,
+                len,
+                counts,
+                strides,
+            });
+            base += len;
+        }
+        Some(Layout {
+            examples,
+            columns,
+            cache,
+            extension,
+            blocks,
+            len: base,
+        })
+    }
+
+    /// Example `e`'s tuples.
+    pub(crate) fn block_len(&self, e: usize) -> usize {
+        self.blocks[e].len
+    }
+
+    /// The node lists of every example (outer) and column (inner).
+    pub(crate) fn extension(&self) -> &[Arc<Vec<NodeId>>] {
+        &self.extension
+    }
+
+    /// The positive tuples as a bitset over the layout, or `None` when ψ does not
+    /// over-approximate some example's output: a row no tuple produces.  A tuple
+    /// is positive when its values are a row of its example's output, that is
+    /// when the AND of its nodes' row masks is not empty (see the module docs).
+    fn labels(&self) -> Option<Vec<u64>> {
+        let mut positive = bits::zeros(self.len);
+        for (e, (ex, block)) in self.examples.iter().zip(&self.blocks).enumerate() {
+            let rows = ex.output.rows.len();
+            let mut covered = bits::zeros(rows);
+            // A tuple of another arity is no row.
+            if self.columns.len() == ex.output.arity() && block.len > 0 {
+                let coverage: Vec<_> = self
+                    .columns
+                    .iter()
+                    .map(|pi| self.cache.row_coverage(e, &ex.tree, pi, &ex.output))
+                    .collect();
+                let mut and = bits::zeros(rows);
+                for t in 0..block.len {
+                    and.fill(!0);
+                    for (c, rows_of) in coverage.iter().enumerate() {
+                        let mask = rows_of.mask(block.node(t, c), c);
+                        and.iter_mut().zip(mask).for_each(|(w, m)| *w &= m);
+                    }
+                    if and.iter().any(|w| *w != 0) {
+                        bits::set(&mut positive, block.base + t);
+                        bits::or_at(&mut covered, 0, &and);
                     }
                 }
             }
-            out.push(LabelledTuple {
-                example: ex_idx,
-                nodes,
-                positive,
-            });
+            if bits::count(&covered) != rows {
+                return None;
+            }
         }
-        // ψ must overapproximate the output table: every output row must be produced
-        // by at least one tuple.
-        if !covered_rows.iter().all(|b| *b) {
-            return None;
+        Some(positive)
+    }
+
+    /// Every tuple's example and nodes, in layout order.
+    fn tuples(&self) -> impl Iterator<Item = (usize, Vec<NodeId>)> + '_ {
+        self.blocks.iter().enumerate().flat_map(move |(e, block)| {
+            let arity = block.counts.len();
+            let columns = &self.extension[e * arity..(e + 1) * arity];
+            (0..block.len).map(move |t| {
+                let nodes = (0..arity).map(|c| columns[c][block.node(t, c)]).collect();
+                (e, nodes)
+            })
+        })
+    }
+}
+
+impl Block {
+    /// The node of column `c` that tuple `t` of the block holds.
+    fn node(&self, t: usize, c: usize) -> usize {
+        (t / self.strides[c]) % self.counts[c]
+    }
+
+    /// Sets the bits of the tuples whose column-`col` node `k` has `bit(k)`: node
+    /// `k` of column `col` covers the runs of `strides[col]` tuples starting at
+    /// `(r * counts[col] + k) * strides[col]` for r = 0, 1, ….
+    fn tile(&self, vector: &mut [u64], col: usize, bit: impl Fn(usize) -> bool) {
+        let (stride, count) = (self.strides[col], self.counts[col]);
+        let (mut t, mut k) = (0, 0);
+        while t < self.len {
+            if bit(k) {
+                bits::set_range(vector, self.base + t, self.base + t + stride);
+            }
+            t += stride;
+            k = if k + 1 == count { 0 } else { k + 1 };
         }
     }
-    Some(out)
+
+    /// Sets the bits of the tuples whose nodes `ki` of column `i` and `kj` of
+    /// column `j` (`i != j`) have `cell(ki, kj)`.  With `a` the earlier of the two
+    /// columns and `b` the later, the tuples come in runs of `strides[b]`, and run
+    /// `((r * counts[a] + ka) * gap + m) * counts[b] + kb` holds nodes `ka` and
+    /// `kb`, where `gap` is the product of the counts of the columns between them.
+    fn tile_pair(
+        &self,
+        vector: &mut [u64],
+        i: usize,
+        j: usize,
+        cell: impl Fn(usize, usize) -> bool,
+    ) {
+        if self.len == 0 {
+            return;
+        }
+        let (a, b) = (i.min(j), i.max(j));
+        let run = self.strides[b];
+        let gap = self.strides[a] / (self.counts[b] * run);
+        let mut t = 0;
+        while t < self.len {
+            for ka in 0..self.counts[a] {
+                for _ in 0..gap {
+                    for kb in 0..self.counts[b] {
+                        let (ki, kj) = if i < j { (ka, kb) } else { (kb, ka) };
+                        if cell(ki, kj) {
+                            bits::set_range(vector, self.base + t, self.base + t + run);
+                        }
+                        t += run;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Learns a filtering predicate for the candidate table extractor ψ, following
@@ -161,89 +313,40 @@ pub fn learn_predicate(
     config: &SynthConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
-    let tuples = {
+    let layout = Layout::new(examples, &psi.columns, config.max_intermediate_rows, cache)?;
+    learn_predicate_on(&layout, config)
+}
+
+/// [`learn_predicate`] on ψ's layout, which the caller has already built.
+pub(crate) fn learn_predicate_on(layout: &Layout, config: &SynthConfig) -> Option<Predicate> {
+    let positive = {
         let _span = mitra_trace::span("synth", "label_tuples");
-        label_tuples(examples, psi, config.max_intermediate_rows, cache)?
+        layout.labels()?
     };
-    if !tuples.iter().any(|t| t.positive) {
+    let positives = bits::count(&positive);
+    if positives == 0 {
         return None;
     }
-    if tuples.iter().all(|t| t.positive) {
+    if positives == layout.len {
         // The filter-free program already matches the example exactly: skip the
-        // whole truth-vector universe (tentpole (d) — on exact extractors this is
-        // the only predicate-learning work the search does).
+        // whole truth-vector universe (on exact extractors this is the only
+        // predicate-learning work the search does).
         return Some(Predicate::True);
     }
     let kept = {
         let _span = mitra_trace::span("synth", "truth_vectors");
-        truth_vectors(examples, psi, tuples.len(), config, cache)
+        truth_vectors(layout, config)
     };
-    classifier_from_kept(&tuples, kept, |instance| cache.cover(instance))
-}
-
-/// Cross-product layout of one example's block of the intermediate table.
-struct Block {
-    base: usize,
-    len: usize,
-    counts: Vec<usize>,
-    strides: Vec<usize>,
-}
-
-impl Block {
-    /// Sets the bits of the tuples whose column-`col` node `k` has `bit(k)`: node
-    /// `k` of column `col` covers the runs of `strides[col]` tuples starting at
-    /// `(r * counts[col] + k) * strides[col]` for r = 0, 1, ….
-    fn tile(&self, vector: &mut [u64], col: usize, bit: impl Fn(usize) -> bool) {
-        let (stride, count) = (self.strides[col], self.counts[col]);
-        let (mut t, mut k) = (0, 0);
-        while t < self.len {
-            if bit(k) {
-                bits::set_range(vector, self.base + t, self.base + t + stride);
-            }
-            t += stride;
-            k = if k + 1 == count { 0 } else { k + 1 };
-        }
-    }
+    classifier_from_kept(&positive, layout.len, kept, |instance| {
+        layout.cache.cover(instance)
+    })
 }
 
 /// Rules 4 and 5 of the universe over behaviour-class representatives, folded
 /// into the kept truth classes (see the module docs).
-fn truth_vectors(
-    examples: &[Example],
-    psi: &TableExtractor,
-    num_tuples: usize,
-    config: &SynthConfig,
-    cache: &ColumnEvalCache,
-) -> Vec<(Predicate, Vec<u64>, usize)> {
-    // Cross-product layout of the intermediate table: example blocks in order, and
-    // within a block the *last* column varies fastest (the mixed-radix order of
-    // `cross_product`), so tuple `t` of a block uses node
-    // `(t / stride[c]) % count[c]` of column `c`.
-    let arity = psi.columns.len();
-    let mut layout: Vec<Block> = Vec::with_capacity(examples.len());
-    let mut base = 0usize;
-    for (ex_idx, ex) in examples.iter().enumerate() {
-        let counts: Vec<usize> = psi
-            .columns
-            .iter()
-            .map(|pi| cache.column_nodes(ex_idx, &ex.tree, pi).len())
-            .collect();
-        let len = counts.iter().product::<usize>();
-        let mut strides = vec![1usize; arity];
-        for c in (0..arity.saturating_sub(1)).rev() {
-            strides[c] = strides[c + 1] * counts[c + 1];
-        }
-        layout.push(Block {
-            base,
-            len,
-            counts,
-            strides,
-        });
-        base += len;
-    }
-    debug_assert_eq!(base, num_tuples, "layout must match the labelled tuples");
-
-    let per_column: Vec<Arc<ColumnPhiData>> = psi
+fn truth_vectors(layout: &Layout, config: &SynthConfig) -> Vec<(Predicate, Vec<u64>, usize)> {
+    let (examples, cache) = (layout.examples, layout.cache);
+    let per_column: Vec<Arc<ColumnPhiData>> = layout
         .columns
         .iter()
         .map(|pi| cache.phi_data(examples, pi, &config.universe))
@@ -266,9 +369,9 @@ fn truth_vectors(
         &[CompareOp::Eq, CompareOp::Ne]
     };
 
-    let mut dedup = Dedup::new(num_tuples);
+    let mut dedup = Dedup::new(layout.len);
     // One truth-vector buffer for every predicate of this call.
-    let mut vector = bits::zeros(num_tuples);
+    let mut vector = bits::zeros(layout.len);
     let mut constant_skipped = 0u64;
     let mut capped = false;
 
@@ -298,7 +401,7 @@ fn truth_vectors(
                     }
                     let bit = |ord: &Option<Ordering>| ord.is_some_and(|o| op.test(o));
                     let (mut any_t, mut any_f) = (false, false);
-                    for (e, block) in layout.iter().enumerate() {
+                    for (e, block) in layout.blocks.iter().enumerate() {
                         if block.len > 0 {
                             any_t |= orderings(e).iter().any(bit);
                             any_f |= !orderings(e).iter().all(bit);
@@ -309,7 +412,7 @@ fn truth_vectors(
                         continue;
                     }
                     vector.fill(0);
-                    for (e, block) in layout.iter().enumerate() {
+                    for (e, block) in layout.blocks.iter().enumerate() {
                         if block.len > 0 {
                             let ords = orderings(e);
                             block.tile(&mut vector, i, |k| bit(&ords[k]));
@@ -338,20 +441,6 @@ fn truth_vectors(
     // fields are never equal) are recognised before tiling and skipped outright,
     // exactly as the fold would have dropped them.
     if !capped {
-        // Mixed-radix digit of every tuple per column, so non-diagonal tiling is a
-        // pair of table lookups instead of two divisions.
-        let digits: Vec<Vec<Vec<u32>>> = layout
-            .iter()
-            .map(|block| {
-                (0..arity)
-                    .map(|c| {
-                        (0..block.len)
-                            .map(|t| ((t / block.strides[c]) % block.counts[c]) as u32)
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
         // Eq/Ne truth values for one node pair, matching `Value::compare`
         // semantics: leaf pairs compare by value (Ne additionally requires
         // comparability: both or neither NULL), internal pairs by node identity,
@@ -375,7 +464,7 @@ fn truth_vectors(
         // cells start at `cell_start[e]`.
         let mut eq_cells: Vec<bool> = Vec::new();
         let mut ne_cells: Vec<bool> = Vec::new();
-        let mut cell_start: Vec<usize> = Vec::with_capacity(layout.len());
+        let mut cell_start: Vec<usize> = Vec::with_capacity(layout.blocks.len());
         'outer5: for (i, data_i) in per_column.iter().enumerate() {
             for (j, data_j) in per_column.iter().enumerate() {
                 for &p1 in &data_i.reps {
@@ -383,14 +472,14 @@ fn truth_vectors(
                         if i == j && data_i.phis[p1] == data_j.phis[p2] {
                             continue; // trivially true under Eq
                         }
-                        // The diagonal only when i == j (both digits coincide), the
+                        // The diagonal only when i == j (both nodes coincide), the
                         // full node-pair matrix otherwise.
                         eq_cells.clear();
                         ne_cells.clear();
                         cell_start.clear();
                         let (mut eq_any_t, mut eq_any_f) = (false, false);
                         let (mut ne_any_t, mut ne_any_f) = (false, false);
-                        for (ex_idx, block) in layout.iter().enumerate() {
+                        for (ex_idx, block) in layout.blocks.iter().enumerate() {
                             cell_start.push(eq_cells.len());
                             if block.len == 0 {
                                 continue;
@@ -436,7 +525,7 @@ fn truth_vectors(
                                 continue;
                             }
                             vector.fill(0);
-                            for (ex_idx, block) in layout.iter().enumerate() {
+                            for (ex_idx, block) in layout.blocks.iter().enumerate() {
                                 if block.len == 0 {
                                     continue;
                                 }
@@ -444,14 +533,10 @@ fn truth_vectors(
                                 if i == j {
                                     block.tile(&mut vector, i, |k| cell_bits[k]);
                                 } else {
-                                    let di = &digits[ex_idx][i];
-                                    let dj = &digits[ex_idx][j];
                                     let cj = block.counts[j];
-                                    for t in 0..block.len {
-                                        if cell_bits[di[t] as usize * cj + dj[t] as usize] {
-                                            bits::set(&mut vector, block.base + t);
-                                        }
-                                    }
+                                    block.tile_pair(&mut vector, i, j, |ki, kj| {
+                                        cell_bits[ki * cj + kj]
+                                    });
                                 }
                             }
                             let pred = || Predicate::Compare {
@@ -492,11 +577,13 @@ pub fn learn_predicate_reference(
     config: &SynthConfig,
     cache: &ColumnEvalCache,
 ) -> Option<Predicate> {
-    let tuples = label_tuples(examples, psi, config.max_intermediate_rows, cache)?;
-    if !tuples.iter().any(|t| t.positive) {
+    let layout = Layout::new(examples, &psi.columns, config.max_intermediate_rows, cache)?;
+    let positive = layout.labels()?;
+    let positives = bits::count(&positive);
+    if positives == 0 {
         return None;
     }
-    if tuples.iter().all(|t| t.positive) {
+    if positives == layout.len {
         // Nothing to filter out: the trivial predicate works.
         return Some(Predicate::True);
     }
@@ -509,10 +596,11 @@ pub fn learn_predicate_reference(
 
     // Only behaviourally distinct predicates matter: the truth vectors over all
     // labelled tuples feed the shared [`Dedup`] fold, which also shrinks the ILP.
+    let tuples: Vec<(usize, Vec<NodeId>)> = layout.tuples().collect();
     let truth_vector = |p: &Predicate| -> Vec<u64> {
         let mut vector = bits::zeros(tuples.len());
-        for (i, t) in tuples.iter().enumerate() {
-            if eval_predicate(&examples[t.example].tree, &t.nodes, p) {
+        for (i, (e, nodes)) in tuples.iter().enumerate() {
+            if eval_predicate(&examples[*e].tree, nodes, p) {
                 bits::set(&mut vector, i);
             }
         }
@@ -536,7 +624,7 @@ pub fn learn_predicate_reference(
     }
     // The reference solves every cover itself, so the search-equivalence suite
     // referees the fast path's cover memo too.
-    classifier_from_kept(&tuples, dedup.into_kept(), |instance| {
+    classifier_from_kept(&positive, layout.len, dedup.into_kept(), |instance| {
         solve_exact(&instance, MAX_COVER_NODES)
     })
 }
@@ -623,27 +711,19 @@ impl Dedup {
 /// verbatim by the fast and reference paths so any divergence is confined to the
 /// truth-vector construction and to `solve`, which answers the cover instance:
 /// the fast path through [`ColumnEvalCache::cover`]'s memo, the reference with
-/// [`solve_exact`] itself.
+/// [`solve_exact`] itself.  `positive` marks the positive ones of the `len`
+/// tuples.
 fn classifier_from_kept(
-    tuples: &[LabelledTuple],
+    positive: &[u64],
+    len: usize,
     kept: Vec<(Predicate, Vec<u64>, usize)>,
     solve: impl FnOnce(CoverInstance) -> Option<Cover>,
 ) -> Option<Predicate> {
     if kept.is_empty() {
         return None;
     }
-    let pos_idx: Vec<usize> = tuples
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.positive)
-        .map(|(i, _)| i)
-        .collect();
-    let neg_idx: Vec<usize> = tuples
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.positive)
-        .map(|(i, _)| i)
-        .collect();
+    let (pos_idx, neg_idx): (Vec<usize>, Vec<usize>) =
+        (0..len).partition(|&t| bits::get(positive, t));
 
     let chosen = {
         let _span = mitra_trace::span("synth", "cover");
@@ -732,10 +812,112 @@ fn predicate_weight(p: &Predicate) -> usize {
 mod tests {
     use super::*;
     use crate::universe::UniverseConfig;
-    use mitra_dsl::ast::ColumnExtractor;
-    use mitra_dsl::eval::eval_program;
-    use mitra_dsl::{Program, Table};
-    use mitra_hdt::generate::{nested_objects, social_network};
+    use mitra_dsl::eval::{cross_product, eval_column, eval_program, node_value, EvalLimits};
+    use mitra_dsl::{Program, Table, Value};
+    use mitra_hdt::generate::{nested_objects, social_network, wide};
+    use mitra_hdt::Hdt;
+
+    /// A tuple of the intermediate table, as the labelling oracle materializes it.
+    #[derive(Debug, Clone)]
+    struct LabelledTuple {
+        /// Index of the example this tuple came from.
+        example: usize,
+        /// The node tuple.
+        nodes: Vec<NodeId>,
+        /// True when the tuple's data projection appears in the output example.
+        positive: bool,
+    }
+
+    /// The labelling oracle: every tuple of every example materialized through the
+    /// naive cross product, its values looked up among the output's rows with
+    /// [`Table::contains_row`].  `None` when an intermediate table exceeds
+    /// `max_rows` or ψ does not over-approximate some output example.
+    fn label_tuples(
+        examples: &[Example],
+        psi: &TableExtractor,
+        max_rows: usize,
+        cache: &ColumnEvalCache,
+    ) -> Option<Vec<LabelledTuple>> {
+        let mut out = Vec::new();
+        let limits = EvalLimits::with_max_rows(max_rows);
+        for (ex_idx, ex) in examples.iter().enumerate() {
+            let columns: Vec<_> = psi
+                .columns
+                .iter()
+                .map(|pi| cache.column_nodes(ex_idx, &ex.tree, pi))
+                .collect();
+            let slices: Vec<&[NodeId]> = columns.iter().map(|c| c.as_slice()).collect();
+            let tuples = cross_product(&slices, &limits).ok()?;
+            let mut covered_rows = vec![false; ex.output.rows.len()];
+            for nodes in tuples {
+                let values: Vec<Value> = nodes.iter().map(|n| node_value(&ex.tree, *n)).collect();
+                let positive = ex.output.contains_row(&values);
+                if positive {
+                    for (ri, row) in ex.output.rows.iter().enumerate() {
+                        if row.as_slice() == values.as_slice() {
+                            covered_rows[ri] = true;
+                        }
+                    }
+                }
+                out.push(LabelledTuple {
+                    example: ex_idx,
+                    nodes,
+                    positive,
+                });
+            }
+            if !covered_rows.iter().all(|b| *b) {
+                return None;
+            }
+        }
+        Some(out)
+    }
+
+    /// The layout's labels, or `None` where it or they reject ψ.
+    fn labels<'a>(
+        examples: &'a [Example],
+        psi: &'a TableExtractor,
+        max_rows: usize,
+        cache: &'a ColumnEvalCache,
+    ) -> Option<(Layout<'a>, Vec<u64>)> {
+        let layout = Layout::new(examples, &psi.columns, max_rows, cache)?;
+        let positive = layout.labels()?;
+        Some((layout, positive))
+    }
+
+    /// Asserts that the layout decodes the oracle's tuples in its order and labels
+    /// the same ones positive, or that both reject ψ; returns whether they accept.
+    fn assert_labels_match_the_oracle(
+        examples: &[Example],
+        psi: &TableExtractor,
+        max_rows: usize,
+        what: &str,
+    ) -> bool {
+        let cache = ColumnEvalCache::new(examples.len());
+        let want = label_tuples(examples, psi, max_rows, &cache);
+        let got = labels(examples, psi, max_rows, &cache);
+        let (Some(tuples), Some((layout, positive))) = (&want, &got) else {
+            assert_eq!(
+                got.is_some(),
+                want.is_some(),
+                "{what}: accepted by one side"
+            );
+            return false;
+        };
+        let decoded: Vec<(usize, Vec<NodeId>)> = layout.tuples().collect();
+        let materialized: Vec<(usize, Vec<NodeId>)> = tuples
+            .iter()
+            .map(|t| (t.example, t.nodes.clone()))
+            .collect();
+        let differs = decoded.iter().zip(&materialized).position(|(a, b)| a != b);
+        assert_eq!(differs, None, "{what}: first tuple out of order");
+        assert_eq!(decoded.len(), materialized.len(), "{what}: tuples");
+        let mut want_positive = bits::zeros(tuples.len());
+        for (i, _) in tuples.iter().enumerate().filter(|(_, t)| t.positive) {
+            bits::set(&mut want_positive, i);
+        }
+        assert_eq!(*positive, want_positive, "{what}: positive tuples");
+        true
+    }
 
     /// The default configuration, with the reference path's universe evaluated
     /// inline.
@@ -765,23 +947,24 @@ mod tests {
     }
 
     #[test]
-    fn label_tuples_marks_positive_rows() {
-        let ex = social_example();
-        let tuples = label_tuples(&[ex], &social_psi(), 10_000, &ColumnEvalCache::new(1)).unwrap();
+    fn labels_mark_positive_rows() {
+        let (examples, psi) = ([social_example()], social_psi());
+        let cache = ColumnEvalCache::new(1);
+        let (layout, positive) = labels(&examples, &psi, 10_000, &cache).unwrap();
         // 2 names × 2 names × 2 years = 8 tuples, 2 of which are positive.
-        assert_eq!(tuples.len(), 8);
-        assert_eq!(tuples.iter().filter(|t| t.positive).count(), 2);
+        assert_eq!(layout.len, 8);
+        assert_eq!(bits::count(&positive), 2);
     }
 
     #[test]
-    fn label_tuples_rejects_non_overapproximating_extractor() {
+    fn labels_reject_a_non_overapproximating_extractor() {
         let ex = social_example();
         // Only one column extractor -> arity mismatch means no row can be covered.
         let psi = TableExtractor::new(vec![ColumnExtractor::children(
             ColumnExtractor::Input,
             "Person",
         )]);
-        assert!(label_tuples(&[ex], &psi, 10_000, &ColumnEvalCache::new(1)).is_none());
+        assert!(labels(&[ex], &psi, 10_000, &ColumnEvalCache::new(1)).is_none());
     }
 
     #[test]
@@ -930,18 +1113,225 @@ mod tests {
         let ex = social_example();
         let cache = ColumnEvalCache::new(1);
         let psi = social_psi();
-        let first = label_tuples(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
+        let (first, _) = labels(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
         let cached_entries = cache.len();
         // ψ has two identical name columns -> strictly fewer cache entries than
         // columns; relabelling with the same cache must not grow it.
         assert!(cached_entries < psi.columns.len() + 1);
-        let second = label_tuples(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
+        let (second, _) = labels(std::slice::from_ref(&ex), &psi, 10_000, &cache).unwrap();
         assert_eq!(cache.len(), cached_entries);
-        assert_eq!(first.len(), second.len());
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.positive, b.positive);
+        for (a, b) in first.extension().iter().zip(second.extension()) {
+            assert!(Arc::ptr_eq(a, b));
         }
+    }
+
+    /// Leaf data whose values meet across spellings: `1`, `01`, `1.0` and `1e0`
+    /// are one number, `true` and the empty cell (NULL) only themselves, and
+    /// 2^60 comes as an integer and as a float.
+    const DATA: [&str; 10] = [
+        "1",
+        "01",
+        "1.0",
+        "1e0",
+        "true",
+        "",
+        "2",
+        "x",
+        "1152921504606846976",
+        "1.152921504606846976e18",
+    ];
+
+    /// A SplitMix64 stream of draws below `n`.
+    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A seeded tree over the tags `a`, `b`, `c` with [`DATA`] at its leaves, a ψ
+    /// of one to three columns (one may read the absent tag `z`, an empty
+    /// column), and an output drawn from ψ's own tuples: duplicated rows, cells
+    /// respelled or made NULL, now and then a row no tuple produces or a column
+    /// too few.
+    fn seeded_example(seed: u64) -> (Example, TableExtractor) {
+        use ColumnExtractor as CE;
+        let mut next = draws(seed);
+        let tags = ["a", "b", "c"];
+        let mut tree = Hdt::with_root("root");
+        let mut internal = vec![tree.root()];
+        for _ in 0..4 + next(14) {
+            let parent = internal[next(internal.len())];
+            let tag = tags[next(tags.len())];
+            if next(3) == 0 {
+                internal.push(tree.add_child(parent, tag, None));
+            } else {
+                tree.add_child(parent, tag, Some(DATA[next(DATA.len())].to_string()));
+            }
+        }
+        let columns: Vec<ColumnExtractor> = (0..1 + next(3))
+            .map(|_| {
+                let tag = if next(12) == 0 { "z" } else { tags[next(3)] };
+                match next(3) {
+                    0 => CE::descendants(CE::Input, tag),
+                    1 => CE::children(CE::descendants(CE::Input, tags[next(3)]), tag),
+                    _ => CE::pchildren(CE::descendants(CE::Input, tags[next(3)]), tag, 0),
+                }
+            })
+            .collect();
+        let nodes: Vec<Vec<NodeId>> = columns.iter().map(|pi| eval_column(&tree, pi)).collect();
+        let arity = if next(10) == 0 {
+            columns.len() + 1
+        } else {
+            columns.len()
+        };
+        let mut output = Table::anonymous(arity);
+        for _ in 0..next(6) {
+            let row: Vec<Value> = (0..arity)
+                .map(|c| match nodes.get(c).filter(|n| !n.is_empty()) {
+                    Some(n) if next(8) != 0 => {
+                        let value = node_value(&tree, n[next(n.len())]);
+                        match next(6) {
+                            0 => Value::from_data(DATA[next(DATA.len())]),
+                            1 if value == Value::int(1) => Value::from_data(DATA[next(4)]),
+                            _ => value,
+                        }
+                    }
+                    _ => Value::Null,
+                })
+                .collect();
+            for _ in 0..1 + next(2) {
+                output.push(row.clone());
+            }
+        }
+        (Example::new(tree, output), TableExtractor::new(columns))
+    }
+
+    #[test]
+    fn labels_match_the_oracle_on_seeded_trees() {
+        let mut accepted = 0;
+        for seed in 0..400u64 {
+            let (ex, psi) = seeded_example(seed);
+            let (other, _) = seeded_example(seed ^ 0x5EED);
+            let cache = ColumnEvalCache::new(1);
+            let product = Layout::new(std::slice::from_ref(&ex), &psi.columns, usize::MAX, &cache)
+                .map_or(0, |layout| layout.len);
+            // The cap unbinding, binding exactly, and one row short.
+            for max_rows in [10_000, product, product.saturating_sub(1)] {
+                let what = format!("seed {seed}, max_rows {max_rows}");
+                let one = std::slice::from_ref(&ex);
+                accepted += assert_labels_match_the_oracle(one, &psi, max_rows, &what) as usize;
+                // A second example with its own output under the same ψ.
+                let two = [ex.clone(), other.clone()];
+                assert_labels_match_the_oracle(&two, &psi, max_rows, &what);
+            }
+        }
+        assert!(accepted >= 300, "{accepted} accepted");
+
+        // Products past `usize`: twelve columns of fifty nodes, in front of an
+        // empty column and on their own.
+        let ex = Example::new(wide(50), Table::anonymous(13));
+        let val = ColumnExtractor::descendants(ColumnExtractor::Input, "val");
+        let empty = ColumnExtractor::descendants(ColumnExtractor::Input, "z");
+        let mut columns = vec![val; 12];
+        let cache = ColumnEvalCache::new(1);
+        assert!(Layout::new(std::slice::from_ref(&ex), &columns, usize::MAX, &cache).is_none());
+        columns.push(empty);
+        let psi = TableExtractor::new(columns);
+        let examples = std::slice::from_ref(&ex);
+        assert!(assert_labels_match_the_oracle(
+            examples,
+            &psi,
+            10,
+            "empty column"
+        ));
+        let psi = TableExtractor::new(psi.columns[..12].to_vec());
+        let ex = Example::new(wide(50), Table::anonymous(12));
+        assert!(!assert_labels_match_the_oracle(
+            &[ex],
+            &psi,
+            usize::MAX,
+            "overflow"
+        ));
+    }
+
+    /// The first `max` candidates of each example's column automata, in the
+    /// search's pop order, with the first `words` words of each column.
+    fn automaton_candidates(
+        examples: &[Example],
+        limits: crate::dfa::DfaLimits,
+        words: usize,
+        max: usize,
+    ) -> Vec<TableExtractor> {
+        let arity = examples[0].output.arity();
+        let automata = crate::column::learn_column_automata(examples, arity, limits, 1, None);
+        let per_column: Vec<Vec<ColumnExtractor>> = automata
+            .dfas
+            .iter()
+            .flatten()
+            .map(|dfa| {
+                let mut stream = dfa.stream(limits.max_word_len);
+                std::iter::from_fn(|| stream.next_word())
+                    .take(words)
+                    .map(|word| ColumnExtractor::from_steps(&word))
+                    .collect()
+            })
+            .collect();
+        crate::synthesize::ordered_combinations(&per_column, max)
+            .into_iter()
+            .map(TableExtractor::new)
+            .collect()
+    }
+
+    #[test]
+    fn labels_match_the_oracle_on_table1_and_table2_candidates() {
+        let mut accepted = 0;
+        let mut tasks = 0;
+        for task in mitra_datagen::generate_corpus()
+            .iter()
+            .filter(|t| t.expressible)
+        {
+            let example = Example::new(task.example.tree.clone(), task.example.output.clone());
+            let examples = std::slice::from_ref(&example);
+            let config = SynthConfig::default();
+            for psi in automaton_candidates(examples, config.dfa_limits, 3, 8) {
+                let what = format!("task {}, {psi:?}", task.name);
+                let max_rows = config.max_intermediate_rows;
+                accepted +=
+                    assert_labels_match_the_oracle(examples, &psi, max_rows, &what) as usize;
+            }
+            tasks += 1;
+        }
+        assert_eq!(tasks, 92);
+
+        // The dataset configuration, read field by field: mitra-datagen links its
+        // own build of this crate.
+        let config = mitra_datagen::datasets::dataset_synth_config();
+        let limits = crate::dfa::DfaLimits {
+            max_states: config.dfa_limits.max_states,
+            max_word_len: config.dfa_limits.max_word_len,
+        };
+        let max_rows = config.max_intermediate_rows;
+        let mut tables = 0;
+        for spec in mitra_datagen::datasets::all_datasets() {
+            let (sample, expected) = spec.generate(2);
+            for table in &spec.schema().tables {
+                let example = Example::new(sample.clone(), expected[&table.name].clone());
+                let examples = std::slice::from_ref(&example);
+                for psi in automaton_candidates(examples, limits, 2, 4) {
+                    let what = format!("{} {}, {psi:?}", spec.name, table.name);
+                    accepted +=
+                        assert_labels_match_the_oracle(examples, &psi, max_rows, &what) as usize;
+                }
+                tables += 1;
+            }
+        }
+        assert_eq!(tables, 50);
+        assert!(accepted >= 900, "{accepted} accepted");
     }
 
     /// Two same-shaped subtrees `A` and `B` of `item`s with a `k` and a `v`

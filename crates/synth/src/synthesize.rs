@@ -25,7 +25,7 @@ use crate::budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 use crate::cache::ColumnEvalCache;
 use crate::column::learn_column_automata;
 use crate::dfa::{DfaLimits, WordStream};
-use crate::predicate::{learn_predicate, learn_predicate_reference};
+use crate::predicate::{learn_predicate_on, learn_predicate_reference, Layout};
 use crate::universe::UniverseConfig;
 use mitra_dsl::ast::{ColumnExtractor, Predicate, Program, TableExtractor};
 use mitra_dsl::cost::{cost, Cost};
@@ -259,15 +259,15 @@ fn atom_floor(examples: &[Example]) -> usize {
 }
 
 /// Evaluates one candidate table extractor: cheap incremental pruning first (row
-/// coverage, product bounds, the admissible cost floor), then learn a predicate,
-/// build the program, and validate it against every example (Theorem 3 soundness
-/// check).  Learning and validation run once per distinct extension: a candidate
-/// whose column node lists an earlier one of this call already had reuses that
-/// one's predicate or rejection from `memo` (counted as
-/// `synth.candidates.reused`), after the same cheap rejections and prune, so the
-/// `Pruned` and `Rejected` counts do not change.
+/// coverage, the layout's product cap, the admissible cost floor), then learn a
+/// predicate on that layout, build the program, and validate it against every
+/// example (Theorem 3 soundness check).  Learning and validation run once per
+/// distinct extension: a candidate whose column node lists an earlier one of this
+/// call already had reuses that one's predicate or rejection from `memo` (counted
+/// as `synth.candidates.reused`), after the same cheap rejections and prune, so
+/// the `Pruned` and `Rejected` counts do not change.
 ///
-/// The row cap matches the one `learn_predicate` already enforced on the same trees
+/// Validation's row cap is the one the layout already enforced on the same trees
 /// and extractor, so a candidate that reached validation can never fail on
 /// resources — `Err` there (impossible by that invariant) conservatively rejects
 /// the candidate rather than panicking.
@@ -284,39 +284,27 @@ fn evaluate_candidate(
     predicate_nanos: &AtomicU64,
     validate_nanos: &AtomicU64,
 ) -> CandidateOutcome {
-    // Tentpole (c): a combo dies the moment one column's evaluated value-set can no
-    // longer cover the example rows — no tuple labelling, no universe.
+    // A combo dies the moment one column's node values can no longer cover the
+    // example rows: no layout, no universe.
     for (ex_idx, ex) in examples.iter().enumerate() {
         for (col, pi) in combo.iter().enumerate() {
-            if !cache.row_coverage(ex_idx, &ex.tree, pi, &ex.output)[col] {
+            if !cache.row_coverage(ex_idx, &ex.tree, pi, &ex.output).covers[col] {
                 return CandidateOutcome::Rejected;
             }
         }
     }
 
-    // Row-product guard (checked multiplication, mirroring `cross_product`)
-    // plus the admissible atom bound: the call's atom floor, raised to one when an
+    // The intermediate table's layout rejects an oversized product.  The
+    // admissible atom bound is the call's atom floor, raised to one when an
     // intermediate table bigger or smaller than the output needs a predicate atom
-    // to filter or fail.  The loop also gathers the memo key, the extension
-    // `[[π_i]]T_e` for every example `e` (outer) and column `i` (inner).
+    // to filter or fail.
+    let Some(layout) = Layout::new(examples, combo, config.max_intermediate_rows, cache) else {
+        return CandidateOutcome::Rejected;
+    };
     let mut atoms_lower_bound = atom_floor;
-    let mut extension = Vec::with_capacity(examples.len() * combo.len());
     for (ex_idx, ex) in examples.iter().enumerate() {
-        let mut product: Option<usize> = Some(1);
-        for pi in combo {
-            let nodes = cache.column_nodes(ex_idx, &ex.tree, pi);
-            product = product.and_then(|p| p.checked_mul(nodes.len()));
-            extension.push(nodes);
-        }
-        match product {
-            // Overflow: `cross_product` would reject the candidate too.
-            None => return CandidateOutcome::Rejected,
-            Some(p) if p > config.max_intermediate_rows => return CandidateOutcome::Rejected,
-            Some(p) => {
-                if p != ex.output.rows.len() {
-                    atoms_lower_bound = atoms_lower_bound.max(1);
-                }
-            }
+        if layout.block_len(ex_idx) != ex.output.rows.len() {
+            atoms_lower_bound = atoms_lower_bound.max(1);
         }
     }
     if let Some(incumbent) = incumbent {
@@ -331,7 +319,7 @@ fn evaluate_candidate(
     let recorded = memo
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .get(&extension)
+        .get(layout.extension())
         .cloned();
     let phi = if let Some(phi) = recorded {
         mitra_trace::counter_add!("synth.candidates.reused", 1);
@@ -339,7 +327,7 @@ fn evaluate_candidate(
     } else {
         let phi = {
             let _span = mitra_trace::span_acc("synth", "predicate_learn", predicate_nanos);
-            learn_predicate(examples, &psi, config, cache)
+            learn_predicate_on(&layout, config)
         };
         let limits = EvalLimits::with_max_rows(config.max_intermediate_rows);
         let phi = phi.and_then(|phi| {
@@ -354,7 +342,7 @@ fn evaluate_candidate(
         });
         memo.lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(extension, phi.clone());
+            .insert(layout.extension().to_vec(), phi.clone());
         phi
     };
     let Some(phi) = phi else {
@@ -864,7 +852,7 @@ pub fn learn_transformation_exhaustive(
 /// The cut is exact: putting an earlier prefix in place of a combo's prefix gives
 /// an earlier combo, so a prefix with `max` prefixes before it starts no combo
 /// among the first `max`.
-fn ordered_combinations(
+pub(crate) fn ordered_combinations(
     per_column: &[Vec<ColumnExtractor>],
     max: usize,
 ) -> Vec<Vec<ColumnExtractor>> {

@@ -79,10 +79,35 @@ fn naive_in_emission_order(tree: &Hdt, program: &Program) -> Table {
     table
 }
 
-/// Strategy for small random trees mixing internal nodes and numeric leaves over a
-/// fixed tag alphabet, so the operator matrix below always has something to chew on.
+/// Leaf data for [`random_tree`]: the numbers `0`–`8` the filters below test
+/// against, and beside them spellings that `Value::compare` equates with one of
+/// them or with each other (`01`, `1.0`, `1e0` for `1`; 2^60 as an integer and
+/// as a float), `true` and the empty cell, so hash joins meet one value in
+/// several spellings.
+const LEAF_DATA: [&str; 16] = [
+    "0",
+    "1",
+    "2",
+    "3",
+    "4",
+    "5",
+    "6",
+    "7",
+    "8",
+    "01",
+    "1.0",
+    "1e0",
+    "true",
+    "",
+    "1152921504606846976",
+    "1.152921504606846976e18",
+];
+
+/// Strategy for small random trees mixing internal nodes and [`LEAF_DATA`] leaves
+/// over a fixed tag alphabet, so the operator matrix below always has something
+/// to chew on.
 fn random_tree() -> impl Strategy<Value = Hdt> {
-    let ops = prop::collection::vec((0u8..3, 0usize..4, 0usize..9), 1..40);
+    let ops = prop::collection::vec((0u8..3, 0usize..4, 0usize..LEAF_DATA.len()), 1..40);
     ops.prop_map(|ops| {
         let tags = ["item", "group", "entry", "field"];
         let mut tree = Hdt::with_root("root");
@@ -95,7 +120,7 @@ fn random_tree() -> impl Strategy<Value = Hdt> {
                     stack.push(id);
                 }
                 1 => {
-                    tree.add_child(top, tags[tag_idx], Some(val.to_string()));
+                    tree.add_child(top, tags[tag_idx], Some(LEAF_DATA[val].to_string()));
                 }
                 _ => {
                     if stack.len() > 1 {
@@ -225,6 +250,26 @@ proptest! {
             );
         }
     }
+}
+
+#[test]
+fn a_join_on_two_spellings_of_one_value_keeps_the_row() {
+    // 2^60 as an integer and as a float: equal under `Value::compare`, so the
+    // naive semantics joins them, and so must the executor's hash join.
+    let tree =
+        xml_to_hdt(r#"<root><a k="1152921504606846976"/><b k="1.152921504606846976e18"/></root>"#)
+            .expect("well-formed XML");
+    let k = NodeExtractor::child(NodeExtractor::Id, "k", 0);
+    let program = Program::new(
+        TableExtractor::new(vec![
+            ColumnExtractor::descendants(ColumnExtractor::Input, "a"),
+            ColumnExtractor::descendants(ColumnExtractor::Input, "b"),
+        ]),
+        col_join(k.clone(), 0, k, 1),
+    );
+    let reference = naive_in_emission_order(&tree, &program);
+    assert_eq!(reference.len(), 1);
+    assert_eq!(execute(&tree, &program).to_csv(), reference.to_csv());
 }
 
 #[test]
