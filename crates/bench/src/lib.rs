@@ -202,7 +202,6 @@ pub fn execution_to_json(wall: Duration, tables: &[mitra_migrate::TableReport]) 
                         json::obj(vec![
                             ("table", json::s(&t.table)),
                             ("wall_secs", json::num(t.execution_time.as_secs_f64())),
-                            ("chunks", json::int(e.chunks)),
                             ("tuples_considered", json::int(e.tuples_considered)),
                             ("rows_emitted", json::int(e.rows_emitted)),
                             ("interval_join_steps", json::int(e.interval_join_steps)),

@@ -47,7 +47,7 @@ pub struct MigrationRow {
     pub programs: Vec<String>,
     /// Field-wise sum of the per-table synthesis profiles.
     pub profile: SynthProfile,
-    /// Per-table execution breakdown (wall, chunk fan-out, tuple counts), as
+    /// Per-table execution breakdown (wall, tuple counts, join steps), as
     /// rendered by [`execution_to_json`].
     pub execution: JsonValue,
     /// Metrics recorded during this dataset's run (a [`MetricsSnapshot::delta`]
@@ -217,7 +217,6 @@ mod tests {
                         program: String::new(),
                         profile: None,
                         exec_stats: ExecStats {
-                            chunks: 1,
                             tuples_considered: 300,
                             rows_emitted: 275,
                             hash_join_steps: 1,
@@ -260,7 +259,6 @@ mod tests {
         // The execution profile and metrics block ride along in every row.
         assert!(json.contains("\"execution\":{\"wall_secs\":0.001"));
         assert!(json.contains("\"table\":\"person\""));
-        assert!(json.contains("\"chunks\":1"));
         assert!(json.contains("\"tuples_considered\":300"));
         assert!(json.contains("\"metrics\":{\"counters\":{}"));
         assert!(json.contains("\"error\":\"synthesis failed\""));

@@ -9,7 +9,7 @@
 //! bound.  The generated code then prunes tuples as early as the executor's plan
 //! does instead of enumerating the full cross product first.
 
-use mitra_dsl::ast::{CompareOp, Operand, Predicate, Program};
+use mitra_dsl::ast::{Predicate, Program};
 use mitra_synth::exec::plan;
 
 /// For each loop depth `d` (the scope where `c0..cd` are bound), the predicates
@@ -24,15 +24,7 @@ pub(crate) fn guards_by_depth(program: &Program) -> Vec<Vec<Predicate>> {
         guards[col].extend(filters.iter().cloned());
     }
     for j in &p.joins {
-        guards[j.left_col.max(j.right_col)].push(Predicate::Compare {
-            extractor: j.left_extractor.clone(),
-            index: j.left_col,
-            op: CompareOp::Eq,
-            rhs: Operand::Column {
-                extractor: j.right_extractor.clone(),
-                index: j.right_col,
-            },
-        });
+        guards[j.left_col.max(j.right_col)].push(j.predicate());
     }
     for clause in &p.residual_clauses {
         let pred = Predicate::disjunction(clause.iter().cloned());
@@ -45,7 +37,7 @@ pub(crate) fn guards_by_depth(program: &Program) -> Vec<Vec<Predicate>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitra_dsl::ast::{ColumnExtractor, NodeExtractor, TableExtractor};
+    use mitra_dsl::ast::{ColumnExtractor, CompareOp, NodeExtractor, Operand, TableExtractor};
     use mitra_dsl::Value;
 
     #[test]

@@ -2,12 +2,18 @@
 //!
 //! The emitted program expects the parsed JSON document as input and returns an array
 //! of row objects.  It reuses a small, fixed runtime prelude (marked as boilerplate so
-//! it is excluded from the LOC statistic, as in the paper): helpers that materialize
-//! the HDT view of the JSON value (`children`, `pchildren`, `descendants`, `parent`,
-//! `child`, `data`).  The program body mirrors the DSL structure: one nested loop per
-//! column extractor, with predicate guards pushed to the shallowest loop that binds
-//! all of their columns (per the static query plan), so generated programs prune
-//! tuples as early as the executor does.
+//! it is excluded from the LOC statistic, as in the paper): `toHdt`, which maps the
+//! JSON value to its HDT as `mitra_hdt::json::json_to_hdt` does (an array's entries,
+//! nested arrays flattened, are siblings under its key; a node's `pos` counts its
+//! earlier same-tag siblings; a bare root array's entries are tagged `item` and a
+//! bare root scalar is a `value` leaf), and helpers over that view (`children`,
+//! `pchildren`, `descendants`, `parent`, `child`, `data`).  `JSON.parse` keeps only
+//! the last of repeated keys, so a document with repeated keys is not supported.
+//!
+//! The program body mirrors the DSL structure: one nested loop per column
+//! extractor, with predicate guards pushed to the shallowest loop that binds all of
+//! their columns (per the static query plan), so generated programs prune tuples as
+//! early as the executor does.
 
 use crate::guards::guards_by_depth;
 use mitra_dsl::ast::{ColumnExtractor, NodeExtractor, Operand, Predicate, Program};
@@ -19,7 +25,7 @@ pub fn generate_javascript(program: &Program) -> String {
     out.push_str("// Generated by the Mitra reproduction (mitra-codegen, JavaScript backend)\n");
     out.push_str(PRELUDE);
     out.push_str("function transform(doc) {\n");
-    out.push_str("  const root = toHdt(doc, 'root');\n");
+    out.push_str("  const root = toHdt(doc);\n");
     out.push_str("  const rows = [];\n");
 
     let arity = program.arity();
@@ -164,22 +170,23 @@ pub fn predicate_expr(p: &Predicate) -> String {
 /// markers so [`crate::loc::lines_of_code`] excludes them, matching the paper's LOC
 /// accounting.
 const PRELUDE: &str = r#"// BOILERPLATE-BEGIN
-function toHdt(value, tag, pos = 0, parentNode = null) {
-  const node = { tag, pos, data: null, children: [], parent: parentNode };
-  if (Array.isArray(value)) {
-    value.forEach((item, i) => node.children.push(toHdt(item, 'item', i, node)));
-  } else if (value !== null && typeof value === 'object') {
-    for (const [key, v] of Object.entries(value)) {
-      if (Array.isArray(v)) {
-        v.forEach((item, i) => node.children.push(toHdt(item, key, i, node)));
-      } else {
-        node.children.push(toHdt(v, key, 0, node));
-      }
-    }
-  } else {
-    node.data = value === null ? 'null' : String(value);
-  }
-  return node;
+function toHdt(doc) {
+  const newNode = (tag, pos, parent) => ({ tag, pos, data: null, children: [], parent, seen: new Map() });
+  const add = (parent, tag, value) => {
+    if (Array.isArray(value)) { value.forEach(item => add(parent, tag, item)); return; }
+    const pos = parent.seen.get(tag) || 0;
+    parent.seen.set(tag, pos + 1);
+    const node = newNode(tag, pos, parent);
+    parent.children.push(node);
+    if (value !== null && typeof value === 'object') fill(node, value);
+    else node.data = value === null ? 'null' : String(value);
+  };
+  const fill = (node, object) => { for (const [key, v] of Object.entries(object)) add(node, key, v); };
+  const root = newNode('root', 0, null);
+  if (Array.isArray(doc)) add(root, 'item', doc);
+  else if (doc !== null && typeof doc === 'object') fill(root, doc);
+  else add(root, 'value', doc);
+  return root;
 }
 function children(nodes, tag) {
   return nodes.flatMap(n => n.children.filter(c => c.tag === tag));
@@ -228,7 +235,11 @@ mod tests {
     use super::*;
     use crate::loc::lines_of_code;
     use mitra_dsl::ast::{CompareOp, TableExtractor};
-    use mitra_dsl::{Program, Value};
+    use mitra_dsl::{Program, Table, Value};
+    use mitra_hdt::json::{json_to_hdt, parse_json, JsonValue};
+    use mitra_synth::exec::execute;
+    use std::io::Write;
+    use std::process::{Command, Stdio};
 
     fn sample_program() -> Program {
         use ColumnExtractor as CE;
@@ -379,5 +390,141 @@ mod tests {
             rhs: Operand::Const(Value::str("Alice")),
         };
         assert!(predicate_expr(&p).contains("\"Alice\""));
+    }
+
+    /// JSON documents the emitted JavaScript runs on in `node`: arrays nested
+    /// under a key and at the root, objects inside them, and a bare root scalar.
+    const DOCUMENTS: [&str; 4] = [
+        r#"{"k": [[1, 2], [3]]}"#,
+        "[[1, 2], [3]]",
+        r#"[[{"k": [4, [5]]}], {"k": 6, "item": [7, [8, 9]]}]"#,
+        "7",
+    ];
+
+    /// `children`, `pchildren(…, 2)` and `descendants` of the root for each tag
+    /// the documents use.
+    fn node_programs() -> Vec<Program> {
+        use ColumnExtractor as CE;
+        let mut out = Vec::new();
+        for tag in ["k", "item", "value"] {
+            for column in [
+                CE::children(CE::Input, tag),
+                CE::pchildren(CE::Input, tag, 2),
+                CE::descendants(CE::Input, tag),
+            ] {
+                out.push(Program::new(
+                    TableExtractor::new(vec![column]),
+                    Predicate::True,
+                ));
+            }
+        }
+        out
+    }
+
+    /// Runs every program on every document in one `node` process; the result is
+    /// indexed by document, then program, then row.  `None` when `node` is missing.
+    fn run_in_node(programs: &[Program]) -> Option<JsonValue> {
+        let mut script = String::from("const programs = [\n");
+        for p in programs {
+            script.push_str(&format!(
+                "(() => {{\n{}\nreturn transform;\n}})(),\n",
+                generate_javascript(p)
+            ));
+        }
+        script.push_str(
+            "];\nconst docs = JSON.parse(require('fs').readFileSync(0, 'utf8'));\n\
+             process.stdout.write(JSON.stringify(docs.map(d => programs.map(t => t(d)))));\n",
+        );
+        let mut child = match Command::new("node")
+            .arg("-e")
+            .arg(&script)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+        {
+            Ok(child) => child,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) => panic!("cannot start node: {e}"),
+        };
+        let docs = format!("[{}]", DOCUMENTS.join(",\n"));
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(docs.as_bytes())
+            .expect("node reads the documents");
+        let out = child.wait_with_output().expect("node runs");
+        assert!(
+            out.status.success(),
+            "node failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).expect("node writes UTF-8");
+        Some(parse_json(&text).expect("node writes JSON"))
+    }
+
+    /// A JSON array of row objects as a table, each cell read as `json_to_hdt`
+    /// data is (`null` for an internal node).
+    fn table_of(rows: &JsonValue, arity: usize) -> Table {
+        let JsonValue::Array(rows) = rows else {
+            panic!("rows are an array: {rows:?}");
+        };
+        let mut table = Table::anonymous(arity);
+        for row in rows {
+            let JsonValue::Object(cells) = row else {
+                panic!("a row is an object: {row:?}");
+            };
+            table.push(
+                cells
+                    .iter()
+                    .map(|(_, cell)| match cell {
+                        JsonValue::String(s) => Value::from_data(s),
+                        JsonValue::Null => Value::Null,
+                        other => panic!("a cell is a string or null: {other:?}"),
+                    })
+                    .collect(),
+            );
+        }
+        table
+    }
+
+    /// The emitted program, run with `node`, returns the executor's rows as a
+    /// bag: the prelude maps a JSON value to the tree `json_to_hdt` builds.
+    /// When `node` is not on `PATH` the test prints a note and returns.
+    #[test]
+    fn emitted_javascript_returns_the_executors_rows() {
+        let programs = node_programs();
+        let per_doc = match run_in_node(&programs) {
+            Some(JsonValue::Array(per_doc)) => per_doc,
+            Some(other) => panic!("one result per document: {other:?}"),
+            None => {
+                eprintln!("note: `node` is not on PATH; the emitted JavaScript was not run");
+                return;
+            }
+        };
+        assert_eq!(per_doc.len(), DOCUMENTS.len());
+        let mut rows = 0;
+        for (doc, results) in DOCUMENTS.iter().zip(&per_doc) {
+            let tree = json_to_hdt(doc).expect("well-formed JSON");
+            let JsonValue::Array(results) = results else {
+                panic!("one result per program: {results:?}");
+            };
+            assert_eq!(results.len(), programs.len());
+            for (program, result) in programs.iter().zip(results) {
+                let expected = execute(&tree, program);
+                let actual = table_of(result, program.arity());
+                assert!(
+                    actual.same_bag(&expected),
+                    "{doc} | {}\nnode:\n{}executor:\n{}",
+                    mitra_dsl::pretty::program(program),
+                    actual.to_csv(),
+                    expected.to_csv()
+                );
+                rows += expected.len();
+            }
+        }
+        // `children(s, k)` on the first document alone gives 1, 2 and 3.
+        assert!(rows >= 3, "the documents give rows to compare");
     }
 }

@@ -95,11 +95,6 @@ impl Table {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// True when `row` occurs in this table at least once (bag membership).
-    pub fn contains_row(&self, row: &[Value]) -> bool {
-        self.rows.iter().any(|r| r.as_slice() == row)
-    }
-
     /// Multiplicity map of the rows (for bag-equality checks).
     fn counts(&self) -> HashMap<Vec<String>, usize> {
         let mut m: HashMap<Vec<String>, usize> = HashMap::with_capacity(self.rows.len());
@@ -287,13 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_contains() {
+    fn subset_is_one_way() {
         let a = Table::from_rows(&["x", "y"], &[&["1", "2"]]);
         let b = Table::from_rows(&["x", "y"], &[&["1", "2"], &["3", "4"]]);
         assert!(a.subset_of(&b));
         assert!(!b.subset_of(&a));
-        assert!(b.contains_row(&[Value::int(3), Value::int(4)]));
-        assert!(!b.contains_row(&[Value::int(3), Value::int(5)]));
     }
 
     #[test]

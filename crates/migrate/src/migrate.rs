@@ -133,7 +133,7 @@ pub struct TableReport {
     /// Per-phase synthesis profile (`None` when a program was supplied directly).
     pub profile: Option<SynthProfile>,
     /// Execution-engine statistics for this table (tuples considered before the
-    /// residual filter, rows emitted, chunk fan-out).
+    /// residual check, rows emitted, join steps by method).
     pub exec_stats: ExecStats,
 }
 
@@ -888,7 +888,6 @@ mod tests {
         assert_eq!(report.tables[1].table, "friendship");
         for t in &report.tables {
             let stats = &t.exec_stats;
-            assert!(stats.chunks >= 1, "chunk count missing for {}", t.table);
             assert!(stats.tuples_considered >= stats.rows_emitted);
         }
         assert_eq!(report.tables[0].exec_stats.rows_emitted, 4);

@@ -16,8 +16,8 @@
 //!   accumulates constructed + intersected state counts in canonical (column,
 //!   example) order and stops intersecting once `dfa_states` is spent;
 //! * the executor ([`crate::exec::execute_nodes_budgeted`]) counts tuples
-//!   materialized by each join/cross-product step and each residual-filter chunk
-//!   merge against `rows`.
+//!   materialized by the scan, each join/cross-product step and the residual
+//!   check against `rows`.
 //!
 //! Exhaustion surfaces as a typed [`BudgetExhausted`] carrying the partial
 //! [`SynthProfile`] of the work done so far (wrapped as

@@ -92,7 +92,7 @@ pub struct ColumnPhiData {
 
 /// The output rows each node of `[[π]]T_e` matches, per output column: node `k`'s
 /// column-`c` mask holds the rows whose column-`c` cell equals the node's value
-/// under `Value`'s `==`, the equality [`Table::contains_row`] applies.  A tuple of
+/// under `Value`'s `==`, which is [`Value::compare`]'s `Equal`.  A tuple of
 /// the intermediate table is a row of the output exactly when the AND of its
 /// nodes' masks (node `i`'s in column `i`) is not empty.
 ///

@@ -14,8 +14,10 @@
 //! 2. join steps run as pre-order **interval joins** when the constraint is an
 //!    ancestor/descendant relation, as **hash joins** over interned keys otherwise,
 //!    with cross products deferred to last;
-//! 3. whatever remains is evaluated as a **vectorized residual filter**,
-//!    column-at-a-time over ≥8192-tuple chunks.
+//! 3. a joined tuple is kept when `mitra_dsl::eval::eval_predicate` accepts
+//!    [`Plan::residual`]: the join constraints no step used and the clauses no
+//!    filter or join took.  Pushed-down filters go through the same function, so
+//!    Figure 7's semantics has one implementation.
 //!
 //! Whatever order the planner picks, finished rows are sorted by their per-column
 //! positions permuted into [`emission_order`], so the output is byte-identical at
@@ -23,8 +25,8 @@
 //! (`mitra_dsl::eval`): its rows, stably sorted the same way, are exactly the
 //! executor's rows, which `tests/planner_equivalence.rs` checks.  Row-budget checks
 //! stay at canonical sequential points (after the initial scan, after each join
-//! step, after the merged residual filter), so a `BudgetBreach` fires after exactly
-//! the same work regardless of threading.
+//! step, after the residual check), so a `BudgetBreach` fires after exactly the
+//! same work regardless of threading.
 
 use crate::budget::{Budget, BudgetBreach, BudgetResource};
 use crate::ops;
@@ -32,7 +34,7 @@ pub use crate::plan::{
     emission_order, plan, plan_with_tree, JoinConstraint, Plan, PlanStep, StepMethod,
 };
 use mitra_dsl::ast::Program;
-use mitra_dsl::eval::node_value;
+use mitra_dsl::eval::{eval_predicate, node_value};
 use mitra_dsl::Table;
 use mitra_hdt::{Hdt, NodeId};
 
@@ -44,8 +46,6 @@ pub struct ExecStats {
     pub tuples_considered: usize,
     /// Rows in the final output.
     pub rows_emitted: usize,
-    /// Number of chunks the residual filter fanned out over (1 when it ran inline).
-    pub chunks: usize,
     /// Join steps executed as pre-order interval joins.
     pub interval_join_steps: usize,
     /// Join steps executed as hash joins.
@@ -87,9 +87,9 @@ pub fn execute(tree: &Hdt, program: &Program) -> Table {
 /// Executes a program and returns its node-level rows (for key generation) and
 /// the execution statistics (for the migration execution profile), bounded by a
 /// deterministic row budget (`None` = unlimited): the cumulative count of tuples
-/// materialized across the join steps and the residual filter is checked at
-/// canonical points of the (sequential) plan order, so a breach fires after
-/// exactly the same work at every thread count.
+/// materialized by the scan, the join steps and the residual check is compared
+/// with it at canonical points of the (sequential) plan order, so a breach fires
+/// after exactly the same work at every thread count.
 pub fn execute_nodes_budgeted(
     tree: &Hdt,
     program: &Program,
@@ -189,30 +189,11 @@ fn run_plan(
 
     stats.tuples_considered = tuples.len();
 
-    // Residual filtering, column-at-a-time.  On large intermediates the filter fans
-    // out over contiguous chunks whose survivors are re-concatenated in chunk order,
-    // keeping the surviving index sequence independent of the thread count.
-    let rp = ops::ResidualPlan::build(&p);
-    let threads = mitra_pool::threads();
-    let total = tuples.len();
-    let mut survivors: Vec<u32> =
-        if threads > 1 && total >= PARALLEL_FILTER_MIN_TUPLES && !rp.is_empty() {
-            let chunk_size = total.div_ceil(threads);
-            let ranges: Vec<(usize, usize)> = (0..total)
-                .step_by(chunk_size)
-                .map(|s| (s, (s + chunk_size).min(total)))
-                .collect();
-            stats.chunks = ranges.len();
-            mitra_pool::parallel_map(threads, &ranges, |_, &(s, e)| {
-                ops::filter_tuples(tree, &tuples, s, e, &rp)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            stats.chunks = 1;
-            ops::filter_tuples(tree, &tuples, 0, total, &rp)
-        };
+    let residual = p.residual();
+    let mut survivors: Vec<u32> = (0..tuples.len())
+        .filter(|&i| eval_predicate(tree, tuples.row(i), &residual))
+        .map(|i| i as u32)
+        .collect();
 
     // Emission-order contract: rows sorted lexicographically by their per-column
     // positions permuted into the emission order.  Position vectors are unique per
@@ -233,13 +214,10 @@ fn run_plan(
     }
     let result = NodeRows { arity, nodes };
     stats.rows_emitted = result.len();
-    // Checked after all chunks merge (never per chunk — chunk boundaries depend
-    // on the thread count, the merged total does not).
     materialized += result.len() as u64;
     budget.check(BudgetResource::Rows, materialized)?;
     mitra_trace::counter_add!("exec.tuples_considered", stats.tuples_considered as u64);
     mitra_trace::counter_add!("exec.rows_emitted", stats.rows_emitted as u64);
-    mitra_trace::hist_observe!("exec.chunks", stats.chunks as u64);
     if stats.interval_join_steps > 0 {
         mitra_trace::counter_add!("exec.join.interval", stats.interval_join_steps as u64);
     }
@@ -251,10 +229,6 @@ fn run_plan(
     }
     Ok((result, stats))
 }
-
-/// Below this many intermediate tuples the residual filter runs inline: spawning
-/// workers costs more than the checks themselves.
-const PARALLEL_FILTER_MIN_TUPLES: usize = 8192;
 
 #[cfg(test)]
 mod tests {
@@ -375,9 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_residual_filter_matches_sequential_order() {
-        // 100 × 100 = 10_000 intermediate tuples, above the parallel-filter
-        // threshold; the emitted rows must match the naive semantics in order.
+    fn residual_check_keeps_the_naive_row_order() {
+        // 100 × 100 = 10_000 intermediate tuples under a two-column residual
+        // atom; the emitted rows must match the naive semantics in order.
         let pi = ColumnExtractor::children(ColumnExtractor::Input, "Person");
         let pred = Predicate::Compare {
             extractor: NodeExtractor::child(NodeExtractor::Id, "id", 0),

@@ -28,9 +28,10 @@
 //!   executor, so exhaustion is identical at every thread count.
 //! * [`plan`]/[`ops`]/[`exec`] — the Appendix C execution engine, split into a
 //!   cost-based query planner, a physical-operator layer (tag-indexed scans,
-//!   pre-order interval joins, interned-key hash joins, vectorized residual
-//!   filters) and the executor driving them.  Its reference is the naive
-//!   cross-product semantics in `mitra_dsl::eval`.
+//!   pre-order interval joins, interned-key hash joins, cross products) and the
+//!   executor driving them, which checks every atom no join step checks with
+//!   `mitra_dsl::eval::eval_predicate`.  Its reference is the naive cross-product
+//!   semantics in `mitra_dsl::eval`.
 //! * [`fingerprint`](mod@fingerprint) — document-shape fingerprints (stable tag-path-set hashes),
 //!   which let the corpus service synthesize once per shape.
 

@@ -2,20 +2,21 @@
 //! (`exec.rs`).
 //!
 //! The operator inventory is deliberately small — scan, hash join, structural
-//! interval join, cross product, and a vectorized residual filter — and every
-//! operator works over [`Tuples`], a struct-of-arrays tuple store that tracks, for
-//! each tuple and column, the *position* of the chosen node inside its filtered
-//! column.  Those positions are what lets the executor emit rows in
-//! [`crate::plan::emission_order`] no matter which join order the planner chose.
+//! interval join and cross product — and every operator works over [`Tuples`], a
+//! struct-of-arrays tuple store that tracks, for each tuple and column, the
+//! *position* of the chosen node inside its filtered column.  Those positions are
+//! what lets the executor emit rows in [`crate::plan::emission_order`] no matter
+//! which join order the planner chose.
 //!
 //! Join keys mirror the comparison semantics of Figure 7: internal nodes join by
 //! identity, leaves by the *rendered* typed value of their data (so `"1"` and
 //! `"1.0"` collide).  [`KeyInterner`] turns both into dense `u32` ids, derived once
-//! per node, so [`hash_join`] indexes a column with two flat arrays.
+//! per node, so [`hash_join`] indexes a column with two flat arrays.  Every other
+//! atom — pushed-down filters, residual clauses, join constraints no step used —
+//! the executor checks with `mitra_dsl::eval::eval_predicate` itself.
 
-use crate::plan::Plan;
-use mitra_dsl::ast::{CompareOp, NodeExtractor, Operand, Predicate};
-use mitra_dsl::eval::{eval_node_extractor, eval_predicate, node_value};
+use mitra_dsl::ast::NodeExtractor;
+use mitra_dsl::eval::eval_node_extractor;
 use mitra_dsl::Value;
 use mitra_hdt::{Hdt, NodeId};
 use std::borrow::Cow;
@@ -256,279 +257,6 @@ pub fn cross_join(input: &Tuples, col: usize, col_nodes: &[NodeId]) -> Tuples {
     out
 }
 
-/// Evaluates a single-column filter directly against a node, mirroring
-/// [`eval_predicate`] on a tuple whose every component is that node.  This is what
-/// column pre-filtering uses instead of allocating a dummy tuple per node × filter.
-pub fn eval_filter_on_node(tree: &Hdt, node: NodeId, p: &Predicate) -> bool {
-    match p {
-        Predicate::True => true,
-        Predicate::False => false,
-        Predicate::Not(inner) => !eval_filter_on_node(tree, node, inner),
-        Predicate::And(a, b) => {
-            eval_filter_on_node(tree, node, a) && eval_filter_on_node(tree, node, b)
-        }
-        Predicate::Or(a, b) => {
-            eval_filter_on_node(tree, node, a) || eval_filter_on_node(tree, node, b)
-        }
-        Predicate::Compare {
-            extractor, op, rhs, ..
-        } => {
-            let Some(left) = eval_node_extractor(tree, node, extractor) else {
-                return false;
-            };
-            match rhs {
-                Operand::Const(c) => match node_value(tree, left).compare(c) {
-                    Some(ord) => op.test(ord),
-                    None => false,
-                },
-                Operand::Column {
-                    extractor: ext2, ..
-                } => {
-                    let Some(right) = eval_node_extractor(tree, node, ext2) else {
-                        return false;
-                    };
-                    compare_nodes(tree, left, right, *op)
-                }
-            }
-        }
-    }
-}
-
-/// Figure-7 comparison of two derived nodes: leaves compare data values, internal
-/// nodes only support identity (`=`/`!=`), mixed comparisons are false.
-fn compare_nodes(tree: &Hdt, l: NodeId, r: NodeId, op: CompareOp) -> bool {
-    let (ll, rl) = (tree.is_leaf(l), tree.is_leaf(r));
-    if ll && rl {
-        match node_value(tree, l).compare(&node_value(tree, r)) {
-            Some(ord) => op.test(ord),
-            None => false,
-        }
-    } else if !ll && !rl {
-        match op {
-            CompareOp::Eq => l == r,
-            CompareOp::Ne => l != r,
-            _ => false,
-        }
-    } else {
-        false
-    }
-}
-
-/// Join-key equality of two derived nodes (used to re-check join constraints that
-/// did not drive a join step): internal nodes by identity, leaves by rendered data.
-fn join_keys_equal(tree: &Hdt, a: NodeId, b: NodeId) -> bool {
-    match (tree.is_leaf(a), tree.is_leaf(b)) {
-        (false, false) => a == b,
-        (true, true) => {
-            let da = tree.data(a).unwrap_or("");
-            let db = tree.data(b).unwrap_or("");
-            da == db || Value::rendered_data(da) == Value::rendered_data(db)
-        }
-        _ => false,
-    }
-}
-
-/// The right-hand side of a compiled residual atom.
-#[derive(Debug, Clone)]
-enum AtomRhs {
-    /// Compare against a constant.
-    Const(Value),
-    /// Compare against another derived-node pair (index into `ResidualPlan::pairs`).
-    Pair(usize),
-}
-
-/// One literal of a residual clause, compiled against the derived-node pair table.
-#[derive(Debug, Clone)]
-enum ResidualAtom {
-    /// `(pair ⊙ rhs) ⊕ negated` with the Figure-7 ⊥-is-false convention applied
-    /// before the negation, matching `eval_predicate` on `Not(Compare…)`.
-    Cmp {
-        pair: usize,
-        op: CompareOp,
-        rhs: AtomRhs,
-        negated: bool,
-    },
-    /// Anything else falls back to the tuple-at-a-time evaluator.
-    Fallback(Predicate),
-}
-
-/// The residual work after the join steps, compiled for column-at-a-time
-/// evaluation: a table of distinct `(column, extractor)` pairs, the residual CNF
-/// clauses over those pairs, and the unused join constraints to re-check.
-#[derive(Debug, Clone)]
-pub struct ResidualPlan {
-    pairs: Vec<(usize, NodeExtractor)>,
-    clauses: Vec<Vec<ResidualAtom>>,
-    checks: Vec<(usize, usize)>,
-}
-
-fn pair_id(pairs: &mut Vec<(usize, NodeExtractor)>, col: usize, ext: &NodeExtractor) -> usize {
-    if let Some(i) = pairs.iter().position(|(c, e)| *c == col && e == ext) {
-        return i;
-    }
-    pairs.push((col, ext.clone()));
-    pairs.len() - 1
-}
-
-impl ResidualPlan {
-    /// Compiles the residual part of a plan.
-    pub fn build(plan: &Plan) -> ResidualPlan {
-        let mut pairs: Vec<(usize, NodeExtractor)> = Vec::new();
-        let checks: Vec<(usize, usize)> = plan
-            .unused_joins
-            .iter()
-            .map(|&j| {
-                let c = &plan.joins[j];
-                (
-                    pair_id(&mut pairs, c.left_col, &c.left_extractor),
-                    pair_id(&mut pairs, c.right_col, &c.right_extractor),
-                )
-            })
-            .collect();
-        let clauses: Vec<Vec<ResidualAtom>> = plan
-            .residual_clauses
-            .iter()
-            .map(|clause| {
-                clause
-                    .iter()
-                    .map(|lit| compile_literal(&mut pairs, lit))
-                    .collect()
-            })
-            .collect();
-        ResidualPlan {
-            pairs,
-            clauses,
-            checks,
-        }
-    }
-
-    /// True when there is nothing to filter (every tuple survives).
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty() && self.checks.is_empty()
-    }
-}
-
-fn compile_literal(pairs: &mut Vec<(usize, NodeExtractor)>, lit: &Predicate) -> ResidualAtom {
-    let mut negated = false;
-    let mut cur = lit;
-    while let Predicate::Not(inner) = cur {
-        negated = !negated;
-        cur = inner;
-    }
-    if let Predicate::Compare {
-        extractor,
-        index,
-        op,
-        rhs,
-    } = cur
-    {
-        let pair = pair_id(pairs, *index, extractor);
-        let rhs = match rhs {
-            Operand::Const(c) => AtomRhs::Const(c.clone()),
-            Operand::Column {
-                extractor: ext2,
-                index: j,
-            } => AtomRhs::Pair(pair_id(pairs, *j, ext2)),
-        };
-        return ResidualAtom::Cmp {
-            pair,
-            op: *op,
-            rhs,
-            negated,
-        };
-    }
-    ResidualAtom::Fallback(lit.clone())
-}
-
-/// Runs the residual filter over the tuple range `[start, end)` column-at-a-time:
-/// first the derived node of every `(column, extractor)` pair is computed for the
-/// whole range, then unused-join checks and clause masks are applied over those
-/// arrays.  Returns the (global) indices of surviving tuples in order.
-pub fn filter_tuples(
-    tree: &Hdt,
-    tuples: &Tuples,
-    start: usize,
-    end: usize,
-    rp: &ResidualPlan,
-) -> Vec<u32> {
-    let n = end - start;
-    if n == 0 {
-        return Vec::new();
-    }
-    if rp.is_empty() {
-        return (start..end).map(|i| i as u32).collect();
-    }
-    let derived: Vec<Vec<Option<NodeId>>> = rp
-        .pairs
-        .iter()
-        .map(|(col, ext)| {
-            (start..end)
-                .map(|i| eval_node_extractor(tree, tuples.row(i)[*col], ext))
-                .collect()
-        })
-        .collect();
-    let mut keep = vec![true; n];
-    for &(lp, rpair) in &rp.checks {
-        for (k, kept) in keep.iter_mut().enumerate() {
-            if *kept {
-                *kept = match (derived[lp][k], derived[rpair][k]) {
-                    (Some(l), Some(r)) => join_keys_equal(tree, l, r),
-                    _ => false,
-                };
-            }
-        }
-    }
-    let mut mask = vec![false; n];
-    for clause in &rp.clauses {
-        mask.iter_mut().for_each(|m| *m = false);
-        for atom in clause {
-            match atom {
-                ResidualAtom::Cmp {
-                    pair,
-                    op,
-                    rhs,
-                    negated,
-                } => {
-                    for k in 0..n {
-                        if !keep[k] || mask[k] {
-                            continue;
-                        }
-                        let raw = match derived[*pair][k] {
-                            None => false,
-                            Some(l) => match rhs {
-                                AtomRhs::Const(c) => match node_value(tree, l).compare(c) {
-                                    Some(ord) => op.test(ord),
-                                    None => false,
-                                },
-                                AtomRhs::Pair(j) => match derived[*j][k] {
-                                    Some(r) => compare_nodes(tree, l, r, *op),
-                                    None => false,
-                                },
-                            },
-                        };
-                        mask[k] = raw != *negated;
-                    }
-                }
-                ResidualAtom::Fallback(p) => {
-                    for k in 0..n {
-                        if !keep[k] || mask[k] {
-                            continue;
-                        }
-                        mask[k] = eval_predicate(tree, tuples.row(start + k), p);
-                    }
-                }
-            }
-        }
-        for k in 0..n {
-            keep[k] &= mask[k];
-        }
-    }
-    (0..n)
-        .filter(|&k| keep[k])
-        .map(|k| (start + k) as u32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,29 +458,5 @@ mod tests {
             assert_eq!(via_interval.row(i), via_hash.row(i));
             assert_eq!(via_interval.row_pos(i), via_hash.row_pos(i));
         }
-    }
-
-    #[test]
-    fn filter_tuples_handles_negated_bottom_as_false() {
-        // Literal: !(child(n, missing, 0) = 1).  The extractor is ⊥ on every node,
-        // so the inner compare is false and the negation keeps every tuple —
-        // exactly eval_predicate's behavior.
-        let tree = two_person_tree();
-        let persons = tree.children_with_tag(tree.root(), "Person").to_vec();
-        let tuples = scan(1, 0, &persons);
-        let lit = Predicate::not(Predicate::Compare {
-            extractor: NodeExtractor::child(NodeExtractor::Id, "missing", 0),
-            index: 0,
-            op: CompareOp::Eq,
-            rhs: Operand::Const(Value::int(1)),
-        });
-        let mut pairs = Vec::new();
-        let rp = ResidualPlan {
-            clauses: vec![vec![compile_literal(&mut pairs, &lit)]],
-            pairs,
-            checks: Vec::new(),
-        };
-        let survivors = filter_tuples(&tree, &tuples, 0, tuples.len(), &rp);
-        assert_eq!(survivors, vec![0, 1]);
     }
 }

@@ -18,12 +18,17 @@
 //! smallest-first; [`plan`] without a tree uses the static [`emission_order`], as
 //! the code generators do, where no document is available.
 //!
+//! What no join step checks — the unused join constraints and the residual
+//! clauses — is one predicate, [`Plan::residual`], which the executor checks on
+//! every joined tuple with the DSL's own `eval_predicate`; pushed-down filters go
+//! through the same function.
+//!
 //! Whatever order the planner picks, execution re-sorts the finished rows by their
 //! column positions permuted into [`emission_order`] (see `exec::run_plan`), so the
 //! emitted table is byte-identical for every plan shape.
 
 use mitra_dsl::ast::{CompareOp, NodeExtractor, Operand, Predicate, Program};
-use mitra_dsl::eval::eval_column;
+use mitra_dsl::eval::{eval_column, eval_predicate};
 use mitra_dsl::pretty;
 use mitra_hdt::{Hdt, NodeId};
 
@@ -35,14 +40,13 @@ pub struct Plan {
     /// Equality join constraints between two columns.
     pub joins: Vec<JoinConstraint>,
     /// Whatever could not be pushed down or turned into a join, in clause form
-    /// (each clause a disjunction of literals), so the executor can evaluate it
-    /// column-at-a-time.
+    /// (each clause a disjunction of literals).
     pub residual_clauses: Vec<Vec<Predicate>>,
     /// One physical step per column, in execution order.
     pub steps: Vec<PlanStep>,
     /// Indices into [`Plan::joins`] of constraints that did not drive any join step
     /// (e.g. a second constraint between an already-joined pair); they are re-checked
-    /// during residual filtering.
+    /// as part of [`Plan::residual`].
     pub unused_joins: Vec<usize>,
     /// Per-column cardinality estimates used for ordering (empty for static plans).
     pub estimates: Vec<u64>,
@@ -62,6 +66,19 @@ pub struct JoinConstraint {
 }
 
 impl JoinConstraint {
+    /// The constraint as the DSL atom it came from.
+    pub fn predicate(&self) -> Predicate {
+        Predicate::Compare {
+            extractor: self.left_extractor.clone(),
+            index: self.left_col,
+            op: CompareOp::Eq,
+            rhs: Operand::Column {
+                extractor: self.right_extractor.clone(),
+                index: self.right_col,
+            },
+        }
+    }
+
     /// True when this constraint can extend a partial tuple over `placed` with `col`.
     fn links(&self, col: usize, placed: &[bool]) -> bool {
         (self.left_col == col && placed[self.right_col])
@@ -205,12 +222,14 @@ pub fn plan_and_columns(program: &Program, tree: &Hdt) -> (Plan, Vec<Vec<NodeId>
         .map(|(i, pi)| {
             let mut nodes = eval_column(tree, pi);
             if !p.column_filters[i].is_empty() {
-                // Column filters mention only column i; evaluate them directly
-                // against the node (no dummy tuple).
-                nodes.retain(|n| {
+                // Column filters mention only column i: one scratch tuple carries
+                // each node in slot i.
+                let mut tuple = vec![NodeId::ROOT; i + 1];
+                nodes.retain(|&n| {
+                    tuple[i] = n;
                     p.column_filters[i]
                         .iter()
-                        .all(|f| crate::ops::eval_filter_on_node(tree, *n, f))
+                        .all(|f| eval_predicate(tree, &tuple, f))
                 });
             }
             nodes
@@ -327,6 +346,18 @@ fn schedule(
 }
 
 impl Plan {
+    /// What the executor checks on each joined tuple: the unused join constraints
+    /// and the residual clauses, each clause as the disjunction of its literals
+    /// (`True` when nothing is left).
+    pub fn residual(&self) -> Predicate {
+        let unused = self.unused_joins.iter().map(|&j| self.joins[j].predicate());
+        let clauses = self
+            .residual_clauses
+            .iter()
+            .map(|clause| Predicate::disjunction(clause.iter().cloned()));
+        Predicate::conjunction(unused.chain(clauses))
+    }
+
     /// Number of steps executed with each physical method, as
     /// `(interval_joins, hash_joins, cross_products)`.
     pub fn method_counts(&self) -> (usize, usize, usize) {
@@ -554,7 +585,8 @@ mod tests {
         );
         let p = plan(&program);
         assert_eq!(p.joins.len(), 2);
-        assert_eq!(p.unused_joins.len(), 1);
+        assert_eq!(p.unused_joins, vec![1]);
+        assert_eq!(p.residual(), join(1, 0));
     }
 
     #[test]

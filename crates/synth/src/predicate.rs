@@ -830,7 +830,7 @@ mod tests {
 
     /// The labelling oracle: every tuple of every example materialized through the
     /// naive cross product, its values looked up among the output's rows with
-    /// [`Table::contains_row`].  `None` when an intermediate table exceeds
+    /// `Value`'s `==`.  `None` when an intermediate table exceeds
     /// `max_rows` or ψ does not over-approximate some output example.
     fn label_tuples(
         examples: &[Example],
@@ -851,12 +851,11 @@ mod tests {
             let mut covered_rows = vec![false; ex.output.rows.len()];
             for nodes in tuples {
                 let values: Vec<Value> = nodes.iter().map(|n| node_value(&ex.tree, *n)).collect();
-                let positive = ex.output.contains_row(&values);
-                if positive {
-                    for (ri, row) in ex.output.rows.iter().enumerate() {
-                        if row.as_slice() == values.as_slice() {
-                            covered_rows[ri] = true;
-                        }
+                let mut positive = false;
+                for (ri, row) in ex.output.rows.iter().enumerate() {
+                    if *row == values {
+                        covered_rows[ri] = true;
+                        positive = true;
                     }
                 }
                 out.push(LabelledTuple {

@@ -6,12 +6,13 @@
 //!   permuted into `emission_order` — the executor's output contract.  The
 //!   executor's table must be **byte-identical** to it for every program of a
 //!   fixed operator matrix (scans, interval joins, hash joins on values and on
-//!   derived nodes, cross products, pushed-down filters, residual clauses) on
-//!   random trees, for the synthesized motivating-example program at three
-//!   scales, and for all 50 Table 2 programs of the program snapshot;
+//!   derived nodes, cross products, pushed-down filters, residual clauses, a join
+//!   constraint re-checked after the joins) on random trees, for the synthesized
+//!   motivating-example program at three scales, and for all 50 Table 2 programs
+//!   of the program snapshot;
 //! * a program wider than 256 columns plans, executes, explains and generates code;
 //! * the planner's output must be byte-identical at 1 and 4 worker threads on a
-//!   workload large enough to cross the parallel residual-filter threshold;
+//!   residual check over more than 8192 joined tuples;
 //! * `Plan::explain` output is snapshot-pinned for the synthesized
 //!   motivating-example program and for a synthesized MONDIAL table, so `--explain`
 //!   stays stable unless the plan genuinely changes.
@@ -142,6 +143,28 @@ fn leaf_cmp(index: usize, op: CompareOp, k: i64) -> Predicate {
     }
 }
 
+/// `not(child(t[0], missing, 0) = 1)`: the extractor is ⊥ on every node, so the
+/// comparison is false and its negation true.
+fn negated_bottom() -> Predicate {
+    Predicate::not(Predicate::Compare {
+        extractor: NodeExtractor::child(NodeExtractor::Id, "missing", 0),
+        index: 0,
+        op: CompareOp::Eq,
+        rhs: Operand::Const(Value::int(1)),
+    })
+}
+
+/// `t[0] = t[1]`, `t[1] = t[2]` and `closing`: the joins use the first two, so
+/// `closing` is re-checked on every joined tuple.
+fn join_cycle(closing: Predicate) -> Predicate {
+    let id = || NodeExtractor::Id;
+    Predicate::conjunction([
+        col_join(id(), 0, id(), 1),
+        col_join(id(), 1, id(), 2),
+        closing,
+    ])
+}
+
 fn col_join(
     left: NodeExtractor,
     left_col: usize,
@@ -233,6 +256,30 @@ fn operator_matrix() -> Vec<Program> {
             TableExtractor::new(vec![item, d("entry")]),
             Predicate::False,
         ),
+        // A join cycle: `t[0] = t[2]` drives no join step and is re-checked.
+        Program::new(
+            TableExtractor::new(vec![d("field"), d("field"), d("field")]),
+            join_cycle(col_join(NodeExtractor::Id, 0, NodeExtractor::Id, 2)),
+        ),
+        // A cycle whose re-checked constraint the joins do not imply.
+        Program::new(
+            TableExtractor::new(vec![d("field"), d("field"), d("field")]),
+            join_cycle(col_join(
+                NodeExtractor::parent(NodeExtractor::Id),
+                0,
+                NodeExtractor::parent(NodeExtractor::Id),
+                2,
+            )),
+        ),
+        // A ⊥ extractor under a negation, pushed down and inside a residual
+        // disjunction whose other literal never holds: both keep every tuple.
+        Program::new(
+            TableExtractor::new(vec![d("field"), d("entry")]),
+            Predicate::and(
+                negated_bottom(),
+                Predicate::or(negated_bottom(), leaf_cmp(1, CompareOp::Lt, 0)),
+            ),
+        ),
     ]
 }
 
@@ -270,6 +317,38 @@ fn a_join_on_two_spellings_of_one_value_keeps_the_row() {
     let reference = naive_in_emission_order(&tree, &program);
     assert_eq!(reference.len(), 1);
     assert_eq!(execute(&tree, &program).to_csv(), reference.to_csv());
+}
+
+#[test]
+fn a_join_cycle_rechecks_its_unused_constraint() {
+    // Three spellings of one value under two parents: the joins `t[0] = t[1]`
+    // and `t[1] = t[2]` keep all 27 tuples.  `t[0] = t[2]` holds on each of them;
+    // `parent(t[0]) = parent(t[2])`, re-checked after the joins, keeps the 15
+    // whose first and last nodes share a parent.
+    let mut tree = Hdt::with_root("root");
+    for (parent, leaves) in [("a", ["1", "01"].as_slice()), ("b", &["1.0"])] {
+        let node = tree.add_child(tree.root(), parent, None);
+        for leaf in leaves {
+            tree.add_child(node, "field", Some(leaf.to_string()));
+        }
+    }
+    let field = || ColumnExtractor::descendants(ColumnExtractor::Input, "field");
+    let parent = || NodeExtractor::parent(NodeExtractor::Id);
+    for (closing, rows) in [
+        (col_join(NodeExtractor::Id, 0, NodeExtractor::Id, 2), 27),
+        (col_join(parent(), 0, parent(), 2), 15),
+    ] {
+        let program = Program::new(
+            TableExtractor::new(vec![field(), field(), field()]),
+            join_cycle(closing.clone()),
+        );
+        let p = plan_with_tree(&program, &tree);
+        assert_eq!(p.unused_joins, vec![2]);
+        assert_eq!(p.residual(), closing);
+        let reference = naive_in_emission_order(&tree, &program);
+        assert_eq!(reference.len(), rows);
+        assert_eq!(execute(&tree, &program).to_csv(), reference.to_csv());
+    }
 }
 
 #[test]
@@ -333,9 +412,8 @@ fn programs_wider_than_256_columns_plan_and_execute() {
 
 #[test]
 fn planner_output_is_identical_at_1_and_4_threads() {
-    // 150 × 150 descendants cross product = 22_500 intermediate tuples, above the
-    // 8192-tuple parallel residual-filter threshold, with a two-column residual
-    // clause so the parallel filter actually runs.
+    // 150 × 150 descendants cross product = 22_500 intermediate tuples under a
+    // two-column residual clause, of which more than 8192 survive.
     let tree = social_network(150, 1);
     let program = Program::new(
         TableExtractor::new(vec![
@@ -354,7 +432,7 @@ fn planner_output_is_identical_at_1_and_4_threads() {
     mitra_pool::set_threads(0);
     assert!(
         sequential.len() > 8192,
-        "workload too small to exercise the parallel path"
+        "fewer rows than the workload was sized for"
     );
     assert_eq!(sequential.to_csv(), parallel.to_csv());
 }
