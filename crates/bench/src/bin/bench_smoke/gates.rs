@@ -234,6 +234,14 @@ const SQL_FNV: [(&str, u64); 4] = [
     ("YELP", 0x02fecba16c470b17),
 ];
 
+/// Cover searches of each sequential Table 2 dataset that may stop at the node
+/// cap (`synth.cover.node_cap_hits`).  With twin sets and implied elements
+/// dropped before the search, only YELP's two instances of its 508-element,
+/// 72-set shape still reach it; the unreduced search capped DBLP 1, IMDB 2,
+/// MONDIAL 11 and YELP 3.  A counter that stayed 0 leaves no leaf in the
+/// ledger, so a missing counter reads 0.
+const COVER_CAP_HITS: [(&str, u64); 4] = [("DBLP", 0), ("IMDB", 0), ("MONDIAL", 0), ("YELP", 2)];
+
 fn table2(v: &mut Verdicts, m: &Measured) {
     v.check(
         "table2.programs_identical",
@@ -254,6 +262,16 @@ fn table2(v: &mut Verdicts, m: &Measured) {
                 fnv.map_or("no run".to_string(), |f| format!("{f:016x}"))
             ),
         );
+    }
+    for (name, bound) in COVER_CAP_HITS {
+        let gate = format!("table2.{name}.cover_cap_hits");
+        // A missing run fails its `sql_fnv` gate.
+        let Some(row) = m.sequential.iter().find(|r| r.name == name) else {
+            v.push(gate, Outcome::Skip, "no run");
+            continue;
+        };
+        let hits = row.metrics.counter("synth.cover.node_cap_hits");
+        v.check(gate, hits <= bound, format!("{hits} (ceiling {bound})"));
     }
     for (name, ceiling) in SYNTH_CEILING_SECS {
         let row = m.sequential.iter().find(|r| r.name == name);
@@ -483,6 +501,9 @@ mod tests {
             .map(|name| {
                 let ceiling = SYNTH_CEILING_SECS.iter().find(|(n, _)| *n == name);
                 let mut r = row(name, ceiling.map_or(0.0, |(_, c)| *c));
+                if name == "YELP" {
+                    r.metrics.counters = vec![("synth.cover.node_cap_hits", 2)];
+                }
                 if name == "MONDIAL" {
                     r.metrics.counters = vec![
                         ("cache.column_nodes.hit", 1),
@@ -607,7 +628,7 @@ mod tests {
     #[test]
     fn every_gate_passes_at_its_bound() {
         let verdicts = check(&at_bounds());
-        assert_eq!(verdicts.len(), 40);
+        assert_eq!(verdicts.len(), 44);
         let not_passed: Vec<String> = verdicts
             .iter()
             .filter(|v| v.outcome != Outcome::Pass)
@@ -664,6 +685,17 @@ mod tests {
         flips("table2.IMDB.sql_fnv", |m| {
             m.sequential.retain(|r| r.name != "IMDB")
         });
+    }
+
+    #[test]
+    fn cover_cap_hit_ceilings() {
+        for (i, (name, bound)) in COVER_CAP_HITS.into_iter().enumerate() {
+            flips(&format!("table2.{name}.cover_cap_hits"), |m| {
+                let counters = &mut m.sequential[i].metrics.counters;
+                counters.retain(|(n, _)| *n != "synth.cover.node_cap_hits");
+                counters.push(("synth.cover.node_cap_hits", bound + 1));
+            });
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! JSON value to its HDT as `mitra_hdt::json::json_to_hdt` does (an array's entries,
 //! nested arrays flattened, are siblings under its key; a node's `pos` counts its
 //! earlier same-tag siblings; a bare root array's entries are tagged `item` and a
-//! bare root scalar is a `value` leaf), and helpers over that view (`children`,
-//! `pchildren`, `descendants`, `parent`, `child`, `data`).  `JSON.parse` keeps only
-//! the last of repeated keys, so a document with repeated keys is not supported.
+//! bare root scalar is a `value` leaf; `plainNumber` writes a number's data as
+//! `format_number` does, never in exponent notation), and helpers over that view
+//! (`children`, `pchildren`, `descendants`, `parent`, `child`, `data`).
+//! `JSON.parse` keeps only the last of repeated keys, so a document with repeated
+//! keys is not supported.
 //!
 //! The program body mirrors the DSL structure: one nested loop per column
 //! extractor, with predicate guards pushed to the shallowest loop that binds all of
@@ -179,7 +181,7 @@ function toHdt(doc) {
     const node = newNode(tag, pos, parent);
     parent.children.push(node);
     if (value !== null && typeof value === 'object') fill(node, value);
-    else node.data = value === null ? 'null' : String(value);
+    else node.data = value === null ? 'null' : typeof value === 'number' ? plainNumber(value) : String(value);
   };
   const fill = (node, object) => { for (const [key, v] of Object.entries(object)) add(node, key, v); };
   const root = newNode('root', 0, null);
@@ -187,6 +189,16 @@ function toHdt(doc) {
   else if (doc !== null && typeof doc === 'object') fill(root, doc);
   else add(root, 'value', doc);
   return root;
+}
+function plainNumber(x) {
+  const s = String(x), e = s.indexOf('e');
+  if (e < 0) return s;
+  const sign = x < 0 ? '-' : '', mantissa = s.slice(sign.length, e);
+  const digits = mantissa.replace('.', ''), dot = mantissa.indexOf('.');
+  const point = (dot < 0 ? mantissa.length : dot) + Number(s.slice(e + 1));
+  if (point <= 0) return sign + '0.' + '0'.repeat(-point) + digits;
+  if (point >= digits.length) return sign + digits + '0'.repeat(point - digits.length);
+  return sign + digits.slice(0, point) + '.' + digits.slice(point);
 }
 function children(nodes, tag) {
   return nodes.flatMap(n => n.children.filter(c => c.tag === tag));
@@ -235,9 +247,10 @@ mod tests {
     use super::*;
     use crate::loc::lines_of_code;
     use mitra_dsl::ast::{CompareOp, TableExtractor};
-    use mitra_dsl::{Program, Table, Value};
+    use mitra_dsl::{Program, Value};
     use mitra_hdt::json::{json_to_hdt, parse_json, JsonValue};
-    use mitra_synth::exec::execute;
+    use mitra_hdt::Hdt;
+    use mitra_synth::exec::execute_nodes_budgeted;
     use std::io::Write;
     use std::process::{Command, Stdio};
 
@@ -393,12 +406,14 @@ mod tests {
     }
 
     /// JSON documents the emitted JavaScript runs on in `node`: arrays nested
-    /// under a key and at the root, objects inside them, and a bare root scalar.
-    const DOCUMENTS: [&str; 4] = [
+    /// under a key and at the root, objects inside them, a bare root scalar, and
+    /// numbers that JavaScript's `String` writes in exponent notation.
+    const DOCUMENTS: [&str; 5] = [
         r#"{"k": [[1, 2], [3]]}"#,
         "[[1, 2], [3]]",
         r#"[[{"k": [4, [5]]}], {"k": 6, "item": [7, [8, 9]]}]"#,
         "7",
+        r#"{"k": [1e21, -1e22, 2.5e-7, 123.456]}"#,
     ];
 
     /// `children`, `pchildren(…, 2)` and `descendants` of the root for each tag
@@ -464,33 +479,53 @@ mod tests {
         Some(parse_json(&text).expect("node writes JSON"))
     }
 
-    /// A JSON array of row objects as a table, each cell read as `json_to_hdt`
-    /// data is (`null` for an internal node).
-    fn table_of(rows: &JsonValue, arity: usize) -> Table {
+    /// The rows of a table as a sorted bag of cell texts: `None` for an
+    /// internal node, whose data is `null`.
+    type TextRows = Vec<Vec<Option<String>>>;
+
+    /// A JSON array of row objects, cell by cell as the prelude writes data.
+    fn text_rows(rows: &JsonValue) -> TextRows {
         let JsonValue::Array(rows) = rows else {
             panic!("rows are an array: {rows:?}");
         };
-        let mut table = Table::anonymous(arity);
-        for row in rows {
-            let JsonValue::Object(cells) = row else {
-                panic!("a row is an object: {row:?}");
-            };
-            table.push(
+        let mut out: TextRows = rows
+            .iter()
+            .map(|row| {
+                let JsonValue::Object(cells) = row else {
+                    panic!("a row is an object: {row:?}");
+                };
                 cells
                     .iter()
                     .map(|(_, cell)| match cell {
-                        JsonValue::String(s) => Value::from_data(s),
-                        JsonValue::Null => Value::Null,
+                        JsonValue::String(s) => Some(s.to_string()),
+                        JsonValue::Null => None,
                         other => panic!("a cell is a string or null: {other:?}"),
                     })
-                    .collect(),
-            );
-        }
-        table
+                    .collect()
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The executor's rows, each cell the text `json_to_hdt` stored at the node.
+    fn executor_rows(tree: &Hdt, program: &Program) -> TextRows {
+        let (rows, _) = execute_nodes_budgeted(tree, program, None).expect("no row budget");
+        let mut out: TextRows = rows
+            .rows()
+            .map(|row| {
+                row.iter()
+                    .map(|&n| tree.data(n).map(str::to_string))
+                    .collect()
+            })
+            .collect();
+        out.sort();
+        out
     }
 
     /// The emitted program, run with `node`, returns the executor's rows as a
-    /// bag: the prelude maps a JSON value to the tree `json_to_hdt` builds.
+    /// bag, cell text included: the prelude maps a JSON value to the tree
+    /// `json_to_hdt` builds, and writes a number as `format_number` does.
     /// When `node` is not on `PATH` the test prints a note and returns.
     #[test]
     fn emitted_javascript_returns_the_executors_rows() {
@@ -512,14 +547,13 @@ mod tests {
             };
             assert_eq!(results.len(), programs.len());
             for (program, result) in programs.iter().zip(results) {
-                let expected = execute(&tree, program);
-                let actual = table_of(result, program.arity());
-                assert!(
-                    actual.same_bag(&expected),
-                    "{doc} | {}\nnode:\n{}executor:\n{}",
-                    mitra_dsl::pretty::program(program),
-                    actual.to_csv(),
-                    expected.to_csv()
+                let expected = executor_rows(&tree, program);
+                let actual = text_rows(result);
+                assert_eq!(
+                    actual,
+                    expected,
+                    "{doc} | {}: node, then the executor",
+                    mitra_dsl::pretty::program(program)
                 );
                 rows += expected.len();
             }

@@ -110,17 +110,21 @@ impl Task {
         }
     }
 
-    /// Generates a larger document of the same shape (for performance experiments).
-    /// `scale` multiplies the number of top-level records.
-    pub fn scaled_document(&self, scale: usize) -> Hdt {
+    /// Generates a larger document of the same shape together with the table its
+    /// scenario builds for it: the held-out truth a program synthesized from the
+    /// example should reproduce.  `scale` multiplies the number of top-level records.
+    pub fn scaled_example(&self, scale: usize) -> Example {
         // Re-generate using the same scenario with a larger size: the scenario id is
         // recoverable from the task id.
         // Task ids are minted by `generate_corpus` enumeration, so the lookup
-        // cannot miss; fall back to the unscaled example tree rather than panic
-        // on a hand-built task with a foreign id.
+        // cannot miss; fall back to the unscaled example rather than panic on a
+        // hand-built task with a foreign id.
         match corpus_specs().into_iter().nth(self.id) {
-            Some(spec) => build_scenario(&spec, spec.size * scale.max(1)).0,
-            None => self.example.tree.clone(),
+            Some(spec) => {
+                let (tree, output) = build_scenario(&spec, spec.size * scale.max(1));
+                Example::new(tree, output)
+            }
+            None => self.example.clone(),
         }
     }
 }
@@ -712,8 +716,9 @@ mod tests {
     fn scaled_documents_grow() {
         let tasks = generate_corpus();
         let t = &tasks[0];
-        let small = t.scaled_document(1);
-        let big = t.scaled_document(10);
-        assert!(big.len() > small.len());
+        let small = t.scaled_example(1);
+        let big = t.scaled_example(10);
+        assert!(big.tree.len() > small.tree.len());
+        assert!(big.output.len() > small.output.len());
     }
 }

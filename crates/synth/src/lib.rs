@@ -12,7 +12,7 @@
 //! * [`universe`] — construction of the atomic-predicate universe (Figure 10).
 //! * [`cover`] — the 0–1 ILP / minimum set-cover solver behind `FindMinCover`
 //!   (Algorithm 4): exact branch and bound, seeded with a greedy cover as its
-//!   initial bound.
+//!   initial bound, on the instance without twin sets and implied elements.
 //! * [`qm`] — Quine–McCluskey logic minimization with don't-cares plus a Petrick-style
 //!   minimum prime-implicant cover, used to produce the smallest DNF classifier.
 //! * [`predicate`] — `LearnPredicate` (Algorithm 3): positive/negative example

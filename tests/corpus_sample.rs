@@ -65,7 +65,7 @@ fn synthesized_programs_generalize_to_scaled_documents() {
         let synthesis =
             learn_transformation(std::slice::from_ref(&task.example), &config).expect("synthesis");
         let small_rows = execute(&task.example.tree, &synthesis.program).len();
-        let big = task.scaled_document(5);
+        let big = task.scaled_example(5).tree;
         let big_rows = execute(&big, &synthesis.program).len();
         assert!(
             big_rows > small_rows,

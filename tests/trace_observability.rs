@@ -14,7 +14,10 @@
 //! * **outcome reuse** — `synth.candidates.reused` counts the examined candidates
 //!   that took an earlier candidate's predicate-learning outcome;
 //! * **cover reuse** — `synth.cover.reused` counts the cover instances predicate
-//!   learning answered from its memo, which the reference path never consults.
+//!   learning answered from its memo, which the reference path never consults;
+//! * **cover reductions** — `synth.cover.sets_dropped` and
+//!   `synth.cover.elements_dropped` count the twin sets and implied elements
+//!   `solve_exact` removes before its search.
 //!
 //! The trace mode is a process-global `AtomicU8`, so every test that flips it
 //! holds `MODE_LOCK` and restores the summary default before releasing it.
@@ -25,6 +28,7 @@ use mitra::dsl::{pretty, Table, Value};
 use mitra::hdt::generate::{social_network, social_network_rows};
 use mitra::hdt::{Hdt, JsonValue};
 use mitra::synth::budget::Budget;
+use mitra::synth::cover::{solve_exact, CoverInstance, MAX_COVER_NODES};
 use mitra::synth::synthesize::{learn_transformation, Example, SynthConfig};
 use mitra::synth::{learn_predicate, learn_predicate_reference, ColumnEvalCache};
 use mitra::trace::{self, export, Phase, TraceMode};
@@ -295,4 +299,27 @@ fn equal_cover_instances_are_solved_once_per_call() {
     let reference =
         reused(&|psi, cache| learn_predicate_reference(examples, psi, &config, cache).is_some());
     assert_eq!((fast, reference), (1, 0));
+}
+
+#[test]
+fn cover_reductions_count_twin_sets_and_implied_elements() {
+    let _guard = MODE_LOCK.lock().unwrap();
+    trace::set_mode(TraceMode::Summary);
+    // Set 2 repeats set 0's row at the same weight, a twin.  Element 1's
+    // coverers include element 2's, so element 1 is implied.
+    let instance = CoverInstance::from_matrix(&[
+        vec![true, true, false],
+        vec![false, true, true],
+        vec![true, true, false],
+    ]);
+    let before = trace::snapshot();
+    assert_eq!(solve_exact(&instance, MAX_COVER_NODES), Some(vec![0, 1]));
+    let delta = trace::snapshot().delta(&before);
+    assert_eq!(
+        (
+            delta.counter("synth.cover.sets_dropped"),
+            delta.counter("synth.cover.elements_dropped")
+        ),
+        (1, 1)
+    );
 }
