@@ -7,7 +7,7 @@
 //! covers the pairs on which its truth value differs.
 //!
 //! Predicate learning (through the per-call memo of
-//! [`crate::cache::ColumnEvalCache::cover`]) and QM's Petrick step call
+//! `ColumnEvalCache::cover`) and QM's Petrick step call
 //! [`solve_exact`], a branch-and-bound
 //! search that returns an optimal cover (the behaviour required by Theorem 2).  Ties
 //! between equally-sized covers are broken in favour of smaller total predicate

@@ -43,6 +43,7 @@ pub mod cover;
 pub mod dfa;
 pub mod exec;
 pub mod fingerprint;
+mod memo;
 pub mod ops;
 pub mod plan;
 pub mod predicate;
@@ -51,7 +52,7 @@ pub mod synthesize;
 pub mod universe;
 
 pub use budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
-pub use cache::{ColumnEvalCache, ColumnPhiData};
+pub use cache::ColumnEvalCache;
 pub use column::learn_column_automata;
 pub use exec::{execute, execute_nodes_budgeted};
 pub use fingerprint::{fingerprint, Fingerprint};

@@ -35,8 +35,8 @@
 //! [`learn_predicate`] therefore:
 //!
 //! * evaluates each valid node extractor **once per column node** (cached in
-//!   [`ColumnPhiData`]) instead of once per tuple, and tiles the per-node results
-//!   across the layout of the intermediate table;
+//!   the column's behaviour-class records) instead of once per tuple, and tiles
+//!   the per-node results across the layout of the intermediate table;
 //! * enumerates only the behaviour-class **representatives** of each column's
 //!   extractors.  Equivalent extractors produce equal truth vectors, the
 //!   representative is the earliest (hence smallest) member of its class, and the
@@ -51,7 +51,7 @@
 //!   any tuple-length vector is materialized;
 //! * compares column nodes against constants (rule 4) through the **cached
 //!   ordering** of every representative node against every mined constant
-//!   ([`ColumnPhiData::orderings`], computed once per synthesis call): the six
+//!   (`PhiClass::orderings`, computed once per synthesis call): the six
 //!   operators read one ordering, and per-node bits that come out all-true or
 //!   all-false are skipped before tiling, as in rule 5.
 //!
@@ -62,7 +62,7 @@
 //! member, its weight computed from the parts.  The set-cover rows are built from
 //! the words segment by segment (see [`crate::cover`]).
 //!
-//! The cover instance goes through [`ColumnEvalCache::cover`], which solves each
+//! The cover instance goes through `ColumnEvalCache::cover`, which solves each
 //! distinct instance once per synthesis call: candidates with different
 //! extensions often build byte-equal instances.
 //!
@@ -78,12 +78,12 @@
 //! counters `synth.predicate.{vectors,constant_skipped,kept}`.
 
 use crate::bits;
-use crate::cache::{ColumnEvalCache, ColumnPhiData};
+use crate::cache::{ColumnEvalCache, NodeInfo, PhiClass};
 use crate::cover::{solve_exact, Cover, CoverInstance, MAX_COVER_NODES};
 use crate::qm::minimize;
 use crate::synthesize::{Example, SynthConfig};
-use crate::universe::construct_universe;
-use mitra_dsl::ast::{ColumnExtractor, CompareOp, Operand, Predicate, TableExtractor};
+use crate::universe::{const_ops, construct_universe, PAIR_OPS};
+use mitra_dsl::ast::{ColumnExtractor, Operand, Predicate, TableExtractor};
 use mitra_dsl::eval::eval_predicate;
 use mitra_hdt::NodeId;
 use std::cmp::Ordering;
@@ -299,11 +299,11 @@ impl Block {
 /// universe bounds.  Of `config` it reads `universe` and `max_intermediate_rows`.
 ///
 /// The top-level synthesis loop passes one `cache` for all candidate table
-/// extractors of a task, which also shares the per-column [`ColumnPhiData`] across
-/// every combo touching the same column extractor.
+/// extractors of a task, which also shares each column extractor's behaviour
+/// classes across every combo touching it.
 ///
 /// The result depends on ψ only through the node lists `[[π_i]]T_e` of its columns
-/// (read via [`ColumnEvalCache::column_nodes`] and the [`ColumnPhiData`] built from
+/// (read via `ColumnEvalCache::column_nodes` and the behaviour classes built from
 /// them), never on the syntax of π: the search reuses one call's result for every
 /// candidate with the same lists.  A change that reads π itself must add π to that
 /// memo's key in `synthesize.rs`.
@@ -346,29 +346,16 @@ pub(crate) fn learn_predicate_on(layout: &Layout, config: &SynthConfig) -> Optio
 /// into the kept truth classes (see the module docs).
 fn truth_vectors(layout: &Layout, config: &SynthConfig) -> Vec<(Predicate, Vec<u64>, usize)> {
     let (examples, cache) = (layout.examples, layout.cache);
-    let per_column: Vec<Arc<ColumnPhiData>> = layout
+    let per_column: Vec<Arc<Vec<PhiClass>>> = layout
         .columns
         .iter()
         .map(|pi| cache.phi_data(examples, pi, &config.universe))
         .collect();
     let constants = cache.constants(examples, config.universe.max_constants);
 
-    // The reduced universe enumeration: identical loop structure and order as
-    // `construct_universe`, but over behaviour-class representatives only, feeding
-    // truth vectors straight into the shared [`Dedup`] fold.
-    let const_ops: &[CompareOp] = if config.universe.with_ordering {
-        &[
-            CompareOp::Eq,
-            CompareOp::Ne,
-            CompareOp::Lt,
-            CompareOp::Le,
-            CompareOp::Gt,
-            CompareOp::Ge,
-        ]
-    } else {
-        &[CompareOp::Eq, CompareOp::Ne]
-    };
-
+    // The reduced universe enumeration: identical loop structure, operators and
+    // order as `construct_universe`, but over behaviour-class representatives
+    // only, feeding truth vectors straight into the shared [`Dedup`] fold.
     let mut dedup = Dedup::new(layout.len);
     // One truth-vector buffer for every predicate of this call.
     let mut vector = bits::zeros(layout.len);
@@ -380,25 +367,16 @@ fn truth_vectors(layout: &Layout, config: &SynthConfig) -> Vec<(Predicate, Vec<u
     // blocks are full cross products, so every node of a non-empty block is hit
     // by some tuple: when the node bits are all-true or all-false the vector is
     // constant and is skipped before tiling, as the fold would drop it.
-    'outer4: for (i, data) in per_column.iter().enumerate() {
-        for &p in &data.reps {
-            let weight = 1 + data.phis[p].size();
+    'outer4: for (i, classes) in per_column.iter().enumerate() {
+        for class in classes.iter() {
+            let weight = 1 + class.phi.size();
             for (ci, c) in constants.iter().enumerate() {
                 // Block `e`'s node orderings against `c`.
                 let orderings = |e: usize| {
-                    let len = data.nodes[p][e].len();
-                    &data.orderings[p][e][ci * len..(ci + 1) * len]
+                    let len = class.nodes[e].len();
+                    &class.orderings[e][ci * len..(ci + 1) * len]
                 };
-                let numeric = c.as_number().is_some();
-                for op in const_ops {
-                    if !numeric
-                        && matches!(
-                            op,
-                            CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge
-                        )
-                    {
-                        continue;
-                    }
+                for &op in const_ops(&config.universe, c) {
                     let bit = |ord: &Option<Ordering>| ord.is_some_and(|o| op.test(o));
                     let (mut any_t, mut any_f) = (false, false);
                     for (e, block) in layout.blocks.iter().enumerate() {
@@ -419,9 +397,9 @@ fn truth_vectors(layout: &Layout, config: &SynthConfig) -> Vec<(Predicate, Vec<u
                         }
                     }
                     let pred = || Predicate::Compare {
-                        extractor: data.phis[p].clone(),
+                        extractor: class.phi.clone(),
                         index: i,
-                        op: *op,
+                        op,
                         rhs: Operand::Const(c.clone()),
                     };
                     if !dedup.fold(&vector, weight, pred) {
@@ -435,116 +413,91 @@ fn truth_vectors(layout: &Layout, config: &SynthConfig) -> Vec<(Predicate, Vec<u
 
     // Rule 5: comparisons between two tuple components.  A tuple's truth value
     // depends only on its (node_i, node_j) pair, so each representative pair is
-    // compared once per *node* pair — through the interned ids of
-    // [`ColumnPhiData::info`] — and both ops share that comparison.  Vectors whose
-    // node-pair cells come out constant (most cross-column comparisons: unrelated
-    // fields are never equal) are recognised before tiling and skipped outright,
+    // compared once per *node* pair — through the interned ids of its
+    // `NodeInfo`s — and both ops share that comparison.  Vectors whose node-pair
+    // cells come out constant (most cross-column comparisons: unrelated fields
+    // are never equal) are recognised before tiling and skipped outright,
     // exactly as the fold would have dropped them.
     if !capped {
-        // Eq/Ne truth values for one node pair, matching `Value::compare`
-        // semantics: leaf pairs compare by value (Ne additionally requires
-        // comparability: both or neither NULL), internal pairs by node identity,
-        // mixed pairs are false under both ops.
-        let cell = |l: &crate::cache::NodeInfo,
-                    r: &crate::cache::NodeInfo,
-                    ln: NodeId,
-                    rn: NodeId|
-         -> (bool, bool) {
+        // The truth values of `PAIR_OPS` (`=`, `!=`) for one node pair, matching
+        // `Value::compare` semantics: leaf pairs compare by value (`!=`
+        // additionally requires comparability: both or neither NULL), internal
+        // pairs by node identity, mixed pairs are false under both ops.
+        let cell = |l: &NodeInfo, r: &NodeInfo| -> [bool; 2] {
             if l.leaf && r.leaf {
                 let eq = l.value == r.value;
-                (eq, !eq && l.null == r.null)
+                [eq, !eq && l.null == r.null]
             } else if !l.leaf && !r.leaf {
-                let same = ln == rn;
-                (same, !same)
+                [l.node == r.node, l.node != r.node]
             } else {
-                (false, false)
+                [false, false]
             }
         };
-        // Per-block cell tables for both ops, reused across pairs: block `e`'s
-        // cells start at `cell_start[e]`.
-        let mut eq_cells: Vec<bool> = Vec::new();
-        let mut ne_cells: Vec<bool> = Vec::new();
+        // Per-block cell tables, reused across pairs: block `e`'s cells start at
+        // `cell_start[e]`.
+        let mut cells: Vec<[bool; 2]> = Vec::new();
         let mut cell_start: Vec<usize> = Vec::with_capacity(layout.blocks.len());
-        'outer5: for (i, data_i) in per_column.iter().enumerate() {
-            for (j, data_j) in per_column.iter().enumerate() {
-                for &p1 in &data_i.reps {
-                    for &p2 in &data_j.reps {
-                        if i == j && data_i.phis[p1] == data_j.phis[p2] {
+        'outer5: for (i, classes_i) in per_column.iter().enumerate() {
+            for (j, classes_j) in per_column.iter().enumerate() {
+                for a in classes_i.iter() {
+                    for b in classes_j.iter() {
+                        if i == j && a.phi == b.phi {
                             continue; // trivially true under Eq
                         }
                         // The diagonal only when i == j (both nodes coincide), the
                         // full node-pair matrix otherwise.
-                        eq_cells.clear();
-                        ne_cells.clear();
+                        cells.clear();
                         cell_start.clear();
-                        let (mut eq_any_t, mut eq_any_f) = (false, false);
-                        let (mut ne_any_t, mut ne_any_f) = (false, false);
-                        for (ex_idx, block) in layout.blocks.iter().enumerate() {
-                            cell_start.push(eq_cells.len());
+                        let (mut any_t, mut any_f) = ([false; 2], [false; 2]);
+                        for (e, block) in layout.blocks.iter().enumerate() {
+                            cell_start.push(cells.len());
                             if block.len == 0 {
                                 continue;
                             }
-                            let linfo = &data_i.info[p1][ex_idx];
-                            let rinfo = &data_j.info[p2][ex_idx];
-                            let lnodes = &data_i.nodes[p1][ex_idx];
-                            let rnodes = &data_j.nodes[p2][ex_idx];
+                            let (l, r) = (&a.nodes[e], &b.nodes[e]);
                             if i == j {
-                                for k in 0..linfo.len() {
-                                    let (e, n) = cell(&linfo[k], &rinfo[k], lnodes[k], rnodes[k]);
-                                    eq_cells.push(e);
-                                    ne_cells.push(n);
-                                }
+                                cells.extend(l.iter().zip(r).map(|(l, r)| cell(l, r)));
                             } else {
-                                for (ki, li) in linfo.iter().enumerate() {
-                                    for (kj, rj) in rinfo.iter().enumerate() {
-                                        let (e, n) = cell(li, rj, lnodes[ki], rnodes[kj]);
-                                        eq_cells.push(e);
-                                        ne_cells.push(n);
-                                    }
+                                for li in l {
+                                    cells.extend(r.iter().map(|rj| cell(li, rj)));
                                 }
                             }
-                            let from = cell_start[ex_idx];
-                            for &b in &eq_cells[from..] {
-                                eq_any_t |= b;
-                                eq_any_f |= !b;
-                            }
-                            for &b in &ne_cells[from..] {
-                                ne_any_t |= b;
-                                ne_any_f |= !b;
+                            for values in &cells[cell_start[e]..] {
+                                for (o, &v) in values.iter().enumerate() {
+                                    any_t[o] |= v;
+                                    any_f[o] |= !v;
+                                }
                             }
                         }
-                        let weight = 1 + data_i.phis[p1].size() + data_j.phis[p2].size();
+                        let weight = 1 + a.phi.size() + b.phi.size();
                         // The blocks are full cross products, so every cell is hit
                         // by some tuple: the vector is constant iff the cells are.
-                        for (op, cells, any_t, any_f) in [
-                            (CompareOp::Eq, &eq_cells, eq_any_t, eq_any_f),
-                            (CompareOp::Ne, &ne_cells, ne_any_t, ne_any_f),
-                        ] {
-                            if !(any_t && any_f) {
+                        for (o, &op) in PAIR_OPS.iter().enumerate() {
+                            if !(any_t[o] && any_f[o]) {
                                 constant_skipped += 1;
                                 continue;
                             }
                             vector.fill(0);
-                            for (ex_idx, block) in layout.blocks.iter().enumerate() {
+                            for (e, block) in layout.blocks.iter().enumerate() {
                                 if block.len == 0 {
                                     continue;
                                 }
-                                let cell_bits = &cells[cell_start[ex_idx]..];
+                                let block_cells = &cells[cell_start[e]..];
                                 if i == j {
-                                    block.tile(&mut vector, i, |k| cell_bits[k]);
+                                    block.tile(&mut vector, i, |k| block_cells[k][o]);
                                 } else {
                                     let cj = block.counts[j];
                                     block.tile_pair(&mut vector, i, j, |ki, kj| {
-                                        cell_bits[ki * cj + kj]
+                                        block_cells[ki * cj + kj][o]
                                     });
                                 }
                             }
                             let pred = || Predicate::Compare {
-                                extractor: data_i.phis[p1].clone(),
+                                extractor: a.phi.clone(),
                                 index: i,
                                 op,
                                 rhs: Operand::Column {
-                                    extractor: data_j.phis[p2].clone(),
+                                    extractor: b.phi.clone(),
                                     index: j,
                                 },
                             };
@@ -625,7 +578,7 @@ pub fn learn_predicate_reference(
     // The reference solves every cover itself, so the search-equivalence suite
     // referees the fast path's cover memo too.
     classifier_from_kept(&positive, layout.len, dedup.into_kept(), |instance| {
-        solve_exact(&instance, MAX_COVER_NODES)
+        solve_exact(instance, MAX_COVER_NODES)
     })
 }
 
@@ -710,14 +663,14 @@ impl Dedup {
 /// the positive/negative pairs, then Quine–McCluskey DNF minimization.  Shared
 /// verbatim by the fast and reference paths so any divergence is confined to the
 /// truth-vector construction and to `solve`, which answers the cover instance:
-/// the fast path through [`ColumnEvalCache::cover`]'s memo, the reference with
+/// the fast path through `ColumnEvalCache::cover`'s memo, the reference with
 /// [`solve_exact`] itself.  `positive` marks the positive ones of the `len`
 /// tuples.
 fn classifier_from_kept(
     positive: &[u64],
     len: usize,
     kept: Vec<(Predicate, Vec<u64>, usize)>,
-    solve: impl FnOnce(CoverInstance) -> Option<Cover>,
+    solve: impl FnOnce(&CoverInstance) -> Option<Cover>,
 ) -> Option<Predicate> {
     if kept.is_empty() {
         return None;
@@ -755,7 +708,7 @@ fn classifier_from_kept(
                 row
             })
             .collect();
-        solve(CoverInstance {
+        solve(&CoverInstance {
             num_elements,
             covers,
             weights: kept.iter().map(|(_, _, s)| *s).collect(),

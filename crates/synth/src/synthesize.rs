@@ -25,6 +25,7 @@ use crate::budget::{Budget, BudgetBreach, BudgetExhausted, BudgetResource};
 use crate::cache::ColumnEvalCache;
 use crate::column::learn_column_automata;
 use crate::dfa::{DfaLimits, WordStream};
+use crate::memo::Memo;
 use crate::predicate::{learn_predicate_on, learn_predicate_reference, Layout};
 use crate::universe::UniverseConfig;
 use mitra_dsl::ast::{ColumnExtractor, Predicate, Program, TableExtractor};
@@ -33,10 +34,10 @@ use mitra_dsl::eval::{eval_program_with, EvalLimits};
 use mitra_dsl::{Table, Value};
 use mitra_hdt::{Hdt, NodeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One input–output example: an HDT and the relational table it should map to.
@@ -221,9 +222,104 @@ enum CandidateOutcome {
 /// predicate was found or validation rejected the program.  Both read ψ only
 /// through those lists (DESIGN.md §8), so a candidate with a recorded extension
 /// takes the recorded outcome and only builds and costs its own program.  One
-/// entry per examined candidate at most; workers racing on one extension both
-/// compute the same value.
-type OutcomeMemo = Mutex<HashMap<Vec<Arc<Vec<NodeId>>>, Option<Predicate>>>;
+/// entry per examined candidate at most.
+type OutcomeMemo = Memo<Vec<Arc<Vec<NodeId>>>, Option<Predicate>>;
+
+/// What both searches keep besides their own enumeration, pruning, memo and fuel
+/// accounting: the call's clock, the best program so far, and whether the budget
+/// or the deadline cut the search short.
+struct Frame {
+    start: Instant,
+    best: Option<(Program, Cost)>,
+    /// Valid programs offered.
+    programs_found: usize,
+    timed_out: bool,
+    budget_breach: Option<BudgetBreach>,
+}
+
+impl Frame {
+    /// Starts the call's clock and checks the specification: at least one
+    /// example, and every output of one nonzero arity, which it returns.
+    fn new(examples: &[Example]) -> Result<(Frame, usize), SynthError> {
+        let start = Instant::now();
+        let arity = examples.first().map_or(0, |ex| ex.output.arity());
+        if arity == 0 {
+            return Err(SynthError::EmptySpecification);
+        }
+        if examples.iter().any(|e| e.output.arity() != arity) {
+            return Err(SynthError::InconsistentArity);
+        }
+        let frame = Frame {
+            start,
+            best: None,
+            programs_found: 0,
+            timed_out: false,
+            budget_breach: None,
+        };
+        Ok((frame, arity))
+    }
+
+    /// Whether the configured wall-clock budget is spent.
+    fn past_deadline(&self, config: &SynthConfig) -> bool {
+        config
+            .timeout
+            .is_some_and(|limit| self.start.elapsed() > limit)
+    }
+
+    /// The best program's cost.
+    fn incumbent(&self) -> Option<Cost> {
+        self.best.as_ref().map(|(_, cost)| *cost)
+    }
+
+    /// Records a valid program, which replaces the best one only when strictly
+    /// cheaper: ties go to the program offered first.
+    fn offer(&mut self, program: Program, cost: Cost) {
+        self.programs_found += 1;
+        if self.incumbent().is_none_or(|best| cost < best) {
+            self.best = Some((program, cost));
+        }
+    }
+
+    /// The best program, carrying the budget breach that cut the search short if
+    /// one did; without a program, the breach, else the deadline, else
+    /// [`SynthError::NoProgram`].
+    fn finish(self, truncated: bool, profile: SynthProfile) -> Result<Synthesis, SynthError> {
+        let Some((program, cost)) = self.best else {
+            return Err(match self.budget_breach {
+                Some(breach) => SynthError::BudgetExhausted(BudgetExhausted::new(breach, profile)),
+                None if self.timed_out => SynthError::Timeout,
+                None => SynthError::NoProgram,
+            });
+        };
+        Ok(Synthesis {
+            program,
+            cost,
+            programs_found: self.programs_found,
+            elapsed: self.start.elapsed(),
+            truncated,
+            profile,
+            budget_breach: self.budget_breach,
+        })
+    }
+}
+
+/// `Program(ψ, φ)` with the first example's column names, and its cost.
+fn named_program(examples: &[Example], psi: TableExtractor, phi: Predicate) -> (Program, Cost) {
+    let mut program = Program::new(psi, phi);
+    program.column_names = examples[0].output.columns.clone();
+    let cost = cost(&program);
+    (program, cost)
+}
+
+/// Whether `program` reproduces every example's output as a bag (Theorem 3
+/// soundness check) within `max_rows` intermediate rows; a resource error rejects
+/// it.
+fn validates(examples: &[Example], program: &Program, max_rows: usize) -> bool {
+    let limits = EvalLimits::with_max_rows(max_rows);
+    examples.iter().all(|ex| {
+        eval_program_with(&ex.tree, program, &limits).is_ok_and(|t| t.same_bag(&ex.output))
+    })
+}
 
 /// The atom floor `L`: a lower bound on the atom count of every program consistent
 /// with `examples`, read off the example outputs alone (proof in DESIGN.md §8).
@@ -258,14 +354,14 @@ fn atom_floor(examples: &[Example]) -> usize {
     required.iter().filter(|&&req| req).count().div_ceil(2)
 }
 
-/// Evaluates one candidate table extractor: cheap incremental pruning first (row
-/// coverage, the layout's product cap, the admissible cost floor), then learn a
-/// predicate on that layout, build the program, and validate it against every
-/// example (Theorem 3 soundness check).  Learning and validation run once per
-/// distinct extension: a candidate whose column node lists an earlier one of this
-/// call already had reuses that one's predicate or rejection from `memo` (counted
-/// as `synth.candidates.reused`), after the same cheap rejections and prune, so
-/// the `Pruned` and `Rejected` counts do not change.
+/// Evaluates one candidate table extractor: cheap incremental pruning first (the
+/// layout's product cap, the admissible cost floor), then learn a predicate on
+/// that layout, build the program, and validate it against every example.
+/// Learning and validation run once per distinct extension: a candidate whose
+/// column node lists an earlier one of this call already had reuses that one's
+/// predicate or rejection from `memo` (counted as `synth.candidates.reused`),
+/// after the same cheap rejection and prune, so the `Pruned` and `Rejected`
+/// counts do not change.
 ///
 /// Validation's row cap is the one the layout already enforced on the same trees
 /// and extractor, so a candidate that reached validation can never fail on
@@ -284,16 +380,6 @@ fn evaluate_candidate(
     predicate_nanos: &AtomicU64,
     validate_nanos: &AtomicU64,
 ) -> CandidateOutcome {
-    // A combo dies the moment one column's node values can no longer cover the
-    // example rows: no layout, no universe.
-    for (ex_idx, ex) in examples.iter().enumerate() {
-        for (col, pi) in combo.iter().enumerate() {
-            if !cache.row_coverage(ex_idx, &ex.tree, pi, &ex.output).covers[col] {
-                return CandidateOutcome::Rejected;
-            }
-        }
-    }
-
     // The intermediate table's layout rejects an oversized product.  The
     // admissible atom bound is the call's atom floor, raised to one when an
     // intermediate table bigger or smaller than the output needs a predicate atom
@@ -316,41 +402,19 @@ fn evaluate_candidate(
     }
 
     let psi = TableExtractor::new(combo.to_vec());
-    let recorded = memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(layout.extension())
-        .cloned();
-    let phi = if let Some(phi) = recorded {
-        mitra_trace::counter_add!("synth.candidates.reused", 1);
-        phi
-    } else {
+    let phi = memo.get_or_insert_with(layout.extension(), || {
         let phi = {
             let _span = mitra_trace::span_acc("synth", "predicate_learn", predicate_nanos);
             learn_predicate_on(&layout, config)
-        };
-        let limits = EvalLimits::with_max_rows(config.max_intermediate_rows);
-        let phi = phi.and_then(|phi| {
-            let _span = mitra_trace::span_acc("synth", "validate", validate_nanos);
-            let program = Program::new(psi.clone(), phi);
-            let valid = examples.iter().all(|ex| {
-                eval_program_with(&ex.tree, &program, &limits)
-                    .map(|t| t.same_bag(&ex.output))
-                    .unwrap_or(false)
-            });
-            valid.then_some(program.predicate)
-        });
-        memo.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(layout.extension().to_vec(), phi.clone());
-        phi
-    };
+        }?;
+        let _span = mitra_trace::span_acc("synth", "validate", validate_nanos);
+        let program = Program::new(psi.clone(), phi);
+        validates(examples, &program, config.max_intermediate_rows).then_some(program.predicate)
+    });
     let Some(phi) = phi else {
         return CandidateOutcome::Rejected;
     };
-    let mut program = Program::new(psi, phi);
-    program.column_names = examples[0].output.columns.clone();
-    let c = cost(&program);
+    let (program, c) = named_program(examples, psi, phi);
     CandidateOutcome::Valid(Box::new(program), c)
 }
 
@@ -420,16 +484,16 @@ fn combo_key(streams: &[ColumnStream<'_>], idxs: &[usize]) -> usize {
 ///
 /// Combos (one streamed word per column) pop off a binary-heap frontier in
 /// `(Σ sizes, enumeration index)` order; each popped combo is first subjected to
-/// cheap incremental pruning (per-column row-coverage bitmaps, checked row
-/// products, the admissible cost floor against the incumbent best program) and
-/// only then runs predicate learning.  The search ends when the incumbent
-/// provably beats every unexplored combo, when `max_table_candidates` combos have
-/// been popped, when the frontier empties, or when the budget or the deadline
-/// runs out; each call that reaches the search adds one to the matching
-/// `synth.search.stop.*` counter.  The proof uses the atom floor `L`, computed
-/// once per call from the example outputs (DESIGN.md §8): every valid program has
-/// at least `L` atoms, so once the incumbent has `L` atoms the search stops as
-/// soon as the frontier's keys pass its extractor size.
+/// cheap incremental pruning (checked row products, the admissible cost floor
+/// against the incumbent best program) and only then runs predicate learning.
+/// The search ends when the incumbent provably beats every unexplored combo,
+/// when `max_table_candidates` combos have been popped, when the frontier
+/// empties, or when the budget or the deadline runs out; each call that reaches
+/// the search adds one to the matching `synth.search.stop.*` counter.  The proof
+/// uses the atom floor `L`, computed once per call from the example outputs
+/// (DESIGN.md §8): every valid program has at least `L` atoms, so once the
+/// incumbent has `L` atoms the search stops as soon as the frontier's keys pass
+/// its extractor size.
 ///
 /// With `config.threads > 1` (or `0` resolving to a parallel global setting)
 /// combos are evaluated concurrently in deterministically-scheduled batches;
@@ -448,17 +512,7 @@ pub fn learn_transformation(
     examples: &[Example],
     config: &SynthConfig,
 ) -> Result<Synthesis, SynthError> {
-    let start = Instant::now();
-    if examples.is_empty() {
-        return Err(SynthError::EmptySpecification);
-    }
-    let arity = examples[0].output.arity();
-    if arity == 0 {
-        return Err(SynthError::EmptySpecification);
-    }
-    if examples.iter().any(|e| e.output.arity() != arity) {
-        return Err(SynthError::InconsistentArity);
-    }
+    let (mut frame, arity) = Frame::new(examples)?;
     let _span = mitra_trace::span_detail("synth", "learn_transformation", || {
         format!("arity={arity} examples={}", examples.len())
     });
@@ -515,7 +569,11 @@ pub fn learn_transformation(
     }
 
     let cache = ColumnEvalCache::new(examples.len());
-    let memo = OutcomeMemo::default();
+    let memo = OutcomeMemo::new([
+        "synth.candidates.reused",
+        "synth.candidates.learned",
+        "synth.candidates.recorded",
+    ]);
     let predicate_nanos = AtomicU64::new(0);
     let validate_nanos = AtomicU64::new(0);
     let atom_floor = atom_floor(examples);
@@ -529,12 +587,8 @@ pub fn learn_transformation(
     let seed = vec![0usize; arity];
     heap.push(Reverse((combo_key(&streams, &seed), seed)));
 
-    let mut best: Option<(Program, Cost)> = None;
     let mut examined = 0usize;
-    let mut programs_found = 0usize;
     let mut pruned = 0usize;
-    let mut timed_out = false;
-    let mut budget_breach: Option<BudgetBreach> = None;
     let mut popped_total = 0usize;
     // Deterministic batch schedule, independent of the thread count: batches grow
     // geometrically so the incumbent (and with it the pruning floor and the
@@ -551,7 +605,7 @@ pub fn learn_transformation(
             .budget
             .check(BudgetResource::Candidates, popped_total as u64)
         {
-            budget_breach = Some(breach);
+            frame.budget_breach = Some(breach);
             stop = "synth.search.stop.budget";
             break;
         }
@@ -566,8 +620,8 @@ pub fn learn_transformation(
             stop = "synth.search.stop.frontier";
             break;
         };
-        if let Some((_, best_cost)) = &best {
-            if *best_cost <= Cost::lower_bound(atom_floor, *min_key) {
+        if let Some(best_cost) = frame.incumbent() {
+            if best_cost <= Cost::lower_bound(atom_floor, *min_key) {
                 stop = "synth.search.stop.proof";
                 break;
             }
@@ -616,17 +670,15 @@ pub fn learn_transformation(
         // Workers prune against the incumbent from before the batch: in-batch
         // improvements must not influence later jobs, or the outcome (and the
         // candidate counts) would depend on scheduling.
-        let incumbent = best.as_ref().map(|(_, c)| *c);
+        let incumbent = frame.incumbent();
         let outcomes = mitra_pool::parallel_map_catch(threads, &jobs, |j, (key, combo)| {
             // Fault-injection site keyed by the global pop index — which candidate
             // dies is a pure function of the spec, never of worker scheduling.
             mitra_trace::fault::hit("synth.validate", (batch_start + j) as u64);
             // The deadline check mirrors the sequential loop: a candidate whose
             // turn comes up after the budget is spent is skipped, not started.
-            if let Some(limit) = config.timeout {
-                if start.elapsed() > limit {
-                    return CandidateOutcome::DeadlineSkipped;
-                }
+            if frame.past_deadline(config) {
+                return CandidateOutcome::DeadlineSkipped;
             }
             evaluate_candidate(
                 examples,
@@ -655,26 +707,19 @@ pub fn learn_transformation(
                     examined += 1;
                     panicked += 1;
                 }
-                Ok(CandidateOutcome::DeadlineSkipped) => timed_out = true,
+                Ok(CandidateOutcome::DeadlineSkipped) => frame.timed_out = true,
                 Ok(CandidateOutcome::Pruned) => pruned += 1,
                 Ok(CandidateOutcome::Rejected) => examined += 1,
                 Ok(CandidateOutcome::Valid(program, c)) => {
                     examined += 1;
-                    programs_found += 1;
-                    let better = match &best {
-                        None => true,
-                        Some((_, bc)) => c < *bc,
-                    };
-                    if better {
-                        best = Some((*program, c));
-                    }
+                    frame.offer(*program, c);
                 }
             }
         }
         if panicked > 0 {
             mitra_trace::counter_add!("synth.candidates.panicked", panicked);
         }
-        if timed_out {
+        if frame.timed_out {
             stop = "synth.search.stop.deadline";
             break;
         }
@@ -693,28 +738,7 @@ pub fn learn_transformation(
         candidates_examined: examined,
         candidates_pruned: pruned,
     };
-    match best {
-        Some((program, c)) => Ok(Synthesis {
-            program,
-            cost: c,
-            programs_found,
-            elapsed: start.elapsed(),
-            truncated,
-            profile,
-            budget_breach,
-        }),
-        None => {
-            if let Some(breach) = budget_breach {
-                Err(SynthError::BudgetExhausted(BudgetExhausted::new(
-                    breach, profile,
-                )))
-            } else if timed_out {
-                Err(SynthError::Timeout)
-            } else {
-                Err(SynthError::NoProgram)
-            }
-        }
-    }
+    frame.finish(truncated, profile)
 }
 
 /// The referee of the best-first search, kept as the oracle for the differential
@@ -733,17 +757,7 @@ pub fn learn_transformation_exhaustive(
     examples: &[Example],
     config: &SynthConfig,
 ) -> Result<Synthesis, SynthError> {
-    let start = Instant::now();
-    if examples.is_empty() {
-        return Err(SynthError::EmptySpecification);
-    }
-    let arity = examples[0].output.arity();
-    if arity == 0 {
-        return Err(SynthError::EmptySpecification);
-    }
-    if examples.iter().any(|e| e.output.arity() != arity) {
-        return Err(SynthError::InconsistentArity);
-    }
+    let (mut frame, arity) = Frame::new(examples)?;
     let threads = mitra_pool::resolve(config.threads);
 
     let automata = learn_column_automata(examples, arity, config.dfa_limits, threads, None);
@@ -769,13 +783,7 @@ pub fn learn_transformation_exhaustive(
 
     let combos = ordered_combinations(&per_column, config.max_table_candidates);
     let cache = ColumnEvalCache::new(examples.len());
-    let limits = EvalLimits::with_max_rows(config.max_intermediate_rows);
-
-    let mut best: Option<(Program, Cost)> = None;
     let mut examined = 0usize;
-    let mut programs_found = 0usize;
-    let mut timed_out = false;
-    let mut budget_breach: Option<BudgetBreach> = None;
     for combo in &combos {
         // The reference path spends candidate fuel per combo examined, matching
         // the best-first frontier's pay-per-pop accounting.
@@ -783,37 +791,21 @@ pub fn learn_transformation_exhaustive(
             .budget
             .check(BudgetResource::Candidates, examined as u64)
         {
-            budget_breach = Some(breach);
+            frame.budget_breach = Some(breach);
             break;
         }
-        if let Some(limit) = config.timeout {
-            if start.elapsed() > limit {
-                timed_out = true;
-                continue;
-            }
+        if frame.past_deadline(config) {
+            frame.timed_out = true;
+            continue;
         }
         examined += 1;
         let psi = TableExtractor::new(combo.clone());
         let Some(phi) = learn_predicate_reference(examples, &psi, config, &cache) else {
             continue;
         };
-        let mut program = Program::new(psi, phi);
-        program.column_names = examples[0].output.columns.clone();
-        if !examples.iter().all(|ex| {
-            eval_program_with(&ex.tree, &program, &limits)
-                .map(|t| t.same_bag(&ex.output))
-                .unwrap_or(false)
-        }) {
-            continue;
-        }
-        let c = cost(&program);
-        programs_found += 1;
-        let better = match &best {
-            None => true,
-            Some((_, bc)) => c < *bc,
-        };
-        if better {
-            best = Some((program, c));
+        let (program, c) = named_program(examples, psi, phi);
+        if validates(examples, &program, config.max_intermediate_rows) {
+            frame.offer(program, c);
         }
     }
 
@@ -821,28 +813,7 @@ pub fn learn_transformation_exhaustive(
         candidates_examined: examined,
         ..Default::default()
     };
-    match best {
-        Some((program, c)) => Ok(Synthesis {
-            program,
-            cost: c,
-            programs_found,
-            elapsed: start.elapsed(),
-            truncated,
-            profile,
-            budget_breach,
-        }),
-        None => {
-            if let Some(breach) = budget_breach {
-                Err(SynthError::BudgetExhausted(BudgetExhausted::new(
-                    breach, profile,
-                )))
-            } else if timed_out {
-                Err(SynthError::Timeout)
-            } else {
-                Err(SynthError::NoProgram)
-            }
-        }
-    }
+    frame.finish(truncated, profile)
 }
 
 /// The first `max` combinations (one candidate per column) in (Σ sizes, index

@@ -47,6 +47,24 @@ impl Default for UniverseConfig {
     }
 }
 
+/// Rule 5's operators, `=` and `!=`.  Column-to-column comparisons are
+/// overwhelmingly equality joins in practice (the paper's examples only ever use
+/// `=` between tuple components); restricting the pairwise operators keeps the
+/// universe — and therefore the ILP — small.
+pub(crate) const PAIR_OPS: [CompareOp; 2] = [CompareOp::ALL[0], CompareOp::ALL[1]];
+
+/// Rule 4's operators against constant `c`, in [`CompareOp::ALL`]'s order: all
+/// six with `with_ordering` when `c` is a number, else [`PAIR_OPS`].  Ordering
+/// comparisons against non-numeric constants are rarely meaningful and blow up
+/// the universe.
+pub(crate) fn const_ops(config: &UniverseConfig, c: &Value) -> &'static [CompareOp] {
+    if config.with_ordering && c.as_number().is_some() {
+        &CompareOp::ALL
+    } else {
+        &PAIR_OPS
+    }
+}
+
 /// Computes the set of valid node extractors χ_i for column `i` of ψ.
 ///
 /// The extractors are enumerated breadth-first by size so that simpler extractors come
@@ -193,43 +211,17 @@ pub fn construct_universe(
         .collect();
     let constants = mine_constants(examples, config.max_constants);
 
-    let const_ops: &[CompareOp] = if config.with_ordering {
-        &[
-            CompareOp::Eq,
-            CompareOp::Ne,
-            CompareOp::Lt,
-            CompareOp::Le,
-            CompareOp::Gt,
-            CompareOp::Ge,
-        ]
-    } else {
-        &[CompareOp::Eq, CompareOp::Ne]
-    };
-    // Column-to-column comparisons are overwhelmingly equality joins in practice (the
-    // paper's examples only ever use `=` between tuple components); restricting the
-    // pairwise operators keeps the universe — and therefore the ILP — small.
-    let pair_ops: &[CompareOp] = &[CompareOp::Eq, CompareOp::Ne];
-
     let mut universe = Vec::new();
 
     // Rule 4: comparisons against constants.
     for (i, extractors) in per_column_extractors.iter().enumerate() {
         for phi in extractors {
             for c in &constants {
-                for op in const_ops {
-                    // Ordering comparisons against non-numeric constants are rarely
-                    // meaningful and blow up the universe; keep them for numbers only.
-                    if matches!(
-                        op,
-                        CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge
-                    ) && c.as_number().is_none()
-                    {
-                        continue;
-                    }
+                for &op in const_ops(config, c) {
                     universe.push(Predicate::Compare {
                         extractor: phi.clone(),
                         index: i,
-                        op: *op,
+                        op,
                         rhs: Operand::Const(c.clone()),
                     });
                 }
@@ -240,22 +232,19 @@ pub fn construct_universe(
     // Rule 5: comparisons between two tuple components.
     for (i, ext_i) in per_column_extractors.iter().enumerate() {
         for (j, ext_j) in per_column_extractors.iter().enumerate() {
-            if i == j {
-                // Comparing a column with itself through two *different* extractors is
-                // still meaningful (e.g. the φ1 of Figure 3 relates t[0] and t[2] — but
-                // also id/fid pairs on the same index), so we keep i == j pairs as long
-                // as the extractors differ.
-            }
             for phi1 in ext_i {
                 for phi2 in ext_j {
+                    // Comparing a column with itself through two *different*
+                    // extractors is still meaningful (e.g. id/fid pairs on the same
+                    // index); through the same one it is trivially true under Eq.
                     if i == j && phi1 == phi2 {
-                        continue; // trivially true under Eq
+                        continue;
                     }
-                    for op in pair_ops {
+                    for op in PAIR_OPS {
                         universe.push(Predicate::Compare {
                             extractor: phi1.clone(),
                             index: i,
-                            op: *op,
+                            op,
                             rhs: Operand::Column {
                                 extractor: phi2.clone(),
                                 index: j,

@@ -12,9 +12,11 @@
 //! * **search stops** — each synthesis call that reaches the best-first search adds
 //!   one to exactly one `synth.search.stop.*` counter;
 //! * **outcome reuse** — `synth.candidates.reused` counts the examined candidates
-//!   that took an earlier candidate's predicate-learning outcome;
+//!   that took an earlier candidate's predicate-learning outcome, and
+//!   `synth.candidates.learned` the ones that learned their own;
 //! * **cover reuse** — `synth.cover.reused` counts the cover instances predicate
-//!   learning answered from its memo, which the reference path never consults;
+//!   learning answered from its memo, which the reference path never consults,
+//!   and `synth.cover.miss` the ones it solved;
 //! * **cover reductions** — `synth.cover.sets_dropped` and
 //!   `synth.cover.elements_dropped` count the twin sets and implied elements
 //!   `solve_exact` removes before its search.
@@ -223,9 +225,10 @@ fn every_search_counts_how_it_stopped() {
     assert_eq!(stops_added_by(&[unsatisfiable], &config(1)), [0; 5]);
 }
 
-/// `synth.candidates.reused` and the examined-candidate count of one synthesis
-/// call at one thread with the default configuration and no deadline.
-fn reused_and_examined(examples: &[Example]) -> (u64, usize) {
+/// `synth.candidates.reused`, `synth.candidates.learned` and the examined-candidate
+/// count of one synthesis call at one thread with the default configuration and
+/// no deadline.
+fn reused_learned_and_examined(examples: &[Example]) -> (u64, u64, usize) {
     let config = SynthConfig {
         timeout: None,
         threads: 1,
@@ -236,6 +239,7 @@ fn reused_and_examined(examples: &[Example]) -> (u64, usize) {
     let delta = trace::snapshot().delta(&before);
     (
         delta.counter("synth.candidates.reused"),
+        delta.counter("synth.candidates.learned"),
         s.profile.candidates_examined,
     )
 }
@@ -245,17 +249,17 @@ fn candidates_with_an_examined_extension_reuse_its_outcome() {
     let _guard = MODE_LOCK.lock().unwrap();
     trace::set_mode(TraceMode::Summary);
     // A four-column Table 1 task pops to the cap, and every examined candidate
-    // after the first selects the first one's nodes.
+    // after the first selects the first one's nodes: one learns, 127 reuse.
     let task = generate_corpus()
         .into_iter()
         .find(|t| t.name == "flat-4col-29")
         .expect("corpus task");
     let examples = std::slice::from_ref(&task.example);
-    assert_eq!(reused_and_examined(examples), (127, 128));
+    assert_eq!(reused_learned_and_examined(examples), (127, 1, 128));
     // The motivating example stops by proof after one pop: nothing to reuse.
     let example = motivating_example();
     let examples = std::slice::from_ref(&example);
-    assert_eq!(reused_and_examined(examples), (0, 1));
+    assert_eq!(reused_learned_and_examined(examples), (0, 1, 1));
 }
 
 #[test]
@@ -287,18 +291,21 @@ fn equal_cover_instances_are_solved_once_per_call() {
         ])
     };
     let config = config(1);
-    let reused = |learn: &dyn Fn(&TableExtractor, &ColumnEvalCache) -> bool| {
+    // (reused, solved) by the cover memo.
+    let memo = |learn: &dyn Fn(&TableExtractor, &ColumnEvalCache) -> bool| {
         let cache = ColumnEvalCache::new(1);
         let before = trace::snapshot();
         assert!(learn(&psi("A"), &cache) && learn(&psi("B"), &cache));
-        trace::snapshot()
-            .delta(&before)
-            .counter("synth.cover.reused")
+        let delta = trace::snapshot().delta(&before);
+        (
+            delta.counter("synth.cover.reused"),
+            delta.counter("synth.cover.miss"),
+        )
     };
-    let fast = reused(&|psi, cache| learn_predicate(examples, psi, &config, cache).is_some());
+    let fast = memo(&|psi, cache| learn_predicate(examples, psi, &config, cache).is_some());
     let reference =
-        reused(&|psi, cache| learn_predicate_reference(examples, psi, &config, cache).is_some());
-    assert_eq!((fast, reference), (1, 0));
+        memo(&|psi, cache| learn_predicate_reference(examples, psi, &config, cache).is_some());
+    assert_eq!((fast, reference), ((1, 1), (0, 0)));
 }
 
 #[test]
